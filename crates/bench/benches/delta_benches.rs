@@ -2,15 +2,15 @@
 //! engine: `sim_delta_vs_full` times one legal-swap evaluation through
 //! [`gpusim::DeltaEngine::simulate_delta`] against the equivalent full
 //! [`gpusim::SmSimulator::run_compiled`] (plus the baseline recording both
-//! share), and `mask_incremental` times the block-local mask update of
-//! [`cuasmrl::IncrementalMasker`] against a from-scratch
-//! [`cuasmrl::action_mask`]. Both run once under `cargo bench -- --test`
+//! share), and `mask_incremental` times the block-local edit-table update
+//! of [`cuasmrl::IncrementalMasker`] against a from-scratch
+//! [`cuasmrl::schedule_edits`]. Both run once under `cargo bench -- --test`
 //! (the CI smoke).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use bench::harness_config;
-use cuasmrl::{action_mask, analyze, Action, Direction, IncrementalMasker, StallTable};
+use cuasmrl::{analyze, schedule_edits, ActionSpace, IncrementalMasker, ScheduleEdit, StallTable};
 use gpusim::{CompiledProgram, DeltaEngine, GpuConfig, SmSimulator};
 use kernels::{generate, GeneratedKernel, KernelKind, KernelSpec, ScheduleStyle};
 
@@ -23,29 +23,25 @@ fn bench_kernel() -> GeneratedKernel {
     )
 }
 
+const SPACE: ActionSpace = ActionSpace::AdjacentSwap;
+
 /// The first masked-legal swap of the kernel (what the game's inner loop
-/// evaluates), as `(upper_index, movable, analysis)`.
-fn first_legal_swap(kernel: &GeneratedKernel, table: &StallTable) -> usize {
+/// evaluates).
+fn first_legal_swap(kernel: &GeneratedKernel, table: &StallTable) -> ScheduleEdit {
     let analysis = analyze(&kernel.program, table);
     let movable = analysis.movable_memory_indices();
-    let mask = action_mask(&kernel.program, &movable, &analysis, table);
-    let id = mask
-        .iter()
-        .position(|&legal| legal)
-        .expect("bench kernel must expose a legal action");
-    let action = Action::from_id(id);
-    let index = movable[action.slot];
-    match action.direction {
-        Direction::Up => index - 1,
-        Direction::Down => index,
-    }
+    schedule_edits(&kernel.program, &movable, &analysis, table, SPACE)
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("bench kernel must expose a legal action")
 }
 
 fn bench_sim_delta_vs_full(c: &mut Criterion) {
     let gpu = GpuConfig::a100();
     let kernel = bench_kernel();
     let table = StallTable::for_arch(&gpu.arch);
-    let upper = first_legal_swap(&kernel, &table);
+    let upper = first_legal_swap(&kernel, &table).index();
     let compiled = CompiledProgram::compile(&kernel.program, &gpu);
     let mut mutated = compiled.clone();
     mutated.swap_insts(upper, upper + 1);
@@ -72,14 +68,12 @@ fn bench_sim_delta_vs_full(c: &mut Criterion) {
 fn bench_mask_incremental(c: &mut Criterion) {
     let kernel = bench_kernel();
     let table = StallTable::builtin_a100();
-    let upper = first_legal_swap(&kernel, &table);
+    let edit = first_legal_swap(&kernel, &table);
     let mut swapped = kernel.program.clone();
-    swapped
-        .swap_instructions(upper, upper + 1)
-        .expect("legal swap applies");
+    assert!(edit.apply(&mut swapped), "legal swap applies");
     let analysis = analyze(&kernel.program, &table);
     let movable = analysis.movable_memory_indices();
-    let mask = action_mask(&kernel.program, &movable, &analysis, &table);
+    let edits = schedule_edits(&kernel.program, &movable, &analysis, &table, SPACE);
     let swapped_analysis = analyze(&swapped, &table);
     let swapped_movable = swapped_analysis.movable_memory_indices();
     let masker = IncrementalMasker::new(&kernel.program, &analysis, &table);
@@ -87,12 +81,19 @@ fn bench_mask_incremental(c: &mut Criterion) {
     c.bench_function("mask_incremental/incremental_update", |b| {
         b.iter(|| {
             let mut updated = masker.clone();
-            updated.apply_swap(upper);
-            updated.mask_after_swap(upper, &swapped_movable, &swapped_analysis, &movable, &mask)
+            updated.apply_edit(&edit);
+            updated.edits_after_edit(
+                &edit,
+                &swapped_movable,
+                &swapped_analysis,
+                SPACE,
+                &movable,
+                &edits,
+            )
         })
     });
     c.bench_function("mask_incremental/full_recompute", |b| {
-        b.iter(|| action_mask(&swapped, &swapped_movable, &swapped_analysis, &table))
+        b.iter(|| schedule_edits(&swapped, &swapped_movable, &swapped_analysis, &table, SPACE))
     });
 }
 

@@ -18,7 +18,7 @@ pub use report::{
     CompareTolerance, OpStall, BENCH_REPORT_SCHEMA_VERSION, DELTA_FALLBACK_CEILING,
 };
 
-use cuasmrl::{CuAsmRl, GameConfig, OptimizationReport, Strategy, SuiteOptimizer};
+use cuasmrl::{ActionSpace, CuAsmRl, GameConfig, OptimizationReport, Strategy, SuiteOptimizer};
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{
     find_suite, generate, ConfigSpace, KernelConfig, KernelKind, KernelSpec, ScheduleStyle,
@@ -272,17 +272,17 @@ pub fn suite_driver(args: &HarnessArgs, budget_moves: usize) -> SuiteOptimizer {
     }
 }
 
-/// Outcome tallies of a [`delta_sweep`]: every *legal* adjacent swap of a
-/// suite's kernels, evaluated once through the incremental delta engine.
+/// Outcome tallies of a [`delta_sweep`] or [`edit_sweep`]: every *legal* edit
+/// of a suite's kernels, evaluated once through the incremental delta engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaSweep {
-    /// Swaps whose evaluation reconverged with the baseline and spliced its
+    /// Edits whose evaluation reconverged with the baseline and spliced its
     /// tail (or were provably unobservable).
     pub spliced: u64,
-    /// Swaps that re-simulated to completion but resumed past the shared
+    /// Edits that re-simulated to completion but resumed past the shared
     /// prefix (partial reuse).
     pub resumed: u64,
-    /// Swaps that fell back to a full re-simulation from cycle zero.
+    /// Edits that fell back to a full re-simulation from cycle zero.
     pub fallbacks: u64,
 }
 
@@ -309,71 +309,33 @@ impl DeltaSweep {
 /// for the engine's reconvergence detection.
 #[must_use]
 pub fn delta_sweep(gpu: &GpuConfig, suite: &WorkloadSuite, scale: usize) -> DeltaSweep {
-    use cuasmrl::{action_mask, analyze, Action, Direction, StallTable};
-    use gpusim::{CompiledProgram, DeltaEngine, DeltaOutcome};
-    let mut sweep = DeltaSweep::default();
-    for entry in &suite.entries {
-        let spec = entry.spec(scale);
-        let kernel = generate(&spec, &harness_config(entry.kind), ScheduleStyle::Baseline);
-        let table = StallTable::for_arch(&gpu.arch);
-        let analysis = analyze(&kernel.program, &table);
-        let movable = analysis.movable_memory_indices();
-        let mask = action_mask(&kernel.program, &movable, &analysis, &table);
-        let compiled = CompiledProgram::compile(&kernel.program, gpu);
-        let mut engine = DeltaEngine::for_launch(gpu.clone(), &kernel.launch);
-        let baseline = engine.record_baseline(&compiled);
-        for (id, &legal) in mask.iter().enumerate() {
-            if !legal {
-                continue;
-            }
-            let action = Action::from_id(id);
-            let index = movable[action.slot];
-            let upper = match action.direction {
-                Direction::Up => index - 1,
-                Direction::Down => index,
-            };
-            let mut mutated = compiled.clone();
-            mutated.swap_insts(upper, upper + 1);
-            let (_, outcome) = engine.simulate_delta(&baseline, &mutated, &[upper, upper + 1]);
-            match outcome {
-                DeltaOutcome::Unchanged | DeltaOutcome::Spliced { .. } => sweep.spliced += 1,
-                DeltaOutcome::Resimulated { resumed_cycle } if resumed_cycle > 0 => {
-                    sweep.resumed += 1;
-                }
-                DeltaOutcome::Resimulated { .. } => sweep.fallbacks += 1,
-            }
-        }
-    }
-    sweep
+    sweep(gpu, suite, scale, ActionSpace::AdjacentSwap)
 }
 
-/// The rich-action-space counterpart of [`delta_sweep`]: deterministically
-/// evaluates every masked-legal [`cuasmrl::ScheduleEdit`] of every kernel in
-/// `suite` — adjacent swaps, multi-instruction block moves, reuse-flag
-/// toggles, stall retunes and barrier-wait edits — once through the
-/// incremental delta engine and tallies how each evaluation was obtained.
-/// Content edits touch a single instruction, so their splice rate is the
-/// regression signal for the engine's in-place-edit reconvergence (swaps are
-/// covered by [`delta_sweep`]; this sweep covers everything the richer
-/// action space adds on top).
+/// The rich-action-space counterpart of [`delta_sweep`]: the same sweep over
+/// every masked-legal [`cuasmrl::ScheduleEdit`] — adjacent swaps,
+/// multi-instruction block moves, reuse-flag toggles, stall retunes and
+/// barrier-wait edits. Content edits touch a single instruction, so their
+/// splice rate is the regression signal for the engine's in-place-edit
+/// reconvergence.
 #[must_use]
 pub fn edit_sweep(gpu: &GpuConfig, suite: &WorkloadSuite, scale: usize) -> DeltaSweep {
-    use cuasmrl::{analyze, schedule_edits, ActionSpace, StallTable};
+    sweep(gpu, suite, scale, ActionSpace::Rich)
+}
+
+/// Evaluates every masked-legal edit of `space` on every kernel of `suite`
+/// once through the incremental delta engine.
+fn sweep(gpu: &GpuConfig, suite: &WorkloadSuite, scale: usize, space: ActionSpace) -> DeltaSweep {
+    use cuasmrl::{analyze, schedule_edits, StallTable};
     use gpusim::{CompiledProgram, DeltaEngine, DeltaOutcome};
-    let mut sweep = DeltaSweep::default();
+    let mut tally = DeltaSweep::default();
     for entry in &suite.entries {
         let spec = entry.spec(scale);
         let kernel = generate(&spec, &harness_config(entry.kind), ScheduleStyle::Baseline);
         let table = StallTable::for_arch(&gpu.arch);
         let analysis = analyze(&kernel.program, &table);
         let movable = analysis.movable_memory_indices();
-        let edits = schedule_edits(
-            &kernel.program,
-            &movable,
-            &analysis,
-            &table,
-            ActionSpace::Rich,
-        );
+        let edits = schedule_edits(&kernel.program, &movable, &analysis, &table, space);
         let compiled = CompiledProgram::compile(&kernel.program, gpu);
         let mut engine = DeltaEngine::for_launch(gpu.clone(), &kernel.launch);
         let baseline = engine.record_baseline(&compiled);
@@ -386,15 +348,15 @@ pub fn edit_sweep(gpu: &GpuConfig, suite: &WorkloadSuite, scale: usize) -> Delta
             edit.apply_to_compiled(&mut mutated, &mutated_program, gpu);
             let (_, outcome) = engine.simulate_delta(&baseline, &mutated, &edit.touched_indices());
             match outcome {
-                DeltaOutcome::Unchanged | DeltaOutcome::Spliced { .. } => sweep.spliced += 1,
+                DeltaOutcome::Unchanged | DeltaOutcome::Spliced { .. } => tally.spliced += 1,
                 DeltaOutcome::Resimulated { resumed_cycle } if resumed_cycle > 0 => {
-                    sweep.resumed += 1;
+                    tally.resumed += 1;
                 }
-                DeltaOutcome::Resimulated { .. } => sweep.fallbacks += 1,
+                DeltaOutcome::Resimulated { .. } => tally.fallbacks += 1,
             }
         }
     }
-    sweep
+    tally
 }
 
 /// Optimizes one kernel of the suite on the A100-like device, returning the

@@ -29,40 +29,6 @@ pub enum Direction {
     Down,
 }
 
-/// A decoded action: which movable-memory slot, and which direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Action {
-    /// Index into the movable-memory-instruction list.
-    pub slot: usize,
-    /// Swap direction.
-    pub direction: Direction,
-}
-
-impl Action {
-    /// Decodes a flat action id (`slot * 2 + direction`).
-    #[must_use]
-    pub fn from_id(id: usize) -> Self {
-        Action {
-            slot: id / 2,
-            direction: if id.is_multiple_of(2) {
-                Direction::Up
-            } else {
-                Direction::Down
-            },
-        }
-    }
-
-    /// Encodes the action as a flat id.
-    #[must_use]
-    pub fn to_id(self) -> usize {
-        self.slot * 2
-            + match self.direction {
-                Direction::Up => 0,
-                Direction::Down => 1,
-            }
-    }
-}
-
 /// One family of schedule transforms the agent can request on a movable
 /// slot. The swap kinds reproduce the paper's action space; the remaining
 /// kinds are the richer transforms of [`ActionSpace::Rich`].
@@ -93,11 +59,14 @@ pub enum EditKind {
 
 /// Which edit families the flat action space offers per movable slot.
 ///
-/// The default reproduces the paper exactly: two actions per slot (swap up /
-/// swap down), byte-identical masks, ids and schedules. [`ActionSpace::Rich`]
-/// widens each slot to the full [`EditKind`] table; the swap kinds keep the
-/// first two positions so `id % kinds_per_slot()` stays aligned with the
-/// legacy encoding.
+/// A space selects only the per-slot kind table and, through it, the flat id
+/// layout `slot * kinds_per_slot() + k`; resolution, application and
+/// incremental refresh are the same code for both. The default is the
+/// paper's: two actions per slot (swap up / swap down). [`ActionSpace::Rich`]
+/// widens each slot to the full [`EditKind`] table with the swap kinds in the
+/// first two positions. The two layouts stay distinct because
+/// [`ActionSpace::action_count`] is the policy-head width stored in every
+/// checkpoint, and the ids are what seeded searches draw.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ActionSpace {
     /// Adjacent pairwise reorders only (the paper's §3.4 action space).
@@ -166,10 +135,11 @@ impl ActionSpace {
 
 /// A fully-resolved, legality-checked schedule transform.
 ///
-/// Where [`Action`] names a *request* (slot + kind), a `ScheduleEdit` names
-/// the concrete mutation the mask resolved it to: absolute instruction
-/// indices, the operand carrying the reuse flag, the exact stall transition
-/// or the barrier bit being flipped. Every variant is invertible in O(1)
+/// Where a flat action id names a *request* (slot + kind, see
+/// [`ActionSpace::decode`]), a `ScheduleEdit` names the concrete mutation
+/// the mask resolved it to: absolute instruction indices, the operand
+/// carrying the reuse flag, the exact stall transition or the barrier bit
+/// being flipped. Every variant is invertible in O(1)
 /// ([`ScheduleEdit::inverse`]), which is how the game reverts a transform the
 /// simulator rejects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -874,8 +844,9 @@ impl MaskContext {
     }
 }
 
-/// Computes the mask over the flat action space: `mask[slot * 2 + dir]` is
-/// true when the corresponding swap preserves all dependences.
+/// Computes the mask over the flat [`ActionSpace::AdjacentSwap`] ids:
+/// `mask[slot * 2 + dir]` is true when the corresponding swap preserves all
+/// dependences, i.e. when [`schedule_edits`] resolves it.
 #[must_use]
 pub fn action_mask(
     program: &Program,
@@ -883,28 +854,38 @@ pub fn action_mask(
     analysis: &Analysis,
     stalls: &StallTable,
 ) -> Vec<bool> {
-    IncrementalMasker::new(program, analysis, stalls).full_mask(movable, analysis)
+    schedule_edits(
+        program,
+        movable,
+        analysis,
+        stalls,
+        ActionSpace::AdjacentSwap,
+    )
+    .iter()
+    .map(Option::is_some)
+    .collect()
 }
 
 /// A retained legality context that survives schedule mutations.
 ///
-/// Recomputing a mask from scratch re-decodes every instruction's defs,
-/// uses, control codes and latency lookups. After an adjacent swap, though,
-/// only two context entries change places and only candidates inside the
-/// swap's basic block can change legality — every stall-count walk is
+/// Recomputing an edit table from scratch re-decodes every instruction's
+/// defs, uses, control codes and latency lookups. After a [`ScheduleEdit`],
+/// though, only the touched context entries change (swaps transpose them,
+/// stall and wait edits overwrite one value) and only candidates inside the
+/// edit's basic block can change legality — every stall-count walk is
 /// confined to one block, and cross-block candidates are rejected by block
-/// membership alone. [`IncrementalMasker::apply_swap`] therefore permutes
-/// the per-index arrays in O(1) and
-/// [`IncrementalMasker::mask_after_swap`] re-evaluates only the slots whose
+/// membership alone. [`IncrementalMasker::apply_edit`] therefore updates
+/// the per-index arrays in O(edit) and
+/// [`IncrementalMasker::edits_after_edit`] re-resolves only the slots whose
 /// instruction lies in the affected block, copying every other slot from
-/// the previous mask.
+/// the previous table.
 ///
-/// The incremental path is only valid when the swap did not change the
+/// The incremental path is only valid when the edit did not change the
 /// *global* inputs of the context — the (possibly schedule-inferred) stall
 /// table, the denylist and the block structure. The game checks those
 /// preconditions after re-analysis and falls back to a full rebuild when
 /// any of them moved; `masking_properties` proptests pin incremental ≡ full
-/// recompute over random legal swap sequences.
+/// recompute over random legal edit sequences in both action spaces.
 #[derive(Debug, Clone)]
 pub struct IncrementalMasker {
     ctx: MaskContext,
@@ -917,88 +898,6 @@ impl IncrementalMasker {
         IncrementalMasker {
             ctx: MaskContext::new(program, analysis, stalls),
         }
-    }
-
-    /// The full mask over `movable` (exactly [`action_mask`]).
-    #[must_use]
-    pub fn full_mask(&self, movable: &[usize], analysis: &Analysis) -> Vec<bool> {
-        let count = self.ctx.len();
-        let mut mask = vec![false; movable.len() * 2];
-        for (slot, &index) in movable.iter().enumerate() {
-            if analysis.denylist.contains(&index) {
-                continue;
-            }
-            if index > 0 {
-                mask[slot * 2] = self.ctx.swap_is_legal(index - 1);
-            }
-            if index + 1 < count {
-                mask[slot * 2 + 1] = self.ctx.swap_is_legal(index);
-            }
-        }
-        mask
-    }
-
-    /// True when the swap of `upper` and `upper + 1` keeps the context
-    /// incrementally updatable: both instructions live in one basic block
-    /// and neither is a scheduling fence (so the block structure cannot
-    /// move). Accepted game actions always satisfy this — the mask itself
-    /// forbids the rest — but the caller must fall back to a rebuild when
-    /// it does not hold.
-    #[must_use]
-    pub fn swap_stays_incremental(&self, upper: usize) -> bool {
-        let lower = upper + 1;
-        lower < self.ctx.len()
-            && !self.ctx.fence[upper]
-            && !self.ctx.fence[lower]
-            && self
-                .ctx
-                .blocks
-                .iter()
-                .any(|b| b.contains(upper) && b.contains(lower))
-    }
-
-    /// Applies an adjacent swap to the per-index context arrays. Blocks are
-    /// untouched (guarded by [`IncrementalMasker::swap_stays_incremental`]).
-    pub fn apply_swap(&mut self, upper: usize) {
-        self.ctx.swap_entries(upper);
-    }
-
-    /// The mask after a swap at `upper` was applied with
-    /// [`IncrementalMasker::apply_swap`]: slots whose instruction lies in
-    /// the swap's basic block are re-evaluated, every other slot is copied
-    /// from `prev_mask` (indexed through `prev_movable`, which is sorted).
-    #[must_use]
-    pub fn mask_after_swap(
-        &self,
-        upper: usize,
-        movable: &[usize],
-        analysis: &Analysis,
-        prev_movable: &[usize],
-        prev_mask: &[bool],
-    ) -> Vec<bool> {
-        let count = self.ctx.len();
-        let swap_block = self.ctx.blocks.iter().find(|b| b.contains(upper)).copied();
-        let mut mask = vec![false; movable.len() * 2];
-        for (slot, &index) in movable.iter().enumerate() {
-            if analysis.denylist.contains(&index) {
-                continue;
-            }
-            let affected = swap_block.is_none_or(|b| b.contains(index));
-            if !affected {
-                if let Ok(prev_slot) = prev_movable.binary_search(&index) {
-                    mask[slot * 2] = prev_mask.get(prev_slot * 2).copied().unwrap_or(false);
-                    mask[slot * 2 + 1] = prev_mask.get(prev_slot * 2 + 1).copied().unwrap_or(false);
-                    continue;
-                }
-            }
-            if index > 0 {
-                mask[slot * 2] = self.ctx.swap_is_legal(index - 1);
-            }
-            if index + 1 < count {
-                mask[slot * 2 + 1] = self.ctx.swap_is_legal(index);
-            }
-        }
-        mask
     }
 
     /// Resolves the full edit table over `movable` for `space`:
@@ -1117,10 +1016,10 @@ impl IncrementalMasker {
     }
 }
 
-/// Resolves the legal-edit table over the flat `space` action ids (the
-/// richer-space analogue of [`action_mask`]): entry `slot * K + k` holds the
-/// concrete [`ScheduleEdit`] for kind `space.kinds()[k]` on `movable[slot]`,
-/// or `None` when that transform is illegal in the current schedule.
+/// Resolves the legal-edit table over the flat `space` action ids: entry
+/// `slot * K + k` holds the concrete [`ScheduleEdit`] for kind
+/// `space.kinds()[k]` on `movable[slot]`, or `None` when that transform is
+/// illegal in the current schedule.
 #[must_use]
 pub fn schedule_edits(
     program: &Program,
@@ -1152,15 +1051,6 @@ mod tests {
         let table = StallTable::builtin_a100();
         let analysis = analyze(&program, &table);
         (program, analysis, table)
-    }
-
-    #[test]
-    fn action_encoding_round_trips() {
-        for id in 0..10 {
-            assert_eq!(Action::from_id(id).to_id(), id);
-        }
-        assert_eq!(Action::from_id(3).direction, Direction::Down);
-        assert_eq!(Action::from_id(4).slot, 2);
     }
 
     #[test]
@@ -1361,12 +1251,12 @@ mod tests {
             if !allowed {
                 continue;
             }
-            let action = Action::from_id(id);
-            let index = movable[action.slot];
+            let (slot, kind) = ActionSpace::AdjacentSwap.decode(id);
+            let index = movable[slot];
             let mut mutated = program.clone();
-            let (a, b) = match action.direction {
-                Direction::Up => (index - 1, index),
-                Direction::Down => (index, index + 1),
+            let (a, b) = match kind {
+                EditKind::SwapUp => (index - 1, index),
+                _ => (index, index + 1),
             };
             mutated.swap_instructions(a, b).unwrap();
             let run = simulate_launch(&GpuConfig::small(), &mutated, &launch);

@@ -10,7 +10,7 @@ use rl::{Env, Step};
 use sass::Program;
 use serde::{Deserialize, Serialize};
 
-use crate::action::{Action, ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit};
+use crate::action::{ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit};
 use crate::analysis::{analyze, Analysis};
 use crate::delta_session::DeltaSession;
 use crate::embed::{embed_program, embed_rows_into, feature_count};
@@ -52,8 +52,8 @@ impl Default for GameConfig {
 /// §5.7.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Move {
-    /// Instruction index that was moved (its post-edit position; for
-    /// in-place content edits the instruction does not move).
+    /// Index of the selected instruction (`movable[slot]`) before the edit
+    /// was applied; in-place content edits leave it there.
     pub instruction: usize,
     /// Direction of the move (positional edits; in-place content edits
     /// record [`Direction::Down`] and are distinguished by `kind`).
@@ -62,7 +62,7 @@ pub struct Move {
     /// space default to [`EditKind::SwapUp`]).
     #[serde(default)]
     pub kind: EditKind,
-    /// The moved instruction's text.
+    /// The selected instruction's text before the edit.
     pub text: String,
     /// Reward received for the move.
     pub reward: f32,
@@ -136,8 +136,7 @@ struct DerivedViews {
     analysis: Analysis,
     movable: Vec<usize>,
     mask: Vec<bool>,
-    /// Resolved legal edit per flat action id ([`ActionSpace::Rich`] games
-    /// only; empty in the default swap space, whose mask path is untouched).
+    /// Resolved legal edit per flat action id of the game's action space.
     /// `mask[id]` is exactly `edits[id].is_some()`, so legality and
     /// application can never disagree.
     edits: Vec<Option<ScheduleEdit>>,
@@ -171,13 +170,8 @@ fn build_views(
 ) -> DerivedViews {
     let movable = analysis.movable_memory_indices();
     let mut masker = IncrementalMasker::new(program, &analysis, stalls);
-    let (mut mask, edits) = match space {
-        ActionSpace::AdjacentSwap => (masker.full_mask(&movable, &analysis), Vec::new()),
-        ActionSpace::Rich => {
-            let edits = masker.full_edits(&movable, &analysis, space);
-            (edits.iter().map(Option::is_some).collect(), edits)
-        }
-    };
+    let edits = masker.full_edits(&movable, &analysis, space);
+    let mut mask: Vec<bool> = edits.iter().map(Option::is_some).collect();
     mask.resize(space.action_count(action_slots), false);
     let obs = embed_program(program, &analysis, &gpu.arch);
     DerivedViews {
@@ -361,7 +355,7 @@ impl AssemblyGame {
 
     /// Rebuilds every derived view of `current` from scratch: static
     /// analysis, movable set, legality context, mask and observation. Used
-    /// by checkpoint restore and as the fallback when an accepted swap
+    /// by checkpoint restore and as the fallback when an accepted edit
     /// invalidated an incremental precondition.
     fn refresh_full(&mut self) {
         let analysis = analyze(&self.current, &self.stalls);
@@ -383,93 +377,6 @@ impl AssemblyGame {
         if memo.len() < VIEWS_MEMO_CAP {
             memo.insert(key, Arc::clone(views));
         }
-    }
-
-    /// Refreshes the derived views after an accepted swap of `upper` and
-    /// `upper + 1`: revisited schedules re-adopt their memoized views, new
-    /// ones take the incremental paths when their preconditions verifiably
-    /// hold and fall back to [`AssemblyGame::refresh_full`] otherwise. The
-    /// preconditions are checked against the *fresh* analysis, so the
-    /// result is always identical to a full rebuild (the
-    /// `masking_properties` and `delta_equivalence` suites pin this).
-    fn refresh_after_swap(&mut self, upper: usize) {
-        let key = self.current_schedule_key();
-        let memoized = self
-            .views_memo
-            .lock()
-            .expect("views memo")
-            .get(&key)
-            .map(Arc::clone);
-        if let Some(views) = memoized {
-            self.views = views;
-            return;
-        }
-        let analysis = analyze(&self.current, &self.stalls);
-        let previous = Arc::clone(&self.views);
-        // The incremental mask reuses out-of-block entries, which is only
-        // valid when the swap left the global context inputs unchanged: the
-        // (schedule-inferred) stall table and the denylist (up to the
-        // relabeling of the two swapped indices).
-        let remap = |i: usize| {
-            if i == upper {
-                upper + 1
-            } else if i == upper + 1 {
-                upper
-            } else {
-                i
-            }
-        };
-        let denylist_permuted = analysis.denylist.len() == previous.analysis.denylist.len()
-            && analysis
-                .denylist
-                .iter()
-                .all(|&i| previous.analysis.denylist.contains(&remap(i)));
-        let incremental = denylist_permuted
-            && analysis.stalls == previous.analysis.stalls
-            && previous.masker.swap_stays_incremental(upper);
-        if !incremental {
-            self.refresh_full();
-            self.memoize_views(key, &Arc::clone(&self.views));
-            return;
-        }
-        let movable = analysis.movable_memory_indices();
-        let mut masker = previous.masker.clone();
-        masker.apply_swap(upper);
-        let mut mask = masker.mask_after_swap(
-            upper,
-            &movable,
-            &analysis,
-            &previous.movable,
-            &previous.mask,
-        );
-        mask.resize((self.action_slots * 2).max(1), false);
-        let mut obs = previous.obs.clone();
-        if analysis.register_table == previous.analysis.register_table
-            && analysis.max_operands == previous.analysis.max_operands
-        {
-            // A row's embedding depends only on its own instruction once
-            // the register table and padding width are fixed: re-embed the
-            // two moved rows in place.
-            embed_rows_into(
-                &mut obs,
-                &self.current,
-                &[upper, upper + 1],
-                &analysis,
-                &self.gpu.arch,
-            );
-        } else {
-            obs = embed_program(&self.current, &analysis, &self.gpu.arch);
-        }
-        let views = Arc::new(DerivedViews {
-            analysis,
-            movable,
-            mask,
-            edits: Vec::new(),
-            masker,
-            obs,
-        });
-        self.memoize_views(key, &views);
-        self.views = views;
     }
 
     /// Applies `edit` to every mirror of the current schedule: the source
@@ -527,12 +434,12 @@ impl AssemblyGame {
         }
     }
 
-    /// Refreshes the derived views after an accepted [`ActionSpace::Rich`]
-    /// edit: revisited schedules re-adopt their memoized views, new ones
-    /// take the incremental edit-table path when its preconditions
-    /// verifiably hold against the fresh analysis, and everything else
-    /// falls back to [`AssemblyGame::refresh_full`] (`masking_properties`
-    /// pins incremental ≡ full for every edit kind).
+    /// Refreshes the derived views after an accepted edit: revisited
+    /// schedules re-adopt their memoized views, new ones take the
+    /// incremental edit-table path when its preconditions verifiably hold
+    /// against the fresh analysis, and everything else falls back to
+    /// [`AssemblyGame::refresh_full`] (`masking_properties` pins
+    /// incremental ≡ full for every edit kind in both spaces).
     fn refresh_after_edit(&mut self, edit: &ScheduleEdit) {
         let key = self.current_schedule_key();
         let memoized = self
@@ -607,82 +514,6 @@ impl AssemblyGame {
         self.memoize_views(key, &views);
         self.views = views;
     }
-
-    /// One environment step in the [`ActionSpace::Rich`] space: the flat id
-    /// is looked up in the resolved edit table (so an illegal or
-    /// out-of-range id is a no-op, exactly like an unmasked swap id in the
-    /// default space), the edit is applied to every schedule mirror, priced
-    /// through the delta session, and reverted via its O(1) inverse if the
-    /// simulator reports hazards or an output-digest change.
-    fn step_rich(&mut self, action_id: usize) -> Step {
-        self.steps_in_episode += 1;
-        let mut reward = 0.0;
-        let edit = self.views.edits.get(action_id).copied().flatten();
-        if let Some(edit) = edit {
-            let (_, kind) = self.config.action_space.decode(action_id);
-            let moved_text = self
-                .current
-                .instruction(edit.index())
-                .map(ToString::to_string)
-                .unwrap_or_default();
-            if self.apply_edit_everywhere(&edit) {
-                let (runtime, hazards, digest) = self.measure_current_schedule();
-                reward = ((self.current_runtime - runtime) / self.initial_runtime * 100.0) as f32;
-                if hazards > 0 || digest != self.initial_digest {
-                    // A corrupted schedule (should be prevented by masking):
-                    // revert via the exact inverse edit and punish.
-                    let undone = self.apply_edit_everywhere(&edit.inverse());
-                    debug_assert!(undone, "inverse edit must apply");
-                    reward = -10.0;
-                } else {
-                    self.current_runtime = runtime;
-                    let moved = match edit {
-                        ScheduleEdit::Swap { upper } => match kind {
-                            EditKind::SwapUp => upper,
-                            _ => upper + 1,
-                        },
-                        ScheduleEdit::BlockMove {
-                            index,
-                            direction,
-                            distance,
-                        } => match direction {
-                            Direction::Up => index - distance,
-                            Direction::Down => index + distance,
-                        },
-                        _ => edit.index(),
-                    };
-                    let direction = match edit {
-                        ScheduleEdit::Swap { .. } => match kind {
-                            EditKind::SwapUp => Direction::Up,
-                            _ => Direction::Down,
-                        },
-                        ScheduleEdit::BlockMove { direction, .. } => direction,
-                        _ => Direction::Down,
-                    };
-                    self.trace.push(Move {
-                        instruction: moved,
-                        direction,
-                        kind,
-                        text: moved_text,
-                        reward,
-                    });
-                    if runtime < self.best_runtime {
-                        self.best_runtime = runtime;
-                        self.best = self.current.clone();
-                    }
-                    self.session.commit();
-                    self.refresh_after_edit(&edit);
-                }
-            }
-        }
-        let done = self.steps_in_episode >= self.config.episode_length
-            || !self.views.mask.iter().any(|&m| m);
-        Step {
-            observation: self.views.obs.clone(),
-            reward,
-            done,
-        }
-    }
 }
 
 /// The serialized form of an [`AssemblyGame`]'s mutable state (see
@@ -721,53 +552,45 @@ impl Env for AssemblyGame {
         self.views.obs.clone()
     }
 
+    /// One environment step: the flat id is looked up in the resolved edit
+    /// table, so a masked or out-of-range id is a no-op (schedule, runtime,
+    /// trace and eval cache untouched, reward 0). A legal edit is applied to
+    /// every schedule mirror, priced through the delta session, and reverted
+    /// via its O(1) inverse if the simulator reports hazards or an
+    /// output-digest change.
     fn step(&mut self, action_id: usize) -> Step {
-        if self.config.action_space == ActionSpace::Rich {
-            return self.step_rich(action_id);
-        }
-        let action = Action::from_id(action_id);
         self.steps_in_episode += 1;
         let mut reward = 0.0;
-        if let Some(&index) = self.views.movable.get(action.slot).copied().as_ref() {
-            let moved_text = self
+        if let Some(edit) = self.views.edits.get(action_id).copied().flatten() {
+            let (slot, kind) = self.config.action_space.decode(action_id);
+            let instruction = self.views.movable[slot];
+            let text = self
                 .current
-                .instruction(index)
+                .instruction(instruction)
                 .map(ToString::to_string)
                 .unwrap_or_default();
-            let (a, b) = match action.direction {
-                Direction::Up => (index.saturating_sub(1), index),
-                Direction::Down => (index, index + 1),
-            };
-            if a != b && self.current.swap_instructions(a, b).is_ok() {
-                self.session.apply_swap(a);
-                self.item_keys
-                    .swap(self.item_of_instruction[a], self.item_of_instruction[b]);
+            if self.apply_edit_everywhere(&edit) {
                 let (runtime, hazards, digest) = self.measure_current_schedule();
                 // Reward (equation 3): relative improvement scaled by 100.
                 reward = ((self.current_runtime - runtime) / self.initial_runtime * 100.0) as f32;
                 if hazards > 0 || digest != self.initial_digest {
                     // A corrupted schedule (should be prevented by masking):
-                    // revert and punish. The schedule is back to its
-                    // pre-step state, so every derived view stays valid.
-                    let _ = self.current.swap_instructions(a, b);
-                    self.session.apply_swap(a);
-                    self.item_keys
-                        .swap(self.item_of_instruction[a], self.item_of_instruction[b]);
+                    // revert via the exact inverse edit and punish. The
+                    // schedule is back to its pre-step state, so every
+                    // derived view stays valid.
+                    let undone = self.apply_edit_everywhere(&edit.inverse());
+                    debug_assert!(undone, "inverse edit must apply");
                     reward = -10.0;
                 } else {
                     self.current_runtime = runtime;
-                    let moved = match action.direction {
-                        Direction::Up => b,
-                        Direction::Down => a,
-                    };
                     self.trace.push(Move {
-                        instruction: moved,
-                        direction: action.direction,
-                        kind: match action.direction {
-                            Direction::Up => EditKind::SwapUp,
-                            Direction::Down => EditKind::SwapDown,
+                        instruction,
+                        direction: match kind {
+                            EditKind::SwapUp | EditKind::MoveUp => Direction::Up,
+                            _ => Direction::Down,
                         },
-                        text: moved_text,
+                        kind,
+                        text,
                         reward,
                     });
                     if runtime < self.best_runtime {
@@ -775,7 +598,7 @@ impl Env for AssemblyGame {
                         self.best = self.current.clone();
                     }
                     self.session.commit();
-                    self.refresh_after_swap(a);
+                    self.refresh_after_edit(&edit);
                 }
             }
         }
@@ -1041,6 +864,108 @@ mod tests {
         assert!(!foreign_game.restore_state(&state));
         let mut swap_game = small_game();
         assert!(!swap_game.restore_state(&state));
+    }
+
+    /// The same swap on the same schedule is recorded as the same [`Move`]
+    /// whichever space's id requested it: the selected instruction, its
+    /// pre-edit index and text, and the direction of the kind.
+    #[test]
+    fn swap_moves_are_recorded_identically_in_both_spaces() {
+        let mut swap_game = small_game();
+        let mut rich_game = small_game_in(ActionSpace::Rich);
+        let _ = swap_game.reset();
+        let _ = rich_game.reset();
+        for (kind, direction) in [
+            (EditKind::SwapUp, Direction::Up),
+            (EditKind::SwapDown, Direction::Down),
+        ] {
+            let swap_id = |slot| ActionSpace::AdjacentSwap.encode(slot, kind).unwrap();
+            let mask = swap_game.action_mask();
+            let slot = (0..swap_game.action_slots)
+                .find(|&slot| mask[swap_id(slot)])
+                .expect("some slot admits the swap");
+            let index = swap_game.views.movable[slot];
+            let text = swap_game.current.instruction(index).unwrap().to_string();
+            swap_game.step(swap_id(slot));
+            rich_game.step(ActionSpace::Rich.encode(slot, kind).unwrap());
+            let recorded = swap_game.trace().last().expect("legal swaps are accepted");
+            assert_eq!(
+                (recorded.instruction, recorded.direction, recorded.kind),
+                (index, direction, kind)
+            );
+            assert_eq!(recorded.text, text);
+            assert_eq!(swap_game.trace(), rich_game.trace());
+            assert_eq!(swap_game.current.to_string(), rich_game.current.to_string());
+        }
+    }
+
+    /// In both spaces a masked (or out-of-range) id touches nothing and earns
+    /// 0, while an edit the mask admitted but the simulator rejects is
+    /// measured, reverted through its inverse and punished with -10.
+    #[test]
+    fn masked_ids_are_inert_and_rejected_edits_are_reverted() {
+        for space in [ActionSpace::AdjacentSwap, ActionSpace::Rich] {
+            let mut game = small_game_in(space);
+            let _ = game.reset();
+            let listing = game.current.to_string();
+            let runtime = game.current_runtime.to_bits();
+            let assert_untouched = |game: &AssemblyGame| {
+                assert_eq!(game.current.to_string(), listing, "{space:?}");
+                assert_eq!(game.current_runtime.to_bits(), runtime, "{space:?}");
+                assert!(game.trace().is_empty(), "{space:?}");
+            };
+            let mask = game.action_mask();
+            let masked: Vec<usize> = (0..mask.len()).filter(|&id| !mask[id]).collect();
+            let misses = game.eval_cache().stats().misses;
+            for &id in masked.iter().chain([&mask.len()]) {
+                assert_eq!(game.step(id).reward.to_bits(), 0.0f32.to_bits());
+            }
+            assert_untouched(&game);
+            assert_eq!(game.eval_cache().stats().misses, misses);
+
+            // Forge an edit table that admits one masked swap at a time until
+            // the simulator rejects one.
+            let mut rejected = false;
+            for &id in &masked {
+                let (slot, kind) = space.decode(id);
+                let index = game.views.movable[slot];
+                let upper = match kind {
+                    EditKind::SwapUp if index > 0 => index - 1,
+                    EditKind::SwapDown => index,
+                    _ => continue,
+                };
+                let _ = game.reset();
+                let mut views = build_views(
+                    &game.current,
+                    analyze(&game.current, &game.stalls),
+                    &game.stalls,
+                    &game.gpu,
+                    game.action_slots,
+                    space,
+                );
+                views.edits[id] = Some(ScheduleEdit::Swap { upper });
+                views.mask[id] = true;
+                game.views = Arc::new(views);
+                let misses = game.eval_cache().stats().misses;
+                if game.step(id).reward.to_bits() == (-10.0f32).to_bits() {
+                    assert_untouched(&game);
+                    assert_eq!(game.eval_cache().stats().misses, misses + 1);
+                    rejected = true;
+                    break;
+                }
+            }
+            assert!(rejected, "{space:?}: some masked swap must corrupt");
+
+            // The reverted game keeps playing exactly like a fresh one.
+            let mut fresh = small_game_in(space);
+            let _ = (game.reset(), fresh.reset());
+            let legal = mask.iter().position(|&m| m).unwrap();
+            assert_eq!(
+                game.step(legal).reward.to_bits(),
+                fresh.step(legal).reward.to_bits()
+            );
+            assert_eq!(game.trace(), fresh.trace());
+        }
     }
 
     #[test]

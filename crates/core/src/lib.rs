@@ -45,8 +45,7 @@ mod suite_optimizer;
 mod telemetry;
 
 pub use action::{
-    action_mask, schedule_edits, Action, ActionSpace, Direction, EditKind, IncrementalMasker,
-    ScheduleEdit,
+    action_mask, schedule_edits, ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit,
 };
 pub use analysis::{analyze, Analysis, Resolution, ResolutionBreakdown};
 pub use delta_session::DeltaSession;

@@ -2,7 +2,7 @@
 //! by the mask keeps the simulated execution hazard-free and preserves the
 //! kernel's outputs.
 
-use cuasmrl::{action_mask, analyze, Action, Direction, StallTable};
+use cuasmrl::{action_mask, analyze, ActionSpace, EditKind, StallTable};
 use gpusim::{simulate_launch, GpuConfig};
 use kernels::{generate, KernelConfig, KernelKind, KernelSpec, ScheduleStyle};
 use proptest::prelude::*;
@@ -39,11 +39,12 @@ proptest! {
             if legal.is_empty() {
                 break;
             }
-            let action = Action::from_id(legal[rng.gen_range(0..legal.len())]);
-            let index = movable[action.slot];
-            let (a, b) = match action.direction {
-                Direction::Up => (index - 1, index),
-                Direction::Down => (index, index + 1),
+            let id = legal[rng.gen_range(0..legal.len())];
+            let (slot, kind) = ActionSpace::AdjacentSwap.decode(id);
+            let index = movable[slot];
+            let (a, b) = match kind {
+                EditKind::SwapUp => (index - 1, index),
+                _ => (index, index + 1),
             };
             program.swap_instructions(a, b).unwrap();
         }
@@ -52,93 +53,13 @@ proptest! {
         prop_assert_eq!(run.sm.output_digest, baseline.sm.output_digest);
     }
 
-    /// Along any masked-legal random walk, updating a retained
-    /// [`cuasmrl::IncrementalMasker`] swap by swap and re-evaluating only
-    /// the affected basic block yields exactly the mask a from-scratch
-    /// recomputation produces — the equivalence the game's incremental
-    /// refresh path rests on.
-    #[test]
-    fn incremental_mask_updates_equal_full_recomputation(seed in 0u64..1000) {
-        use cuasmrl::IncrementalMasker;
-        let spec = KernelSpec::scaled(KernelKind::FusedFeedForward, 16);
-        let config = KernelConfig {
-            block_m: 32,
-            block_n: 32,
-            block_k: 32,
-            num_warps: 4,
-            num_stages: 2,
-        };
-        let kernel = generate(&spec, &config, ScheduleStyle::Baseline);
-        let table = StallTable::builtin_a100();
-        let mut program = kernel.program.clone();
-        let mut analysis = analyze(&program, &table);
-        let mut movable = analysis.movable_memory_indices();
-        let mut masker = IncrementalMasker::new(&program, &analysis, &table);
-        let mut mask = masker.full_mask(&movable, &analysis);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        for _ in 0..8 {
-            let legal: Vec<usize> = mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &m)| m.then_some(i))
-                .collect();
-            if legal.is_empty() {
-                break;
-            }
-            let action = Action::from_id(legal[rng.gen_range(0..legal.len())]);
-            let index = movable[action.slot];
-            let upper = match action.direction {
-                Direction::Up => index - 1,
-                Direction::Down => index,
-            };
-            program.swap_instructions(upper, upper + 1).unwrap();
-            let next_analysis = analyze(&program, &table);
-            let next_movable = next_analysis.movable_memory_indices();
-            prop_assert!(
-                masker.swap_stays_incremental(upper),
-                "legal swaps stay within one fence-free block"
-            );
-            // The incremental path is only claimed valid under the same
-            // guards the game checks: unchanged (inferred) stall table and
-            // an index-relabelled denylist. When a swap moves either, the
-            // game rebuilds — mirror that here.
-            let remap = |i: usize| {
-                if i == upper {
-                    upper + 1
-                } else if i == upper + 1 {
-                    upper
-                } else {
-                    i
-                }
-            };
-            let guards_hold = next_analysis.stalls == analysis.stalls
-                && next_analysis.denylist.len() == analysis.denylist.len()
-                && next_analysis
-                    .denylist
-                    .iter()
-                    .all(|&i| analysis.denylist.contains(&remap(i)));
-            let full = action_mask(&program, &next_movable, &next_analysis, &table);
-            if guards_hold {
-                masker.apply_swap(upper);
-                let incremental =
-                    masker.mask_after_swap(upper, &next_movable, &next_analysis, &movable, &mask);
-                prop_assert_eq!(&incremental, &full, "swap at {}", upper);
-            } else {
-                masker = IncrementalMasker::new(&program, &next_analysis, &table);
-            }
-            analysis = next_analysis;
-            movable = next_movable;
-            mask = full;
-        }
-        let _ = analysis;
-    }
-
-    /// The rich-space analogue: along random walks over the *full* edit set
-    /// (swaps, block moves, reuse toggles, stall retunes, barrier edits),
-    /// updating a retained masker with [`cuasmrl::IncrementalMasker::apply_edit`]
-    /// and re-resolving only the affected block yields exactly the edit
-    /// table a from-scratch [`cuasmrl::schedule_edits`] produces — closing
-    /// the masking gap for every non-swap edit kind.
+    /// Along random walks over each action space's edit set (adjacent swaps
+    /// only; then swaps, block moves, reuse toggles, stall retunes and
+    /// barrier edits), updating a retained masker with
+    /// [`cuasmrl::IncrementalMasker::apply_edit`] and re-resolving only the
+    /// affected block yields exactly the edit table a from-scratch
+    /// [`cuasmrl::schedule_edits`] produces — the equivalence the game's
+    /// incremental refresh path rests on.
     #[test]
     fn incremental_edit_updates_equal_full_recomputation(seed in 0u64..1000) {
         use cuasmrl::{schedule_edits, ActionSpace, IncrementalMasker};
@@ -152,56 +73,57 @@ proptest! {
         };
         let kernel = generate(&spec, &config, ScheduleStyle::Baseline);
         let table = StallTable::builtin_a100();
-        let space = ActionSpace::Rich;
-        let mut program = kernel.program.clone();
-        let mut analysis = analyze(&program, &table);
-        let mut movable = analysis.movable_memory_indices();
-        let mut masker = IncrementalMasker::new(&program, &analysis, &table);
-        let mut edits = masker.full_edits(&movable, &analysis, space);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        for _ in 0..8 {
-            let legal: Vec<cuasmrl::ScheduleEdit> =
-                edits.iter().copied().flatten().collect();
-            if legal.is_empty() {
-                break;
-            }
-            let edit = legal[rng.gen_range(0..legal.len())];
-            prop_assert!(edit.apply(&mut program), "{:?}", edit);
-            let next_analysis = analyze(&program, &table);
-            let next_movable = next_analysis.movable_memory_indices();
-            prop_assert!(
-                masker.edit_stays_incremental(&edit),
-                "legal edits stay within one fence-free block: {:?}",
-                edit
-            );
-            // Same guards the game's refresh path checks before going
-            // incremental: unchanged inferred stalls and an
-            // index-relabelled denylist.
-            let guards_hold = next_analysis.stalls == analysis.stalls
-                && next_analysis.denylist.len() == analysis.denylist.len()
-                && next_analysis
-                    .denylist
-                    .iter()
-                    .all(|&i| analysis.denylist.contains(&edit.old_position_of(i)));
-            let full = schedule_edits(&program, &next_movable, &next_analysis, &table, space);
-            if guards_hold {
-                masker.apply_edit(&edit);
-                let incremental = masker.edits_after_edit(
-                    &edit,
-                    &next_movable,
-                    &next_analysis,
-                    space,
-                    &movable,
-                    &edits,
+        for space in [ActionSpace::AdjacentSwap, ActionSpace::Rich] {
+            let mut program = kernel.program.clone();
+            let mut analysis = analyze(&program, &table);
+            let mut movable = analysis.movable_memory_indices();
+            let mut masker = IncrementalMasker::new(&program, &analysis, &table);
+            let mut edits = masker.full_edits(&movable, &analysis, space);
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..8 {
+                let legal: Vec<cuasmrl::ScheduleEdit> =
+                    edits.iter().copied().flatten().collect();
+                if legal.is_empty() {
+                    break;
+                }
+                let edit = legal[rng.gen_range(0..legal.len())];
+                prop_assert!(edit.apply(&mut program), "{:?}", edit);
+                let next_analysis = analyze(&program, &table);
+                let next_movable = next_analysis.movable_memory_indices();
+                prop_assert!(
+                    masker.edit_stays_incremental(&edit),
+                    "legal edits stay within one fence-free block: {:?}",
+                    edit
                 );
-                prop_assert_eq!(&incremental, &full, "after {:?}", edit);
-            } else {
-                masker = IncrementalMasker::new(&program, &next_analysis, &table);
+                // Same guards the game's refresh path checks before going
+                // incremental: unchanged inferred stalls and an
+                // index-relabelled denylist.
+                let guards_hold = next_analysis.stalls == analysis.stalls
+                    && next_analysis.denylist.len() == analysis.denylist.len()
+                    && next_analysis
+                        .denylist
+                        .iter()
+                        .all(|&i| analysis.denylist.contains(&edit.old_position_of(i)));
+                let full = schedule_edits(&program, &next_movable, &next_analysis, &table, space);
+                if guards_hold {
+                    masker.apply_edit(&edit);
+                    let incremental = masker.edits_after_edit(
+                        &edit,
+                        &next_movable,
+                        &next_analysis,
+                        space,
+                        &movable,
+                        &edits,
+                    );
+                    prop_assert_eq!(&incremental, &full, "{:?} after {:?}", space, edit);
+                } else {
+                    masker = IncrementalMasker::new(&program, &next_analysis, &table);
+                }
+                analysis = next_analysis;
+                movable = next_movable;
+                edits = full;
             }
-            analysis = next_analysis;
-            movable = next_movable;
-            edits = full;
+            let _ = analysis;
         }
-        let _ = analysis;
     }
 }

@@ -393,9 +393,10 @@ impl Shared {
         }
         let kernels = per_gpu.entry(gpu.to_string()).or_default();
         kernels.push(kernel);
-        let kernels = kernels.clone();
-        drop(per_gpu);
-        self.persist_manifest(gpu, &kernels);
+        // Persist under the lock: concurrent folds share one manifest file
+        // (and one temp path), so an unordered write could land an older
+        // kernel list last and drop an entry.
+        self.persist_manifest(gpu, kernels);
     }
 
     /// The kernels a previous run already persisted for `gpu`. A corrupt

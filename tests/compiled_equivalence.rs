@@ -54,7 +54,7 @@ fn compiled_interpreter_matches_reference_on_generated_kernels() {
 fn compiled_interpreter_matches_reference_after_masked_moves() {
     // The fast path must stay equivalent on *mutated* schedules too — the
     // states the assembly game actually measures.
-    use cuasmrl::{action_mask, analyze, Action, Direction, StallTable};
+    use cuasmrl::{action_mask, analyze, ActionSpace, EditKind, StallTable};
 
     let kernel = generate(
         &KernelSpec::scaled(KernelKind::MatmulLeakyRelu, 32),
@@ -88,11 +88,11 @@ fn compiled_interpreter_matches_reference_after_masked_moves() {
         if legal.is_empty() {
             break;
         }
-        let action = Action::from_id(legal[next_index(legal.len())]);
-        let index = movable[action.slot];
-        let (a, b) = match action.direction {
-            Direction::Up => (index - 1, index),
-            Direction::Down => (index, index + 1),
+        let (slot, kind) = ActionSpace::AdjacentSwap.decode(legal[next_index(legal.len())]);
+        let index = movable[slot];
+        let (a, b) = match kind {
+            EditKind::SwapUp => (index - 1, index),
+            _ => (index, index + 1),
         };
         program.swap_instructions(a, b).unwrap();
 

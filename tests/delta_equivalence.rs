@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use cuasmrl::{
-    action_mask, analyze, Action, AssemblyGame, Direction, EvalCache, GameConfig, StallTable,
+    action_mask, analyze, ActionSpace, AssemblyGame, EditKind, EvalCache, GameConfig, StallTable,
 };
 use gpusim::{
     measure, CompiledProgram, DeltaEngine, GpuConfig, LaunchConfig, MeasureOptions, Measurement,
@@ -126,13 +126,13 @@ proptest! {
                 break;
             }
             let action_id = legal[rng.gen_range(0..legal.len())];
-            let action = Action::from_id(action_id);
+            let (slot, kind) = ActionSpace::AdjacentSwap.decode(action_id);
             let analysis = analyze(&reference, &table);
             let movable = analysis.movable_memory_indices();
-            let index = movable[action.slot];
-            let (a, b) = match action.direction {
-                Direction::Up => (index - 1, index),
-                Direction::Down => (index, index + 1),
+            let index = movable[slot];
+            let (a, b) = match kind {
+                EditKind::SwapUp => (index - 1, index),
+                _ => (index, index + 1),
             };
             let step = game.step(action_id);
             // Mirror the accepted swap on the reference program (legal
@@ -188,11 +188,11 @@ fn incremental_masks_equal_full_recomputation_along_legal_walks() {
                 break;
             }
             let action_id = legal[rng.gen_range(0..legal.len())];
-            let action = Action::from_id(action_id);
-            let index = movable[action.slot];
-            let (a, b) = match action.direction {
-                Direction::Up => (index - 1, index),
-                Direction::Down => (index, index + 1),
+            let (slot, kind) = ActionSpace::AdjacentSwap.decode(action_id);
+            let index = movable[slot];
+            let (a, b) = match kind {
+                EditKind::SwapUp => (index - 1, index),
+                _ => (index, index + 1),
             };
             let _ = game.step(action_id);
             reference.swap_instructions(a, b).unwrap();
@@ -293,13 +293,13 @@ fn delta_populated_cache_entries_equal_full_measurements() {
         let Some(action_id) = mask.iter().position(|&m| m) else {
             break;
         };
-        let action = Action::from_id(action_id);
+        let (slot, kind) = ActionSpace::AdjacentSwap.decode(action_id);
         let analysis = analyze(&reference, &StallTable::builtin_a100());
         let movable = analysis.movable_memory_indices();
-        let index = movable[action.slot];
-        let (a, b) = match action.direction {
-            Direction::Up => (index - 1, index),
-            Direction::Down => (index, index + 1),
+        let index = movable[slot];
+        let (a, b) = match kind {
+            EditKind::SwapUp => (index - 1, index),
+            _ => (index, index + 1),
         };
         let _ = game.step(action_id);
         reference.swap_instructions(a, b).unwrap();

@@ -15,8 +15,9 @@
 //! Wall clock is machine-dependent, so `compare` gates it with the relative
 //! `--tolerance` (default 0.1 — right for same-machine A/B; CI compares a
 //! fresh runner against the committed baseline with a looser value). The
-//! geometric-mean speedup, verified-kernel counts and stall tables are
-//! deterministic simulator outputs and are gated strictly.
+//! geometric-mean speedup, verified-kernel counts, stall tables and the delta
+//! sweep's engine-step count are deterministic simulator outputs and are
+//! gated strictly.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -173,6 +174,7 @@ fn run_mode(args: &[String]) -> ExitCode {
                 delta_spliced: sweep.spliced,
                 delta_resumed: sweep.resumed,
                 delta_fallbacks: sweep.fallbacks,
+                sim_steps: sweep.sim_steps,
             });
             // Companion cell: the same suite swept through the *rich* edit
             // set (block moves, reuse toggles, stall retunes, barrier
@@ -205,6 +207,7 @@ fn run_mode(args: &[String]) -> ExitCode {
                 delta_spliced: edit_tallies.spliced,
                 delta_resumed: edit_tallies.resumed,
                 delta_fallbacks: edit_tallies.fallbacks,
+                sim_steps: edit_tallies.sim_steps,
             });
         }
     }
@@ -256,19 +259,20 @@ fn run_mode(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "{:<24} {:>11} {:>9} {:>9} {:>10} {:>14}",
-        "cell", "median_ms", "iqr_ms", "geomean", "verified", "delta_fallback"
+        "{:<24} {:>11} {:>9} {:>9} {:>10} {:>14} {:>10}",
+        "cell", "median_ms", "iqr_ms", "geomean", "verified", "delta_fallback", "sim_steps"
     );
     for cell in &report.cells {
         println!(
-            "{:<24} {:>11.1} {:>9.1} {:>8.3}x {:>7}/{} {:>13.1}%",
+            "{:<24} {:>11.1} {:>9.1} {:>8.3}x {:>7}/{} {:>13.1}% {:>10}",
             cell.key(),
             cell.median_ms,
             cell.iqr_ms,
             cell.geomean_speedup,
             cell.verified,
             cell.kernels,
-            cell.delta_fallback_rate() * 100.0
+            cell.delta_fallback_rate() * 100.0,
+            cell.sim_steps
         );
     }
     println!("wrote {}", out.display());
@@ -329,7 +333,8 @@ fn compare_mode(args: &[String]) -> ExitCode {
         if let Some(cand) = candidate.cell(&base.arch, &base.suite) {
             println!(
                 "{:<24} median {:>8.1} -> {:>8.1} ms ({:+.1}%)  geomean {:.3}x -> {:.3}x  \
-                 verified {}/{} -> {}/{}  delta fallback {:.1}% -> {:.1}%",
+                 verified {}/{} -> {}/{}  delta fallback {:.1}% -> {:.1}%  \
+                 sim steps {} -> {}",
                 base.key(),
                 base.median_ms,
                 cand.median_ms,
@@ -341,7 +346,9 @@ fn compare_mode(args: &[String]) -> ExitCode {
                 cand.verified,
                 cand.kernels,
                 base.delta_fallback_rate() * 100.0,
-                cand.delta_fallback_rate() * 100.0
+                cand.delta_fallback_rate() * 100.0,
+                base.sim_steps,
+                cand.sim_steps
             );
         }
     }

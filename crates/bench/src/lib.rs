@@ -284,6 +284,10 @@ pub struct DeltaSweep {
     pub resumed: u64,
     /// Edits that fell back to a full re-simulation from cycle zero.
     pub fallbacks: u64,
+    /// `CycleEngine` steps the whole sweep took — baseline recordings plus
+    /// every delta evaluation ([`gpusim::SimWork::steps`]). Exact on any
+    /// machine, so the perf gate compares it without a tolerance.
+    pub sim_steps: u64,
 }
 
 impl DeltaSweep {
@@ -355,6 +359,7 @@ fn sweep(gpu: &GpuConfig, suite: &WorkloadSuite, scale: usize, space: ActionSpac
                 DeltaOutcome::Resimulated { .. } => tally.fallbacks += 1,
             }
         }
+        tally.sim_steps += engine.work().steps;
     }
     tally
 }

@@ -66,6 +66,11 @@ pub struct BenchCell {
     /// zero. Gated below 20% of the sweep by [`compare_reports`].
     #[serde(default)]
     pub delta_fallbacks: u64,
+    /// Simulator engine steps the delta sweep took (baseline recordings
+    /// included). Deterministic, so [`compare_reports`] fails on any rise;
+    /// absent (zero) in reports predating the counter.
+    #[serde(default)]
+    pub sim_steps: u64,
 }
 
 impl BenchCell {
@@ -236,6 +241,15 @@ pub fn compare_reports(
                 base.delta_attempts()
             ));
         }
+        // Engine work of that sweep: an exact count, so any rise is a
+        // regression (a baseline predating the counter gates nothing).
+        if base.sim_steps > 0 && (cand.sim_steps > base.sim_steps || cand.sim_steps == 0) {
+            regressions.push(format!(
+                "{key}: delta-sweep simulator steps {} -> {} may neither rise nor disappear \
+                 (deterministic work counter; regenerate the baseline if intended)",
+                base.sim_steps, cand.sim_steps
+            ));
+        }
     }
     for base_arch in &baseline.stall_counts {
         let Some(cand_arch) = candidate
@@ -334,6 +348,7 @@ mod tests {
                 delta_spliced: 12,
                 delta_resumed: 5,
                 delta_fallbacks: 1,
+                sim_steps: 9_000,
             }],
             stall_counts: vec![ArchStalls {
                 arch: "ampere".to_string(),
@@ -379,6 +394,27 @@ mod tests {
     }
 
     #[test]
+    fn sim_step_counter_is_gated_exactly() {
+        let base = report();
+        let mut more = base.clone();
+        more.cells[0].sim_steps += 1;
+        let regressions = compare_reports(&base, &more, &CompareTolerance::default());
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(regressions[0].contains("simulator steps 9000 -> 9001"));
+        // Fewer steps is an improvement, not a regression.
+        let mut fewer = base.clone();
+        fewer.cells[0].sim_steps -= 1;
+        assert!(compare_reports(&base, &fewer, &CompareTolerance::default()).is_empty());
+        // A baseline predating the counter gates nothing...
+        let mut old = base.clone();
+        old.cells[0].sim_steps = 0;
+        assert!(compare_reports(&old, &base, &CompareTolerance::default()).is_empty());
+        // ...but a candidate may not silently drop it.
+        let regressions = compare_reports(&base, &old, &CompareTolerance::default());
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+    }
+
+    #[test]
     fn pre_delta_reports_still_parse_with_zero_sweeps() {
         // A v1-era cell without the delta fields must decode with zeroed
         // tallies (schema evolution for the committed baseline history).
@@ -390,6 +426,7 @@ mod tests {
         let cell: BenchCell = serde_json::from_str(json).expect("pre-delta cells must decode");
         assert_eq!(cell.delta_attempts(), 0);
         assert_eq!(cell.delta_fallback_rate(), 0.0);
+        assert_eq!(cell.sim_steps, 0);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! them to be reproducible.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -327,7 +328,9 @@ impl std::error::Error for ManifestError {}
 /// Writes a run manifest into the directory: a sealed envelope
 /// (checksum trailer, [`MANIFEST_SEAL_VERSION`]) published atomically via
 /// temp file + rename, so a crash mid-persist leaves the previous
-/// manifest intact — never a torn one.
+/// manifest intact — never a torn one. The temp name is unique per call
+/// (process id plus a process-wide counter), so concurrent persists of the
+/// same device's manifest each rename their own file and the last one wins.
 ///
 /// # Errors
 ///
@@ -346,7 +349,12 @@ pub fn persist_run_manifest(dir: &Path, manifest: &RunManifest) -> std::io::Resu
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_default();
-    let temp = dir.join(format!(".{stem}.tmp.{}", std::process::id()));
+    static PERSIST_SEQ: AtomicU64 = AtomicU64::new(0);
+    let temp = dir.join(format!(
+        ".{stem}.tmp.{}.{}",
+        std::process::id(),
+        PERSIST_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(&temp, text)?;
     std::fs::rename(&temp, &path)
 }
@@ -576,6 +584,56 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(stray.is_empty(), "temp file was renamed away");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_persists_of_one_manifest_all_succeed() {
+        // Daemon workers persist the same device's manifest concurrently;
+        // with a per-process temp name one worker renamed the other's temp
+        // file away and the loser failed with `No such file or directory`.
+        const THREADS: usize = 8;
+        let dir = seal_test_dir("concurrent");
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = std::sync::Barrier::new(THREADS);
+        let results: Vec<std::io::Result<()>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|seed| {
+                    let (dir, start) = (&dir, &start);
+                    scope.spawn(move || {
+                        let manifest = RunManifest::new(
+                            "a100",
+                            "service",
+                            "greedy",
+                            seed as u64,
+                            1,
+                            Vec::new(),
+                            1.0,
+                        );
+                        start.wait();
+                        (0..16).try_for_each(|_| persist_run_manifest(dir, &manifest))
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("persist does not panic"))
+                .collect()
+        });
+        for result in results {
+            result.expect("every concurrent persist succeeds");
+        }
+        // One valid sealed manifest (some worker's), nothing else.
+        let manifest = load_run_manifest_checked(&dir, "a100", "service")
+            .expect("the survivor verifies")
+            .expect("a manifest was published");
+        assert!(manifest.seed < THREADS as u64);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["a100_service_telemetry.json"], "no stray temp file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

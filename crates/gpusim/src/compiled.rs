@@ -12,9 +12,10 @@
 //!   special-register dispatch and constant-bank fallbacks pre-resolved,
 //! * branch labels are resolved to instruction indices,
 //! * per-instruction scheduling metadata (stall, barriers, latency class,
-//!   fixed latency, LDGSTS group key, register-bank source/reuse lists) is
-//!   captured into plain fields the cycle loop reads without touching
-//!   `sass` structs or allocating,
+//!   fixed latency, LDGSTS group key, the deduplicated register-bank
+//!   source list and the reuse list with their bank indices) is captured
+//!   into plain fields the cycle loop reads without touching `sass` structs
+//!   or allocating,
 //! * the value-mixing tags of the generic floating-point/tensor semantics
 //!   are precomputed so the hot loop never formats a string.
 //!
@@ -33,7 +34,7 @@ use crate::exec::{
     access_bytes, const_fallback, mix_values, Cmp, ExecContext, MemAccess, SpecialReg,
 };
 use crate::memory::{splitmix64, MemorySubsystem};
-use crate::regfile::RegisterFile;
+use crate::regfile::{banked_operands, RegisterFile};
 
 /// A source operand lowered to its pre-resolved evaluation strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -278,10 +279,12 @@ pub(crate) struct CompiledInst {
     pub(crate) is_ldgsts: bool,
     pub(crate) variable_latency: bool,
     pub(crate) mma_busy: u64,
-    /// General-purpose source registers (for register-bank conflicts).
-    pub(crate) bank_sources: Vec<Register>,
-    /// Registers flagged `.reuse` (for the operand-reuse cache).
-    pub(crate) reuse_regs: Vec<Register>,
+    /// Distinct general-purpose source registers with their bank indices
+    /// (for register-bank conflicts).
+    pub(crate) bank_sources: Vec<(Register, usize)>,
+    /// Registers flagged `.reuse`, with their bank indices (for the
+    /// operand-reuse cache).
+    pub(crate) reuse_regs: Vec<(Register, usize)>,
     /// LDGSTS ascending-group key (shared base register, offset).
     pub(crate) ldgsts_key: Option<(Register, i64)>,
 }
@@ -414,6 +417,7 @@ impl CompiledInst {
         let control = inst.control();
         let arch = &config.arch;
         let fixed_latency = arch.fixed_latency(opcode);
+        let banks = arch.banks.banks.max(1);
         CompiledInst {
             guard: inst.guard().map(|g| (g.pred, g.negated)),
             kind,
@@ -440,14 +444,15 @@ impl CompiledInst {
             is_ldgsts: matches!(opcode.base(), Mnemonic::Ldgsts),
             variable_latency: opcode.latency_class() == LatencyClass::Variable,
             mma_busy: arch.mma_busy,
-            bank_sources: inst.uses().into_iter().filter(|r| r.is_gpr()).collect(),
-            reuse_regs: inst
-                .operands()
-                .iter()
-                .filter(|o| o.has_reuse())
-                .flat_map(Operand::registers)
-                .filter(|r| r.is_gpr())
-                .collect(),
+            bank_sources: banked_operands(inst.uses(), banks, true),
+            reuse_regs: banked_operands(
+                inst.operands()
+                    .iter()
+                    .filter(|o| o.has_reuse())
+                    .flat_map(Operand::registers),
+                banks,
+                false,
+            ),
             ldgsts_key: inst
                 .operands()
                 .iter()

@@ -10,7 +10,8 @@
 //!    snapshots** of the full [`SimState`] every K issued instructions
 //!    (thinned geometrically so memory stays bounded) plus, per static
 //!    instruction index, the first and last cycle at which any warp's fetch
-//!    pointer rested on it.
+//!    pointer rested on it (maintained on issue events — the only moments a
+//!    fetch pointer moves).
 //! 2. [`DeltaEngine::simulate_delta`] evaluates a mutated schedule that
 //!    differs from the baseline at a known set of instruction indices. The
 //!    run **resumes** from the latest snapshot taken before the mutation
@@ -19,8 +20,11 @@
 //!    provably reconverges with the baseline: at a baseline snapshot cycle
 //!    past the last fetch of any mutated index, with an evolution-equivalent
 //!    state (same fetch pointers, no live in-flight latencies that differ,
-//!    identical scoreboard horizon, register values, reuse-cache and
-//!    recency-equivalent memory system — see [`SimState::equivalent_to`]).
+//!    the same live deadline on every scoreboard, register values,
+//!    reuse-cache and recency-equivalent memory system — see
+//!    [`SimState::equivalent_to`]). The engine jumps over idle stretches, so
+//!    the next snapshot cycle is its jump horizon: checks land exactly where
+//!    a cycle-by-cycle run would have made them.
 //!    The remaining baseline cycle and counter tail is then **spliced** on
 //!    additively instead of being re-executed.
 //! 3. When reconvergence is not detected, the run simply continues to
@@ -35,7 +39,9 @@
 //!
 //! * before the first fetch of a mutated index, baseline and mutant runs are
 //!   literally the same computation (instruction metadata is only ever read
-//!   through a warp's fetch pointer, recorded at every cycle boundary), and
+//!   through a warp's fetch pointer, whose every resting place is recorded;
+//!   what the engine caches between cycles lives outside the snapshotted
+//!   state, so a resumed run starts from the state alone), and
 //! * once evolution-equivalent at a cycle past the last baseline fetch of
 //!   every mutated index, both runs execute identical instruction sequences
 //!   with identical timing forever after, so the baseline tail *is* the
@@ -51,7 +57,7 @@ use crate::config::GpuConfig;
 use crate::exec::ConstantBank;
 use crate::launch::{resident_warps, LaunchConfig};
 use crate::memory::MemCounters;
-use crate::sm::{report_from_state, CycleEngine, SimState};
+use crate::sm::{report_from_state, CycleEngine, FetchTouch, SimState, SimWork};
 use crate::SmReport;
 
 /// Tuning knobs of the delta engine. The defaults favour frequent
@@ -175,13 +181,15 @@ pub struct DeltaEngine {
     config: DeltaConfig,
     /// Retired [`SimState`]s, reused via [`SimState::assign_from`].
     pool: Vec<SimState>,
+    /// Engine work of every baseline recording and delta evaluation so far.
+    work: SimWork,
 }
 
 impl Clone for DeltaEngine {
     /// Clones the evaluation context only: the snapshot pool is pure
     /// buffer-reuse scratch (up to dozens of retired states holding full
     /// register files and memory images), so a clone starts with an empty
-    /// one instead of deep-copying it.
+    /// one instead of deep-copying it, and counts its own work from zero.
     fn clone(&self) -> Self {
         DeltaEngine {
             gpu: self.gpu.clone(),
@@ -191,6 +199,7 @@ impl Clone for DeltaEngine {
             max_cycles: self.max_cycles,
             config: self.config.clone(),
             pool: Vec::new(),
+            work: SimWork::default(),
         }
     }
 }
@@ -213,6 +222,7 @@ impl DeltaEngine {
             max_cycles,
             config: DeltaConfig::default(),
             pool: Vec::new(),
+            work: SimWork::default(),
         }
     }
 
@@ -233,6 +243,14 @@ impl DeltaEngine {
         self
     }
 
+    /// Deterministic engine work (steps, cycles jumped, eligibility
+    /// evaluations) accumulated over every [`DeltaEngine::record_baseline`]
+    /// and [`DeltaEngine::simulate_delta`] of this engine.
+    #[must_use]
+    pub fn work(&self) -> SimWork {
+        self.work
+    }
+
     /// Runs `compiled` to completion, recording epoch snapshots and
     /// fetch-touch cycles. The returned report is bit-identical to
     /// [`crate::SmSimulator::run_compiled`] with this engine's context.
@@ -246,11 +264,9 @@ impl DeltaEngine {
             max_cycles,
             config,
             pool,
+            work,
         } = self;
         let pool_cap = config.max_snapshots.max(2) + 4;
-        let n = compiled.len();
-        let mut first_touch = vec![u64::MAX; n];
-        let mut last_touch = vec![0u64; n];
         let mut state = acquire(pool, None, gpu, *warps, *block_id);
         let mut snapshots = vec![acquire(pool, Some(&state), gpu, *warps, *block_id)];
         if compiled.is_empty() {
@@ -259,11 +275,15 @@ impl DeltaEngine {
             return DeltaBaseline {
                 report,
                 snapshots,
-                first_touch,
-                last_touch,
+                first_touch: Vec::new(),
+                last_touch: Vec::new(),
             };
         }
+        // Every instruction-metadata read goes through a fetch pointer, and
+        // a fetch pointer moves only when its warp issues, so the engine
+        // maintains the fetch-touch tables on issue events.
         let mut engine = CycleEngine::new(gpu, compiled, constants, *block_id);
+        engine.touch = Some(FetchTouch::new(compiled.len(), state.warps.len()));
         let mut epoch = config.epoch_instructions.max(1);
         let mut next_snapshot_at = epoch;
         let mut completed = true;
@@ -274,18 +294,6 @@ impl DeltaEngine {
             if state.cycle >= *max_cycles {
                 completed = false;
                 break;
-            }
-            // Cycle-boundary bookkeeping: every instruction-metadata read of
-            // the upcoming cycle goes through a fetch pointer visible here.
-            for warp in &state.warps {
-                if !warp.finished {
-                    if let Some(first) = first_touch.get_mut(warp.pc) {
-                        if *first == u64::MAX {
-                            *first = state.cycle;
-                        }
-                        last_touch[warp.pc] = state.cycle;
-                    }
-                }
             }
             if state.issued >= next_snapshot_at {
                 let snapshot = acquire(pool, Some(&state), gpu, *warps, *block_id);
@@ -307,15 +315,22 @@ impl DeltaEngine {
                 }
                 next_snapshot_at = state.issued + epoch;
             }
-            engine.step(&mut state);
+            // A step ends right after the cycle it issued in, so snapshots
+            // sit on the same cycles a cycle-by-cycle run would take them.
+            engine.step(&mut state, *max_cycles);
+        }
+        *work += engine.work;
+        let mut touch = engine.touch.take().expect("installed above");
+        if !completed && state.cycle > 0 {
+            touch.cut(&state.warps, state.cycle - 1);
         }
         let report = report_from_state(&state, completed);
         recycle(pool, pool_cap, state);
         DeltaBaseline {
             report,
             snapshots,
-            first_touch,
-            last_touch,
+            first_touch: touch.first,
+            last_touch: touch.last,
         }
     }
 
@@ -364,6 +379,7 @@ impl DeltaEngine {
             max_cycles,
             config,
             pool,
+            work,
         } = self;
         let pool_cap = config.max_snapshots.max(2) + 4;
         let resume_index = baseline
@@ -379,8 +395,14 @@ impl DeltaEngine {
             *block_id,
         );
         let mut engine = CycleEngine::new(gpu, mutated, constants, *block_id);
-        let mut next_snapshot = resume_index + 1;
-        let mut checks_left = config.max_reconvergence_checks;
+        // Reconvergence is tested at the first few baseline snapshot cycles
+        // past the last fetch of any mutated index (`last` is never before
+        // the resume point).
+        let mut checkpoints = baseline.snapshots
+            [baseline.snapshots.partition_point(|s| s.cycle <= last)..]
+            .iter()
+            .take(config.max_reconvergence_checks)
+            .peekable();
         let result = loop {
             if state.all_finished() {
                 break (
@@ -394,26 +416,25 @@ impl DeltaEngine {
                     DeltaOutcome::Resimulated { resumed_cycle },
                 );
             }
-            if let Some(snapshot) = baseline.snapshots.get(next_snapshot) {
-                if snapshot.cycle == state.cycle {
-                    if state.cycle > last && checks_left > 0 {
-                        if state.equivalent_to(snapshot) {
-                            let report = splice_report(&baseline.report, snapshot, &state);
-                            break (
-                                report,
-                                DeltaOutcome::Spliced {
-                                    resumed_cycle,
-                                    spliced_cycle: state.cycle,
-                                },
-                            );
-                        }
-                        checks_left -= 1;
-                    }
-                    next_snapshot += 1;
+            if let Some(snapshot) = checkpoints.next_if(|s| s.cycle == state.cycle) {
+                if state.equivalent_to(snapshot) {
+                    break (
+                        splice_report(&baseline.report, snapshot, &state),
+                        DeltaOutcome::Spliced {
+                            resumed_cycle,
+                            spliced_cycle: state.cycle,
+                        },
+                    );
                 }
             }
-            engine.step(&mut state);
+            // The engine jumps over idle stretches; the next checkpoint
+            // bounds the jump, so the state is observed exactly there.
+            let horizon = checkpoints
+                .peek()
+                .map_or(*max_cycles, |s| s.cycle.min(*max_cycles));
+            engine.step(&mut state, horizon);
         };
+        *work += engine.work;
         recycle(pool, pool_cap, state);
         result
     }
@@ -727,6 +748,90 @@ mod tests {
         let (report, _) = delta.simulate_delta(&baseline, &mutated, &[4, 5, 6, 7]);
         let full = simulator.run(&mutated_program, 4, 0, &ConstantBank::new(), 1_000_000);
         assert_eq!(report, full.report);
+    }
+
+    /// The recording `record_baseline` replaced: visit every cycle (a
+    /// horizon one cycle ahead never jumps) and sweep every live warp's
+    /// fetch pointer at each cycle boundary.
+    fn touches_swept_per_cycle(
+        gpu: &GpuConfig,
+        compiled: &CompiledProgram,
+        warps: usize,
+        constants: &ConstantBank,
+        max_cycles: u64,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let mut first = vec![u64::MAX; compiled.len()];
+        let mut last = vec![0u64; compiled.len()];
+        let mut state = SimState::start(gpu, warps, 0);
+        let mut engine = CycleEngine::new(gpu, compiled, constants, 0);
+        while !state.all_finished() && state.cycle < max_cycles {
+            for warp in state.warps.iter().filter(|w| !w.finished) {
+                if let Some(first) = first.get_mut(warp.pc) {
+                    *first = (*first).min(state.cycle);
+                    last[warp.pc] = state.cycle;
+                }
+            }
+            let next_cycle = state.cycle + 1;
+            engine.step(&mut state, next_cycle);
+            assert_eq!(state.cycle, next_cycle);
+        }
+        (first, last)
+    }
+
+    #[test]
+    fn event_recorded_fetch_touches_equal_a_per_cycle_sweep_on_every_registry_kernel() {
+        for suite in kernels::workload_suites() {
+            for entry in &suite.entries {
+                let config = if entry.kind.is_compute_bound() {
+                    kernels::KernelConfig::default_compute()
+                } else {
+                    kernels::KernelConfig::default_memory()
+                };
+                let kernel =
+                    kernels::generate(&entry.spec(32), &config, kernels::ScheduleStyle::Baseline);
+                // `kernels` links the non-test build of this crate, so its
+                // launch type is a different one: carry the numbers over.
+                let launch = LaunchConfig {
+                    grid_blocks: kernel.launch.grid_blocks,
+                    warps_per_block: kernel.launch.warps_per_block,
+                    blocks_per_sm: kernel.launch.blocks_per_sm,
+                    params: kernel.launch.params.clone(),
+                    work_per_block: kernel.launch.work_per_block,
+                    max_cycles: kernel.launch.max_cycles,
+                };
+                for arch in ["ampere", "turing", "hopper"] {
+                    let gpu = GpuConfig::by_name(arch).unwrap();
+                    let compiled = CompiledProgram::compile(&kernel.program, &gpu);
+                    let full = DeltaEngine::for_launch(gpu.clone(), &launch)
+                        .record_baseline(&compiled)
+                        .report
+                        .cycles;
+                    // The whole run, and runs cut by the cycle limit (one of
+                    // them most likely inside an idle stretch).
+                    for max_cycles in [launch.max_cycles, full / 2, full / 3 + 1, 1, 0] {
+                        let mut engine = DeltaEngine::for_launch(
+                            gpu.clone(),
+                            &LaunchConfig {
+                                max_cycles,
+                                ..launch.clone()
+                            },
+                        );
+                        let baseline = engine.record_baseline(&compiled);
+                        let (first, last) = touches_swept_per_cycle(
+                            &gpu,
+                            &compiled,
+                            engine.warps,
+                            &engine.constants,
+                            max_cycles,
+                        );
+                        let context =
+                            format!("{} {} {arch} limit {max_cycles}", suite.name, entry.label);
+                        assert_eq!(baseline.first_touch, first, "first touch: {context}");
+                        assert_eq!(baseline.last_touch, last, "last touch: {context}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

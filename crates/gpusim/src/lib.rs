@@ -69,4 +69,4 @@ pub use launch::{
 };
 pub use memory::{default_global_word, splitmix64, MemCounters, MemorySubsystem, ServicePoint};
 pub use regfile::{RegisterFile, ReuseCache, StaleRead};
-pub use sm::{SimOutput, SmReport, SmSimulator};
+pub use sm::{SimOutput, SimWork, SmReport, SmSimulator};

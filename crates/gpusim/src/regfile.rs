@@ -232,13 +232,6 @@ impl ReuseCache {
         }
     }
 
-    fn bank_of(&self, reg: Register) -> Option<usize> {
-        match reg {
-            Register::Gpr(n) => Some(n as usize % self.slots.len()),
-            _ => None,
-        }
-    }
-
     /// Computes the extra issue cycles due to register-bank conflicts for an
     /// instruction of `warp` reading `sources`, where `reuse_flagged` lists
     /// the sources carrying the `.reuse` hint. Updates the cache state.
@@ -246,40 +239,33 @@ impl ReuseCache {
     /// Returns the number of conflict cycles (0 or more): the conflict count
     /// scaled by the architecture's per-conflict penalty.
     pub fn issue(&mut self, warp: usize, sources: &[Register], reuse_flagged: &[Register]) -> u64 {
+        let banks = self.slots.len();
+        self.issue_banked(
+            warp,
+            &banked_operands(sources.iter().copied(), banks, true),
+            &banked_operands(reuse_flagged.iter().copied(), banks, false),
+        )
+    }
+
+    /// [`ReuseCache::issue`] over operand lists prepared once by
+    /// [`banked_operands`] for this cache's bank count: `sources` distinct,
+    /// `reuse_flagged` in operand order. Runs once per issued instruction
+    /// and does not allocate.
+    pub(crate) fn issue_banked(
+        &mut self,
+        warp: usize,
+        sources: &[(Register, usize)],
+        reuse_flagged: &[(Register, usize)],
+    ) -> u64 {
+        // A warp switch invalidates the operand cache.
         let same_warp = self.last_warp == Some(warp);
-        if !same_warp {
-            // A warp switch invalidates the operand cache.
-            for slot in &mut self.slots {
-                *slot = None;
-            }
-        }
-        // Count bank conflicts among the *distinct* general-purpose sources,
-        // forgiving collisions satisfied by the reuse cache. Source lists
-        // are tiny (operand-bounded), so the dedup and seen-bank scratch
-        // live in fixed stack arrays — this runs once per issued
-        // instruction and must not allocate.
+        // Count bank conflicts among the distinct general-purpose sources,
+        // forgiving collisions satisfied by the reuse cache.
         const SCRATCH: usize = 16;
         let mut seen_banks = [0usize; SCRATCH];
         let mut seen_count = 0usize;
-        let mut distinct = [Register::Rz; SCRATCH];
-        let mut distinct_count = 0usize;
-        let mut overflow: Vec<Register> = Vec::new();
-        for &reg in sources {
-            let stack = &distinct[..distinct_count];
-            if !stack.contains(&reg) && !overflow.contains(&reg) {
-                if distinct_count < SCRATCH {
-                    distinct[distinct_count] = reg;
-                    distinct_count += 1;
-                } else {
-                    overflow.push(reg);
-                }
-            }
-        }
         let mut conflicts = 0u64;
-        for &reg in distinct[..distinct_count].iter().chain(&overflow) {
-            let Some(bank) = self.bank_of(reg) else {
-                continue;
-            };
+        for &(reg, bank) in sources {
             let cached = same_warp && self.slots[bank] == Some(reg);
             if seen_banks[..seen_count].contains(&bank) && !cached {
                 conflicts += 1;
@@ -294,10 +280,8 @@ impl ReuseCache {
             *slot = None;
         }
         if self.reuse_enabled {
-            for &reg in reuse_flagged {
-                if let Some(bank) = self.bank_of(reg) {
-                    self.slots[bank] = Some(reg);
-                }
+            for &(reg, bank) in reuse_flagged {
+                self.slots[bank] = Some(reg);
             }
         }
         self.last_warp = Some(warp);
@@ -318,6 +302,27 @@ impl ReuseCache {
         self.conflict_penalty = other.conflict_penalty;
         self.reuse_enabled = other.reuse_enabled;
     }
+}
+
+/// Pairs every general-purpose register of `regs` with its bank index in a
+/// `banks`-bank register file (`Rn` lives in bank `n % banks`), in order;
+/// `distinct` keeps only the first occurrence of each register. This is the
+/// per-instruction operand preparation of [`ReuseCache::issue`], done once
+/// at lowering for the compiled path.
+pub(crate) fn banked_operands(
+    regs: impl IntoIterator<Item = Register>,
+    banks: usize,
+    distinct: bool,
+) -> Vec<(Register, usize)> {
+    let mut banked: Vec<(Register, usize)> = Vec::new();
+    for reg in regs {
+        if let Register::Gpr(n) = reg {
+            if !(distinct && banked.iter().any(|&(seen, _)| seen == reg)) {
+                banked.push((reg, n as usize % banks));
+            }
+        }
+    }
+    banked
 }
 
 #[cfg(test)]
@@ -426,6 +431,46 @@ mod tests {
         });
         let conflicts = ampere.issue(0, &[Register::Gpr(4), Register::Gpr(8)], &[]);
         assert_eq!(conflicts, 1);
+    }
+
+    #[test]
+    fn operands_prepared_at_lowering_charge_what_the_per_issue_path_does() {
+        // Repeats, RZ, a predicate, colliding banks and two `.reuse` hints on
+        // one bank (the later one wins the slot): the operand lists a
+        // `CompiledInst` carries must drive the cache exactly like the raw
+        // register lists the reference interpreter passes per issue.
+        let gpr = Register::Gpr;
+        let issues: [(usize, Vec<Register>, Vec<Register>); 4] = [
+            (
+                0,
+                vec![gpr(4), gpr(8), gpr(4), Register::Rz],
+                vec![gpr(4), gpr(8), gpr(4)],
+            ),
+            (
+                0,
+                vec![gpr(8), gpr(4), gpr(12), Register::Pred(1)],
+                vec![gpr(12)],
+            ),
+            (1, vec![gpr(12), gpr(16), gpr(5)], vec![]),
+            (1, vec![gpr(5), gpr(9), gpr(13), gpr(9)], vec![gpr(9)]),
+        ];
+        for banks in [2usize, 4, 8] {
+            let mut raw = ReuseCache::new(banks);
+            let mut lowered = ReuseCache::new(banks);
+            for (warp, sources, reuse) in &issues {
+                let banked_sources = banked_operands(sources.iter().copied(), banks, true);
+                let banked_reuse = banked_operands(reuse.iter().copied(), banks, false);
+                assert_eq!(
+                    raw.issue(*warp, sources, reuse),
+                    lowered.issue_banked(*warp, &banked_sources, &banked_reuse)
+                );
+                assert!(raw.state_eq(&lowered));
+            }
+        }
+        assert_eq!(
+            banked_operands([gpr(4), gpr(9), gpr(4), Register::Rz], 4, true),
+            [(gpr(4), 0), (gpr(9), 1)]
+        );
     }
 
     #[test]

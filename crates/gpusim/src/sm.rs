@@ -19,6 +19,13 @@
 //! * the **LDGSTS group rule**: asynchronous copies that fill consecutive
 //!   shared-memory slices must issue in ascending order (§3.5 "additional
 //!   dependencies"); violations corrupt the transferred data.
+//!
+//! The compiled path ([`CycleEngine`]) is **event-driven**: a stalled warp
+//! knows until when, so the engine keeps a per-warp wake cycle, evaluates a
+//! warp's eligibility only when it is due and jumps over stretches of cycles
+//! in which no warp is. [`SmSimulator::run_reference`] keeps the plain
+//! cycle-by-cycle loop (and its own scoreboard completion lists) as the
+//! specification both must agree with bit for bit.
 
 use std::collections::HashMap;
 
@@ -110,7 +117,44 @@ pub struct SimOutput {
     pub report: SmReport,
     /// Final memory state.
     pub memory: MemorySubsystem,
+    /// Host-side work the compiled engine did to produce the report (all
+    /// zero for [`SmSimulator::run_reference`]).
+    pub work: SimWork,
 }
+
+/// Deterministic host-work counters of the event-driven `CycleEngine`:
+/// pure functions of (program, device, warps, constants), so they repeat
+/// exactly on any machine and can be gated without a tolerance. They are
+/// deliberately **not** part of [`SmReport`], which is stored in answers and
+/// sent over the wire.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimWork {
+    /// `CycleEngine::step` calls. A plain per-cycle loop would make one per
+    /// simulated cycle.
+    pub steps: u64,
+    /// Simulated cycles advanced by idle-stretch jumps instead of stepped.
+    pub cycles_jumped: u64,
+    /// Full per-warp eligibility evaluations (a per-cycle scan would make
+    /// `warps` of them per simulated cycle).
+    pub eligibility_evals: u64,
+}
+
+impl std::ops::AddAssign for SimWork {
+    fn add_assign(&mut self, other: SimWork) {
+        self.steps += other.steps;
+        self.cycles_jumped += other.cycles_jumped;
+        self.eligibility_evals += other.eligibility_evals;
+    }
+}
+
+/// Scoreboard wait barriers per warp: the six `B0..B5` slots of the
+/// control-code format, on every generation `sass::ArchClass` models.
+const SCOREBOARDS: usize = sass::NUM_BARRIERS as usize;
+/// Wait mask selecting every scoreboard (what `DEPBAR` waits on).
+const ALL_SCOREBOARDS: u8 = (1 << SCOREBOARDS) - 1;
+/// Wake cycle of a warp that cannot become eligible by the passage of time
+/// alone (finished, parked at a `BAR`, or fetching past the program).
+const NEVER: u64 = u64::MAX;
 
 #[derive(Debug, Clone)]
 pub(crate) struct Warp {
@@ -119,8 +163,11 @@ pub(crate) struct Warp {
     pub(crate) finished: bool,
     at_barrier: bool,
     regs: RegisterFile,
-    /// Outstanding completion cycles per scoreboard barrier.
-    barrier_pending: Vec<Vec<u64>>,
+    /// Per scoreboard barrier, the latest completion cycle set on it (0 =
+    /// never set). Every reader — the wait mask, `DEPBAR`, reconvergence —
+    /// observes only the latest pending completion, so that is all that is
+    /// stored.
+    barrier_done: [u64; SCOREBOARDS],
     /// State of the current LDGSTS ascending-offset group: (shared base
     /// register, last offset seen).
     ldgsts_group: Option<(Register, i64)>,
@@ -143,7 +190,7 @@ pub(crate) fn live_multiset_eq(a: &[u64], b: &[u64], cycle: u64) -> bool {
 }
 
 impl Warp {
-    fn new(warp_id: usize, block_id: usize, scoreboards: usize) -> Self {
+    fn new(warp_id: usize, block_id: usize) -> Self {
         let mut regs = RegisterFile::new();
         // Thread/block identity registers conventionally live in R0/R1 right
         // after the prologue of generated kernels; we also pre-seed a couple
@@ -156,32 +203,32 @@ impl Warp {
             finished: false,
             at_barrier: false,
             regs,
-            barrier_pending: vec![Vec::new(); scoreboards],
+            barrier_done: [0; SCOREBOARDS],
             ldgsts_group: None,
             ldgsts_violations: 0,
             yielded: false,
         }
     }
 
-    fn barriers_clear(&self, mask: u8, cycle: u64) -> bool {
-        (0..self.barrier_pending.len() as u8)
-            .all(|b| mask & (1 << b) == 0 || self.barrier_clear(b, cycle))
-    }
-
-    fn barrier_clear(&self, barrier: u8, cycle: u64) -> bool {
-        self.barrier_pending[barrier as usize]
-            .iter()
-            .all(|&done| done <= cycle)
-    }
-
-    fn all_barriers_clear(&self, cycle: u64) -> bool {
-        (0..self.barrier_pending.len() as u8).all(|b| self.barrier_clear(b, cycle))
-    }
-
-    fn prune_barriers(&mut self, cycle: u64) {
-        for pending in &mut self.barrier_pending {
-            pending.retain(|&done| done > cycle);
+    /// The cycle from which every scoreboard selected by `mask` is clear:
+    /// the latest completion set on any of them (0 when none was).
+    fn wait_deadline(&self, mask: u8) -> u64 {
+        if mask == 0 {
+            return 0;
         }
+        let mut deadline = 0;
+        for (barrier, &done) in self.barrier_done.iter().enumerate() {
+            if mask & (1 << barrier) != 0 {
+                deadline = deadline.max(done);
+            }
+        }
+        deadline
+    }
+
+    /// Records that `barrier` additionally stays set until `done`.
+    fn set_barrier(&mut self, barrier: u8, done: u64) {
+        let slot = &mut self.barrier_done[barrier as usize];
+        *slot = (*slot).max(done);
     }
 
     /// Monotone hazard tally attributed to this warp so far (stale reads
@@ -198,7 +245,7 @@ impl Warp {
         self.finished = other.finished;
         self.at_barrier = other.at_barrier;
         self.regs.assign_from(&other.regs);
-        self.barrier_pending.clone_from(&other.barrier_pending);
+        self.barrier_done = other.barrier_done;
         self.ldgsts_group = other.ldgsts_group;
         self.ldgsts_violations = other.ldgsts_violations;
         self.yielded = other.yielded;
@@ -208,9 +255,11 @@ impl Warp {
     /// every eligibility check and issue from `cycle` onwards behaves
     /// identically. Monotone tallies (the stale-read list, the LDGSTS
     /// violation count) are excluded — they never feed back into execution —
-    /// and deadlines that can no longer be observed (stall/readiness times
-    /// at or before `cycle`, drained scoreboard completions) are treated as
-    /// dead rather than compared exactly.
+    /// and deadlines that can no longer be observed (stall, register-readiness
+    /// and scoreboard-completion times at or before `cycle`) are treated as
+    /// dead rather than compared exactly. For scoreboards this is weaker than
+    /// comparing every in-flight completion but just as sound: only the
+    /// latest completion per barrier is ever observed.
     fn equivalent_at(&self, other: &Warp, cycle: u64) -> bool {
         let deadline_eq = |a: u64, b: u64| a == b || (a <= cycle && b <= cycle);
         self.pc == other.pc
@@ -219,13 +268,12 @@ impl Warp {
             && self.yielded == other.yielded
             && self.ldgsts_group == other.ldgsts_group
             && deadline_eq(self.stall_until, other.stall_until)
-            && self.regs.equivalent_at(&other.regs, cycle)
-            && self.barrier_pending.len() == other.barrier_pending.len()
             && self
-                .barrier_pending
+                .barrier_done
                 .iter()
-                .zip(&other.barrier_pending)
-                .all(|(a, b)| live_multiset_eq(a, b, cycle))
+                .zip(&other.barrier_done)
+                .all(|(&a, &b)| deadline_eq(a, b))
+            && self.regs.equivalent_at(&other.regs, cycle)
     }
 }
 
@@ -294,6 +342,7 @@ impl SmSimulator {
             return SimOutput {
                 report,
                 memory: state.memory,
+                work: SimWork::default(),
             };
         }
         let mut engine = CycleEngine::new(&self.config, compiled, constants, block_id);
@@ -303,12 +352,15 @@ impl SmSimulator {
                 completed = false;
                 break;
             }
-            engine.step(&mut state);
+            // The cycle limit is the jump horizon, so a cycle-limited run
+            // still ends at exactly `max_cycles`.
+            engine.step(&mut state, max_cycles);
         }
         let report = report_from_state(&state, completed);
         SimOutput {
             report,
             memory: state.memory,
+            work: engine.work,
         }
     }
 
@@ -316,7 +368,10 @@ impl SmSimulator {
     /// executable specification of the simulator: [`SmSimulator::run`]
     /// (which interprets the pre-decoded [`CompiledProgram`]) must produce
     /// bit-identical results. Use only for differential testing — it
-    /// re-decodes every instruction on every issue.
+    /// re-decodes every instruction on every issue, visits every cycle and
+    /// keeps every in-flight scoreboard completion in its own per-warp
+    /// lists (the multiset the engine's one-deadline scoreboards replace),
+    /// so none of the engine's shortcuts is shared with its oracle.
     #[must_use]
     pub fn run_reference(
         &self,
@@ -329,9 +384,12 @@ impl SmSimulator {
         let instructions: Vec<&Instruction> = program.instructions().collect();
         let label_map = build_label_map(program);
         let mut memory = MemorySubsystem::new(&self.config);
-        let mut warp_states: Vec<Warp> = (0..warps.max(1))
-            .map(|w| Warp::new(w, block_id, self.config.arch.scoreboard_count()))
-            .collect();
+        let mut warp_states: Vec<Warp> =
+            (0..warps.max(1)).map(|w| Warp::new(w, block_id)).collect();
+        // Outstanding completion cycles per warp and scoreboard barrier
+        // (the reference ignores `Warp::barrier_done`).
+        let mut pending: Vec<Vec<Vec<u64>>> =
+            vec![vec![Vec::new(); self.config.arch.scoreboard_count()]; warp_states.len()];
         let mut reuse_cache = ReuseCache::for_model(&self.config.arch.banks);
 
         let mut cycle: u64 = 0;
@@ -361,7 +419,11 @@ impl SmSimulator {
                 output_digest: memory.global_digest(),
                 completed: true,
             };
-            return SimOutput { report, memory };
+            return SimOutput {
+                report,
+                memory,
+                work: SimWork::default(),
+            };
         }
 
         while warp_states.iter().any(|w| !w.finished) {
@@ -384,6 +446,7 @@ impl SmSimulator {
                 .filter(|&w| {
                     self.warp_eligible(
                         &warp_states[w],
+                        &pending[w],
                         &instructions,
                         cycle,
                         lsu_free_at,
@@ -413,6 +476,7 @@ impl SmSimulator {
                 pick_from.retain(|&w| w != chosen);
 
                 let warp = &mut warp_states[chosen];
+                let pending = &mut pending[chosen];
                 let inst = instructions[warp.pc];
                 let ctx = ExecContext {
                     warp_id: chosen,
@@ -448,13 +512,7 @@ impl SmSimulator {
                     Mnemonic::Depbar | Mnemonic::Ldgdepbar => {
                         // Wait-for-outstanding-copies: model as stalling the
                         // warp until its own barriers clear.
-                        let worst = warp
-                            .barrier_pending
-                            .iter()
-                            .flatten()
-                            .copied()
-                            .max()
-                            .unwrap_or(cycle);
+                        let worst = pending.iter().flatten().copied().max().unwrap_or(cycle);
                         warp.stall_until = warp.stall_until.max(worst);
                     }
                     _ => {}
@@ -498,7 +556,7 @@ impl SmSimulator {
                         if let Some(rb) = inst.control().read_barrier() {
                             // Source registers are consumed once the request
                             // has left the LSU.
-                            warp.barrier_pending[rb as usize].push(
+                            pending[rb as usize].push(
                                 cycle
                                     + queue_wait
                                     + lsu_cycles
@@ -506,7 +564,7 @@ impl SmSimulator {
                             );
                         }
                         if let Some(wb) = inst.control().write_barrier() {
-                            warp.barrier_pending[wb as usize].push(completion);
+                            pending[wb as usize].push(completion);
                         }
                         // Loads deliver their destination registers at
                         // completion time.
@@ -543,7 +601,7 @@ impl SmSimulator {
                             // Variable-latency non-memory instructions clear
                             // their write barrier after their latency.
                             if let Some(wb) = inst.control().write_barrier() {
-                                warp.barrier_pending[wb as usize].push(ready_at);
+                                pending[wb as usize].push(ready_at);
                             }
                         }
                     }
@@ -563,7 +621,9 @@ impl SmSimulator {
                         warp.finished = true;
                     }
                 }
-                warp.prune_barriers(cycle);
+                for completions in pending.iter_mut() {
+                    completions.retain(|&done| done > cycle);
+                }
 
                 issued += 1;
                 issued_this_cycle += 1;
@@ -592,13 +652,18 @@ impl SmSimulator {
             output_digest: memory.global_digest(),
             completed,
         };
-        SimOutput { report, memory }
+        SimOutput {
+            report,
+            memory,
+            work: SimWork::default(),
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
     fn warp_eligible(
         &self,
         warp: &Warp,
+        pending: &[Vec<u64>],
         instructions: &[&Instruction],
         cycle: u64,
         lsu_free_at: u64,
@@ -611,11 +676,17 @@ impl SmSimulator {
         let Some(inst) = instructions.get(warp.pc) else {
             return false;
         };
-        if !warp.barriers_clear(inst.control().wait_mask(), cycle) {
+        let clear = |completions: &Vec<u64>| completions.iter().all(|&done| done <= cycle);
+        let mask = inst.control().wait_mask();
+        if !pending
+            .iter()
+            .enumerate()
+            .all(|(b, completions)| mask & (1 << b) == 0 || clear(completions))
+        {
             return false;
         }
         if matches!(inst.opcode().base(), Mnemonic::Depbar | Mnemonic::Ldgdepbar)
-            && !warp.all_barriers_clear(cycle)
+            && !pending.iter().all(clear)
         {
             return false;
         }
@@ -634,9 +705,9 @@ impl SmSimulator {
 }
 
 /// The complete mutable state of one compiled-program simulation at a cycle
-/// boundary: per-warp issue state and register files, scoreboard completion
-/// queues, the operand-reuse cache, structural-hazard bookkeeping
-/// (LSU/tensor-pipe occupancy, outstanding global requests), the memory
+/// boundary: per-warp issue state and register files, one completion
+/// deadline per scoreboard, the operand-reuse cache, structural-hazard
+/// bookkeeping (LSU/tensor-pipe occupancy, outstanding global requests), the memory
 /// subsystem (caches, functional contents and traffic counters) and every
 /// aggregate counter of the eventual [`SmReport`].
 ///
@@ -666,9 +737,7 @@ impl SimState {
     /// The cycle-zero state of a fresh simulation on `config` with `warps`
     /// resident warps for thread block `block_id`.
     pub(crate) fn start(config: &GpuConfig, warps: usize, block_id: usize) -> Self {
-        let warp_states: Vec<Warp> = (0..warps.max(1))
-            .map(|w| Warp::new(w, block_id, config.arch.scoreboard_count()))
-            .collect();
+        let warp_states: Vec<Warp> = (0..warps.max(1)).map(|w| Warp::new(w, block_id)).collect();
         SimState {
             cycle: 0,
             issued: 0,
@@ -731,7 +800,9 @@ impl SimState {
     /// memory traffic. Aggregate tallies (instruction/cycle counters, memory
     /// traffic, hazard lists) are excluded — they are outputs, not inputs,
     /// of the cycle loop — and dead deadlines are forgiven (see
-    /// [`Warp::equivalent_at`]).
+    /// [`Warp::equivalent_at`]); the outstanding-request queue, whose
+    /// *occupancy* is what gets observed, is compared as the multiset of its
+    /// live entries.
     pub(crate) fn equivalent_to(&self, other: &SimState) -> bool {
         let cycle = self.cycle;
         let deadline_eq = |a: u64, b: u64| a == b || (a <= cycle && b <= cycle);
@@ -769,13 +840,80 @@ pub(crate) fn report_from_state(state: &SimState, completed: bool) -> SmReport {
     }
 }
 
-/// Executes one [`SimState`] cycle at a time over one compiled program.
+/// Per static instruction index, the first and last cycle at whose boundary
+/// any live warp's fetch pointer rested on it — what a sweep over all warps
+/// at the top of every simulated cycle would record. A fetch pointer only
+/// moves when its warp issues, so the tables are maintained on issue events
+/// ([`FetchTouch::departed`], called by [`CycleEngine::step`]) plus one
+/// closing sweep when a cycle limit cuts the run ([`FetchTouch::cut`]);
+/// cycles jumped over need no visit.
+#[derive(Debug)]
+pub(crate) struct FetchTouch {
+    /// Earliest such cycle per index (`u64::MAX` = never fetched).
+    pub(crate) first: Vec<u64>,
+    /// Latest such cycle per index (0 when never fetched).
+    pub(crate) last: Vec<u64>,
+    /// Per warp, the cycle its fetch pointer came to rest where it is now.
+    arrived: Vec<u64>,
+}
+
+impl FetchTouch {
+    /// Empty tables for a program of `instructions` run by `warps` warps,
+    /// all resting on index 0 from cycle zero.
+    pub(crate) fn new(instructions: usize, warps: usize) -> Self {
+        FetchTouch {
+            first: vec![u64::MAX; instructions],
+            last: vec![0; instructions],
+            arrived: vec![0; warps],
+        }
+    }
+
+    /// Warp `warp` rested on `pc` since it arrived and issues it at `cycle`.
+    fn departed(&mut self, warp: usize, pc: usize, cycle: u64) {
+        self.first[pc] = self.first[pc].min(self.arrived[warp]);
+        self.last[pc] = cycle;
+        self.arrived[warp] = cycle + 1;
+    }
+
+    /// The run was cut after simulating `last_cycle`: every unfinished warp
+    /// that had arrived by then rested where it is until the end.
+    pub(crate) fn cut(&mut self, warps: &[Warp], last_cycle: u64) {
+        for (warp, &arrived) in warps.iter().zip(&self.arrived) {
+            if !warp.finished && arrived <= last_cycle {
+                if let Some(first) = self.first.get_mut(warp.pc) {
+                    *first = (*first).min(arrived);
+                    self.last[warp.pc] = last_cycle;
+                }
+            }
+        }
+    }
+}
+
+/// Advances one [`SimState`] from issue event to issue event over one
+/// compiled program.
 ///
-/// The scratch buffers (register writes, operand values, the eligible-warp
-/// list) live here so the hot loop never allocates; both
 /// [`SmSimulator::run_compiled`] and the delta engine drive their states
 /// through this single implementation, which is what makes delta results
-/// bit-identical to full runs by construction.
+/// bit-identical to full runs by construction. Besides the scratch buffers
+/// of the hot loop (register writes, operand values, the eligible-warp
+/// list), the engine caches what makes the loop event-driven:
+///
+/// * `wake[w]` — a lower bound on the next cycle warp `w` can be eligible,
+///   taken from the first failing condition of its last eligibility
+///   evaluation (see [`wake_cycle`]). The per-cycle scan is one compare per
+///   warp; the full evaluation runs only when a warp is due, and when no
+///   warp is, [`CycleEngine::step`] jumps straight to the earliest wake
+///   cycle.
+/// * the earliest completion in `lsu_outstanding`, so the queue is drained
+///   only when an entry has actually expired.
+/// * whether a `BAR` issued or a warp exited, the only events that can make
+///   the barrier-release condition true.
+///
+/// All of it is derived, conservative scheduling knowledge about the state
+/// being stepped — never part of [`SimState`]. An engine built over a
+/// snapshot starts cold (every warp due, drain and barrier test pending) and
+/// behaves exactly as one that has stepped the state from cycle zero; one
+/// engine must only ever step one state.
 pub(crate) struct CycleEngine<'a> {
     config: &'a GpuConfig,
     compiled: &'a CompiledProgram,
@@ -784,6 +922,14 @@ pub(crate) struct CycleEngine<'a> {
     writes: Vec<(Register, u64)>,
     values: Vec<u64>,
     eligible: Vec<usize>,
+    wake: Vec<u64>,
+    /// Earliest completion cycle in `lsu_outstanding` (or any lower bound).
+    lsu_next_done: u64,
+    barrier_event: bool,
+    /// Fetch-touch tables to maintain, when a baseline is being recorded.
+    pub(crate) touch: Option<FetchTouch>,
+    /// Work done so far by this engine.
+    pub(crate) work: SimWork,
 }
 
 impl<'a> CycleEngine<'a> {
@@ -801,36 +947,80 @@ impl<'a> CycleEngine<'a> {
             writes: Vec::new(),
             values: Vec::new(),
             eligible: Vec::new(),
+            wake: Vec::new(),
+            lsu_next_done: 0,
+            barrier_event: true,
+            touch: None,
+            work: SimWork::default(),
         }
     }
 
-    /// Simulates exactly one cycle: barrier release, queue draining, the
-    /// eligibility scan, up to `issue_width` issues and the cycle increment.
-    /// The caller has already checked liveness and the cycle limit.
+    /// Advances `state` to the next cycle before `horizon` at which some
+    /// warp is due and simulates exactly that cycle: barrier release, queue
+    /// draining, the eligibility evaluation of every due warp, up to
+    /// `issue_width` issues and the cycle increment. When no warp is due
+    /// before `horizon`, `state.cycle` becomes `horizon` and nothing is
+    /// simulated — the cycles jumped over are ones in which a per-cycle loop
+    /// would have found no eligible warp and changed nothing but the cycle
+    /// count.
+    ///
+    /// The caller has already checked liveness and passes the next cycle it
+    /// must observe the state at (`state.cycle < horizon`): the cycle limit,
+    /// or the next baseline snapshot cycle of a reconvergence check.
     #[allow(clippy::too_many_lines)] // the cycle body mirrors run_reference
-    pub(crate) fn step(&mut self, state: &mut SimState) {
-        let cycle = state.cycle;
+    pub(crate) fn step(&mut self, state: &mut SimState, horizon: u64) {
+        debug_assert!(state.cycle < horizon, "the caller checks the horizon");
+        self.work.steps += 1;
+        if self.wake.len() != state.warps.len() {
+            self.wake.clear();
+            self.wake.resize(state.warps.len(), 0);
+        }
         // Barrier release: when every unfinished warp is waiting, release
-        // all of them.
-        if state.warps.iter().any(|w| !w.finished && w.at_barrier)
-            && state.warps.iter().all(|w| w.finished || w.at_barrier)
-        {
-            for w in &mut state.warps {
-                w.at_barrier = false;
+        // all of them. Only a `BAR` issue or a warp exit can make that true.
+        if self.barrier_event {
+            self.barrier_event = false;
+            if state.warps.iter().any(|w| !w.finished && w.at_barrier)
+                && state.warps.iter().all(|w| w.finished || w.at_barrier)
+            {
+                for (warp, wake) in state.warps.iter_mut().zip(&mut self.wake) {
+                    if warp.at_barrier {
+                        warp.at_barrier = false;
+                        *wake = 0;
+                    }
+                }
             }
         }
-        state.lsu_outstanding.retain(|&done| done > cycle);
+        let due = self.wake.iter().copied().min().unwrap_or(NEVER);
+        if due > state.cycle {
+            let target = due.min(horizon);
+            self.work.cycles_jumped += target - state.cycle;
+            state.cycle = target;
+            if target == horizon {
+                return;
+            }
+        }
+        let cycle = state.cycle;
+        if self.lsu_next_done <= cycle {
+            state.lsu_outstanding.retain(|&done| done > cycle);
+            self.lsu_next_done = state.lsu_outstanding.iter().copied().min().unwrap_or(NEVER);
+        }
 
         self.eligible.clear();
         for (w, warp) in state.warps.iter().enumerate() {
-            if compiled_warp_eligible(
+            if self.wake[w] > cycle {
+                continue;
+            }
+            self.work.eligibility_evals += 1;
+            let wake = wake_cycle(
                 self.config,
                 warp,
                 self.compiled,
                 cycle,
                 state.tensor_free_at,
                 state.lsu_outstanding.len(),
-            ) {
+            );
+            self.wake[w] = wake;
+            if wake == cycle {
                 self.eligible.push(w);
             }
         }
@@ -855,7 +1045,8 @@ impl<'a> CycleEngine<'a> {
             pick_from.retain(|&w| w != chosen);
 
             let warp = &mut state.warps[chosen];
-            let inst = &self.compiled.insts[warp.pc];
+            let pc = warp.pc;
+            let inst = &self.compiled.insts[pc];
             let ctx = ExecContext {
                 warp_id: chosen,
                 block_id: self.block_id,
@@ -873,7 +1064,7 @@ impl<'a> CycleEngine<'a> {
             // Register-bank conflicts and the operand-reuse cache.
             let conflicts = state
                 .reuse
-                .issue(chosen, &inst.bank_sources, &inst.reuse_regs);
+                .issue_banked(chosen, &inst.bank_sources, &inst.reuse_regs);
             state.bank_conflict_cycles += conflicts;
 
             let stall = inst.stall + conflicts;
@@ -886,13 +1077,7 @@ impl<'a> CycleEngine<'a> {
             } else if inst.is_depbar {
                 // Wait-for-outstanding-copies: model as stalling the
                 // warp until its own barriers clear.
-                let worst = warp
-                    .barrier_pending
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .max()
-                    .unwrap_or(cycle);
+                let worst = warp.wait_deadline(ALL_SCOREBOARDS);
                 warp.stall_until = warp.stall_until.max(worst);
             }
 
@@ -930,17 +1115,19 @@ impl<'a> CycleEngine<'a> {
                         // outstanding-request queue; shared-memory
                         // accesses are serviced by the on-chip pipeline.
                         state.lsu_outstanding.push(completion);
+                        self.lsu_next_done = self.lsu_next_done.min(completion);
                     }
 
                     if let Some(rb) = inst.read_barrier {
                         // Source registers are consumed once the request
                         // has left the LSU.
-                        warp.barrier_pending[rb as usize].push(
+                        warp.set_barrier(
+                            rb,
                             cycle + queue_wait + lsu_cycles + self.config.arch.read_barrier_drain,
                         );
                     }
                     if let Some(wb) = inst.write_barrier {
-                        warp.barrier_pending[wb as usize].push(completion);
+                        warp.set_barrier(wb, completion);
                     }
                     // Loads deliver their destination registers at
                     // completion time.
@@ -975,7 +1162,7 @@ impl<'a> CycleEngine<'a> {
                         // Variable-latency non-memory instructions clear
                         // their write barrier after their latency.
                         if let Some(wb) = inst.write_barrier {
-                            warp.barrier_pending[wb as usize].push(ready_at);
+                            warp.set_barrier(wb, ready_at);
                         }
                     }
                 }
@@ -992,7 +1179,15 @@ impl<'a> CycleEngine<'a> {
                     }
                 }
             }
-            warp.prune_barriers(cycle);
+
+            // The issue invalidated everything the warp's wake cycle was
+            // derived from; until its stall has passed nothing else matters.
+            let parked = warp.finished || warp.at_barrier;
+            self.barrier_event |= parked;
+            self.wake[chosen] = if parked { NEVER } else { warp.stall_until };
+            if let Some(touch) = &mut self.touch {
+                touch.departed(chosen, pc, cycle);
+            }
 
             state.issued += 1;
             issued_this_cycle += 1;
@@ -1005,39 +1200,56 @@ impl<'a> CycleEngine<'a> {
     }
 }
 
-/// Eligibility check over the pre-decoded form: all instruction metadata is
-/// read from dense [`CompiledProgram`] fields (mirrors
-/// [`SmSimulator::warp_eligible`]).
-fn compiled_warp_eligible(
+/// Eligibility evaluation over the pre-decoded form. Returns `cycle` when
+/// `warp` can issue now; otherwise a lower bound, strictly later, on the
+/// next cycle it can — taken from the first failing condition, and sound
+/// because of who can move each blocking quantity:
+///
+/// * finished, parked at a `BAR` or fetching past the program: [`NEVER`] —
+///   time alone does not help. A barrier release resets the wake cycle.
+/// * `stall_until`, and the latest completion among the waited scoreboards
+///   (every scoreboard for `DEPBAR`): both change only when the warp itself
+///   issues, which resets its wake cycle, and the warp is ineligible at
+///   every cycle before them.
+/// * a full LSU queue: `cycle + 1`. Other warps fill and time drains the
+///   queue, so the warp is simply re-evaluated every cycle while blocked.
+/// * a busy tensor pipe: `tensor_free_at - mma_issue_gap`. `tensor_free_at`
+///   only ever grows, so the warp is ineligible at every cycle before it.
+fn wake_cycle(
     config: &GpuConfig,
     warp: &Warp,
     compiled: &CompiledProgram,
     cycle: u64,
     tensor_free_at: u64,
     lsu_outstanding: usize,
-) -> bool {
-    if warp.finished || warp.at_barrier || cycle < warp.stall_until {
-        return false;
+) -> u64 {
+    if warp.finished || warp.at_barrier {
+        return NEVER;
+    }
+    if cycle < warp.stall_until {
+        return warp.stall_until;
     }
     let Some(inst) = compiled.insts.get(warp.pc) else {
-        return false;
+        return NEVER;
     };
-    if !warp.barriers_clear(inst.wait_mask, cycle) {
-        return false;
-    }
-    if inst.is_depbar && !warp.all_barriers_clear(cycle) {
-        return false;
+    let waited = warp.wait_deadline(if inst.is_depbar {
+        ALL_SCOREBOARDS
+    } else {
+        inst.wait_mask
+    });
+    if waited > cycle {
+        return waited;
     }
     // Memory instructions can issue as long as the LSU input queue has
     // room; data-path serialisation is charged to their completion time,
     // not to the issue stage.
     if inst.is_memory && lsu_outstanding >= config.arch.lsu_queue_depth {
-        return false;
+        return cycle + 1;
     }
     if inst.is_mma && tensor_free_at > cycle + config.arch.mma_issue_gap {
-        return false;
+        return tensor_free_at - config.arch.mma_issue_gap;
     }
-    true
+    cycle
 }
 
 /// The (shared-memory base register, offset) key used to detect LDGSTS

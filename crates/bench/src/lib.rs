@@ -15,7 +15,7 @@ mod report;
 
 pub use report::{
     compare_reports, iqr_ms, median_ms, ArchStalls, BenchCell, BenchReport, BenchRunConfig,
-    CompareTolerance, OpStall, BENCH_REPORT_SCHEMA_VERSION, DELTA_FALLBACK_CEILING,
+    OpStall, BENCH_REPORT_SCHEMA_VERSION, DELTA_FALLBACK_CEILING,
 };
 
 use cuasmrl::{ActionSpace, CuAsmRl, GameConfig, OptimizationReport, Strategy, SuiteOptimizer};

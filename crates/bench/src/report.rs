@@ -8,14 +8,14 @@
 //! dependency-measured stall table per architecture. `bench_report compare`
 //! diffs a candidate report against a committed baseline with
 //! [`compare_reports`] and fails (nonzero exit) on any regression — this is
-//! what gates CI, replacing the old ad-hoc absolute wall-clock budget.
+//! what gates CI.
 //!
-//! Comparison semantics: wall clock is machine-dependent, so it is gated by
-//! a *relative* tolerance the caller picks per context (tight for
-//! same-machine A/B, loose for a committed cross-machine baseline). The
-//! quality metrics and stall counts are deterministic products of the
-//! simulator, so they are gated strictly (small quality tolerance, exact
-//! stall match).
+//! Comparison semantics: only deterministic products of the simulator are
+//! gated — the geometric-mean speedup (equal up to last-ulp `libm` slack),
+//! verified-kernel and coverage counts, the delta sweep's outcome tallies
+//! and engine-step count, and the stall tables. The wall-clock samples are
+//! information: every wall-clock claim belongs to the repo benchmark
+//! (`benchmarks/`, see `docs/PERFORMANCE.md`).
 
 use serde::{Deserialize, Serialize};
 
@@ -149,38 +149,18 @@ impl BenchReport {
     }
 }
 
-/// Tolerances for [`compare_reports`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompareTolerance {
-    /// Maximum allowed relative wall-clock growth: a candidate median above
-    /// `baseline * (1 + time)` is a regression. Machine-dependent, so pick
-    /// per context (e.g. `0.1` for same-machine A/B, much looser against a
-    /// committed baseline from different hardware).
-    pub time: f64,
-    /// Maximum allowed relative drop of the geometric-mean speedup. The
-    /// metric is deterministic, so this stays small.
-    pub quality: f64,
-}
-
-impl Default for CompareTolerance {
-    fn default() -> Self {
-        CompareTolerance {
-            time: 0.1,
-            quality: 0.02,
-        }
-    }
-}
+/// Relative slack on a cell's `geomean_speedup`, in either direction. The
+/// metric is a ratio of deterministic simulated times, so this only absorbs
+/// last-ulp `libm` differences between runners.
+const GEOMEAN_RELATIVE_SLACK: f64 = 1e-9;
 
 /// Compares a candidate report against a baseline and returns one
 /// human-readable line per regression (empty = no regression). Extra cells
 /// in the candidate (new coverage) are never regressions; cells or
-/// architectures missing from the candidate always are.
+/// architectures missing from the candidate always are. Wall clock
+/// (`runs_ms`, `median_ms`, `iqr_ms`) is never compared.
 #[must_use]
-pub fn compare_reports(
-    baseline: &BenchReport,
-    candidate: &BenchReport,
-    tolerance: &CompareTolerance,
-) -> Vec<String> {
+pub fn compare_reports(baseline: &BenchReport, candidate: &BenchReport) -> Vec<String> {
     let mut regressions = Vec::new();
     for base in &baseline.cells {
         let key = base.key();
@@ -188,26 +168,13 @@ pub fn compare_reports(
             regressions.push(format!("{key}: cell missing from candidate report"));
             continue;
         };
-        let time_limit = base.median_ms * (1.0 + tolerance.time);
-        if cand.median_ms > time_limit {
+        let geomean_matches = (cand.geomean_speedup - base.geomean_speedup).abs()
+            <= base.geomean_speedup.abs() * GEOMEAN_RELATIVE_SLACK;
+        if !geomean_matches {
             regressions.push(format!(
-                "{key}: median wall clock {:.1} ms exceeds {:.1} ms \
-                 (baseline {:.1} ms + {:.0}% tolerance)",
-                cand.median_ms,
-                time_limit,
-                base.median_ms,
-                tolerance.time * 100.0
-            ));
-        }
-        let quality_floor = base.geomean_speedup * (1.0 - tolerance.quality);
-        if cand.geomean_speedup < quality_floor {
-            regressions.push(format!(
-                "{key}: geomean speedup {:.4}x fell below {:.4}x \
-                 (baseline {:.4}x - {:.0}% tolerance)",
-                cand.geomean_speedup,
-                quality_floor,
-                base.geomean_speedup,
-                tolerance.quality * 100.0
+                "{key}: geomean speedup changed {}x -> {}x \
+                 (deterministic simulated time; regenerate the baseline if intended)",
+                base.geomean_speedup, cand.geomean_speedup
             ));
         }
         if cand.verified < base.verified {
@@ -369,7 +336,7 @@ mod tests {
     #[test]
     fn identical_reports_show_no_regression() {
         let a = report();
-        assert!(compare_reports(&a, &a.clone(), &CompareTolerance::default()).is_empty());
+        assert!(compare_reports(&a, &a.clone()).is_empty());
     }
 
     #[test]
@@ -380,7 +347,7 @@ mod tests {
         rotted.cells[0].delta_spliced = 9;
         rotted.cells[0].delta_resumed = 4;
         rotted.cells[0].delta_fallbacks = 5;
-        let regressions = compare_reports(&base, &rotted, &CompareTolerance::default());
+        let regressions = compare_reports(&base, &rotted);
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].contains("fallback rate"));
         // Dropping the sweep entirely is also a regression.
@@ -388,7 +355,7 @@ mod tests {
         missing.cells[0].delta_spliced = 0;
         missing.cells[0].delta_resumed = 0;
         missing.cells[0].delta_fallbacks = 0;
-        let regressions = compare_reports(&base, &missing, &CompareTolerance::default());
+        let regressions = compare_reports(&base, &missing);
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].contains("sweep missing"));
     }
@@ -398,19 +365,19 @@ mod tests {
         let base = report();
         let mut more = base.clone();
         more.cells[0].sim_steps += 1;
-        let regressions = compare_reports(&base, &more, &CompareTolerance::default());
+        let regressions = compare_reports(&base, &more);
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].contains("simulator steps 9000 -> 9001"));
         // Fewer steps is an improvement, not a regression.
         let mut fewer = base.clone();
         fewer.cells[0].sim_steps -= 1;
-        assert!(compare_reports(&base, &fewer, &CompareTolerance::default()).is_empty());
+        assert!(compare_reports(&base, &fewer).is_empty());
         // A baseline predating the counter gates nothing...
         let mut old = base.clone();
         old.cells[0].sim_steps = 0;
-        assert!(compare_reports(&old, &base, &CompareTolerance::default()).is_empty());
+        assert!(compare_reports(&old, &base).is_empty());
         // ...but a candidate may not silently drop it.
-        let regressions = compare_reports(&base, &old, &CompareTolerance::default());
+        let regressions = compare_reports(&base, &old);
         assert_eq!(regressions.len(), 1, "{regressions:?}");
     }
 
@@ -430,50 +397,46 @@ mod tests {
     }
 
     #[test]
-    fn injected_twenty_percent_slowdown_regresses_at_default_tolerance() {
+    fn wall_clock_is_reported_but_never_gated() {
         let base = report();
         let mut slow = base.clone();
         for cell in &mut slow.cells {
-            cell.median_ms *= 1.2;
+            cell.median_ms *= 100.0;
+            cell.iqr_ms *= 100.0;
             for run in &mut cell.runs_ms {
-                *run *= 1.2;
+                *run *= 100.0;
             }
         }
-        let regressions = compare_reports(&base, &slow, &CompareTolerance::default());
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0].contains("median wall clock"));
-        // A looser time tolerance accepts the same slowdown.
-        assert!(compare_reports(
-            &base,
-            &slow,
-            &CompareTolerance {
-                time: 0.5,
-                quality: 0.02
-            }
-        )
-        .is_empty());
+        assert!(compare_reports(&base, &slow).is_empty());
     }
 
     #[test]
     fn quality_and_coverage_regressions_are_caught_regardless_of_time() {
         let base = report();
-        let loose = CompareTolerance {
-            time: 100.0,
-            quality: 0.02,
-        };
         let mut worse = base.clone();
         worse.cells[0].geomean_speedup = 0.9;
-        assert!(compare_reports(&base, &worse, &loose)[0].contains("geomean"));
+        assert!(compare_reports(&base, &worse)[0].contains("geomean"));
+        // The geomean is deterministic: a rise is as much a change as a
+        // drop, and only last-ulp slack passes.
+        let mut better = base.clone();
+        better.cells[0].geomean_speedup = 1.0091;
+        assert!(compare_reports(&base, &better)[0].contains("geomean"));
+        let mut ulp = base.clone();
+        ulp.cells[0].geomean_speedup = f64::from_bits(1.009_f64.to_bits() + 1);
+        assert!(compare_reports(&base, &ulp).is_empty());
+        let mut nan = base.clone();
+        nan.cells[0].geomean_speedup = f64::NAN;
+        assert!(compare_reports(&base, &nan)[0].contains("geomean"));
         let mut unverified = base.clone();
         unverified.cells[0].verified = 4;
-        assert!(compare_reports(&base, &unverified, &loose)[0].contains("verified"));
+        assert!(compare_reports(&base, &unverified)[0].contains("verified"));
         let mut shrunk = base.clone();
         shrunk.cells[0].kernels = 5;
         shrunk.cells[0].verified = 6; // verified unchanged, coverage shrank
-        assert!(compare_reports(&base, &shrunk, &loose)[0].contains("coverage"));
+        assert!(compare_reports(&base, &shrunk)[0].contains("coverage"));
         let mut missing = base.clone();
         missing.cells.clear();
-        assert!(compare_reports(&base, &missing, &loose)[0].contains("missing"));
+        assert!(compare_reports(&base, &missing)[0].contains("missing"));
     }
 
     #[test]
@@ -481,12 +444,12 @@ mod tests {
         let base = report();
         let mut drifted = base.clone();
         drifted.stall_counts[0].stalls[1].stall = Some(6);
-        let regressions = compare_reports(&base, &drifted, &CompareTolerance::default());
+        let regressions = compare_reports(&base, &drifted);
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("IMAD"));
         let mut gone = base.clone();
         gone.stall_counts.clear();
-        assert!(!compare_reports(&base, &gone, &CompareTolerance::default()).is_empty());
+        assert!(!compare_reports(&base, &gone).is_empty());
     }
 
     #[test]

@@ -59,7 +59,7 @@ fn content_keys(program: &Program) -> Vec<u64> {
 const REBASE_DIFF_LIMIT: usize = 64;
 
 /// One recorded base schedule, shared (via [`Arc`]) across game clones so
-/// greedy probes and `VecEnv` workers fan out from the same snapshots.
+/// greedy probes fan out from the same snapshots.
 #[derive(Debug)]
 struct SessionBase {
     compiled: CompiledProgram,
@@ -89,8 +89,6 @@ pub struct DeltaSession {
     /// Sorted positions where `current` differs from the base
     /// (`perm[i] != i`, or equal position but edited content).
     diff: Vec<usize>,
-    /// Accepted swaps since the last (re-)baseline.
-    commits_since_base: usize,
 }
 
 impl Clone for DeltaSession {
@@ -108,7 +106,6 @@ impl Clone for DeltaSession {
             perm: self.perm.clone(),
             current_content: self.current_content.clone(),
             diff: self.diff.clone(),
-            commits_since_base: self.commits_since_base,
         }
     }
 }
@@ -145,7 +142,6 @@ impl DeltaSession {
             perm,
             current_content: content,
             diff: Vec::new(),
-            commits_since_base: 0,
         }
     }
 
@@ -226,7 +222,6 @@ impl DeltaSession {
     /// schedule advanced). Re-baselines only when the drift from the
     /// recorded base exceeds the drift safety valve.
     pub fn commit(&mut self) {
-        self.commits_since_base += 1;
         if self.diff.len() >= REBASE_DIFF_LIMIT {
             self.rebaseline();
         }
@@ -250,7 +245,6 @@ impl DeltaSession {
         self.perm.clear();
         self.perm.extend(0..self.current.len());
         self.diff.clear();
-        self.commits_since_base = 0;
     }
 
     /// Rewinds the session to the initial schedule (an episode reset): the
@@ -265,7 +259,6 @@ impl DeltaSession {
         self.perm.extend(0..self.current.len());
         self.current_content = self.base.content.clone();
         self.diff.clear();
-        self.commits_since_base = 0;
     }
 
     /// Re-synchronizes the session onto an arbitrary schedule (used when a

@@ -11,17 +11,20 @@
 //!
 //! The cache is transparent by construction: the simulator is deterministic,
 //! so a hit returns exactly (bit for bit) what the miss path would have
-//! computed. Sharing one cache across episodes, cloned games and `VecEnv`
-//! worker threads therefore cannot change any observable result — the
-//! `jobs = N ≡ jobs = 1` determinism contract survives, as enforced by
-//! `tests/parallel_determinism.rs` and the `eval_cache` test suite.
+//! computed. Sharing one cache across episode resets, greedy probes,
+//! evolutionary replays and clones of one game therefore cannot change any
+//! observable result — the `jobs = N ≡ jobs = 1` determinism contract
+//! survives, as enforced by `tests/parallel_determinism.rs` and the
+//! `eval_cache` test suite.
 //!
 //! Keys combine the digest of the schedule listing with a context digest of
 //! the launch configuration, device model and measurement protocol
 //! (including the measurement seed), so distinct contexts never collide on
-//! purpose. The map is sharded `SHARDS` ways behind independent mutexes so
-//! parallel workers rarely contend, and misses are simulated *outside* the
-//! shard lock so a long simulation never blocks other shards' traffic.
+//! purpose. The map is sharded `SHARDS` ways behind independent mutexes, and
+//! misses are simulated *outside* the shard lock. Every sharer today — a
+//! game and its clones — runs on that game's own thread, so the locks are
+//! uncontended; the sharding sits on the evolutionary search's hit path, so
+//! changing it is a measured change of its own.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

@@ -86,10 +86,10 @@ pub struct AssemblyGame {
     /// an `Arc` clone instead of re-analyzing.
     views: Arc<DerivedViews>,
     /// Memo of derived views keyed by schedule digest, shared across clones
-    /// of this game (episode replays, greedy probes, `VecEnv` workers). The
-    /// views are pure functions of the listing, so sharing cannot change an
-    /// observable result; the map is size-capped, never evicts, and only
-    /// trades recomputation for memory.
+    /// of this game (episode replays, greedy probes). The views are pure
+    /// functions of the listing, so sharing cannot change an observable
+    /// result; the map is size-capped, never evicts, and only trades
+    /// recomputation for memory.
     views_memo: Arc<Mutex<HashMap<u64, Arc<DerivedViews>>>>,
     steps_in_episode: usize,
     best: Program,
@@ -97,8 +97,8 @@ pub struct AssemblyGame {
     action_slots: usize,
     trace: Vec<Move>,
     /// Schedule-evaluation memo, shared (via `Arc`) across clones of this
-    /// game — episode resets, greedy probes and `VecEnv` worker copies all
-    /// hit the same cache.
+    /// game — episode resets, greedy probes and evolutionary replays all hit
+    /// the same cache.
     cache: Arc<EvalCache>,
     /// Digest of (device, launch, measurement protocol), combined with the
     /// per-schedule digest into cache keys.
@@ -205,9 +205,9 @@ impl AssemblyGame {
     }
 
     /// Creates a game sharing an existing schedule-evaluation cache (e.g.
-    /// one cache across every env of a `VecEnv`, or across games replaying
-    /// the same kernel). Cache keys include the full evaluation context, so
-    /// sharing across different kernels/launches/devices is always safe.
+    /// one cache across games replaying the same kernel). Cache keys
+    /// include the full evaluation context, so sharing across different
+    /// kernels/launches/devices is always safe.
     #[must_use]
     pub fn with_eval_cache(
         gpu: GpuConfig,

@@ -119,34 +119,6 @@ impl Linear {
             .collect()
     }
 
-    /// Batched forward pass: one blocked GEMM over a whole `[batch x in]`
-    /// matrix instead of `batch` vector loops. Row `i` of the result is
-    /// bit-identical to `forward(input.row(i))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != in_features`.
-    #[must_use]
-    pub fn forward_batch(&self, input: &Matrix) -> Matrix {
-        assert_eq!(input.cols(), self.in_features, "input size mismatch");
-        let rows = input.rows();
-        let mut out = Matrix::zeros(rows, self.out_features);
-        crate::matrix::matmul_bt(
-            input.data(),
-            rows,
-            self.in_features,
-            &self.weight,
-            self.out_features,
-            out.data_mut(),
-        );
-        for r in 0..rows {
-            for (o, bias) in self.bias.iter().enumerate() {
-                out.set(r, o, out.get(r, o) + bias);
-            }
-        }
-        out
-    }
-
     /// Backward pass: accumulates parameter gradients and returns the
     /// gradient with respect to the input.
     #[allow(clippy::needless_range_loop)] // indexes three parallel buffers
@@ -158,45 +130,6 @@ impl Linear {
             for i in 0..self.in_features {
                 self.grad_weight[o * self.in_features + i] += go * input[i];
                 grad_input[i] += go * self.weight[o * self.in_features + i];
-            }
-        }
-        grad_input
-    }
-
-    /// Batched backward pass over `[batch x ..]` matrices: accumulates the
-    /// parameter gradients of every sample and returns the per-sample input
-    /// gradients. Each gradient slot receives its per-sample additions in
-    /// ascending sample order, so the accumulated state is bit-identical to
-    /// calling [`Linear::backward`] once per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix shapes disagree with the layer dimensions.
-    #[allow(clippy::needless_range_loop)] // indexes parallel buffers
-    pub fn backward_batch(&mut self, input: &Matrix, grad_output: &Matrix) -> Matrix {
-        assert_eq!(input.cols(), self.in_features, "input size mismatch");
-        assert_eq!(grad_output.cols(), self.out_features, "grad size mismatch");
-        assert_eq!(input.rows(), grad_output.rows(), "batch size mismatch");
-        let rows = input.rows();
-        let mut grad_input = Matrix::zeros(rows, self.in_features);
-        for o in 0..self.out_features {
-            for r in 0..rows {
-                let go = grad_output.get(r, o);
-                self.grad_bias[o] += go;
-                let in_row = input.row(r);
-                for i in 0..self.in_features {
-                    self.grad_weight[o * self.in_features + i] += go * in_row[i];
-                }
-            }
-        }
-        for r in 0..rows {
-            let go_row = grad_output.row(r);
-            for o in 0..self.out_features {
-                let go = go_row[o];
-                let w_row = &self.weight[o * self.in_features..(o + 1) * self.in_features];
-                for i in 0..self.in_features {
-                    grad_input.set(r, i, grad_input.get(r, i) + go * w_row[i]);
-                }
             }
         }
         grad_input
@@ -326,22 +259,7 @@ impl ConvEncoder {
     /// Also returns the pre-pooling activations needed by the backward pass.
     #[must_use]
     pub fn forward(&self, input: &Matrix) -> (Vec<f32>, Matrix) {
-        self.forward_rows(input, 0, input.rows())
-    }
-
-    /// Forward pass over the row range `[row_start, row_end)` of a stacked
-    /// input matrix: lets a batch of variable-length inputs share one
-    /// backing matrix (as produced by a vectorized env) without copying each
-    /// sample out. Bit-identical to [`ConvEncoder::forward`] on the
-    /// extracted sub-matrix.
-    #[must_use]
-    pub fn forward_rows(
-        &self,
-        input: &Matrix,
-        row_start: usize,
-        row_end: usize,
-    ) -> (Vec<f32>, Matrix) {
-        let rows = row_end - row_start;
+        let rows = input.rows();
         let windows = if rows >= self.kernel {
             self.windows(rows)
         } else {
@@ -359,7 +277,7 @@ impl ConvEncoder {
                 for k in 0..self.kernel {
                     for f in 0..self.features.min(input.cols()) {
                         let w = self.weight[(c * self.kernel + k) * self.features + f];
-                        acc += w * input.get(row_start + t + k, f);
+                        acc += w * input.get(t + k, f);
                     }
                 }
                 let act = acc.max(0.0);
@@ -370,51 +288,12 @@ impl ConvEncoder {
         (pooled, activations)
     }
 
-    /// Batched forward pass over a stacked input: `offsets[i]..offsets[i+1]`
-    /// are the rows of sample `i` (the layout vectorized envs already
-    /// produce). Returns the pooled outputs stacked as a `[batch x
-    /// channels]` matrix — ready for one GEMM through the downstream heads —
-    /// plus each sample's pre-pooling activations. Row `i` of the pooled
-    /// matrix is bit-identical to `forward` on sample `i` alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offsets` is empty or not ascending within the input.
-    #[must_use]
-    pub fn forward_batch(&self, stacked: &Matrix, offsets: &[usize]) -> (Matrix, Vec<Matrix>) {
-        assert!(!offsets.is_empty(), "offsets must have batch + 1 entries");
-        let batch = offsets.len() - 1;
-        let mut pooled = Matrix::zeros(batch, self.channels);
-        let mut activations = Vec::with_capacity(batch);
-        for i in 0..batch {
-            let (sample_pooled, sample_acts) =
-                self.forward_rows(stacked, offsets[i], offsets[i + 1]);
-            pooled.data_mut()[i * self.channels..(i + 1) * self.channels]
-                .copy_from_slice(&sample_pooled);
-            activations.push(sample_acts);
-        }
-        (pooled, activations)
-    }
-
     /// Backward pass from the gradient of the pooled output. Accumulates
     /// parameter gradients (the gradient with respect to the input state is
     /// not needed and not computed).
-    pub fn backward(&mut self, input: &Matrix, activations: &Matrix, grad_pooled: &[f32]) {
-        self.backward_rows(input, 0, input.rows(), activations, grad_pooled);
-    }
-
-    /// Backward pass over the row range `[row_start, row_end)` of a stacked
-    /// input matrix (the counterpart of [`ConvEncoder::forward_rows`]).
     #[allow(clippy::needless_range_loop)] // indexes three parallel buffers
-    pub fn backward_rows(
-        &mut self,
-        input: &Matrix,
-        row_start: usize,
-        row_end: usize,
-        activations: &Matrix,
-        grad_pooled: &[f32],
-    ) {
-        let rows = row_end - row_start;
+    pub fn backward(&mut self, input: &Matrix, activations: &Matrix, grad_pooled: &[f32]) {
+        let rows = input.rows();
         if rows < self.kernel {
             return;
         }
@@ -429,40 +308,10 @@ impl ConvEncoder {
                 for k in 0..self.kernel {
                     for f in 0..self.features.min(input.cols()) {
                         self.grad_weight[(c * self.kernel + k) * self.features + f] +=
-                            upstream * input.get(row_start + t + k, f);
+                            upstream * input.get(t + k, f);
                     }
                 }
             }
-        }
-    }
-
-    /// Batched backward pass over a stacked input: accumulates every
-    /// sample's parameter gradients in ascending sample order, so the
-    /// resulting gradient state is bit-identical to calling
-    /// [`ConvEncoder::backward`] once per sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch dimensions disagree.
-    pub fn backward_batch(
-        &mut self,
-        stacked: &Matrix,
-        offsets: &[usize],
-        activations: &[Matrix],
-        grad_pooled: &Matrix,
-    ) {
-        assert!(!offsets.is_empty(), "offsets must have batch + 1 entries");
-        let batch = offsets.len() - 1;
-        assert_eq!(activations.len(), batch, "one activation set per sample");
-        assert_eq!(grad_pooled.rows(), batch, "one pooled gradient per sample");
-        for i in 0..batch {
-            self.backward_rows(
-                stacked,
-                offsets[i],
-                offsets[i + 1],
-                &activations[i],
-                grad_pooled.row(i),
-            );
         }
     }
 
@@ -610,101 +459,6 @@ mod tests {
             (analytic - numeric).abs() < 1e-2,
             "analytic {analytic} vs numeric {numeric}"
         );
-    }
-
-    #[test]
-    fn linear_forward_batch_is_bit_identical_to_per_row_forward() {
-        let layer = Linear::new(&mut rng(), 7, 5);
-        let rows = 19; // straddles the matmul block size together with 7x5
-        let input = Matrix::from_vec(rows, 7, (0..rows * 7).map(|i| (i as f32).sin()).collect());
-        let batched = layer.forward_batch(&input);
-        for r in 0..rows {
-            let single = layer.forward(input.row(r));
-            for (o, v) in single.iter().enumerate() {
-                assert_eq!(batched.get(r, o).to_bits(), v.to_bits(), "row {r} out {o}");
-            }
-        }
-    }
-
-    #[test]
-    fn linear_backward_batch_matches_repeated_backward_bit_for_bit() {
-        let mut batched = Linear::new(&mut rng(), 4, 3);
-        let mut sequential = batched.clone();
-        let rows = 6;
-        let input = Matrix::from_vec(rows, 4, (0..rows * 4).map(|i| (i as f32).cos()).collect());
-        let grads = Matrix::from_vec(rows, 3, (0..rows * 3).map(|i| (i as f32).sin()).collect());
-        batched.zero_grad();
-        sequential.zero_grad();
-        let grad_in_batched = batched.backward_batch(&input, &grads);
-        for r in 0..rows {
-            let grad_in = sequential.backward(input.row(r), grads.row(r));
-            for (i, g) in grad_in.iter().enumerate() {
-                assert_eq!(grad_in_batched.get(r, i).to_bits(), g.to_bits());
-            }
-        }
-        let a: Vec<u32> = batched.gradients().iter().map(|g| g.to_bits()).collect();
-        let b: Vec<u32> = sequential.gradients().iter().map(|g| g.to_bits()).collect();
-        assert_eq!(a, b, "accumulated gradients must be bit-identical");
-    }
-
-    #[test]
-    fn conv_forward_batch_matches_per_sample_forward_bit_for_bit() {
-        let enc = ConvEncoder::new(&mut rng(), 4, 3, 5);
-        // Three samples of different lengths stacked into one matrix, one
-        // shorter than the kernel window.
-        let lengths = [6usize, 2, 9];
-        let mut offsets = vec![0usize];
-        for len in lengths {
-            offsets.push(offsets.last().unwrap() + len);
-        }
-        let total = *offsets.last().unwrap();
-        let stacked =
-            Matrix::from_vec(total, 5, (0..total * 5).map(|i| (i as f32).sin()).collect());
-        let (pooled, activations) = enc.forward_batch(&stacked, &offsets);
-        assert_eq!(pooled.rows(), 3);
-        for (i, len) in lengths.iter().enumerate() {
-            let mut data = Vec::new();
-            for row in offsets[i]..offsets[i + 1] {
-                data.extend_from_slice(stacked.row(row));
-            }
-            let sample = Matrix::from_vec(*len, 5, data);
-            let (single_pooled, single_acts) = enc.forward(&sample);
-            for (c, v) in single_pooled.iter().enumerate() {
-                assert_eq!(pooled.get(i, c).to_bits(), v.to_bits(), "sample {i}");
-            }
-            assert_eq!(activations[i], single_acts);
-        }
-    }
-
-    #[test]
-    fn conv_backward_batch_matches_repeated_backward_bit_for_bit() {
-        let mut batched = ConvEncoder::new(&mut rng(), 3, 2, 4);
-        let mut sequential = batched.clone();
-        let lengths = [5usize, 4];
-        let mut offsets = vec![0usize];
-        for len in lengths {
-            offsets.push(offsets.last().unwrap() + len);
-        }
-        let total = *offsets.last().unwrap();
-        let stacked =
-            Matrix::from_vec(total, 4, (0..total * 4).map(|i| (i as f32).cos()).collect());
-        let grad_pooled = Matrix::from_vec(2, 3, (0..6).map(|i| (i as f32) * 0.3 - 0.7).collect());
-        let (_, activations) = batched.forward_batch(&stacked, &offsets);
-        batched.zero_grad();
-        sequential.zero_grad();
-        batched.backward_batch(&stacked, &offsets, &activations, &grad_pooled);
-        for (i, len) in lengths.iter().enumerate() {
-            let mut data = Vec::new();
-            for row in offsets[i]..offsets[i + 1] {
-                data.extend_from_slice(stacked.row(row));
-            }
-            let sample = Matrix::from_vec(*len, 4, data);
-            let (_, acts) = sequential.forward(&sample);
-            sequential.backward(&sample, &acts, grad_pooled.row(i));
-        }
-        let a: Vec<u32> = batched.gradients().iter().map(|g| g.to_bits()).collect();
-        let b: Vec<u32> = sequential.gradients().iter().map(|g| g.to_bits()).collect();
-        assert_eq!(a, b, "accumulated gradients must be bit-identical");
     }
 
     #[test]

@@ -67,26 +67,21 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable flat row-major data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Blocked matrix product against a **transposed** right-hand side:
     /// `self` is `m x k`, `other` is `n x k` (its rows are the columns of
     /// the logical right-hand operand), and the result is `m x n`.
     ///
-    /// This is the batched-inference workhorse: network weights are stored
-    /// row-major as `[out x in]`, which is exactly the transposed layout, so
-    /// a whole batch of activations multiplies against the weights with
-    /// both operands walked contiguously. Blocking tiles the output so the
-    /// right-hand rows stay cache-hot across the tile.
+    /// Network weights are stored row-major as `[out x in]`, which is
+    /// exactly the transposed layout, so both operands are walked
+    /// contiguously. Blocking tiles the output so the right-hand rows stay
+    /// cache-hot across the tile.
     ///
     /// Each output element is a single sequentially accumulated dot product
-    /// (ascending `k`), bit-for-bit identical to the per-vector loops it
-    /// replaces — blocking reorders the *elements*, never the accumulation
-    /// within one element, so batched and per-sample inference agree
-    /// exactly.
+    /// (ascending `k`), the same accumulation [`crate::Linear::forward`]
+    /// performs before adding its bias — blocking reorders the *elements*,
+    /// never the accumulation within one element. No layer calls it today:
+    /// the learner runs per sample, and the repo benchmark times it as
+    /// `nn.matmul_mflops`.
     ///
     /// # Panics
     ///
@@ -116,7 +111,7 @@ const MATMUL_BLOCK: usize = 16;
 
 /// `out[m x n] = a[m x k] · b[n x k]ᵀ`, blocked over the output tiles; see
 /// [`Matrix::matmul_transposed`] for the determinism contract.
-pub(crate) fn matmul_bt(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+fn matmul_bt(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);

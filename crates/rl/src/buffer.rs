@@ -36,23 +36,6 @@ pub struct Advantages {
     pub returns: Vec<f32>,
 }
 
-/// One contiguous per-env run of transitions inside a [`RolloutBuffer`].
-///
-/// Vectorized rollout collection appends each env's transitions as one
-/// contiguous block; advantage estimation must then bootstrap each block
-/// with that env's own final value estimate instead of letting GAE leak
-/// across env boundaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
-    /// Index of the first transition of the block.
-    pub start: usize,
-    /// Number of transitions in the block.
-    pub len: usize,
-    /// Value estimate of the state following the block's final transition
-    /// (ignored when that transition ended an episode).
-    pub bootstrap_value: f32,
-}
-
 impl RolloutBuffer {
     /// Creates an empty buffer.
     #[must_use]
@@ -95,52 +78,20 @@ impl RolloutBuffer {
     /// that transition ended an episode).
     #[must_use]
     pub fn compute_advantages(&self, gamma: f32, lambda: f32, last_value: f32) -> Advantages {
-        self.compute_advantages_segmented(
-            gamma,
-            lambda,
-            &[Segment {
-                start: 0,
-                len: self.transitions.len(),
-                bootstrap_value: last_value,
-            }],
-        )
-    }
-
-    /// Computes GAE-λ advantages and returns over per-env segments.
-    ///
-    /// Each [`Segment`] is treated as an independent trajectory: the
-    /// recursion restarts at every segment boundary and bootstraps from the
-    /// segment's own `bootstrap_value`, so interleaving multiple envs in one
-    /// buffer yields the same advantages each env would compute alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a segment reaches outside the buffer.
-    #[must_use]
-    pub fn compute_advantages_segmented(
-        &self,
-        gamma: f32,
-        lambda: f32,
-        segments: &[Segment],
-    ) -> Advantages {
         let n = self.transitions.len();
         let mut advantages = vec![0.0; n];
-        for segment in segments {
-            let end = segment.start + segment.len;
-            assert!(end <= n, "segment {segment:?} reaches outside the buffer");
-            let mut gae = 0.0;
-            for i in (segment.start..end).rev() {
-                let t = &self.transitions[i];
-                let next_nonterminal = if t.done { 0.0 } else { 1.0 };
-                let next_value = if i + 1 < end {
-                    self.transitions[i + 1].value
-                } else {
-                    segment.bootstrap_value
-                };
-                let delta = t.reward + gamma * next_value * next_nonterminal - t.value;
-                gae = delta + gamma * lambda * next_nonterminal * gae;
-                advantages[i] = gae;
-            }
+        let mut gae = 0.0;
+        for i in (0..n).rev() {
+            let t = &self.transitions[i];
+            let next_nonterminal = if t.done { 0.0 } else { 1.0 };
+            let next_value = if i + 1 < n {
+                self.transitions[i + 1].value
+            } else {
+                last_value
+            };
+            let delta = t.reward + gamma * next_value * next_nonterminal - t.value;
+            gae = delta + gamma * lambda * next_nonterminal * gae;
+            advantages[i] = gae;
         }
         let returns = advantages
             .iter()
@@ -163,29 +114,6 @@ impl RolloutBuffer {
             if t.done {
                 totals.push(acc);
                 acc = 0.0;
-            }
-        }
-        totals
-    }
-
-    /// Sum of rewards of each completed episode, computed per segment so
-    /// that one env's unfinished episode tail never bleeds into the next
-    /// env's first episode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a segment reaches outside the buffer.
-    #[must_use]
-    pub fn episodic_returns_segmented(&self, segments: &[Segment]) -> Vec<f32> {
-        let mut totals = Vec::new();
-        for segment in segments {
-            let mut acc = 0.0;
-            for t in &self.transitions[segment.start..segment.start + segment.len] {
-                acc += t.reward;
-                if t.done {
-                    totals.push(acc);
-                    acc = 0.0;
-                }
             }
         }
         totals
@@ -239,101 +167,38 @@ mod tests {
     }
 
     #[test]
-    fn segmented_advantages_match_independent_buffers() {
-        // Two env streams appended back to back must yield the same
-        // advantages as two separate buffers.
-        let stream_a = [transition(1.0, 0.2, false), transition(0.5, 0.1, true)];
-        let stream_b = [
-            transition(-1.0, 0.3, false),
-            transition(2.0, 0.0, false),
-            transition(0.0, 0.4, false),
+    fn advantages_match_the_restated_recursion_bit_for_bit() {
+        // Three episodes, the last one unfinished so the bootstrap is live.
+        let steps = [
+            (1.0, 0.5, false),
+            (-0.5, 0.2, true),
+            (0.25, 0.1, false),
+            (2.0, -0.3, false),
+            (0.75, 0.6, true),
+            (-1.0, 0.4, false),
+            (0.5, 0.9, false),
         ];
-        let (gamma, lambda) = (0.99, 0.95);
-        let mut merged = RolloutBuffer::new();
-        for t in stream_a.iter().chain(&stream_b) {
-            merged.push(t.clone());
+        let mut buffer = RolloutBuffer::new();
+        for &(reward, value, done) in &steps {
+            buffer.push(transition(reward, value, done));
         }
-        let segmented = merged.compute_advantages_segmented(
-            gamma,
-            lambda,
-            &[
-                Segment {
-                    start: 0,
-                    len: 2,
-                    bootstrap_value: 0.0,
-                },
-                Segment {
-                    start: 2,
-                    len: 3,
-                    bootstrap_value: 0.7,
-                },
-            ],
-        );
-        let mut buffer_a = RolloutBuffer::new();
-        stream_a.iter().for_each(|t| buffer_a.push(t.clone()));
-        let mut buffer_b = RolloutBuffer::new();
-        stream_b.iter().for_each(|t| buffer_b.push(t.clone()));
-        let adv_a = buffer_a.compute_advantages(gamma, lambda, 0.0);
-        let adv_b = buffer_b.compute_advantages(gamma, lambda, 0.7);
-        let expected: Vec<f32> = adv_a
-            .advantages
-            .iter()
-            .chain(&adv_b.advantages)
-            .copied()
-            .collect();
-        assert_eq!(segmented.advantages, expected);
-        let expected_returns: Vec<f32> = adv_a
-            .returns
-            .iter()
-            .chain(&adv_b.returns)
-            .copied()
-            .collect();
-        assert_eq!(segmented.returns, expected_returns);
-    }
+        let (gamma, lambda, last_value) = (0.9_f32, 0.8_f32, 1.5_f32);
+        let adv = buffer.compute_advantages(gamma, lambda, last_value);
 
-    #[test]
-    fn single_segment_matches_the_unsegmented_path() {
-        let mut buffer = RolloutBuffer::new();
-        buffer.push(transition(1.0, 0.5, false));
-        buffer.push(transition(-0.5, 0.2, true));
-        buffer.push(transition(0.25, 0.1, false));
-        let whole = buffer.compute_advantages(0.9, 0.8, 1.5);
-        let segmented = buffer.compute_advantages_segmented(
-            0.9,
-            0.8,
-            &[Segment {
-                start: 0,
-                len: 3,
-                bootstrap_value: 1.5,
-            }],
-        );
-        assert_eq!(whole, segmented);
-    }
-
-    #[test]
-    fn segmented_episodic_returns_do_not_bleed_across_envs() {
-        // env A ends with an unfinished episode; env B starts fresh. The
-        // flat accumulator would fold A's tail into B's first episode.
-        let mut buffer = RolloutBuffer::new();
-        buffer.push(transition(1.0, 0.0, true)); // A: episode of 1.0
-        buffer.push(transition(5.0, 0.0, false)); // A: unfinished tail
-        buffer.push(transition(2.0, 0.0, true)); // B: episode of 2.0
-        let segments = [
-            Segment {
-                start: 0,
-                len: 2,
-                bootstrap_value: 0.0,
-            },
-            Segment {
-                start: 2,
-                len: 1,
-                bootstrap_value: 0.0,
-            },
-        ];
-        assert_eq!(buffer.episodic_returns_segmented(&segments), vec![1.0, 2.0]);
-        // The flat version reports the blended 7.0 — exactly the bug the
-        // segmented variant exists to avoid.
-        assert_eq!(buffer.episodic_returns(), vec![1.0, 7.0]);
+        let mut expected = vec![0.0_f32; steps.len()];
+        let mut gae = 0.0_f32;
+        for i in (0..steps.len()).rev() {
+            let (reward, value, done) = steps[i];
+            let live = if done { 0.0 } else { 1.0 };
+            let next_value = steps.get(i + 1).map_or(last_value, |s| s.1);
+            gae = (reward + gamma * next_value * live - value) + gamma * lambda * live * gae;
+            expected[i] = gae;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&adv.advantages), bits(&expected));
+        let expected_returns: Vec<f32> =
+            expected.iter().zip(&steps).map(|(a, s)| a + s.1).collect();
+        assert_eq!(bits(&adv.returns), bits(&expected_returns));
     }
 
     #[test]

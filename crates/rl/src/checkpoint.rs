@@ -137,8 +137,8 @@ pub struct Checkpoint {
     pub stats: TrainingStats,
     /// Complete policy + optimizer + RNG state.
     pub policy: PolicyState,
-    /// One snapshot per environment (one entry for sequential training,
-    /// `num_envs` entries for vectorized training).
+    /// One snapshot per environment. The format carries a count; the
+    /// trainer writes exactly one and refuses to resume from any other.
     pub envs: Vec<EnvCheckpoint>,
 }
 

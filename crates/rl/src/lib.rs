@@ -2,24 +2,21 @@
 //!
 //! This crate implements the RL machinery of the CuAsmRL paper (§3.7): a
 //! Gym-like [`Env`] trait that the assembly game implements, a rollout
-//! buffer with (per-segment) GAE-λ advantage estimation, a masked
-//! actor-critic policy built on the [`nn`] crate, a [`VecEnv`] that steps N
-//! environments in parallel on worker threads, and the clipped-PPO trainer
-//! with the default hyperparameters the paper takes from the "37
-//! implementation details" study.
+//! buffer with GAE-λ advantage estimation, a masked actor-critic policy
+//! built on the [`nn`] crate, and the clipped-PPO trainer with the default
+//! hyperparameters the paper takes from the "37 implementation details"
+//! study.
 //!
-//! Rollout collection is the hot path — every assembly-game step re-measures
-//! a schedule on the simulator — so [`PpoTrainer::train_vec`] fans env
-//! transitions out over a [`VecEnv`] worker pool while sampling actions in
-//! env order on the caller's thread. For a fixed seed the results are
-//! bit-identical for any worker count.
+//! There is one rollout path, as in the paper: one environment per learner
+//! (the reward is a kernel timed alone on the GPU, one schedule at a time),
+//! stepped by [`PpoTrainer::train_updates_until`], which every other
+//! `train*` entry point wraps.
 //!
-//! Training runs are checkpointable: [`PpoTrainer::save_checkpoint`] (and
-//! its vectorized sibling) serializes the complete policy weights, Adam
-//! moments, RNG stream and environment snapshots into a versioned binary
-//! [`Checkpoint`], and [`PpoTrainer::resume_from`] continues the run
-//! bit-identically to one that was never interrupted — enforced by
-//! `tests/checkpoint.rs`.
+//! Training runs are checkpointable: [`PpoTrainer::save_checkpoint`]
+//! serializes the complete policy weights, Adam moments, RNG stream and the
+//! environment snapshot into a versioned binary [`Checkpoint`], and
+//! [`PpoTrainer::resume_from`] continues the run bit-identically to one
+//! that was never interrupted — enforced by `tests/checkpoint.rs`.
 //!
 //! The policy is shape-agnostic: [`Env::observation_features`] defines the
 //! row width, and the assembly game uses that freedom to append normalized
@@ -50,9 +47,8 @@ mod checkpoint;
 mod env;
 mod policy;
 mod ppo;
-mod vecenv;
 
-pub use buffer::{Advantages, RolloutBuffer, Segment, Transition};
+pub use buffer::{Advantages, RolloutBuffer, Transition};
 pub use cancel::CancelToken;
 pub use checkpoint::{
     Checkpoint, CheckpointError, EnvCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -62,5 +58,4 @@ pub use policy::{
     ActionSample, ActorCritic, OptimizerState, PolicyState, RngState, Sample, UpdateConfig,
     UpdateStats,
 };
-pub use ppo::{PpoConfig, PpoTrainer, Rollout, TrainingStats};
-pub use vecenv::{EnvState, ObservationBatch, VecAction, VecEnv, VecStep};
+pub use ppo::{PpoConfig, PpoTrainer, TrainingStats};

@@ -317,51 +317,6 @@ impl ActorCritic {
         }
     }
 
-    /// Samples one action per env from a stacked observation batch.
-    ///
-    /// The whole batch flows through the network together: the encoder runs
-    /// over each env's row range of the stacked observation matrix (no
-    /// per-env copies), and the actor and critic heads each run as **one**
-    /// blocked GEMM over the stacked pooled encodings instead of `N` vector
-    /// loops. Every arithmetic accumulation is ordered exactly as the
-    /// per-env path, so the logits, values and sampled actions are
-    /// bit-identical to calling [`ActorCritic::act`] env by env.
-    ///
-    /// Envs are evaluated in batch order with a single RNG stream, so the
-    /// sampled actions are a pure function of (policy state, batch) — the
-    /// thread count used to *collect* the batch can never change them.
-    pub fn act_batch(&mut self, batch: &crate::ObservationBatch) -> Vec<ActionSample> {
-        let (pooled, _activations) = self
-            .encoder
-            .forward_batch(&batch.observations, &batch.offsets);
-        let logits = self.actor.forward_batch(&pooled);
-        let values = self.critic.forward_batch(&pooled);
-        (0..batch.num_envs())
-            .map(|i| {
-                let mask = batch.mask(i);
-                let dist = MaskedCategorical::from_logits(logits.row(i), &mask);
-                let action = dist.sample(&mut self.rng);
-                ActionSample {
-                    action,
-                    log_prob: action.map_or(0.0, |a| dist.log_prob(a)),
-                    value: values.get(i, 0),
-                }
-            })
-            .collect()
-    }
-
-    /// Value estimates for a stacked observation batch (one critic GEMM);
-    /// entry `i` is bit-identical to [`ActorCritic::value`] on env `i`'s
-    /// observation.
-    #[must_use]
-    pub fn value_batch(&self, batch: &crate::ObservationBatch) -> Vec<f32> {
-        let (pooled, _activations) = self
-            .encoder
-            .forward_batch(&batch.observations, &batch.offsets);
-        let values = self.critic.forward_batch(&pooled);
-        (0..batch.num_envs()).map(|i| values.get(i, 0)).collect()
-    }
-
     /// Greedy (deterministic) action, used in inference mode (§5.7).
     #[must_use]
     pub fn act_greedy(&self, observation: &Matrix, mask: &[bool]) -> Option<usize> {
@@ -577,62 +532,6 @@ mod tests {
             );
         }
         assert!((policy.value(&obs) - target).abs() < 1.0);
-    }
-
-    #[test]
-    fn act_batch_is_bit_identical_to_per_env_act() {
-        let features = 4;
-        let n_actions = 5;
-        let mut per_env = ActorCritic::new(7, features, 8, 3, n_actions, 1e-3);
-        let mut batched = per_env.clone();
-        // Three envs with different observation lengths stacked row-wise,
-        // including one shorter than the conv window and a partial mask.
-        let lengths = [6usize, 2, 9];
-        let mut offsets = vec![0usize];
-        for len in lengths {
-            offsets.push(offsets.last().unwrap() + len);
-        }
-        let total = *offsets.last().unwrap();
-        let observations = Matrix::from_vec(
-            total,
-            features,
-            (0..total * features).map(|i| (i as f32).sin()).collect(),
-        );
-        let masks = Matrix::from_vec(
-            3,
-            n_actions,
-            vec![
-                1.0, 1.0, 1.0, 1.0, 1.0, //
-                0.0, 1.0, 0.0, 1.0, 0.0, //
-                1.0, 0.0, 1.0, 0.0, 1.0, //
-            ],
-        );
-        let batch = crate::ObservationBatch {
-            observations,
-            offsets,
-            masks,
-        };
-        let batch_samples = batched.act_batch(&batch);
-        let values = batched.value_batch(&batch);
-        for i in 0..3 {
-            let sample = per_env.act(&batch.observation(i), &batch.mask(i));
-            assert_eq!(sample.action, batch_samples[i].action, "env {i}");
-            assert_eq!(
-                sample.log_prob.to_bits(),
-                batch_samples[i].log_prob.to_bits(),
-                "env {i}"
-            );
-            assert_eq!(
-                sample.value.to_bits(),
-                batch_samples[i].value.to_bits(),
-                "env {i}"
-            );
-            assert_eq!(
-                values[i].to_bits(),
-                per_env.value(&batch.observation(i)).to_bits(),
-                "env {i}"
-            );
-        }
     }
 
     #[test]

@@ -13,12 +13,11 @@ use std::path::Path;
 use nn::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::buffer::{Advantages, RolloutBuffer, Segment, Transition};
+use crate::buffer::{Advantages, RolloutBuffer, Transition};
 use crate::cancel::CancelToken;
 use crate::checkpoint::{Checkpoint, CheckpointError, EnvCheckpoint};
 use crate::env::Env;
 use crate::policy::{ActorCritic, Sample, UpdateConfig};
-use crate::vecenv::{EnvState, VecAction, VecEnv};
 
 /// PPO hyperparameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -121,27 +120,15 @@ impl TrainingStats {
     }
 }
 
-/// A batched rollout collected from a [`VecEnv`]: each env's transitions
-/// form one contiguous [`Segment`] of the buffer, carrying its own GAE
-/// bootstrap value.
-#[derive(Debug, Clone)]
-pub struct Rollout {
-    /// The collected transitions, grouped per env in env order.
-    pub buffer: RolloutBuffer,
-    /// Per-env segments of `buffer`.
-    pub segments: Vec<Segment>,
-}
-
 /// The PPO trainer: owns the policy and runs collect/update cycles against
 /// an environment.
 ///
 /// Training is resumable: the trainer tracks how many updates it has
 /// completed and accumulates its [`TrainingStats`] internally, so a run can
-/// be advanced in slices with [`PpoTrainer::train_updates`] /
-/// [`PpoTrainer::train_vec_updates`], checkpointed at any update boundary
-/// with [`PpoTrainer::save_checkpoint`] and continued in a fresh process via
-/// [`PpoTrainer::resume_from`] — bit-identically to a run that was never
-/// interrupted.
+/// be advanced in slices with [`PpoTrainer::train_updates`], checkpointed
+/// at any update boundary with [`PpoTrainer::save_checkpoint`] and continued
+/// in a fresh process via [`PpoTrainer::resume_from`] — bit-identically to a
+/// run that was never interrupted.
 #[derive(Debug, Clone)]
 pub struct PpoTrainer {
     config: PpoConfig,
@@ -150,9 +137,9 @@ pub struct PpoTrainer {
     completed_updates: usize,
     /// Statistics accumulated over the completed updates.
     stats: TrainingStats,
-    /// The observation the next sequential-training action will be
-    /// conditioned on, carried across update boundaries (and into
-    /// checkpoints) so pausing never perturbs the trajectory.
+    /// The observation the next action will be conditioned on, carried
+    /// across update boundaries (and into checkpoints) so pausing never
+    /// perturbs the trajectory.
     pending_observation: Option<Matrix>,
 }
 
@@ -308,127 +295,6 @@ impl PpoTrainer {
         self.completed_updates >= total_updates
     }
 
-    /// Trains against a vector of environments until `total_steps`
-    /// environment steps have been collected.
-    ///
-    /// The training loop is the batched counterpart of [`PpoTrainer::train`]:
-    /// each update collects `rollout_steps` transitions spread across the
-    /// envs (stepped in parallel by the [`VecEnv`] workers), computes
-    /// per-segment GAE so env streams never bleed into each other, and runs
-    /// the usual clipped-PPO epochs. Because action sampling happens in env
-    /// order on this thread, results for a fixed seed are identical for any
-    /// worker count.
-    pub fn train_vec<E: Env + Send + 'static>(&mut self, venv: &mut VecEnv<E>) -> TrainingStats {
-        self.train_vec_updates(venv, usize::MAX);
-        self.stats.clone()
-    }
-
-    /// Runs at most `max_updates` more policy updates against the vectorized
-    /// envs and returns whether the scheduled run is now complete (the
-    /// batched counterpart of [`PpoTrainer::train_updates`]). Between calls
-    /// the trainer is at an update boundary; checkpoint there with
-    /// [`PpoTrainer::save_checkpoint_vec`].
-    pub fn train_vec_updates<E: Env + Send + 'static>(
-        &mut self,
-        venv: &mut VecEnv<E>,
-        max_updates: usize,
-    ) -> bool {
-        let total_updates = self.total_updates();
-        let mut ran = 0;
-        while self.completed_updates < total_updates && ran < max_updates {
-            self.anneal(self.completed_updates, total_updates);
-            let rollout = self.collect_rollouts(venv, self.config.rollout_steps);
-            self.stats.steps += rollout.buffer.len();
-            self.stats.episodic_returns.extend(
-                rollout
-                    .buffer
-                    .episodic_returns_segmented(&rollout.segments)
-                    .iter()
-                    .copied(),
-            );
-            let adv = rollout.buffer.compute_advantages_segmented(
-                self.config.gamma,
-                self.config.gae_lambda,
-                &rollout.segments,
-            );
-            self.update_policy(&rollout.buffer, &adv);
-            self.completed_updates += 1;
-            ran += 1;
-        }
-        self.completed_updates >= total_updates
-    }
-
-    /// Collects at least `rollout_steps` transitions from the vectorized
-    /// envs (in whole lockstep rounds) and groups them per env into the
-    /// returned [`Rollout`].
-    ///
-    /// Every round stacks the current observations and masks into one
-    /// [`crate::ObservationBatch`] and samples all actions with a single
-    /// [`crate::ActorCritic::act_batch`] call — one GEMM per network layer
-    /// over the whole batch instead of one forward pass per env — then
-    /// steps all envs in parallel. Envs whose mask is empty are reset
-    /// without recording a transition (§3.5); such rounds don't fill the
-    /// buffer, so collection keeps running extra rounds until the target is
-    /// met, giving up (with whatever was gathered) only after 8x the
-    /// nominal round count to avoid livelock on pathological environments.
-    pub fn collect_rollouts<E: Env + Send + 'static>(
-        &mut self,
-        venv: &mut VecEnv<E>,
-        rollout_steps: usize,
-    ) -> Rollout {
-        let n = venv.num_envs();
-        let nominal_rounds = rollout_steps.div_ceil(n).max(1);
-        let max_rounds = nominal_rounds.saturating_mul(8);
-        let mut streams: Vec<Vec<Transition>> =
-            (0..n).map(|_| Vec::with_capacity(nominal_rounds)).collect();
-        let mut collected = 0;
-        let mut rounds = 0;
-        while collected < rollout_steps && rounds < max_rounds {
-            rounds += 1;
-            let batch = venv.batch();
-            let samples = self.policy.act_batch(&batch);
-            let actions: Vec<VecAction> = samples
-                .iter()
-                .map(|s| s.action.map_or(VecAction::Reset, VecAction::Step))
-                .collect();
-            let results = venv.step(&actions);
-            for (i, (sample, result)) in samples.iter().zip(&results).enumerate() {
-                let Some(action) = sample.action else {
-                    continue;
-                };
-                streams[i].push(Transition {
-                    observation: batch.observation(i),
-                    mask: batch.mask(i),
-                    action,
-                    log_prob: sample.log_prob,
-                    value: sample.value,
-                    reward: result.reward,
-                    done: result.done,
-                });
-                collected += 1;
-            }
-        }
-        // Bootstrap from each env's current state (the observation the next
-        // round would act on), batched through one critic GEMM. Ignored by
-        // GAE when the segment ended an episode.
-        let bootstrap = self.policy.value_batch(&venv.batch());
-        let mut buffer = RolloutBuffer::new();
-        let mut segments = Vec::with_capacity(n);
-        for (i, stream) in streams.into_iter().enumerate() {
-            let start = buffer.len();
-            let len = stream.len();
-            for transition in stream {
-                buffer.push(transition);
-            }
-            segments.push(Segment {
-                start,
-                len,
-                bootstrap_value: bootstrap[i],
-            });
-        }
-        Rollout { buffer, segments }
-    }
-
     fn anneal(&mut self, update: usize, total_updates: usize) {
         if self.config.anneal_lr {
             let frac = 1.0 - update as f32 / total_updates as f32;
@@ -496,9 +362,9 @@ impl PpoTrainer {
     }
 
     /// Captures a resumable [`Checkpoint`] of this trainer and the
-    /// environment it is training against (sequential path). Must be called
-    /// at an update boundary — i.e. between [`PpoTrainer::train_updates`]
-    /// calls — for the resume-equals-uninterrupted guarantee to hold.
+    /// environment it is training against. Must be called at an update
+    /// boundary — i.e. between [`PpoTrainer::train_updates`] calls — for the
+    /// resume-equals-uninterrupted guarantee to hold.
     ///
     /// # Errors
     ///
@@ -607,112 +473,6 @@ impl PpoTrainer {
             Err(e) => Err(e),
         }
     }
-
-    /// Captures a resumable [`Checkpoint`] of this trainer and a vectorized
-    /// environment (the [`PpoTrainer::train_vec_updates`] path): one
-    /// [`EnvCheckpoint`] per env, in env order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::EnvSnapshotUnsupported`] when any env does
-    /// not implement [`Env::state_bytes`].
-    pub fn checkpoint_vec<E: Env + Send + 'static>(
-        &self,
-        venv: &mut VecEnv<E>,
-    ) -> Result<Checkpoint, CheckpointError> {
-        let env_states = venv
-            .snapshot_env_states()
-            .ok_or(CheckpointError::EnvSnapshotUnsupported)?;
-        let envs = env_states
-            .into_iter()
-            .zip(venv.states())
-            .map(|(state, env_state)| EnvCheckpoint {
-                state,
-                observation: Some(env_state.observation.clone()),
-                mask: env_state.mask.clone(),
-            })
-            .collect();
-        Ok(Checkpoint {
-            config: self.config.clone(),
-            completed_updates: self.completed_updates,
-            stats: self.stats.clone(),
-            policy: self.policy.state(),
-            envs,
-        })
-    }
-
-    /// Writes a [`PpoTrainer::checkpoint_vec`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates snapshot and I/O errors as [`CheckpointError`].
-    pub fn save_checkpoint_vec<E: Env + Send + 'static>(
-        &self,
-        venv: &mut VecEnv<E>,
-        path: &Path,
-    ) -> Result<(), CheckpointError> {
-        self.checkpoint_vec(venv)?.write(path)
-    }
-
-    /// Rebuilds a trainer from a vectorized-training checkpoint and restores
-    /// every env of `venv` (which must hold the same number of envs,
-    /// constructed for the same problem instances).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Corrupt`] on env-count or observation
-    /// inconsistencies and [`CheckpointError::EnvRejectedState`] when an env
-    /// refuses its state bytes.
-    pub fn resume_vec_from_checkpoint<E: Env + Send + 'static>(
-        checkpoint: &Checkpoint,
-        venv: &mut VecEnv<E>,
-    ) -> Result<Self, CheckpointError> {
-        let policy =
-            ActorCritic::from_state(&checkpoint.policy).map_err(CheckpointError::Corrupt)?;
-        if checkpoint.envs.len() != venv.num_envs() {
-            return Err(CheckpointError::Corrupt(format!(
-                "checkpoint holds {} envs but the vector holds {}",
-                checkpoint.envs.len(),
-                venv.num_envs()
-            )));
-        }
-        let mut env_states = Vec::with_capacity(checkpoint.envs.len());
-        let mut states = Vec::with_capacity(checkpoint.envs.len());
-        for (i, env_checkpoint) in checkpoint.envs.iter().enumerate() {
-            let observation = env_checkpoint.observation.clone().ok_or_else(|| {
-                CheckpointError::Corrupt(format!("env {i} is missing its observation"))
-            })?;
-            env_states.push(env_checkpoint.state.clone());
-            states.push(EnvState {
-                observation,
-                mask: env_checkpoint.mask.clone(),
-            });
-        }
-        if !venv.restore_env_states(&env_states, &states) {
-            return Err(CheckpointError::EnvRejectedState);
-        }
-        Ok(PpoTrainer {
-            config: checkpoint.config.clone(),
-            policy,
-            completed_updates: checkpoint.completed_updates,
-            stats: checkpoint.stats.clone(),
-            pending_observation: None,
-        })
-    }
-
-    /// Reads a checkpoint file and resumes vectorized training from it (see
-    /// [`PpoTrainer::resume_vec_from_checkpoint`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates read, decode and restore errors as [`CheckpointError`].
-    pub fn resume_vec_from<E: Env + Send + 'static>(
-        path: &Path,
-        venv: &mut VecEnv<E>,
-    ) -> Result<Self, CheckpointError> {
-        let checkpoint = Checkpoint::read(path)?;
-        Self::resume_vec_from_checkpoint(&checkpoint, venv)
-    }
 }
 
 #[cfg(test)]
@@ -760,87 +520,6 @@ mod tests {
         assert_eq!(stats.approx_kl.len(), 256 / 64);
         assert_eq!(stats.entropy.len(), stats.approx_kl.len());
         assert!(stats.entropy.iter().all(|e| e.is_finite()));
-    }
-
-    fn transition_fingerprint(buffer: &RolloutBuffer) -> Vec<(usize, u32, u32, u32, bool)> {
-        buffer
-            .transitions()
-            .iter()
-            .map(|t| {
-                (
-                    t.action,
-                    t.log_prob.to_bits(),
-                    t.value.to_bits(),
-                    t.reward.to_bits(),
-                    t.done,
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn collect_rollouts_is_identical_for_any_worker_count() {
-        let collect = |workers: usize| {
-            let envs: Vec<BanditEnv> = (0..4).map(|_| BanditEnv::new(5)).collect();
-            let mut venv = VecEnv::new(envs, workers);
-            let mut trainer = PpoTrainer::new(PpoConfig::tiny(), 3, 3);
-            let rollout = trainer.collect_rollouts(&mut venv, 32);
-            (transition_fingerprint(&rollout.buffer), rollout.segments)
-        };
-        let single = collect(1);
-        assert_eq!(collect(2), single);
-        assert_eq!(collect(4), single);
-        assert!(single.0.len() >= 32);
-        assert_eq!(single.1.len(), 4);
-    }
-
-    #[test]
-    fn train_vec_matches_single_env_training_bit_for_bit() {
-        // One env, one worker: the vectorized path must replay exactly the
-        // sequential trainer's draws and updates.
-        let config = PpoConfig {
-            total_steps: 256,
-            rollout_steps: 64,
-            ..PpoConfig::tiny()
-        };
-        let mut env = BanditEnv::new(8);
-        let mut sequential = PpoTrainer::new(config.clone(), 3, 3);
-        let seq_stats = sequential.train(&mut env);
-
-        let mut venv = VecEnv::new(vec![BanditEnv::new(8)], 1);
-        let mut vectored = PpoTrainer::new(config, 3, 3);
-        let vec_stats = vectored.train_vec(&mut venv);
-
-        assert_eq!(seq_stats.steps, vec_stats.steps);
-        assert_eq!(seq_stats.episodic_returns, vec_stats.episodic_returns);
-        assert_eq!(seq_stats.approx_kl, vec_stats.approx_kl);
-        assert_eq!(seq_stats.entropy, vec_stats.entropy);
-        assert_eq!(seq_stats.policy_loss, vec_stats.policy_loss);
-        assert_eq!(seq_stats.value_loss, vec_stats.value_loss);
-    }
-
-    #[test]
-    fn train_vec_learns_the_rewarding_action_with_parallel_envs() {
-        let envs: Vec<BanditEnv> = (0..4).map(|_| BanditEnv::new(8)).collect();
-        let mut venv = VecEnv::new(envs, 4);
-        let config = PpoConfig {
-            total_steps: 2048,
-            rollout_steps: 64,
-            learning_rate: 2e-2,
-            ent_coef: 0.001,
-            ..PpoConfig::tiny()
-        };
-        let mut trainer = PpoTrainer::new(config, venv.observation_features(), venv.action_count());
-        let stats = trainer.train_vec(&mut venv);
-        assert!(stats.steps >= 2048);
-        let last = stats.final_return(5);
-        assert!(
-            last > 4.0,
-            "expected the trained policy to prefer the rewarding action, got {last}"
-        );
-        let state = &venv.states()[0];
-        let greedy = trainer.policy().act_greedy(&state.observation, &state.mask);
-        assert_eq!(greedy, Some(1));
     }
 
     #[test]

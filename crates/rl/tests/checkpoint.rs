@@ -4,7 +4,7 @@
 //! `jobs=N ≡ jobs=1` determinism contract.
 
 use rl::test_envs::BanditEnv;
-use rl::{Checkpoint, CheckpointError, PolicyState, PpoConfig, PpoTrainer, TrainingStats, VecEnv};
+use rl::{Checkpoint, CheckpointError, PolicyState, PpoConfig, PpoTrainer, TrainingStats};
 
 fn config() -> PpoConfig {
     PpoConfig {
@@ -139,38 +139,6 @@ fn resume_from_or_new_cold_starts_resumes_and_propagates_corruption() {
 }
 
 #[test]
-fn vectorized_resume_matches_the_uninterrupted_run() {
-    let envs = || -> Vec<BanditEnv> { (0..4).map(|_| BanditEnv::new(6)).collect() };
-    let mut control_venv = VecEnv::new(envs(), 2);
-    let mut control = PpoTrainer::new(config(), 3, 3);
-    let control_stats = control.train_vec(&mut control_venv);
-    let control_policy = policy_bits(&control.policy().state());
-    let total_updates = control.total_updates();
-
-    for interrupt_after in [1, total_updates / 2, total_updates - 1] {
-        let path = temp_path(&format!("vec-{interrupt_after}"));
-        {
-            let mut venv = VecEnv::new(envs(), 4);
-            let mut trainer = PpoTrainer::new(config(), 3, 3);
-            assert!(!trainer.train_vec_updates(&mut venv, interrupt_after));
-            trainer.save_checkpoint_vec(&mut venv, &path).expect("save");
-        }
-        // Resume into a vector with a *different* worker count: the
-        // checkpoint is env-order state, so worker sharding stays free.
-        let mut venv = VecEnv::new(envs(), 1);
-        let mut resumed = PpoTrainer::resume_vec_from(&path, &mut venv).expect("resume");
-        let resumed_stats = resumed.train_vec(&mut venv);
-        assert_eq!(
-            policy_bits(&resumed.policy().state()),
-            control_policy,
-            "vec policy diverged when interrupted after update {interrupt_after}"
-        );
-        assert_eq!(stats_bits(&resumed_stats), stats_bits(&control_stats));
-        let _ = std::fs::remove_file(&path);
-    }
-}
-
-#[test]
 fn checkpoint_file_round_trips_policy_and_optimizer_state_bit_identically() {
     let mut env = BanditEnv::new(8);
     let mut trainer = PpoTrainer::new(config(), 3, 3);
@@ -249,10 +217,11 @@ fn resume_refuses_mismatched_environments() {
         PpoTrainer::resume_from::<BanditEnv>(&path, &mut wrong_env),
         Err(CheckpointError::EnvRejectedState)
     ));
-    // A vec resume against the wrong env count is refused too.
-    let mut venv = VecEnv::new(vec![BanditEnv::new(8), BanditEnv::new(8)], 1);
+    // A checkpoint holding anything but exactly one env is refused too.
+    let mut two_envs = Checkpoint::read(&path).expect("read");
+    two_envs.envs.push(two_envs.envs[0].clone());
     assert!(matches!(
-        PpoTrainer::resume_vec_from::<BanditEnv>(&path, &mut venv),
+        PpoTrainer::resume_from_checkpoint(&two_envs, &mut BanditEnv::new(8)),
         Err(CheckpointError::Corrupt(_))
     ));
     let _ = std::fs::remove_file(&path);

@@ -27,8 +27,8 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::protocol::{
-    poll_frame, read_frame, write_frame, FrameRead, OptimizeRequest, OptimizeResponse, RequestBody,
-    StatusRequest, StatusResult, TaggedRequest, TaggedResponse,
+    configure_stream, poll_frame, read_frame, write_frame, FrameRead, OptimizeRequest,
+    OptimizeResponse, RequestBody, StatusRequest, StatusResult, TaggedRequest, TaggedResponse,
 };
 use crate::ErrorCode;
 
@@ -176,6 +176,7 @@ impl ClientBuilder {
     /// Returns an IO error when the TCP connection cannot be established.
     pub fn connect(&self) -> io::Result<Connection> {
         let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
+        configure_stream(&stream)?;
         stream.set_write_timeout(Some(self.timeout))?;
         let reader_stream = stream.try_clone()?;
         let inner = Arc::new(ConnInner {
@@ -359,13 +360,7 @@ impl Connection {
     /// Returns an IO error when the exchange fails or the daemon answers
     /// with a typed error.
     pub fn status(&self) -> io::Result<StatusResult> {
-        match self.submit_status()?.wait()? {
-            OptimizeResponse::Status(status) => Ok(status),
-            OptimizeResponse::Ok(_) => Err(io::Error::other(
-                "daemon answered a status probe with an optimize result".to_string(),
-            )),
-            OptimizeResponse::Err(error) => Err(io::Error::other(error.to_string())),
-        }
+        status_result(self.submit_status()?.wait()?)
     }
 }
 
@@ -487,6 +482,7 @@ impl Client {
     /// Returns an IO error when the connection, write or read fails.
     pub fn request_raw(&self, payload: &[u8]) -> io::Result<Vec<u8>> {
         let mut stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
+        configure_stream(&stream)?;
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
         write_frame(&mut stream, payload)?;
@@ -623,13 +619,18 @@ impl Client {
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
         let response: OptimizeResponse = serde_json::from_str(&text)
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        match response {
-            OptimizeResponse::Status(status) => Ok(status),
-            OptimizeResponse::Ok(_) => Err(io::Error::other(
-                "daemon answered a status probe with an optimize result".to_string(),
-            )),
-            OptimizeResponse::Err(error) => Err(io::Error::other(error.to_string())),
-        }
+        status_result(response)
+    }
+}
+
+/// The answer to a status probe, or why the response is not one.
+fn status_result(response: OptimizeResponse) -> io::Result<StatusResult> {
+    match response {
+        OptimizeResponse::Status(status) => Ok(status),
+        OptimizeResponse::Ok(_) => Err(io::Error::other(
+            "daemon answered a status probe with an optimize result".to_string(),
+        )),
+        OptimizeResponse::Err(error) => Err(io::Error::other(error.to_string())),
     }
 }
 

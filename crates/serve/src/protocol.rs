@@ -524,9 +524,21 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
                 format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
             )
         })?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(payload)?;
+    // Prefix and payload leave in one write: a prefix sent on its own is a
+    // small segment the payload then queues behind under Nagle until the
+    // peer's delayed ACK arrives.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
+}
+
+/// Socket options of every `cuasmrld` stream, accepted or dialled:
+/// `TCP_NODELAY`, so a frame is sent when it is written instead of waiting
+/// for the ACK of the frame before it.
+pub(crate) fn configure_stream(stream: &std::net::TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
 }
 
 /// Reads one length-prefixed frame.
@@ -538,7 +550,12 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &[u8]) -> io::Result<()> {
 pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Vec<u8>> {
     let mut header = [0u8; 4];
     reader.read_exact(&mut header)?;
-    let len = u32::from_be_bytes(header);
+    read_payload(reader, u32::from_be_bytes(header))
+}
+
+/// Checks a decoded length prefix against [`MAX_FRAME_LEN`] and reads that
+/// many payload bytes.
+fn read_payload<R: Read>(reader: &mut R, len: u32) -> io::Result<Vec<u8>> {
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -600,15 +617,7 @@ pub fn poll_frame(
     let mut rest = [0u8; 3];
     stream.read_exact(&mut rest)?;
     let len = u32::from_be_bytes([first[0], rest[0], rest[1], rest[2]]);
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    Ok(FrameRead::Frame(payload))
+    read_payload(stream, len).map(FrameRead::Frame)
 }
 
 #[cfg(test)]
@@ -631,6 +640,45 @@ mod tests {
         oversized.extend_from_slice(b"x");
         let err = read_frame(&mut io::Cursor::new(oversized)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_prefix_then_payload() {
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut writer = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut writer, b"{\"k\":1}").unwrap();
+        assert_eq!(writer.writes, 1, "prefix and payload must share a write");
+        assert_eq!(
+            writer.bytes,
+            [&7u32.to_be_bytes()[..], b"{\"k\":1}"].concat()
+        );
+    }
+
+    #[test]
+    fn configured_streams_have_nodelay_set_on_both_ends() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialled = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        for stream in [&dialled, &accepted] {
+            configure_stream(stream).unwrap();
+            assert!(stream.nodelay().unwrap());
+        }
     }
 
     #[test]

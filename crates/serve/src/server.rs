@@ -70,9 +70,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{
-    poll_frame, read_frame, write_frame, CanonicalRequest, ErrorCode, FrameRead, OptimizeRequest,
-    OptimizeResponse, OptimizeResult, RequestBody, RequestDefaults, RequestKey, ServiceError,
-    StatusRequest, StatusResult, TaggedRequest, TaggedResponse, UNATTRIBUTED_REQUEST_ID,
+    configure_stream, poll_frame, read_frame, write_frame, CanonicalRequest, ErrorCode, FrameRead,
+    OptimizeRequest, OptimizeResponse, OptimizeResult, RequestBody, RequestDefaults, RequestKey,
+    ServiceError, StatusRequest, StatusResult, TaggedRequest, TaggedResponse,
+    UNATTRIBUTED_REQUEST_ID,
 };
 use crate::queue::{AdmissionQueue, PushError};
 use crate::store::{ScheduleStore, StoreEntry, StoreStats, STORE_SCHEMA_VERSION};
@@ -561,6 +562,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             break;
         }
         let Ok(stream) = connection else { continue };
+        let _ = configure_stream(&stream);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         let shared = Arc::clone(shared);
         readers.push(std::thread::spawn(move || {

@@ -200,7 +200,7 @@ fn incremental_masks_equal_full_recomputation_along_legal_walks() {
     }
 }
 
-/// Sharing one eval cache across games (the `VecEnv` / suite pattern) with
+/// Sharing one eval cache across games replaying the same kernel with
 /// delta evaluation on cannot change a single observable value: a game
 /// using a warm shared cache steps bit-identically to a game simulating
 /// everything itself.

@@ -1,13 +1,9 @@
 //! The determinism contract of the parallel engine: for a fixed seed,
-//! N-worker results must be bit-identical to 1-worker results, at every
-//! layer — `VecEnv` rollouts in `rl` and `SuiteOptimizer` reports in
-//! `cuasmrl`.
+//! N-job `SuiteOptimizer` reports must be bit-identical to 1-job reports.
 
 use cuasmrl::{GameConfig, Strategy, SuiteOptimizer};
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{ConfigSpace, KernelKind, KernelSpec};
-use rl::test_envs::BanditEnv;
-use rl::{Env, PpoConfig, PpoTrainer, VecAction, VecEnv};
 
 fn fast_measure() -> MeasureOptions {
     MeasureOptions {
@@ -15,69 +11,6 @@ fn fast_measure() -> MeasureOptions {
         repeats: 2,
         noise_std: 0.0,
         seed: 0,
-    }
-}
-
-/// A compact bit-exact fingerprint of a rollout buffer.
-fn rollout_fingerprint(buffer: &rl::RolloutBuffer) -> Vec<(usize, u32, u32, u32, bool, Vec<u32>)> {
-    buffer
-        .transitions()
-        .iter()
-        .map(|t| {
-            (
-                t.action,
-                t.log_prob.to_bits(),
-                t.value.to_bits(),
-                t.reward.to_bits(),
-                t.done,
-                t.observation.data().iter().map(|v| v.to_bits()).collect(),
-            )
-        })
-        .collect()
-}
-
-#[test]
-fn vecenv_rollouts_with_four_workers_match_the_single_worker_path() {
-    let collect = |workers: usize| {
-        let envs: Vec<BanditEnv> = (0..4).map(|_| BanditEnv::new(6)).collect();
-        let mut venv = VecEnv::new(envs, workers);
-        let mut trainer = PpoTrainer::new(PpoConfig::tiny(), 3, 3);
-        let rollout = trainer.collect_rollouts(&mut venv, 64);
-        (
-            rollout_fingerprint(&rollout.buffer),
-            rollout.segments,
-            rollout.buffer.episodic_returns(),
-        )
-    };
-    let single = collect(1);
-    let quad = collect(4);
-    assert_eq!(single.0, quad.0, "transitions must be bit-identical");
-    assert_eq!(single.1, quad.1, "segments must be identical");
-    assert_eq!(single.2, quad.2, "episodic returns must be identical");
-    assert!(single.0.len() >= 64);
-}
-
-#[test]
-fn vecenv_honours_the_env_contract_with_bandit_envs() {
-    // The contract test of the issue: VecEnv over the reference BanditEnv
-    // behaves exactly like the underlying env stepped by hand.
-    let mut reference = BanditEnv::new(4);
-    let mut venv = VecEnv::new(vec![BanditEnv::new(4)], 1);
-    let mut expected_obs = reference.reset();
-    for round in 0..10 {
-        let action = if round % 3 == 0 { 0 } else { 1 };
-        let state = &venv.states()[0];
-        assert_eq!(state.observation, expected_obs);
-        assert_eq!(state.mask, reference.action_mask());
-        let step = reference.step(action);
-        let vec_steps = venv.step(&[VecAction::Step(action)]);
-        assert_eq!(vec_steps[0].reward, step.reward);
-        assert_eq!(vec_steps[0].done, step.done);
-        expected_obs = if step.done {
-            reference.reset()
-        } else {
-            step.observation
-        };
     }
 }
 

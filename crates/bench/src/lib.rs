@@ -290,20 +290,6 @@ pub struct DeltaSweep {
     pub sim_steps: u64,
 }
 
-impl DeltaSweep {
-    /// `fallbacks / total`, 0 when the sweep is empty. The perf-regression
-    /// gate keeps this under 20% on the smoke matrix.
-    #[must_use]
-    pub fn fallback_rate(&self) -> f64 {
-        let total = self.spliced + self.resumed + self.fallbacks;
-        if total == 0 {
-            0.0
-        } else {
-            self.fallbacks as f64 / total as f64
-        }
-    }
-}
-
 /// Deterministically sweeps the delta engine over every legal single swap of
 /// every kernel in `suite` at problem scale `1/scale` on `gpu`: records a
 /// baseline per kernel, evaluates each masked-legal adjacent swap

@@ -177,15 +177,17 @@ pub fn compare_reports(baseline: &BenchReport, candidate: &BenchReport) -> Vec<S
                 base.geomean_speedup, cand.geomean_speedup
             ));
         }
-        if cand.verified < base.verified {
+        // Exact counts of a deterministic run: a rise is as much a change
+        // as a drop (regenerate the baseline when one is intended).
+        if cand.verified != base.verified {
             regressions.push(format!(
-                "{key}: verified kernels dropped {} -> {}",
+                "{key}: verified kernels changed {} -> {}",
                 base.verified, cand.verified
             ));
         }
-        if cand.kernels < base.kernels {
+        if cand.kernels != base.kernels {
             regressions.push(format!(
-                "{key}: suite coverage shrank {} -> {} kernels",
+                "{key}: suite coverage changed {} -> {} kernels",
                 base.kernels, cand.kernels
             ));
         }
@@ -208,11 +210,11 @@ pub fn compare_reports(baseline: &BenchReport, candidate: &BenchReport) -> Vec<S
                 base.delta_attempts()
             ));
         }
-        // Engine work of that sweep: an exact count, so any rise is a
-        // regression (a baseline predating the counter gates nothing).
-        if base.sim_steps > 0 && (cand.sim_steps > base.sim_steps || cand.sim_steps == 0) {
+        // Engine work of that sweep: an exact count, so any change is
+        // flagged (a baseline predating the counter gates nothing).
+        if base.sim_steps > 0 && cand.sim_steps != base.sim_steps {
             regressions.push(format!(
-                "{key}: delta-sweep simulator steps {} -> {} may neither rise nor disappear \
+                "{key}: delta-sweep simulator steps changed {} -> {} \
                  (deterministic work counter; regenerate the baseline if intended)",
                 base.sim_steps, cand.sim_steps
             ));
@@ -367,11 +369,14 @@ mod tests {
         more.cells[0].sim_steps += 1;
         let regressions = compare_reports(&base, &more);
         assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0].contains("simulator steps 9000 -> 9001"));
-        // Fewer steps is an improvement, not a regression.
+        assert!(regressions[0].contains("simulator steps changed 9000 -> 9001"));
+        // Fewer steps is a change too: the gate is an equality, so a
+        // refactor that is meant to move nothing cannot move this quietly.
         let mut fewer = base.clone();
         fewer.cells[0].sim_steps -= 1;
-        assert!(compare_reports(&base, &fewer).is_empty());
+        let regressions = compare_reports(&base, &fewer);
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(regressions[0].contains("simulator steps changed 9000 -> 8999"));
         // A baseline predating the counter gates nothing...
         let mut old = base.clone();
         old.cells[0].sim_steps = 0;
@@ -434,6 +439,17 @@ mod tests {
         shrunk.cells[0].kernels = 5;
         shrunk.cells[0].verified = 6; // verified unchanged, coverage shrank
         assert!(compare_reports(&base, &shrunk)[0].contains("coverage"));
+        // Both counts are equalities: a rise fails like a drop.
+        let mut grown = base.clone();
+        grown.cells[0].kernels = 7;
+        let regressions = compare_reports(&base, &grown);
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(regressions[0].contains("coverage changed 6 -> 7"));
+        let mut more_verified = base.clone();
+        more_verified.cells[0].verified = 7;
+        let regressions = compare_reports(&base, &more_verified);
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(regressions[0].contains("verified kernels changed 6 -> 7"));
         let mut missing = base.clone();
         missing.cells.clear();
         assert!(compare_reports(&base, &missing)[0].contains("missing"));

@@ -69,8 +69,10 @@ struct SessionBase {
 }
 
 /// The incremental evaluation session of one [`crate::AssemblyGame`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DeltaSession {
+    /// Engine clones start with an empty snapshot pool: pooled buffers are a
+    /// reuse optimization, never shared state.
     engine: DeltaEngine,
     gpu: GpuConfig,
     launch: LaunchConfig,
@@ -89,25 +91,6 @@ pub struct DeltaSession {
     /// Sorted positions where `current` differs from the base
     /// (`perm[i] != i`, or equal position but edited content).
     diff: Vec<usize>,
-}
-
-impl Clone for DeltaSession {
-    fn clone(&self) -> Self {
-        DeltaSession {
-            // Engine clones start with an empty snapshot pool: pooled
-            // buffers are a reuse optimization, never shared state.
-            engine: self.engine.clone(),
-            gpu: self.gpu.clone(),
-            launch: self.launch.clone(),
-            options: self.options.clone(),
-            initial: Arc::clone(&self.initial),
-            base: Arc::clone(&self.base),
-            current: self.current.clone(),
-            perm: self.perm.clone(),
-            current_content: self.current_content.clone(),
-            diff: self.diff.clone(),
-        }
-    }
 }
 
 impl DeltaSession {

@@ -1,4 +1,4 @@
-//! The schedule-evaluation cache: a sharded, digest-keyed memo of kernel
+//! The schedule-evaluation cache: a digest-keyed memo of kernel
 //! measurements.
 //!
 //! The reward signal re-simulates the whole kernel after every move, and the
@@ -20,26 +20,22 @@
 //! Keys combine the digest of the schedule listing with a context digest of
 //! the launch configuration, device model and measurement protocol
 //! (including the measurement seed), so distinct contexts never collide on
-//! purpose. The map is sharded `SHARDS` ways behind independent mutexes, and
-//! misses are simulated *outside* the shard lock. Every sharer today — a
-//! game and its clones — runs on that game's own thread, so the locks are
-//! uncontended; the sharding sits on the evolutionary search's hit path, so
-//! changing it is a measured change of its own.
+//! purpose. The map sits behind one mutex, and misses are simulated *outside*
+//! the lock. Every sharer — a game and its clones — runs on that game's own
+//! thread, so the lock is uncontended; it is there because the cache is
+//! handed around in an `Arc` and must stay `Sync`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use gpusim::{
     splitmix64, ArchSpec, DeltaOutcome, GpuConfig, LaunchConfig, MeasureOptions, Measurement,
 };
 use sass::Program;
-
-/// Number of independently locked shards.
-const SHARDS: usize = 16;
 
 /// Cache effectiveness counters, for observability and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,22 +67,21 @@ impl EvalCacheStats {
     }
 }
 
-/// One shard: the memo map plus its own hit/miss tallies. Keeping the
-/// counters under the same lock as the map makes a lookup and its counter
-/// update one consistent operation, and lets [`EvalCache::stats`] aggregate
-/// everything in a single pass over the shards instead of reading counters
-/// that can drift from the maps they describe.
+/// The memo map plus its hit/miss tallies. Keeping the counters under the
+/// same lock as the map makes a lookup and its counter update one consistent
+/// operation, so [`EvalCache::stats`] never reads counters that have drifted
+/// from the map they describe.
 #[derive(Debug, Default)]
-struct Shard {
+struct Memo {
     map: HashMap<u64, Measurement>,
     hits: u64,
     misses: u64,
 }
 
-/// A sharded digest → [`Measurement`] memo (see the module docs).
+/// A digest → [`Measurement`] memo (see the module docs).
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    shards: Vec<Mutex<Shard>>,
+    memo: Mutex<Memo>,
     delta_hits: AtomicU64,
     delta_fallbacks: AtomicU64,
 }
@@ -95,19 +90,15 @@ impl EvalCache {
     /// Creates an empty cache.
     #[must_use]
     pub fn new() -> Self {
-        EvalCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            delta_hits: AtomicU64::new(0),
-            delta_fallbacks: AtomicU64::new(0),
-        }
+        EvalCache::default()
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().expect("eval-cache lock")
     }
 
     /// Returns the cached measurement for `key`, or computes it with
-    /// `simulate` (outside the shard lock) and caches it. Because the
+    /// `simulate` (outside the lock) and caches it. Because the
     /// simulator is deterministic for a fixed key, a racing duplicate
     /// computation inserts an identical value — the cache never changes an
     /// observable result.
@@ -128,10 +119,10 @@ impl EvalCache {
     /// [`EvalCache::insert_computed`], which records the miss.
     #[must_use]
     pub fn lookup(&self, key: u64) -> Option<Measurement> {
-        let mut shard = self.shard(key).lock().expect("eval-cache shard");
-        let hit = shard.map.get(&key).cloned();
+        let mut memo = self.memo();
+        let hit = memo.map.get(&key).cloned();
         if hit.is_some() {
-            shard.hits += 1;
+            memo.hits += 1;
         }
         hit
     }
@@ -140,9 +131,9 @@ impl EvalCache {
     /// duplicate insert stores an identical value, so last-write-wins is
     /// harmless.
     pub fn insert_computed(&self, key: u64, value: Measurement) {
-        let mut shard = self.shard(key).lock().expect("eval-cache shard");
-        shard.misses += 1;
-        shard.map.insert(key, value);
+        let mut memo = self.memo();
+        memo.misses += 1;
+        memo.map.insert(key, value);
     }
 
     /// Attributes one simulated miss to the delta engine: an incremental
@@ -160,10 +151,7 @@ impl EvalCache {
     /// Number of cached measurements.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("eval-cache shard").map.len())
-            .sum()
+        self.memo().map.len()
     }
 
     /// Returns true if nothing has been cached yet.
@@ -172,22 +160,17 @@ impl EvalCache {
         self.len() == 0
     }
 
-    /// Aggregates the per-shard counters in one pass (each shard is locked
-    /// exactly once, so the totals are a consistent snapshot of every
-    /// shard), plus the delta-engine tallies.
+    /// The hit/miss counters (one consistent snapshot, read under the
+    /// memo's lock) plus the delta-engine tallies.
     #[must_use]
     pub fn stats(&self) -> EvalCacheStats {
-        let mut stats = EvalCacheStats {
+        let memo = self.memo();
+        EvalCacheStats {
+            hits: memo.hits,
+            misses: memo.misses,
             delta_hits: self.delta_hits.load(Ordering::Relaxed),
             delta_fallbacks: self.delta_fallbacks.load(Ordering::Relaxed),
-            ..EvalCacheStats::default()
-        };
-        for shard in &self.shards {
-            let shard = shard.lock().expect("eval-cache shard");
-            stats.hits += shard.hits;
-            stats.misses += shard.misses;
         }
-        stats
     }
 }
 
@@ -445,20 +428,5 @@ mod tests {
         let a: Program = SAMPLE.parse().unwrap();
         let b: Program = a.to_string().parse().unwrap();
         assert_eq!(program_key(&a), program_key(&b));
-    }
-
-    #[test]
-    fn shards_spread_keys() {
-        let cache = EvalCache::new();
-        let gpu = GpuConfig::small();
-        let launch = LaunchConfig::default();
-        let program: Program = SAMPLE.parse().unwrap();
-        for seed in 0..64u64 {
-            let opts = MeasureOptions { seed, ..options() };
-            let key = eval_key(&program, &launch, &gpu, &opts);
-            let _ = cache.get_or_insert_with(key, || measure(&gpu, &program, &launch, &opts));
-        }
-        assert_eq!(cache.len(), 64);
-        assert_eq!(cache.stats().misses, 64);
     }
 }

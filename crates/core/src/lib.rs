@@ -39,7 +39,6 @@ mod embed;
 mod eval_cache;
 mod game;
 mod optimizer;
-mod session;
 mod stall_table;
 mod suite_optimizer;
 mod telemetry;
@@ -57,8 +56,7 @@ pub use eval_cache::{
     EvalCache, EvalCacheStats,
 };
 pub use game::{AssemblyGame, GameConfig, Move};
-pub use optimizer::{CuAsmRl, OptimizationReport, Strategy, StrategyComparison};
-pub use session::SearchSession;
+pub use optimizer::{CuAsmRl, OptimizationReport, Strategy};
 pub use stall_table::{
     clock_based_iadd3, dependency_based_stall, microbenchmark_table, ClockBenchResult, StallTable,
 };

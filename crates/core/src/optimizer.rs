@@ -3,14 +3,13 @@
 //! (§4.2), probabilistic verification, and the non-RL search baselines the
 //! paper discusses in §7.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{Autotuner, ConfigSpace, KernelSpec, TritonPipeline};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rl::{CancelToken, Env, PpoConfig, PpoTrainer};
+use rl::{CancelToken, CheckpointError, Env, PpoConfig, PpoTrainer};
 use sass::{Cubin, Program};
 use serde::{Deserialize, Serialize};
 
@@ -88,6 +87,9 @@ pub struct CuAsmRl {
     game_config: GameConfig,
     strategy: Strategy,
     cache_dir: Option<PathBuf>,
+    /// Checkpoint file and PPO updates between saves (see
+    /// [`CuAsmRl::with_checkpoint`]).
+    checkpoint: Option<(PathBuf, usize)>,
 }
 
 impl CuAsmRl {
@@ -102,14 +104,8 @@ impl CuAsmRl {
             game_config: GameConfig::default(),
             strategy,
             cache_dir: None,
+            checkpoint: None,
         }
-    }
-
-    /// Overrides the stall table (e.g. with a freshly micro-benchmarked one).
-    #[must_use]
-    pub fn with_stall_table(mut self, stalls: StallTable) -> Self {
-        self.stalls = stalls;
-        self
     }
 
     /// Overrides the game configuration.
@@ -123,6 +119,22 @@ impl CuAsmRl {
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
+        self
+    }
+
+    /// Makes a [`Strategy::Rl`] search survive a process restart (other
+    /// strategies ignore this): PPO training warm-restarts from the
+    /// checkpoint at `path` when one exists, saves there every `updates`
+    /// updates (at least 1) and whenever the cancel token stops it, keeps the
+    /// file while the search is unfinished and removes it once the search
+    /// completes. A search interrupted at any update boundary and re-run —
+    /// in this process or the next — produces a report bit-identical to the
+    /// uninterrupted run. A checkpoint that cannot be resumed from
+    /// (corruption, version skew, a different kernel) is logged, discarded
+    /// and the search cold-starts.
+    #[must_use]
+    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, updates: usize) -> Self {
+        self.checkpoint = Some((path.into(), updates.max(1)));
         self
     }
 
@@ -140,7 +152,7 @@ impl CuAsmRl {
         serde_json::from_str(&text).ok()
     }
 
-    pub(crate) fn store(&self, report: &OptimizationReport) {
+    fn store(&self, report: &OptimizationReport) {
         if let Some(path) = self.cache_path(&report.kernel) {
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
@@ -158,8 +170,7 @@ impl CuAsmRl {
     ///
     /// # Panics
     ///
-    /// Panics if the compiled cubin does not contain the expected kernel
-    /// (which would be a pipeline bug).
+    /// As [`CuAsmRl::optimize_spec_instrumented`].
     pub fn optimize_spec(
         &self,
         spec: &KernelSpec,
@@ -179,24 +190,39 @@ impl CuAsmRl {
     /// # Panics
     ///
     /// Panics if the compiled cubin does not contain the expected kernel
-    /// (which would be a pipeline bug).
+    /// (which would be a pipeline bug), or if a checkpoint configured with
+    /// [`CuAsmRl::with_checkpoint`] cannot be written — callers that want
+    /// the typed error use [`CuAsmRl::optimize_spec_instrumented_with`].
     pub fn optimize_spec_instrumented(
         &self,
         spec: &KernelSpec,
         space: &ConfigSpace,
         tune_options: &MeasureOptions,
     ) -> (OptimizationReport, Cubin, KernelTelemetry) {
-        let (report, cubin, telemetry, _preempted) =
-            self.optimize_spec_instrumented_with(spec, space, tune_options, &CancelToken::new());
+        let (report, cubin, telemetry, _preempted) = self
+            .optimize_spec_instrumented_with(spec, space, tune_options, &CancelToken::new())
+            .expect("the training checkpoint must be writable");
         (report, cubin, telemetry)
     }
 
-    /// [`CuAsmRl::optimize_spec_instrumented`] with cooperative preemption:
-    /// the search polls `cancel` at its step/update boundaries and, once the
-    /// token fires, stops early and reports its best-schedule-so-far. The
-    /// returned flag says whether the run was preempted; a preempted report
-    /// is **not** written to the deploy cache (it is a degraded partial
-    /// answer, not the converged one).
+    /// The one place the pipeline from a kernel spec to its answer is
+    /// sequenced — autotune → compile → deploy-cache lookup → assembly game
+    /// → search → verify → cubin write-back → deploy-cache store; every
+    /// other `optimize_*` entry point, the suite fan-out and the daemon
+    /// delegate here.
+    ///
+    /// Preemption is cooperative: the search polls `cancel` at its
+    /// step/update boundaries and, once the token fires, stops early and
+    /// reports its best-schedule-so-far. The returned flag says whether the
+    /// run was preempted; a preempted report is **not** written to the
+    /// deploy cache (it is a degraded partial answer, not the converged
+    /// one), and with [`CuAsmRl::with_checkpoint`] the training checkpoint
+    /// stays on disk so re-asking resumes and converges to the full answer.
+    ///
+    /// # Errors
+    ///
+    /// Returns the typed [`CheckpointError`] when a configured training
+    /// checkpoint cannot be written.
     ///
     /// # Panics
     ///
@@ -208,100 +234,47 @@ impl CuAsmRl {
         space: &ConfigSpace,
         tune_options: &MeasureOptions,
         cancel: &CancelToken,
-    ) -> (OptimizationReport, Cubin, KernelTelemetry, bool) {
+    ) -> Result<(OptimizationReport, Cubin, KernelTelemetry, bool), CheckpointError> {
         let run_start = std::time::Instant::now();
-        let (compiled, autotune_ms, compile_ms) = self.compile_spec(spec, space, tune_options);
-        if let Some(hit) = self.lookup(&compiled.name) {
-            let mut cubin = compiled.cubin.clone();
-            if let Ok(program) = hit.optimized_listing.parse::<Program>() {
-                let _ = cubin.replace_kernel_section(&compiled.name, &program);
+        let tuner = Autotuner::new(self.gpu.clone()).with_options(tune_options.clone());
+        let tuning = tuner.tune(spec, space);
+        let autotune_ms = duration_ms(run_start.elapsed());
+        let compile_start = std::time::Instant::now();
+        let compiled = TritonPipeline::new(self.gpu.clone()).compile(spec, &tuning.best);
+        let compile_ms = duration_ms(compile_start.elapsed());
+        let (report, mut telemetry, preempted) = match self.lookup(&compiled.name) {
+            Some(hit) => {
+                let telemetry = KernelTelemetry::cached(&hit);
+                (hit, telemetry, false)
             }
-            let mut telemetry = KernelTelemetry {
-                kernel: hit.kernel.clone(),
-                baseline_us: hit.baseline_us,
-                optimized_us: hit.optimized_us,
-                speedup: hit.speedup,
-                verified: hit.verified,
-                from_deploy_cache: true,
-                reward_curve: hit.moves.iter().map(|m| m.reward).collect(),
-                ..KernelTelemetry::default()
-            };
-            telemetry.phases.autotune_ms = autotune_ms;
-            telemetry.phases.compile_ms = compile_ms;
-            telemetry.phases.total_ms = duration_ms(run_start.elapsed());
-            return (hit, cubin, telemetry, false);
-        }
-        let program = compiled
-            .cubin
-            .kernel_program(&compiled.name)
-            .expect("compiled cubin must contain the kernel");
-        let (report, mut telemetry, preempted) = self.optimize_program_instrumented_with(
-            &compiled.name,
-            program,
-            compiled.launch.clone(),
-            cancel,
-        );
+            None => {
+                let program = compiled
+                    .cubin
+                    .kernel_program(&compiled.name)
+                    .expect("compiled cubin must contain the kernel");
+                let (report, telemetry, preempted) =
+                    self.search(&compiled.name, program, compiled.launch, cancel)?;
+                if !preempted {
+                    self.store(&report);
+                }
+                (report, telemetry, preempted)
+            }
+        };
         let mut cubin = compiled.cubin;
         if let Ok(optimized) = report.optimized_listing.parse::<Program>() {
             let _ = cubin.replace_kernel_section(&compiled.name, &optimized);
         }
-        if !preempted {
-            self.store(&report);
-        }
         telemetry.phases.autotune_ms = autotune_ms;
         telemetry.phases.compile_ms = compile_ms;
         telemetry.phases.total_ms = duration_ms(run_start.elapsed());
-        (report, cubin, telemetry, preempted)
-    }
-
-    /// The autotune + compile front half of the hierarchical search (§3.1):
-    /// grid-searches the configuration space, compiles the winner through
-    /// the Triton-like pipeline and returns the compiled kernel plus the
-    /// wall-clock of both phases.
-    pub(crate) fn compile_spec(
-        &self,
-        spec: &KernelSpec,
-        space: &ConfigSpace,
-        tune_options: &MeasureOptions,
-    ) -> (kernels::CompiledKernel, f64, f64) {
-        let autotune_start = std::time::Instant::now();
-        let tuner = Autotuner::new(self.gpu.clone()).with_options(tune_options.clone());
-        let tuning = tuner.tune(spec, space);
-        let autotune_ms = duration_ms(autotune_start.elapsed());
-        let compile_start = std::time::Instant::now();
-        let pipeline = TritonPipeline::new(self.gpu.clone());
-        let compiled = pipeline.compile(spec, &tuning.best);
-        let compile_ms = duration_ms(compile_start.elapsed());
-        (compiled, autotune_ms, compile_ms)
-    }
-
-    /// Builds the assembly game this optimizer plays for one compiled
-    /// kernel program.
-    pub(crate) fn build_game(
-        &self,
-        program: Program,
-        launch: gpusim::LaunchConfig,
-    ) -> AssemblyGame {
-        AssemblyGame::new(
-            self.gpu.clone(),
-            program,
-            launch,
-            self.stalls.clone(),
-            self.game_config.clone(),
-        )
-    }
-
-    /// The PPO configuration of an [`Strategy::Rl`] optimizer, if that is
-    /// the configured strategy.
-    #[must_use]
-    pub fn rl_config(&self) -> Option<&PpoConfig> {
-        match &self.strategy {
-            Strategy::Rl(config) => Some(config),
-            _ => None,
-        }
+        Ok((report, cubin, telemetry, preempted))
     }
 
     /// Optimizes an already-compiled SASS schedule.
+    ///
+    /// # Panics
+    ///
+    /// As [`CuAsmRl::optimize_program_instrumented`].
     pub fn optimize_program(
         &self,
         kernel: &str,
@@ -317,30 +290,37 @@ impl CuAsmRl {
     /// PPO training series when applicable). The autotune/compile/total
     /// phase timings are zero here — [`CuAsmRl::optimize_spec_instrumented`]
     /// fills them in when the full hierarchical pipeline runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a checkpoint configured with [`CuAsmRl::with_checkpoint`]
+    /// cannot be written.
     pub fn optimize_program_instrumented(
         &self,
         kernel: &str,
         program: Program,
         launch: gpusim::LaunchConfig,
     ) -> (OptimizationReport, KernelTelemetry) {
-        let (report, telemetry, _preempted) =
-            self.optimize_program_instrumented_with(kernel, program, launch, &CancelToken::new());
+        let (report, telemetry, _preempted) = self
+            .search(kernel, program, launch, &CancelToken::new())
+            .expect("the training checkpoint must be writable");
         (report, telemetry)
     }
 
-    /// [`CuAsmRl::optimize_program_instrumented`] with cooperative
-    /// preemption (see [`CuAsmRl::optimize_spec_instrumented_with`]). Every
-    /// strategy polls the token at its natural boundary — a PPO update, a
-    /// greedy move, a random step, an evolutionary generation — and a fired
-    /// token makes the search finalize its best-schedule-so-far. The
-    /// returned flag says whether the run was preempted.
-    pub fn optimize_program_instrumented_with(
+    /// The search stage of the pipeline: builds the assembly game for one
+    /// compiled program, plays it with the configured strategy and verifies
+    /// the best schedule. Every strategy polls the token at its natural
+    /// boundary — a PPO update, a greedy move, a random step, an
+    /// evolutionary generation — and a fired token makes the search finalize
+    /// its best-schedule-so-far; the returned flag says whether that
+    /// happened.
+    fn search(
         &self,
         kernel: &str,
         program: Program,
         launch: gpusim::LaunchConfig,
         cancel: &CancelToken,
-    ) -> (OptimizationReport, KernelTelemetry, bool) {
+    ) -> Result<(OptimizationReport, KernelTelemetry, bool), CheckpointError> {
         let search_start = std::time::Instant::now();
         let mut game = AssemblyGame::new(
             self.gpu.clone(),
@@ -352,7 +332,8 @@ impl CuAsmRl {
         let mut training = None;
         let (moves, preempted) = match &self.strategy {
             Strategy::Rl(config) => {
-                let (moves, stats, preempted) = run_rl(&mut game, config.clone(), cancel);
+                let (moves, stats, preempted) =
+                    run_rl(&mut game, config.clone(), self.checkpoint.as_ref(), cancel)?;
                 training = Some(TrainingTelemetry::from_stats(&stats));
                 (moves, preempted)
             }
@@ -366,8 +347,15 @@ impl CuAsmRl {
         };
         let search_ms = duration_ms(search_start.elapsed());
         let (report, verify_ms) = finalize_search(kernel, &game, moves);
-        let telemetry = search_telemetry(&report, &game, training, search_ms, verify_ms);
-        (report, telemetry, preempted)
+        let mut telemetry = KernelTelemetry {
+            from_deploy_cache: false,
+            cache: CacheTelemetry::from_stats(game.eval_cache().stats()),
+            training,
+            ..KernelTelemetry::cached(&report)
+        };
+        telemetry.phases.search_ms = search_ms;
+        telemetry.phases.verify_ms = verify_ms;
+        Ok((report, telemetry, preempted))
     }
 }
 
@@ -377,7 +365,7 @@ impl CuAsmRl {
 /// hazards; the best schedule was measured during the search, so this
 /// answers from the game's evaluation cache) and returns the report plus the
 /// verification wall-clock.
-pub(crate) fn finalize_search(
+fn finalize_search(
     kernel: &str,
     game: &AssemblyGame,
     moves: Vec<Move>,
@@ -402,51 +390,59 @@ pub(crate) fn finalize_search(
     (report, verify_ms)
 }
 
-/// Assembles the [`KernelTelemetry`] of a finished (non-deploy-cache)
-/// search from its report, the game's eval-cache counters and the measured
-/// search/verify wall-clock.
-pub(crate) fn search_telemetry(
-    report: &OptimizationReport,
-    game: &AssemblyGame,
-    training: Option<TrainingTelemetry>,
-    search_ms: f64,
-    verify_ms: f64,
-) -> KernelTelemetry {
-    let mut telemetry = KernelTelemetry {
-        kernel: report.kernel.clone(),
-        baseline_us: report.baseline_us,
-        optimized_us: report.optimized_us,
-        speedup: report.speedup,
-        verified: report.verified,
-        from_deploy_cache: false,
-        reward_curve: report.moves.iter().map(|m| m.reward).collect(),
-        cache: CacheTelemetry::from_stats(game.eval_cache().stats()),
-        training,
-        ..KernelTelemetry::default()
-    };
-    telemetry.phases.search_ms = search_ms;
-    telemetry.phases.verify_ms = verify_ms;
-    telemetry
-}
-
+/// The PPO arm of the search. With a checkpoint configured
+/// ([`CuAsmRl::with_checkpoint`]) training opens from the file when it
+/// exists, saves at every update boundary it stops on and removes the file
+/// once the schedule has been trained to completion — so however often the
+/// run is cut, the moves returned at the end are those of the uninterrupted
+/// run.
 fn run_rl(
     game: &mut AssemblyGame,
     config: PpoConfig,
+    checkpoint: Option<&(PathBuf, usize)>,
     cancel: &CancelToken,
-) -> (Vec<Move>, rl::TrainingStats, bool) {
+) -> Result<(Vec<Move>, rl::TrainingStats, bool), CheckpointError> {
     let features = game.observation_features();
     let actions = game.action_count();
-    let mut trainer = PpoTrainer::new(config, features, actions);
-    let finished = trainer.train_updates_until(game, usize::MAX, cancel);
+    let mut trainer = match checkpoint {
+        None => PpoTrainer::new(config, features, actions),
+        Some((path, _)) => {
+            match PpoTrainer::resume_from_or_new(path, game, config.clone(), features, actions) {
+                Ok((trainer, _resumed)) => trainer,
+                Err(err) => {
+                    // A damaged or version-skewed checkpoint must not wedge
+                    // the kernel forever: discard it and cold-start once (a
+                    // refused resume leaves the game untouched).
+                    eprintln!(
+                        "cuasmrl: discarding unusable checkpoint {}: {err}",
+                        path.display()
+                    );
+                    let _ = std::fs::remove_file(path);
+                    PpoTrainer::new(config, features, actions)
+                }
+            }
+        }
+    };
+    let interval = checkpoint.map_or(usize::MAX, |(_, updates)| *updates);
+    while !trainer.train_updates_until(game, interval, cancel) {
+        if let Some((path, _)) = checkpoint {
+            trainer.save_checkpoint(game, path)?;
+        }
+        if cancel.is_cancelled() {
+            break;
+        }
+    }
     let moves = inference_trace(game, trainer.policy());
-    (moves, trainer.stats().clone(), !finished)
+    let preempted = !trainer.is_finished();
+    if let Some((path, _)) = checkpoint.filter(|_| !preempted) {
+        let _ = std::fs::remove_file(path);
+    }
+    Ok((moves, trainer.stats().clone(), preempted))
 }
 
 /// Deterministic, seeded greedy inference pass (§5.7) recovering the move
-/// trace the trained policy plays. Shared between the one-shot RL search and
-/// the checkpointable [`crate::SearchSession`], so an interrupted-and-resumed
-/// search finishes through the identical code path.
-pub(crate) fn inference_trace(game: &mut AssemblyGame, policy: &rl::ActorCritic) -> Vec<Move> {
+/// trace the (possibly partially) trained policy plays.
+fn inference_trace(game: &mut AssemblyGame, policy: &rl::ActorCritic) -> Vec<Move> {
     let mut observation = game.reset();
     let mut moves = Vec::new();
     for _ in 0..32 {
@@ -582,18 +578,11 @@ fn run_evolutionary(
     (best_trace, false)
 }
 
-/// Per-strategy speedups on one kernel, used by the search-strategy ablation
-/// bench.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StrategyComparison {
-    /// Strategy label → speedup over the `-O3` baseline.
-    pub speedups: HashMap<String, f64>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kernels::{generate, KernelConfig, KernelKind, ScheduleStyle};
+    use std::path::Path;
 
     fn small_kernel() -> (String, Program, gpusim::LaunchConfig) {
         let spec = KernelSpec::scaled(KernelKind::MatmulLeakyRelu, 16);
@@ -654,5 +643,153 @@ mod tests {
         let hit = optimizer.lookup(&name).expect("cache hit after store");
         assert_eq!(hit.kernel, report.kernel);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// PPO updates in [`tiny_rl_setup`]'s training schedule.
+    const TINY_RL_UPDATES: usize = 4;
+
+    fn tiny_rl_setup() -> (KernelSpec, ConfigSpace, MeasureOptions, CuAsmRl) {
+        let tune = MeasureOptions {
+            warmup: 0,
+            repeats: 2,
+            noise_std: 0.0,
+            seed: 0,
+        };
+        let config = PpoConfig {
+            total_steps: 24 * TINY_RL_UPDATES,
+            rollout_steps: 24,
+            seed: 11,
+            ..PpoConfig::tiny()
+        };
+        let optimizer = CuAsmRl::new(GpuConfig::small(), Strategy::Rl(config));
+        let spec = KernelSpec::scaled(KernelKind::Softmax, 16);
+        (spec, ConfigSpace::small(), tune, optimizer)
+    }
+
+    fn temp_ckpt(label: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "cuasmrl-optimizer-{label}-{}-{:?}.ckpt",
+            std::process::id(),
+            std::thread::current().id()
+        ))
+    }
+
+    /// Leaves at `path` what a process killed after `updates` PPO updates
+    /// of this search leaves behind.
+    fn plant_checkpoint(
+        optimizer: &CuAsmRl,
+        spec: &KernelSpec,
+        space: &ConfigSpace,
+        tune: &MeasureOptions,
+        updates: usize,
+        path: &Path,
+    ) {
+        let tuner = Autotuner::new(optimizer.gpu.clone()).with_options(tune.clone());
+        let compiled =
+            TritonPipeline::new(optimizer.gpu.clone()).compile(spec, &tuner.tune(spec, space).best);
+        let mut game = AssemblyGame::new(
+            optimizer.gpu.clone(),
+            compiled.cubin.kernel_program(&compiled.name).unwrap(),
+            compiled.launch,
+            optimizer.stalls.clone(),
+            optimizer.game_config.clone(),
+        );
+        let Strategy::Rl(config) = optimizer.strategy.clone() else {
+            panic!("an RL optimizer");
+        };
+        let mut trainer = PpoTrainer::new(config, game.observation_features(), game.action_count());
+        let _ = trainer.train_updates(&mut game, updates);
+        assert_eq!(trainer.total_updates(), TINY_RL_UPDATES);
+        trainer.save_checkpoint(&game, path).expect("plant");
+    }
+
+    fn fired() -> CancelToken {
+        let token = CancelToken::new();
+        token.cancel();
+        token
+    }
+
+    #[test]
+    fn a_search_cut_at_any_update_boundary_and_reopened_matches_the_uninterrupted_run() {
+        let (spec, space, tune, optimizer) = tiny_rl_setup();
+        let (control, _cubin, control_telemetry) =
+            optimizer.optimize_spec_instrumented(&spec, &space, &tune);
+        let path = temp_ckpt("restart");
+        let checkpointed = optimizer.clone().with_checkpoint(&path, 1);
+        for boundary in 0..TINY_RL_UPDATES {
+            // A process dies `boundary` updates in; the next one is stopped
+            // before it trains at all, so the file it resumes from and
+            // re-saves is the one the final run opens.
+            plant_checkpoint(&optimizer, &spec, &space, &tune, boundary, &path);
+            let (_, _, _, preempted) = checkpointed
+                .optimize_spec_instrumented_with(&spec, &space, &tune, &fired())
+                .expect("save");
+            assert!(preempted);
+            let kept = rl::Checkpoint::read(&path).expect("preemption keeps the checkpoint");
+            assert_eq!(
+                kept.completed_updates, boundary,
+                "resumed, not cold-started"
+            );
+
+            let (report, _cubin, telemetry) =
+                checkpointed.optimize_spec_instrumented(&spec, &space, &tune);
+            assert_eq!(
+                serde_json::to_string(&report).unwrap(),
+                serde_json::to_string(&control).unwrap(),
+                "cut after update {boundary}: the reopened search must match the uninterrupted run"
+            );
+            assert_eq!(telemetry.training, control_telemetry.training);
+            assert_eq!(telemetry.reward_curve, control_telemetry.reward_curve);
+            assert!(!path.exists(), "a finished search removes its checkpoint");
+        }
+    }
+
+    #[test]
+    fn a_preempted_search_degrades_then_resumes_to_the_full_answer() {
+        let (spec, space, tune, optimizer) = tiny_rl_setup();
+        let (control, _cubin, _telemetry) =
+            optimizer.optimize_spec_instrumented(&spec, &space, &tune);
+
+        let path = temp_ckpt("preempt");
+        let cache_dir = std::env::temp_dir().join(format!(
+            "cuasmrl-optimizer-preempt-cache-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let optimizer = optimizer
+            .with_cache_dir(&cache_dir)
+            .with_checkpoint(&path, 1);
+
+        // One update in, a fired token preempts the search.
+        plant_checkpoint(&optimizer, &spec, &space, &tune, 1, &path);
+        let (degraded, _cubin, _telemetry, preempted) = optimizer
+            .optimize_spec_instrumented_with(&spec, &space, &tune, &fired())
+            .expect("save");
+        assert!(preempted);
+        // The degraded answer is still a valid verified schedule…
+        assert!(degraded.verified);
+        assert!(degraded.speedup >= 1.0);
+        // …and the checkpoint survives for the warm restart.
+        assert!(path.exists(), "preemption must keep the checkpoint");
+        assert!(
+            optimizer.lookup(&degraded.kernel).is_none(),
+            "a degraded report must not enter the deploy cache"
+        );
+
+        // Re-asking resumes from the checkpoint and converges to the
+        // byte-identical full answer.
+        let (report, _cubin, _telemetry) =
+            optimizer.optimize_spec_instrumented(&spec, &space, &tune);
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&control).unwrap(),
+            "resumed run must match the uninterrupted one"
+        );
+        assert!(!path.exists());
+        assert!(
+            optimizer.lookup(&report.kernel).is_some(),
+            "the converged answer does enter the deploy cache"
+        );
+        let _ = std::fs::remove_dir_all(&cache_dir);
     }
 }

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 
 use gpusim::{GpuConfig, MeasureOptions};
-use kernels::{find_suite, ConfigSpace, KernelSpec, WorkloadSuite};
+use kernels::{ConfigSpace, KernelSpec, WorkloadSuite};
 use serde::{Deserialize, Serialize};
 
 use crate::game::GameConfig;
@@ -247,8 +247,7 @@ impl SuiteOptimizer {
         optimizer
     }
 
-    /// Runs the full hierarchical search for one spec under a cancel token —
-    /// the serving path's preemptible entry point. Equivalent to
+    /// Runs the full hierarchical search for one spec under a cancel token:
     /// [`SuiteOptimizer::optimizer_for`] followed by
     /// [`CuAsmRl::optimize_spec_instrumented_with`] on the suite's
     /// per-kernel space and tune options; the returned flag says whether the
@@ -260,19 +259,16 @@ impl SuiteOptimizer {
         spec: &KernelSpec,
         cancel: &rl::CancelToken,
     ) -> (OptimizationReport, KernelTelemetry, bool) {
-        let optimizer = self.optimizer_for(spec);
-        let space = self.config_space_for(spec);
-        let (report, _cubin, telemetry, preempted) =
-            optimizer.optimize_spec_instrumented_with(spec, &space, self.tune_options(), cancel);
+        let (report, _cubin, telemetry, preempted) = self
+            .optimizer_for(spec)
+            .optimize_spec_instrumented_with(
+                spec,
+                &self.config_space_for(spec),
+                &self.tune_options,
+                cancel,
+            )
+            .expect("optimizer_for configures no checkpoint, so none can fail to write");
         (report, telemetry, preempted)
-    }
-
-    /// Optimizes the default `table2` workload suite (the paper's Table-2
-    /// kernels) at problem scale `1/scale`.
-    #[must_use]
-    pub fn optimize_all(&self, scale: usize) -> SuiteReport {
-        let suite = find_suite("table2").expect("table2 is a built-in suite");
-        self.optimize_workload(&suite, scale)
     }
 
     /// Optimizes a registry workload suite (see [`kernels::workload_suites`])
@@ -280,17 +276,6 @@ impl SuiteOptimizer {
     #[must_use]
     pub fn optimize_workload(&self, suite: &WorkloadSuite, scale: usize) -> SuiteReport {
         self.optimize_labeled(&suite.specs(scale), suite.name)
-    }
-
-    /// [`SuiteOptimizer::optimize_workload`] plus the aggregated
-    /// [`RunManifest`] telemetry of the run.
-    #[must_use]
-    pub fn optimize_workload_instrumented(
-        &self,
-        suite: &WorkloadSuite,
-        scale: usize,
-    ) -> (SuiteReport, RunManifest) {
-        self.optimize_labeled_instrumented(&suite.specs(scale), suite.name)
     }
 
     /// Optimizes `specs`, sharding the suite across the configured thread

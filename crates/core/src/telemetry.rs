@@ -23,6 +23,7 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use crate::eval_cache::EvalCacheStats;
+use crate::optimizer::OptimizationReport;
 
 /// Version of the telemetry JSON schema (see `docs/ARTIFACTS.md`).
 ///
@@ -186,6 +187,26 @@ pub struct KernelTelemetry {
     pub phases: PhaseTimings,
     /// RL training series, when the strategy was PPO.
     pub training: Option<TrainingTelemetry>,
+}
+
+impl KernelTelemetry {
+    /// The record of an answer that was looked up, not searched for — a
+    /// deploy-cache hit (§4.2) or a daemon store hit: the remembered
+    /// report's figures, the `from_deploy_cache` marker, and no eval-cache
+    /// counters, training series or search/verify timings.
+    #[must_use]
+    pub fn cached(report: &OptimizationReport) -> Self {
+        KernelTelemetry {
+            kernel: report.kernel.clone(),
+            baseline_us: report.baseline_us,
+            optimized_us: report.optimized_us,
+            speedup: report.speedup,
+            verified: report.verified,
+            from_deploy_cache: true,
+            reward_curve: report.moves.iter().map(|m| m.reward).collect(),
+            ..KernelTelemetry::default()
+        }
+    }
 }
 
 /// The aggregate telemetry manifest of one suite optimization run.

@@ -733,21 +733,6 @@ impl CompiledProgram {
         *slot = fresh;
     }
 
-    /// Applies a small batch of edits, each O(1) in program length. This is
-    /// the multi-edit generalisation of [`CompiledProgram::swap_insts`] used
-    /// by the richer action space: a [`CompiledEdit::Swap`] transposes two
-    /// lowered slots and a [`CompiledEdit::Replace`] re-lowers one slot in
-    /// place (see [`CompiledProgram::replace_inst`] for the branch-target
-    /// contract). Edits apply in order; out-of-range indices are ignored.
-    pub fn apply_edits(&mut self, edits: &[CompiledEdit<'_>], config: &GpuConfig) {
-        for edit in edits {
-            match *edit {
-                CompiledEdit::Swap { a, b } => self.swap_insts(a, b),
-                CompiledEdit::Replace { index, inst } => self.replace_inst(index, inst, config),
-            }
-        }
-    }
-
     /// Number of instructions in the compiled program.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -759,24 +744,4 @@ impl CompiledProgram {
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
     }
-}
-
-/// One O(1) mutation of a [`CompiledProgram`], applied by
-/// [`CompiledProgram::apply_edits`].
-#[derive(Debug, Clone, Copy)]
-pub enum CompiledEdit<'a> {
-    /// Transpose the lowered instructions at positions `a` and `b`.
-    Swap {
-        /// First position.
-        a: usize,
-        /// Second position.
-        b: usize,
-    },
-    /// Re-lower position `index` from the (edited) source instruction.
-    Replace {
-        /// Position to re-lower.
-        index: usize,
-        /// The edited source instruction.
-        inst: &'a Instruction,
-    },
 }

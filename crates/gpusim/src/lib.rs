@@ -58,7 +58,7 @@ mod regfile;
 mod sm;
 
 pub use arch::{ArchSpec, BankModel};
-pub use compiled::{CompiledEdit, CompiledProgram};
+pub use compiled::CompiledProgram;
 pub use config::{CacheConfig, GpuConfig, LatencyModel};
 pub use counters::{MemoryChart, WorkloadAnalysis};
 pub use delta::{DeltaBaseline, DeltaConfig, DeltaEngine, DeltaOutcome};

@@ -399,12 +399,6 @@ impl ActorCritic {
         stats
     }
 
-    /// Reseeds the policy's action-sampling RNG (used for deterministic
-    /// inference runs).
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
-    }
-
     /// Draws a uniform random valid action; used for exploration baselines.
     pub fn random_action(&mut self, mask: &[bool]) -> Option<usize> {
         let valid: Vec<usize> = mask

@@ -177,15 +177,9 @@ impl PpoTrainer {
         &self.policy
     }
 
-    /// Mutable access to the policy (e.g. to reseed it for inference).
+    /// Mutable access to the policy.
     pub fn policy_mut(&mut self) -> &mut ActorCritic {
         &mut self.policy
-    }
-
-    /// Consumes the trainer and returns the trained policy.
-    #[must_use]
-    pub fn into_policy(self) -> ActorCritic {
-        self.policy
     }
 
     /// Number of policy updates the configuration schedules in total.

@@ -49,13 +49,6 @@ impl ArchClass {
         NUM_BARRIERS
     }
 
-    /// Maximum encodable stall count (the `S` field is 4 bits on every
-    /// generation).
-    #[must_use]
-    pub fn max_stall(&self) -> u8 {
-        15
-    }
-
     /// True when the generation has a hardware asynchronous-copy path
     /// (`LDGSTS` / `cp.async`), introduced with Ampere.
     #[must_use]

@@ -319,19 +319,6 @@ impl Opcode {
         }
     }
 
-    /// Creates an opcode with the given modifiers.
-    #[must_use]
-    pub fn with_modifiers<I, S>(base: Mnemonic, modifiers: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Opcode {
-            base,
-            modifiers: modifiers.into_iter().map(Into::into).collect(),
-        }
-    }
-
     /// The base mnemonic.
     #[must_use]
     pub fn base(&self) -> &Mnemonic {

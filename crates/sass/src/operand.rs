@@ -165,16 +165,6 @@ pub struct MemRef {
 }
 
 impl MemRef {
-    /// A memory reference through a plain base register.
-    #[must_use]
-    pub fn with_base(base: RegOperand) -> Self {
-        MemRef {
-            descriptor: None,
-            base: Some(base),
-            offset: 0,
-        }
-    }
-
     /// Builder-style setter for the immediate offset.
     #[must_use]
     pub fn offset(mut self, offset: i64) -> Self {

@@ -7,7 +7,7 @@
 //! runs the searches, and a persistent, memory-capped [`ScheduleStore`]
 //! answers repeat traffic near-free — across process restarts, because the
 //! store is disk-backed and in-flight RL training checkpoints through
-//! [`cuasmrl::SearchSession`].
+//! [`cuasmrl::CuAsmRl::with_checkpoint`].
 //!
 //! Since protocol v2 a connection is persistent and pipelined: a client
 //! opens one [`Connection`], submits any number of tagged requests without

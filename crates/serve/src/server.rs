@@ -23,9 +23,9 @@
 //! When the queue is full the request is rejected immediately with a typed
 //! `Busy` error carrying the queue depth (backpressure, not buffering).
 //! Workers pop in rank order, re-check the deadline and the store, run the
-//! search — through a checkpointing [`SearchSession`] for RL strategies,
-//! so a killed daemon warm-restarts mid-training — persist the entry, and
-//! reply through the job's responder.
+//! search — RL training checkpointed under the request's key
+//! ([`CuAsmRl::with_checkpoint`]), so a killed daemon warm-restarts
+//! mid-training — persist the entry, and reply through the job's responder.
 //!
 //! Fault tolerance: every in-flight search carries a [`CancelToken`] tied
 //! to its deadline and the server-wide drain signal, polled at search
@@ -61,10 +61,9 @@ use std::time::{Duration, Instant};
 
 use cuasmrl::{
     load_run_manifest_checked, persist_run_manifest, CuAsmRl, KernelTelemetry, ManifestError,
-    RunManifest, SearchSession, Strategy, SuiteOptimizer,
+    RunManifest, Strategy, SuiteOptimizer,
 };
 use gpusim::MeasureOptions;
-use kernels::KernelSpec;
 use rl::CancelToken;
 use serde::{Deserialize, Serialize};
 
@@ -76,7 +75,7 @@ use crate::protocol::{
     UNATTRIBUTED_REQUEST_ID,
 };
 use crate::queue::{AdmissionQueue, PushError};
-use crate::store::{ScheduleStore, StoreEntry, StoreStats, STORE_SCHEMA_VERSION};
+use crate::store::{ScheduleStore, StoreEntry, STORE_SCHEMA_VERSION};
 
 /// The manifest suite label the daemon's telemetry is filed under (one
 /// manifest per device profile: `{gpu}_service_telemetry.json`).
@@ -111,9 +110,10 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Default paper-shape scale divisor when a request names none.
     pub scale: usize,
-    /// PPO updates per [`SearchSession`] step between checkpoints (RL
-    /// strategies only). Also the preemption granularity: deadlines and
-    /// drain signals are observed between steps.
+    /// PPO updates between training checkpoints (RL strategies only; at
+    /// least 1) — the update count [`CuAsmRl::with_checkpoint`] is given.
+    /// Deadlines and drain signals are observed at every update boundary
+    /// whatever this is set to.
     pub checkpoint_updates: usize,
     /// Measurement protocol used while autotuning.
     pub tune_options: MeasureOptions,
@@ -513,12 +513,6 @@ impl Server {
         *self.shared.lock_stats()
     }
 
-    /// Current store counters.
-    #[must_use]
-    pub fn store_stats(&self) -> StoreStats {
-        self.shared.store.stats()
-    }
-
     /// Requests currently waiting in the admission queue.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
@@ -758,7 +752,7 @@ fn process_optimize(shared: &Shared, request: &OptimizeRequest, mut responder: R
     let fault = shared.fault_for(ordinal);
     if let Some(entry) = shared.store_get(&key, fault.as_ref()) {
         shared.lock_stats().store_hits += 1;
-        shared.record_telemetry(&canonical.gpu.name, store_hit_telemetry(&entry));
+        shared.record_telemetry(&canonical.gpu.name, KernelTelemetry::cached(&entry.report));
         responder.send(&OptimizeResponse::Ok(Shared::result_from_entry(
             &key,
             &entry,
@@ -860,7 +854,10 @@ fn handle_job(shared: &Shared, job: &mut Job) {
     // this one was queued: serve the stored answer.
     if let Some(entry) = shared.store_get(&job.key, fault.as_ref()) {
         shared.lock_stats().store_hits += 1;
-        shared.record_telemetry(&job.canonical.gpu.name, store_hit_telemetry(&entry));
+        shared.record_telemetry(
+            &job.canonical.gpu.name,
+            KernelTelemetry::cached(&entry.report),
+        );
         let result = Shared::result_from_entry(&job.key, &entry, true, job.wire_version);
         job.responder.send(&OptimizeResponse::Ok(result));
         return;
@@ -928,29 +925,14 @@ fn handle_job(shared: &Shared, job: &mut Job) {
     }
 }
 
-/// The telemetry record of a store-hit answer: the persisted report's
-/// figures with the `from_deploy_cache` marker and no fresh phase timings.
-fn store_hit_telemetry(entry: &StoreEntry) -> KernelTelemetry {
-    KernelTelemetry {
-        kernel: entry.report.kernel.clone(),
-        baseline_us: entry.report.baseline_us,
-        optimized_us: entry.report.optimized_us,
-        speedup: entry.report.speedup,
-        verified: entry.report.verified,
-        from_deploy_cache: true,
-        reward_curve: entry.report.moves.iter().map(|m| m.reward).collect(),
-        ..KernelTelemetry::default()
-    }
-}
-
-/// Runs the search for one canonical request under a cancel token. RL
-/// strategies go through a checkpointing [`SearchSession`] keyed by the
-/// request (warm restart); everything else runs the one-shot instrumented
-/// path. Both paths produce reports bit-identical to a direct
-/// [`SuiteOptimizer::optimizer_for`] run — unless the token preempts the
-/// search, in which case the returned flag is `true` and the report is the
-/// degraded best-so-far answer (for RL, with the training checkpoint left
-/// on disk for a later resume).
+/// Runs the search for one canonical request under a cancel token: the one
+/// pipeline every other surface runs ([`SuiteOptimizer::optimizer_for`] +
+/// [`CuAsmRl::optimize_spec_instrumented_with`]), with RL training
+/// checkpointed under the request's key so a killed or preempted daemon
+/// warm-restarts it. The report is bit-identical to a direct run — unless
+/// the token preempts the search, in which case the returned flag is `true`
+/// and the report is the degraded best-so-far answer (for RL, with the
+/// training checkpoint left on disk for a later resume).
 fn compute(
     shared: &Shared,
     canonical: &CanonicalRequest,
@@ -960,48 +942,17 @@ fn compute(
     let suite = shared
         .config
         .suite_optimizer(canonical.gpu.clone(), canonical.seed);
-    let optimizer: CuAsmRl = suite.optimizer_for(&canonical.spec);
-    let spec: &KernelSpec = &canonical.spec;
-    let space = suite.config_space_for(spec);
-    if optimizer.rl_config().is_none() {
-        let (report, telemetry, preempted) = suite.optimize_spec_preemptible(spec, cancel);
-        return Ok((report, telemetry, preempted));
-    }
-    let checkpoint = shared.store.checkpoint_path(key);
-    let mut session = match SearchSession::new(
-        optimizer.clone(),
-        spec,
-        &space,
-        suite.tune_options(),
-        &checkpoint,
-    ) {
-        Ok(session) => session,
-        Err(err) => {
-            // A damaged or version-skewed checkpoint must not wedge the
-            // request forever: discard it and cold-start once.
-            eprintln!(
-                "cuasmrld: discarding unusable checkpoint {}: {err}",
-                checkpoint.display()
-            );
-            let _ = std::fs::remove_file(&checkpoint);
-            SearchSession::new(optimizer, spec, &space, suite.tune_options(), &checkpoint)
-                .map_err(|err| format!("search session failed to start: {err}"))?
-        }
-    };
-    loop {
-        let finished = session
-            .step_until(shared.config.checkpoint_updates.max(1), cancel)
-            .map_err(|err| format!("training checkpoint failed: {err}"))?;
-        if finished {
-            break;
-        }
-        if cancel.is_cancelled() {
-            // Preempted at an update boundary: the checkpoint written by
-            // `step_until` is on disk; answer with the best-so-far.
-            let (report, telemetry) = session.finish_preempted();
-            return Ok((report, telemetry, true));
-        }
-    }
-    let (report, _cubin, telemetry) = session.finish();
-    Ok((report, telemetry, false))
+    let optimizer: CuAsmRl = suite.optimizer_for(&canonical.spec).with_checkpoint(
+        shared.store.checkpoint_path(key),
+        shared.config.checkpoint_updates,
+    );
+    optimizer
+        .optimize_spec_instrumented_with(
+            &canonical.spec,
+            &suite.config_space_for(&canonical.spec),
+            suite.tune_options(),
+            cancel,
+        )
+        .map(|(report, _cubin, telemetry, preempted)| (report, telemetry, preempted))
+        .map_err(|err| format!("training checkpoint failed: {err}"))
 }

@@ -449,7 +449,7 @@ impl ScheduleStore {
     }
 
     /// Path of a key's in-flight training checkpoint (the warm-restart
-    /// file a [`cuasmrl::SearchSession`] persists between PPO updates).
+    /// file the daemon hands to [`cuasmrl::CuAsmRl::with_checkpoint`]).
     #[must_use]
     pub fn checkpoint_path(&self, key: &RequestKey) -> PathBuf {
         self.dir.join(format!("{}.ckpt", key.file_stem()))

@@ -8,7 +8,7 @@
 use cuasmrl::{GameConfig, Strategy, SuiteOptimizer};
 use cuasmrld::journal::fnv1a64;
 use gpusim::{GpuConfig, MeasureOptions};
-use kernels::ConfigSpace;
+use kernels::{find_suite, ConfigSpace};
 use rl::PpoConfig;
 
 fn fast_measure() -> MeasureOptions {
@@ -31,7 +31,7 @@ fn report_digest(strategy: Strategy) -> u64 {
             measure: fast_measure(),
             ..GameConfig::default()
         })
-        .optimize_all(16);
+        .optimize_workload(&find_suite("table2").expect("built-in suite"), 16);
     assert!(
         report.reports.iter().any(|r| !r.moves.is_empty()),
         "the pinned run must record moves"

@@ -161,9 +161,11 @@ fn the_store_survives_a_daemon_restart_and_recovers_from_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn rl_requests_run_through_the_checkpointing_session_and_match_the_direct_run() {
-    let dir = temp_dir("rl");
+/// An RL-strategy daemon answers one cold request; the answer must be the
+/// direct run's, byte for byte, whatever `checkpoint` (if anything) sat at
+/// the request's checkpoint path when it was asked.
+fn rl_daemon_matches_the_direct_run(label: &str, checkpoint: Option<&[u8]>) {
+    let dir = temp_dir(label);
     let _ = std::fs::remove_dir_all(&dir);
     let mut config = fast_config(&dir);
     config.strategy = Strategy::Rl(rl::PpoConfig {
@@ -172,13 +174,21 @@ fn rl_requests_run_through_the_checkpointing_session_and_match_the_direct_run() 
         ..rl::PpoConfig::tiny()
     });
     config.workers = 1;
+    let request = OptimizeRequest::table2("softmax", "ampere");
+    let canonical = request.canonicalize(&config.defaults()).expect("canonical");
+    let key = cuasmrld::RequestKey::of(&canonical);
+    let checkpoint_path = {
+        let store = ScheduleStore::open(&dir, 8).expect("open store");
+        store.checkpoint_path(&key)
+    };
+    if let Some(bytes) = checkpoint {
+        std::fs::write(&checkpoint_path, bytes).expect("plant the checkpoint");
+    }
     let server = Server::start(config.clone()).expect("daemon starts");
     let client = Client::new(server.local_addr());
-    let request = OptimizeRequest::table2("softmax", "ampere");
     let served = expect_ok(client.request(&request).expect("rl request"));
-    assert!(!served.from_store);
+    assert!(!served.from_store && !served.degraded);
 
-    let canonical = request.canonicalize(&config.defaults()).expect("canonical");
     let suite = config.suite_optimizer(canonical.gpu.clone(), canonical.seed);
     let optimizer = suite.optimizer_for(&canonical.spec);
     let (direct, _cubin, _telemetry) = optimizer.optimize_spec_instrumented(
@@ -191,12 +201,22 @@ fn rl_requests_run_through_the_checkpointing_session_and_match_the_direct_run() 
         serde_json::to_string(&direct).unwrap(),
         "the checkpointing session must match the one-shot run"
     );
-    // The session cleans its checkpoint up after finishing.
-    let key = cuasmrld::RequestKey::of(&canonical);
-    let store = ScheduleStore::open(&dir, 8).expect("open store");
-    assert!(!store.checkpoint_path(&key).exists());
-    server.shutdown();
+    // A finished search leaves no checkpoint behind — its own or a bad one.
+    assert!(!checkpoint_path.exists());
+    let stats = server.shutdown();
+    assert_eq!((stats.checksum_failures, stats.worker_panics), (0, 0));
+    assert_eq!(stats.computed, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rl_requests_run_through_the_checkpointing_session_and_match_the_direct_run() {
+    rl_daemon_matches_the_direct_run("rl", None);
+}
+
+#[test]
+fn a_garbage_checkpoint_is_discarded_and_the_rl_answer_still_matches_the_direct_run() {
+    rl_daemon_matches_the_direct_run("rl-garbage", Some(b"not a checkpoint \xff\x00\x13"));
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! The store's injectable I/O layer and deterministic crash-point
-//! injection.
+//! The injectable I/O layer and deterministic crash-point injection.
 //!
-//! Every byte the durable store moves goes through a [`StoreIo`]
-//! implementation: [`RealIo`] in production, [`CrashPointIo`] in the
-//! durability suite. `CrashPointIo` extends [`crate::FaultPlan`]'s
-//! ordinal-keyed style down to the syscall boundary: every I/O operation
-//! the store performs is numbered in program order, and a
+//! Every byte an artifact family publishes goes through a [`StoreIo`]
+//! implementation: [`RealIo`] (fsynced) under the schedule store's entries
+//! and journal, [`UnsyncedIo`] under every rebuildable family, and
+//! [`CrashPointIo`] in the durability suites. `CrashPointIo` extends
+//! `cuasmrld::FaultPlan`'s ordinal-keyed style down to the syscall
+//! boundary: every I/O operation is numbered in program order, and a
 //! [`CrashPoint`] kills the process model at exactly one ordinal — before
 //! the operation, after it, or (for writes) mid-way through, leaving a
 //! torn prefix on disk. After the crash fires every further operation
@@ -13,15 +13,14 @@
 //!
 //! The same wrapper doubles as a recorder: run a store cycle against
 //! [`CrashPointIo::recording`] and [`CrashPointIo::ops`] returns the full
-//! numbered operation log, which is how the crash-point *sweep* test
-//! enumerates every boundary without hard-coding the store's I/O
-//! sequence.
+//! numbered operation log, which is how the crash-point *sweep* tests
+//! enumerate every boundary without hard-coding an I/O sequence.
 //!
-//! Durability note: `fsync` is folded into [`StoreIo::write`] and
-//! [`StoreIo::append`] — each returns only once the bytes are synced, so
-//! "written but not yet synced, then power loss" is modelled by the
-//! [`CrashEffect::Torn`] outcome of the same ordinal rather than by a
-//! separate sync boundary.
+//! Durability note: under [`RealIo`] `fsync` is folded into
+//! [`StoreIo::write`] and [`StoreIo::append`] — each returns only once the
+//! bytes are synced, so "written but not yet synced, then power loss" is
+//! modelled by the [`CrashEffect::Torn`] outcome of the same ordinal rather
+//! than by a separate sync boundary.
 
 use std::fmt;
 use std::io::{self, Write as _};
@@ -43,9 +42,10 @@ pub fn is_simulated_crash(err: &io::Error) -> bool {
 /// The filesystem operations the durable store performs, as an injectable
 /// trait so tests can kill the store at every I/O boundary.
 ///
-/// `write` and `append` are *durable*: they return only after the data is
-/// flushed (`File::sync_all`). `rename` is the atomic publish primitive
-/// (same-directory rename, POSIX-atomic).
+/// Under [`RealIo`] `write` and `append` are *durable*: they return only
+/// after the data is flushed (`File::sync_all`); [`UnsyncedIo`] skips the
+/// flush. `rename` is the atomic publish primitive (same-directory rename,
+/// POSIX-atomic).
 pub trait StoreIo: Send + Sync {
     /// Reads a whole file.
     ///
@@ -55,16 +55,16 @@ pub trait StoreIo: Send + Sync {
     /// `NotFound`).
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
-    /// Creates/truncates `path` and writes `bytes`, fsyncing before
-    /// returning.
+    /// Creates/truncates `path` and writes `bytes` ([`RealIo`]: fsyncing
+    /// before returning).
     ///
     /// # Errors
     ///
     /// Propagates the underlying filesystem error.
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 
-    /// Appends `bytes` to `path` (creating it if absent), fsyncing before
-    /// returning.
+    /// Appends `bytes` to `path`, creating it if absent ([`RealIo`]:
+    /// fsyncing before returning).
     ///
     /// # Errors
     ///
@@ -87,7 +87,8 @@ pub trait StoreIo: Send + Sync {
     fn remove(&self, path: &Path) -> io::Result<()>;
 }
 
-/// The production [`StoreIo`]: `std::fs` with fsync on every write path.
+/// The durable [`StoreIo`]: `std::fs` with fsync on every write path —
+/// what the schedule store's entries and journal publish through.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealIo;
 
@@ -109,6 +110,40 @@ impl StoreIo for RealIo {
             .open(path)?;
         file.write_all(bytes)?;
         file.sync_all()
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        std::fs::rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        std::fs::remove_file(path)
+    }
+}
+
+/// [`RealIo`]'s calls without the `sync_all`: what every family that a
+/// later run rebuilds on damage (checkpoints, manifests, deploy-cache and
+/// suite reports, fsck rewrites, the daemon's address file) publishes
+/// through. Syncing one of them is a measured, per-family decision made by
+/// naming [`RealIo`] at its call site.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct UnsyncedIo;
+
+impl StoreIo for UnsyncedIo {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        std::fs::read(path)
+    }
+
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        std::fs::write(path, bytes)
+    }
+
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(path)?
+            .write_all(bytes)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -149,7 +184,7 @@ impl fmt::Display for CrashEffect {
 
 /// One deterministic kill: the `ordinal`-th I/O operation (0-based, in
 /// program order) dies with the given [`CrashEffect`] — the ordinal-keyed
-/// style of [`crate::FaultPlan`], taken down to the I/O boundary.
+/// style of `cuasmrld::FaultPlan`, taken down to the I/O boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct CrashPoint {
     /// Which operation (0-based count of all [`StoreIo`] calls) to kill.
@@ -322,7 +357,7 @@ mod tests {
 
     fn temp_file(label: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
-            "cuasmrld-io-{label}-{}-{:?}",
+            "artifact-io-{label}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ))

@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 
+use artifact::{StoreIo, UnsyncedIo};
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{Autotuner, ConfigSpace, KernelSpec, TritonPipeline};
 use rand::{Rng, SeedableRng};
@@ -15,7 +16,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::game::{AssemblyGame, GameConfig, Move};
 use crate::stall_table::StallTable;
-use crate::telemetry::{duration_ms, CacheTelemetry, KernelTelemetry, TrainingTelemetry};
+use crate::telemetry::{
+    duration_ms, publish_json, CacheTelemetry, KernelTelemetry, TrainingTelemetry,
+};
 
 /// The search strategy used to play the assembly game.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,14 +155,18 @@ impl CuAsmRl {
         serde_json::from_str(&text).ok()
     }
 
-    fn store(&self, report: &OptimizationReport) {
-        if let Some(path) = self.cache_path(&report.kernel) {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Ok(text) = serde_json::to_string_pretty(report) {
-                let _ = std::fs::write(path, text);
-            }
+    /// Publishes a report into the deploy cache through `io`, atomically:
+    /// a kill mid-store leaves the previous report (or none), never a torn
+    /// one that [`CuAsmRl::lookup`] would take for a miss forever after.
+    /// A no-op without a cache directory.
+    ///
+    /// # Errors
+    ///
+    /// Returns an IO error when the directory cannot be created or written.
+    pub fn store(&self, io: &dyn StoreIo, report: &OptimizationReport) -> std::io::Result<()> {
+        match self.cache_path(&report.kernel) {
+            Some(path) => publish_json(io, &path, report),
+            None => Ok(()),
         }
     }
 
@@ -255,7 +262,9 @@ impl CuAsmRl {
                 let (report, telemetry, preempted) =
                     self.search(&compiled.name, program, compiled.launch, cancel)?;
                 if !preempted {
-                    self.store(&report);
+                    if let Err(err) = self.store(&UnsyncedIo, &report) {
+                        eprintln!("cuasmrl: failed to persist deploy-cache report: {err}");
+                    }
                 }
                 (report, telemetry, preempted)
             }
@@ -639,7 +648,7 @@ mod tests {
             .with_cache_dir(&dir);
         assert!(optimizer.lookup(&name).is_none());
         let report = optimizer.optimize_program(&name, program, launch);
-        optimizer.store(&report);
+        optimizer.store(&UnsyncedIo, &report).expect("store");
         let hit = optimizer.lookup(&name).expect("cache hit after store");
         assert_eq!(hit.kernel, report.kernel);
         let _ = std::fs::remove_dir_all(dir);

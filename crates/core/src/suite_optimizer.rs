@@ -21,13 +21,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 
+use artifact::UnsyncedIo;
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{ConfigSpace, KernelSpec, WorkloadSuite};
 use serde::{Deserialize, Serialize};
 
 use crate::game::GameConfig;
 use crate::optimizer::{CuAsmRl, OptimizationReport, Strategy};
-use crate::telemetry::{persist_run_manifest, KernelTelemetry, RunManifest};
+use crate::telemetry::{persist_run_manifest, publish_json, KernelTelemetry, RunManifest};
 
 /// Aggregated result of optimizing a kernel suite.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -374,7 +375,7 @@ impl SuiteOptimizer {
         );
         if let Some(dir) = &self.cache_dir {
             let _ = persist_suite_report(dir, &suite);
-            let _ = persist_run_manifest(dir, &manifest);
+            let _ = persist_run_manifest(&UnsyncedIo, dir, &manifest);
         }
         (suite, manifest)
     }
@@ -388,16 +389,15 @@ pub fn suite_report_path(dir: &Path, gpu: &str, suite: &str) -> PathBuf {
     dir.join(format!("{gpu}_{suite}_suite.json"))
 }
 
-/// Writes the aggregate suite report into the cache directory.
+/// Writes the aggregate suite report into the cache directory, atomically
+/// (a reader or a kill sees the previous report or this one).
 ///
 /// # Errors
 ///
 /// Returns an IO error if the directory cannot be created or written.
 pub fn persist_suite_report(dir: &Path, suite: &SuiteReport) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let text = serde_json::to_string_pretty(suite)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(suite_report_path(dir, &suite.gpu, &suite.suite), text)
+    let path = suite_report_path(dir, &suite.gpu, &suite.suite);
+    publish_json(&UnsyncedIo, &path, suite)
 }
 
 /// Loads a previously persisted aggregate suite report.

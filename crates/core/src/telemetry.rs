@@ -17,9 +17,9 @@
 //! them to be reproducible.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use artifact::{fnv1a64_hex, publish_atomic, StoreIo};
 use serde::{Deserialize, Serialize};
 
 use crate::eval_cache::EvalCacheStats;
@@ -289,12 +289,7 @@ pub const MANIFEST_SEAL_VERSION: u32 = 1;
 /// checksum family as the schedule store's entries and journal.
 fn manifest_checksum(manifest: &RunManifest) -> Option<String> {
     let compact = serde_json::to_string(manifest).ok()?;
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in compact.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    Some(format!("{hash:016x}"))
+    Some(fnv1a64_hex(compact.as_bytes()))
 }
 
 /// The on-disk envelope of a persisted manifest: the manifest plus a
@@ -346,38 +341,44 @@ impl std::fmt::Display for ManifestError {
 
 impl std::error::Error for ManifestError {}
 
-/// Writes a run manifest into the directory: a sealed envelope
-/// (checksum trailer, [`MANIFEST_SEAL_VERSION`]) published atomically via
-/// temp file + rename, so a crash mid-persist leaves the previous
-/// manifest intact — never a torn one. The temp name is unique per call
-/// (process id plus a process-wide counter), so concurrent persists of the
-/// same device's manifest each rename their own file and the last one wins.
+/// Publishes `value` as pretty JSON at `path` through `io`
+/// ([`artifact::publish_atomic`]), creating the directory first — how
+/// every JSON artifact of this crate (deploy-cache report, suite report,
+/// run manifest) reaches disk.
+pub(crate) fn publish_json<T: Serialize>(
+    io: &dyn StoreIo,
+    path: &Path,
+    value: &T,
+) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    let text = serde_json::to_string_pretty(value)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    publish_atomic(io, path, text.as_bytes())
+}
+
+/// Writes a run manifest into the directory through `io`: a sealed
+/// envelope (checksum trailer, [`MANIFEST_SEAL_VERSION`]) published
+/// atomically, so a crash mid-persist leaves the previous manifest intact
+/// — never a torn one — and concurrent persists of the same device's
+/// manifest each stage their own file, the last rename winning.
 ///
 /// # Errors
 ///
 /// Returns an IO error when the directory cannot be created or written.
-pub fn persist_run_manifest(dir: &Path, manifest: &RunManifest) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
+pub fn persist_run_manifest(
+    io: &dyn StoreIo,
+    dir: &Path,
+    manifest: &RunManifest,
+) -> std::io::Result<()> {
     let sealed = SealedManifest {
         seal_version: MANIFEST_SEAL_VERSION,
         checksum: manifest_checksum(manifest).unwrap_or_default(),
         manifest: manifest.clone(),
     };
-    let text = serde_json::to_string_pretty(&sealed)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     let path = telemetry_path(dir, &manifest.gpu, &manifest.suite);
-    let stem = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    static PERSIST_SEQ: AtomicU64 = AtomicU64::new(0);
-    let temp = dir.join(format!(
-        ".{stem}.tmp.{}.{}",
-        std::process::id(),
-        PERSIST_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::write(&temp, text)?;
-    std::fs::rename(&temp, &path)
+    publish_json(io, &path, &sealed)
 }
 
 /// Loads a previously persisted run manifest with the full typed-error
@@ -425,6 +426,7 @@ pub fn load_run_manifest(dir: &Path, gpu: &str, suite: &str) -> Option<RunManife
 #[cfg(test)]
 mod tests {
     use super::*;
+    use artifact::UnsyncedIo;
 
     #[test]
     fn cache_telemetry_computes_rates() {
@@ -566,8 +568,8 @@ mod tests {
         ));
         let a = RunManifest::new("a100", "table2", "greedy", 0, 1, Vec::new(), 1.0);
         let b = RunManifest::new("a100", "attention", "greedy", 0, 1, Vec::new(), 1.0);
-        persist_run_manifest(&dir, &a).unwrap();
-        persist_run_manifest(&dir, &b).unwrap();
+        persist_run_manifest(&UnsyncedIo, &dir, &a).unwrap();
+        persist_run_manifest(&UnsyncedIo, &dir, &b).unwrap();
         assert_eq!(load_run_manifest(&dir, "a100", "table2"), Some(a));
         assert_eq!(load_run_manifest(&dir, "a100", "attention"), Some(b));
         assert_eq!(load_run_manifest(&dir, "hopper", "table2"), None);
@@ -587,7 +589,7 @@ mod tests {
         let dir = seal_test_dir("roundtrip");
         let _ = std::fs::remove_dir_all(&dir);
         let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
-        persist_run_manifest(&dir, &manifest).unwrap();
+        persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
         // The envelope is on disk…
         let raw = std::fs::read_to_string(telemetry_path(&dir, "a100", "service")).unwrap();
         assert!(raw.contains("\"seal_version\""));
@@ -632,7 +634,7 @@ mod tests {
                             1.0,
                         );
                         start.wait();
-                        (0..16).try_for_each(|_| persist_run_manifest(dir, &manifest))
+                        (0..16).try_for_each(|_| persist_run_manifest(&UnsyncedIo, dir, &manifest))
                     })
                 })
                 .collect();
@@ -694,7 +696,7 @@ mod tests {
 
         // Content damage under a valid envelope → ChecksumMismatch.
         let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
-        persist_run_manifest(&dir, &manifest).unwrap();
+        persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
         let sealed = std::fs::read_to_string(&path).unwrap();
         let tampered = sealed.replace("\"geomean_speedup\": 1.0", "\"geomean_speedup\": 99.0");
         assert_ne!(sealed, tampered, "tamper target present");

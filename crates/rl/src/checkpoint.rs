@@ -32,6 +32,7 @@
 use std::fmt;
 use std::path::Path;
 
+use artifact::{fnv1a64, publish_atomic, StoreIo};
 use nn::Matrix;
 
 use crate::policy::{OptimizerState, PolicyState, RngState};
@@ -260,24 +261,19 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint to a file (atomically: written to a sibling
-    /// temporary file first, then renamed over the target).
+    /// Writes the checkpoint to a file through `io`, atomically
+    /// ([`artifact::publish_atomic`]): a kill mid-save leaves the previous
+    /// checkpoint, and concurrent saves of one path each stage their own
+    /// file.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] when the file cannot be written.
-    pub fn write(&self, path: &Path) -> Result<(), CheckpointError> {
+    pub fn write(&self, io: &dyn StoreIo, path: &Path) -> Result<(), CheckpointError> {
         if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
+            std::fs::create_dir_all(parent)?;
         }
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        publish_atomic(io, path, &self.to_bytes()).map_err(CheckpointError::Io)
     }
 
     /// Reads and decodes a checkpoint file.
@@ -439,16 +435,6 @@ fn decode_policy(r: &mut Reader<'_>) -> Result<PolicyState, CheckpointError> {
     })
 }
 
-/// FNV-1a 64-bit hash, the checkpoint trailer checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 struct Writer {
     buf: Vec<u8>,
 }
@@ -582,6 +568,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use artifact::UnsyncedIo;
 
     fn sample_checkpoint() -> Checkpoint {
         let policy = crate::ActorCritic::new(3, 4, 8, 3, 5, 1e-3).state();
@@ -684,7 +671,7 @@ mod tests {
         ));
         let path = dir.join("run.ckpt");
         let checkpoint = sample_checkpoint();
-        checkpoint.write(&path).expect("write");
+        checkpoint.write(&UnsyncedIo, &path).expect("write");
         assert_eq!(Checkpoint::read(&path).expect("read"), checkpoint);
         let missing = Checkpoint::read(&dir.join("absent.ckpt")).unwrap_err();
         assert!(matches!(missing, CheckpointError::Io(_)), "{missing}");

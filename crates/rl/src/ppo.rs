@@ -10,6 +10,7 @@
 
 use std::path::Path;
 
+use artifact::UnsyncedIo;
 use nn::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -381,13 +382,14 @@ impl PpoTrainer {
         })
     }
 
-    /// Writes a [`PpoTrainer::checkpoint`] to `path`.
+    /// Writes a [`PpoTrainer::checkpoint`] to `path` — unsynced: a damaged
+    /// checkpoint costs a cold restart of one search, never an answer.
     ///
     /// # Errors
     ///
     /// Propagates snapshot and I/O errors as [`CheckpointError`].
     pub fn save_checkpoint<E: Env>(&self, env: &E, path: &Path) -> Result<(), CheckpointError> {
-        self.checkpoint(env)?.write(path)
+        self.checkpoint(env)?.write(&UnsyncedIo, path)
     }
 
     /// Rebuilds a trainer from a checkpoint and restores the environment's

@@ -192,11 +192,7 @@ fn hostile_checkpoints_are_rejected_with_typed_errors_not_panics() {
     let mut wrong_version = good.clone();
     wrong_version[8] = 42;
     let content_len = wrong_version.len() - 8;
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in &wrong_version[..content_len] {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let hash = artifact::fnv1a64(&wrong_version[..content_len]);
     wrong_version[content_len..].copy_from_slice(&hash.to_le_bytes());
     assert!(matches!(
         Checkpoint::from_bytes(&wrong_version),

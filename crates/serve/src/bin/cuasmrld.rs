@@ -5,6 +5,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use artifact::{publish_atomic, UnsyncedIo};
 use cuasmrl::Strategy;
 use cuasmrld::{FaultPlan, Server, ServerConfig};
 use gpusim::MeasureOptions;
@@ -139,12 +140,8 @@ fn main() -> ExitCode {
     let addr = server.local_addr();
     println!("cuasmrld listening on {addr}");
     if let Some(path) = addr_file {
-        // Temp + rename so pollers never observe a half-written file.
-        let temp = path.with_extension("tmp");
-        if std::fs::write(&temp, addr.to_string())
-            .and_then(|()| std::fs::rename(&temp, &path))
-            .is_err()
-        {
+        // Published atomically so pollers never observe a half-written file.
+        if publish_atomic(&UnsyncedIo, &path, addr.to_string().as_bytes()).is_err() {
             eprintln!("cuasmrld: failed to write addr file {}", path.display());
         }
     }

@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
+use artifact::{is_temp_debris, publish_atomic, UnsyncedIo};
 use serde::{Deserialize, Serialize};
 
 use crate::journal::{self, JournalOp, JOURNAL_FILE};
@@ -160,6 +161,8 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
+    /// Moves a damaged file aside. The one rename outside
+    /// [`publish_atomic`]: it relocates damage and publishes nothing.
     fn quarantine(&mut self, name: &str) -> io::Result<()> {
         let quarantine = self.dir.join(QUARANTINE_DIR);
         std::fs::create_dir_all(&quarantine)?;
@@ -168,11 +171,10 @@ impl Walk<'_> {
         Ok(())
     }
 
-    /// Rewrites `{stem}.json` from its journal record (temp + rename).
-    fn rewrite_from_journal(&self, stem: &str, entry_json: &str) -> io::Result<()> {
-        let temp = self.dir.join(format!(".{stem}.tmp.{}", std::process::id()));
-        std::fs::write(&temp, entry_json)?;
-        std::fs::rename(&temp, self.dir.join(format!("{stem}.json")))
+    /// Rewrites an entry file from its journal record.
+    fn rewrite_from_journal(&self, entry_file: &str, entry_json: &str) -> io::Result<()> {
+        let path = self.dir.join(entry_file);
+        publish_atomic(&UnsyncedIo, &path, entry_json.as_bytes())
     }
 
     /// Applies the configured repair for one bad file; records the action
@@ -190,13 +192,11 @@ impl Walk<'_> {
         if let Some(stem) = stem {
             if let Some(JournalOp::Put { entry, .. }) = self.journal_ops.get(stem) {
                 match serde_json::to_string_pretty(entry) {
-                    Ok(json) => match self.rewrite_from_journal(stem, &json) {
+                    Ok(json) => match self.rewrite_from_journal(name, &json) {
                         Ok(()) => action.push_str("; rewritten from journal record"),
                         Err(err) => {
                             self.report.unrepairable += 1;
                             action.push_str(&format!("; journal rewrite failed: {err}"));
-                            self.report.repaired += 1;
-                            return action;
                         }
                     },
                     Err(_) => action.push_str("; journal record unserializable"),
@@ -295,7 +295,7 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
             continue;
         }
         let path = dir.join(&name);
-        if name.starts_with('.') && name.contains(".tmp.") {
+        if is_temp_debris(&name) {
             let action = walk.repair_file(&name, None);
             walk.record(
                 name,
@@ -359,19 +359,16 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
         let mut action = String::new();
         if walk.repair {
             match &rewrite {
-                Some(json) => {
-                    let stem = entry_file.trim_end_matches(".json");
-                    match walk.rewrite_from_journal(stem, json) {
-                        Ok(()) => {
-                            action = "rewritten from journal record".to_string();
-                            walk.report.repaired += 1;
-                        }
-                        Err(err) => {
-                            action = format!("journal rewrite failed: {err}");
-                            walk.report.unrepairable += 1;
-                        }
+                Some(json) => match walk.rewrite_from_journal(&entry_file, json) {
+                    Ok(()) => {
+                        action = "rewritten from journal record".to_string();
+                        walk.report.repaired += 1;
                     }
-                }
+                    Err(err) => {
+                        action = format!("journal rewrite failed: {err}");
+                        walk.report.unrepairable += 1;
+                    }
+                },
                 None => {
                     action = walk.repair_file(&entry_file, None);
                 }
@@ -383,10 +380,12 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
     // 4. A torn or headerless journal is itself repaired by truncation to
     // its valid prefix (damaged header: a fresh generation-1 header — the
     // evidence is gone either way, and the store would rotate it away too).
+    // Published atomically: a kill mid-repair leaves the journal it was
+    // repairing, not a shorter one.
     if walk.repair && (walk.report.journal.torn_tail || walk.report.journal.damaged_header) {
         let generation = walk.report.journal.generation.max(1);
         let image = journal::encode(generation, &journal_ops_in_order);
-        match std::fs::write(&journal_path, image) {
+        match publish_atomic(&UnsyncedIo, &journal_path, &image) {
             Ok(()) => {
                 walk.report.journal.action = if walk.report.journal.damaged_header {
                     "rewritten with a fresh header".to_string()
@@ -697,6 +696,33 @@ mod tests {
             "rewritten from journal"
         );
         assert_eq!(reopened.stats().skipped_at_open, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_journal_is_republished_as_its_valid_prefix() {
+        let dir = temp_dir("torn-journal");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ScheduleStore::open(&dir, 8).unwrap();
+        let key = key_for("softmax", 4);
+        store.put(&key, entry_for(&key, 4)).unwrap();
+        drop(store);
+        // A kill mid-append: the header and one whole record, then garbage.
+        let journal_path = dir.join(JOURNAL_FILE);
+        let whole = std::fs::read(&journal_path).unwrap();
+        let mut torn = whole.clone();
+        torn.extend_from_slice(&[0x2a, 0, 0, 0, b'{']);
+        std::fs::write(&journal_path, &torn).unwrap();
+
+        assert!(fsck(&dir, false).unwrap().journal.torn_tail);
+        let repaired = fsck(&dir, true).unwrap();
+        assert_eq!(repaired.journal.action, "torn tail truncated");
+        assert_eq!(repaired.unrepairable, 0);
+        assert_eq!(std::fs::read(&journal_path).unwrap(), whole);
+        // The publish left no staging file behind.
+        let after = fsck(&dir, false).unwrap();
+        assert!(after.healthy(), "{after:?}");
+        assert_eq!(after.orphaned, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -36,9 +36,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use artifact::{fnv1a64, publish_atomic, StoreIo};
 use serde::{Deserialize, Serialize};
 
-use crate::io::StoreIo;
 use crate::store::StoreEntry;
 
 /// File name of the journal inside a store directory.
@@ -58,18 +58,6 @@ pub const JOURNAL_FORMAT_VERSION: u32 = 1;
 pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
-
-/// FNV-1a-64 (the same constants as `rl::Checkpoint` and
-/// [`crate::RequestKey`]).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// One journaled durable-set mutation.
 // Boxing `entry` would shrink the enum, but the vendored serde shim has no
@@ -120,7 +108,6 @@ pub struct JournalReplay {
 /// mutex), so appends are strictly ordered with the mutations they cover.
 pub struct Journal {
     path: PathBuf,
-    temp_path: PathBuf,
     io: Arc<dyn StoreIo>,
     generation: u64,
     appends_since_rotate: u64,
@@ -145,7 +132,6 @@ impl Journal {
             Err(err) => return Err(err),
         };
         let journal = Journal {
-            temp_path: dir.join(format!(".{JOURNAL_FILE}.tmp.{}", std::process::id())),
             path,
             io,
             generation: replay.generation,
@@ -201,12 +187,7 @@ impl Journal {
     /// the old journal (replay stays idempotent); after it, the fresh one.
     pub fn rotate(&mut self) -> io::Result<()> {
         let next = self.generation + 1;
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&JOURNAL_MAGIC);
-        header.extend_from_slice(&JOURNAL_FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&next.to_le_bytes());
-        self.io.write(&self.temp_path, &header)?;
-        self.io.rename(&self.temp_path, &self.path)?;
+        publish_atomic(self.io.as_ref(), &self.path, &encode(next, &[]))?;
         self.generation = next;
         self.appends_since_rotate = 0;
         Ok(())

@@ -26,8 +26,9 @@
 //! - [`queue`] — the bounded, deterministic priority admission queue.
 //! - [`store`] — the versioned, checksummed, write-ahead-journaled
 //!   schedule store (crash-consistent since durability v2).
-//! - [`io`] — the injectable [`StoreIo`] layer with deterministic
-//!   [`CrashPoint`] injection for the durability suite.
+//! - [`io`] — re-export of the `artifact` crate's injectable [`StoreIo`]
+//!   layer and [`CrashPoint`] injection; every file this crate writes is
+//!   published through [`artifact::publish_atomic`].
 //! - [`journal`] — the store's checksummed append-only write-ahead
 //!   journal.
 //! - [`mod@fsck`] — the offline verify/repair walk behind `cuasmrld-fsck`.
@@ -66,7 +67,6 @@
 pub mod client;
 pub mod fault;
 pub mod fsck;
-pub mod io;
 pub mod journal;
 pub mod load;
 pub mod protocol;
@@ -74,6 +74,7 @@ pub mod queue;
 pub mod server;
 pub mod store;
 
+pub use artifact::io;
 pub use client::{
     Client, ClientBuilder, Connection, ConnectionFailure, RequestHandle, RetryPolicy,
 };

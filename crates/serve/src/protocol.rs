@@ -270,15 +270,10 @@ impl RequestKey {
             shape.k,
             request.seed
         );
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for byte in canonical.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
         RequestKey {
             arch: request.gpu.name.clone(),
             kernel: request.spec.kind.name().to_string(),
-            digest: format!("{hash:016x}"),
+            digest: artifact::fnv1a64_hex(canonical.as_bytes()),
             canonical,
         }
     }
@@ -698,6 +693,25 @@ mod tests {
         let c = custom.canonicalize(&defaults()).unwrap();
         assert_ne!(RequestKey::of(&a).digest, RequestKey::of(&c).digest);
         assert!(RequestKey::of(&a).file_stem().contains("softmax"));
+    }
+
+    #[test]
+    fn request_digests_are_pinned_to_the_bytes_stored_entries_are_named_by() {
+        // Taken before the inline FNV-1a-64 moved into `artifact`: every
+        // store entry and checkpoint on disk is named by this digest.
+        let canonical = OptimizeRequest::table2("softmax", "ampere")
+            .canonicalize(&defaults())
+            .unwrap();
+        let key = RequestKey::of(&canonical);
+        assert_eq!(
+            key.canonical,
+            "arch=sim-a100-80gb-pcie;kernel=softmax;batch=1;m=32;n=256;k=1;seed=7"
+        );
+        assert_eq!(key.digest, "aa1aff6ae554e8cd");
+        assert_eq!(
+            key.file_stem(),
+            "sim-a100-80gb-pcie_softmax_aa1aff6ae554e8cd"
+        );
     }
 
     #[test]

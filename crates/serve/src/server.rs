@@ -59,6 +59,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use artifact::UnsyncedIo;
 use cuasmrl::{
     load_run_manifest_checked, persist_run_manifest, CuAsmRl, KernelTelemetry, ManifestError,
     RunManifest, Strategy, SuiteOptimizer,
@@ -430,7 +431,7 @@ impl Shared {
             kernels.to_vec(),
             geomean,
         );
-        if let Err(err) = persist_run_manifest(&self.config.store_dir, &manifest) {
+        if let Err(err) = persist_run_manifest(&UnsyncedIo, &self.config.store_dir, &manifest) {
             eprintln!("cuasmrld: failed to persist telemetry manifest: {err}");
         }
     }

@@ -30,11 +30,11 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use artifact::{fnv1a64_hex, is_temp_debris, publish_atomic, RealIo, StoreIo};
 use cuasmrl::OptimizationReport;
 use serde::{Deserialize, Serialize};
 
-use crate::io::{RealIo, StoreIo};
-use crate::journal::{fnv1a64, Journal, JournalOp};
+use crate::journal::{Journal, JournalOp};
 use crate::protocol::RequestKey;
 
 /// Version of the store's on-disk entry schema. Bumped on any field-level
@@ -84,7 +84,7 @@ impl StoreEntry {
             "v{};canonical={};arch={};kernel={};seed={};report={report}",
             self.schema_version, self.canonical, self.arch, self.kernel, self.seed
         );
-        format!("{:016x}", fnv1a64(preimage.as_bytes()))
+        fnv1a64_hex(preimage.as_bytes())
     }
 
     /// Stamps the entry with its own content checksum. Every entry the
@@ -327,9 +327,8 @@ impl ScheduleStore {
         // 1. Sweep crash debris: a temp file is by construction
         // unpublished (the rename never happened), so removal is always
         // safe.
-        for path in list_dir(&dir)? {
-            let name = file_name(&path);
-            if name.starts_with('.') && name.contains(".tmp.") && io.remove(&path).is_ok() {
+        for name in list_dir(&dir)? {
+            if is_temp_debris(&name) && io.remove(&dir.join(&name)).is_ok() {
                 stats.tmp_swept += 1;
             }
         }
@@ -357,9 +356,7 @@ impl ScheduleStore {
                         Err(err) => return Err(err.into()),
                     };
                     if current.as_deref() != Some(desired.as_bytes()) {
-                        let temp = dir.join(format!(".{stem}.tmp.{}", std::process::id()));
-                        io.write(&temp, desired.as_bytes())?;
-                        io.rename(&temp, &path)?;
+                        publish_atomic(io.as_ref(), &path, desired.as_bytes())?;
                         stats.journal_replayed += 1;
                     }
                 }
@@ -384,27 +381,22 @@ impl ScheduleStore {
             stats,
             journal,
         };
-        let mut paths: Vec<PathBuf> = list_dir(&dir)?
+        let mut names: Vec<String> = list_dir(&dir)?
             .into_iter()
-            .filter(|path| is_entry_file(path))
+            .filter(|name| is_entry_file(name))
             .collect();
-        paths.sort();
-        for path in paths {
+        names.sort();
+        for name in names {
             if inner.entries.len() >= capacity.max(1) {
                 break;
             }
+            let path = dir.join(&name);
             match io
                 .read(&path)
                 .map_err(StoreError::from)
                 .and_then(|bytes| decode_entry_bytes(&path, &bytes))
             {
-                Ok(entry) => {
-                    let stem = path
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_default();
-                    inner.insert(&stem, entry, capacity);
-                }
+                Ok(entry) => inner.insert(name.trim_end_matches(".json"), entry, capacity),
                 Err(err) => {
                     if matches!(err, StoreError::ChecksumMismatch { .. }) {
                         inner.stats.checksum_failures += 1;
@@ -521,7 +513,6 @@ impl ScheduleStore {
     pub fn put(&self, key: &RequestKey, mut entry: StoreEntry) -> Result<(), StoreError> {
         let stem = key.file_stem();
         let final_path = self.entry_path(key);
-        let temp_path = self.dir.join(format!(".{stem}.tmp.{}", std::process::id()));
         let mut inner = self.lock_inner();
         entry.generation = inner.journal.generation();
         let text = serde_json::to_string_pretty(&entry).map_err(|err| StoreError::Corrupt {
@@ -532,8 +523,7 @@ impl ScheduleStore {
             stem: stem.clone(),
             entry: entry.clone(),
         })?;
-        self.io.write(&temp_path, text.as_bytes())?;
-        self.io.rename(&temp_path, &final_path)?;
+        publish_atomic(self.io.as_ref(), &final_path, text.as_bytes())?;
         inner.insert(&stem, entry, self.capacity);
         if inner.journal.appends_since_rotate() >= Self::JOURNAL_ROTATE_EVERY {
             inner.journal.rotate()?;
@@ -603,7 +593,7 @@ impl ScheduleStore {
     #[must_use]
     pub fn entries_on_disk(&self) -> usize {
         list_dir(&self.dir)
-            .map(|paths| paths.iter().filter(|path| is_entry_file(path)).count())
+            .map(|names| names.iter().filter(|name| is_entry_file(name)).count())
             .unwrap_or(0)
     }
 }
@@ -641,24 +631,19 @@ pub fn decode_entry_bytes(path: &Path, bytes: &[u8]) -> Result<StoreEntry, Store
     Ok(entry)
 }
 
-/// Whether a path is a store entry file: `.json`, but not a service
+/// Whether a file name is a store entry's: `.json`, but not a service
 /// telemetry manifest (those share the directory — see
 /// `docs/ARTIFACTS.md` — and have their own sealed format).
-fn is_entry_file(path: &Path) -> bool {
-    path.extension().is_some_and(|ext| ext == "json")
-        && !file_name(path).ends_with("_telemetry.json")
+fn is_entry_file(name: &str) -> bool {
+    name.ends_with(".json") && !name.ends_with("_telemetry.json")
 }
 
-fn file_name(path: &Path) -> String {
-    path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default()
-}
-
-fn list_dir(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// The file names in `dir` — what [`is_temp_debris`] and
+/// [`is_entry_file`] classify.
+fn list_dir(dir: &Path) -> std::io::Result<Vec<String>> {
     Ok(std::fs::read_dir(dir)?
         .filter_map(Result::ok)
-        .map(|entry| entry.path())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
         .collect())
 }
 
@@ -935,7 +920,7 @@ mod tests {
             store.put(&key, entry_for(&key, 5)).unwrap();
         }
         // Plant the debris a crash between write and rename would leave
-        // (put()'s temp naming: `.{stem}.tmp.{pid}`).
+        // (any name `artifact::is_temp_debris` matches).
         let orphan = dir.join(format!(".{}.tmp.12345", key.file_stem()));
         std::fs::write(&orphan, "{ half-written").unwrap();
 

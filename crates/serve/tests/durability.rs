@@ -8,11 +8,17 @@
 //! The op list is not hard-coded: a recording run enumerates the cycle's
 //! actual I/O sequence ([`CrashPointIo::recording`]), so the sweep stays
 //! exhaustive when the store's I/O pattern changes.
+//!
+//! The same sweep then runs over the families that publish outside the
+//! store — RL checkpoints, sealed telemetry manifests, deploy-cache
+//! reports — each read back with its production reader: the old artifact or
+//! the new one, and nothing in the directory but recognisable debris.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use artifact::{is_temp_debris, UnsyncedIo};
 use cuasmrld::{
     decode_entry_bytes, fsck, is_simulated_crash, CanonicalRequest, CrashEffect, CrashPoint,
     CrashPointIo, OptimizeRequest, RequestDefaults, RequestKey, ScheduleStore, StoreEntry,
@@ -263,4 +269,185 @@ fn a_completed_cycle_recovers_to_its_full_post_state() {
     let report = fsck(&dir, false).unwrap();
     assert!(report.healthy(), "{report:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Kills one artifact family's publish of a new version over an old one at
+/// every recorded I/O ordinal x effect. `publish(io, dir, new)` writes the
+/// old or the new version of the artifact named `file` into `dir`;
+/// `read(dir)` is the family's production reader, returning a fingerprint
+/// of what it decoded and panicking on anything it cannot decode.
+fn sweep_family_publish(
+    family: &str,
+    file: &str,
+    publish: &dyn Fn(&dyn StoreIo, &Path, bool) -> io::Result<()>,
+    read: &dyn Fn(&Path) -> Vec<u8>,
+) {
+    let fresh_dir_with_old = |label: &str| {
+        let dir = temp_dir(&format!("{family}-{label}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        publish(&UnsyncedIo, &dir, false).expect("the old version publishes");
+        dir
+    };
+
+    // The clean publish: its op log is the sweep's range, its two ends the
+    // only legal fingerprints.
+    let dir = fresh_dir_with_old("record");
+    let old = read(&dir);
+    let recorder = CrashPointIo::recording();
+    publish(&recorder, &dir, true).expect("the new version publishes");
+    let new = read(&dir);
+    assert_ne!(old, new, "{family}: the two versions must differ");
+    let ops = recorder.ops();
+    let kinds: Vec<&str> = ops.iter().map(|op| op.kind).collect();
+    assert_eq!(kinds, ["write", "rename"], "{family}: one atomic publish");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for op in &ops {
+        for effect in [CrashEffect::Before, CrashEffect::Torn, CrashEffect::After] {
+            let label = format!("{family}: ordinal {} ({}) {effect}", op.ordinal, op.kind);
+            let dir = fresh_dir_with_old(&format!("{}-{effect}", op.ordinal));
+            let io = CrashPointIo::crash_at(CrashPoint {
+                ordinal: op.ordinal,
+                effect,
+            });
+            let err = publish(&io, &dir, true).expect_err(&label);
+            assert!(is_simulated_crash(&err), "{label}: unexpected error {err}");
+            // Only a completed rename publishes; every earlier kill leaves
+            // the old artifact exactly as it was.
+            let published = op.kind == "rename" && effect == CrashEffect::After;
+            let expected = if published { &new } else { &old };
+            assert!(
+                read(&dir) == *expected,
+                "{label}: the reader saw a third state"
+            );
+            let others: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|name| name != file)
+                .collect();
+            assert!(
+                others.len() <= 1 && others.iter().all(|name| is_temp_debris(name)),
+                "{label}: left {others:?} beside {file}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn a_killed_checkpoint_save_leaves_the_old_checkpoint_or_the_new_one() {
+    let mut env = rl::test_envs::BanditEnv::new(8);
+    let mut trainer = rl::PpoTrainer::new(rl::PpoConfig::tiny(), 3, 3);
+    let mut versions = Vec::new();
+    for _ in 0..2 {
+        trainer.train_updates(&mut env, 1);
+        versions.push(trainer.checkpoint(&env).expect("the bandit snapshots"));
+    }
+    sweep_family_publish(
+        "checkpoint",
+        "search.ckpt",
+        &|io, dir, new| {
+            versions[usize::from(new)]
+                .write(io, &dir.join("search.ckpt"))
+                .map_err(|err| match err {
+                    rl::CheckpointError::Io(err) => err,
+                    other => panic!("only I/O can fail a save: {other}"),
+                })
+        },
+        &|dir| {
+            rl::Checkpoint::read(&dir.join("search.ckpt"))
+                .expect("the checkpoint decodes and verifies")
+                .to_bytes()
+        },
+    );
+}
+
+#[test]
+fn a_killed_manifest_persist_leaves_the_old_manifest_or_the_new_one() {
+    let version = |new: bool| {
+        let geomean = if new { 1.25 } else { 1.0 };
+        cuasmrl::RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), geomean)
+    };
+    sweep_family_publish(
+        "manifest",
+        "a100_service_telemetry.json",
+        &|io, dir, new| cuasmrl::persist_run_manifest(io, dir, &version(new)),
+        &|dir| {
+            let manifest = cuasmrl::load_run_manifest_checked(dir, "a100", "service")
+                .expect("the manifest decodes and verifies")
+                .expect("a manifest is present");
+            serde_json::to_string(&manifest).unwrap().into_bytes()
+        },
+    );
+}
+
+#[test]
+fn a_killed_deploy_cache_store_leaves_the_old_report_or_the_new_one() {
+    let optimizer_in = |dir: &Path| {
+        cuasmrl::CuAsmRl::new(
+            gpusim::GpuConfig::small(),
+            cuasmrl::Strategy::Greedy { max_moves: 1 },
+        )
+        .with_cache_dir(dir)
+    };
+    let version = |new: bool| cuasmrl::OptimizationReport {
+        kernel: "softmax".to_string(),
+        baseline_us: 10.0,
+        optimized_us: if new { 8.0 } else { 9.0 },
+        speedup: if new { 1.25 } else { 1.0 },
+        verified: true,
+        optimized_listing: String::new(),
+        moves: Vec::new(),
+    };
+    let file = format!("{}_softmax.json", gpusim::GpuConfig::small().name);
+    sweep_family_publish(
+        "deploy-cache",
+        &file,
+        &|io, dir, new| optimizer_in(dir).store(io, &version(new)),
+        &|dir| {
+            let report = optimizer_in(dir)
+                .lookup("softmax")
+                .expect("the cached report decodes");
+            serde_json::to_string(&report).unwrap().into_bytes()
+        },
+    );
+}
+
+#[test]
+fn checkpoint_staging_files_are_debris_the_store_and_fsck_recognise() {
+    // What a kill between a checkpoint save's write and its rename leaves:
+    // `.{stem}.ckpt.tmp.{pid}.{seq}`.
+    let key = key_for("softmax", 1);
+    let staged = format!(".{}.ckpt.tmp.4242.7", key.file_stem());
+    let dirs = [temp_dir("ckpt-debris-open"), temp_dir("ckpt-debris-fsck")];
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+        let store = ScheduleStore::open(dir, 2).unwrap();
+        store.put(&key, entry_for(&key, 1)).unwrap();
+        drop(store);
+        std::fs::write(dir.join(&staged), b"CASRLCKP half a checkpoint").unwrap();
+    }
+
+    // Reopening sweeps it…
+    let store = ScheduleStore::open(&dirs[0], 2).unwrap();
+    assert_eq!(store.stats().tmp_swept, 1);
+    assert!(!dirs[0].join(&staged).exists());
+    assert!(store.get(&key).unwrap().is_some());
+
+    // …and offline fsck names it, then quarantines it.
+    let dry = fsck(&dirs[1], false).unwrap();
+    assert_eq!(dry.orphaned, 1, "{dry:?}");
+    let verdict = dry.entries.iter().find(|e| e.file == staged).unwrap();
+    assert_eq!(verdict.verdict, "orphaned");
+    let repaired = fsck(&dirs[1], true).unwrap();
+    assert_eq!(repaired.unrepairable, 0, "{repaired:?}");
+    assert!(!dirs[1].join(&staged).exists());
+    assert!(dirs[1]
+        .join(cuasmrld::QUARANTINE_DIR)
+        .join(&staged)
+        .exists());
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -237,7 +237,9 @@ fn resume_rejects_a_checkpoint_with_an_unknown_action_space_version() {
     let state = String::from_utf8(checkpoint.envs[0].state.clone()).expect("snapshots are JSON");
     assert!(state.contains("\"Rich\""), "snapshot must record its space");
     checkpoint.envs[0].state = state.replace("\"Rich\"", "\"Quantum\"").into_bytes();
-    checkpoint.write(&path).expect("write tampered checkpoint");
+    checkpoint
+        .write(&artifact::UnsyncedIo, &path)
+        .expect("write tampered checkpoint");
 
     let mut resumed_game = game_in(ActionSpace::Rich);
     assert!(matches!(

@@ -5,8 +5,8 @@
 //! means default-space answers — and with them every stored schedule and
 //! checkpoint — changed.
 
+use artifact::fnv1a64;
 use cuasmrl::{GameConfig, Strategy, SuiteOptimizer};
-use cuasmrld::journal::fnv1a64;
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{find_suite, ConfigSpace};
 use rl::PpoConfig;

@@ -206,10 +206,7 @@ impl SuiteOptimizer {
         for dim in [spec.shape.batch, spec.shape.m, spec.shape.n, spec.shape.k] {
             state = state.wrapping_add(dim as u64).wrapping_mul(0x100_0000_01B3);
         }
-        let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        gpusim::splitmix64(state)
     }
 
     fn seeded_strategy(&self, seed: u64) -> Strategy {

@@ -1,23 +1,24 @@
-//! The `cuasmrld` client API, redesigned around protocol v2's persistent
-//! pipelined connections.
+//! The `cuasmrld` client API: one transport, the persistent pipelined
+//! [`Connection`].
 //!
-//! The primary surface is [`ClientBuilder`] → [`Connection`] →
-//! [`Connection::submit`] → [`RequestHandle::wait`]: one TCP connection
-//! carries any number of exchanges, multiple requests may be in flight at
-//! once, and a background reader demultiplexes the tagged responses back
-//! to their handles — so a slow request never blocks a fast one, and
-//! submission order never constrains completion order.
+//! [`ClientBuilder`] → [`Connection`] → [`Connection::submit`] →
+//! [`RequestHandle::wait`]: one TCP connection carries any number of
+//! exchanges, multiple requests may be in flight at once, and a background
+//! reader demultiplexes the tagged responses back to their handles — so a
+//! slow request never blocks a fast one, and submission order never
+//! constrains completion order.
 //!
-//! The old one-shot surface survives as the [`Client`] facade:
-//! [`Client::request`] and [`Client::status`] open a short-lived
-//! connection per call (now a v2 session under the hood), while
-//! [`Client::request_raw`]/[`Client::request_bytes`] still speak the bare
-//! v1 single-exchange framing — the byte-level surface the determinism and
-//! compatibility tests poke directly. [`Client::request_with_retry`]
-//! layers bounded, deterministic backoff over transient failures (`Busy`,
-//! `Internal`, connection errors) exactly as before — the retry schedule
-//! is a pure function of the [`RetryPolicy`], so chaos tests can assert
-//! exactly how a healed request behaves.
+//! The [`Client`] facade is that transport used once: every typed call
+//! ([`Client::request`], [`Client::status`]) opens a [`Connection`], makes
+//! one exchange on it and drops it. [`Client::request_with_retry`] layers
+//! bounded, deterministic backoff over transient failures (`Busy`,
+//! `Internal`, connection errors) — the retry schedule is a pure function
+//! of the [`RetryPolicy`], so chaos tests can assert exactly how a healed
+//! request behaves. The one thing that does not ride a [`Connection`] is
+//! the byte-level compatibility surface,
+//! [`Client::request_raw`]/[`Client::request_bytes`]: a bare (untagged)
+//! frame out, the raw response frame back, which is how the determinism
+//! and v1-compatibility tests see exactly what a v1 client binary sees.
 
 use std::collections::HashMap;
 use std::io;
@@ -169,7 +170,7 @@ impl ClientBuilder {
         self
     }
 
-    /// Opens a persistent v2 session and spawns its response reader.
+    /// Opens a persistent session and spawns its response reader.
     ///
     /// # Errors
     ///
@@ -251,7 +252,7 @@ fn reader_loop(mut stream: TcpStream, inner: &ConnInner) {
     inner.lock_pending().clear();
 }
 
-/// A persistent, pipelined connection to a daemon (protocol v2). Submit
+/// A persistent, pipelined connection to a daemon. Submit
 /// any number of requests without waiting; each returns a
 /// [`RequestHandle`] that resolves independently, in whatever order the
 /// server answers. All methods take `&self`, so one `Connection` can be
@@ -360,7 +361,13 @@ impl Connection {
     /// Returns an IO error when the exchange fails or the daemon answers
     /// with a typed error.
     pub fn status(&self) -> io::Result<StatusResult> {
-        status_result(self.submit_status()?.wait()?)
+        match self.submit_status()?.wait()? {
+            OptimizeResponse::Status(status) => Ok(status),
+            OptimizeResponse::Ok(_) => Err(io::Error::other(
+                "daemon answered a status probe with an optimize result".to_string(),
+            )),
+            OptimizeResponse::Err(error) => Err(io::Error::other(error.to_string())),
+        }
     }
 }
 
@@ -431,9 +438,10 @@ impl RequestHandle {
 
 /// The one-shot facade over the protocol, bound to one daemon address.
 /// Typed calls ([`Client::request`], [`Client::status`]) open a
-/// short-lived v2 session per call; the raw byte surfaces
-/// ([`Client::request_raw`], [`Client::request_bytes`]) speak the bare v1
-/// single-exchange framing. Cheap to copy and share across threads.
+/// short-lived [`Connection`] per call; the raw byte surfaces
+/// ([`Client::request_raw`], [`Client::request_bytes`]) send a bare frame,
+/// which the daemon serves as a one-request session. Cheap to copy and
+/// share across threads.
 #[derive(Debug, Clone, Copy)]
 pub struct Client {
     addr: SocketAddr,
@@ -471,9 +479,9 @@ impl Client {
         ClientBuilder::new(self.addr).timeout(self.timeout)
     }
 
-    /// Sends raw payload bytes as one bare v1 frame and returns the raw
-    /// response frame. This is the byte-level surface: the determinism and
-    /// v1-compatibility tests compare these bytes directly, and the
+    /// Sends raw payload bytes as one bare (untagged) frame and returns the
+    /// raw response frame. This is the byte-level surface: the determinism
+    /// and v1-compatibility tests compare these bytes directly, and the
     /// rejection tests push malformed payloads through it. The server
     /// closes the connection after the one exchange.
     ///
@@ -489,7 +497,7 @@ impl Client {
         read_frame(&mut stream)
     }
 
-    /// Sends a request as one bare v1 frame and returns the raw response
+    /// Sends a request as one bare frame and returns the raw response
     /// frame (already-typed requests, byte-level responses — what the
     /// repeat-traffic byte-identity proof uses).
     ///
@@ -503,8 +511,8 @@ impl Client {
         self.request_raw(payload.as_bytes())
     }
 
-    /// Sends a request over a short-lived v2 session and decodes the typed
-    /// response.
+    /// Sends a request over a short-lived [`Connection`] and returns the
+    /// typed response.
     ///
     /// # Errors
     ///
@@ -602,35 +610,16 @@ impl Client {
         })
     }
 
-    /// Asks the daemon for its live counters (see
-    /// [`StatusRequest`]). Status probes are answered at admission, so this
-    /// works even when the daemon is saturated or draining. Sent as a bare
-    /// v1 frame so it stays usable against either protocol generation.
+    /// Asks the daemon for its live counters (see [`StatusRequest`]) over a
+    /// short-lived [`Connection`]. Status probes are answered at admission,
+    /// so this works even when the daemon is saturated or draining.
     ///
     /// # Errors
     ///
-    /// Returns an IO error when the exchange fails, the response is not
-    /// valid JSON, or the daemon answers with a typed error.
+    /// Returns an IO error when the exchange fails or the daemon answers
+    /// with a typed error.
     pub fn status(&self) -> io::Result<StatusResult> {
-        let payload = serde_json::to_string(&StatusRequest::new())
-            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        let raw = self.request_raw(payload.as_bytes())?;
-        let text = String::from_utf8(raw)
-            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        let response: OptimizeResponse = serde_json::from_str(&text)
-            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
-        status_result(response)
-    }
-}
-
-/// The answer to a status probe, or why the response is not one.
-fn status_result(response: OptimizeResponse) -> io::Result<StatusResult> {
-    match response {
-        OptimizeResponse::Status(status) => Ok(status),
-        OptimizeResponse::Ok(_) => Err(io::Error::other(
-            "daemon answered a status probe with an optimize result".to_string(),
-        )),
-        OptimizeResponse::Err(error) => Err(io::Error::other(error.to_string())),
+        self.builder().connect()?.status()
     }
 }
 

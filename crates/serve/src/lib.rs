@@ -15,8 +15,8 @@
 //! order, routed by `request_id`. Admission is a deterministic
 //! deadline-aware priority queue ([`AdmissionQueue`], ordered by
 //! [`admission_rank`]) instead of FIFO. v1 single-exchange clients keep
-//! working unchanged: the server sniffs the first frame's shape and
-//! answers bare frames in v1 style.
+//! working unchanged: a bare first frame is served as a one-request
+//! session — same path, untagged answer, then the server closes.
 //!
 //! The crate splits along the service's seams:
 //!
@@ -32,13 +32,14 @@
 //! - [`journal`] — the store's checksummed append-only write-ahead
 //!   journal.
 //! - [`mod@fsck`] — the offline verify/repair walk behind `cuasmrld-fsck`.
-//! - [`server`] — acceptor, version sniffing, session demultiplexing,
-//!   admission control, worker pool, preemption, panic isolation, graceful
-//!   drain, telemetry.
+//! - [`server`] — acceptor, the one frame path (decode, poison, answer or
+//!   admit), session demultiplexing, admission control, worker pool,
+//!   preemption, panic isolation, graceful drain, telemetry.
 //! - [`client`] — the [`Connection`]/[`ClientBuilder`] pipelined client
-//!   API, plus the one-shot [`Client`] facade with deterministic retry.
-//! - [`load`] — the deterministic load generator (`cuasmrld-bench`), with
-//!   a pipelined mode.
+//!   API, plus the [`Client`] facade that opens one per call, with
+//!   deterministic retry.
+//! - [`load`] — the deterministic load generator (`cuasmrld-bench`): one
+//!   client loop over [`Connection`], pipelined to any depth.
 //! - [`fault`] — deterministic, config-gated fault injection for the chaos
 //!   suite.
 //!

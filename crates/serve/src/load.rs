@@ -10,15 +10,16 @@
 //! (that is the admission-control contract); every other error counts as a
 //! failure.
 //!
-//! Two transport modes, same schedule and same accounting:
+//! One client loop over one transport, the pipelined [`Connection`]; the
+//! spec's `pipeline` only sets how deep and how long-lived it is:
 //!
-//! - `pipeline <= 1` (default): the classic v1 shape — one connection per
-//!   request, one exchange, close.
-//! - `pipeline >= 2`: each client thread opens one persistent v2
-//!   [`Connection`] and keeps up to `pipeline` requests in flight on it,
-//!   submitting a batch and draining its tagged responses — the mode that
-//!   actually exercises multiplexing, out-of-order completion and the
-//!   per-connection demux path.
+//! - `pipeline <= 1` (default): depth 1 and a fresh connection per request
+//!   — connect, one exchange, close.
+//! - `pipeline >= 2`: each client thread keeps one persistent connection
+//!   with up to `pipeline` requests in flight on it, submitting a batch
+//!   and draining its tagged responses — the mode that actually exercises
+//!   multiplexing, out-of-order completion and the per-connection demux
+//!   path.
 
 use std::io;
 use std::net::SocketAddr;
@@ -48,10 +49,10 @@ pub struct LoadSpec {
     pub repeat_rounds: usize,
     /// Bounded retries per request on `Busy` before counting a failure.
     pub busy_retries: usize,
-    /// In-flight requests per client thread. `0`/`1` is the classic
-    /// one-connection-per-request mode; `N >= 2` keeps one persistent v2
-    /// session per client with up to `N` pipelined requests on it. Added
-    /// in v2 (additive, `#[serde(default)]`).
+    /// In-flight requests per client thread. `0`/`1` is one connection per
+    /// request; `N >= 2` keeps one persistent connection per client with
+    /// up to `N` pipelined requests on it. Added in v2 (additive,
+    /// `#[serde(default)]`).
     #[serde(default)]
     pub pipeline: usize,
 }
@@ -119,8 +120,8 @@ pub struct LoadReport {
     pub warm_from_store: usize,
     /// `warm_from_store / warm_sent`, 0 when no warm round ran.
     pub warm_hit_rate: f64,
-    /// The pipeline depth the run used (echo of the spec; 0/1 = one-shot
-    /// mode). Added in v2 (additive, `#[serde(default)]`).
+    /// The pipeline depth the run used (echo of the spec; 0/1 = one
+    /// connection per request). Added in v2 (additive, `#[serde(default)]`).
     #[serde(default)]
     pub pipeline: usize,
     /// The daemon's cumulative content-checksum failure counters probed at
@@ -229,11 +230,7 @@ fn run_phase(
     let counters = PhaseCounters::default();
     std::thread::scope(|scope| {
         for _ in 0..spec.clients.max(1) {
-            if spec.pipeline >= 2 {
-                scope.spawn(|| pipelined_client(client, spec, requests, &next, &counters));
-            } else {
-                scope.spawn(|| oneshot_client(client, spec, requests, &next, &counters));
-            }
+            scope.spawn(|| client_loop(client, spec, requests, &next, &counters));
         }
     });
     report.sent += requests.len();
@@ -249,57 +246,34 @@ fn run_phase(
     }
 }
 
-/// The classic v1 shape: claim one index at a time, one connection per
-/// exchange.
-fn oneshot_client(
+/// One client thread: claim up to `pipeline` requests, submit the whole
+/// batch on one [`Connection`], then drain its handles (each resolving
+/// whenever the server answers it). The connection is kept across batches
+/// when pipelining and dropped after each request otherwise.
+fn client_loop(
     client: &Client,
     spec: &LoadSpec,
     requests: &[OptimizeRequest],
     next: &AtomicUsize,
     counters: &PhaseCounters,
 ) {
+    let depth = spec.pipeline.max(1);
+    let mut kept: Option<Connection> = None;
     loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let Some(request) = requests.get(index) else {
-            return;
-        };
-        counters.tally(&send_with_retry(client, request, spec.busy_retries));
-    }
-}
-
-/// The v2 shape: one persistent session per thread, up to `pipeline`
-/// requests in flight at once — submit the whole batch, then drain its
-/// handles (each resolving whenever the server answers it).
-fn pipelined_client(
-    client: &Client,
-    spec: &LoadSpec,
-    requests: &[OptimizeRequest],
-    next: &AtomicUsize,
-    counters: &PhaseCounters,
-) {
-    let connection = match client.builder().connect() {
-        Ok(connection) => connection,
-        Err(_) => {
-            // Claim and fail this thread's share so the totals still
-            // account for every scheduled request.
-            while requests.get(next.fetch_add(1, Ordering::Relaxed)).is_some() {
-                counters.tally(&Outcome::Io);
-            }
-            return;
-        }
-    };
-    loop {
-        let mut batch: Vec<&OptimizeRequest> = Vec::with_capacity(spec.pipeline);
-        while batch.len() < spec.pipeline {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            match requests.get(index) {
-                Some(request) => batch.push(request),
-                None => break,
-            }
-        }
+        let batch: Vec<&OptimizeRequest> = (0..depth)
+            .map_while(|_| requests.get(next.fetch_add(1, Ordering::Relaxed)))
+            .collect();
         if batch.is_empty() {
             return;
         }
+        let Some(connection) = kept.take().or_else(|| client.builder().connect().ok()) else {
+            // Fail the claimed share so the totals still account for every
+            // scheduled request.
+            for _ in &batch {
+                counters.tally(&Outcome::Io);
+            }
+            continue;
+        };
         let handles: Vec<io::Result<RequestHandle>> = batch
             .iter()
             .map(|request| connection.submit(request))
@@ -312,6 +286,9 @@ fn pipelined_client(
                 spec.busy_retries,
             ));
         }
+        if depth >= 2 {
+            kept = Some(connection);
+        }
     }
 }
 
@@ -322,37 +299,8 @@ enum Outcome {
     Io,
 }
 
-fn classify(response: OptimizeResponse) -> Result<Outcome, ()> {
-    match response {
-        OptimizeResponse::Ok(result) => Ok(Outcome::Ok {
-            stored: result.from_store,
-        }),
-        // `Busy` is the retryable answer — admission control's contract.
-        OptimizeResponse::Err(error) if error.code == ErrorCode::Busy => Err(()),
-        OptimizeResponse::Err(_) | OptimizeResponse::Status(_) => Ok(Outcome::Error),
-    }
-}
-
-fn send_with_retry(client: &Client, request: &OptimizeRequest, busy_retries: usize) -> Outcome {
-    for attempt in 0..=busy_retries {
-        match client.request(request) {
-            Ok(response) => match classify(response) {
-                Ok(outcome) => return outcome,
-                Err(()) => {
-                    if attempt == busy_retries {
-                        return Outcome::BusyExhausted;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            },
-            Err(_) => return Outcome::Io,
-        }
-    }
-    Outcome::BusyExhausted
-}
-
-/// The pipelined counterpart of [`send_with_retry`]: wait on the submitted
-/// handle, resubmitting on the same session after a `Busy` answer.
+/// Waits on a submitted handle, resubmitting on the same connection after
+/// a `Busy` answer — the one retry routine of the load generator.
 fn wait_with_retry(
     connection: &Connection,
     request: &OptimizeRequest,
@@ -360,24 +308,26 @@ fn wait_with_retry(
     busy_retries: usize,
 ) -> Outcome {
     let mut handle = first;
-    for attempt in 0..=busy_retries {
-        let response = match handle {
-            Ok(waiting) => match waiting.wait() {
-                Ok(response) => response,
-                Err(_) => return Outcome::Io,
-            },
-            Err(_) => return Outcome::Io,
+    let mut retries_left = busy_retries;
+    loop {
+        let Ok(response) = handle.and_then(RequestHandle::wait) else {
+            return Outcome::Io;
         };
-        match classify(response) {
-            Ok(outcome) => return outcome,
-            Err(()) => {
-                if attempt == busy_retries {
-                    return Outcome::BusyExhausted;
+        match response {
+            OptimizeResponse::Ok(result) => {
+                return Outcome::Ok {
+                    stored: result.from_store,
                 }
-                std::thread::sleep(Duration::from_millis(20));
-                handle = connection.submit(request);
             }
+            // `Busy` is the retryable answer — admission control's contract.
+            OptimizeResponse::Err(error) if error.code == ErrorCode::Busy => {}
+            OptimizeResponse::Err(_) | OptimizeResponse::Status(_) => return Outcome::Error,
         }
+        if retries_left == 0 {
+            return Outcome::BusyExhausted;
+        }
+        retries_left -= 1;
+        std::thread::sleep(Duration::from_millis(20));
+        handle = connection.submit(request);
     }
-    Outcome::BusyExhausted
 }

@@ -6,17 +6,19 @@
 //! many bytes of UTF-8 JSON. Frames above [`MAX_FRAME_LEN`] are rejected
 //! before allocation.
 //!
-//! Connection modes (since protocol v2): the *shape of the first frame*
-//! decides how a connection behaves.
+//! Connections (since protocol v2) are sessions, and the daemon has one
+//! path through which every frame of one goes:
 //!
-//! - A bare [`OptimizeRequest`]/[`StatusRequest`] frame is the v1
-//!   single-exchange protocol: one request, one untagged response, and the
-//!   server closes the connection. Every v1 client keeps working unchanged.
-//! - A [`TaggedRequest`] frame (`{"request_id": N, "body": {...}}`) opens a
-//!   persistent session: the connection stays open across exchanges, the
+//! - A [`TaggedRequest`] frame (`{"request_id": N, "body": {...}}`) is the
+//!   unit of a session: the connection stays open across exchanges, the
 //!   client may pipeline multiple in-flight requests, and each response
 //!   comes back as a [`TaggedResponse`] carrying the client-chosen
 //!   `request_id` — possibly out of submission order.
+//! - A *bare* [`OptimizeRequest`]/[`StatusRequest`] as the first frame (the
+//!   v1 single-exchange protocol) is a one-request session at the daemon's
+//!   edge: wrapped on read into the same [`RequestBody`], answered with the
+//!   untagged response, and the server closes the connection. Every v1
+//!   client keeps working unchanged.
 //!
 //! Versioning: every request and response carries a `protocol_version`.
 //! This server speaks [`PROTOCOL_VERSION`] and still accepts
@@ -478,10 +480,10 @@ pub enum RequestBody {
 /// must start at 1 ([`UNATTRIBUTED_REQUEST_ID`] is reserved for server
 /// errors about frames whose id could not be salvaged).
 ///
-/// The first tagged frame on a connection is also the version sniff: a
-/// first frame that decodes as a `TaggedRequest` opens a persistent
-/// pipelined session; one that decodes as a bare request gets the v1
-/// single-exchange treatment.
+/// The first frame on a connection is also the version sniff: one that
+/// carries a `request_id` opens a persistent pipelined session; a bare
+/// request is served as a one-request session — one untagged answer, then
+/// the server closes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TaggedRequest {
     /// Client-chosen correlation id, echoed in the response. Must be ≥ 1.

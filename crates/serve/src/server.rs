@@ -2,15 +2,18 @@
 //! admission queue and a worker pool multiplexing kernel-optimization
 //! requests over the [`SuiteOptimizer`] machinery.
 //!
-//! Connection lifecycle (protocol v2): the acceptor hands each connection
-//! to a reader thread that reads the first frame and *sniffs the protocol
-//! by frame shape*. A bare request frame is served in v1 style — one
-//! untagged response, connection closed — so every v1 client keeps working
-//! byte-for-byte. A tagged frame opens a persistent session: the reader
-//! becomes a demultiplexing loop that keeps decoding tagged frames while
-//! workers answer each one through a shared writer handle, tagged with the
-//! client's `request_id` and possibly out of submission order — a stalled
-//! request never blocks an unrelated pipelined one.
+//! Connection lifecycle: the acceptor hands each connection to a reader
+//! thread, and every well-framed payload — first or later — goes through
+//! one function, `handle_session_frame`: decode, validate, answer or
+//! admit. A connection is a session of tagged frames: the reader is a
+//! demultiplexing loop, and workers answer each request through a writer
+//! handle the connection's jobs share, tagged with the client's
+//! `request_id` and possibly out of submission order — a stalled request
+//! never blocks an unrelated pipelined one. Protocol v1 is a property of
+//! the edge, not a second path: a *bare* first frame (no `request_id`) is
+//! a one-request session whose `Responder` carries no tag, so its answer
+//! goes out as the bare response frame and the connection closes behind
+//! it — every v1 client keeps working byte-for-byte.
 //!
 //! Request lifecycle: each well-formed optimize request is validated,
 //! canonicalized, and answered straight from the [`ScheduleStore`] when
@@ -33,10 +36,10 @@
 //! typed *degraded* best-so-far result (checkpoint persisted, so re-asking
 //! resumes and converges to the full answer). Worker job execution is
 //! wrapped in `catch_unwind`: a panic is isolated, counted, answered as a
-//! sanitized `Internal` error, and the pool survives. A malformed frame
-//! mid-session poisons only its `request_id` (a tagged `BadRequest`),
-//! never the connection; only framing-level damage — a truncated or
-//! stalled frame — closes the session. [`Server::shutdown`] drains
+//! sanitized `Internal` error, and the pool survives. A malformed session
+//! frame — the first included — poisons only its `request_id` (a tagged
+//! `BadRequest`), never the connection; only framing-level damage — a
+//! truncated or stalled frame — closes the session. [`Server::shutdown`] drains
 //! gracefully — stop accepting, answer queued work `Busy`, preempt
 //! in-flight searches, flush telemetry. A config-gated [`FaultPlan`]
 //! injects store failures, panics and stalls at chosen request ordinals so
@@ -51,7 +54,6 @@
 //! session tag, which echoes the client's own `request_id`). Wall-clock
 //! exists only in the telemetry manifest, never in a response.
 
-use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -207,43 +209,37 @@ pub struct ServiceStats {
     pub checksum_failures: u64,
 }
 
-/// Where a job's answer goes: back onto a v1 one-shot stream, or tagged
-/// with the client's `request_id` through a session's shared writer (many
-/// in-flight jobs hold clones of the same writer, so pipelined responses
-/// interleave safely and out of order).
-enum Responder {
-    /// v1 single-exchange: the response is the untagged frame, then the
-    /// connection closes (the stream drops with the job).
-    V1(TcpStream),
-    /// v2 session: the response is a [`TaggedResponse`] frame written
-    /// under the session's writer lock.
-    V2 {
-        writer: Arc<Mutex<TcpStream>>,
-        request_id: u64,
-    },
+/// Where an answer goes: onto the connection its request arrived on,
+/// through the writer handle every in-flight job of that connection shares
+/// (so pipelined responses interleave safely and out of order). A session
+/// request is answered with a [`TaggedResponse`] echoing its `request_id`;
+/// a bare first frame has no id to echo, so its answer is the untagged
+/// response frame — and since the reader stops after a bare frame, the
+/// connection closes when this responder, the last handle on it, drops.
+struct Responder {
+    writer: Arc<Mutex<TcpStream>>,
+    request_id: Option<u64>,
 }
 
 impl Responder {
     /// Best-effort reply — the peer may already be gone, and a failed
     /// write must never take a worker down.
-    fn send(&mut self, response: &OptimizeResponse) {
-        match self {
-            Responder::V1(stream) => Shared::respond(stream, response),
-            Responder::V2 { writer, request_id } => {
-                let tagged = TaggedResponse {
-                    request_id: *request_id,
-                    response: response.clone(),
-                };
-                if let Ok(payload) = serde_json::to_string(&tagged) {
-                    let mut stream = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                    let _ = write_frame(&mut *stream, payload.as_bytes());
-                }
-            }
+    fn send(&self, response: OptimizeResponse) {
+        let payload = match self.request_id {
+            Some(request_id) => serde_json::to_string(&TaggedResponse {
+                request_id,
+                response,
+            }),
+            None => serde_json::to_string(&response),
+        };
+        if let Ok(payload) = payload {
+            let mut stream = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let _ = write_frame(&mut *stream, payload.as_bytes());
         }
     }
 
-    fn send_error(&mut self, error: ServiceError) {
-        self.send(&OptimizeResponse::Err(error));
+    fn send_error(&self, error: ServiceError) {
+        self.send(OptimizeResponse::Err(error));
     }
 }
 
@@ -260,6 +256,30 @@ struct Job {
     /// order, *before* priority reordering, so fault plans fire at the
     /// same requests whatever order the queue serves them in.
     ordinal: u64,
+}
+
+impl Job {
+    /// The one way a report becomes an answer — stored, computed or
+    /// degraded, at admission or in a worker.
+    fn answer(&self, report: cuasmrl::OptimizationReport, from_store: bool, degraded: bool) {
+        self.responder.send(OptimizeResponse::Ok(OptimizeResult {
+            protocol_version: self.wire_version,
+            arch: self.key.arch.clone(),
+            kernel: self.key.kernel.clone(),
+            request_key: self.key.digest.clone(),
+            from_store,
+            degraded,
+            report,
+        }));
+    }
+
+    /// Admission control's refusal: counted, typed, retryable.
+    fn refuse_busy(&self, shared: &Shared, message: impl Into<String>, depth: Option<usize>) {
+        shared.lock_stats().busy += 1;
+        let mut error = ServiceError::new(ErrorCode::Busy, message);
+        error.queue_depth = depth;
+        self.responder.send_error(error);
+    }
 }
 
 struct Shared {
@@ -293,37 +313,6 @@ impl Shared {
 
     fn draining(&self) -> bool {
         self.drain.is_cancelled()
-    }
-
-    fn respond(stream: &mut TcpStream, response: &OptimizeResponse) {
-        if let Ok(payload) = serde_json::to_string(response) {
-            let _ = write_frame(stream, payload.as_bytes());
-        }
-        let _ = stream.flush();
-    }
-
-    fn respond_error(stream: &mut TcpStream, code: ErrorCode, message: impl Into<String>) {
-        Self::respond(
-            stream,
-            &OptimizeResponse::Err(ServiceError::new(code, message)),
-        );
-    }
-
-    fn result_from_entry(
-        key: &RequestKey,
-        entry: &StoreEntry,
-        from_store: bool,
-        wire_version: u32,
-    ) -> OptimizeResult {
-        OptimizeResult {
-            protocol_version: wire_version,
-            arch: entry.arch.clone(),
-            kernel: entry.kernel.clone(),
-            request_key: key.digest.clone(),
-            from_store,
-            degraded: false,
-            report: entry.report.clone(),
-        }
     }
 
     /// The live counters served to a [`StatusRequest`], echoing the
@@ -380,6 +369,23 @@ impl Shared {
                 None
             }
         }
+    }
+
+    /// Answers `job` from the schedule store when its canonical request was
+    /// served before — at admission (repeat traffic never touches the
+    /// queue) and again in the worker (another worker may have computed the
+    /// same request while this one was queued). Returns whether it did.
+    fn serve_from_store(&self, job: &Job, fault: Option<&FaultKind>) -> bool {
+        let Some(entry) = self.store_get(&job.key, fault) else {
+            return false;
+        };
+        self.lock_stats().store_hits += 1;
+        self.record_telemetry(
+            &job.canonical.gpu.name,
+            KernelTelemetry::cached(&entry.report),
+        );
+        job.answer(entry.report, true, false);
+        true
     }
 
     /// Folds one kernel's telemetry into the per-device service manifest
@@ -546,8 +552,8 @@ impl Server {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    // One reader thread per connection: short-lived for v1 exchanges,
-    // session-long for v2. A client that stalls mid-frame (or never
+    // One reader thread per connection: short-lived for a bare-frame
+    // exchange, session-long otherwise. A client that stalls mid-frame (or never
     // finishes its write) ties up only its own thread, never the acceptor —
     // other connections keep flowing.
     let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -573,94 +579,44 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     shared.queue.close();
 }
 
-/// First contact with a connection: read the first frame and sniff the
-/// protocol by its shape. A tagged frame opens a persistent v2 session;
-/// a bare frame gets the v1 single-exchange treatment and the connection
-/// closes after one answer.
+/// One connection, first frame to close. Every payload goes through
+/// [`handle_session_frame`]; responses travel through the shared `writer`
+/// handle — workers hold clones of it inside queued jobs, so the loop never
+/// waits on a response and a stalled request never blocks the next frame.
+/// The first frame is always read and answered, drain or not (status
+/// probes work mid-drain); a bare one ends the reading there.
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
-    let frame = match read_frame(&mut stream) {
+    let Ok(writer) = stream.try_clone() else {
+        return;
+    };
+    let writer = Arc::new(Mutex::new(writer));
+    let first = match read_frame(&mut stream) {
         Ok(frame) => frame,
         Err(err) => {
             // Covers truncated prefixes, half frames and oversized lengths:
             // the reply is best-effort (the peer may already be gone) and
             // the connection closes cleanly either way.
-            Shared::respond_error(
-                &mut stream,
-                ErrorCode::BadRequest,
-                format!("malformed frame: {err}"),
-            );
+            let message = format!("malformed frame: {err}");
+            Responder {
+                writer,
+                request_id: None,
+            }
+            .send_error(ServiceError::new(ErrorCode::BadRequest, message));
             return;
         }
     };
-    let text = match std::str::from_utf8(&frame) {
-        Ok(text) => text,
-        Err(err) => {
-            Shared::respond_error(
-                &mut stream,
-                ErrorCode::BadRequest,
-                format!("invalid request JSON: {err}"),
-            );
-            return;
-        }
-    };
-    if let Ok(tagged) = serde_json::from_str::<TaggedRequest>(text) {
-        serve_session(shared, stream, tagged);
+    if !handle_session_frame(shared, &writer, &first, false) {
         return;
     }
-    // v1 single exchange. Status probes are detected by their required
-    // `query` field, answered at admission and never queued — they work
-    // even under saturation or mid-drain.
-    if let Ok(status) = serde_json::from_str::<StatusRequest>(text) {
-        match status.validate() {
-            Ok(()) => {
-                shared.lock_stats().status_served += 1;
-                Shared::respond(
-                    &mut stream,
-                    &OptimizeResponse::Status(shared.status(status.protocol_version)),
-                );
-            }
-            Err(error) => {
-                shared.lock_stats().rejected += 1;
-                Shared::respond(&mut stream, &OptimizeResponse::Err(error));
-            }
-        }
-        return;
-    }
-    let request: OptimizeRequest = match serde_json::from_str(text) {
-        Ok(request) => request,
-        Err(err) => {
-            Shared::respond_error(
-                &mut stream,
-                ErrorCode::BadRequest,
-                format!("invalid request JSON: {err}"),
-            );
-            return;
-        }
-    };
-    process_optimize(shared, &request, Responder::V1(stream));
-}
-
-/// The persistent-session read loop: demultiplex tagged frames into
-/// admission until the peer closes, framing breaks, or the daemon drains.
-/// Responses travel through the shared `writer` handle — workers hold
-/// clones of it inside queued jobs, so the loop never waits on a response
-/// and a stalled request never blocks the next frame.
-fn serve_session(shared: &Shared, mut stream: TcpStream, first: TaggedRequest) {
-    let Ok(writer) = stream.try_clone() else {
-        return;
-    };
-    let writer = Arc::new(Mutex::new(writer));
-    handle_tagged(shared, &writer, first);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) || shared.draining() {
-            // Stop reading; queued jobs still hold writer clones, so
-            // pending answers (including drain-time `Busy`) are written
-            // before the connection finally drops.
-            return;
-        }
+    while !shared.shutdown.load(Ordering::SeqCst) && !shared.draining() {
+        // Once this loop stops reading, queued jobs still hold writer
+        // clones, so pending answers (including drain-time `Busy`) are
+        // written before the connection finally drops.
         match poll_frame(&mut stream, SESSION_IDLE_POLL, SESSION_FRAME_BUDGET) {
-            Ok(FrameRead::Frame(payload)) => handle_session_frame(shared, &writer, &payload),
-            Ok(FrameRead::Idle) => continue,
+            Ok(FrameRead::Frame(payload)) => {
+                handle_session_frame(shared, &writer, &payload, true);
+            }
+            Ok(FrameRead::Idle) => {}
             Ok(FrameRead::Closed) | Err(_) => return,
         }
     }
@@ -675,66 +631,87 @@ struct IdProbe {
     request_id: Option<u64>,
 }
 
-/// One well-framed session payload: decode, or poison only the offending
-/// `request_id` with a tagged `BadRequest` — never the connection.
-fn handle_session_frame(shared: &Shared, writer: &Arc<Mutex<TcpStream>>, payload: &[u8]) {
-    let poisoned = |message: String| -> (u64, String) { (UNATTRIBUTED_REQUEST_ID, message) };
-    let (request_id, message) = match std::str::from_utf8(payload) {
-        Err(err) => poisoned(format!("invalid request JSON: {err}")),
-        Ok(text) => match serde_json::from_str::<TaggedRequest>(text) {
-            Ok(tagged) => {
-                handle_tagged(shared, writer, tagged);
-                return;
-            }
-            Err(err) => (
-                // The frame is not a tagged request, but its id may still
-                // parse: answer *that* request id so the client can fail
-                // exactly one call.
-                serde_json::from_str::<IdProbe>(text)
-                    .ok()
-                    .and_then(|probe| probe.request_id)
-                    .unwrap_or(UNATTRIBUTED_REQUEST_ID),
-                format!("invalid session frame: {err}"),
-            ),
-        },
+/// Decodes one well-framed payload into whose answer it is and what it
+/// asks — or why it asks nothing. A frame with a salvageable `request_id`
+/// is a session frame whatever else is wrong with it; so is every frame
+/// of an open session (`in_session`), unattributable damage included. Only
+/// the first frame of a connection can be *bare* (`None`): a v1
+/// [`StatusRequest`], detected by its required `query` field, or a v1
+/// [`OptimizeRequest`], wrapped here into the body a tagged frame carries.
+fn decode_frame(payload: &[u8], in_session: bool) -> (Option<u64>, Result<RequestBody, String>) {
+    let unattributed = in_session.then_some(UNATTRIBUTED_REQUEST_ID);
+    let text = match std::str::from_utf8(payload) {
+        Ok(text) => text,
+        Err(err) => return (unattributed, Err(format!("invalid request JSON: {err}"))),
     };
-    shared.lock_stats().rejected += 1;
-    let mut responder = Responder::V2 {
+    let not_tagged = match serde_json::from_str::<TaggedRequest>(text) {
+        Ok(tagged) => return (Some(tagged.request_id), Ok(tagged.body)),
+        Err(err) => err,
+    };
+    // Not a tagged request, but its id may still parse: answer *that*
+    // request id so the client can fail exactly one call.
+    let salvaged = serde_json::from_str::<IdProbe>(text)
+        .ok()
+        .and_then(|probe| probe.request_id)
+        .or(unattributed);
+    if salvaged.is_some() {
+        return (
+            salvaged,
+            Err(format!("invalid session frame: {not_tagged}")),
+        );
+    }
+    if let Ok(probe) = serde_json::from_str::<StatusRequest>(text) {
+        return (None, Ok(RequestBody::Status(probe)));
+    }
+    let bare = serde_json::from_str::<OptimizeRequest>(text)
+        .map(RequestBody::Optimize)
+        .map_err(|err| format!("invalid request JSON: {err}"));
+    (None, bare)
+}
+
+/// One well-framed payload, start to answer-or-admission. Status probes
+/// are answered inline and never queued — they work even under saturation
+/// or mid-drain; optimize requests go through admission; a frame that does
+/// not decode is counted and answered `BadRequest`, scoped to its
+/// `request_id` — never the connection. Returns whether the connection is
+/// a session, i.e. whether another frame may follow this one.
+fn handle_session_frame(
+    shared: &Shared,
+    writer: &Arc<Mutex<TcpStream>>,
+    payload: &[u8],
+    in_session: bool,
+) -> bool {
+    let (request_id, decoded) = decode_frame(payload, in_session);
+    let session = request_id.is_some();
+    let responder = Responder {
         writer: Arc::clone(writer),
         request_id,
     };
-    responder.send_error(ServiceError::new(ErrorCode::BadRequest, message));
-}
-
-/// Routes one decoded tagged request: status probes are answered inline,
-/// optimize requests go through admission with a tagged responder.
-fn handle_tagged(shared: &Shared, writer: &Arc<Mutex<TcpStream>>, tagged: TaggedRequest) {
-    let mut responder = Responder::V2 {
-        writer: Arc::clone(writer),
-        request_id: tagged.request_id,
-    };
-    match tagged.body {
-        RequestBody::Status(probe) => match probe.validate() {
+    let rejection = match decoded {
+        Ok(RequestBody::Optimize(request)) => {
+            process_optimize(shared, &request, responder);
+            return session;
+        }
+        Ok(RequestBody::Status(probe)) => match probe.validate() {
             Ok(()) => {
                 shared.lock_stats().status_served += 1;
-                responder.send(&OptimizeResponse::Status(
+                responder.send(OptimizeResponse::Status(
                     shared.status(probe.protocol_version),
                 ));
+                return session;
             }
-            Err(error) => {
-                shared.lock_stats().rejected += 1;
-                responder.send_error(error);
-            }
+            Err(error) => error,
         },
-        RequestBody::Optimize(request) => process_optimize(shared, &request, responder),
-    }
+        Err(message) => ServiceError::new(ErrorCode::BadRequest, message),
+    };
+    shared.lock_stats().rejected += 1;
+    responder.send_error(rejection);
+    session
 }
 
 /// Everything that happens to an optimize request before a worker sees
-/// it, shared by both connection modes: ordinal assignment, validation,
-/// store lookup, admission control. The responder carries the answer back
-/// whichever mode the request arrived in.
-fn process_optimize(shared: &Shared, request: &OptimizeRequest, mut responder: Responder) {
+/// it: ordinal assignment, validation, store lookup, admission control.
+fn process_optimize(shared: &Shared, request: &OptimizeRequest, responder: Responder) {
     let ordinal = {
         let mut stats = shared.lock_stats();
         stats.requests += 1;
@@ -748,69 +725,40 @@ fn process_optimize(shared: &Shared, request: &OptimizeRequest, mut responder: R
             return;
         }
     };
-    let wire_version = request.protocol_version;
-    let key = RequestKey::of(&canonical);
-    let fault = shared.fault_for(ordinal);
-    if let Some(entry) = shared.store_get(&key, fault.as_ref()) {
-        shared.lock_stats().store_hits += 1;
-        shared.record_telemetry(&canonical.gpu.name, KernelTelemetry::cached(&entry.report));
-        responder.send(&OptimizeResponse::Ok(Shared::result_from_entry(
-            &key,
-            &entry,
-            true,
-            wire_version,
-        )));
-        return;
-    }
-    if shared.draining() {
-        shared.lock_stats().busy += 1;
-        responder.send_error(ServiceError::new(
-            ErrorCode::Busy,
-            "server is draining; retry after it restarts",
-        ));
-        return;
-    }
-    let rank = request.rank();
     let job = Job {
         responder,
+        key: RequestKey::of(&canonical),
         canonical,
-        key,
         deadline_ms: request.deadline_ms,
-        wire_version,
+        wire_version: request.protocol_version,
         admitted: Instant::now(),
         ordinal,
     };
-    match shared.queue.try_push(rank, ordinal, job) {
+    let fault = shared.fault_for(ordinal);
+    if shared.serve_from_store(&job, fault.as_ref()) {
+        return;
+    }
+    if shared.draining() {
+        job.refuse_busy(shared, "server is draining; retry after it restarts", None);
+        return;
+    }
+    match shared.queue.try_push(request.rank(), ordinal, job) {
         Ok(()) => {}
-        Err(PushError::Full {
-            item: mut job,
-            depth,
-        }) => {
-            shared.lock_stats().busy += 1;
-            job.responder.send_error(
-                ServiceError::new(
-                    ErrorCode::Busy,
-                    format!("admission queue is full ({depth} pending); retry later"),
-                )
-                .with_queue_depth(depth),
-            );
-        }
-        Err(PushError::Closed(mut job)) => {
-            shared.lock_stats().busy += 1;
-            job.responder.send_error(ServiceError::new(
-                ErrorCode::Busy,
-                "server is shutting down",
-            ));
-        }
+        Err(PushError::Full { item: job, depth }) => job.refuse_busy(
+            shared,
+            format!("admission queue is full ({depth} pending); retry later"),
+            Some(depth),
+        ),
+        Err(PushError::Closed(job)) => job.refuse_busy(shared, "server is shutting down", None),
     }
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some(mut job) = shared.queue.pop() {
+    while let Some(job) = shared.queue.pop() {
         // Panic isolation: whatever `handle_job` does — including an
         // injected panic — the worker thread survives, the client gets a
         // sanitized typed error, and the pool keeps serving.
-        let outcome = catch_unwind(AssertUnwindSafe(|| handle_job(shared, &mut job)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| handle_job(shared, &job)));
         if outcome.is_err() {
             shared.lock_stats().worker_panics += 1;
             job.responder.send_error(ServiceError::new(
@@ -824,7 +772,7 @@ fn worker_loop(shared: &Shared) {
 
 /// One dequeued job, start to reply. Runs inside the worker's
 /// `catch_unwind` boundary.
-fn handle_job(shared: &Shared, job: &mut Job) {
+fn handle_job(shared: &Shared, job: &Job) {
     let fault = shared.fault_for(job.ordinal);
     if let Some(FaultKind::WorkerPanic) = fault {
         panic!("injected worker panic (request ordinal {})", job.ordinal);
@@ -833,11 +781,7 @@ fn handle_job(shared: &Shared, job: &mut Job) {
         // Drain: everything still queued is answered Busy instead of being
         // computed — the store keeps no half answers, the client retries
         // against the restarted daemon.
-        shared.lock_stats().busy += 1;
-        job.responder.send_error(ServiceError::new(
-            ErrorCode::Busy,
-            "server is draining; retry after it restarts",
-        ));
+        job.refuse_busy(shared, "server is draining; retry after it restarts", None);
         return;
     }
     if let Some(deadline_ms) = job.deadline_ms {
@@ -853,14 +797,7 @@ fn handle_job(shared: &Shared, job: &mut Job) {
     }
     // Another worker may have computed the same canonical request while
     // this one was queued: serve the stored answer.
-    if let Some(entry) = shared.store_get(&job.key, fault.as_ref()) {
-        shared.lock_stats().store_hits += 1;
-        shared.record_telemetry(
-            &job.canonical.gpu.name,
-            KernelTelemetry::cached(&entry.report),
-        );
-        let result = Shared::result_from_entry(&job.key, &entry, true, job.wire_version);
-        job.responder.send(&OptimizeResponse::Ok(result));
+    if shared.serve_from_store(job, fault.as_ref()) {
         return;
     }
     // The per-job token: fires on the request deadline or the server-wide
@@ -878,46 +815,34 @@ fn handle_job(shared: &Shared, job: &mut Job) {
         }
     }
     match compute(shared, &job.canonical, &job.key, &cancel) {
-        Ok((report, telemetry, false)) => {
-            let entry = StoreEntry {
-                schema_version: STORE_SCHEMA_VERSION,
-                canonical: job.key.canonical.clone(),
-                arch: job.key.arch.clone(),
-                kernel: job.key.kernel.clone(),
-                seed: job.canonical.seed,
-                generation: 0, // stamped by the store's put()
-                checksum: String::new(),
-                report,
-            }
-            .seal();
-            if let Err(err) = shared.store.put(&job.key, entry.clone()) {
-                eprintln!("cuasmrld: failed to persist store entry: {err}");
-            }
-            shared.lock_stats().computed += 1;
-            shared.record_telemetry(&job.canonical.gpu.name, telemetry);
-            let result = Shared::result_from_entry(&job.key, &entry, false, job.wire_version);
-            job.responder.send(&OptimizeResponse::Ok(result));
-        }
-        Ok((report, telemetry, true)) => {
-            // Preempted: the degraded best-so-far answer goes to the client
-            // but never into the schedule store — the persisted checkpoint
-            // is the artifact that survives, and a re-ask resumes from it.
-            {
+        Ok((report, telemetry, preempted)) => {
+            if preempted {
+                // The degraded best-so-far answer goes to the client but
+                // never into the schedule store — the persisted checkpoint
+                // is the artifact that survives, and a re-ask resumes from
+                // it.
                 let mut stats = shared.lock_stats();
                 stats.preempted += 1;
                 stats.degraded += 1;
+            } else {
+                let entry = StoreEntry {
+                    schema_version: STORE_SCHEMA_VERSION,
+                    canonical: job.key.canonical.clone(),
+                    arch: job.key.arch.clone(),
+                    kernel: job.key.kernel.clone(),
+                    seed: job.canonical.seed,
+                    generation: 0, // stamped by the store's put()
+                    checksum: String::new(),
+                    report: report.clone(),
+                }
+                .seal();
+                if let Err(err) = shared.store.put(&job.key, entry) {
+                    eprintln!("cuasmrld: failed to persist store entry: {err}");
+                }
+                shared.lock_stats().computed += 1;
             }
             shared.record_telemetry(&job.canonical.gpu.name, telemetry);
-            let result = OptimizeResult {
-                protocol_version: job.wire_version,
-                arch: job.key.arch.clone(),
-                kernel: job.key.kernel.clone(),
-                request_key: job.key.digest.clone(),
-                from_store: false,
-                degraded: true,
-                report,
-            };
-            job.responder.send(&OptimizeResponse::Ok(result));
+            job.answer(report, false, preempted);
         }
         Err(message) => {
             job.responder

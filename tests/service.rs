@@ -276,6 +276,21 @@ fn malformed_traffic_gets_typed_rejections_not_hangs_or_panics() {
         ErrorCode::BadRequest
     );
     assert_eq!(server.stats().computed, 0);
+
+    // Every rejection above is counted exactly once, whichever frame shape
+    // carried it: garbage JSON and non-UTF-8 in a bare first frame count
+    // like the same damage in a session frame does. Framing damage (the
+    // oversized prefix) is connection-level and is not a rejected request.
+    let non_utf8: OptimizeResponse = {
+        let raw = client.request_raw(b"\xff\xfe{}").expect("exchange");
+        serde_json::from_str(std::str::from_utf8(&raw).unwrap()).expect("typed response")
+    };
+    assert_eq!(expect_err(non_utf8).code, ErrorCode::BadRequest);
+    assert_eq!(
+        server.stats().rejected,
+        5,
+        "garbage, wrong version, two unknown names, non-UTF-8"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -552,6 +567,29 @@ fn a_malformed_session_frame_poisons_only_its_request_id_never_the_connection() 
     );
     assert_eq!(after.kernel, "bmm");
     assert_eq!(server.stats().rejected, 2, "exactly the two damaged frames");
+
+    // The same damage as the *first* frame of a connection: the id is
+    // salvageable, so it is a session frame — request 7 gets its tagged
+    // BadRequest (not an untagged one the reader could never route) and
+    // the session it opened keeps serving.
+    let damaged_first = ClientBuilder::new(server.local_addr())
+        .connect()
+        .expect("second session connects");
+    let poisoned = damaged_first.expect(7);
+    damaged_first
+        .send_raw(br#"{"request_id": 7, "body": {"bogus": true}}"#)
+        .expect("send malformed body first");
+    assert_eq!(
+        expect_err(poisoned.wait().expect("poisoned first frame")).code,
+        ErrorCode::BadRequest
+    );
+    let served = expect_ok(
+        damaged_first
+            .request(&OptimizeRequest::table2("softmax", "ampere"))
+            .expect("the session outlives its damaged first frame"),
+    );
+    assert!(served.from_store);
+    assert_eq!(server.stats().rejected, 3);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -721,6 +759,144 @@ fn the_load_generator_proves_zero_failures_and_warm_phase_hit_economics() {
     assert_eq!(manifest.suite, cuasmrld::SERVICE_SUITE_LABEL);
     assert_eq!(manifest.kernels.len(), report.ok);
     assert!(manifest.kernels.iter().any(|k| k.from_deploy_cache));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One raw exchange on a fresh connection: `wire` is written as-is (so the
+/// caller controls the framing), the answer frame is returned, and the
+/// server must then close — a bare first frame is a one-request session.
+fn bare_exchange(addr: std::net::SocketAddr, wire: &[u8]) -> String {
+    use std::io::{Read as _, Write as _};
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(wire).expect("send");
+    let frame = cuasmrld::read_frame(&mut stream).expect("answer frame");
+    let mut probe = [0u8; 1];
+    assert_eq!(
+        stream.read(&mut probe).expect("clean close"),
+        0,
+        "a bare-frame connection must close after its one exchange"
+    );
+    String::from_utf8(frame).expect("answers are UTF-8 JSON")
+}
+
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    cuasmrld::write_frame(&mut wire, payload).unwrap();
+    wire
+}
+
+#[test]
+fn every_bare_first_frame_outcome_is_pinned_by_literal_bytes_and_closes_after_one_exchange() {
+    // Response bytes captured at the commit before the v1 path was folded
+    // into the session path (PR 23); the fold must leave every one of them
+    // byte-identical. The `Ok` store-hit outcome is pinned by
+    // `a_v1_client_frame_gets_byte_identical_v1_answers_…` above.
+    let dir = temp_dir("golden");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(fast_config(&dir)).expect("daemon starts");
+    let addr = server.local_addr();
+    let oversized = (cuasmrld::MAX_FRAME_LEN + 1).to_be_bytes();
+    let goldens: [(&str, Vec<u8>, &str); 7] = [
+        (
+            "status probe on a fresh daemon",
+            framed(br#"{"protocol_version":1,"query":"status"}"#),
+            concat!(
+                r#"{"Status":{"protocol_version":1,"stats":{"requests":0,"store_hits":0,"#,
+                r#""computed":0,"busy":0,"rejected":0,"deadline_expired":0,"preempted":0,"#,
+                r#""degraded":0,"worker_panics":0,"status_served":1,"injected_faults":0,"#,
+                r#""checksum_failures":0},"store":{"hits":0,"misses":0,"disk_hits":0,"#,
+                r#""entries_in_memory":0,"skipped_at_open":0,"tmp_swept":0,"lru_bytes":0,"#,
+                r#""checksum_failures":0,"journal_replayed":0,"journal_torn":0,"generation":1},"#,
+                r#""workers":2,"queue_capacity":32,"queue_depth":0,"draining":false}}"#
+            ),
+        ),
+        (
+            "not JSON",
+            framed(b"definitely not json"),
+            concat!(
+                r#"{"Err":{"code":"BadRequest","message":"invalid request JSON: "#,
+                r#"unexpected Some('d') at offset 0","queue_depth":null}}"#
+            ),
+        ),
+        (
+            "not UTF-8",
+            framed(b"\xff\xfe{}"),
+            concat!(
+                r#"{"Err":{"code":"BadRequest","message":"invalid request JSON: "#,
+                r#"invalid utf-8 sequence of 1 bytes from index 0","queue_depth":null}}"#
+            ),
+        ),
+        (
+            "wrong protocol_version",
+            framed(br#"{"protocol_version":99,"kernel":"softmax","arch":"ampere"}"#),
+            concat!(
+                r#"{"Err":{"code":"UnsupportedVersion","message":"protocol version 99 is not "#,
+                r#"supported (this server speaks 2, and still accepts 1)","queue_depth":null}}"#
+            ),
+        ),
+        (
+            "unknown kernel",
+            framed(br#"{"protocol_version":2,"kernel":"conv3d","arch":"ampere"}"#),
+            concat!(
+                r#"{"Err":{"code":"BadRequest","message":"unknown kernel `conv3d` (expected one "#,
+                r#"of: bmm, fused_ff, flash-attention, mmLeakyReLu, softmax, rmsnorm)","#,
+                r#""queue_depth":null}}"#
+            ),
+        ),
+        (
+            "deadline_ms = 0",
+            framed(
+                br#"{"protocol_version":2,"kernel":"fused_ff","arch":"ampere","deadline_ms":0}"#,
+            ),
+            concat!(
+                r#"{"Err":{"code":"DeadlineExceeded","message":"deadline of 0 ms expired while "#,
+                r#"queued","queue_depth":null}}"#
+            ),
+        ),
+        (
+            "oversized length prefix",
+            oversized.to_vec(),
+            concat!(
+                r#"{"Err":{"code":"BadRequest","message":"malformed frame: frame length 16777217 "#,
+                r#"exceeds MAX_FRAME_LEN (16777216)","queue_depth":null}}"#
+            ),
+        ),
+    ];
+    for (outcome, wire, golden) in &goldens {
+        assert_eq!(bare_exchange(addr, wire), *golden, "{outcome}");
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // `Busy`: no workers and a one-slot queue, the slot taken by a parked
+    // bare request that is never answered.
+    let mut config = fast_config(&dir);
+    config.workers = 0;
+    config.queue_capacity = 1;
+    let server = Server::start(config).expect("daemon starts");
+    let addr = server.local_addr();
+    let mut parked = TcpStream::connect(addr).expect("connect");
+    let occupant = br#"{"protocol_version":2,"kernel":"bmm","arch":"ampere","seed":0}"#;
+    cuasmrld::write_frame(&mut parked, occupant).expect("park a request");
+    while server.queue_depth() == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        bare_exchange(
+            addr,
+            &framed(br#"{"protocol_version":2,"kernel":"bmm","arch":"ampere","seed":1}"#)
+        ),
+        concat!(
+            r#"{"Err":{"code":"Busy","message":"admission queue is full (1 pending); "#,
+            r#"retry later","queue_depth":1}}"#
+        ),
+        "Busy from a full queue"
+    );
+    drop(parked);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

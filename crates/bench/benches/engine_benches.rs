@@ -1,7 +1,6 @@
 //! Criterion benches over [`gpusim::SmSimulator::run_compiled`] — the kernel
-//! execution under every autotune candidate, baseline recording and delta
-//! evaluation — on the three shapes whose cost the event-driven
-//! `CycleEngine` splits differently:
+//! execution under every autotune candidate and every reward — on the three
+//! shapes whose cost the event-driven `CycleEngine` splits differently:
 //!
 //! * `idle_gemm`: a fused-GEMM autotune candidate with four resident warps
 //!   that issues in about a third of its cycles; idle-stretch jumps carry it.

@@ -55,11 +55,12 @@ fn bench_table1_microbenchmark(c: &mut Criterion) {
 fn bench_fig6_optimization(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_optimize");
     group.sample_size(10);
+    let gpu = GpuConfig::a100();
     for kind in [KernelKind::MatmulLeakyRelu, KernelKind::Softmax] {
         group.bench_with_input(
             BenchmarkId::from_parameter(kind.name()),
             &kind,
-            |b, &kind| b.iter(|| optimize_kernel(kind, 16, 6)),
+            |b, &kind| b.iter(|| optimize_kernel(&gpu, kind, 16, 6)),
         );
     }
     group.finish();

@@ -5,32 +5,32 @@
 //! ```text
 //! # Run the fig6 suite harness over an arch x suite matrix plus the Table-1
 //! # stall micro-benchmarks, and emit the canonical BENCH_*.json artifact:
-//! bench_report run [--out PATH] [--runs N] [--scale N] [--jobs N] [--smoke]
+//! bench_report run [--out PATH] [--scale N] [--jobs N] [--smoke]
 //!                  [--arch NAME[,NAME...]] [--suite NAME[,NAME...]]
 //!
 //! # Diff a candidate report against a baseline; exit 1 on regression:
 //! bench_report compare BASELINE CANDIDATE
 //! ```
 //!
-//! `compare` gates deterministic simulator outputs only: the geometric-mean
-//! speedup, verified-kernel counts, stall tables and the delta sweep's
-//! tallies and engine-step count. Wall clock is printed as information and
-//! never compared — wall-clock claims belong to the repo benchmark
-//! (`benchmarks/`).
+//! The report holds deterministic simulator outputs only and `compare` gates
+//! all of them: the geometric-mean speedup, verified-kernel counts, the
+//! simulator's engine-step count and the stall tables. Wall-clock claims
+//! belong to the repo benchmark (`benchmarks/`).
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use bench::{
-    compare_reports, delta_sweep, edit_sweep, iqr_ms, median_ms, suite_driver, ArchStalls,
-    BenchCell, BenchReport, BenchRunConfig, HarnessArgs, OpStall, BENCH_REPORT_SCHEMA_VERSION,
-    SMOKE_SCALE, STALL_TABLE_OPS,
+    compare_reports, harness_config, suite_driver, ArchStalls, BenchCell, BenchReport,
+    BenchRunConfig, HarnessArgs, OpStall, BENCH_REPORT_SCHEMA_VERSION, SMOKE_SCALE,
+    STALL_TABLE_OPS,
 };
 use cuasmrl::dependency_based_stall;
+use gpusim::{resident_warps, CompiledProgram, SmSimulator};
+use kernels::{generate, ScheduleStyle};
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
-    eprintln!("usage: bench_report run [--out PATH] [--runs N] [--scale N] [--jobs N] [--smoke]");
+    eprintln!("usage: bench_report run [--out PATH] [--scale N] [--jobs N] [--smoke]");
     eprintln!("                        [--arch NAME[,NAME...]] [--suite NAME[,NAME...]]");
     eprintln!("       bench_report compare BASELINE CANDIDATE");
     ExitCode::from(2)
@@ -70,10 +70,29 @@ fn parse_names(value: &str, valid: &[String], what: &str) -> Result<Vec<String>,
     Ok(names)
 }
 
-#[allow(clippy::too_many_lines)] // linear CLI plumbing
+/// Engine steps of simulating each baseline kernel of the cell once — the
+/// simulation every reward of a search over these kernels is earned by.
+fn baseline_sim_steps(harness: &HarnessArgs) -> u64 {
+    let gpu = harness.gpu();
+    let simulator = SmSimulator::new(gpu.clone());
+    let mut steps = 0;
+    for entry in &harness.workload().entries {
+        let spec = entry.spec(harness.scale);
+        let kernel = generate(&spec, &harness_config(entry.kind), ScheduleStyle::Baseline);
+        let output = simulator.run_compiled(
+            &CompiledProgram::compile(&kernel.program, &gpu),
+            resident_warps(&gpu, &kernel.launch),
+            0,
+            &kernel.launch.constant_bank(),
+            kernel.launch.max_cycles,
+        );
+        steps += output.work.steps;
+    }
+    steps
+}
+
 fn run_mode(args: &[String]) -> ExitCode {
     let mut out = std::path::PathBuf::from("bench_report.json");
-    let mut runs = 3usize;
     let mut scale: Option<usize> = None;
     let mut jobs = 4usize;
     let mut smoke = false;
@@ -93,10 +112,6 @@ fn run_mode(args: &[String]) -> ExitCode {
             "--out" => match iter.next() {
                 Some(path) => out = std::path::PathBuf::from(path),
                 None => return usage("--out requires a path"),
-            },
-            "--runs" => match iter.next().map(|v| v.parse()) {
-                Some(Ok(n)) if n > 0 => runs = n,
-                _ => return usage("--runs requires a positive integer"),
             },
             "--scale" => match iter.next().map(|v| v.parse()) {
                 Some(Ok(n)) if n > 0 => scale = Some(n),
@@ -137,75 +152,15 @@ fn run_mode(args: &[String]) -> ExitCode {
                 suite: suite.clone(),
                 report_dir: None,
             };
-            let workload = harness.workload();
             let driver = suite_driver(&harness, harness.budget_moves(48));
-            let mut runs_ms = Vec::with_capacity(runs);
-            let mut last = None;
-            for run in 0..runs {
-                let start = Instant::now();
-                let report = driver.optimize_workload(&workload, harness.scale);
-                runs_ms.push(start.elapsed().as_secs_f64() * 1e3);
-                eprintln!(
-                    "{arch}/{suite} run {}/{runs}: {:.1} ms (geomean {:.3}x, {}/{} verified)",
-                    run + 1,
-                    runs_ms[run],
-                    report.geomean_speedup,
-                    report.verified,
-                    report.reports.len()
-                );
-                last = Some(report);
-            }
-            let report = last.expect("runs >= 1");
-            // Deterministic delta-engine health sweep for this cell: every
-            // legal single swap of the suite's kernels evaluated once
-            // through the incremental engine (gated by `compare`).
-            let sweep = delta_sweep(&harness.gpu(), &workload, harness.scale);
+            let report = driver.optimize_workload(&harness.workload(), harness.scale);
             cells.push(BenchCell {
                 arch: arch.clone(),
                 suite: suite.clone(),
-                median_ms: median_ms(&runs_ms),
-                iqr_ms: iqr_ms(&runs_ms),
-                runs_ms,
                 geomean_speedup: report.geomean_speedup,
                 verified: report.verified,
                 kernels: report.reports.len(),
-                delta_spliced: sweep.spliced,
-                delta_resumed: sweep.resumed,
-                delta_fallbacks: sweep.fallbacks,
-                sim_steps: sweep.sim_steps,
-            });
-            // Companion cell: the same suite swept through the *rich* edit
-            // set (block moves, reuse toggles, stall retunes, barrier
-            // edits). The wall-clock samples time the sweep itself — the
-            // multi-edit delta splice rate — and the tallies are gated by
-            // the same fallback ceiling as the swap sweep. The quality
-            // fields are fixed (nothing is optimized here), so old
-            // baselines without this cell still compare clean.
-            let mut edit_runs_ms = Vec::with_capacity(runs);
-            let mut edit_tallies = None;
-            for _ in 0..runs {
-                let start = Instant::now();
-                edit_tallies = Some(edit_sweep(&harness.gpu(), &workload, harness.scale));
-                edit_runs_ms.push(start.elapsed().as_secs_f64() * 1e3);
-            }
-            let edit_tallies = edit_tallies.expect("runs >= 1");
-            eprintln!(
-                "{arch}/{suite}-edits sweep: {} spliced, {} resumed, {} fallbacks",
-                edit_tallies.spliced, edit_tallies.resumed, edit_tallies.fallbacks
-            );
-            cells.push(BenchCell {
-                arch: arch.clone(),
-                suite: format!("{suite}-edits"),
-                median_ms: median_ms(&edit_runs_ms),
-                iqr_ms: iqr_ms(&edit_runs_ms),
-                runs_ms: edit_runs_ms,
-                geomean_speedup: 1.0,
-                verified: workload.entries.len(),
-                kernels: workload.entries.len(),
-                delta_spliced: edit_tallies.spliced,
-                delta_resumed: edit_tallies.resumed,
-                delta_fallbacks: edit_tallies.fallbacks,
-                sim_steps: edit_tallies.sim_steps,
+                sim_steps: baseline_sim_steps(&harness),
             });
         }
     }
@@ -236,12 +191,7 @@ fn run_mode(args: &[String]) -> ExitCode {
     let report = BenchReport {
         schema_version: BENCH_REPORT_SCHEMA_VERSION,
         tool: "bench_report".to_string(),
-        config: BenchRunConfig {
-            scale,
-            jobs,
-            smoke,
-            runs,
-        },
+        config: BenchRunConfig { scale, jobs, smoke },
         cells,
         stall_counts,
     };
@@ -257,19 +207,16 @@ fn run_mode(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "{:<24} {:>11} {:>9} {:>9} {:>10} {:>14} {:>10}",
-        "cell", "median_ms", "iqr_ms", "geomean", "verified", "delta_fallback", "sim_steps"
+        "{:<24} {:>9} {:>10} {:>10}",
+        "cell", "geomean", "verified", "sim_steps"
     );
     for cell in &report.cells {
         println!(
-            "{:<24} {:>11.1} {:>9.1} {:>8.3}x {:>7}/{} {:>13.1}% {:>10}",
+            "{:<24} {:>8.3}x {:>7}/{} {:>10}",
             cell.key(),
-            cell.median_ms,
-            cell.iqr_ms,
             cell.geomean_speedup,
             cell.verified,
             cell.kernels,
-            cell.delta_fallback_rate() * 100.0,
             cell.sim_steps
         );
     }
@@ -310,29 +257,22 @@ fn compare_mode(args: &[String]) -> ExitCode {
         }
     };
     println!(
-        "comparing {} (candidate) against {} (baseline): \
-         deterministic fields gated, wall clock shown for information",
+        "comparing {} (candidate) against {} (baseline)",
         candidate_path.display(),
         baseline_path.display()
     );
     for base in &baseline.cells {
         if let Some(cand) = candidate.cell(&base.arch, &base.suite) {
             println!(
-                "{:<24} median {:>8.1} -> {:>8.1} ms ({:+.1}%)  geomean {:.3}x -> {:.3}x  \
-                 verified {}/{} -> {}/{}  delta fallback {:.1}% -> {:.1}%  \
+                "{:<24} geomean {:.3}x -> {:.3}x  verified {}/{} -> {}/{}  \
                  sim steps {} -> {}",
                 base.key(),
-                base.median_ms,
-                cand.median_ms,
-                (cand.median_ms / base.median_ms.max(1e-9) - 1.0) * 100.0,
                 base.geomean_speedup,
                 cand.geomean_speedup,
                 base.verified,
                 base.kernels,
                 cand.verified,
                 cand.kernels,
-                base.delta_fallback_rate() * 100.0,
-                cand.delta_fallback_rate() * 100.0,
                 base.sim_steps,
                 cand.sim_steps
             );

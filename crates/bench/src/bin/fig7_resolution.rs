@@ -1,34 +1,36 @@
 //! Figure 7: percentages of stall-count dependencies resolved by the
 //! built-in table (db), inferred by the analysis pass, or denylisted, over
-//! the evaluated kernel suite.
+//! the evaluated kernel suite. `--arch` selects the architecture whose
+//! built-in table resolves the dependencies, `--suite` the kernels.
 
-use bench::{harness_config, DEFAULT_SCALE};
+use bench::{harness_config, HarnessArgs, DEFAULT_SCALE};
 use cuasmrl::{analyze, StallTable};
-use kernels::{generate, KernelKind, KernelSpec, ScheduleStyle};
+use kernels::{generate, ScheduleStyle};
 
 fn main() {
-    let scale: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SCALE);
-    let table = StallTable::builtin_a100();
-    println!("Figure 7 — stall-count dependency resolution (percent of memory instructions)");
+    let args = HarnessArgs::parse(DEFAULT_SCALE);
+    let table = StallTable::for_arch(&args.gpu().arch);
+    let workload = args.workload();
+    println!(
+        "Figure 7 — stall-count dependency resolution (percent of memory instructions){}",
+        args.selection_suffix()
+    );
     println!(
         "{:<16} {:>8} {:>12} {:>10}",
         "kernel", "db", "infer-only", "denylist"
     );
     let mut totals = (0.0, 0.0, 0.0);
-    for kind in KernelKind::all() {
-        let spec = KernelSpec::scaled(kind, scale);
-        let kernel = generate(&spec, &harness_config(kind), ScheduleStyle::Baseline);
+    for entry in &workload.entries {
+        let spec = entry.spec(args.scale);
+        let kernel = generate(&spec, &harness_config(entry.kind), ScheduleStyle::Baseline);
         let analysis = analyze(&kernel.program, &table);
         let (db, infer, deny) = analysis.breakdown.percentages();
-        println!("{:<16} {db:>7.1}% {infer:>11.1}% {deny:>9.1}%", kind.name());
+        println!("{:<16} {db:>7.1}% {infer:>11.1}% {deny:>9.1}%", entry.label);
         totals.0 += db;
         totals.1 += infer;
         totals.2 += deny;
     }
-    let n = KernelKind::all().len() as f64;
+    let n = workload.entries.len() as f64;
     println!(
         "{:<16} {:>7.1}% {:>11.1}% {:>9.1}%   (paper averages: 41.7% / 29.2% / rest)",
         "average",

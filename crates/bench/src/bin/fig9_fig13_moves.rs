@@ -2,28 +2,27 @@
 //! fused GEMM + LeakyReLU and batch-matmul kernels — hoisting asynchronous
 //! copies so that tensor-core instructions (with `.reuse` operands) stay
 //! adjacent, and scheduling `LDGSTS` ahead of predicated-off `@!PT LDS`
-//! instructions.
+//! instructions. `--arch` selects the simulated device.
 
-use bench::{optimize_kernel, DEFAULT_SCALE};
+use bench::{optimize_kernel, HarnessArgs, DEFAULT_SCALE};
 use kernels::KernelKind;
 
 fn main() {
-    let scale: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SCALE);
+    let args = HarnessArgs::parse(DEFAULT_SCALE);
+    let gpu = args.gpu();
     for (figure, kind) in [
         ("Figure 9", KernelKind::MatmulLeakyRelu),
         ("Figure 13", KernelKind::BatchMatmul),
     ] {
-        let report = optimize_kernel(kind, scale, 20);
+        let report = optimize_kernel(&gpu, kind, args.scale, args.budget_moves(20));
         println!(
-            "{figure} — {}: {:.2} us -> {:.2} us ({:.2}x, verified={})",
+            "{figure} — {}: {:.2} us -> {:.2} us ({:.2}x, verified={}){}",
             kind.name(),
             report.baseline_us,
             report.optimized_us,
             report.speedup,
-            report.verified
+            report.verified,
+            args.selection_suffix()
         );
         let mut ldgsts_moves = 0usize;
         for m in &report.moves {

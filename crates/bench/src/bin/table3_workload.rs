@@ -1,20 +1,17 @@
 //! Table 3 and Figures 10/11: Nsight-style compute/memory workload analysis
 //! and memory chart of the fused GEMM + LeakyReLU kernel, for the CuAsmRL
-//! and Triton schedules.
+//! and Triton schedules. `--arch` selects the simulated device.
 
-use bench::{harness_config, DEFAULT_SCALE};
+use bench::{harness_config, HarnessArgs, DEFAULT_SCALE};
 use cuasmrl::{CuAsmRl, Strategy};
-use gpusim::{simulate_launch, GpuConfig, MemoryChart, WorkloadAnalysis};
+use gpusim::{simulate_launch, MemoryChart, WorkloadAnalysis};
 use kernels::{generate, KernelKind, KernelSpec, ScheduleStyle};
 
 fn main() {
-    let scale: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SCALE);
-    let gpu = GpuConfig::a100();
+    let args = HarnessArgs::parse(DEFAULT_SCALE);
+    let gpu = args.gpu();
     let kind = KernelKind::MatmulLeakyRelu;
-    let spec = KernelSpec::scaled(kind, scale);
+    let spec = KernelSpec::scaled(kind, args.scale);
     let kernel = generate(&spec, &harness_config(kind), ScheduleStyle::Baseline);
 
     let optimizer = CuAsmRl::new(gpu.clone(), Strategy::Greedy { max_moves: 16 });
@@ -27,7 +24,10 @@ fn main() {
     let triton = WorkloadAnalysis::from_run(&gpu, &triton_run);
     let cuasmrl = WorkloadAnalysis::from_run(&gpu, &cuasmrl_run);
 
-    println!("Table 3 — compute and memory workload analysis (fused GEMM + LeakyReLU)");
+    println!(
+        "Table 3 — compute and memory workload analysis (fused GEMM + LeakyReLU){}",
+        args.selection_suffix()
+    );
     println!("{:<36} {:>10} {:>10}", "metric", "CuAsmRL", "Triton");
     let row = |name: &str, a: f64, b: f64| println!("{name:<36} {a:>10.2} {b:>10.2}");
     row(

@@ -14,11 +14,11 @@
 mod report;
 
 pub use report::{
-    compare_reports, iqr_ms, median_ms, ArchStalls, BenchCell, BenchReport, BenchRunConfig,
-    OpStall, BENCH_REPORT_SCHEMA_VERSION, DELTA_FALLBACK_CEILING,
+    compare_reports, ArchStalls, BenchCell, BenchReport, BenchRunConfig, OpStall,
+    BENCH_REPORT_SCHEMA_VERSION,
 };
 
-use cuasmrl::{ActionSpace, CuAsmRl, GameConfig, OptimizationReport, Strategy, SuiteOptimizer};
+use cuasmrl::{CuAsmRl, GameConfig, OptimizationReport, Strategy, SuiteOptimizer};
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{
     find_suite, generate, ConfigSpace, KernelConfig, KernelKind, KernelSpec, ScheduleStyle,
@@ -272,86 +272,8 @@ pub fn suite_driver(args: &HarnessArgs, budget_moves: usize) -> SuiteOptimizer {
     }
 }
 
-/// Outcome tallies of a [`delta_sweep`] or [`edit_sweep`]: every *legal* edit
-/// of a suite's kernels, evaluated once through the incremental delta engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaSweep {
-    /// Edits whose evaluation reconverged with the baseline and spliced its
-    /// tail (or were provably unobservable).
-    pub spliced: u64,
-    /// Edits that re-simulated to completion but resumed past the shared
-    /// prefix (partial reuse).
-    pub resumed: u64,
-    /// Edits that fell back to a full re-simulation from cycle zero.
-    pub fallbacks: u64,
-    /// `CycleEngine` steps the whole sweep took — baseline recordings plus
-    /// every delta evaluation ([`gpusim::SimWork::steps`]). Exact on any
-    /// machine, so the perf gate compares it without a tolerance.
-    pub sim_steps: u64,
-}
-
-/// Deterministically sweeps the delta engine over every legal single swap of
-/// every kernel in `suite` at problem scale `1/scale` on `gpu`: records a
-/// baseline per kernel, evaluates each masked-legal adjacent swap
-/// incrementally and tallies how each evaluation was obtained. Pure
-/// simulator output — two runs on any machine produce identical tallies —
-/// which makes the fallback rate a machine-independent regression signal
-/// for the engine's reconvergence detection.
-#[must_use]
-pub fn delta_sweep(gpu: &GpuConfig, suite: &WorkloadSuite, scale: usize) -> DeltaSweep {
-    sweep(gpu, suite, scale, ActionSpace::AdjacentSwap)
-}
-
-/// The rich-action-space counterpart of [`delta_sweep`]: the same sweep over
-/// every masked-legal [`cuasmrl::ScheduleEdit`] — adjacent swaps,
-/// multi-instruction block moves, reuse-flag toggles, stall retunes and
-/// barrier-wait edits. Content edits touch a single instruction, so their
-/// splice rate is the regression signal for the engine's in-place-edit
-/// reconvergence.
-#[must_use]
-pub fn edit_sweep(gpu: &GpuConfig, suite: &WorkloadSuite, scale: usize) -> DeltaSweep {
-    sweep(gpu, suite, scale, ActionSpace::Rich)
-}
-
-/// Evaluates every masked-legal edit of `space` on every kernel of `suite`
-/// once through the incremental delta engine.
-fn sweep(gpu: &GpuConfig, suite: &WorkloadSuite, scale: usize, space: ActionSpace) -> DeltaSweep {
-    use cuasmrl::{analyze, schedule_edits, StallTable};
-    use gpusim::{CompiledProgram, DeltaEngine, DeltaOutcome};
-    let mut tally = DeltaSweep::default();
-    for entry in &suite.entries {
-        let spec = entry.spec(scale);
-        let kernel = generate(&spec, &harness_config(entry.kind), ScheduleStyle::Baseline);
-        let table = StallTable::for_arch(&gpu.arch);
-        let analysis = analyze(&kernel.program, &table);
-        let movable = analysis.movable_memory_indices();
-        let edits = schedule_edits(&kernel.program, &movable, &analysis, &table, space);
-        let compiled = CompiledProgram::compile(&kernel.program, gpu);
-        let mut engine = DeltaEngine::for_launch(gpu.clone(), &kernel.launch);
-        let baseline = engine.record_baseline(&compiled);
-        for edit in edits.into_iter().flatten() {
-            let mut mutated_program = kernel.program.clone();
-            if !edit.apply(&mut mutated_program) {
-                continue;
-            }
-            let mut mutated = compiled.clone();
-            edit.apply_to_compiled(&mut mutated, &mutated_program, gpu);
-            let (_, outcome) = engine.simulate_delta(&baseline, &mutated, &edit.touched_indices());
-            match outcome {
-                DeltaOutcome::Unchanged | DeltaOutcome::Spliced { .. } => tally.spliced += 1,
-                DeltaOutcome::Resimulated { resumed_cycle } if resumed_cycle > 0 => {
-                    tally.resumed += 1;
-                }
-                DeltaOutcome::Resimulated { .. } => tally.fallbacks += 1,
-            }
-        }
-        tally.sim_steps += engine.work().steps;
-    }
-    tally
-}
-
-/// Optimizes one kernel of the suite on the A100-like device, returning the
-/// report (used by several figures).
+/// Optimizes one kernel of the suite on `gpu`, returning the report (used
+/// by several figures).
 ///
 /// The harness defaults to the (1+1) evolutionary searcher over the same
 /// masked assembly game: single adjacent swaps often change the runtime of a
@@ -361,7 +283,12 @@ fn sweep(gpu: &GpuConfig, suite: &WorkloadSuite, scale: usize, space: ActionSpac
 /// for CI. `Strategy::Rl` (the paper's default) is exercised by the
 /// `fig8_hyperparams` harness and the `train_rl_agent` example.
 #[must_use]
-pub fn optimize_kernel(kind: KernelKind, scale: usize, budget_moves: usize) -> OptimizationReport {
+pub fn optimize_kernel(
+    gpu: &GpuConfig,
+    kind: KernelKind,
+    scale: usize,
+    budget_moves: usize,
+) -> OptimizationReport {
     let spec = KernelSpec::scaled(kind, scale);
     let config = harness_config(kind);
     let kernel = generate(&spec, &config, ScheduleStyle::Baseline);
@@ -371,7 +298,7 @@ pub fn optimize_kernel(kind: KernelKind, scale: usize, budget_moves: usize) -> O
         ..GameConfig::default()
     };
     let optimizer = CuAsmRl::new(
-        GpuConfig::a100(),
+        gpu.clone(),
         Strategy::Evolutionary {
             generations: budget_moves.max(8),
             mutation_length: 24,

@@ -1,26 +1,28 @@
 //! The canonical benchmark-report artifact and its regression comparator.
 //!
 //! `bench_report run` emits a [`BenchReport`]: one [`BenchCell`] per
-//! (architecture × workload suite) combination holding the wall-clock
-//! samples of repeated full suite passes (median + interquartile range) next
-//! to the machine-independent quality metrics of the run (geometric-mean
-//! speedup, verified-kernel count), plus the deterministic
-//! dependency-measured stall table per architecture. `bench_report compare`
-//! diffs a candidate report against a committed baseline with
-//! [`compare_reports`] and fails (nonzero exit) on any regression — this is
-//! what gates CI.
+//! (architecture × workload suite) combination holding the
+//! machine-independent products of one full suite pass (geometric-mean
+//! speedup, verified-kernel count, simulator engine steps), plus the
+//! deterministic dependency-measured stall table per architecture.
+//! `bench_report compare` diffs a candidate report against a committed
+//! baseline with [`compare_reports`] and fails (nonzero exit) on any
+//! regression — this is what gates CI.
 //!
-//! Comparison semantics: only deterministic products of the simulator are
-//! gated — the geometric-mean speedup (equal up to last-ulp `libm` slack),
-//! verified-kernel and coverage counts, the delta sweep's outcome tallies
-//! and engine-step count, and the stall tables. The wall-clock samples are
-//! information: every wall-clock claim belongs to the repo benchmark
-//! (`benchmarks/`, see `docs/PERFORMANCE.md`).
+//! Every field is a deterministic product of the simulator and every field
+//! is gated: the geometric-mean speedup (equal up to last-ulp `libm`
+//! slack), verified-kernel and coverage counts, the engine-step count and
+//! the stall tables. The report carries no wall clock: every wall-clock
+//! claim belongs to the repo benchmark (`benchmarks/`, see
+//! `docs/PERFORMANCE.md`).
 
 use serde::{Deserialize, Serialize};
 
 /// Version of the benchmark-report JSON schema (see `docs/ARTIFACTS.md`).
-pub const BENCH_REPORT_SCHEMA_VERSION: u32 = 1;
+///
+/// v2 dropped the wall-clock samples, the delta-sweep tallies and the
+/// `*-edits` companion cells, and re-sourced `sim_steps`.
+pub const BENCH_REPORT_SCHEMA_VERSION: u32 = 2;
 
 /// The run configuration a report was produced under.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -31,8 +33,6 @@ pub struct BenchRunConfig {
     pub jobs: usize,
     /// Whether the smoke (CI) configuration was used.
     pub smoke: bool,
-    /// Wall-clock samples collected per cell.
-    pub runs: usize,
 }
 
 /// One (architecture × suite) cell of the benchmark matrix.
@@ -42,34 +42,15 @@ pub struct BenchCell {
     pub arch: String,
     /// Workload-registry suite name.
     pub suite: String,
-    /// Wall-clock of each full suite pass, milliseconds, in run order.
-    pub runs_ms: Vec<f64>,
-    /// Median of `runs_ms`.
-    pub median_ms: f64,
-    /// Interquartile range of `runs_ms`.
-    pub iqr_ms: f64,
     /// Geometric-mean speedup over the `-O3` baseline (deterministic).
     pub geomean_speedup: f64,
     /// Kernels whose optimized schedule verified (deterministic).
     pub verified: usize,
     /// Total kernels in the suite.
     pub kernels: usize,
-    /// Delta-engine sweep: legal single swaps whose incremental evaluation
-    /// spliced the baseline tail (or was provably unobservable).
-    /// Deterministic; absent (zero) in pre-delta reports.
-    #[serde(default)]
-    pub delta_spliced: u64,
-    /// Sweep evaluations that re-simulated but reused the shared prefix.
-    #[serde(default)]
-    pub delta_resumed: u64,
-    /// Sweep evaluations that fell back to a full re-simulation from cycle
-    /// zero. Gated below 20% of the sweep by [`compare_reports`].
-    #[serde(default)]
-    pub delta_fallbacks: u64,
-    /// Simulator engine steps the delta sweep took (baseline recordings
-    /// included). Deterministic, so [`compare_reports`] fails on any rise;
-    /// absent (zero) in reports predating the counter.
-    #[serde(default)]
+    /// `CycleEngine` steps of simulating each of the suite's baseline
+    /// kernels once ([`gpusim::SimWork::steps`], summed): the work counter
+    /// of the simulation every reward is earned by. Exact on any machine.
     pub sim_steps: u64,
 }
 
@@ -79,30 +60,7 @@ impl BenchCell {
     pub fn key(&self) -> String {
         format!("{}/{}", self.arch, self.suite)
     }
-
-    /// Total delta-sweep evaluations recorded in this cell (0 for reports
-    /// predating the delta engine).
-    #[must_use]
-    pub fn delta_attempts(&self) -> u64 {
-        self.delta_spliced + self.delta_resumed + self.delta_fallbacks
-    }
-
-    /// `delta_fallbacks / delta_attempts`, 0 when no sweep was recorded.
-    #[must_use]
-    pub fn delta_fallback_rate(&self) -> f64 {
-        let attempts = self.delta_attempts();
-        if attempts == 0 {
-            0.0
-        } else {
-            self.delta_fallbacks as f64 / attempts as f64
-        }
-    }
 }
-
-/// Ceiling on a cell's delta-engine fallback rate: reconvergence detection
-/// rotting shows up as full re-simulations, so the smoke matrix gates the
-/// rate strictly (the metric is a deterministic simulator output).
-pub const DELTA_FALLBACK_CEILING: f64 = 0.2;
 
 /// One opcode's dependency-measured stall count on one architecture.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -157,8 +115,7 @@ const GEOMEAN_RELATIVE_SLACK: f64 = 1e-9;
 /// Compares a candidate report against a baseline and returns one
 /// human-readable line per regression (empty = no regression). Extra cells
 /// in the candidate (new coverage) are never regressions; cells or
-/// architectures missing from the candidate always are. Wall clock
-/// (`runs_ms`, `median_ms`, `iqr_ms`) is never compared.
+/// architectures missing from the candidate always are.
 #[must_use]
 pub fn compare_reports(baseline: &BenchReport, candidate: &BenchReport) -> Vec<String> {
     let mut regressions = Vec::new();
@@ -191,30 +148,9 @@ pub fn compare_reports(baseline: &BenchReport, candidate: &BenchReport) -> Vec<S
                 base.kernels, cand.kernels
             ));
         }
-        // Delta-engine health: a candidate that recorded a sweep must keep
-        // its fallback rate under the ceiling, and once a baseline carries
-        // sweep data a candidate may not silently drop it.
-        if cand.delta_attempts() > 0 && cand.delta_fallback_rate() >= DELTA_FALLBACK_CEILING {
+        if cand.sim_steps != base.sim_steps {
             regressions.push(format!(
-                "{key}: delta-engine fallback rate {:.1}% reached the {:.0}% ceiling \
-                 ({} fallbacks / {} evaluations)",
-                cand.delta_fallback_rate() * 100.0,
-                DELTA_FALLBACK_CEILING * 100.0,
-                cand.delta_fallbacks,
-                cand.delta_attempts()
-            ));
-        }
-        if base.delta_attempts() > 0 && cand.delta_attempts() == 0 {
-            regressions.push(format!(
-                "{key}: delta-engine sweep missing from candidate (baseline recorded {})",
-                base.delta_attempts()
-            ));
-        }
-        // Engine work of that sweep: an exact count, so any change is
-        // flagged (a baseline predating the counter gates nothing).
-        if base.sim_steps > 0 && cand.sim_steps != base.sim_steps {
-            regressions.push(format!(
-                "{key}: delta-sweep simulator steps changed {} -> {} \
+                "{key}: simulator steps changed {} -> {} \
                  (deterministic work counter; regenerate the baseline if intended)",
                 base.sim_steps, cand.sim_steps
             ));
@@ -253,44 +189,6 @@ pub fn compare_reports(baseline: &BenchReport, candidate: &BenchReport) -> Vec<S
     regressions
 }
 
-/// Median of a sample set (mean of the two central elements for even sizes).
-/// Returns 0 for an empty set.
-#[must_use]
-pub fn median_ms(samples: &[f64]) -> f64 {
-    percentile_pair(samples).map_or(0.0, |sorted| {
-        let n = sorted.len();
-        if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-        }
-    })
-}
-
-/// Interquartile range (q3 - q1, nearest-rank quartiles) of a sample set.
-/// Returns 0 for fewer than two samples.
-#[must_use]
-pub fn iqr_ms(samples: &[f64]) -> f64 {
-    percentile_pair(samples).map_or(0.0, |sorted| {
-        let n = sorted.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let q1 = sorted[(n - 1) / 4];
-        let q3 = sorted[(3 * (n - 1)).div_ceil(4)];
-        q3 - q1
-    })
-}
-
-fn percentile_pair(samples: &[f64]) -> Option<Vec<f64>> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    Some(sorted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,20 +201,13 @@ mod tests {
                 scale: 64,
                 jobs: 4,
                 smoke: true,
-                runs: 5,
             },
             cells: vec![BenchCell {
                 arch: "ampere".to_string(),
                 suite: "table2".to_string(),
-                runs_ms: vec![150.0, 148.0, 162.0, 152.0, 149.0],
-                median_ms: 150.0,
-                iqr_ms: 4.0,
                 geomean_speedup: 1.009,
                 verified: 6,
                 kernels: 6,
-                delta_spliced: 12,
-                delta_resumed: 5,
-                delta_fallbacks: 1,
                 sim_steps: 9_000,
             }],
             stall_counts: vec![ArchStalls {
@@ -342,27 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_fallback_ceiling_gates_the_candidate() {
-        let base = report();
-        // 5 fallbacks of 18 evaluations = 27.8% >= the 20% ceiling.
-        let mut rotted = base.clone();
-        rotted.cells[0].delta_spliced = 9;
-        rotted.cells[0].delta_resumed = 4;
-        rotted.cells[0].delta_fallbacks = 5;
-        let regressions = compare_reports(&base, &rotted);
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0].contains("fallback rate"));
-        // Dropping the sweep entirely is also a regression.
-        let mut missing = base.clone();
-        missing.cells[0].delta_spliced = 0;
-        missing.cells[0].delta_resumed = 0;
-        missing.cells[0].delta_fallbacks = 0;
-        let regressions = compare_reports(&base, &missing);
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-        assert!(regressions[0].contains("sweep missing"));
-    }
-
-    #[test]
     fn sim_step_counter_is_gated_exactly() {
         let base = report();
         let mut more = base.clone();
@@ -377,42 +247,6 @@ mod tests {
         let regressions = compare_reports(&base, &fewer);
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].contains("simulator steps changed 9000 -> 8999"));
-        // A baseline predating the counter gates nothing...
-        let mut old = base.clone();
-        old.cells[0].sim_steps = 0;
-        assert!(compare_reports(&old, &base).is_empty());
-        // ...but a candidate may not silently drop it.
-        let regressions = compare_reports(&base, &old);
-        assert_eq!(regressions.len(), 1, "{regressions:?}");
-    }
-
-    #[test]
-    fn pre_delta_reports_still_parse_with_zero_sweeps() {
-        // A v1-era cell without the delta fields must decode with zeroed
-        // tallies (schema evolution for the committed baseline history).
-        let json = r#"{
-            "arch": "ampere", "suite": "table2",
-            "runs_ms": [150.0], "median_ms": 150.0, "iqr_ms": 0.0,
-            "geomean_speedup": 1.009, "verified": 6, "kernels": 6
-        }"#;
-        let cell: BenchCell = serde_json::from_str(json).expect("pre-delta cells must decode");
-        assert_eq!(cell.delta_attempts(), 0);
-        assert_eq!(cell.delta_fallback_rate(), 0.0);
-        assert_eq!(cell.sim_steps, 0);
-    }
-
-    #[test]
-    fn wall_clock_is_reported_but_never_gated() {
-        let base = report();
-        let mut slow = base.clone();
-        for cell in &mut slow.cells {
-            cell.median_ms *= 100.0;
-            cell.iqr_ms *= 100.0;
-            for run in &mut cell.runs_ms {
-                *run *= 100.0;
-            }
-        }
-        assert!(compare_reports(&base, &slow).is_empty());
     }
 
     #[test]
@@ -466,16 +300,6 @@ mod tests {
         let mut gone = base.clone();
         gone.stall_counts.clear();
         assert!(!compare_reports(&base, &gone).is_empty());
-    }
-
-    #[test]
-    fn median_and_iqr_are_deterministic() {
-        assert_eq!(median_ms(&[]), 0.0);
-        assert_eq!(median_ms(&[3.0]), 3.0);
-        assert_eq!(median_ms(&[4.0, 2.0]), 3.0);
-        assert_eq!(median_ms(&[5.0, 1.0, 3.0]), 3.0);
-        assert_eq!(iqr_ms(&[1.0]), 0.0);
-        assert_eq!(iqr_ms(&[1.0, 2.0, 3.0, 4.0, 5.0]), 2.0);
     }
 
     #[test]

@@ -202,8 +202,8 @@ impl ScheduleEdit {
     }
 
     /// Every instruction index whose content (or position) differs after the
-    /// edit — exactly the `changed` set handed to
-    /// [`gpusim::DeltaEngine::simulate_delta`].
+    /// edit: the observation rows the game re-embeds, and exactly the
+    /// `changed` set [`gpusim::DeltaEngine::simulate_delta`] takes.
     #[must_use]
     pub fn touched_indices(&self) -> Vec<usize> {
         match *self {

@@ -29,12 +29,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use gpusim::{
-    splitmix64, ArchSpec, DeltaOutcome, GpuConfig, LaunchConfig, MeasureOptions, Measurement,
-};
+use gpusim::{splitmix64, ArchSpec, GpuConfig, LaunchConfig, MeasureOptions, Measurement};
 use sass::Program;
 
 /// Cache effectiveness counters, for observability and tests.
@@ -42,29 +39,8 @@ use sass::Program;
 pub struct EvalCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to simulate (fully or incrementally).
+    /// Lookups that had to simulate.
     pub misses: u64,
-    /// Cache misses the delta engine answered without a full re-simulation:
-    /// spliced, provably unchanged, or resumed past the shared prefix.
-    pub delta_hits: u64,
-    /// Delta evaluations that fell back to a full re-simulation from cycle
-    /// zero (no prefix reused, no reconvergence detected).
-    pub delta_fallbacks: u64,
-}
-
-impl EvalCacheStats {
-    /// `delta_fallbacks / (delta_hits + delta_fallbacks)`, 0 when the delta
-    /// engine never ran. The perf-regression gate keeps this under 20% on
-    /// the smoke matrix.
-    #[must_use]
-    pub fn delta_fallback_rate(&self) -> f64 {
-        let attempts = self.delta_hits + self.delta_fallbacks;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.delta_fallbacks as f64 / attempts as f64
-        }
-    }
 }
 
 /// The memo map plus its hit/miss tallies. Keeping the counters under the
@@ -82,8 +58,6 @@ struct Memo {
 #[derive(Debug, Default)]
 pub struct EvalCache {
     memo: Mutex<Memo>,
-    delta_hits: AtomicU64,
-    delta_fallbacks: AtomicU64,
 }
 
 impl EvalCache {
@@ -136,18 +110,6 @@ impl EvalCache {
         memo.map.insert(key, value);
     }
 
-    /// Attributes one simulated miss to the delta engine: an incremental
-    /// evaluation (spliced, provably unchanged or prefix-reusing) counts as
-    /// a `delta_hit`, the full re-simulation from cycle zero as a
-    /// `delta_fallback`.
-    pub fn record_delta_outcome(&self, outcome: &DeltaOutcome) {
-        if outcome.is_fallback() {
-            self.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.delta_hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Number of cached measurements.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -161,15 +123,13 @@ impl EvalCache {
     }
 
     /// The hit/miss counters (one consistent snapshot, read under the
-    /// memo's lock) plus the delta-engine tallies.
+    /// memo's lock).
     #[must_use]
     pub fn stats(&self) -> EvalCacheStats {
         let memo = self.memo();
         EvalCacheStats {
             hits: memo.hits,
             misses: memo.misses,
-            delta_hits: self.delta_hits.load(Ordering::Relaxed),
-            delta_fallbacks: self.delta_fallbacks.load(Ordering::Relaxed),
         }
     }
 }
@@ -308,14 +268,7 @@ mod tests {
         let first = cache.get_or_insert_with(key, || measure(&gpu, &program, &launch, &options()));
         let second = cache.get_or_insert_with(key, || unreachable!("second lookup must hit"));
         assert_eq!(first, second);
-        assert_eq!(
-            cache.stats(),
-            EvalCacheStats {
-                hits: 1,
-                misses: 1,
-                ..EvalCacheStats::default()
-            }
-        );
+        assert_eq!(cache.stats(), EvalCacheStats { hits: 1, misses: 1 });
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
     }
@@ -333,30 +286,6 @@ mod tests {
         assert_eq!(cache.lookup(key), Some(value));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
-    fn delta_outcomes_are_tallied_and_rated() {
-        use gpusim::DeltaOutcome;
-        let cache = EvalCache::new();
-        assert_eq!(cache.stats().delta_fallback_rate(), 0.0);
-        cache.record_delta_outcome(&DeltaOutcome::Unchanged);
-        cache.record_delta_outcome(&DeltaOutcome::Spliced {
-            resumed_cycle: 10,
-            spliced_cycle: 90,
-        });
-        cache.record_delta_outcome(&DeltaOutcome::Spliced {
-            resumed_cycle: 0,
-            spliced_cycle: 50,
-        });
-        // Resuming past the shared prefix is a delta win; re-simulating from
-        // cycle zero is the fallback.
-        cache.record_delta_outcome(&DeltaOutcome::Resimulated { resumed_cycle: 5 });
-        cache.record_delta_outcome(&DeltaOutcome::Resimulated { resumed_cycle: 0 });
-        let stats = cache.stats();
-        assert_eq!(stats.delta_hits, 4);
-        assert_eq!(stats.delta_fallbacks, 1);
-        assert_eq!(stats.delta_fallback_rate(), 0.2);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use gpusim::{measure, GpuConfig, LaunchConfig, MeasureOptions, Measurement};
+use gpusim::{
+    kernel_run_from_report, measure, measurement_from_run, GpuConfig, LaunchConfig, MeasureOptions,
+    Measurement, SmReport,
+};
 use nn::Matrix;
 use rl::{Env, Step};
 use sass::Program;
@@ -12,10 +15,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::action::{ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit};
 use crate::analysis::{analyze, Analysis};
-use crate::delta_session::DeltaSession;
 use crate::embed::{embed_program, embed_rows_into, feature_count};
 use crate::eval_cache::program_key;
 use crate::eval_cache::{combine_item_keys, combine_keys, context_key, item_key, EvalCache};
+use crate::lowered::LoweredSchedule;
 use crate::stall_table::StallTable;
 
 /// Game configuration.
@@ -103,10 +106,9 @@ pub struct AssemblyGame {
     /// Digest of (device, launch, measurement protocol), combined with the
     /// per-schedule digest into cache keys.
     context_key: u64,
-    /// Incremental re-simulation session mirroring `current`: cache misses
-    /// are answered by delta evaluation against its recorded baseline
-    /// instead of a full simulation from cycle zero.
-    session: DeltaSession,
+    /// `current` in lowered form, advanced edit by edit: a cache miss
+    /// simulates it without re-lowering the listing.
+    lowered: LoweredSchedule,
     /// Per listing-item digests of `current` (see
     /// [`crate::eval_cache::item_key`]): reordering instructions only swaps
     /// entries, so cache keys cost a fold over cached `u64`s instead of
@@ -184,6 +186,17 @@ fn build_views(
     }
 }
 
+/// Scales one simulated report to the launch and applies the measurement
+/// protocol — what [`measure`] does after its simulation.
+fn measurement_of(
+    gpu: &GpuConfig,
+    launch: &LaunchConfig,
+    options: &MeasureOptions,
+    report: SmReport,
+) -> Measurement {
+    measurement_from_run(kernel_run_from_report(gpu, launch, report), options)
+}
+
 impl AssemblyGame {
     /// Creates a game from the `-O3` schedule the compiler produced.
     #[must_use]
@@ -218,18 +231,10 @@ impl AssemblyGame {
         cache: Arc<EvalCache>,
     ) -> Self {
         let ctx_key = context_key(&gpu, &launch, &config.measure);
-        // The session's recorded baseline is the one full simulation the
-        // initial measurement always cost; its report doubles as the
-        // cache entry (bit-identical to `measure`).
-        let session = DeltaSession::new(
-            gpu.clone(),
-            launch.clone(),
-            config.measure.clone(),
-            &program,
-        );
+        let lowered = LoweredSchedule::new(&gpu, &launch, &program);
         let measurement = cache
             .get_or_insert_with(combine_keys(ctx_key, program_key(&program)), || {
-                session.initial_measurement()
+                measurement_of(&gpu, &launch, &config.measure, lowered.simulate())
             });
         let runtime = measurement.mean_us;
         let digest = measurement.run.sm.output_digest;
@@ -272,7 +277,7 @@ impl AssemblyGame {
             trace: Vec::new(),
             cache,
             context_key: ctx_key,
-            session,
+            lowered,
         }
     }
 
@@ -314,9 +319,9 @@ impl AssemblyGame {
     }
 
     /// Measures the game's current schedule, answering revisits from the
-    /// shared cache and fresh schedules from the incremental delta session
-    /// (bit-identical to a full `measure`, so cache entries stay
-    /// interchangeable with ones other games computed in full).
+    /// shared cache and fresh schedules by simulating the lowered mirror
+    /// (bit-identical to `measure` on the listing, so cache entries stay
+    /// interchangeable with ones other games computed from source).
     fn measure_current_schedule(&mut self) -> (f64, u64, u64) {
         debug_assert_eq!(
             combine_item_keys(self.item_keys.iter().copied()),
@@ -330,8 +335,12 @@ impl AssemblyGame {
         let m = match self.cache.lookup(key) {
             Some(hit) => hit,
             None => {
-                let (measurement, outcome) = self.session.measure_current();
-                self.cache.record_delta_outcome(&outcome);
+                let measurement = measurement_of(
+                    &self.gpu,
+                    &self.launch,
+                    &self.config.measure,
+                    self.lowered.simulate(),
+                );
                 self.cache.insert_computed(key, measurement.clone());
                 measurement
             }
@@ -380,7 +389,7 @@ impl AssemblyGame {
     }
 
     /// Applies `edit` to every mirror of the current schedule: the source
-    /// program, the lowered delta-session form and the per-item digests.
+    /// program, its lowered form and the per-item digests.
     /// Returns false (with everything unchanged) when the edit does not fit
     /// the program — mask-resolved edits always do.
     fn apply_edit_everywhere(&mut self, edit: &ScheduleEdit) -> bool {
@@ -400,7 +409,7 @@ impl AssemblyGame {
                         // malformed edit leaves no partial state.
                         for &undo in swaps[..applied].iter().rev() {
                             let _ = self.current.swap_instructions(undo, undo + 1);
-                            self.session.apply_swap(undo);
+                            self.lowered.swap(undo);
                             self.item_keys.swap(
                                 self.item_of_instruction[undo],
                                 self.item_of_instruction[undo + 1],
@@ -408,7 +417,7 @@ impl AssemblyGame {
                         }
                         return false;
                     }
-                    self.session.apply_swap(upper);
+                    self.lowered.swap(upper);
                     self.item_keys.swap(
                         self.item_of_instruction[upper],
                         self.item_of_instruction[upper + 1],
@@ -426,7 +435,7 @@ impl AssemblyGame {
                     .instruction(index)
                     .expect("edit target exists")
                     .clone();
-                self.session.apply_replace(index, &inst);
+                self.lowered.replace(index, &inst);
                 self.item_keys[self.item_of_instruction[index]] =
                     item_key(&sass::Item::Instr(inst));
                 true
@@ -544,9 +553,8 @@ impl Env for AssemblyGame {
         self.steps_in_episode = 0;
         self.trace.clear();
         // The initial schedule never changes, so every derived view is a
-        // clone of the cached copies instead of a recomputation, and the
-        // delta session re-adopts its recorded initial baseline.
-        self.session.reset_to_initial();
+        // clone of the cached copies instead of a recomputation.
+        self.lowered.reset();
         self.item_keys.clone_from(&self.initial_item_keys);
         self.views = Arc::clone(&self.initial_views);
         self.views.obs.clone()
@@ -555,7 +563,7 @@ impl Env for AssemblyGame {
     /// One environment step: the flat id is looked up in the resolved edit
     /// table, so a masked or out-of-range id is a no-op (schedule, runtime,
     /// trace and eval cache untouched, reward 0). A legal edit is applied to
-    /// every schedule mirror, priced through the delta session, and reverted
+    /// every schedule mirror, priced by simulating it, and reverted
     /// via its O(1) inverse if the simulator reports hazards or an
     /// output-digest change.
     fn step(&mut self, action_id: usize) -> Step {
@@ -597,7 +605,6 @@ impl Env for AssemblyGame {
                         self.best_runtime = runtime;
                         self.best = self.current.clone();
                     }
-                    self.session.commit();
                     self.refresh_after_edit(&edit);
                 }
             }
@@ -692,7 +699,7 @@ impl Env for AssemblyGame {
         self.best_runtime = f64::from_bits(snapshot.best_runtime_bits);
         self.trace = snapshot.trace;
         self.refresh_full();
-        self.session.resync(&self.current);
+        self.lowered.relower(&self.current);
         let (item_keys, item_of_instruction) = index_item_keys(&self.current);
         self.item_keys = item_keys;
         self.item_of_instruction = item_of_instruction;

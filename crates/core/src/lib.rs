@@ -34,10 +34,10 @@
 mod action;
 mod analysis;
 pub mod cli;
-mod delta_session;
 mod embed;
 mod eval_cache;
 mod game;
+mod lowered;
 mod optimizer;
 mod stall_table;
 mod suite_optimizer;
@@ -47,7 +47,6 @@ pub use action::{
     action_mask, schedule_edits, ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit,
 };
 pub use analysis::{analyze, Analysis, Resolution, ResolutionBreakdown};
-pub use delta_session::DeltaSession;
 pub use embed::{
     arch_features, embed_program, embed_rows_into, feature_count, ARCH_FEATURES, FIXED_FEATURES,
 };

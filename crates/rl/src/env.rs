@@ -48,11 +48,11 @@ pub trait Env {
     /// detect) when the bytes are not a state this env can adopt.
     ///
     /// Snapshots carry *logical* state only: implementations are free to
-    /// keep derived acceleration state (caches, memoized views, recorded
-    /// simulation baselines) out of the bytes and rebuild or re-adopt it
-    /// here, as long as the restored env then behaves bit-identically —
-    /// the assembly game, for instance, re-records its delta-simulation
-    /// baseline on restore while its snapshot stays schedule-only.
+    /// keep derived acceleration state (caches, memoized views, lowered
+    /// programs) out of the bytes and rebuild or re-adopt it here, as long
+    /// as the restored env then behaves bit-identically — the assembly
+    /// game, for instance, re-lowers its schedule on restore while its
+    /// snapshot stays schedule-only.
     fn restore_state(&mut self, _state: &[u8]) -> bool {
         false
     }

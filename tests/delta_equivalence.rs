@@ -1,14 +1,17 @@
-//! The delta engine's core contract: incremental re-simulation is
-//! **bit-identical to full simulation by construction**, on every built-in
-//! architecture profile, across random mutation sequences — both
-//! masked-legal swaps (what the assembly game evaluates) and arbitrary
-//! adjacent swaps (including hazard-introducing ones the mask would have
-//! rejected).
+//! Two equivalences, both bit for bit. `gpusim`'s delta engine — a library
+//! module the repo benchmark still probes — equals full simulation on every
+//! built-in architecture profile across arbitrary adjacent-swap sequences
+//! (including hazard-introducing ones the mask would have rejected). And
+//! the assembly game's reward path — simulating its incrementally lowered
+//! schedule — equals `gpusim::measure` of the printed listing, in both
+//! action spaces, on every profile, through episode resets and state
+//! restores.
 
 use std::sync::Arc;
 
 use cuasmrl::{
-    action_mask, analyze, ActionSpace, AssemblyGame, EditKind, EvalCache, GameConfig, StallTable,
+    action_mask, analyze, schedule_edits, ActionSpace, AssemblyGame, EditKind, EvalCache,
+    GameConfig, StallTable,
 };
 use gpusim::{
     measure, CompiledProgram, DeltaEngine, GpuConfig, LaunchConfig, MeasureOptions, Measurement,
@@ -91,59 +94,81 @@ proptest! {
         }
     }
 
-    /// Masked-legal random walks through a real game: every reward-path
-    /// measurement the delta session produces equals `gpusim::measure` on
-    /// the same schedule, bit for bit, so the shared eval cache stays
-    /// transparent with delta evaluation on.
+    /// Masked-legal random walks through a real game, for each action space
+    /// (`Rich` exercises in-place re-lowering) on each architecture profile
+    /// (per-arch lowering), with an episode reset and a `state_bytes` →
+    /// `restore_state` round trip mid-walk: every measurement the reward
+    /// path put into the eval cache equals `gpusim::measure` of the printed
+    /// listing, so the shared cache stays transparent.
     #[test]
     fn game_measurements_match_full_measure_on_legal_walks(seed in 0u64..1000) {
         let (program, launch) = small_kernel();
-        let gpu = GpuConfig::small();
-        let table = StallTable::builtin_a100();
-        let game_config = GameConfig {
-            episode_length: 8,
-            measure: measure_options(),
-            ..GameConfig::default()
-        };
-        let mut game = AssemblyGame::new(
-            gpu.clone(),
-            program.clone(),
-            launch.clone(),
-            table.clone(),
-            game_config,
-        );
-        let _ = game.reset();
-        let mut reference = program.clone();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        for _ in 0..6 {
-            let mask = game.action_mask();
-            let legal: Vec<usize> = mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &m)| m.then_some(i))
-                .collect();
-            if legal.is_empty() {
-                break;
+        for gpu in arch_profiles() {
+            let table = StallTable::for_arch(&gpu.arch);
+            for space in [ActionSpace::AdjacentSwap, ActionSpace::Rich] {
+                let new_game = || AssemblyGame::new(
+                    gpu.clone(),
+                    program.clone(),
+                    launch.clone(),
+                    table.clone(),
+                    GameConfig {
+                        episode_length: 8,
+                        measure: measure_options(),
+                        action_space: space,
+                    },
+                );
+                let mut game = new_game();
+                let _ = game.reset();
+                // The game's schedule, mirrored on the source listing by
+                // resolving each action id from scratch.
+                let mut reference = program.clone();
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                let mut simulated = 0;
+                for step in 0..9 {
+                    match step {
+                        3 => {
+                            let _ = game.reset();
+                            reference = program.clone();
+                        }
+                        6 => {
+                            // Continue on a fresh game that adopted the
+                            // walked one's state (and re-lowered it).
+                            let state = game.state_bytes().expect("games snapshot");
+                            game = new_game();
+                            prop_assert!(game.restore_state(&state));
+                        }
+                        _ => {}
+                    }
+                    let mask = game.action_mask();
+                    let legal: Vec<usize> = (0..mask.len()).filter(|&id| mask[id]).collect();
+                    if legal.is_empty() {
+                        break;
+                    }
+                    let action_id = legal[rng.gen_range(0..legal.len())];
+                    let analysis = analyze(&reference, &table);
+                    let movable = analysis.movable_memory_indices();
+                    let edit = schedule_edits(&reference, &movable, &analysis, &table, space)
+                        [action_id]
+                        .expect("the game's mask equals the from-scratch edit table");
+                    let misses = game.eval_cache().stats().misses;
+                    let moves = game.trace().len();
+                    prop_assert!(game.step(action_id).reward.is_finite());
+                    prop_assert_eq!(game.trace().len(), moves + 1, "a legal edit was reverted");
+                    prop_assert!(edit.apply(&mut reference), "{:?}", edit);
+                    simulated += game.eval_cache().stats().misses - misses;
+                    let printed: Program = reference.to_string().parse().unwrap();
+                    let full = measure(&gpu, &printed, &launch, &measure_options());
+                    let misses = game.eval_cache().stats().misses;
+                    let cached = game.cached_measurement(&reference);
+                    prop_assert_eq!(
+                        game.eval_cache().stats().misses,
+                        misses,
+                        "the reward path must have cached the schedule it priced"
+                    );
+                    prop_assert_eq!(&cached, &full, "arch {} {:?} step {}", gpu.name, space, step);
+                }
+                prop_assert!(simulated > 0, "arch {} {:?}: nothing simulated", gpu.name, space);
             }
-            let action_id = legal[rng.gen_range(0..legal.len())];
-            let (slot, kind) = ActionSpace::AdjacentSwap.decode(action_id);
-            let analysis = analyze(&reference, &table);
-            let movable = analysis.movable_memory_indices();
-            let index = movable[slot];
-            let (a, b) = match kind {
-                EditKind::SwapUp => (index - 1, index),
-                _ => (index, index + 1),
-            };
-            let step = game.step(action_id);
-            // Mirror the accepted swap on the reference program (legal
-            // actions are never reverted) and compare the reward the game
-            // computed from its delta measurement against a from-scratch
-            // measurement of the same schedule.
-            reference.swap_instructions(a, b).unwrap();
-            let full = measure(&gpu, &reference, &launch, &measure_options());
-            let cached = game.cached_measurement(&reference);
-            prop_assert_eq!(&cached, &full);
-            prop_assert!(step.reward.is_finite());
         }
     }
 }
@@ -200,8 +225,8 @@ fn incremental_masks_equal_full_recomputation_along_legal_walks() {
     }
 }
 
-/// Sharing one eval cache across games replaying the same kernel with
-/// delta evaluation on cannot change a single observable value: a game
+/// Sharing one eval cache across games replaying the same kernel cannot
+/// change a single observable value: a game
 /// using a warm shared cache steps bit-identically to a game simulating
 /// everything itself.
 #[test]
@@ -264,8 +289,8 @@ fn shared_cache_and_fresh_cache_games_step_identically() {
     }
 }
 
-/// Delta-session measurements populate the shared cache with values other
-/// consumers would have computed in full: the measurement a suite-style
+/// Reward-path measurements populate the shared cache with values other
+/// consumers would have computed from source: the measurement a suite-style
 /// `get_or_insert_with` sees after a game ran is the `measure` value.
 #[test]
 fn delta_populated_cache_entries_equal_full_measurements() {
@@ -305,11 +330,7 @@ fn delta_populated_cache_entries_equal_full_measurements() {
         reference.swap_instructions(a, b).unwrap();
         schedules.push(reference.clone());
     }
-    let stats = cache.stats();
-    assert!(
-        stats.delta_hits + stats.delta_fallbacks > 0,
-        "delta engine must have run"
-    );
+    assert!(cache.stats().misses > 0, "the game must have simulated");
     for schedule in &schedules {
         let key = cuasmrl::eval_key(schedule, &launch, &gpu, &measure_options());
         let cached: Measurement =

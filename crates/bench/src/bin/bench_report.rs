@@ -14,7 +14,8 @@
 //!
 //! The report holds deterministic simulator outputs only and `compare` gates
 //! all of them: the geometric-mean speedup, verified-kernel counts, the
-//! simulator's engine-step count and the stall tables. Wall-clock claims
+//! simulator's engine-step counts (baseline kernels and autotuning) and the
+//! stall tables. Wall-clock claims
 //! belong to the repo benchmark (`benchmarks/`).
 
 use std::process::ExitCode;
@@ -25,8 +26,9 @@ use bench::{
     STALL_TABLE_OPS,
 };
 use cuasmrl::dependency_based_stall;
+use cuasmrl::SuiteOptimizer;
 use gpusim::{resident_warps, CompiledProgram, SmSimulator};
-use kernels::{generate, ScheduleStyle};
+use kernels::{generate, Autotuner, KernelSpec, ScheduleStyle};
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
@@ -89,6 +91,16 @@ fn baseline_sim_steps(harness: &HarnessArgs) -> u64 {
         steps += output.work.steps;
     }
     steps
+}
+
+/// Engine steps of autotuning each of `specs` once, the way the suite
+/// driver does: its device, its space for the kernel, its tune options.
+fn autotune_sim_steps(driver: &SuiteOptimizer, specs: &[KernelSpec]) -> u64 {
+    let tuner = Autotuner::new(driver.gpu().clone()).with_options(driver.tune_options().clone());
+    specs
+        .iter()
+        .map(|spec| tuner.tune(spec, &driver.config_space_for(spec)).sim_steps)
+        .sum()
 }
 
 fn run_mode(args: &[String]) -> ExitCode {
@@ -161,6 +173,10 @@ fn run_mode(args: &[String]) -> ExitCode {
                 verified: report.verified,
                 kernels: report.reports.len(),
                 sim_steps: baseline_sim_steps(&harness),
+                autotune_sim_steps: autotune_sim_steps(
+                    &driver,
+                    &harness.workload().specs(harness.scale),
+                ),
             });
         }
     }
@@ -207,17 +223,18 @@ fn run_mode(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "{:<24} {:>9} {:>10} {:>10}",
-        "cell", "geomean", "verified", "sim_steps"
+        "{:<24} {:>9} {:>10} {:>10} {:>13}",
+        "cell", "geomean", "verified", "sim_steps", "autotune_steps"
     );
     for cell in &report.cells {
         println!(
-            "{:<24} {:>8.3}x {:>7}/{} {:>10}",
+            "{:<24} {:>8.3}x {:>7}/{} {:>10} {:>13}",
             cell.key(),
             cell.geomean_speedup,
             cell.verified,
             cell.kernels,
-            cell.sim_steps
+            cell.sim_steps,
+            cell.autotune_sim_steps
         );
     }
     println!("wrote {}", out.display());
@@ -265,7 +282,7 @@ fn compare_mode(args: &[String]) -> ExitCode {
         if let Some(cand) = candidate.cell(&base.arch, &base.suite) {
             println!(
                 "{:<24} geomean {:.3}x -> {:.3}x  verified {}/{} -> {}/{}  \
-                 sim steps {} -> {}",
+                 sim steps {} -> {}  autotune steps {} -> {}",
                 base.key(),
                 base.geomean_speedup,
                 cand.geomean_speedup,
@@ -274,7 +291,9 @@ fn compare_mode(args: &[String]) -> ExitCode {
                 cand.verified,
                 cand.kernels,
                 base.sim_steps,
-                cand.sim_steps
+                cand.sim_steps,
+                base.autotune_sim_steps,
+                cand.autotune_sim_steps
             );
         }
     }

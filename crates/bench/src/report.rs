@@ -3,7 +3,8 @@
 //! `bench_report run` emits a [`BenchReport`]: one [`BenchCell`] per
 //! (architecture × workload suite) combination holding the
 //! machine-independent products of one full suite pass (geometric-mean
-//! speedup, verified-kernel count, simulator engine steps), plus the
+//! speedup, verified-kernel count, simulator engine steps of the baseline
+//! kernels and of autotuning them), plus the
 //! deterministic dependency-measured stall table per architecture.
 //! `bench_report compare` diffs a candidate report against a committed
 //! baseline with [`compare_reports`] and fails (nonzero exit) on any
@@ -21,8 +22,9 @@ use serde::{Deserialize, Serialize};
 /// Version of the benchmark-report JSON schema (see `docs/ARTIFACTS.md`).
 ///
 /// v2 dropped the wall-clock samples, the delta-sweep tallies and the
-/// `*-edits` companion cells, and re-sourced `sim_steps`.
-pub const BENCH_REPORT_SCHEMA_VERSION: u32 = 2;
+/// `*-edits` companion cells, and re-sourced `sim_steps`; v3 added
+/// `autotune_sim_steps`.
+pub const BENCH_REPORT_SCHEMA_VERSION: u32 = 3;
 
 /// The run configuration a report was produced under.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,6 +54,11 @@ pub struct BenchCell {
     /// kernels once ([`gpusim::SimWork::steps`], summed): the work counter
     /// of the simulation every reward is earned by. Exact on any machine.
     pub sim_steps: u64,
+    /// `CycleEngine` steps of autotuning each of the suite's kernels once
+    /// (`kernels::TuningResult::sim_steps`, summed, abandoned candidates
+    /// included) in the driver's space under its tune options: the work
+    /// counter of the bounded autotune grid. Exact on any machine.
+    pub autotune_sim_steps: u64,
 }
 
 impl BenchCell {
@@ -155,6 +162,13 @@ pub fn compare_reports(baseline: &BenchReport, candidate: &BenchReport) -> Vec<S
                 base.sim_steps, cand.sim_steps
             ));
         }
+        if cand.autotune_sim_steps != base.autotune_sim_steps {
+            regressions.push(format!(
+                "{key}: autotune simulator steps changed {} -> {} \
+                 (deterministic work counter; regenerate the baseline if intended)",
+                base.autotune_sim_steps, cand.autotune_sim_steps
+            ));
+        }
     }
     for base_arch in &baseline.stall_counts {
         let Some(cand_arch) = candidate
@@ -209,6 +223,7 @@ mod tests {
                 verified: 6,
                 kernels: 6,
                 sim_steps: 9_000,
+                autotune_sim_steps: 40_000,
             }],
             stall_counts: vec![ArchStalls {
                 arch: "ampere".to_string(),
@@ -247,6 +262,24 @@ mod tests {
         let regressions = compare_reports(&base, &fewer);
         assert_eq!(regressions.len(), 1, "{regressions:?}");
         assert!(regressions[0].contains("simulator steps changed 9000 -> 8999"));
+    }
+
+    #[test]
+    fn autotune_step_counter_is_gated_exactly() {
+        let base = report();
+        for delta in [1_i64, -1] {
+            let mut moved = base.clone();
+            moved.cells[0].autotune_sim_steps = (40_000 + delta) as u64;
+            let regressions = compare_reports(&base, &moved);
+            assert_eq!(regressions.len(), 1, "{regressions:?}");
+            assert!(
+                regressions[0].contains(&format!(
+                    "autotune simulator steps changed 40000 -> {}",
+                    40_000 + delta
+                )),
+                "{regressions:?}"
+            );
+        }
     }
 
     #[test]

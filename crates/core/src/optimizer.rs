@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use artifact::{StoreIo, UnsyncedIo};
 use gpusim::{GpuConfig, MeasureOptions};
-use kernels::{Autotuner, ConfigSpace, KernelSpec, TritonPipeline};
+use kernels::{ConfigSpace, KernelSpec, TritonPipeline};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rl::{CancelToken, CheckpointError, Env, PpoConfig, PpoTrainer};
@@ -19,6 +19,7 @@ use crate::stall_table::StallTable;
 use crate::telemetry::{
     duration_ms, publish_json, CacheTelemetry, KernelTelemetry, TrainingTelemetry,
 };
+use crate::tune_memo;
 
 /// The search strategy used to play the assembly game.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -216,7 +217,9 @@ impl CuAsmRl {
     /// sequenced — autotune → compile → deploy-cache lookup → assembly game
     /// → search → verify → cubin write-back → deploy-cache store; every
     /// other `optimize_*` entry point, the suite fan-out and the daemon
-    /// delegate here.
+    /// delegate here. With a deploy cache configured the autotune verdict
+    /// is memoised beside it (a `*.tune.json` per device, spec, space and
+    /// tune options), so a repeat lookup simulates nothing.
     ///
     /// Preemption is cooperative: the search polls `cancel` at its
     /// step/update boundaries and, once the token fires, stops early and
@@ -243,8 +246,13 @@ impl CuAsmRl {
         cancel: &CancelToken,
     ) -> Result<(OptimizationReport, Cubin, KernelTelemetry, bool), CheckpointError> {
         let run_start = std::time::Instant::now();
-        let tuner = Autotuner::new(self.gpu.clone()).with_options(tune_options.clone());
-        let tuning = tuner.tune(spec, space);
+        let tuning = tune_memo::tune(
+            &self.gpu,
+            self.cache_dir.as_deref(),
+            spec,
+            space,
+            tune_options,
+        );
         let autotune_ms = duration_ms(run_start.elapsed());
         let compile_start = std::time::Instant::now();
         let compiled = TritonPipeline::new(self.gpu.clone()).compile(spec, &tuning.best);
@@ -590,7 +598,7 @@ fn run_evolutionary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernels::{generate, KernelConfig, KernelKind, ScheduleStyle};
+    use kernels::{generate, Autotuner, KernelConfig, KernelKind, ScheduleStyle};
     use std::path::Path;
 
     fn small_kernel() -> (String, Program, gpusim::LaunchConfig) {

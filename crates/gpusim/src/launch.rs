@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::GpuConfig;
 use crate::exec::ConstantBank;
-use crate::sm::{SmReport, SmSimulator};
+use crate::sm::{SimOutput, SimWork, SmReport, SmSimulator};
 
 /// A kernel launch configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,16 +77,25 @@ pub struct KernelRun {
 /// waves needed to drain the grid over all SMs.
 #[must_use]
 pub fn simulate_launch(config: &GpuConfig, program: &Program, launch: &LaunchConfig) -> KernelRun {
-    let simulator = SmSimulator::new(config.clone());
-    let constants = launch.constant_bank();
-    let output = simulator.run(
+    let output = run_resident_batch(config, program, launch, launch.max_cycles);
+    kernel_run_from_report(config, launch, output.report)
+}
+
+/// One resident batch of `launch`, simulated until every warp exits or
+/// `max_cycles` is reached.
+fn run_resident_batch(
+    config: &GpuConfig,
+    program: &Program,
+    launch: &LaunchConfig,
+    max_cycles: u64,
+) -> SimOutput {
+    SmSimulator::new(config.clone()).run(
         program,
         resident_warps(config, launch),
         0,
-        &constants,
-        launch.max_cycles,
-    );
-    kernel_run_from_report(config, launch, output.report)
+        &launch.constant_bank(),
+        max_cycles,
+    )
 }
 
 /// The number of warps co-resident on one SM under `launch` (what
@@ -96,6 +105,15 @@ pub fn resident_warps(config: &GpuConfig, launch: &LaunchConfig) -> usize {
     (launch.warps_per_block * launch.blocks_per_sm.max(1))
         .min(config.arch.max_warps_per_sm)
         .max(1)
+}
+
+/// Sequential waves of resident batches needed to drain `launch`'s grid over
+/// every SM: the factor [`kernel_run_from_report`] multiplies one batch's
+/// cycles by.
+#[must_use]
+pub(crate) fn waves(config: &GpuConfig, launch: &LaunchConfig) -> u64 {
+    let blocks_per_wave = (config.sm_count * launch.blocks_per_sm.max(1)) as u64;
+    launch.grid_blocks.div_ceil(blocks_per_wave).max(1)
 }
 
 /// Scales one resident batch's [`SmReport`] to the grid-level [`KernelRun`]
@@ -108,8 +126,7 @@ pub fn kernel_run_from_report(
     launch: &LaunchConfig,
     report: SmReport,
 ) -> KernelRun {
-    let blocks_per_wave = (config.sm_count * launch.blocks_per_sm.max(1)) as u64;
-    let waves = launch.grid_blocks.div_ceil(blocks_per_wave).max(1);
+    let waves = waves(config, launch);
     let total_cycles = report.cycles.max(1) * waves;
     let runtime_us = total_cycles as f64 / (config.clock_ghz * 1e3);
     let total_work = launch.work_per_block * launch.grid_blocks as f64;
@@ -226,6 +243,69 @@ pub fn measurement_from_run(run: KernelRun, options: &MeasureOptions) -> Measure
         std_us: var.sqrt(),
         run,
     }
+}
+
+impl MeasureOptions {
+    /// The largest relative deviation [`measurement_from_run`]'s sampler can
+    /// add to a run's runtime: each sample's noise is the mean of two draws
+    /// from `[-1, 1)` scaled by `noise_std·√3`, so every sample, and hence
+    /// the mean, lies in `runtime·[1 − noise_bound, 1 + noise_bound]`.
+    #[must_use]
+    pub fn noise_bound(&self) -> f64 {
+        self.noise_std.abs() * 3.0_f64.sqrt()
+    }
+}
+
+/// The cycle horizon past which a run of `launch` cannot measure a mean
+/// below `best_mean_us` under `options`, however its noise falls:
+/// `min(launch.max_cycles, ceil(best_mean · clock_ghz · 1e3 / (waves ·
+/// (1 − noise_bound))) + 1)`. A run still unfinished at this horizon has
+/// more cycles than that ceiling, so even its lowest possible mean —
+/// `cycles · waves / (clock_ghz · 1e3) · (1 − noise_bound)` — is at least
+/// `best_mean_us` plus a whole cycle's margin, which dwarfs any rounding of
+/// the sampler. When no bound exists (noise of 100 % or more, a
+/// non-positive clock, a non-finite best) the horizon is `max_cycles`.
+#[must_use]
+pub fn argmin_horizon(
+    config: &GpuConfig,
+    launch: &LaunchConfig,
+    options: &MeasureOptions,
+    best_mean_us: f64,
+) -> u64 {
+    let floor = 1.0 - options.noise_bound();
+    let cycles = best_mean_us * config.clock_ghz * 1e3 / (waves(config, launch) as f64 * floor);
+    if !(floor > 0.0 && config.clock_ghz > 0.0 && cycles.is_finite()) {
+        return launch.max_cycles;
+    }
+    // `as` saturates, so a ceiling beyond `u64` is clamped, not wrapped.
+    (cycles.ceil() as u64)
+        .saturating_add(1)
+        .min(launch.max_cycles)
+}
+
+/// [`measure`] under a cycle horizon, plus the engine work it took: the
+/// resident batch runs until every warp exits or `horizon` (at most
+/// `launch.max_cycles`) is reached. `None` means the run was cut short of
+/// `launch.max_cycles` — it had not finished by `horizon`; otherwise the
+/// measurement is bit-for-bit what [`measure`] returns, because a run that
+/// finishes by its horizon never saw it.
+#[must_use]
+pub fn measure_until(
+    config: &GpuConfig,
+    program: &Program,
+    launch: &LaunchConfig,
+    options: &MeasureOptions,
+    horizon: u64,
+) -> (Option<Measurement>, SimWork) {
+    let horizon = horizon.min(launch.max_cycles);
+    let output = run_resident_batch(config, program, launch, horizon);
+    let measurement = (output.report.completed || horizon == launch.max_cycles).then(|| {
+        measurement_from_run(
+            kernel_run_from_report(config, launch, output.report),
+            options,
+        )
+    });
+    (measurement, output.work)
 }
 
 #[cfg(test)]
@@ -352,5 +432,110 @@ mod tests {
         let a = measure(&cfg, &program, &launch(), &options);
         let b = measure(&cfg, &program, &launch(), &options);
         assert_eq!(a.mean_us, b.mean_us);
+    }
+
+    /// The lowest mean a run of `cycles` cycles can measure under `options`.
+    fn lowest_mean(cfg: &GpuConfig, options: &MeasureOptions, cycles: u64) -> f64 {
+        (cycles * waves(cfg, &launch())) as f64 / (cfg.clock_ghz * 1e3)
+            * (1.0 - options.noise_bound())
+    }
+
+    #[test]
+    fn the_horizon_is_one_cycle_past_the_last_cycle_count_that_could_win() {
+        let cfg = GpuConfig::a100();
+        for noise_std in [0.0, 0.003, 0.25] {
+            let options = MeasureOptions {
+                noise_std,
+                ..MeasureOptions::default()
+            };
+            // An integral threshold (the best's own cycle count under the
+            // noise-free protocol) and a fractional one.
+            for best_us in [
+                lowest_mean(
+                    &cfg,
+                    &MeasureOptions {
+                        noise_std: 0.0,
+                        ..options.clone()
+                    },
+                    5_000,
+                ),
+                12.345,
+            ] {
+                let horizon = argmin_horizon(&cfg, &launch(), &options, best_us);
+                let threshold = horizon - 1;
+                // Finishing at the threshold cannot win even under the
+                // worst-case downward noise; a cycle earlier can…
+                assert!(
+                    lowest_mean(&cfg, &options, threshold) >= best_us,
+                    "{noise_std}"
+                );
+                assert!(
+                    lowest_mean(&cfg, &options, threshold - 1) < best_us,
+                    "{noise_std}"
+                );
+                // …and a run cut by the horizon is a full cycle further out.
+                assert!(lowest_mean(&cfg, &options, horizon + 1) > best_us);
+            }
+        }
+    }
+
+    #[test]
+    fn the_horizon_is_unbounded_when_noise_or_inputs_allow_no_bound() {
+        let cfg = GpuConfig::a100();
+        let max = launch().max_cycles;
+        let noise = |noise_std| MeasureOptions {
+            noise_std,
+            ..MeasureOptions::default()
+        };
+        assert_eq!(argmin_horizon(&cfg, &launch(), &noise(1.0), 10.0), max);
+        assert_eq!(argmin_horizon(&cfg, &launch(), &noise(f64::NAN), 10.0), max);
+        for best in [f64::INFINITY, f64::NAN] {
+            assert_eq!(argmin_horizon(&cfg, &launch(), &noise(0.003), best), max);
+        }
+        assert_eq!(argmin_horizon(&cfg, &launch(), &noise(0.003), 1e300), max);
+        let frozen = GpuConfig {
+            clock_ghz: 0.0,
+            ..cfg
+        };
+        assert_eq!(argmin_horizon(&frozen, &launch(), &noise(0.003), 10.0), max);
+    }
+
+    #[test]
+    fn a_run_that_finishes_by_its_horizon_measures_what_measure_does() {
+        let cfg = GpuConfig::small();
+        let program: sass::Program = SAMPLE.parse().unwrap();
+        let options = MeasureOptions::default();
+        let full = measure(&cfg, &program, &launch(), &options);
+        let cycles = full.run.sm.cycles;
+        let (at, _) = measure_until(&cfg, &program, &launch(), &options, cycles);
+        assert_eq!(at, Some(full));
+        let (cut, work) = measure_until(&cfg, &program, &launch(), &options, cycles - 1);
+        assert_eq!(cut, None);
+        assert!(work.steps > 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_mean_lies_within_the_noise_bound(
+            seed in 0u64..u64::MAX,
+            noise_std in 0.0f64..0.6,
+            repeats in 1usize..40,
+            runtime_us in 0.01f64..1e4,
+        ) {
+            let cfg = GpuConfig::small();
+            let program: sass::Program = SAMPLE.parse().unwrap();
+            let mut run = simulate_launch(&cfg, &program, &launch());
+            run.runtime_us = runtime_us;
+            run.sm.output_digest = seed.rotate_left(17);
+            let options = MeasureOptions { warmup: 0, repeats, noise_std, seed };
+            let bound = options.noise_bound();
+            let mean = measurement_from_run(run, &options).mean_us;
+            // Summing and dividing may round each way by a few ulps.
+            let slack = 1e-12;
+            proptest::prop_assert!(mean >= runtime_us * (1.0 - bound) * (1.0 - slack));
+            proptest::prop_assert!(mean <= runtime_us * (1.0 + bound) * (1.0 + slack));
+        }
     }
 }

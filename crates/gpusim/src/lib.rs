@@ -64,8 +64,8 @@ pub use counters::{MemoryChart, WorkloadAnalysis};
 pub use delta::{DeltaBaseline, DeltaConfig, DeltaEngine, DeltaOutcome};
 pub use exec::{execute, ConstantBank, ExecContext, MemAccess, Outcome};
 pub use launch::{
-    kernel_run_from_report, measure, measurement_from_run, resident_warps, simulate_launch,
-    KernelRun, LaunchConfig, MeasureOptions, Measurement,
+    argmin_horizon, kernel_run_from_report, measure, measure_until, measurement_from_run,
+    resident_warps, simulate_launch, KernelRun, LaunchConfig, MeasureOptions, Measurement,
 };
 pub use memory::{default_global_word, splitmix64, MemCounters, MemorySubsystem, ServicePoint};
 pub use regfile::{RegisterFile, ReuseCache, StaleRead};

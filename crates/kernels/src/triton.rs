@@ -6,10 +6,15 @@
 //! stages on top of the synthetic kernel generators:
 //!
 //! * [`TritonPipeline::compile`] — kernel spec + configuration → [`Cubin`],
-//! * [`Autotuner::tune`] — grid search over a [`ConfigSpace`], measuring each
-//!   candidate on the simulated GPU and caching the best configuration.
+//! * [`Autotuner::tune`] — grid search over a [`ConfigSpace`], measuring
+//!   candidates on the simulated GPU and returning the fastest configuration.
+//!
+//! The tuner itself remembers nothing between calls. The verdict is
+//! memoised one level up, beside the deploy cache: with a cache directory
+//! configured, `cuasmrl::CuAsmRl` reads a `*.tune.json` memo keyed by
+//! (device, spec, space, measurement options) before it would tune.
 
-use gpusim::{measure, GpuConfig, LaunchConfig, MeasureOptions};
+use gpusim::{argmin_horizon, measure_until, GpuConfig, LaunchConfig, MeasureOptions};
 use sass::Cubin;
 use serde::{Deserialize, Serialize};
 
@@ -69,13 +74,15 @@ impl TritonPipeline {
     }
 }
 
-/// One autotuning measurement.
+/// One autotuning candidate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TuningRecord {
     /// The configuration measured.
     pub config: KernelConfig,
-    /// Mean measured runtime in microseconds.
-    pub runtime_us: f64,
+    /// Mean measured runtime in microseconds; `None` when the candidate was
+    /// abandoned because it provably could not beat the best so far (see
+    /// [`Autotuner::tune`]).
+    pub runtime_us: Option<f64>,
 }
 
 /// The result of an autotuning run.
@@ -85,8 +92,11 @@ pub struct TuningResult {
     pub best: KernelConfig,
     /// Mean runtime of the best configuration, in microseconds.
     pub best_runtime_us: f64,
-    /// Every configuration measured, in enumeration order.
+    /// One record per candidate, in enumeration order.
     pub records: Vec<TuningRecord>,
+    /// `CycleEngine` steps spent simulating every candidate, abandoned ones
+    /// included ([`gpusim::SimWork::steps`], summed). Exact on any machine.
+    pub sim_steps: u64,
 }
 
 /// Grid-search autotuner over kernel configurations (§3.1).
@@ -114,8 +124,14 @@ impl Autotuner {
         self
     }
 
-    /// Enumerates the configuration space, measures every candidate and
-    /// greedily selects the fastest (§3.1).
+    /// Enumerates the configuration space in order and selects the fastest
+    /// candidate, the first one on a tie (§3.1).
+    ///
+    /// The answer is the arg-min of `gpusim::measure` over the whole grid,
+    /// bit for bit, but a candidate is only simulated as far as it could
+    /// still win: once a best exists, each later candidate runs under
+    /// [`argmin_horizon`] and is abandoned (`runtime_us: None`) if it has
+    /// not finished by then.
     ///
     /// # Panics
     ///
@@ -127,22 +143,38 @@ impl Autotuner {
             "autotuning space must contain at least one configuration"
         );
         let mut records = Vec::with_capacity(space.candidates.len());
+        let mut best: Option<(KernelConfig, f64)> = None;
+        let mut sim_steps = 0;
         for config in &space.candidates {
             let kernel = generate(spec, config, ScheduleStyle::Baseline);
-            let measurement = measure(&self.gpu, &kernel.program, &kernel.launch, &self.options);
+            let horizon = best.map_or(kernel.launch.max_cycles, |(_, best_us)| {
+                argmin_horizon(&self.gpu, &kernel.launch, &self.options, best_us)
+            });
+            let (measurement, work) = measure_until(
+                &self.gpu,
+                &kernel.program,
+                &kernel.launch,
+                &self.options,
+                horizon,
+            );
+            sim_steps += work.steps;
+            let runtime_us = measurement.map(|m| m.mean_us);
+            if let Some(us) = runtime_us {
+                if best.is_none_or(|(_, best_us)| us.total_cmp(&best_us).is_lt()) {
+                    best = Some((*config, us));
+                }
+            }
             records.push(TuningRecord {
                 config: *config,
-                runtime_us: measurement.mean_us,
+                runtime_us,
             });
         }
-        let best = records
-            .iter()
-            .min_by(|a, b| a.runtime_us.total_cmp(&b.runtime_us))
-            .expect("non-empty records");
+        let (best, best_runtime_us) = best.expect("the first candidate runs unbounded");
         TuningResult {
-            best: best.config,
-            best_runtime_us: best.runtime_us,
+            best,
+            best_runtime_us,
             records,
+            sim_steps,
         }
     }
 }
@@ -183,7 +215,7 @@ mod tests {
         let min = result
             .records
             .iter()
-            .map(|r| r.runtime_us)
+            .filter_map(|r| r.runtime_us)
             .fold(f64::INFINITY, f64::min);
         assert_eq!(result.best_runtime_us, min);
         // The deliberately poor configuration must not win.

@@ -317,22 +317,34 @@ impl SuiteOptimizer {
         let (result_tx, result_rx) = channel::<(usize, OptimizationReport, KernelTelemetry)>();
         let jobs = self.jobs.min(specs.len()).max(1);
         std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                let next = &next;
-                let result_tx = result_tx.clone();
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(index) else {
-                        return;
-                    };
-                    let optimizer = self.optimizer_for(spec);
-                    let space = self.config_space_for(spec);
-                    let (report, _cubin, telemetry) =
-                        optimizer.optimize_spec_instrumented(spec, &space, &self.tune_options);
-                    if result_tx.send((index, report, telemetry)).is_err() {
-                        return;
-                    }
-                });
+            let workers: Vec<_> = (0..jobs)
+                .map(|_| {
+                    let next = &next;
+                    let result_tx = result_tx.clone();
+                    scope.spawn(move || loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(spec) = specs.get(index) else {
+                            return;
+                        };
+                        let optimizer = self.optimizer_for(spec);
+                        let space = self.config_space_for(spec);
+                        let (report, _cubin, telemetry) =
+                            optimizer.optimize_spec_instrumented(spec, &space, &self.tune_options);
+                        if result_tx.send((index, report, telemetry)).is_err() {
+                            return;
+                        }
+                    })
+                })
+                .collect();
+            // Join each worker rather than let the scope end: the scope
+            // returns once the closures finish, before the OS threads exit
+            // and release their malloc arenas, so a pass started right after
+            // a short one could find every arena still attached and make a
+            // new one (~6 MB of peak RSS per extra arena).
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         drop(result_tx);

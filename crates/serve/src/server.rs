@@ -68,7 +68,7 @@ use cuasmrl::{
 };
 use gpusim::MeasureOptions;
 use rl::CancelToken;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::protocol::{
@@ -632,11 +632,12 @@ struct IdProbe {
 }
 
 /// Decodes one well-framed payload into whose answer it is and what it
-/// asks — or why it asks nothing. A frame with a salvageable `request_id`
-/// is a session frame whatever else is wrong with it; so is every frame
-/// of an open session (`in_session`), unattributable damage included. Only
-/// the first frame of a connection can be *bare* (`None`): a v1
-/// [`StatusRequest`], detected by its required `query` field, or a v1
+/// asks — or why it asks nothing. The text is parsed once; every shape
+/// below is tried against that one tree. A frame with a salvageable
+/// `request_id` is a session frame whatever else is wrong with it; so is
+/// every frame of an open session (`in_session`), unattributable damage
+/// included. Only the first frame of a connection can be *bare* (`None`):
+/// a v1 [`StatusRequest`], detected by its required `query` field, or a v1
 /// [`OptimizeRequest`], wrapped here into the body a tagged frame carries.
 fn decode_frame(payload: &[u8], in_session: bool) -> (Option<u64>, Result<RequestBody, String>) {
     let unattributed = in_session.then_some(UNATTRIBUTED_REQUEST_ID);
@@ -644,13 +645,24 @@ fn decode_frame(payload: &[u8], in_session: bool) -> (Option<u64>, Result<Reques
         Ok(text) => text,
         Err(err) => return (unattributed, Err(format!("invalid request JSON: {err}"))),
     };
-    let not_tagged = match serde_json::from_str::<TaggedRequest>(text) {
+    let value = match serde_json::from_str::<Value>(text) {
+        Ok(value) => value,
+        Err(err) => {
+            let what = if in_session {
+                "invalid session frame"
+            } else {
+                "invalid request JSON"
+            };
+            return (unattributed, Err(format!("{what}: {err}")));
+        }
+    };
+    let not_tagged = match TaggedRequest::deserialize(&value) {
         Ok(tagged) => return (Some(tagged.request_id), Ok(tagged.body)),
         Err(err) => err,
     };
     // Not a tagged request, but its id may still parse: answer *that*
     // request id so the client can fail exactly one call.
-    let salvaged = serde_json::from_str::<IdProbe>(text)
+    let salvaged = IdProbe::deserialize(&value)
         .ok()
         .and_then(|probe| probe.request_id)
         .or(unattributed);
@@ -660,10 +672,10 @@ fn decode_frame(payload: &[u8], in_session: bool) -> (Option<u64>, Result<Reques
             Err(format!("invalid session frame: {not_tagged}")),
         );
     }
-    if let Ok(probe) = serde_json::from_str::<StatusRequest>(text) {
+    if let Ok(probe) = StatusRequest::deserialize(&value) {
         return (None, Ok(RequestBody::Status(probe)));
     }
-    let bare = serde_json::from_str::<OptimizeRequest>(text)
+    let bare = OptimizeRequest::deserialize(&value)
         .map(RequestBody::Optimize)
         .map_err(|err| format!("invalid request JSON: {err}"));
     (None, bare)

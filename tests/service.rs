@@ -595,6 +595,46 @@ fn a_malformed_session_frame_poisons_only_its_request_id_never_the_connection() 
 }
 
 #[test]
+fn a_hostile_nesting_frame_is_a_typed_bad_request_not_a_daemon_abort() {
+    // A megabyte of `[`, far under MAX_FRAME_LEN: without the parser's
+    // depth bound it overflows the reader thread's stack, and a stack
+    // overflow aborts the whole process.
+    let dir = temp_dir("nesting");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::start(fast_config(&dir)).expect("daemon starts");
+    let hostile = "[".repeat(1 << 20);
+
+    let bare: OptimizeResponse = serde_json::from_str(&bare_exchange(
+        server.local_addr(),
+        &framed(hostile.as_bytes()),
+    ))
+    .expect("typed response");
+    let err = expect_err(bare);
+    assert_eq!(err.code, ErrorCode::BadRequest);
+    assert!(err.message.contains("nesting"), "{}", err.message);
+
+    // Inside a session it is unattributable damage: answered under the
+    // reserved id, and the session keeps serving.
+    let connection = ClientBuilder::new(server.local_addr())
+        .connect()
+        .expect("session connects");
+    connection.status().expect("session opens");
+    let unattributed = connection.expect(cuasmrld::UNATTRIBUTED_REQUEST_ID);
+    connection
+        .send_raw(hostile.as_bytes())
+        .expect("send hostile frame");
+    let err = expect_err(unattributed.wait().expect("unattributed answer"));
+    assert_eq!(err.code, ErrorCode::BadRequest);
+    assert!(err.message.contains("nesting"), "{}", err.message);
+    assert_eq!(
+        connection.status().expect("still serving").stats.rejected,
+        2
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn framing_damage_closes_the_session_while_concurrent_sessions_keep_serving() {
     use std::io::{Read as _, Write as _};
     let dir = temp_dir("framing");

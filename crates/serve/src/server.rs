@@ -41,7 +41,10 @@
 //! `BadRequest`), never the connection; only framing-level damage — a
 //! truncated or stalled frame — closes the session. [`Server::shutdown`] drains
 //! gracefully — stop accepting, answer queued work `Busy`, preempt
-//! in-flight searches, flush telemetry. A config-gated [`FaultPlan`]
+//! in-flight searches, flush telemetry. The telemetry manifest is published
+//! when a worker lands a computed or degraded answer and at the drain; a
+//! store hit only records in memory, so the drain is how the hits served
+//! since the last compute reach disk. A config-gated [`FaultPlan`]
 //! injects store failures, panics and stalls at chosen request ordinals so
 //! the chaos suite can prove all of this deterministically; ordinals are
 //! assigned at admission (arrival order), before any priority reordering,
@@ -383,28 +386,32 @@ impl Shared {
         self.record_telemetry(
             &job.canonical.gpu.name,
             KernelTelemetry::cached(&entry.report),
+            false,
         );
         job.answer(entry.report, true, false);
         true
     }
 
     /// Folds one kernel's telemetry into the per-device service manifest
-    /// and persists it next to the store entries. The first fold for a
-    /// device seeds from the manifest a previous run persisted, so a
-    /// restarted daemon keeps accumulating instead of silently zeroing
-    /// history.
-    fn record_telemetry(&self, gpu: &str, kernel: KernelTelemetry) {
+    /// and, when `publish` is set, persists it next to the store entries.
+    /// Computed and degraded answers publish; a store hit does not, so it
+    /// costs no manifest I/O — its record only copies figures the store
+    /// entry already holds, and it reaches disk with the next publish or
+    /// the drain's `flush_telemetry`. The first fold for a device seeds
+    /// from the manifest a previous run persisted, so a restarted daemon
+    /// keeps accumulating instead of silently zeroing history.
+    fn record_telemetry(&self, gpu: &str, kernel: KernelTelemetry, publish: bool) {
         let mut per_gpu = self.lock_telemetry();
-        if !per_gpu.contains_key(gpu) {
-            let seeded = self.seed_telemetry(gpu);
-            per_gpu.insert(gpu.to_string(), seeded);
-        }
-        let kernels = per_gpu.entry(gpu.to_string()).or_default();
+        let kernels = per_gpu
+            .entry(gpu.to_string())
+            .or_insert_with(|| self.seed_telemetry(gpu));
         kernels.push(kernel);
-        // Persist under the lock: concurrent folds share one manifest file
-        // (and one temp path), so an unordered write could land an older
-        // kernel list last and drop an entry.
-        self.persist_manifest(gpu, kernels);
+        if publish {
+            // Publish under the lock: each publish renames a whole list
+            // over the one manifest file, so an older list renamed in last
+            // would drop the records folded after it.
+            self.persist_manifest(gpu, kernels);
+        }
     }
 
     /// The kernels a previous run already persisted for `gpu`. A corrupt
@@ -442,12 +449,13 @@ impl Shared {
         }
     }
 
-    /// Re-persists every device's telemetry manifest — the drain-time flush
-    /// that guarantees nothing recorded is lost even if an earlier
-    /// incremental persist failed transiently.
+    /// Re-persists every device's telemetry manifest — the drain-time flush.
+    /// It is how store-hit records recorded since the last compute reach
+    /// disk (hits never publish), and it makes good any earlier publish
+    /// that failed transiently.
     fn flush_telemetry(&self) {
-        let per_gpu = self.lock_telemetry().clone();
-        for (gpu, kernels) in &per_gpu {
+        let per_gpu = self.lock_telemetry();
+        for (gpu, kernels) in per_gpu.iter() {
             if !kernels.is_empty() {
                 self.persist_manifest(gpu, kernels);
             }
@@ -456,8 +464,9 @@ impl Shared {
 }
 
 /// A running daemon. Dropping it without [`Server::shutdown`] detaches the
-/// threads (the process exit reaps them); tests call `shutdown` for an
-/// orderly stop.
+/// threads (the process exit reaps them) and leaves the telemetry manifest
+/// without the store hits served since the last compute; tests call
+/// `shutdown` for an orderly stop.
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
@@ -529,7 +538,8 @@ impl Server {
     /// Graceful drain: stop accepting, answer everything still queued with
     /// `Busy`, preempt in-flight searches through the drain token (their
     /// training checkpoints are persisted, and their clients receive typed
-    /// degraded best-so-far answers), flush the telemetry manifests, and
+    /// degraded best-so-far answers), flush the telemetry manifests (the
+    /// one publish of the store hits served since the last compute), and
     /// join every thread. Open v2 sessions stop reading (their pending
     /// answers are still written before the connection drops). A
     /// subsequent daemon on the same store directory warm-restarts the
@@ -853,7 +863,7 @@ fn handle_job(shared: &Shared, job: &Job) {
                 }
                 shared.lock_stats().computed += 1;
             }
-            shared.record_telemetry(&job.canonical.gpu.name, telemetry);
+            shared.record_telemetry(&job.canonical.gpu.name, telemetry, true);
             job.answer(report, false, preempted);
         }
         Err(message) => {

@@ -792,14 +792,97 @@ fn the_load_generator_proves_zero_failures_and_warm_phase_hit_economics() {
         "every warm repeat must be a store hit: {report:?}"
     );
     // Telemetry manifest: one entry per answered request, keyed under the
-    // service suite label.
+    // service suite label. Store-hit records reach disk at the drain.
+    let stats = server.shutdown();
     let gpu = cuasmrl::cli::resolve_arch("ampere").unwrap().name;
     let manifest = cuasmrl::load_run_manifest(&dir, &gpu, cuasmrld::SERVICE_SUITE_LABEL)
         .expect("service manifest persisted");
     assert_eq!(manifest.suite, cuasmrld::SERVICE_SUITE_LABEL);
     assert_eq!(manifest.kernels.len(), report.ok);
-    assert!(manifest.kernels.iter().any(|k| k.from_deploy_cache));
+    assert_eq!(
+        manifest
+            .kernels
+            .iter()
+            .filter(|k| k.from_deploy_cache)
+            .count() as u64,
+        stats.store_hits
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_store_hit_publishes_no_telemetry_and_the_drain_keeps_every_record() {
+    let dir = temp_dir("hit-telemetry");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = fast_config(&dir);
+    let gpu = cuasmrl::cli::resolve_arch("ampere").unwrap().name;
+    let manifest_path = dir.join(format!("{gpu}_service_telemetry.json"));
+    let manifest = || {
+        cuasmrl::load_run_manifest(&dir, &gpu, cuasmrld::SERVICE_SUITE_LABEL)
+            .expect("service manifest persisted")
+    };
+    let request = OptimizeRequest::table2("softmax", "ampere");
+
+    // A computed answer's record is on disk by the time its response
+    // arrives: computes stay published while the daemon runs.
+    let server = Server::start(config.clone()).expect("daemon starts");
+    let client = Client::new(server.local_addr());
+    assert!(!expect_ok(client.request(&request).expect("compute")).from_store);
+    let computed = manifest();
+    assert_eq!(computed.kernels.len(), 1);
+    assert!(!computed.kernels[0].from_deploy_cache);
+    let published = std::fs::read(&manifest_path).expect("manifest bytes");
+
+    // Hits over every connection shape: bare one-shot frames, a session,
+    // and a pipelined burst on one session.
+    let decode = |bytes: Vec<u8>| -> OptimizeResponse {
+        serde_json::from_str(std::str::from_utf8(&bytes).unwrap()).unwrap()
+    };
+    let mut hits = 0;
+    for _ in 0..2 {
+        let bytes = client.request_bytes(&request).expect("one-shot hit");
+        assert!(expect_ok(decode(bytes)).from_store);
+        hits += 1;
+    }
+    let connection = ClientBuilder::new(server.local_addr())
+        .connect()
+        .expect("session connects");
+    for _ in 0..2 {
+        assert!(expect_ok(connection.request(&request).expect("session hit")).from_store);
+        hits += 1;
+    }
+    let pipelined: Vec<cuasmrld::RequestHandle> = (0..3)
+        .map(|_| connection.submit(&request).expect("pipelined submit"))
+        .collect();
+    for handle in pipelined {
+        assert!(expect_ok(handle.wait().expect("pipelined hit")).from_store);
+        hits += 1;
+    }
+    assert!(
+        std::fs::read(&manifest_path).expect("manifest bytes") == published,
+        "a store hit must not republish the telemetry manifest"
+    );
+
+    // The drain publishes every hit record, after the computed one.
+    let stats = server.shutdown();
+    assert_eq!(stats.store_hits, hits);
+    let drained = manifest();
+    assert_eq!(drained.kernels.len(), 1 + hits as usize);
+    assert_eq!(drained.kernels[0], computed.kernels[0]);
+    assert!(drained.kernels[1..].iter().all(|k| k.from_deploy_cache));
+
+    // A restarted daemon seeds from the drained manifest and appends.
+    let server = Server::start(config).expect("daemon restarts");
+    let client = Client::new(server.local_addr());
+    assert!(expect_ok(client.request(&request).expect("restart hit")).from_store);
     server.shutdown();
+    let restarted = manifest();
+    assert_eq!(restarted.kernels.len(), 2 + hits as usize);
+    assert_eq!(
+        restarted.kernels[..drained.kernels.len()],
+        drained.kernels[..]
+    );
+    assert!(restarted.kernels.last().unwrap().from_deploy_cache);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

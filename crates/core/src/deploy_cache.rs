@@ -1,0 +1,316 @@
+//! The deploy cache (§4.2): one file per answer.
+//!
+//! With a cache directory configured, the pipeline first reads
+//! `{gpu}_{fnv1a64_hex(key)}.json`, where the key is the canonical JSON of
+//! every input the answer is a function of: (device, kernel spec,
+//! configuration space, tune measurement options) — what [`Autotuner::tune`]
+//! depends on — then (search strategy, game configuration). The stall table
+//! follows from the device's architecture and a training checkpoint cannot
+//! change the answer (resume ≡ uninterrupted), so neither is part of it. The
+//! record holds its format version, the full key string, the autotune winner
+//! and the [`OptimizationReport`]; anything that does not match exactly
+//! (unreadable, undecodable, another version, another key behind a colliding
+//! hash, a `best` outside the space) is a miss that re-searches and
+//! republishes. Without a cache directory nothing is read or written.
+//!
+//! [`Autotuner::tune`]: kernels::Autotuner::tune
+
+use std::path::{Path, PathBuf};
+
+use artifact::{fnv1a64_hex, StoreIo};
+use gpusim::{GpuConfig, MeasureOptions};
+use kernels::{ConfigSpace, KernelConfig, KernelSpec};
+use serde::{Deserialize, Serialize};
+
+use crate::game::GameConfig;
+use crate::optimizer::{OptimizationReport, Strategy};
+use crate::telemetry::publish_json;
+
+/// Format version of a deploy record.
+pub(crate) const DEPLOY_RECORD_VERSION: u32 = 1;
+
+/// What a deploy-cache file holds: one answer and the key it answers.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct DeployRecord {
+    pub(crate) version: u32,
+    pub(crate) key: String,
+    pub(crate) best: KernelConfig,
+    pub(crate) report: OptimizationReport,
+}
+
+/// Where one answer lives in a deploy-cache directory and the key its
+/// record must carry; see [`crate::CuAsmRl::deploy_key`].
+#[derive(Debug, Clone)]
+pub struct DeployKey {
+    pub(crate) path: PathBuf,
+    key: String,
+}
+
+impl DeployKey {
+    pub(crate) fn new(
+        dir: &Path,
+        gpu: &GpuConfig,
+        spec: &KernelSpec,
+        space: &ConfigSpace,
+        options: &MeasureOptions,
+        strategy: &Strategy,
+        game: &GameConfig,
+    ) -> Self {
+        let key = serde_json::to_string(&((gpu, spec, space, options), (strategy, game)))
+            .expect("the inputs of an answer serialize");
+        let path = dir.join(format!("{}_{}.json", gpu.name, fnv1a64_hex(key.as_bytes())));
+        DeployKey { path, key }
+    }
+
+    /// The cached answer — the autotune winner and the report — if the
+    /// record on disk is exactly this key's: same format version, a
+    /// byte-equal key and a winner inside `space`.
+    #[must_use]
+    pub fn read(&self, space: &ConfigSpace) -> Option<(KernelConfig, OptimizationReport)> {
+        let text = std::fs::read_to_string(&self.path).ok()?;
+        let record: DeployRecord = serde_json::from_str(&text).ok()?;
+        (record.version == DEPLOY_RECORD_VERSION
+            && record.key == self.key
+            && space.candidates.contains(&record.best))
+        .then_some((record.best, record.report))
+    }
+
+    /// Publishes `(best, report)` as this key's record through `io`,
+    /// atomically: a kill mid-publish leaves the previous record (or none),
+    /// never a torn one.
+    ///
+    /// # Errors
+    ///
+    /// Returns an IO error when the directory cannot be created or written.
+    pub fn publish(
+        &self,
+        io: &dyn StoreIo,
+        best: KernelConfig,
+        report: &OptimizationReport,
+    ) -> std::io::Result<()> {
+        let record = DeployRecord {
+            version: DEPLOY_RECORD_VERSION,
+            key: self.key.clone(),
+            best,
+            report: report.clone(),
+        };
+        publish_json(io, &self.path, &record)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    //! The record's search half: a hit is the searched answer, and every
+    //! search input is in the key. The autotune half — the record's `best`
+    //! memoises the grid's winner — is tested in `crate::tune_memo`, which
+    //! shares these helpers.
+
+    use super::*;
+    use crate::{ActionSpace, CuAsmRl, KernelTelemetry};
+    use artifact::UnsyncedIo;
+    use kernels::{Autotuner, KernelKind, TritonPipeline};
+    use sass::Cubin;
+
+    pub(crate) fn options() -> MeasureOptions {
+        MeasureOptions {
+            warmup: 0,
+            repeats: 2,
+            noise_std: 0.0,
+            seed: 0,
+        }
+    }
+
+    fn spec() -> KernelSpec {
+        KernelSpec::scaled(KernelKind::MatmulLeakyRelu, 64)
+    }
+
+    pub(crate) fn temp_dir(label: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "cuasmrl-deploy-cache-{label}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn optimizer() -> CuAsmRl {
+        CuAsmRl::new(GpuConfig::small(), Strategy::Greedy { max_moves: 2 })
+    }
+
+    pub(crate) fn cached(dir: &Path) -> CuAsmRl {
+        optimizer().with_cache_dir(dir)
+    }
+
+    pub(crate) fn answer(
+        optimizer: &CuAsmRl,
+        space: &ConfigSpace,
+        options: &MeasureOptions,
+    ) -> (OptimizationReport, Cubin, KernelTelemetry) {
+        optimizer.optimize_spec_instrumented(&spec(), space, options)
+    }
+
+    /// The answer of a pipeline without a deploy cache.
+    pub(crate) fn fresh(
+        space: &ConfigSpace,
+        options: &MeasureOptions,
+    ) -> (OptimizationReport, Cubin) {
+        let (report, cubin, _) = answer(&optimizer(), space, options);
+        (report, cubin)
+    }
+
+    pub(crate) fn json(report: &OptimizationReport) -> String {
+        serde_json::to_string(report).unwrap()
+    }
+
+    pub(crate) fn key_in(dir: &Path, space: &ConfigSpace, options: &MeasureOptions) -> DeployKey {
+        cached(dir).deploy_key(&spec(), space, options).unwrap()
+    }
+
+    pub(crate) fn read_record(key: &DeployKey) -> DeployRecord {
+        serde_json::from_str(&std::fs::read_to_string(&key.path).unwrap()).unwrap()
+    }
+
+    pub(crate) fn write_record(at: &DeployKey, record: &DeployRecord) {
+        publish_json(&UnsyncedIo, &at.path, record).unwrap();
+    }
+
+    /// A configuration of `space` the autotune grid does not choose.
+    pub(crate) fn loser(space: &ConfigSpace, options: &MeasureOptions) -> KernelConfig {
+        let best = Autotuner::new(GpuConfig::small())
+            .with_options(options.clone())
+            .tune(&spec(), space)
+            .best;
+        *space.candidates.iter().find(|c| **c != best).unwrap()
+    }
+
+    /// Plants at `at`'s file a well-formed record carrying `key`'s key whose
+    /// answer is the search of `best`'s kernel.
+    pub(crate) fn plant(at: &DeployKey, key: &DeployKey, best: KernelConfig) {
+        let compiled = TritonPipeline::new(GpuConfig::small()).compile(&spec(), &best);
+        let program = compiled.cubin.kernel_program(&compiled.name).unwrap();
+        let report = optimizer().optimize_program(&compiled.name, program, compiled.launch);
+        let record = DeployRecord {
+            version: DEPLOY_RECORD_VERSION,
+            key: key.key.clone(),
+            best,
+            report,
+        };
+        write_record(at, &record);
+    }
+
+    #[test]
+    fn a_damaged_hit_is_searched_not_answered_with_the_baseline_cubin() {
+        let dir = temp_dir("damaged-hit");
+        let space = ConfigSpace::small();
+        let key = key_in(&dir, &space, &options());
+        let (expected, expected_cubin) = fresh(&space, &options());
+        answer(&cached(&dir), &space, &options());
+        let good = std::fs::read(&key.path).unwrap();
+        let best = read_record(&key).best;
+        let baseline = TritonPipeline::new(GpuConfig::small())
+            .compile(&spec(), &best)
+            .cubin;
+        assert_ne!(expected_cubin.to_bytes(), baseline.to_bytes());
+        let damages: [fn(&mut OptimizationReport); 2] = [
+            |report| report.optimized_listing = "this is not SASS".to_string(),
+            |report| report.kernel = "another_kernel".to_string(),
+        ];
+        for damage in damages {
+            let mut record = read_record(&key);
+            damage(&mut record.report);
+            write_record(&key, &record);
+            let (report, cubin, telemetry) = answer(&cached(&dir), &space, &options());
+            assert!(!telemetry.from_deploy_cache, "a damaged hit re-searches");
+            assert_eq!(json(&report), json(&expected));
+            assert_eq!(cubin.to_bytes(), expected_cubin.to_bytes());
+            assert_eq!(std::fs::read(&key.path).unwrap(), good, "republished");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn every_input_of_the_answer_is_in_its_key() {
+        let dir = temp_dir("isolation");
+        let space = ConfigSpace::small();
+        let game = GameConfig {
+            episode_length: 8,
+            measure: options(),
+            ..GameConfig::default()
+        };
+        let with = |strategy: Strategy, game: GameConfig| {
+            CuAsmRl::new(GpuConfig::small(), strategy)
+                .with_game_config(game)
+                .with_cache_dir(&dir)
+        };
+        let greedy = Strategy::Greedy { max_moves: 2 };
+        let evolutionary = |seed| Strategy::Evolutionary {
+            generations: 2,
+            mutation_length: 4,
+            seed,
+        };
+        let records = || std::fs::read_dir(&dir).unwrap().count();
+        let (_, _, telemetry) = answer(&with(greedy.clone(), game.clone()), &space, &options());
+        assert!(!telemetry.from_deploy_cache);
+        let variants = [
+            ("strategy", with(evolutionary(0), game.clone()), options()),
+            // One field away from the evolutionary record just written.
+            ("seed", with(evolutionary(1), game.clone()), options()),
+            (
+                "budget",
+                with(Strategy::Greedy { max_moves: 3 }, game.clone()),
+                options(),
+            ),
+            (
+                "episode length",
+                with(
+                    greedy.clone(),
+                    GameConfig {
+                        episode_length: 6,
+                        ..game.clone()
+                    },
+                ),
+                options(),
+            ),
+            (
+                "action space",
+                with(
+                    greedy.clone(),
+                    GameConfig {
+                        action_space: ActionSpace::Rich,
+                        ..game.clone()
+                    },
+                ),
+                options(),
+            ),
+            (
+                "tune options",
+                with(greedy.clone(), game.clone()),
+                MeasureOptions {
+                    repeats: 3,
+                    ..options()
+                },
+            ),
+        ];
+        for (index, (field, optimizer, tune)) in variants.iter().enumerate() {
+            let (_, _, telemetry) = answer(optimizer, &space, tune);
+            assert!(!telemetry.from_deploy_cache, "another {field} must miss");
+            assert_eq!(
+                records(),
+                index + 2,
+                "another {field} leaves its own record"
+            );
+            let (_, _, telemetry) = answer(optimizer, &space, tune);
+            assert!(
+                telemetry.from_deploy_cache,
+                "{field}: its own record answers"
+            );
+        }
+        let (_, _, telemetry) = answer(&with(greedy, game), &space, &options());
+        assert!(
+            telemetry.from_deploy_cache,
+            "the first record still answers"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}

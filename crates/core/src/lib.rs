@@ -34,6 +34,7 @@
 mod action;
 mod analysis;
 pub mod cli;
+mod deploy_cache;
 mod embed;
 mod eval_cache;
 mod game;
@@ -48,6 +49,7 @@ pub use action::{
     action_mask, schedule_edits, ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit,
 };
 pub use analysis::{analyze, Analysis, Resolution, ResolutionBreakdown};
+pub use deploy_cache::DeployKey;
 pub use embed::{
     arch_features, embed_program, embed_rows_into, feature_count, ARCH_FEATURES, FIXED_FEATURES,
 };

@@ -5,21 +5,19 @@
 
 use std::path::PathBuf;
 
-use artifact::{StoreIo, UnsyncedIo};
+use artifact::UnsyncedIo;
 use gpusim::{GpuConfig, MeasureOptions};
-use kernels::{ConfigSpace, KernelSpec, TritonPipeline};
+use kernels::{Autotuner, ConfigSpace, KernelSpec, TritonPipeline};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rl::{CancelToken, CheckpointError, Env, PpoConfig, PpoTrainer};
 use sass::{Cubin, Program};
 use serde::{Deserialize, Serialize};
 
+use crate::deploy_cache::DeployKey;
 use crate::game::{AssemblyGame, GameConfig, Move};
 use crate::stall_table::StallTable;
-use crate::telemetry::{
-    duration_ms, publish_json, CacheTelemetry, KernelTelemetry, TrainingTelemetry,
-};
-use crate::tune_memo;
+use crate::telemetry::{duration_ms, CacheTelemetry, KernelTelemetry, TrainingTelemetry};
 
 /// The search strategy used to play the assembly game.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -119,7 +117,9 @@ impl CuAsmRl {
         self
     }
 
-    /// Enables the deploy-time lookup cache in the given directory (§4.2).
+    /// Enables the deploy-time lookup cache in the given directory (§4.2):
+    /// one record per answer, `{gpu}_{fnv1a64_hex(key)}.json`, keyed by
+    /// every input of the answer (see [`CuAsmRl::deploy_key`]).
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -142,33 +142,20 @@ impl CuAsmRl {
         self
     }
 
-    fn cache_path(&self, kernel: &str) -> Option<PathBuf> {
-        self.cache_dir
-            .as_ref()
-            .map(|d| d.join(format!("{}_{kernel}.json", self.gpu.name)))
-    }
-
-    /// Looks up a previously optimized kernel in the cache.
+    /// The deploy-cache key of the answer to `(spec, space, tune)` under
+    /// this optimizer, `tune` being the autotune measurement options: where
+    /// its record lives in the cache directory and what the record must
+    /// carry. `None` without a cache directory.
     #[must_use]
-    pub fn lookup(&self, kernel: &str) -> Option<OptimizationReport> {
-        let path = self.cache_path(kernel)?;
-        let text = std::fs::read_to_string(path).ok()?;
-        serde_json::from_str(&text).ok()
-    }
-
-    /// Publishes a report into the deploy cache through `io`, atomically:
-    /// a kill mid-store leaves the previous report (or none), never a torn
-    /// one that [`CuAsmRl::lookup`] would take for a miss forever after.
-    /// A no-op without a cache directory.
-    ///
-    /// # Errors
-    ///
-    /// Returns an IO error when the directory cannot be created or written.
-    pub fn store(&self, io: &dyn StoreIo, report: &OptimizationReport) -> std::io::Result<()> {
-        match self.cache_path(&report.kernel) {
-            Some(path) => publish_json(io, &path, report),
-            None => Ok(()),
-        }
+    pub fn deploy_key(
+        &self,
+        spec: &KernelSpec,
+        space: &ConfigSpace,
+        tune: &MeasureOptions,
+    ) -> Option<DeployKey> {
+        let dir = self.cache_dir.as_deref()?;
+        let (gpu, strategy, game) = (&self.gpu, &self.strategy, &self.game_config);
+        Some(DeployKey::new(dir, gpu, spec, space, tune, strategy, game))
     }
 
     /// Full hierarchical optimization (§3.1): autotune the kernel
@@ -214,12 +201,15 @@ impl CuAsmRl {
     }
 
     /// The one place the pipeline from a kernel spec to its answer is
-    /// sequenced — autotune → compile → deploy-cache lookup → assembly game
-    /// → search → verify → cubin write-back → deploy-cache store; every
+    /// sequenced — deploy-cache lookup → autotune → compile → assembly game
+    /// → search → verify → cubin write-back → deploy-cache publish; every
     /// other `optimize_*` entry point, the suite fan-out and the daemon
-    /// delegate here. With a deploy cache configured the autotune verdict
-    /// is memoised beside it (a `*.tune.json` per device, spec, space and
-    /// tune options), so a repeat lookup simulates nothing.
+    /// delegate here. With a deploy cache configured, a record under this
+    /// call's [`CuAsmRl::deploy_key`] answers it: the record's autotune
+    /// winner is compiled and its schedule written back, so a repeat lookup
+    /// simulates nothing. A record that does not match exactly, or whose
+    /// schedule is not the compiled kernel's or does not parse, is a miss
+    /// that searches and republishes.
     ///
     /// Preemption is cooperative: the search polls `cancel` at its
     /// step/update boundaries and, once the token fires, stops early and
@@ -236,8 +226,9 @@ impl CuAsmRl {
     ///
     /// # Panics
     ///
-    /// Panics if the compiled cubin does not contain the expected kernel
-    /// (which would be a pipeline bug).
+    /// Panics if the compiled cubin does not contain the expected kernel, or
+    /// the searched schedule does not parse back into it (either would be a
+    /// pipeline bug).
     pub fn optimize_spec_instrumented_with(
         &self,
         spec: &KernelSpec,
@@ -246,40 +237,42 @@ impl CuAsmRl {
         cancel: &CancelToken,
     ) -> Result<(OptimizationReport, Cubin, KernelTelemetry, bool), CheckpointError> {
         let run_start = std::time::Instant::now();
-        let tuning = tune_memo::tune(
-            &self.gpu,
-            self.cache_dir.as_deref(),
-            spec,
-            space,
-            tune_options,
-        );
+        let pipeline = TritonPipeline::new(self.gpu.clone());
+        let key = self.deploy_key(spec, space, tune_options);
+        if let Some((best, report)) = key.as_ref().and_then(|key| key.read(space)) {
+            let autotune_ms = duration_ms(run_start.elapsed());
+            let compile_start = std::time::Instant::now();
+            let compiled = pipeline.compile(spec, &best);
+            let compile_ms = duration_ms(compile_start.elapsed());
+            // A record whose schedule is not this kernel's, or does not
+            // parse, is a miss: answering it would ship the baseline cubin.
+            if let Some(cubin) = write_back(compiled.cubin, &compiled.name, &report) {
+                let mut telemetry = KernelTelemetry::cached(&report);
+                telemetry.phases.autotune_ms = autotune_ms;
+                telemetry.phases.compile_ms = compile_ms;
+                telemetry.phases.total_ms = duration_ms(run_start.elapsed());
+                return Ok((report, cubin, telemetry, false));
+            }
+        }
+        let tuning = Autotuner::new(self.gpu.clone())
+            .with_options(tune_options.clone())
+            .tune(spec, space);
         let autotune_ms = duration_ms(run_start.elapsed());
         let compile_start = std::time::Instant::now();
-        let compiled = TritonPipeline::new(self.gpu.clone()).compile(spec, &tuning.best);
+        let compiled = pipeline.compile(spec, &tuning.best);
         let compile_ms = duration_ms(compile_start.elapsed());
-        let (report, mut telemetry, preempted) = match self.lookup(&compiled.name) {
-            Some(hit) => {
-                let telemetry = KernelTelemetry::cached(&hit);
-                (hit, telemetry, false)
+        let program = compiled
+            .cubin
+            .kernel_program(&compiled.name)
+            .expect("compiled cubin must contain the kernel");
+        let (report, mut telemetry, preempted) =
+            self.search(&compiled.name, program, compiled.launch, cancel)?;
+        let cubin = write_back(compiled.cubin, &compiled.name, &report)
+            .expect("a searched schedule parses back into its kernel");
+        if let Some(key) = key.filter(|_| !preempted) {
+            if let Err(err) = key.publish(&UnsyncedIo, tuning.best, &report) {
+                eprintln!("cuasmrl: failed to persist deploy-cache record: {err}");
             }
-            None => {
-                let program = compiled
-                    .cubin
-                    .kernel_program(&compiled.name)
-                    .expect("compiled cubin must contain the kernel");
-                let (report, telemetry, preempted) =
-                    self.search(&compiled.name, program, compiled.launch, cancel)?;
-                if !preempted {
-                    if let Err(err) = self.store(&UnsyncedIo, &report) {
-                        eprintln!("cuasmrl: failed to persist deploy-cache report: {err}");
-                    }
-                }
-                (report, telemetry, preempted)
-            }
-        };
-        let mut cubin = compiled.cubin;
-        if let Ok(optimized) = report.optimized_listing.parse::<Program>() {
-            let _ = cubin.replace_kernel_section(&compiled.name, &optimized);
         }
         telemetry.phases.autotune_ms = autotune_ms;
         telemetry.phases.compile_ms = compile_ms;
@@ -374,6 +367,18 @@ impl CuAsmRl {
         telemetry.phases.verify_ms = verify_ms;
         Ok((report, telemetry, preempted))
     }
+}
+
+/// `cubin` with `report`'s schedule written into `kernel`'s section, or
+/// `None` when the report is another kernel's or its listing
+/// does not parse or fit.
+fn write_back(mut cubin: Cubin, kernel: &str, report: &OptimizationReport) -> Option<Cubin> {
+    if report.kernel != kernel {
+        return None;
+    }
+    let optimized = report.optimized_listing.parse::<Program>().ok()?;
+    cubin.replace_kernel_section(kernel, &optimized).ok()?;
+    Some(cubin)
 }
 
 /// Builds the [`OptimizationReport`] of a finished search: reads the game's
@@ -651,14 +656,24 @@ mod tests {
     #[test]
     fn cache_round_trips_reports() {
         let dir = std::env::temp_dir().join(format!("cuasmrl-cache-test-{}", std::process::id()));
-        let (name, program, launch) = small_kernel();
+        let _ = std::fs::remove_dir_all(&dir);
+        let (spec, space, tune, _) = tiny_rl_setup();
         let optimizer = CuAsmRl::new(GpuConfig::small(), Strategy::Greedy { max_moves: 4 })
             .with_cache_dir(&dir);
-        assert!(optimizer.lookup(&name).is_none());
+        let key = optimizer
+            .deploy_key(&spec, &space, &tune)
+            .expect("a cache dir");
+        assert!(key.read(&space).is_none());
+        let (name, program, launch) = small_kernel();
         let report = optimizer.optimize_program(&name, program, launch);
-        optimizer.store(&UnsyncedIo, &report).expect("store");
-        let hit = optimizer.lookup(&name).expect("cache hit after store");
-        assert_eq!(hit.kernel, report.kernel);
+        let best = space.candidates[0];
+        key.publish(&UnsyncedIo, best, &report).expect("publish");
+        let (hit_best, hit) = key.read(&space).expect("cache hit after publish");
+        assert_eq!(hit_best, best);
+        assert_eq!(
+            serde_json::to_string(&hit).unwrap(),
+            serde_json::to_string(&report).unwrap()
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -788,8 +803,9 @@ mod tests {
         assert!(degraded.speedup >= 1.0);
         // …and the checkpoint survives for the warm restart.
         assert!(path.exists(), "preemption must keep the checkpoint");
+        let key = optimizer.deploy_key(&spec, &space, &tune).unwrap();
         assert!(
-            optimizer.lookup(&degraded.kernel).is_none(),
+            key.read(&space).is_none(),
             "a degraded report must not enter the deploy cache"
         );
 
@@ -804,7 +820,7 @@ mod tests {
         );
         assert!(!path.exists());
         assert!(
-            optimizer.lookup(&report.kernel).is_some(),
+            key.read(&space).is_some(),
             "the converged answer does enter the deploy cache"
         );
         let _ = std::fs::remove_dir_all(&cache_dir);

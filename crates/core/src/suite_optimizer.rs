@@ -180,8 +180,11 @@ impl SuiteOptimizer {
         self
     }
 
-    /// Enables the deploy-time schedule cache (§4.2): per-kernel reports and
-    /// the aggregate suite report are persisted under `dir`.
+    /// Enables the deploy-time schedule cache (§4.2): every kernel's answer
+    /// is one record under `dir` keyed by every input of the answer
+    /// ([`CuAsmRl::deploy_key`] of [`SuiteOptimizer::optimizer_for`]), and
+    /// the aggregate suite report and telemetry manifest are persisted
+    /// beside them.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -524,7 +527,9 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let suite = optimizer(2).with_cache_dir(&dir).optimize(&small_suite());
+        let _ = std::fs::remove_dir_all(&dir);
+        let driver = optimizer(2).with_cache_dir(&dir);
+        let suite = driver.optimize(&small_suite());
         let loaded =
             load_suite_report(&dir, &suite.gpu, &suite.suite).expect("aggregate report persisted");
         assert_eq!(loaded.suite, "custom");
@@ -532,11 +537,35 @@ mod tests {
             serde_json::to_string(&loaded).unwrap(),
             serde_json::to_string(&suite).unwrap()
         );
-        // Per-kernel reports are cached for deploy-time lookup as well.
-        let per_kernel = CuAsmRl::new(GpuConfig::small(), Strategy::Greedy { max_moves: 4 })
-            .with_cache_dir(&dir)
-            .lookup(&suite.reports[0].kernel);
-        assert!(per_kernel.is_some());
+        // One deploy record per kernel sits beside the suite report and the
+        // telemetry manifest, and answers that kernel's own optimizer.
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, small_suite().len() + 2);
+        for (spec, report) in small_suite().iter().zip(&suite.reports) {
+            let (hit, _cubin, telemetry) = driver.optimizer_for(spec).optimize_spec_instrumented(
+                spec,
+                &driver.config_space_for(spec),
+                driver.tune_options(),
+            );
+            assert!(telemetry.from_deploy_cache);
+            assert_eq!(
+                serde_json::to_string(&hit).unwrap(),
+                serde_json::to_string(report).unwrap()
+            );
+        }
+        // A second run with the same settings answers every kernel from the
+        // cache; one that changes a key field searches.
+        let (_, manifest) = driver.optimize_labeled_instrumented(&small_suite(), "custom");
+        assert!(manifest.kernels.iter().all(|k| k.from_deploy_cache));
+        let (_, manifest) = driver
+            .clone()
+            .with_game_config(GameConfig {
+                episode_length: 6,
+                measure: fast_measure(),
+                ..GameConfig::default()
+            })
+            .optimize_labeled_instrumented(&small_suite(), "custom");
+        assert!(manifest.kernels.iter().all(|k| !k.from_deploy_cache));
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -10,9 +10,10 @@
 //!   candidates on the simulated GPU and returning the fastest configuration.
 //!
 //! The tuner itself remembers nothing between calls. The verdict is
-//! memoised one level up, beside the deploy cache: with a cache directory
-//! configured, `cuasmrl::CuAsmRl` reads a `*.tune.json` memo keyed by
-//! (device, spec, space, measurement options) before it would tune.
+//! memoised one level up, in the deploy cache: with a cache directory
+//! configured, `cuasmrl::CuAsmRl` reads the answer's deploy record — keyed
+//! by every input of the answer, this tuner's (device, spec, space,
+//! measurement options) among them — before it would tune.
 
 use gpusim::{argmin_horizon, measure_until, GpuConfig, LaunchConfig, MeasureOptions};
 use sass::Cubin;

@@ -11,7 +11,7 @@
 //!
 //! The same sweep then runs over the families that publish outside the
 //! store — RL checkpoints, sealed telemetry manifests, deploy-cache
-//! reports — each read back with its production reader: the old artifact or
+//! records — each read back with its production reader: the old artifact or
 //! the new one, and nothing in the directory but recognisable debris.
 
 use std::io;
@@ -384,12 +384,18 @@ fn a_killed_manifest_persist_leaves_the_old_manifest_or_the_new_one() {
 
 #[test]
 fn a_killed_deploy_cache_store_leaves_the_old_report_or_the_new_one() {
-    let optimizer_in = |dir: &Path| {
+    let spec = kernels::KernelSpec::scaled(kernels::KernelKind::Softmax, 16);
+    let space = kernels::ConfigSpace::small();
+    let options = gpusim::MeasureOptions::default();
+    let best = space.candidates[0];
+    let key_in = |dir: &Path| {
         cuasmrl::CuAsmRl::new(
             gpusim::GpuConfig::small(),
             cuasmrl::Strategy::Greedy { max_moves: 1 },
         )
         .with_cache_dir(dir)
+        .deploy_key(&spec, &space, &options)
+        .expect("a cache directory is configured")
     };
     let version = |new: bool| cuasmrl::OptimizationReport {
         kernel: "softmax".to_string(),
@@ -400,15 +406,27 @@ fn a_killed_deploy_cache_store_leaves_the_old_report_or_the_new_one() {
         optimized_listing: String::new(),
         moves: Vec::new(),
     };
-    let file = format!("{}_softmax.json", gpusim::GpuConfig::small().name);
+    // The record's file name hashes its key: learn it from one publish.
+    let probe = temp_dir("deploy-cache-name");
+    let _ = std::fs::remove_dir_all(&probe);
+    key_in(&probe)
+        .publish(&UnsyncedIo, best, &version(false))
+        .expect("the probe publishes");
+    let file = std::fs::read_dir(&probe)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .next()
+        .expect("one record");
+    let _ = std::fs::remove_dir_all(&probe);
     sweep_family_publish(
         "deploy-cache",
         &file,
-        &|io, dir, new| optimizer_in(dir).store(io, &version(new)),
+        &|io, dir, new| key_in(dir).publish(io, best, &version(new)),
         &|dir| {
-            let report = optimizer_in(dir)
-                .lookup("softmax")
-                .expect("the cached report decodes");
+            let (read_best, report) = key_in(dir)
+                .read(&space)
+                .expect("the cached record decodes and matches its key");
+            assert_eq!(read_best, best);
             serde_json::to_string(&report).unwrap().into_bytes()
         },
     );

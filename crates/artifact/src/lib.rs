@@ -4,7 +4,8 @@
 //! and their journal, RL checkpoints, telemetry manifests, deploy-cache and
 //! suite reports — and every one of them is published the same way. This
 //! crate sits at the bottom of the dependency graph (no first-party
-//! dependency) and owns that one decision:
+//! dependency) and owns that decision and its inverse, reading a file
+//! back:
 //!
 //! - [`StoreIo`] — the injectable filesystem layer, with [`RealIo`]
 //!   (fsynced: store entries and the journal), [`UnsyncedIo`] (the same
@@ -18,6 +19,13 @@
 //! - [`fnv1a64`] / [`fnv1a64_hex`] — the checksum every integrity format
 //!   (entry, journal record, manifest seal, checkpoint trailer, request
 //!   digest) is built on.
+//! - [`ArtifactError`] — what every family's reader answers when the file
+//!   is damaged, and [`decode_json`], the one place the JSON families
+//!   decide torn from corrupt. The rule: a file whose bytes end before its
+//!   format does is **torn** (an interrupted write); a file whose bytes
+//!   are complete but not a valid instance is **corrupt** (damage in
+//!   place). Version skew and a failed checksum are named separately, and
+//!   both count as corrupt.
 //!
 //! `docs/ARTIFACTS.md` tabulates the families: integrity format, synced or
 //! rebuildable, and who sweeps the debris.
@@ -25,11 +33,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod error;
 pub mod io;
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+pub use error::{decode_json, ArtifactError};
 pub use io::{
     is_simulated_crash, CrashEffect, CrashPoint, CrashPointIo, IoOp, RealIo, StoreIo, UnsyncedIo,
 };

@@ -67,6 +67,6 @@ pub use suite_optimizer::{
 };
 pub use telemetry::{
     duration_ms, load_run_manifest, load_run_manifest_checked, persist_run_manifest,
-    telemetry_path, CacheTelemetry, KernelTelemetry, ManifestError, PhaseTimings, RunManifest,
-    TrainingTelemetry, MANIFEST_SEAL_VERSION, TELEMETRY_SCHEMA_VERSION,
+    telemetry_path, CacheTelemetry, KernelTelemetry, PhaseTimings, RunManifest, TrainingTelemetry,
+    MANIFEST_SEAL_VERSION, TELEMETRY_SCHEMA_VERSION,
 };

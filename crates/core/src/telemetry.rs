@@ -19,7 +19,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use artifact::{fnv1a64_hex, publish_atomic, StoreIo};
+use artifact::{decode_json, fnv1a64_hex, publish_atomic, ArtifactError, StoreIo};
 use serde::{Deserialize, Serialize};
 
 use crate::eval_cache::EvalCacheStats;
@@ -308,42 +308,6 @@ struct SealedManifest {
     manifest: RunManifest,
 }
 
-/// Why a persisted manifest could not be loaded ([`load_run_manifest_checked`]).
-#[derive(Debug)]
-pub enum ManifestError {
-    /// The file exists but is not a decodable manifest (of either the
-    /// sealed-envelope or the legacy bare layout).
-    Corrupt {
-        /// The offending file.
-        path: PathBuf,
-        /// Decoder detail.
-        detail: String,
-    },
-    /// The envelope decodes but the manifest's content does not match its
-    /// recorded checksum — silent corruption.
-    ChecksumMismatch {
-        /// The offending file.
-        path: PathBuf,
-    },
-}
-
-impl std::fmt::Display for ManifestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ManifestError::Corrupt { path, detail } => {
-                write!(f, "corrupt telemetry manifest {}: {detail}", path.display())
-            }
-            ManifestError::ChecksumMismatch { path } => write!(
-                f,
-                "telemetry manifest {} fails its checksum",
-                path.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ManifestError {}
-
 /// Publishes `value` as pretty JSON at `path` through `io`
 /// ([`artifact::publish_atomic`]), creating the directory first — how
 /// every JSON artifact of this crate (deploy-cache report, suite report,
@@ -385,37 +349,45 @@ pub fn persist_run_manifest(
 }
 
 /// Loads a previously persisted run manifest with the full typed-error
-/// path: `Ok(None)` when no manifest exists, [`ManifestError`] when one
-/// exists but is damaged. Reads both the sealed envelope (verifying its
-/// checksum) and the legacy bare layout older builds wrote.
+/// path: `Ok(None)` only when no manifest file exists, [`ArtifactError`]
+/// when one exists but cannot be read or is damaged. Reads both the sealed
+/// envelope (verifying its checksum) and the legacy bare layout older
+/// builds wrote.
 ///
 /// # Errors
 ///
-/// [`ManifestError::Corrupt`] when the file decodes as neither layout,
-/// [`ManifestError::ChecksumMismatch`] when the envelope's checksum fails.
+/// [`ArtifactError::Io`] when the file exists but cannot be read,
+/// [`ArtifactError::Torn`] when it ends before the document does,
+/// [`ArtifactError::Corrupt`] when it decodes as neither layout,
+/// [`ArtifactError::ChecksumMismatch`] when the envelope's checksum fails.
 pub fn load_run_manifest_checked(
     dir: &Path,
     gpu: &str,
     suite: &str,
-) -> Result<Option<RunManifest>, ManifestError> {
+) -> Result<Option<RunManifest>, ArtifactError> {
     let path = telemetry_path(dir, gpu, suite);
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return Ok(None);
+    let bytes = match std::fs::read(&path) {
+        Ok(bytes) => bytes,
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(err) => return Err(ArtifactError::Io(err)),
     };
-    if let Ok(sealed) = serde_json::from_str::<SealedManifest>(&text) {
-        if manifest_checksum(&sealed.manifest).as_deref() == Some(sealed.checksum.as_str()) {
-            return Ok(Some(sealed.manifest));
+    match decode_json::<SealedManifest>(&path, &bytes) {
+        Ok(sealed) => {
+            let computed = manifest_checksum(&sealed.manifest).unwrap_or_default();
+            if computed == sealed.checksum {
+                Ok(Some(sealed.manifest))
+            } else {
+                Err(ArtifactError::ChecksumMismatch {
+                    path,
+                    recorded: sealed.checksum,
+                    computed,
+                })
+            }
         }
-        return Err(ManifestError::ChecksumMismatch { path });
-    }
-    // Legacy bare manifests (pre-seal) have no checksum to verify; a
-    // `kernels` array distinguishes a real one from arbitrary JSON.
-    match serde_json::from_str::<RunManifest>(&text) {
-        Ok(manifest) => Ok(Some(manifest)),
-        Err(err) => Err(ManifestError::Corrupt {
-            path,
-            detail: err.to_string(),
-        }),
+        // Legacy bare manifests (pre-seal) have no checksum to verify; a
+        // `kernels` array distinguishes a real one from arbitrary JSON.
+        Err(ArtifactError::Corrupt { .. }) => decode_json(&path, &bytes).map(Some),
+        Err(err) => Err(err),
     }
 }
 
@@ -696,7 +668,7 @@ mod tests {
         std::fs::write(&path, "{ torn-off mid-write").unwrap();
         assert!(matches!(
             load_run_manifest_checked(&dir, "a100", "service"),
-            Err(ManifestError::Corrupt { .. })
+            Err(ArtifactError::Corrupt { .. })
         ));
         assert_eq!(load_run_manifest(&dir, "a100", "service"), None);
 
@@ -709,9 +681,49 @@ mod tests {
         std::fs::write(&path, tampered).unwrap();
         assert!(matches!(
             load_run_manifest_checked(&dir, "a100", "service"),
-            Err(ManifestError::ChecksumMismatch { .. })
+            Err(ArtifactError::ChecksumMismatch { .. })
         ));
         assert_eq!(load_run_manifest(&dir, "a100", "service"), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_manifest_that_exists_is_never_read_as_absent() {
+        let dir = seal_test_dir("present");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = telemetry_path(&dir, "a100", "service");
+        assert!(matches!(
+            load_run_manifest_checked(&dir, "a100", "service"),
+            Ok(None)
+        ));
+
+        // One byte that is not UTF-8: damage in place, not absence.
+        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            load_run_manifest_checked(&dir, "a100", "service"),
+            Err(ArtifactError::Corrupt { .. })
+        ));
+
+        // Cut mid-document: torn. Unreadable (a directory in its place):
+        // an I/O error.
+        bytes.truncate(bytes.len() / 2);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            load_run_manifest_checked(&dir, "a100", "service"),
+            Err(ArtifactError::Torn { .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
+        std::fs::create_dir(&path).unwrap();
+        assert!(matches!(
+            load_run_manifest_checked(&dir, "a100", "service"),
+            Err(ArtifactError::Io(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

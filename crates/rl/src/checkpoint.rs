@@ -27,12 +27,14 @@
 //! ```
 //!
 //! Corrupted, truncated or wrong-version inputs are rejected with a typed
-//! [`CheckpointError`] — never a panic.
+//! [`ArtifactError`] — never a panic. The format has no length field, so
+//! a file cut after its header fails the trailer checksum: only a cut
+//! inside the 20-byte header-plus-trailer reads [`ArtifactError::Torn`].
 
 use std::fmt;
 use std::path::Path;
 
-use artifact::{fnv1a64, publish_atomic, StoreIo};
+use artifact::{fnv1a64, fnv1a64_hex, publish_atomic, ArtifactError, StoreIo};
 use nn::Matrix;
 
 use crate::policy::{OptimizerState, PolicyState, RngState};
@@ -44,25 +46,12 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CASRLCKP";
 /// The current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// Why a checkpoint could not be written, read or applied.
+/// Why a checkpoint could not be taken, saved, resumed from or applied:
+/// file damage is an [`ArtifactError`], the rest is about the environment.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The underlying file could not be read or written.
-    Io(std::io::Error),
-    /// The input does not start with [`CHECKPOINT_MAGIC`] — it is not a
-    /// checkpoint at all.
-    BadMagic,
-    /// The input is a checkpoint, but of a format version this build does
-    /// not understand.
-    UnsupportedVersion(u32),
-    /// The input ended before the declared content did.
-    Truncated,
-    /// The trailing checksum does not match the content — the file was
-    /// damaged after being written.
-    ChecksumMismatch,
-    /// The input decodes structurally but is internally inconsistent
-    /// (mismatched weight shapes, impossible lengths, …).
-    Corrupt(String),
+    /// The checkpoint file could not be read or written, or is damaged.
+    Artifact(ArtifactError),
     /// The environment does not support state snapshots
     /// ([`crate::Env::state_bytes`] returned `None`), so a resumable
     /// checkpoint cannot be taken or applied.
@@ -76,17 +65,7 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            CheckpointError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported checkpoint version {v} (this build reads {CHECKPOINT_VERSION})"
-                )
-            }
-            CheckpointError::Truncated => write!(f, "checkpoint is truncated"),
-            CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
-            CheckpointError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
+            CheckpointError::Artifact(err) => write!(f, "checkpoint: {err}"),
             CheckpointError::EnvSnapshotUnsupported => {
                 write!(f, "environment does not support state snapshots")
             }
@@ -100,15 +79,27 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CheckpointError::Io(e) => Some(e),
+            CheckpointError::Artifact(err) => Some(err),
             _ => None,
         }
     }
 }
 
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
+impl From<ArtifactError> for CheckpointError {
+    fn from(err: ArtifactError) -> Self {
+        CheckpointError::Artifact(err)
+    }
+}
+
+/// The name damage found in an in-memory checkpoint is reported under
+/// (a file read names its path).
+const IN_MEMORY: &str = "checkpoint";
+
+/// [`ArtifactError::Corrupt`] of an in-memory checkpoint.
+pub(crate) fn corrupt_in_memory(detail: String) -> ArtifactError {
+    ArtifactError::Corrupt {
+        path: IN_MEMORY.into(),
+        detail,
     }
 }
 
@@ -173,35 +164,52 @@ impl Checkpoint {
         w.buf
     }
 
-    /// Decodes a checkpoint from bytes.
+    /// Decodes a checkpoint from bytes; errors name the file
+    /// `checkpoint`.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`CheckpointError`] on bad magic, unsupported
-    /// versions, truncation, checksum mismatch, or any structural
-    /// inconsistency. Never panics on hostile input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < CHECKPOINT_MAGIC.len() + 4 + 8 {
-            if bytes.len() >= CHECKPOINT_MAGIC.len()
-                && bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
-            {
-                return Err(CheckpointError::BadMagic);
-            }
-            return Err(CheckpointError::Truncated);
+    /// Returns a typed [`ArtifactError`]: `Torn` when the bytes end inside
+    /// the header, `Corrupt` on bad magic or any structural inconsistency,
+    /// `UnsupportedVersion` and `ChecksumMismatch` by name. Never panics on
+    /// hostile input.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        Self::decode(Path::new(IN_MEMORY), bytes)
+    }
+
+    fn decode(path: &Path, bytes: &[u8]) -> Result<Self, ArtifactError> {
+        let magic = CHECKPOINT_MAGIC.len().min(bytes.len());
+        if bytes[..magic] != CHECKPOINT_MAGIC[..magic] {
+            return Err(ArtifactError::Corrupt {
+                path: path.to_path_buf(),
+                detail: "not a checkpoint (bad magic)".to_string(),
+            });
         }
-        if bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
+        if bytes.len() < CHECKPOINT_MAGIC.len() + 4 + 8 {
+            return Err(ArtifactError::Torn {
+                path: path.to_path_buf(),
+                detail: format!("{} bytes end inside the header", bytes.len()),
+            });
         }
         let (content, trailer) = bytes.split_at(bytes.len() - 8);
         let mut checksum_bytes = [0u8; 8];
         checksum_bytes.copy_from_slice(trailer);
-        if fnv1a64(content) != u64::from_le_bytes(checksum_bytes) {
-            return Err(CheckpointError::ChecksumMismatch);
+        let recorded = u64::from_le_bytes(checksum_bytes);
+        if fnv1a64(content) != recorded {
+            return Err(ArtifactError::ChecksumMismatch {
+                path: path.to_path_buf(),
+                recorded: format!("{recorded:016x}"),
+                computed: fnv1a64_hex(content),
+            });
         }
-        let mut r = Reader::new(&content[CHECKPOINT_MAGIC.len()..]);
+        let mut r = Reader::new(path, &content[CHECKPOINT_MAGIC.len()..]);
         let version = r.u32()?;
         if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
+            return Err(ArtifactError::UnsupportedVersion {
+                path: path.to_path_buf(),
+                found: version,
+                supported: CHECKPOINT_VERSION,
+            });
         }
         let config = decode_config(&mut r)?;
         let completed_updates = r.usize()?;
@@ -209,9 +217,7 @@ impl Checkpoint {
         let policy = decode_policy(&mut r)?;
         let env_count = r.usize()?;
         if env_count > r.remaining() {
-            return Err(CheckpointError::Corrupt(format!(
-                "impossible env count {env_count}"
-            )));
+            return Err(r.corrupt(format!("impossible env count {env_count}")));
         }
         let mut envs = Vec::with_capacity(env_count);
         for _ in 0..env_count {
@@ -224,20 +230,16 @@ impl Checkpoint {
                     let data = r.f32_vec()?;
                     let expected = rows
                         .checked_mul(cols)
-                        .ok_or_else(|| CheckpointError::Corrupt("observation shape".into()))?;
+                        .ok_or_else(|| r.corrupt("observation shape".into()))?;
                     if data.len() != expected {
-                        return Err(CheckpointError::Corrupt(format!(
+                        return Err(r.corrupt(format!(
                             "observation is {rows}x{cols} but carries {} values",
                             data.len()
                         )));
                     }
                     Some(Matrix::from_vec(rows, cols, data))
                 }
-                other => {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "bad observation flag {other}"
-                    )))
-                }
+                other => return Err(r.corrupt(format!("bad observation flag {other}"))),
             };
             let mask = r.bool_vec()?;
             envs.push(EnvCheckpoint {
@@ -247,10 +249,7 @@ impl Checkpoint {
             });
         }
         if r.remaining() != 0 {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after content",
-                r.remaining()
-            )));
+            return Err(r.corrupt(format!("{} trailing bytes after content", r.remaining())));
         }
         Ok(Checkpoint {
             config,
@@ -268,23 +267,23 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Io`] when the file cannot be written.
-    pub fn write(&self, io: &dyn StoreIo, path: &Path) -> Result<(), CheckpointError> {
+    /// Returns [`ArtifactError::Io`] when the file cannot be written.
+    pub fn write(&self, io: &dyn StoreIo, path: &Path) -> Result<(), ArtifactError> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        publish_atomic(io, path, &self.to_bytes()).map_err(CheckpointError::Io)
+        publish_atomic(io, path, &self.to_bytes()).map_err(ArtifactError::Io)
     }
 
     /// Reads and decodes a checkpoint file.
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Io`] when the file cannot be read, or any
-    /// decoding error from [`Checkpoint::from_bytes`].
-    pub fn read(path: &Path) -> Result<Self, CheckpointError> {
+    /// Returns [`ArtifactError::Io`] when the file cannot be read, or any
+    /// decoding error of [`Checkpoint::from_bytes`], naming `path`.
+    pub fn read(path: &Path) -> Result<Self, ArtifactError> {
         let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
+        Self::decode(path, &bytes)
     }
 }
 
@@ -305,7 +304,7 @@ fn encode_config(w: &mut Writer, config: &PpoConfig) {
     w.u64(config.seed);
 }
 
-fn decode_config(r: &mut Reader<'_>) -> Result<PpoConfig, CheckpointError> {
+fn decode_config(r: &mut Reader<'_>) -> Result<PpoConfig, ArtifactError> {
     Ok(PpoConfig {
         learning_rate: r.f32()?,
         anneal_lr: r.u8()? != 0,
@@ -333,7 +332,7 @@ fn encode_stats(w: &mut Writer, stats: &TrainingStats) {
     w.f32_vec(&stats.value_loss);
 }
 
-fn decode_stats(r: &mut Reader<'_>) -> Result<TrainingStats, CheckpointError> {
+fn decode_stats(r: &mut Reader<'_>) -> Result<TrainingStats, ArtifactError> {
     Ok(TrainingStats {
         steps: r.usize()?,
         episodic_returns: r.f32_vec()?,
@@ -374,7 +373,7 @@ fn encode_policy(w: &mut Writer, policy: &PolicyState) {
     w.u32(policy.rng.index);
 }
 
-fn decode_policy(r: &mut Reader<'_>) -> Result<PolicyState, CheckpointError> {
+fn decode_policy(r: &mut Reader<'_>) -> Result<PolicyState, ArtifactError> {
     let features = r.usize()?;
     let channels = r.usize()?;
     let kernel = r.usize()?;
@@ -485,59 +484,74 @@ impl Writer {
 }
 
 struct Reader<'a> {
+    path: &'a Path,
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    fn new(path: &'a Path, buf: &'a [u8]) -> Self {
+        Reader { path, buf, pos: 0 }
+    }
+
+    fn corrupt(&self, detail: String) -> ArtifactError {
+        ArtifactError::Corrupt {
+            path: self.path.to_path_buf(),
+            detail,
+        }
+    }
+
+    fn torn(&self) -> ArtifactError {
+        ArtifactError::Torn {
+            path: self.path.to_path_buf(),
+            detail: format!("content ends at offset {}", self.pos),
+        }
     }
 
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
         if self.remaining() < n {
-            return Err(CheckpointError::Truncated);
+            return Err(self.torn());
         }
         let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
+    fn u8(&mut self) -> Result<u8, ArtifactError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
+    fn u32(&mut self) -> Result<u32, ArtifactError> {
         let mut bytes = [0u8; 4];
         bytes.copy_from_slice(self.take(4)?);
         Ok(u32::from_le_bytes(bytes))
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
+    fn u64(&mut self) -> Result<u64, ArtifactError> {
         let mut bytes = [0u8; 8];
         bytes.copy_from_slice(self.take(8)?);
         Ok(u64::from_le_bytes(bytes))
     }
 
-    fn usize(&mut self) -> Result<usize, CheckpointError> {
+    fn usize(&mut self) -> Result<usize, ArtifactError> {
         let v = self.u64()?;
-        usize::try_from(v).map_err(|_| CheckpointError::Corrupt(format!("length {v} overflows")))
+        usize::try_from(v).map_err(|_| self.corrupt(format!("length {v} overflows")))
     }
 
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
+    fn f32(&mut self) -> Result<f32, ArtifactError> {
         Ok(f32::from_bits(self.u32()?))
     }
 
     /// Reads a length-prefixed `f32` vector, validating the declared length
     /// against the remaining input before allocating.
-    fn f32_vec(&mut self) -> Result<Vec<f32>, CheckpointError> {
+    fn f32_vec(&mut self) -> Result<Vec<f32>, ArtifactError> {
         let len = self.usize()?;
         if len > self.remaining() / 4 {
-            return Err(CheckpointError::Truncated);
+            return Err(self.torn());
         }
         let mut values = Vec::with_capacity(len);
         for _ in 0..len {
@@ -546,12 +560,12 @@ impl<'a> Reader<'a> {
         Ok(values)
     }
 
-    fn byte_vec(&mut self) -> Result<Vec<u8>, CheckpointError> {
+    fn byte_vec(&mut self) -> Result<Vec<u8>, ArtifactError> {
         let len = self.usize()?;
         Ok(self.take(len)?.to_vec())
     }
 
-    fn bool_vec(&mut self) -> Result<Vec<bool>, CheckpointError> {
+    fn bool_vec(&mut self) -> Result<Vec<bool>, ArtifactError> {
         let len = self.usize()?;
         let bytes = self.take(len)?;
         bytes
@@ -559,7 +573,7 @@ impl<'a> Reader<'a> {
             .map(|&b| match b {
                 0 => Ok(false),
                 1 => Ok(true),
-                other => Err(CheckpointError::Corrupt(format!("bad bool byte {other}"))),
+                other => Err(self.corrupt(format!("bad bool byte {other}"))),
             })
             .collect()
     }
@@ -603,7 +617,7 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let err = Checkpoint::from_bytes(b"not a checkpoint at all, sorry").unwrap_err();
-        assert!(matches!(err, CheckpointError::BadMagic), "{err}");
+        assert!(matches!(err, ArtifactError::Corrupt { .. }), "{err}");
     }
 
     #[test]
@@ -617,7 +631,7 @@ mod tests {
         bytes[content_len..].copy_from_slice(&checksum.to_le_bytes());
         let err = Checkpoint::from_bytes(&bytes).unwrap_err();
         assert!(
-            matches!(err, CheckpointError::UnsupportedVersion(99)),
+            matches!(err, ArtifactError::UnsupportedVersion { found: 99, .. }),
             "{err}"
         );
     }
@@ -630,9 +644,9 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    CheckpointError::Truncated
-                        | CheckpointError::ChecksumMismatch
-                        | CheckpointError::Corrupt(_)
+                    ArtifactError::Torn { .. }
+                        | ArtifactError::ChecksumMismatch { .. }
+                        | ArtifactError::Corrupt { .. }
                 ),
                 "prefix of {len} bytes gave {err}"
             );
@@ -647,7 +661,7 @@ mod tests {
             damaged[position] ^= 0x40;
             let err = Checkpoint::from_bytes(&damaged).unwrap_err();
             assert!(
-                matches!(err, CheckpointError::ChecksumMismatch),
+                matches!(err, ArtifactError::ChecksumMismatch { .. }),
                 "flip at {position} gave {err}"
             );
         }
@@ -674,7 +688,7 @@ mod tests {
         checkpoint.write(&UnsyncedIo, &path).expect("write");
         assert_eq!(Checkpoint::read(&path).expect("read"), checkpoint);
         let missing = Checkpoint::read(&dir.join("absent.ckpt")).unwrap_err();
-        assert!(matches!(missing, CheckpointError::Io(_)), "{missing}");
+        assert!(matches!(missing, ArtifactError::Io(_)), "{missing}");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

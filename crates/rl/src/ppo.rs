@@ -10,13 +10,13 @@
 
 use std::path::Path;
 
-use artifact::UnsyncedIo;
+use artifact::{ArtifactError, UnsyncedIo};
 use nn::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::buffer::{Advantages, RolloutBuffer, Transition};
 use crate::cancel::CancelToken;
-use crate::checkpoint::{Checkpoint, CheckpointError, EnvCheckpoint};
+use crate::checkpoint::{corrupt_in_memory, Checkpoint, CheckpointError, EnvCheckpoint};
 use crate::env::Env;
 use crate::policy::{ActorCritic, Sample, UpdateConfig};
 
@@ -389,7 +389,9 @@ impl PpoTrainer {
     ///
     /// Propagates snapshot and I/O errors as [`CheckpointError`].
     pub fn save_checkpoint<E: Env>(&self, env: &E, path: &Path) -> Result<(), CheckpointError> {
-        self.checkpoint(env)?.write(&UnsyncedIo, path)
+        self.checkpoint(env)?
+            .write(&UnsyncedIo, path)
+            .map_err(CheckpointError::Artifact)
     }
 
     /// Rebuilds a trainer from a checkpoint and restores the environment's
@@ -400,21 +402,21 @@ impl PpoTrainer {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Corrupt`] when the checkpoint is not a
-    /// single-env snapshot or its policy state is inconsistent, and
+    /// Returns [`CheckpointError::Artifact`] (`Corrupt`) when the checkpoint
+    /// is not a single-env snapshot or its policy state is inconsistent, and
     /// [`CheckpointError::EnvRejectedState`] when the env refuses the state
     /// bytes.
     pub fn resume_from_checkpoint<E: Env>(
         checkpoint: &Checkpoint,
         env: &mut E,
     ) -> Result<Self, CheckpointError> {
-        let policy =
-            ActorCritic::from_state(&checkpoint.policy).map_err(CheckpointError::Corrupt)?;
+        let policy = ActorCritic::from_state(&checkpoint.policy).map_err(corrupt_in_memory)?;
         let [env_checkpoint] = checkpoint.envs.as_slice() else {
-            return Err(CheckpointError::Corrupt(format!(
+            return Err(corrupt_in_memory(format!(
                 "expected a single-env checkpoint, found {} envs",
                 checkpoint.envs.len()
-            )));
+            ))
+            .into());
         };
         if !env.restore_state(&env_checkpoint.state) {
             return Err(CheckpointError::EnvRejectedState);
@@ -463,7 +465,9 @@ impl PpoTrainer {
     ) -> Result<(Self, bool), CheckpointError> {
         match Self::resume_from(path, env) {
             Ok(trainer) => Ok((trainer, true)),
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+            Err(CheckpointError::Artifact(ArtifactError::Io(e)))
+                if e.kind() == std::io::ErrorKind::NotFound =>
+            {
                 Ok((PpoTrainer::new(config, features, n_actions), false))
             }
             Err(e) => Err(e),

@@ -134,7 +134,10 @@ fn resume_from_or_new_cold_starts_resumes_and_propagates_corruption() {
     let mut env3 = BanditEnv::new(8);
     let err = PpoTrainer::resume_from_or_new(&path, &mut env3, config(), 3, 3)
         .expect_err("corruption must surface");
-    assert!(matches!(err, CheckpointError::ChecksumMismatch));
+    assert!(matches!(
+        err,
+        CheckpointError::Artifact(artifact::ArtifactError::ChecksumMismatch { .. })
+    ));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -170,7 +173,7 @@ fn hostile_checkpoints_are_rejected_with_typed_errors_not_panics() {
     // Not-a-checkpoint magic.
     assert!(matches!(
         Checkpoint::from_bytes(b"definitely not a checkpoint file"),
-        Err(CheckpointError::BadMagic)
+        Err(artifact::ArtifactError::Corrupt { .. })
     ));
     // Every possible truncation of a real checkpoint.
     for len in 0..good.len() {
@@ -185,7 +188,7 @@ fn hostile_checkpoints_are_rejected_with_typed_errors_not_panics() {
         damaged[position] ^= 0x10;
         assert!(matches!(
             Checkpoint::from_bytes(&damaged),
-            Err(CheckpointError::ChecksumMismatch)
+            Err(artifact::ArtifactError::ChecksumMismatch { .. })
         ));
     }
     // A wrong version is named in the error.
@@ -196,7 +199,7 @@ fn hostile_checkpoints_are_rejected_with_typed_errors_not_panics() {
     wrong_version[content_len..].copy_from_slice(&hash.to_le_bytes());
     assert!(matches!(
         Checkpoint::from_bytes(&wrong_version),
-        Err(CheckpointError::UnsupportedVersion(42))
+        Err(artifact::ArtifactError::UnsupportedVersion { found: 42, .. })
     ));
 }
 
@@ -218,7 +221,9 @@ fn resume_refuses_mismatched_environments() {
     two_envs.envs.push(two_envs.envs[0].clone());
     assert!(matches!(
         PpoTrainer::resume_from_checkpoint(&two_envs, &mut BanditEnv::new(8)),
-        Err(CheckpointError::Corrupt(_))
+        Err(CheckpointError::Artifact(
+            artifact::ArtifactError::Corrupt { .. }
+        ))
     ));
     let _ = std::fs::remove_file(&path);
 }

@@ -7,8 +7,8 @@
 //! | verdict | meaning |
 //! |---|---|
 //! | `ok` | decodes, checksum verifies, provenance sane |
-//! | `torn` | an interrupted mutation: a cut-off entry write, a journaled write whose file is missing, or a journaled removal that never reached the file |
-//! | `corrupt` | decodes structurally but fails its checksum / schema version, or is damaged mid-file |
+//! | `torn` | an interrupted mutation: the bytes end before the format does, a journaled write whose file is missing, or a journaled removal that never reached the file |
+//! | `corrupt` | complete bytes that are not a valid instance, fail their checksum or carry another format version |
 //! | `orphaned` | crash debris (unpublished temp files) |
 //! | `stale-generation` | an entry stamped with a *future* journal generation — a store directory mixed from different machines or restored from a newer backup |
 //!
@@ -24,11 +24,11 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use artifact::{is_temp_debris, publish_atomic, UnsyncedIo};
+use artifact::{is_temp_debris, publish_atomic, ArtifactError, UnsyncedIo};
 use serde::{Deserialize, Serialize};
 
 use crate::journal::{self, JournalOp, JOURNAL_FILE};
-use crate::store::{decode_entry_bytes, StoreError};
+use crate::store::decode_entry_bytes;
 
 /// Version of the fsck report's JSON schema (stable for scripting; bumped
 /// on any field-level change).
@@ -45,10 +45,11 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 pub enum EntryVerdict {
     /// Decodes, checksum verifies, provenance sane.
     Ok,
-    /// An interrupted mutation (cut-off write, lost journaled write,
-    /// unapplied journaled removal).
+    /// An interrupted mutation (bytes that end before the format does,
+    /// lost journaled write, unapplied journaled removal).
     Torn,
-    /// Structural damage, checksum failure, or schema-version skew.
+    /// Complete bytes that are not a valid instance, checksum failure, or
+    /// format-version skew.
     Corrupt,
     /// Unpublished crash debris.
     Orphaned,
@@ -207,6 +208,31 @@ impl Walk<'_> {
         }
         self.report.repaired += 1;
         action
+    }
+
+    /// The one damage arm of every file family: a file its reader refused
+    /// is `torn` when its bytes end before its format does and `corrupt`
+    /// otherwise, and is repaired either way.
+    fn record_damage(&mut self, name: &str, stem: Option<&str>, err: &ArtifactError) {
+        let (verdict, detail) = match err {
+            ArtifactError::Torn { detail, .. } => (EntryVerdict::Torn, detail.clone()),
+            ArtifactError::Corrupt { detail, .. } => (EntryVerdict::Corrupt, detail.clone()),
+            ArtifactError::Io(err) => (EntryVerdict::Corrupt, format!("unreadable: {err}")),
+            ArtifactError::UnsupportedVersion {
+                found, supported, ..
+            } => (
+                EntryVerdict::Corrupt,
+                format!("format version skew: file is v{found}, this build reads v{supported}"),
+            ),
+            ArtifactError::ChecksumMismatch {
+                recorded, computed, ..
+            } => (
+                EntryVerdict::Corrupt,
+                format!("checksum mismatch: recorded {recorded}, computed {computed}"),
+            ),
+        };
+        let action = self.repair_file(name, stem);
+        self.record(name.to_string(), verdict, detail, action);
     }
 
     fn record(&mut self, file: String, verdict: EntryVerdict, detail: String, action: String) {
@@ -404,40 +430,20 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
     Ok(walk.report)
 }
 
-/// Whether a parse-failure detail describes a document that *ended*
-/// mid-token — the signature of a cut-off (torn) write rather than
-/// in-place damage.
-fn looks_torn(detail: &str) -> bool {
-    detail.contains("unexpected None")
-        || detail.contains("unterminated")
-        || detail.contains("truncated")
-        || detail.contains("EOF")
-}
-
 /// Classifies one store entry file.
 fn classify_entry(walk: &mut Walk<'_>, name: &str, path: &Path) {
-    let stem = name.trim_end_matches(".json").to_string();
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(err) => {
-            let action = walk.repair_file(name, Some(&stem));
-            walk.record(
-                name.to_string(),
-                EntryVerdict::Corrupt,
-                format!("unreadable: {err}"),
-                action,
-            );
-            return;
-        }
-    };
-    match decode_entry_bytes(path, &bytes) {
+    let stem = name.trim_end_matches(".json");
+    let decoded = std::fs::read(path)
+        .map_err(ArtifactError::Io)
+        .and_then(|bytes| decode_entry_bytes(path, &bytes));
+    match decoded {
         Ok(entry) => {
             let journal_generation = walk.report.journal.generation;
             if walk.report.journal.present
                 && !walk.report.journal.damaged_header
                 && entry.generation > journal_generation
             {
-                let action = walk.repair_file(name, Some(&stem));
+                let action = walk.repair_file(name, Some(stem));
                 walk.record(
                     name.to_string(),
                     EntryVerdict::StaleGeneration,
@@ -457,45 +463,7 @@ fn classify_entry(walk: &mut Walk<'_>, name: &str, path: &Path) {
                 );
             }
         }
-        Err(StoreError::Corrupt { detail, .. }) => {
-            // A cut-off document is a torn write, not content damage.
-            let verdict = if looks_torn(&detail) {
-                EntryVerdict::Torn
-            } else {
-                EntryVerdict::Corrupt
-            };
-            let action = walk.repair_file(name, Some(&stem));
-            walk.record(name.to_string(), verdict, detail, action);
-        }
-        Err(StoreError::UnsupportedVersion { found, .. }) => {
-            let action = walk.repair_file(name, Some(&stem));
-            walk.record(
-                name.to_string(),
-                EntryVerdict::Corrupt,
-                format!("schema version skew: entry is v{found}"),
-                action,
-            );
-        }
-        Err(StoreError::ChecksumMismatch {
-            recorded, computed, ..
-        }) => {
-            let action = walk.repair_file(name, Some(&stem));
-            walk.record(
-                name.to_string(),
-                EntryVerdict::Corrupt,
-                format!("checksum mismatch: recorded {recorded}, computed {computed}"),
-                action,
-            );
-        }
-        Err(StoreError::Io(err)) => {
-            let action = walk.repair_file(name, Some(&stem));
-            walk.record(
-                name.to_string(),
-                EntryVerdict::Corrupt,
-                format!("unreadable: {err}"),
-                action,
-            );
-        }
+        Err(err) => walk.record_damage(name, Some(stem), &err),
     }
 }
 
@@ -524,24 +492,7 @@ fn classify_manifest(walk: &mut Walk<'_>, name: &str, dir: &Path) {
             "absent (raced away)".to_string(),
             String::new(),
         ),
-        Err(cuasmrl::ManifestError::ChecksumMismatch { .. }) => {
-            let action = walk.repair_file(name, None);
-            walk.record(
-                name.to_string(),
-                EntryVerdict::Corrupt,
-                "manifest fails its checksum; the daemon rebuilds it".to_string(),
-                action,
-            );
-        }
-        Err(cuasmrl::ManifestError::Corrupt { detail, .. }) => {
-            let verdict = if looks_torn(&detail) {
-                EntryVerdict::Torn
-            } else {
-                EntryVerdict::Corrupt
-            };
-            let action = walk.repair_file(name, None);
-            walk.record(name.to_string(), verdict, detail, action);
-        }
+        Err(err) => walk.record_damage(name, None, &err),
     }
 }
 
@@ -554,17 +505,9 @@ fn classify_checkpoint(walk: &mut Walk<'_>, name: &str, path: &Path) {
             "training checkpoint verified".to_string(),
             String::new(),
         ),
-        Err(err) => {
-            // A bad checkpoint only costs a cold restart of that search;
-            // quarantining it is the whole repair.
-            let action = walk.repair_file(name, None);
-            walk.record(
-                name.to_string(),
-                EntryVerdict::Corrupt,
-                format!("checkpoint damage: {err}"),
-                action,
-            );
-        }
+        // A bad checkpoint only costs a cold restart of that search;
+        // quarantining it is the whole repair.
+        Err(err) => walk.record_damage(name, None, &err),
     }
 }
 
@@ -723,6 +666,65 @@ mod tests {
         let after = fsck(&dir, false).unwrap();
         assert!(after.healthy(), "{after:?}");
         assert_eq!(after.orphaned, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// fsck's verdict on the one file `file` of `dir` after writing
+    /// `bytes` there.
+    fn verdict_of(dir: &Path, file: &str, bytes: &[u8]) -> String {
+        std::fs::write(dir.join(file), bytes).unwrap();
+        let report = fsck(dir, false).unwrap();
+        let entry = report.entries.iter().find(|e| e.file == file).unwrap();
+        entry.verdict.clone()
+    }
+
+    /// Judged alone (no journal to consult), every strict prefix of a
+    /// sealed store entry or sealed telemetry manifest reads `torn`, and a
+    /// 0xFF byte at any offset of the complete file reads `corrupt` — a
+    /// manifest that is not UTF-8 exists, so it is never `ok` as absent.
+    #[test]
+    fn a_cut_file_is_torn_and_a_rotted_file_is_corrupt() {
+        let dir = temp_dir("cut-and-rot");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let key = key_for("softmax", 5);
+        let entry = entry_for(&key, 5);
+        let manifest = cuasmrl::RunManifest::new(
+            "a100",
+            "service",
+            "greedy",
+            0,
+            1,
+            vec![cuasmrl::KernelTelemetry::cached(&entry.report)],
+            1.25,
+        );
+        cuasmrl::persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
+        let manifest_file = "a100_service_telemetry.json".to_string();
+        let manifest_bytes = std::fs::read(dir.join(&manifest_file)).unwrap();
+        let entry_file = format!("{}.json", key.file_stem());
+        let entry_bytes = serde_json::to_string_pretty(&entry).unwrap().into_bytes();
+
+        for (file, sealed) in [(entry_file, entry_bytes), (manifest_file, manifest_bytes)] {
+            assert_eq!(verdict_of(&dir, &file, &sealed), "ok", "{file}");
+            for cut in 0..sealed.len() {
+                assert_eq!(
+                    verdict_of(&dir, &file, &sealed[..cut]),
+                    "torn",
+                    "{file} cut to {cut} of {} bytes",
+                    sealed.len()
+                );
+            }
+            for offset in 0..sealed.len() {
+                let mut rotted = sealed.clone();
+                rotted[offset] = 0xFF;
+                assert_eq!(
+                    verdict_of(&dir, &file, &rotted),
+                    "corrupt",
+                    "{file} with 0xFF at {offset}"
+                );
+            }
+            std::fs::write(dir.join(&file), &sealed).unwrap();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

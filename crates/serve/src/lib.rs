@@ -75,7 +75,7 @@ pub mod queue;
 pub mod server;
 pub mod store;
 
-pub use artifact::io;
+pub use artifact::{io, ArtifactError};
 pub use client::{
     Client, ClientBuilder, Connection, ConnectionFailure, RequestHandle, RetryPolicy,
 };
@@ -93,6 +93,4 @@ pub use protocol::{
 };
 pub use queue::{AdmissionQueue, PushError};
 pub use server::{Server, ServerConfig, ServiceStats, SERVICE_SUITE_LABEL};
-pub use store::{
-    decode_entry_bytes, ScheduleStore, StoreEntry, StoreError, StoreStats, STORE_SCHEMA_VERSION,
-};
+pub use store::{decode_entry_bytes, ScheduleStore, StoreEntry, StoreStats, STORE_SCHEMA_VERSION};

@@ -64,10 +64,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use artifact::UnsyncedIo;
+use artifact::{ArtifactError, UnsyncedIo};
 use cuasmrl::{
-    load_run_manifest_checked, persist_run_manifest, CuAsmRl, KernelTelemetry, ManifestError,
-    RunManifest, Strategy, SuiteOptimizer,
+    load_run_manifest_checked, persist_run_manifest, CuAsmRl, KernelTelemetry, RunManifest,
+    Strategy, SuiteOptimizer,
 };
 use gpusim::MeasureOptions;
 use rl::CancelToken;
@@ -342,22 +342,22 @@ impl Shared {
     }
 
     /// Store lookup honoring injected store faults: a scheduled
-    /// `StoreReadError`/`StoreCorrupt` for this ordinal makes the lookup
-    /// fail exactly as a real disk error or corrupt entry would — the
-    /// caller recomputes, which is the recovery path either way.
+    /// `StoreReadError`/`StoreCorrupt` for this ordinal stands in for the
+    /// lookup's result as the error a real disk failure or corrupt entry
+    /// returns, and takes the same arm — the caller recomputes, which is
+    /// the recovery path either way.
     fn store_get(&self, key: &RequestKey, fault: Option<&FaultKind>) -> Option<StoreEntry> {
-        match fault {
-            Some(FaultKind::StoreReadError) => {
-                eprintln!("cuasmrld: injected store read error for {}", key.digest);
-                return None;
-            }
-            Some(FaultKind::StoreCorrupt) => {
-                eprintln!("cuasmrld: injected corrupt store entry for {}", key.digest);
-                return None;
-            }
-            _ => {}
-        }
-        match self.store.get(key) {
+        let lookup = match fault {
+            Some(FaultKind::StoreReadError) => Err(ArtifactError::Io(std::io::Error::other(
+                format!("injected store read error for {}", key.digest),
+            ))),
+            Some(FaultKind::StoreCorrupt) => Err(ArtifactError::Corrupt {
+                path: self.store.entry_path(key),
+                detail: "injected corrupt store entry".to_string(),
+            }),
+            _ => self.store.get(key),
+        };
+        match lookup {
             Ok(entry) => entry,
             Err(err) => {
                 // A damaged entry is a miss with a warning: the recompute
@@ -365,7 +365,7 @@ impl Shared {
                 // Checksum mismatches are the silent-corruption signal and
                 // get their own service-level counter on top of the
                 // store's.
-                if matches!(err, crate::store::StoreError::ChecksumMismatch { .. }) {
+                if matches!(err, ArtifactError::ChecksumMismatch { .. }) {
                     self.lock_stats().checksum_failures += 1;
                 }
                 eprintln!("cuasmrld: {err}; recomputing");
@@ -414,16 +414,17 @@ impl Shared {
         }
     }
 
-    /// The kernels a previous run already persisted for `gpu`. A corrupt
-    /// or checksum-failing manifest is skipped and rebuilt from scratch —
-    /// never a panic, never a silent zero: the damage is logged, and a
-    /// checksum catch counts into [`ServiceStats::checksum_failures`].
+    /// The kernels a previous run already persisted for `gpu`. A manifest
+    /// that exists but fails to read (unreadable, torn, corrupt or
+    /// checksum-failing) is skipped and rebuilt from scratch — never a
+    /// panic, never a silent zero: the damage is logged, and a checksum
+    /// catch counts into [`ServiceStats::checksum_failures`].
     fn seed_telemetry(&self, gpu: &str) -> Vec<KernelTelemetry> {
         match load_run_manifest_checked(&self.config.store_dir, gpu, SERVICE_SUITE_LABEL) {
             Ok(Some(manifest)) => manifest.kernels,
             Ok(None) => Vec::new(),
             Err(err) => {
-                if matches!(err, ManifestError::ChecksumMismatch { .. }) {
+                if matches!(err, ArtifactError::ChecksumMismatch { .. }) {
                     self.lock_stats().checksum_failures += 1;
                 }
                 eprintln!("cuasmrld: telemetry manifest for {gpu} is damaged ({err}); rebuilding");

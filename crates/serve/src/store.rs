@@ -13,11 +13,11 @@
 //! bytes of the interrupted mutation, never a third state.
 //!
 //! Every entry carries [`STORE_SCHEMA_VERSION`]; decoding is a
-//! typed-error path ([`StoreError`]) mirroring `rl::Checkpoint`:
-//! corruption, checksum mismatch and version skew surface to the caller,
-//! never as a panic. The daemon heals all three the same way — treat as a
-//! miss, recompute, overwrite — counting checksum mismatches in
-//! [`StoreStats::checksum_failures`].
+//! typed-error path ([`ArtifactError`], shared with every other artifact
+//! family): a torn or corrupt file, checksum mismatch and version skew
+//! surface to the caller, never as a panic. The daemon heals them all the
+//! same way — treat as a miss, recompute, overwrite — counting checksum
+//! mismatches in [`StoreStats::checksum_failures`].
 //!
 //! In memory the store keeps at most `capacity` decoded entries in an LRU
 //! map; colder entries stay on disk and are decoded back in on demand.
@@ -26,11 +26,12 @@
 //! near-free across restarts.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use artifact::{fnv1a64_hex, is_temp_debris, publish_atomic, RealIo, StoreIo};
+use artifact::{
+    decode_json, fnv1a64_hex, is_temp_debris, publish_atomic, ArtifactError, RealIo, StoreIo,
+};
 use cuasmrl::OptimizationReport;
 use serde::{Deserialize, Serialize};
 
@@ -39,7 +40,7 @@ use crate::protocol::RequestKey;
 
 /// Version of the store's on-disk entry schema. Bumped on any field-level
 /// change; entries with another version decode to
-/// [`StoreError::UnsupportedVersion`]. v2 added the `generation` stamp
+/// [`ArtifactError::UnsupportedVersion`]. v2 added the `generation` stamp
 /// and the `checksum` trailer field.
 pub const STORE_SCHEMA_VERSION: u32 = 2;
 
@@ -66,7 +67,7 @@ pub struct StoreEntry {
     pub generation: u64,
     /// FNV-1a-64 (hex) over the entry's content fields — see
     /// [`StoreEntry::content_checksum`]. Verified on every read path;
-    /// a mismatch decodes to [`StoreError::ChecksumMismatch`].
+    /// a mismatch decodes to [`ArtifactError::ChecksumMismatch`].
     #[serde(default)]
     pub checksum: String,
     /// The report, bit-identical to the search that produced it.
@@ -89,78 +90,11 @@ impl StoreEntry {
 
     /// Stamps the entry with its own content checksum. Every entry the
     /// daemon persists is sealed; an unsealed entry fails every read with
-    /// [`StoreError::ChecksumMismatch`].
+    /// [`ArtifactError::ChecksumMismatch`].
     #[must_use]
     pub fn seal(mut self) -> StoreEntry {
         self.checksum = self.content_checksum();
         self
-    }
-}
-
-/// Typed failures of the store (the service's `rl::CheckpointError`
-/// analogue).
-#[derive(Debug)]
-pub enum StoreError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// An entry file exists but does not decode.
-    Corrupt {
-        /// The offending file.
-        path: PathBuf,
-        /// Decoder detail.
-        detail: String,
-    },
-    /// An entry file decodes but was written by another schema version.
-    UnsupportedVersion {
-        /// The offending file.
-        path: PathBuf,
-        /// The version found in the file.
-        found: u32,
-    },
-    /// An entry file decodes but its content does not match its recorded
-    /// checksum — silent corruption (bit rot, torn-then-patched bytes)
-    /// that structural decoding alone cannot see. The daemon heals it by
-    /// recompute-and-overwrite.
-    ChecksumMismatch {
-        /// The offending file.
-        path: PathBuf,
-        /// The checksum recorded in the entry.
-        recorded: String,
-        /// The checksum computed from the entry's content.
-        computed: String,
-    },
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io(err) => write!(f, "store io error: {err}"),
-            StoreError::Corrupt { path, detail } => {
-                write!(f, "corrupt store entry {}: {detail}", path.display())
-            }
-            StoreError::UnsupportedVersion { path, found } => write!(
-                f,
-                "store entry {} has schema version {found}, this build reads {STORE_SCHEMA_VERSION}",
-                path.display()
-            ),
-            StoreError::ChecksumMismatch {
-                path,
-                recorded,
-                computed,
-            } => write!(
-                f,
-                "store entry {} fails its checksum (recorded {recorded}, computed {computed})",
-                path.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<std::io::Error> for StoreError {
-    fn from(err: std::io::Error) -> Self {
-        StoreError::Io(err)
     }
 }
 
@@ -290,9 +224,9 @@ impl ScheduleStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the directory cannot be created,
+    /// Returns [`ArtifactError::Io`] when the directory cannot be created,
     /// listed, or its journal recovered.
-    pub fn open(dir: impl Into<PathBuf>, capacity: usize) -> Result<ScheduleStore, StoreError> {
+    pub fn open(dir: impl Into<PathBuf>, capacity: usize) -> Result<ScheduleStore, ArtifactError> {
         Self::open_with_io(dir, capacity, Arc::new(RealIo))
     }
 
@@ -313,13 +247,13 @@ impl ScheduleStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the directory cannot be created or
+    /// Returns [`ArtifactError::Io`] when the directory cannot be created or
     /// listed, or journal recovery cannot write.
     pub fn open_with_io(
         dir: impl Into<PathBuf>,
         capacity: usize,
         io: Arc<dyn StoreIo>,
-    ) -> Result<ScheduleStore, StoreError> {
+    ) -> Result<ScheduleStore, ArtifactError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let mut stats = StoreStats::default();
@@ -393,12 +327,12 @@ impl ScheduleStore {
             let path = dir.join(&name);
             match io
                 .read(&path)
-                .map_err(StoreError::from)
+                .map_err(ArtifactError::Io)
                 .and_then(|bytes| decode_entry_bytes(&path, &bytes))
             {
                 Ok(entry) => inner.insert(name.trim_end_matches(".json"), entry, capacity),
                 Err(err) => {
-                    if matches!(err, StoreError::ChecksumMismatch { .. }) {
+                    if matches!(err, ArtifactError::ChecksumMismatch { .. }) {
                         inner.stats.checksum_failures += 1;
                     }
                     inner.stats.skipped_at_open += 1;
@@ -418,12 +352,13 @@ impl ScheduleStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when the file cannot be read,
-    /// [`StoreError::Corrupt`] when it is not a valid entry,
-    /// [`StoreError::UnsupportedVersion`] on schema-version skew,
-    /// [`StoreError::ChecksumMismatch`] when the content does not match
+    /// [`ArtifactError::Io`] when the file cannot be read,
+    /// [`ArtifactError::Torn`] when it ends before the entry does,
+    /// [`ArtifactError::Corrupt`] when it is not a valid entry,
+    /// [`ArtifactError::UnsupportedVersion`] on schema-version skew,
+    /// [`ArtifactError::ChecksumMismatch`] when the content does not match
     /// its recorded checksum.
-    pub fn decode_entry(path: &Path) -> Result<StoreEntry, StoreError> {
+    pub fn decode_entry(path: &Path) -> Result<StoreEntry, ArtifactError> {
         let bytes = std::fs::read(path)?;
         decode_entry_bytes(path, &bytes)
     }
@@ -455,9 +390,9 @@ impl ScheduleStore {
     /// Propagates the typed decode error when the entry file exists but
     /// cannot be read — the caller decides whether to recompute (the
     /// daemon does, overwriting the damaged file). A
-    /// [`StoreError::ChecksumMismatch`] is additionally counted in
+    /// [`ArtifactError::ChecksumMismatch`] is additionally counted in
     /// [`StoreStats::checksum_failures`].
-    pub fn get(&self, key: &RequestKey) -> Result<Option<StoreEntry>, StoreError> {
+    pub fn get(&self, key: &RequestKey) -> Result<Option<StoreEntry>, ArtifactError> {
         let stem = key.file_stem();
         let mut inner = self.lock_inner();
         if let Some(entry) = inner.entries.get(&stem).cloned() {
@@ -485,7 +420,7 @@ impl ScheduleStore {
                 Ok(Some(entry))
             }
             Err(err) => {
-                if matches!(err, StoreError::ChecksumMismatch { .. }) {
+                if matches!(err, ArtifactError::ChecksumMismatch { .. }) {
                     inner.stats.checksum_failures += 1;
                 }
                 inner.stats.misses += 1;
@@ -508,14 +443,14 @@ impl ScheduleStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the journal append, write or
+    /// Returns [`ArtifactError::Io`] when the journal append, write or
     /// rename fails.
-    pub fn put(&self, key: &RequestKey, mut entry: StoreEntry) -> Result<(), StoreError> {
+    pub fn put(&self, key: &RequestKey, mut entry: StoreEntry) -> Result<(), ArtifactError> {
         let stem = key.file_stem();
         let final_path = self.entry_path(key);
         let mut inner = self.lock_inner();
         entry.generation = inner.journal.generation();
-        let text = serde_json::to_string_pretty(&entry).map_err(|err| StoreError::Corrupt {
+        let text = serde_json::to_string_pretty(&entry).map_err(|err| ArtifactError::Corrupt {
             path: final_path.clone(),
             detail: err.to_string(),
         })?;
@@ -539,9 +474,9 @@ impl ScheduleStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the journal append or the removal
+    /// Returns [`ArtifactError::Io`] when the journal append or the removal
     /// fails (a missing file is not a failure).
-    pub fn remove(&self, key: &RequestKey) -> Result<bool, StoreError> {
+    pub fn remove(&self, key: &RequestKey) -> Result<bool, ArtifactError> {
         let stem = key.file_stem();
         let path = self.entry_path(key);
         let mut inner = self.lock_inner();
@@ -568,8 +503,8 @@ impl ScheduleStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the rotation cannot write.
-    pub fn compact(&self) -> Result<(), StoreError> {
+    /// Returns [`ArtifactError::Io`] when the rotation cannot write.
+    pub fn compact(&self) -> Result<(), ArtifactError> {
         let mut inner = self.lock_inner();
         inner.journal.rotate()?;
         inner.stats.generation = inner.journal.generation();
@@ -603,26 +538,21 @@ impl ScheduleStore {
 ///
 /// # Errors
 ///
-/// [`StoreError::Corrupt`], [`StoreError::UnsupportedVersion`] or
-/// [`StoreError::ChecksumMismatch`], in that precedence order.
-pub fn decode_entry_bytes(path: &Path, bytes: &[u8]) -> Result<StoreEntry, StoreError> {
-    let text = std::str::from_utf8(bytes).map_err(|err| StoreError::Corrupt {
-        path: path.to_path_buf(),
-        detail: format!("unexpected EOF or non-UTF-8 bytes: {err}"),
-    })?;
-    let entry: StoreEntry = serde_json::from_str(text).map_err(|err| StoreError::Corrupt {
-        path: path.to_path_buf(),
-        detail: err.to_string(),
-    })?;
+/// [`ArtifactError::Torn`] or [`ArtifactError::Corrupt`] (see
+/// [`artifact::decode_json`]), [`ArtifactError::UnsupportedVersion`] or
+/// [`ArtifactError::ChecksumMismatch`], in that precedence order.
+pub fn decode_entry_bytes(path: &Path, bytes: &[u8]) -> Result<StoreEntry, ArtifactError> {
+    let entry: StoreEntry = decode_json(path, bytes)?;
     if entry.schema_version != STORE_SCHEMA_VERSION {
-        return Err(StoreError::UnsupportedVersion {
+        return Err(ArtifactError::UnsupportedVersion {
             path: path.to_path_buf(),
             found: entry.schema_version,
+            supported: STORE_SCHEMA_VERSION,
         });
     }
     let computed = entry.content_checksum();
     if entry.checksum != computed {
-        return Err(StoreError::ChecksumMismatch {
+        return Err(ArtifactError::ChecksumMismatch {
             path: path.to_path_buf(),
             recorded: entry.checksum.clone(),
             computed,
@@ -725,13 +655,13 @@ mod tests {
         std::fs::write(&path, "{ not json").unwrap();
         assert!(matches!(
             ScheduleStore::decode_entry(&path),
-            Err(StoreError::Corrupt { .. })
+            Err(ArtifactError::Corrupt { .. })
         ));
         let reopened = ScheduleStore::open(&dir, 8).unwrap();
         assert_eq!(reopened.stats().skipped_at_open, 1);
         assert!(matches!(
             reopened.get(&key),
-            Err(StoreError::Corrupt { .. })
+            Err(ArtifactError::Corrupt { .. })
         ));
         // Recomputing overwrites the damage.
         reopened.put(&key, entry_for(&key, 1)).unwrap();
@@ -753,7 +683,7 @@ mod tests {
         assert_eq!(fresh.stats().skipped_at_open, 1);
         assert!(matches!(
             ScheduleStore::decode_entry(&store.entry_path(&key)),
-            Err(StoreError::UnsupportedVersion { found: 99, .. })
+            Err(ArtifactError::UnsupportedVersion { found: 99, .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -778,7 +708,7 @@ mod tests {
         // The read path reports the same typed error and counts again.
         assert!(matches!(
             fresh.get(&key),
-            Err(StoreError::ChecksumMismatch { .. })
+            Err(ArtifactError::ChecksumMismatch { .. })
         ));
         assert_eq!(fresh.stats().checksum_failures, 2);
         // Healing: recompute-and-overwrite with a sealed entry.
@@ -877,7 +807,7 @@ mod tests {
         assert_eq!(store.stats().checksum_failures, 1);
         assert!(matches!(
             store.get(&hot),
-            Err(StoreError::ChecksumMismatch { .. })
+            Err(ArtifactError::ChecksumMismatch { .. })
         ));
         store.put(&hot, entry_for(&hot, 1)).unwrap(); // the heal: small
         let healed_footprint = store.stats().lru_bytes;

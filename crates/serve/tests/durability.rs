@@ -20,9 +20,9 @@ use std::sync::Arc;
 
 use artifact::{is_temp_debris, UnsyncedIo};
 use cuasmrld::{
-    decode_entry_bytes, fsck, is_simulated_crash, CanonicalRequest, CrashEffect, CrashPoint,
-    CrashPointIo, OptimizeRequest, RequestDefaults, RequestKey, ScheduleStore, StoreEntry,
-    StoreError, StoreIo, STORE_SCHEMA_VERSION,
+    decode_entry_bytes, fsck, is_simulated_crash, ArtifactError, CanonicalRequest, CrashEffect,
+    CrashPoint, CrashPointIo, OptimizeRequest, RequestDefaults, RequestKey, ScheduleStore,
+    StoreEntry, StoreIo, STORE_SCHEMA_VERSION,
 };
 
 fn key_for(kernel: &str, seed: u64) -> RequestKey {
@@ -96,7 +96,7 @@ impl Cycle {
     /// One full store lifetime: open (capacity 2, so the third put evicts
     /// from memory), three puts, a disk-path get, a journaled remove, a
     /// re-put of the removed key, and an explicit compaction.
-    fn run(&self, dir: &Path, io: Arc<dyn StoreIo>) -> Result<(), StoreError> {
+    fn run(&self, dir: &Path, io: Arc<dyn StoreIo>) -> Result<(), ArtifactError> {
         let store = ScheduleStore::open_with_io(dir, 2, io)?;
         store.put(&self.a, self.a_value.clone())?;
         store.put(&self.b, self.b_first.clone())?;
@@ -224,7 +224,7 @@ fn the_sweep_covers_every_io_boundary_and_recovery_never_invents_state() {
             let result = cycle.run(&dir, Arc::clone(&io) as Arc<dyn StoreIo>);
             let err = result.expect_err(&format!("{label}: the crash point must fire"));
             match err {
-                StoreError::Io(err) => {
+                ArtifactError::Io(err) => {
                     assert!(is_simulated_crash(&err), "{label}: unexpected error {err}")
                 }
                 other => panic!("{label}: unexpected error {other}"),
@@ -351,7 +351,7 @@ fn a_killed_checkpoint_save_leaves_the_old_checkpoint_or_the_new_one() {
             versions[usize::from(new)]
                 .write(io, &dir.join("search.ckpt"))
                 .map_err(|err| match err {
-                    rl::CheckpointError::Io(err) => err,
+                    ArtifactError::Io(err) => err,
                     other => panic!("only I/O can fail a save: {other}"),
                 })
         },

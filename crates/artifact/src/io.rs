@@ -2,7 +2,8 @@
 //!
 //! Every byte an artifact family publishes goes through a [`StoreIo`]
 //! implementation: [`RealIo`] (fsynced) under the schedule store's entries
-//! and journal, [`UnsyncedIo`] under every rebuildable family, and
+//! and journal — including the replay `cuasmrld-fsck --repair` runs, which
+//! is a store open — [`UnsyncedIo`] under every rebuildable family, and
 //! [`CrashPointIo`] in the durability suites. `CrashPointIo` extends
 //! `cuasmrld::FaultPlan`'s ordinal-keyed style down to the syscall
 //! boundary: every I/O operation is numbered in program order, and a
@@ -123,8 +124,9 @@ impl StoreIo for RealIo {
 
 /// [`RealIo`]'s calls without the `sync_all`: what every family that a
 /// later run rebuilds on damage (checkpoints, manifests, deploy-cache and
-/// suite reports, fsck rewrites, the daemon's address file) publishes
-/// through. Syncing one of them is a measured, per-family decision made by
+/// suite reports, the daemon's address file) publishes through. fsck
+/// writes through neither: its repair reopens the store, whose recovery
+/// publishes through [`RealIo`]. Syncing one of them is a measured, per-family decision made by
 /// naming [`RealIo`] at its call site.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UnsyncedIo;

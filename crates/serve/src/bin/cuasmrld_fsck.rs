@@ -3,8 +3,8 @@
 //! Walks a (cold) store directory, prints a stable JSON [`FsckReport`]
 //! with a per-file verdict (ok / torn / corrupt / orphaned /
 //! stale-generation) plus journal health, and — with `--repair` —
-//! quarantines damage, rewrites entries from their journal records, and
-//! truncates a torn journal tail.
+//! quarantines every non-ok file, then opens the directory as a
+//! `ScheduleStore`, whose own recovery replays and rotates the journal.
 //!
 //! Exit codes: `0` healthy (without `--repair`: everything ok; with it:
 //! nothing unrepairable), `1` unhealthy, `2` usage or I/O failure.
@@ -21,8 +21,8 @@ USAGE: cuasmrld-fsck --store-dir PATH [OPTIONS]
 OPTIONS:
   --store-dir PATH     the store directory to walk (required; the daemon
                        must not be running against it)
-  --repair             quarantine damaged files, rewrite entries from
-                       their journal records, truncate a torn journal tail
+  --repair             quarantine damaged files, then reopen the store:
+                       its recovery replays and rotates the journal
   --out PATH           also write the JSON report to PATH
 ";
 

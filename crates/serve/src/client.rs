@@ -566,8 +566,10 @@ impl Client {
     /// specifically* because every request is idempotent: an optimize
     /// request canonicalizes to a deterministic [`crate::RequestKey`], so a
     /// re-ask either hits the store entry the lost first attempt produced
-    /// (`from_store: true`, byte-identical report) or deduplicates against
-    /// its in-flight search; status probes are pure reads. A client built
+    /// (`from_store: true`, byte-identical report) or — the daemon keeps
+    /// no in-flight dedup, so the lost attempt may still be running — runs
+    /// its own search, which recomputes the same report bytes; status
+    /// probes are pure reads. A client built
     /// on this API for a non-idempotent service must retry only
     /// [`ConnectionFailure::NeverAdmitted`].
     ///

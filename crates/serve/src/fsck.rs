@@ -7,28 +7,27 @@
 //! | verdict | meaning |
 //! |---|---|
 //! | `ok` | decodes, checksum verifies, provenance sane |
-//! | `torn` | an interrupted mutation: the bytes end before the format does, a journaled write whose file is missing, or a journaled removal that never reached the file |
+//! | `torn` | an interrupted write: the bytes end before the format does, or a journaled write the entry file does not hold (missing, or other bytes) — exactly the files the next store open rewrites |
 //! | `corrupt` | complete bytes that are not a valid instance, fail their checksum or carry another format version |
 //! | `orphaned` | crash debris (unpublished temp files) |
 //! | `stale-generation` | an entry stamped with a *future* journal generation — a store directory mixed from different machines or restored from a newer backup |
 //!
 //! With `repair`, every non-ok file is moved (never deleted) into the
-//! [`QUARANTINE_DIR`] subdirectory, entries covered by a valid journal
-//! record are rewritten from it, and a torn journal tail is truncated.
-//! After a successful repair the directory reopens with every surviving
-//! entry byte-identical to a state the store actually passed through —
-//! the same pre-or-post guarantee the crash-point sweep proves for plain
-//! reopen.
+//! [`QUARANTINE_DIR`] subdirectory, then the directory is opened as a
+//! [`ScheduleStore`]: the store's own recovery rewrites every entry a
+//! journal record covers and rotates the journal (a torn tail included)
+//! to a fresh generation. fsck writes no byte itself, so a repaired
+//! directory holds exactly what a plain reopen would have left — the
+//! pre-or-post guarantee the crash-point sweep proves.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
-use artifact::{is_temp_debris, publish_atomic, ArtifactError, UnsyncedIo};
+use artifact::{is_temp_debris, ArtifactError, RealIo};
 use serde::{Deserialize, Serialize};
 
-use crate::journal::{self, JournalOp, JOURNAL_FILE};
-use crate::store::decode_entry_bytes;
+use crate::journal::{self, JOURNAL_FILE};
+use crate::store::{decode_entry_bytes, ScheduleStore};
 
 /// Version of the fsck report's JSON schema (stable for scripting; bumped
 /// on any field-level change).
@@ -45,8 +44,8 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 pub enum EntryVerdict {
     /// Decodes, checksum verifies, provenance sane.
     Ok,
-    /// An interrupted mutation (bytes that end before the format does,
-    /// lost journaled write, unapplied journaled removal).
+    /// An interrupted write (bytes that end before the format does, or a
+    /// journaled write the entry file does not hold).
     Torn,
     /// Complete bytes that are not a valid instance, checksum failure, or
     /// format-version skew.
@@ -94,12 +93,12 @@ pub struct FsckJournal {
     pub generation: u64,
     /// Valid records found.
     pub records: usize,
-    /// Whether a torn tail was found (truncated by repair).
+    /// Whether a torn tail was found (rotated away by repair's reopen).
     pub torn_tail: bool,
     /// Whether the header itself was unreadable.
     pub damaged_header: bool,
-    /// What `--repair` did to the journal (empty when nothing was
-    /// needed).
+    /// What `--repair`'s reopen did to the journal (empty without
+    /// repair).
     pub action: String,
 }
 
@@ -126,12 +125,13 @@ pub struct FsckReport {
     pub orphaned: usize,
     /// Count of `stale-generation` verdicts.
     pub stale_generation: usize,
-    /// Files repaired (quarantined and/or rewritten from the journal).
+    /// Non-ok files (and a torn or headerless journal) repair handled:
+    /// quarantined and/or rewritten by the reopen.
     pub repaired: usize,
     /// Files moved into [`QUARANTINE_DIR`].
     pub quarantined: usize,
-    /// Files a repair was attempted on but failed (I/O errors) — the only
-    /// thing that leaves a repaired store unhealthy.
+    /// Quarantines or a reopen that failed (I/O errors) — the only thing
+    /// that leaves a repaired store unhealthy.
     pub unrepairable: usize,
 }
 
@@ -157,13 +157,11 @@ struct Walk<'a> {
     dir: &'a Path,
     repair: bool,
     report: FsckReport,
-    /// Last journal op per stem (what replay would apply).
-    journal_ops: HashMap<String, JournalOp>,
 }
 
 impl Walk<'_> {
     /// Moves a damaged file aside. The one rename outside
-    /// [`publish_atomic`]: it relocates damage and publishes nothing.
+    /// [`artifact::publish_atomic`]: it relocates damage and publishes nothing.
     fn quarantine(&mut self, name: &str) -> io::Result<()> {
         let quarantine = self.dir.join(QUARANTINE_DIR);
         std::fs::create_dir_all(&quarantine)?;
@@ -172,48 +170,28 @@ impl Walk<'_> {
         Ok(())
     }
 
-    /// Rewrites an entry file from its journal record.
-    fn rewrite_from_journal(&self, entry_file: &str, entry_json: &str) -> io::Result<()> {
-        let path = self.dir.join(entry_file);
-        publish_atomic(&UnsyncedIo, &path, entry_json.as_bytes())
-    }
-
-    /// Applies the configured repair for one bad file; records the action
-    /// and the repaired/unrepairable tallies.
-    fn repair_file(&mut self, name: &str, stem: Option<&str>) -> String {
+    /// Quarantines one non-ok file under repair; returns the action taken
+    /// and keeps the repaired/unrepairable tallies.
+    fn repair_file(&mut self, name: &str) -> String {
         if !self.repair {
             return String::new();
         }
-        let mut action = String::new();
-        if let Err(err) = self.quarantine(name) {
-            self.report.unrepairable += 1;
-            return format!("quarantine failed: {err}");
-        }
-        action.push_str("quarantined");
-        if let Some(stem) = stem {
-            if let Some(JournalOp::Put { entry, .. }) = self.journal_ops.get(stem) {
-                match serde_json::to_string_pretty(entry) {
-                    Ok(json) => match self.rewrite_from_journal(name, &json) {
-                        Ok(()) => action.push_str("; rewritten from journal record"),
-                        Err(err) => {
-                            self.report.unrepairable += 1;
-                            action.push_str(&format!("; journal rewrite failed: {err}"));
-                        }
-                    },
-                    Err(_) => action.push_str("; journal record unserializable"),
-                }
-            } else {
-                action.push_str("; entry will be recomputed on demand");
+        match self.quarantine(name) {
+            Ok(()) => {
+                self.report.repaired += 1;
+                "quarantined".to_string()
+            }
+            Err(err) => {
+                self.report.unrepairable += 1;
+                format!("quarantine failed: {err}")
             }
         }
-        self.report.repaired += 1;
-        action
     }
 
     /// The one damage arm of every file family: a file its reader refused
     /// is `torn` when its bytes end before its format does and `corrupt`
     /// otherwise, and is repaired either way.
-    fn record_damage(&mut self, name: &str, stem: Option<&str>, err: &ArtifactError) {
+    fn record_damage(&mut self, name: &str, err: &ArtifactError) {
         let (verdict, detail) = match err {
             ArtifactError::Torn { detail, .. } => (EntryVerdict::Torn, detail.clone()),
             ArtifactError::Corrupt { detail, .. } => (EntryVerdict::Corrupt, detail.clone()),
@@ -231,7 +209,7 @@ impl Walk<'_> {
                 format!("checksum mismatch: recorded {recorded}, computed {computed}"),
             ),
         };
-        let action = self.repair_file(name, stem);
+        let action = self.repair_file(name);
         self.record(name.to_string(), verdict, detail, action);
     }
 
@@ -253,8 +231,9 @@ impl Walk<'_> {
 }
 
 /// Walks `dir` offline, classifying every file (see the module docs), and
-/// — when `repair` is set — quarantining damage, rewriting entries from
-/// their journal records, and truncating a torn journal tail.
+/// — when `repair` is set — quarantining every non-ok file, then opening
+/// the directory as a [`ScheduleStore`] so its recovery completes the
+/// journaled writes and rotates the journal.
 ///
 /// # Errors
 ///
@@ -279,13 +258,15 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
             quarantined: 0,
             unrepairable: 0,
         },
-        journal_ops: HashMap::new(),
     };
 
-    // 1. The journal: the repair evidence, read first.
-    let journal_path = dir.join(JOURNAL_FILE);
-    let mut journal_ops_in_order: Vec<JournalOp> = Vec::new();
-    match std::fs::read(&journal_path) {
+    // 1. The journal, read through the store's own interpretation of it:
+    // each journaled write an entry file does not hold is one `torn`
+    // verdict, for exactly the file the next open rewrites. An entry file
+    // too unreadable to compare is left to the walk, which calls it
+    // corrupt (and repair quarantines it).
+    let mut unapplied = Vec::new();
+    match std::fs::read(dir.join(JOURNAL_FILE)) {
         Ok(bytes) => {
             let replay = journal::decode(&bytes);
             walk.report.journal = FsckJournal {
@@ -296,7 +277,7 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
                 damaged_header: replay.damaged_header,
                 action: String::new(),
             };
-            journal_ops_in_order = replay.ops;
+            unapplied = journal::unapplied(dir, &RealIo, &replay.ops).unwrap_or_default();
         }
         Err(err) if err.kind() == io::ErrorKind::NotFound => {}
         Err(err) => {
@@ -305,24 +286,43 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
             walk.report.journal.action = format!("unreadable: {err}");
         }
     }
-    for op in &journal_ops_in_order {
-        walk.journal_ops.insert(op.stem().to_string(), op.clone());
+
+    for put in &unapplied {
+        let detail = if put.missing {
+            "journaled write never reached the entry file (missing)"
+        } else {
+            "journaled write never replaced the entry file's older bytes"
+        };
+        let mut action = String::new();
+        if repair {
+            if put.missing {
+                walk.report.repaired += 1;
+            } else {
+                action = walk.repair_file(&put.file) + "; ";
+            }
+            action.push_str("the reopen rewrites it from its journal record");
+        }
+        walk.record(
+            put.file.clone(),
+            EntryVerdict::Torn,
+            detail.to_string(),
+            action,
+        );
     }
 
-    // 2. Every file in the directory, in sorted order for a stable report.
-    let mut names: Vec<String> = std::fs::read_dir(dir)?
+    // 2. Every other file in the directory.
+    let names: Vec<String> = std::fs::read_dir(dir)?
         .filter_map(Result::ok)
         .filter(|e| e.file_type().map(|t| t.is_file()).unwrap_or(false))
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .collect();
-    names.sort();
     for name in names {
-        if name == JOURNAL_FILE {
+        if name == JOURNAL_FILE || unapplied.iter().any(|put| put.file == name) {
             continue;
         }
         let path = dir.join(&name);
         if is_temp_debris(&name) {
-            let action = walk.repair_file(&name, None);
+            let action = walk.repair_file(&name);
             walk.record(
                 name,
                 EntryVerdict::Orphaned,
@@ -351,80 +351,26 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
             String::new(),
         );
     }
+    walk.report.entries.sort_by(|a, b| a.file.cmp(&b.file));
 
-    // 3. Journal records whose entry files are gone or stale: the write
-    // (or removal) a kill interrupted. Replay them.
-    let mut stems: Vec<&String> = walk.journal_ops.keys().collect();
-    stems.sort();
-    let mut replays: Vec<(String, EntryVerdict, String, Option<String>)> = Vec::new();
-    for stem in stems {
-        let entry_file = format!("{stem}.json");
-        let path = dir.join(&entry_file);
-        match &walk.journal_ops[stem.as_str()] {
-            JournalOp::Put { entry, .. } if !path.exists() => {
-                let json = serde_json::to_string_pretty(entry).unwrap_or_default();
-                replays.push((
-                    entry_file,
-                    EntryVerdict::Torn,
-                    "journaled write never reached the entry file".to_string(),
-                    Some(json),
-                ));
-            }
-            JournalOp::Remove { .. } if path.exists() => {
-                replays.push((
-                    entry_file,
-                    EntryVerdict::Torn,
-                    "journaled removal never reached the entry file".to_string(),
-                    None,
-                ));
-            }
-            _ => {}
-        }
-    }
-    for (entry_file, verdict, detail, rewrite) in replays {
-        let mut action = String::new();
-        if walk.repair {
-            match &rewrite {
-                Some(json) => match walk.rewrite_from_journal(&entry_file, json) {
-                    Ok(()) => {
-                        action = "rewritten from journal record".to_string();
-                        walk.report.repaired += 1;
-                    }
-                    Err(err) => {
-                        action = format!("journal rewrite failed: {err}");
-                        walk.report.unrepairable += 1;
-                    }
-                },
-                None => {
-                    action = walk.repair_file(&entry_file, None);
-                }
-            }
-        }
-        walk.record(entry_file, verdict, detail, action);
-    }
-
-    // 4. A torn or headerless journal is itself repaired by truncation to
-    // its valid prefix (damaged header: a fresh generation-1 header — the
-    // evidence is gone either way, and the store would rotate it away too).
-    // Published atomically: a kill mid-repair leaves the journal it was
-    // repairing, not a shorter one.
-    if walk.repair && (walk.report.journal.torn_tail || walk.report.journal.damaged_header) {
-        let generation = walk.report.journal.generation.max(1);
-        let image = journal::encode(generation, &journal_ops_in_order);
-        match publish_atomic(&UnsyncedIo, &journal_path, &image) {
-            Ok(()) => {
-                walk.report.journal.action = if walk.report.journal.damaged_header {
-                    "rewritten with a fresh header".to_string()
-                } else {
-                    "torn tail truncated".to_string()
-                };
-                walk.report.repaired += 1;
+    // 3. Repair: the store's own open completes every journaled write the
+    // walk called torn and rotates the journal, torn tail and all.
+    if repair {
+        let journal_damaged = walk.report.journal.torn_tail || walk.report.journal.damaged_header;
+        walk.report.journal.action = match ScheduleStore::open(dir, 1) {
+            Ok(store) => {
+                walk.report.repaired += usize::from(journal_damaged);
+                let stats = store.stats();
+                format!(
+                    "reopened: {} journaled writes replayed, rotated to generation {}",
+                    stats.journal_replayed, stats.generation
+                )
             }
             Err(err) => {
-                walk.report.journal.action = format!("truncation failed: {err}");
                 walk.report.unrepairable += 1;
+                format!("reopen failed: {err}")
             }
-        }
+        };
     }
 
     Ok(walk.report)
@@ -432,7 +378,6 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
 
 /// Classifies one store entry file.
 fn classify_entry(walk: &mut Walk<'_>, name: &str, path: &Path) {
-    let stem = name.trim_end_matches(".json");
     let decoded = std::fs::read(path)
         .map_err(ArtifactError::Io)
         .and_then(|bytes| decode_entry_bytes(path, &bytes));
@@ -443,7 +388,7 @@ fn classify_entry(walk: &mut Walk<'_>, name: &str, path: &Path) {
                 && !walk.report.journal.damaged_header
                 && entry.generation > journal_generation
             {
-                let action = walk.repair_file(name, Some(stem));
+                let action = walk.repair_file(name);
                 walk.record(
                     name.to_string(),
                     EntryVerdict::StaleGeneration,
@@ -463,7 +408,7 @@ fn classify_entry(walk: &mut Walk<'_>, name: &str, path: &Path) {
                 );
             }
         }
-        Err(err) => walk.record_damage(name, Some(stem), &err),
+        Err(err) => walk.record_damage(name, &err),
     }
 }
 
@@ -492,7 +437,7 @@ fn classify_manifest(walk: &mut Walk<'_>, name: &str, dir: &Path) {
             "absent (raced away)".to_string(),
             String::new(),
         ),
-        Err(err) => walk.record_damage(name, None, &err),
+        Err(err) => walk.record_damage(name, &err),
     }
 }
 
@@ -507,7 +452,7 @@ fn classify_checkpoint(walk: &mut Walk<'_>, name: &str, path: &Path) {
         ),
         // A bad checkpoint only costs a cold restart of that search;
         // quarantining it is the whole repair.
-        Err(err) => walk.record_damage(name, None, &err),
+        Err(err) => walk.record_damage(name, &err),
     }
 }
 
@@ -588,24 +533,32 @@ mod tests {
     fn damage_families_classify_and_repair_into_quarantine() {
         let dir = temp_dir("repair");
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ScheduleStore::open(&dir, 8).unwrap();
         let keep = key_for("softmax", 1);
         let torn = key_for("bmm", 2);
         let rot = key_for("rmsnorm", 3);
-        for (key, seed) in [(&keep, 1), (&torn, 2), (&rot, 3)] {
+        // `rot` is written a generation earlier: the reopen's rotation
+        // retires its record, so no journal covers the damage planted
+        // below and it is judged on its bytes alone.
+        let store = ScheduleStore::open(&dir, 8).unwrap();
+        store.put(&rot, entry_for(&rot, 3)).unwrap();
+        drop(store);
+        let store = ScheduleStore::open(&dir, 8).unwrap();
+        for (key, seed) in [(&keep, 1), (&torn, 2)] {
             store.put(key, entry_for(key, seed)).unwrap();
         }
         let keep_bytes = std::fs::read(store.entry_path(&keep)).unwrap();
-        // Torn: cut the file mid-JSON. Corrupt: flip the recorded checksum.
         let torn_path = store.entry_path(&torn);
-        let full = std::fs::read(&torn_path).unwrap();
-        std::fs::write(&torn_path, &full[..full.len() / 3]).unwrap();
-        let rot_path = store.entry_path(&rot);
-        let text = std::fs::read_to_string(&rot_path).unwrap();
+        let torn_bytes = std::fs::read(&torn_path).unwrap();
+        // Torn: cut the file mid-JSON (its put is still journaled).
+        // Corrupt: flip the recorded checksum.
+        std::fs::write(&torn_path, &torn_bytes[..torn_bytes.len() / 3]).unwrap();
         let mut damaged = entry_for(&rot, 3);
         damaged.checksum = "beefbeefbeefbeef".to_string();
-        std::fs::write(&rot_path, serde_json::to_string_pretty(&damaged).unwrap()).unwrap();
-        assert_ne!(text, std::fs::read_to_string(&rot_path).unwrap());
+        std::fs::write(
+            store.entry_path(&rot),
+            serde_json::to_string_pretty(&damaged).unwrap(),
+        )
+        .unwrap();
         // Orphan: planted temp debris.
         std::fs::write(dir.join(".zzz.tmp.999"), "{").unwrap();
         drop(store);
@@ -617,55 +570,100 @@ mod tests {
         assert_eq!(dry.orphaned, 1);
         assert_eq!(dry.ok, 1);
 
-        // Repair: quarantine + journal replay (the puts are still in the
-        // un-rotated journal, so both bad entries are rewritten).
+        // Repair: quarantine all three, then the reopen rewrites the
+        // journaled entry; the unjournaled one is recomputed on demand.
         let repaired = fsck(&dir, true).unwrap();
         assert!(repaired.healthy(), "{repaired:?}");
         assert_eq!(repaired.unrepairable, 0);
-        assert!(repaired.quarantined >= 3);
+        assert_eq!(repaired.quarantined, 3);
+        assert_eq!(repaired.repaired, 3);
         assert!(dir.join(QUARANTINE_DIR).is_dir());
-        // The untouched entry is byte-identical; the repaired ones decode.
+        assert!(
+            repaired
+                .journal
+                .action
+                .contains("1 journaled writes replayed"),
+            "{repaired:?}"
+        );
+        // The untouched entry is byte-identical, the torn one is back to
+        // its journaled bytes, and the directory is healthy.
         assert_eq!(
             std::fs::read(dir.join(format!("{}.json", keep.file_stem()))).unwrap(),
             keep_bytes
         );
+        assert_eq!(std::fs::read(&torn_path).unwrap(), torn_bytes);
+        assert!(fsck(&dir, false).unwrap().healthy());
         let reopened = ScheduleStore::open(&dir, 8).unwrap();
+        assert!(reopened.get(&torn).unwrap().is_some());
         assert!(
-            reopened.get(&torn).unwrap().is_some(),
-            "rewritten from journal"
-        );
-        assert!(
-            reopened.get(&rot).unwrap().is_some(),
-            "rewritten from journal"
+            reopened.get(&rot).unwrap().is_none(),
+            "recomputed on demand"
         );
         assert_eq!(reopened.stats().skipped_at_open, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An entry file that decodes but is not what the journal last wrote
+    /// for it (a kill between an overwrite's append and its rename) is
+    /// `torn`: the next open replaces it, and the repair is that reopen.
     #[test]
-    fn a_torn_journal_is_republished_as_its_valid_prefix() {
+    fn an_interrupted_overwrite_is_torn_and_repaired_by_the_reopen() {
+        let dir = temp_dir("overwrite");
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = key_for("bmm", 6);
+        let store = ScheduleStore::open(&dir, 8).unwrap();
+        store.put(&key, entry_for(&key, 6)).unwrap();
+        let older = std::fs::read(store.entry_path(&key)).unwrap();
+        store.put(&key, entry_for(&key, 66)).unwrap();
+        let newer = std::fs::read(store.entry_path(&key)).unwrap();
+        std::fs::write(store.entry_path(&key), &older).unwrap();
+        drop(store);
+
+        let dry = fsck(&dir, false).unwrap();
+        assert!(!dry.healthy());
+        assert_eq!((dry.ok, dry.torn, dry.entries.len()), (0, 1, 1), "{dry:?}");
+        let repaired = fsck(&dir, true).unwrap();
+        assert_eq!((repaired.quarantined, repaired.unrepairable), (1, 0));
+        assert_eq!(
+            std::fs::read(dir.join(QUARANTINE_DIR).join(&dry.entries[0].file)).unwrap(),
+            older
+        );
+        assert_eq!(
+            std::fs::read(dir.join(&dry.entries[0].file)).unwrap(),
+            newer
+        );
+        assert!(fsck(&dir, false).unwrap().healthy());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_journal_is_rotated_by_the_repair_reopen() {
         let dir = temp_dir("torn-journal");
         let _ = std::fs::remove_dir_all(&dir);
         let store = ScheduleStore::open(&dir, 8).unwrap();
         let key = key_for("softmax", 4);
         store.put(&key, entry_for(&key, 4)).unwrap();
+        let generation = store.generation();
         drop(store);
         // A kill mid-append: the header and one whole record, then garbage.
         let journal_path = dir.join(JOURNAL_FILE);
-        let whole = std::fs::read(&journal_path).unwrap();
-        let mut torn = whole.clone();
+        let mut torn = std::fs::read(&journal_path).unwrap();
         torn.extend_from_slice(&[0x2a, 0, 0, 0, b'{']);
         std::fs::write(&journal_path, &torn).unwrap();
 
         assert!(fsck(&dir, false).unwrap().journal.torn_tail);
         let repaired = fsck(&dir, true).unwrap();
-        assert_eq!(repaired.journal.action, "torn tail truncated");
         assert_eq!(repaired.unrepairable, 0);
-        assert_eq!(std::fs::read(&journal_path).unwrap(), whole);
-        // The publish left no staging file behind.
+        assert_eq!(repaired.repaired, 1);
+        // The reopen retired the records, torn tail included, with a fresh
+        // header one generation on — and left no staging file behind.
+        assert_eq!(
+            std::fs::read(&journal_path).unwrap(),
+            crate::journal::encode(generation + 1, &[])
+        );
         let after = fsck(&dir, false).unwrap();
         assert!(after.healthy(), "{after:?}");
-        assert_eq!(after.orphaned, 0);
+        assert_eq!((after.ok, after.orphaned), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -698,7 +696,7 @@ mod tests {
             vec![cuasmrl::KernelTelemetry::cached(&entry.report)],
             1.25,
         );
-        cuasmrl::persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
+        cuasmrl::persist_run_manifest(&artifact::UnsyncedIo, &dir, &manifest).unwrap();
         let manifest_file = "a100_service_telemetry.json".to_string();
         let manifest_bytes = std::fs::read(dir.join(&manifest_file)).unwrap();
         let entry_file = format!("{}.json", key.file_stem());
@@ -735,6 +733,10 @@ mod tests {
         let store = ScheduleStore::open(&dir, 8).unwrap();
         let key = key_for("softmax", 9);
         store.put(&key, entry_for(&key, 9)).unwrap();
+        // Reopen so no journal record covers the file: otherwise the
+        // forgery is a journaled write the file does not hold (`torn`).
+        drop(store);
+        let store = ScheduleStore::open(&dir, 8).unwrap();
         // Forge an entry from "the future": stamp a generation far beyond
         // the journal's (a mixed store directory / restored newer backup).
         let mut future = entry_for(&key, 9);

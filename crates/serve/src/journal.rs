@@ -1,12 +1,12 @@
 //! The store's checksummed append-only write-ahead journal.
 //!
-//! Every durable-set mutation ([`crate::ScheduleStore::put`] /
-//! [`crate::ScheduleStore::remove`]) is appended here — fsynced — *before*
-//! the per-entry JSON file is touched. A kill at any later boundary is
-//! therefore recoverable: replay on the next open rewrites whatever the
-//! crash interrupted, and a kill *during* the append itself leaves a torn
-//! tail that truncates away, making the interrupted mutation absent. The
-//! guarantee is always pre-write or post-write bytes, never a third state.
+//! The store's one mutation, [`crate::ScheduleStore::put`], is appended
+//! here — fsynced — *before* the per-entry JSON file is touched. A kill at
+//! any later boundary is therefore recoverable: replay on the next open
+//! rewrites whatever the crash interrupted, and a kill *during* the append
+//! itself leaves a torn tail that truncates away, making the interrupted
+//! write absent. The guarantee is always pre-write or post-write bytes,
+//! never a third state.
 //!
 //! ## On-disk format (`journal.wal`)
 //!
@@ -25,12 +25,15 @@
 //! the entry-file writes they cover, a torn tail can only be the single
 //! mutation in flight at the kill.
 //!
-//! Entries are eagerly compacted into their per-entry JSON files at put
-//! time, so journal records go redundant quickly; rotation (an atomic
-//! temp+rename of a fresh header at generation+1) retires them. The store
-//! rotates on every open and every [`crate::ScheduleStore::compact`], and
-//! automatically every [`crate::ScheduleStore::JOURNAL_ROTATE_EVERY`]
-//! appends.
+//! The journal has one interpretation, [`unapplied`]: the last record per
+//! stem whose entry file does not hold its bytes. The store's open
+//! rewrites those files and `cuasmrld-fsck` reports them `torn`, so the
+//! offline verdict is exactly what the next open will do.
+//!
+//! Entry files are written eagerly at put time, so journal records go
+//! redundant quickly; rotation (an atomic temp+rename of a fresh header at
+//! generation+1) retires them. The store rotates on every open and every
+//! [`crate::ScheduleStore::JOURNAL_ROTATE_EVERY`] appends.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -59,10 +62,8 @@ pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
 const HEADER_LEN: usize = 8 + 4 + 8;
 
-/// One journaled durable-set mutation.
-// Boxing `entry` would shrink the enum, but the vendored serde shim has no
-// `Box` impls; ops are short-lived (append, replay) so the size is harmless.
-#[allow(clippy::large_enum_variant)]
+/// One journaled write. An enum so the record keeps its externally tagged
+/// `{"Put": {stem, entry}}` bytes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum JournalOp {
     /// An entry was (about to be) written to `{stem}.json`.
@@ -72,21 +73,26 @@ pub enum JournalOp {
         /// The full entry, so replay can rewrite the file byte-identically.
         entry: StoreEntry,
     },
-    /// The entry at `{stem}.json` was (about to be) removed.
-    Remove {
-        /// The entry's file stem.
-        stem: String,
-    },
 }
 
 impl JournalOp {
-    /// The file stem this mutation targets.
+    /// The file stem this write targets.
     #[must_use]
     pub fn stem(&self) -> &str {
-        match self {
-            JournalOp::Put { stem, .. } | JournalOp::Remove { stem } => stem,
-        }
+        let JournalOp::Put { stem, .. } = self;
+        stem
     }
+}
+
+/// A journaled write the entry files do not reflect (see [`unapplied`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnappliedPut {
+    /// The entry file the record covers, `{stem}.json`.
+    pub file: String,
+    /// The file's post-write bytes, exactly as `put` publishes them.
+    pub bytes: String,
+    /// Whether the file is absent (otherwise it holds other bytes).
+    pub missing: bool,
 }
 
 /// What replaying a journal found.
@@ -105,7 +111,7 @@ pub struct JournalReplay {
 }
 
 /// The append side of the journal. Owned by the store (under its inner
-/// mutex), so appends are strictly ordered with the mutations they cover.
+/// mutex), so appends are strictly ordered with the writes they cover.
 pub struct Journal {
     path: PathBuf,
     io: Arc<dyn StoreIo>,
@@ -158,28 +164,17 @@ impl Journal {
     /// # Errors
     ///
     /// Propagates the filesystem error; the caller must then abandon the
-    /// covered mutation (the record may be torn, which replay truncates).
+    /// covered write (the record may be torn, which replay truncates).
     pub fn append(&mut self, op: &JournalOp) -> io::Result<()> {
-        let payload = serde_json::to_string(op)
-            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?
-            .into_bytes();
-        let mut record = Vec::with_capacity(4 + payload.len() + 8);
-        record.extend_from_slice(
-            &u32::try_from(payload.len())
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "record too large"))?
-                .to_le_bytes(),
-        );
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        self.io.append(&self.path, &record)?;
+        self.io.append(&self.path, &record(op)?)?;
         self.appends_since_rotate += 1;
         Ok(())
     }
 
     /// Atomically replaces the journal with a fresh, empty one at
-    /// generation+1. Only safe once every record is compacted into its
-    /// per-entry file — which the store guarantees by writing entry files
-    /// eagerly at put time.
+    /// generation+1. Only safe once every record is reflected in its entry
+    /// file — which the store guarantees by writing entry files eagerly at
+    /// put time and by publishing [`unapplied`] before the open's rotation.
     ///
     /// # Errors
     ///
@@ -192,6 +187,55 @@ impl Journal {
         self.appends_since_rotate = 0;
         Ok(())
     }
+}
+
+/// The journal's one interpretation: for each stem, its last record, kept
+/// when the entry file is missing or holds other bytes — the writes a kill
+/// interrupted after their append. In order of each stem's last record.
+/// `ScheduleStore::open` publishes these and `cuasmrld-fsck` reports them
+/// `torn`.
+///
+/// # Errors
+///
+/// Propagates a read error other than `NotFound` on an entry file.
+pub fn unapplied(dir: &Path, io: &dyn StoreIo, ops: &[JournalOp]) -> io::Result<Vec<UnappliedPut>> {
+    let mut last_per_stem: Vec<&JournalOp> = Vec::new();
+    for op in ops {
+        last_per_stem.retain(|seen| seen.stem() != op.stem());
+        last_per_stem.push(op);
+    }
+    let mut pending = Vec::new();
+    for JournalOp::Put { stem, entry } in last_per_stem {
+        let file = format!("{stem}.json");
+        let bytes = serde_json::to_string_pretty(entry).unwrap_or_default();
+        let current = match io.read(&dir.join(&file)) {
+            Ok(current) => Some(current),
+            Err(err) if err.kind() == io::ErrorKind::NotFound => None,
+            Err(err) => return Err(err),
+        };
+        if current.as_deref() != Some(bytes.as_bytes()) {
+            pending.push(UnappliedPut {
+                file,
+                bytes,
+                missing: current.is_none(),
+            });
+        }
+    }
+    Ok(pending)
+}
+
+/// One record's bytes: length word, JSON payload, FNV-1a-64 trailer.
+fn record(op: &JournalOp) -> io::Result<Vec<u8>> {
+    let payload = serde_json::to_string(op)
+        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?
+        .into_bytes();
+    let len = u32::try_from(payload.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "record too large"))?;
+    let mut record = Vec::with_capacity(4 + payload.len() + 8);
+    record.extend_from_slice(&len.to_le_bytes());
+    record.extend_from_slice(&payload);
+    record.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    Ok(record)
 }
 
 /// Decodes a journal image: header, then records until the first anomaly.
@@ -249,8 +293,8 @@ pub fn decode(bytes: &[u8]) -> JournalReplay {
     replay
 }
 
-/// Encodes a header + records image (the inverse of [`decode`]; used by
-/// fsck repair to truncate a torn tail and by the tests).
+/// Encodes a header + records image (the inverse of [`decode`]; the
+/// rotation's fresh header, and the tests' fixtures).
 #[must_use]
 pub fn encode(generation: u64, ops: &[JournalOp]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(HEADER_LEN);
@@ -258,10 +302,7 @@ pub fn encode(generation: u64, ops: &[JournalOp]) -> Vec<u8> {
     bytes.extend_from_slice(&JOURNAL_FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&generation.to_le_bytes());
     for op in ops {
-        let payload = serde_json::to_string(op).unwrap_or_default().into_bytes();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        bytes.extend(record(op).unwrap_or_default());
     }
     bytes
 }
@@ -294,19 +335,13 @@ mod tests {
         .seal()
     }
 
+    /// `count` puts over `count / 2 + 1` stems, so later records overwrite
+    /// earlier ones.
     fn ops_fixture(count: u64) -> Vec<JournalOp> {
         (0..count)
-            .map(|i| {
-                if i % 3 == 2 {
-                    JournalOp::Remove {
-                        stem: format!("k{}", i / 3),
-                    }
-                } else {
-                    JournalOp::Put {
-                        stem: format!("k{i}"),
-                        entry: entry(&format!("k{i}"), i),
-                    }
-                }
+            .map(|i| JournalOp::Put {
+                stem: format!("k{}", i / 2),
+                entry: entry(&format!("k{}", i / 2), i),
             })
             .collect()
     }
@@ -344,6 +379,80 @@ mod tests {
         assert_eq!(replay.generation, 2);
         assert_eq!(replay.ops.len(), 3, "the in-flight record is absent");
         assert!(replay.torn_tail);
+    }
+
+    /// A record as earlier releases wrote it — payload and trailer taken
+    /// verbatim from a journal, generation 3.
+    const PINNED_PAYLOAD: &str = r#"{"Put":{"stem":"k0","entry":{"schema_version":2,"canonical":"canonical-k0","arch":"ampere","kernel":"k0","seed":7,"generation":3,"checksum":"767b7d8831c123e6","report":{"kernel":"k0","baseline_us":10.0,"optimized_us":8.0,"speedup":1.25,"verified":true,"optimized_listing":"","moves":[]}}}}"#;
+    const PINNED_TRAILER: u64 = 0xf79b_af41_d16d_6c4e;
+
+    #[test]
+    fn a_pinned_put_record_replays_unchanged() {
+        let mut image = encode(3, &[]);
+        image.extend_from_slice(&(PINNED_PAYLOAD.len() as u32).to_le_bytes());
+        image.extend_from_slice(PINNED_PAYLOAD.as_bytes());
+        image.extend_from_slice(&PINNED_TRAILER.to_le_bytes());
+        let replay = decode(&image);
+        assert!(!replay.torn_tail && !replay.damaged_header);
+        assert_eq!(replay.generation, 3);
+        let [JournalOp::Put { stem, entry }] = replay.ops.as_slice() else {
+            panic!("one record: {:?}", replay.ops);
+        };
+        assert_eq!(stem, "k0");
+        assert_eq!(entry.checksum, entry.content_checksum());
+        assert_eq!(
+            serde_json::to_string(&replay.ops[0]).unwrap(),
+            PINNED_PAYLOAD
+        );
+        assert_eq!(encode(3, &replay.ops), image, "re-encodes byte for byte");
+
+        // The store's open applies it: the entry file appears with the
+        // bytes `put` would have published.
+        let dir = std::env::temp_dir().join(format!("cuasmrld-journal-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(JOURNAL_FILE), &image).unwrap();
+        let store = crate::ScheduleStore::open(&dir, 4).unwrap();
+        assert_eq!(store.stats().journal_replayed, 1);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("k0.json")).unwrap(),
+            serde_json::to_string_pretty(entry).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unapplied_keeps_the_last_put_per_stem_the_files_do_not_hold() {
+        let dir =
+            std::env::temp_dir().join(format!("cuasmrld-journal-unapplied-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // k0: two records, the file holds the first (an interrupted
+        // overwrite). k1: the file holds its record. k2: no file.
+        let ops = ops_fixture(6);
+        let pretty = |op: &JournalOp| {
+            let JournalOp::Put { entry, .. } = op;
+            serde_json::to_string_pretty(entry).unwrap()
+        };
+        std::fs::write(dir.join("k0.json"), pretty(&ops[0])).unwrap();
+        std::fs::write(dir.join("k1.json"), pretty(&ops[3])).unwrap();
+        let pending = unapplied(&dir, &artifact::RealIo, &ops).unwrap();
+        assert_eq!(
+            pending,
+            [
+                UnappliedPut {
+                    file: "k0.json".to_string(),
+                    bytes: pretty(&ops[1]),
+                    missing: false,
+                },
+                UnappliedPut {
+                    file: "k2.json".to_string(),
+                    bytes: pretty(&ops[5]),
+                    missing: true,
+                },
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     proptest! {

@@ -3,14 +3,14 @@
 //!
 //! One JSON file per served request, named by the request's
 //! [`RequestKey::file_stem`] (see `docs/SERVICE.md` for the on-disk
-//! layout). Since durability v2 every mutation of the durable set is
+//! layout). Since durability v2 every write of the durable set is
 //! write-ahead journaled ([`crate::journal`]) before the entry file is
 //! touched, every write goes through the injectable [`StoreIo`] layer
 //! with fsync, and every entry carries a content checksum verified on
 //! every read path. The resulting guarantee — proven by the crash-point
 //! sweep in `tests/durability.rs` — is that a kill at *any* I/O boundary
 //! leaves a store that reopens to either the pre-write or the post-write
-//! bytes of the interrupted mutation, never a third state.
+//! bytes of the interrupted write, never a third state.
 //!
 //! Every entry carries [`STORE_SCHEMA_VERSION`]; decoding is a
 //! typed-error path ([`ArtifactError`], shared with every other artifact
@@ -35,7 +35,7 @@ use artifact::{
 use cuasmrl::OptimizationReport;
 use serde::{Deserialize, Serialize};
 
-use crate::journal::{Journal, JournalOp};
+use crate::journal::{self, Journal, JournalOp};
 use crate::protocol::RequestKey;
 
 /// Version of the store's on-disk entry schema. Bumped on any field-level
@@ -180,17 +180,10 @@ impl Inner {
             let Some(coldest) = self.recency.pop_front() else {
                 break;
             };
-            self.forget(&coldest);
-        }
-        self.stats.entries_in_memory = self.entries.len();
-    }
-
-    /// Drops one stem from the in-memory maps (not the disk), releasing
-    /// its tracked bytes.
-    fn forget(&mut self, stem: &str) {
-        self.entries.remove(stem);
-        if let Some(old) = self.sizes.remove(stem) {
-            self.stats.lru_bytes = self.stats.lru_bytes.saturating_sub(old);
+            self.entries.remove(&coldest);
+            if let Some(old) = self.sizes.remove(&coldest) {
+                self.stats.lru_bytes = self.stats.lru_bytes.saturating_sub(old);
+            }
         }
         self.stats.entries_in_memory = self.entries.len();
     }
@@ -205,10 +198,10 @@ pub struct ScheduleStore {
 }
 
 impl ScheduleStore {
-    /// Journal appends between automatic rotations. Entries are compacted
-    /// into their per-entry files eagerly at put time, so rotation only
-    /// retires redundant records; this bound caps how much redundant
-    /// journal a healthy store carries.
+    /// Journal appends between automatic rotations. Entry files are
+    /// written eagerly at put time, so rotation only retires redundant
+    /// records; this bound caps how much redundant journal a healthy store
+    /// carries.
     pub const JOURNAL_ROTATE_EVERY: u64 = 64;
 
     /// Locks the inner state, recovering from poison: every mutation under
@@ -267,42 +260,16 @@ impl ScheduleStore {
             }
         }
 
-        // 2. Recover the journal: replay records the entry files do not
+        // 2. Recover the journal: publish the writes the entry files do not
         // reflect, then rotate to a fresh generation (which also truncates
         // any torn tail).
         let (mut journal, replay) = Journal::open(&dir, Arc::clone(&io))?;
         if replay.torn_tail || replay.damaged_header {
             stats.journal_torn += 1;
         }
-        let mut last_op_per_stem: Vec<&JournalOp> = Vec::new();
-        for op in &replay.ops {
-            last_op_per_stem.retain(|seen| seen.stem() != op.stem());
-            last_op_per_stem.push(op);
-        }
-        for op in last_op_per_stem {
-            match op {
-                JournalOp::Put { stem, entry } => {
-                    let path = dir.join(format!("{stem}.json"));
-                    let desired = serde_json::to_string_pretty(entry).unwrap_or_default();
-                    let current = match io.read(&path) {
-                        Ok(bytes) => Some(bytes),
-                        Err(err) if err.kind() == std::io::ErrorKind::NotFound => None,
-                        Err(err) => return Err(err.into()),
-                    };
-                    if current.as_deref() != Some(desired.as_bytes()) {
-                        publish_atomic(io.as_ref(), &path, desired.as_bytes())?;
-                        stats.journal_replayed += 1;
-                    }
-                }
-                JournalOp::Remove { stem } => {
-                    let path = dir.join(format!("{stem}.json"));
-                    match io.remove(&path) {
-                        Ok(()) => stats.journal_replayed += 1,
-                        Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-                        Err(err) => return Err(err.into()),
-                    }
-                }
-            }
+        for put in journal::unapplied(&dir, io.as_ref(), &replay.ops)? {
+            publish_atomic(io.as_ref(), &dir.join(&put.file), put.bytes.as_bytes())?;
+            stats.journal_replayed += 1;
         }
         journal.rotate()?;
         stats.generation = journal.generation();
@@ -464,50 +431,6 @@ impl ScheduleStore {
             inner.journal.rotate()?;
             inner.stats.generation = inner.journal.generation();
         }
-        Ok(())
-    }
-
-    /// Removes an entry from the durable set (journaled first, so a kill
-    /// between the append and the file removal replays the removal at the
-    /// next open) and drops it from memory. Returns whether anything was
-    /// there to remove.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArtifactError::Io`] when the journal append or the removal
-    /// fails (a missing file is not a failure).
-    pub fn remove(&self, key: &RequestKey) -> Result<bool, ArtifactError> {
-        let stem = key.file_stem();
-        let path = self.entry_path(key);
-        let mut inner = self.lock_inner();
-        inner
-            .journal
-            .append(&JournalOp::Remove { stem: stem.clone() })?;
-        let on_disk = match self.io.remove(&path) {
-            Ok(()) => true,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => false,
-            Err(err) => return Err(err.into()),
-        };
-        let in_memory = inner.entries.contains_key(&stem);
-        inner.forget(&stem);
-        if let Some(position) = inner.recency.iter().position(|s| s == &stem) {
-            inner.recency.remove(position);
-        }
-        Ok(on_disk || in_memory)
-    }
-
-    /// Forces a journal rotation. Entries are compacted into their
-    /// per-entry files eagerly at put time, so this only retires the
-    /// redundant records and bumps the generation — the periodic
-    /// "compaction" of the WAL design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArtifactError::Io`] when the rotation cannot write.
-    pub fn compact(&self) -> Result<(), ArtifactError> {
-        let mut inner = self.lock_inner();
-        inner.journal.rotate()?;
-        inner.stats.generation = inner.journal.generation();
         Ok(())
     }
 
@@ -791,10 +714,11 @@ mod tests {
         let cold = key_for("bmm", 2);
 
         // A fat entry, then plant corruption over it on disk: recorded
-        // checksum no longer matches the (still fat) content. Compact
-        // first so the journal holds no record to silently heal it from.
+        // checksum no longer matches the (still fat) content. Reopen first
+        // so the rotation leaves no record to silently heal it from.
         store.put(&hot, padded_entry_for(&hot, 1, 4096)).unwrap();
-        store.compact().unwrap();
+        drop(store);
+        let store = ScheduleStore::open(&dir, 2).unwrap();
         let mut damaged = padded_entry_for(&hot, 1, 4096);
         damaged.checksum = "0000000000000000".to_string();
         let text = serde_json::to_string_pretty(&damaged).unwrap();
@@ -890,55 +814,28 @@ mod tests {
     }
 
     #[test]
-    fn remove_is_journaled_and_replayed() {
-        let dir = temp_dir("remove");
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = key_for("bmm", 4);
-        let store = ScheduleStore::open(&dir, 8).unwrap();
-        store.put(&key, entry_for(&key, 4)).unwrap();
-        assert!(store.remove(&key).unwrap());
-        assert!(!store.remove(&key).unwrap(), "second removal is a no-op");
-        assert!(store.get(&key).unwrap().is_none());
-        assert_eq!(store.entries_on_disk(), 0);
-        drop(store);
-
-        // Simulate the kill window: re-plant the entry file as if the
-        // journaled removal never reached it, then reopen — the Remove
-        // record replays.
-        let store = ScheduleStore::open(&dir, 8).unwrap();
-        drop(store); // rotation retired the records; plant under a fresh journal
-        let dir2 = temp_dir("remove2");
-        let _ = std::fs::remove_dir_all(&dir2);
-        let store = ScheduleStore::open(&dir2, 8).unwrap();
-        store.put(&key, entry_for(&key, 4)).unwrap();
-        let saved = std::fs::read(store.entry_path(&key)).unwrap();
-        assert!(store.remove(&key).unwrap());
-        // The kill window: the file comes back (removal "lost").
-        std::fs::write(store.entry_path(&key), &saved).unwrap();
-        drop(store);
-        let reopened = ScheduleStore::open(&dir2, 8).unwrap();
-        assert_eq!(reopened.stats().journal_replayed, 1);
-        assert!(reopened.get(&key).unwrap().is_none());
-        assert_eq!(reopened.entries_on_disk(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
-    }
-
-    #[test]
-    fn rotation_is_periodic_and_compact_is_explicit() {
+    fn rotation_is_periodic() {
         let dir = temp_dir("rotate");
         let _ = std::fs::remove_dir_all(&dir);
         let store = ScheduleStore::open(&dir, 4).unwrap();
         let opened_at = store.generation();
-        store
-            .put(&key_for("softmax", 1), entry_for(&key_for("softmax", 1), 1))
-            .unwrap();
-        assert_eq!(store.generation(), opened_at, "no rotation mid-window");
-        store.compact().unwrap();
+        let journal_len = || std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
+        for seed in 0..ScheduleStore::JOURNAL_ROTATE_EVERY {
+            assert_eq!(store.generation(), opened_at, "no rotation mid-window");
+            let key = key_for("softmax", seed % 3);
+            store.put(&key, entry_for(&key, seed)).unwrap();
+        }
         assert_eq!(store.generation(), opened_at + 1);
-        // The journal file is back to a bare header after compaction.
-        let journal_len = std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
-        assert_eq!(journal_len, 20, "header only: 8 magic + 4 version + 8 gen");
+        assert_eq!(store.stats().generation, opened_at + 1);
+        // The journal file is back to a bare header after the rotation.
+        assert_eq!(
+            journal_len(),
+            20,
+            "header only: 8 magic + 4 version + 8 gen"
+        );
+        let key = key_for("softmax", 0);
+        store.put(&key, entry_for(&key, 0)).unwrap();
+        assert!(journal_len() > 20, "the next put appends again");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

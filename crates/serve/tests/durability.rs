@@ -1,9 +1,11 @@
 //! The durability crash-point sweep: kill the store at EVERY I/O boundary
-//! of a full write/evict/remove/compact cycle, under every crash effect
-//! (before / torn / after), and prove that recovery — plain reopen or
-//! `cuasmrld-fsck --repair` — always lands every key on a state the store
-//! legitimately passed through: absent, the first written value, or the
-//! second. Never a third state.
+//! of a full sweep/write/evict/overwrite/reopen cycle, under every crash
+//! effect (before / torn / after), and prove that recovery — plain reopen
+//! or `cuasmrld-fsck --repair` — always lands every key on a state the
+//! store legitimately passed through: absent, the first written value, or
+//! the second. Never a third state. At every one of those crash points
+//! fsck's verdict also predicts the reopen: the entries it calls torn for
+//! a journal reason are exactly the ones the next open rewrites.
 //!
 //! The op list is not hard-coded: a recording run enumerates the cycle's
 //! actual I/O sequence ([`CrashPointIo::recording`]), so the sweep stays
@@ -70,7 +72,7 @@ struct Cycle {
     a: RequestKey,
     b: RequestKey,
     c: RequestKey,
-    /// The two values key B passes through (put, remove, re-put).
+    /// The two values key B passes through (put, then overwrite).
     b_first: StoreEntry,
     b_second: StoreEntry,
     a_value: StoreEntry,
@@ -93,11 +95,16 @@ impl Cycle {
         }
     }
 
-    /// One full store lifetime: open (capacity 2, so the third put evicts
-    /// from memory), three puts, a disk-path get, a journaled remove, a
-    /// re-put of the removed key, and an explicit compaction.
+    /// One full store lifetime: open over planted crash debris (its sweep
+    /// is the cycle's `remove` boundary; capacity 2, so the third put
+    /// evicts from memory), three puts, a disk-path get, an overwrite of B
+    /// with its second value, a reopen, and a disk-path get of A (the
+    /// reopen loads the first two entry files by name; a failed load is a
+    /// skipped entry, so it is this get that surfaces a kill there).
     fn run(&self, dir: &Path, io: Arc<dyn StoreIo>) -> Result<(), ArtifactError> {
-        let store = ScheduleStore::open_with_io(dir, 2, io)?;
+        std::fs::create_dir_all(dir)?;
+        std::fs::write(dir.join(".planted.json.tmp.4242.1"), b"{ half")?;
+        let store = ScheduleStore::open_with_io(dir, 2, Arc::clone(&io))?;
         store.put(&self.a, self.a_value.clone())?;
         store.put(&self.b, self.b_first.clone())?;
         store.put(&self.c, self.c_value.clone())?;
@@ -105,9 +112,28 @@ impl Cycle {
         // disk read path, adding a read boundary to the sweep.
         let read_back = store.get(&self.a)?;
         assert!(read_back.is_some(), "a published entry reads back");
-        store.remove(&self.b)?;
         store.put(&self.b, self.b_second.clone())?;
-        store.compact()
+        drop(store);
+        let store = ScheduleStore::open_with_io(dir, 2, io)?;
+        let read_back = store.get(&self.a)?;
+        assert!(read_back.is_some(), "the reopened store serves A");
+        Ok(())
+    }
+
+    /// Runs the cycle into a fresh `dir`, killed at `point`.
+    fn crash(&self, dir: &Path, point: CrashPoint, label: &str) {
+        let _ = std::fs::remove_dir_all(dir);
+        let io = Arc::new(CrashPointIo::crash_at(point));
+        let err = self
+            .run(dir, Arc::clone(&io) as Arc<dyn StoreIo>)
+            .expect_err(&format!("{label}: the crash point must fire"));
+        match err {
+            ArtifactError::Io(err) => {
+                assert!(is_simulated_crash(&err), "{label}: unexpected error {err}")
+            }
+            other => panic!("{label}: unexpected error {other}"),
+        }
+        assert!(io.crashed(), "{label}: the crash point must fire");
     }
 
     /// Asserts every key sits on a state the cycle legitimately passed
@@ -181,18 +207,23 @@ fn recover_by_fsck(cycle: &Cycle, dir: &Path, label: &str) {
     cycle.assert_no_third_state(dir, label);
 }
 
-#[test]
-fn the_sweep_covers_every_io_boundary_and_recovery_never_invents_state() {
-    // 1. Enumerate the cycle's I/O sequence with a recording run.
-    let cycle = Cycle::new();
+/// The cycle's I/O sequence, from a recording run.
+fn recorded_ops(cycle: &Cycle) -> Vec<cuasmrld::IoOp> {
     let record_dir = temp_dir("record");
     let _ = std::fs::remove_dir_all(&record_dir);
     let recorder = Arc::new(CrashPointIo::recording());
     cycle
         .run(&record_dir, Arc::clone(&recorder) as Arc<dyn StoreIo>)
         .expect("the clean cycle completes");
-    let ops = recorder.ops();
     let _ = std::fs::remove_dir_all(&record_dir);
+    recorder.ops()
+}
+
+#[test]
+fn the_sweep_covers_every_io_boundary_and_recovery_never_invents_state() {
+    // 1. Enumerate the cycle's I/O sequence with a recording run.
+    let cycle = Cycle::new();
+    let ops = recorded_ops(&cycle);
     assert!(
         ops.len() >= 12,
         "the cycle must exercise a real I/O sequence, got {ops:?}"
@@ -219,17 +250,7 @@ fn the_sweep_covers_every_io_boundary_and_recovery_never_invents_state() {
                 ops[ordinal as usize].kind
             );
             let dir = temp_dir(&format!("sweep-{ordinal}-{which}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            let io = Arc::new(CrashPointIo::crash_at(CrashPoint { ordinal, effect }));
-            let result = cycle.run(&dir, Arc::clone(&io) as Arc<dyn StoreIo>);
-            let err = result.expect_err(&format!("{label}: the crash point must fire"));
-            match err {
-                ArtifactError::Io(err) => {
-                    assert!(is_simulated_crash(&err), "{label}: unexpected error {err}")
-                }
-                other => panic!("{label}: unexpected error {other}"),
-            }
-            assert!(io.crashed(), "{label}: the crash point must fire");
+            cycle.crash(&dir, CrashPoint { ordinal, effect }, &label);
             // Alternate the recovery path; both sides of the alternation
             // cover every ordinal because the three effects split between
             // them at every position.
@@ -243,6 +264,80 @@ fn the_sweep_covers_every_io_boundary_and_recovery_never_invents_state() {
         }
     }
     assert_eq!(scenarios, ops.len() * 3);
+}
+
+/// The entry files of `dir` and their bytes.
+fn entry_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".json") && !is_temp_debris(name))
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn fsck_verify_predicts_what_reopen_replays_at_every_crash_point() {
+    let cycle = Cycle::new();
+    let ops = recorded_ops(&cycle);
+    let mut replays = 0u64;
+    for op in &ops {
+        for effect in [CrashEffect::Before, CrashEffect::Torn, CrashEffect::After] {
+            let label = format!("ordinal {} ({}) {effect}", op.ordinal, op.kind);
+            let point = CrashPoint {
+                ordinal: op.ordinal,
+                effect,
+            };
+
+            // What verify calls torn for a journal reason…
+            let dir = temp_dir(&format!("predict-{}-{effect}", op.ordinal));
+            cycle.crash(&dir, point, &label);
+            let report = fsck(&dir, false).unwrap();
+            let mut predicted: Vec<&str> = report
+                .entries
+                .iter()
+                .filter(|e| e.verdict == "torn" && e.detail.starts_with("journaled write"))
+                .map(|e| e.file.as_str())
+                .collect();
+            predicted.sort_unstable();
+            // …is exactly what the next open rewrites.
+            let before = entry_files(&dir);
+            let store = ScheduleStore::open(&dir, 2)
+                .unwrap_or_else(|err| panic!("{label}: reopen failed: {err}"));
+            let after = entry_files(&dir);
+            let rewritten: Vec<&str> = after
+                .iter()
+                .filter(|file| !before.contains(file))
+                .map(|(name, _)| name.as_str())
+                .collect();
+            assert_eq!(predicted, rewritten, "{label}: {report:?}");
+            assert_eq!(
+                store.stats().journal_replayed,
+                predicted.len() as u64,
+                "{label}"
+            );
+            replays += store.stats().journal_replayed;
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
+
+            // And a repair leaves a directory verify calls healthy.
+            cycle.crash(&dir, point, &label);
+            let repaired = fsck(&dir, true).unwrap();
+            assert_eq!(repaired.unrepairable, 0, "{label}: {repaired:?}");
+            let again = fsck(&dir, false).unwrap();
+            assert!(again.healthy(), "{label}: after repair {again:?}");
+            cycle.assert_no_third_state(&dir, &label);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    // The sweep crosses the interrupted overwrite: at least one crash
+    // point leaves B's first value behind its journaled second one.
+    assert!(replays > 0, "no crash point needed a replay");
 }
 
 #[test]
@@ -260,7 +355,7 @@ fn a_completed_cycle_recovers_to_its_full_post_state() {
     let b = store.get(&cycle.b).unwrap().expect("b survives");
     assert_eq!(
         b.checksum, cycle.b_second.checksum,
-        "b holds its re-put value"
+        "b holds its overwritten value"
     );
     let c = store.get(&cycle.c).unwrap().expect("c survives");
     assert_eq!(c.checksum, cycle.c_value.checksum);

@@ -3,6 +3,10 @@
 //! copies so that tensor-core instructions (with `.reuse` operands) stay
 //! adjacent, and scheduling `LDGSTS` ahead of predicated-off `@!PT LDS`
 //! instructions. `--arch` selects the simulated device.
+//!
+//! The printed moves are the path to the reported listing: the game's best
+//! trace, which replayed on the `-O3` schedule reproduces it and reaches its
+//! runtime only with the last move.
 
 use bench::{optimize_kernel, HarnessArgs, DEFAULT_SCALE};
 use kernels::KernelKind;

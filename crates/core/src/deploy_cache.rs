@@ -26,8 +26,10 @@ use crate::game::GameConfig;
 use crate::optimizer::{OptimizationReport, Strategy};
 use crate::telemetry::publish_json;
 
-/// Format version of a deploy record.
-pub(crate) const DEPLOY_RECORD_VERSION: u32 = 1;
+/// Format version of a deploy record. Version 2: the report's `moves` are
+/// the game's best trace; a version-1 record's evolutionary and PPO moves
+/// could run past, or miss, the schedule it answers with.
+pub(crate) const DEPLOY_RECORD_VERSION: u32 = 2;
 
 /// What a deploy-cache file holds: one answer and the key it answers.
 #[derive(Debug, Serialize, Deserialize)]

@@ -97,6 +97,9 @@ pub struct AssemblyGame {
     steps_in_episode: usize,
     best: Program,
     best_runtime: f64,
+    /// The moves from the initial schedule to `best`: `trace` as it stood
+    /// when `step` adopted `best`.
+    best_trace: Vec<Move>,
     action_slots: usize,
     trace: Vec<Move>,
     /// Schedule-evaluation memo, shared (via `Arc`) across clones of this
@@ -273,6 +276,7 @@ impl AssemblyGame {
             steps_in_episode: 0,
             best: program,
             best_runtime: runtime,
+            best_trace: Vec::new(),
             action_slots,
             trace: Vec::new(),
             cache,
@@ -297,6 +301,14 @@ impl AssemblyGame {
     #[must_use]
     pub fn best(&self) -> (&Program, f64) {
         (&self.best, self.best_runtime)
+    }
+
+    /// The moves that reach [`AssemblyGame::best`] from the initial schedule
+    /// (§5.7's optimization moves): replayed on a fresh game they reproduce
+    /// the best schedule, and no shorter prefix of them reaches its runtime.
+    #[must_use]
+    pub fn best_trace(&self) -> &[Move] {
+        &self.best_trace
     }
 
     /// The output digest of the unmodified schedule (used by probabilistic
@@ -543,6 +555,7 @@ struct GameSnapshot {
     steps_in_episode: usize,
     best: String,
     best_runtime_bits: u64,
+    best_trace: Vec<Move>,
     trace: Vec<Move>,
 }
 
@@ -604,6 +617,7 @@ impl Env for AssemblyGame {
                     if runtime < self.best_runtime {
                         self.best_runtime = runtime;
                         self.best = self.current.clone();
+                        self.best_trace = self.trace.clone();
                     }
                     self.refresh_after_edit(&edit);
                 }
@@ -631,7 +645,7 @@ impl Env for AssemblyGame {
     }
 
     /// Serializes the game's mutable state (current/best schedules, their
-    /// runtimes as exact bit patterns, episode progress and move trace) so
+    /// runtimes as exact bit patterns, episode progress and both move traces) so
     /// an RL training run over this game can be checkpointed and resumed
     /// bit-identically.
     fn state_bytes(&self) -> Option<Vec<u8>> {
@@ -642,6 +656,7 @@ impl Env for AssemblyGame {
             steps_in_episode: self.steps_in_episode,
             best: self.best.to_string(),
             best_runtime_bits: self.best_runtime.to_bits(),
+            best_trace: self.best_trace.clone(),
             trace: self.trace.clone(),
         };
         Some(serde_json::to_string(&snapshot).ok()?.into_bytes())
@@ -697,6 +712,7 @@ impl Env for AssemblyGame {
         self.steps_in_episode = snapshot.steps_in_episode;
         self.best = best;
         self.best_runtime = f64::from_bits(snapshot.best_runtime_bits);
+        self.best_trace = snapshot.best_trace;
         self.trace = snapshot.trace;
         self.refresh_full();
         self.lowered.relower(&self.current);
@@ -791,6 +807,7 @@ mod tests {
         assert_eq!(restored.trace(), game.trace());
         assert_eq!(restored.best().1.to_bits(), game.best().1.to_bits());
         assert_eq!(restored.best().0.to_string(), game.best().0.to_string());
+        assert_eq!(restored.best_trace(), game.best_trace());
         assert_eq!(restored.action_mask(), game.action_mask());
         // The two games continue identically.
         let mask = game.action_mask();
@@ -804,6 +821,20 @@ mod tests {
         // Garbage and foreign states are refused without panicking.
         assert!(!restored.restore_state(b"\xFF\xFE not json"));
         assert!(!restored.restore_state(b"{}"));
+    }
+
+    /// A snapshot without the best trace (written before the game kept one)
+    /// is refused, so a PPO checkpoint from before then cold-starts instead
+    /// of resuming with an empty trace behind a non-initial best.
+    #[test]
+    fn a_snapshot_without_the_best_trace_is_refused() {
+        let game = small_game();
+        let state = String::from_utf8(game.state_bytes().unwrap()).unwrap();
+        let legacy = state.replace("\"best_trace\":[],", "");
+        assert_ne!(legacy, state, "the snapshot carries the best trace");
+        let mut restored = small_game();
+        assert!(restored.restore_state(state.as_bytes()));
+        assert!(!restored.restore_state(legacy.as_bytes()));
     }
 
     /// Mid-walk rich-space snapshots restore exactly — trace (including
@@ -833,6 +864,7 @@ mod tests {
         assert_eq!(restored.trace(), game.trace());
         assert_eq!(restored.best().1.to_bits(), game.best().1.to_bits());
         assert_eq!(restored.best().0.to_string(), game.best().0.to_string());
+        assert_eq!(restored.best_trace(), game.best_trace());
         assert_eq!(restored.current.to_string(), game.current.to_string());
         assert_eq!(restored.action_mask(), game.action_mask());
         let mask = game.action_mask();

@@ -3,7 +3,7 @@
 //! (§4.2), probabilistic verification, and the non-RL search baselines the
 //! paper discusses in §7.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use artifact::UnsyncedIo;
 use gpusim::{GpuConfig, MeasureOptions};
@@ -77,7 +77,9 @@ pub struct OptimizationReport {
     pub verified: bool,
     /// The optimized schedule (text form).
     pub optimized_listing: String,
-    /// The reordering trace that produced the best schedule.
+    /// The moves that reach the best schedule from the `-O3` one
+    /// ([`AssemblyGame::best_trace`]): replayed in order they reproduce
+    /// `optimized_listing`.
     pub moves: Vec<Move>,
 }
 
@@ -89,9 +91,8 @@ pub struct CuAsmRl {
     game_config: GameConfig,
     strategy: Strategy,
     cache_dir: Option<PathBuf>,
-    /// Checkpoint file and PPO updates between saves (see
-    /// [`CuAsmRl::with_checkpoint`]).
-    checkpoint: Option<(PathBuf, usize)>,
+    /// PPO checkpoint file (see [`CuAsmRl::with_checkpoint`]).
+    checkpoint: Option<PathBuf>,
 }
 
 impl CuAsmRl {
@@ -128,17 +129,16 @@ impl CuAsmRl {
 
     /// Makes a [`Strategy::Rl`] search survive a process restart (other
     /// strategies ignore this): PPO training warm-restarts from the
-    /// checkpoint at `path` when one exists, saves there every `updates`
-    /// updates (at least 1) and whenever the cancel token stops it, keeps the
-    /// file while the search is unfinished and removes it once the search
-    /// completes. A search interrupted at any update boundary and re-run —
-    /// in this process or the next — produces a report bit-identical to the
-    /// uninterrupted run. A checkpoint that cannot be resumed from
+    /// checkpoint at `path` when one exists, saves there at every update
+    /// boundary, keeps the file while the search is unfinished and removes
+    /// it once the search completes. A search interrupted at any update
+    /// boundary and re-run — in this process or the next — produces a report
+    /// bit-identical to the uninterrupted run. A checkpoint that cannot be resumed from
     /// (corruption, version skew, a different kernel) is logged, discarded
     /// and the search cold-starts.
     #[must_use]
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, updates: usize) -> Self {
-        self.checkpoint = Some((path.into(), updates.max(1)));
+    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
+        self.checkpoint = Some(path.into());
         self
     }
 
@@ -340,12 +340,16 @@ impl CuAsmRl {
             self.game_config.clone(),
         );
         let mut training = None;
-        let (moves, preempted) = match &self.strategy {
+        let preempted = match &self.strategy {
             Strategy::Rl(config) => {
-                let (moves, stats, preempted) =
-                    run_rl(&mut game, config.clone(), self.checkpoint.as_ref(), cancel)?;
+                let (stats, preempted) = run_rl(
+                    &mut game,
+                    config.clone(),
+                    self.checkpoint.as_deref(),
+                    cancel,
+                )?;
                 training = Some(TrainingTelemetry::from_stats(&stats));
-                (moves, preempted)
+                preempted
             }
             Strategy::Greedy { max_moves } => run_greedy(&mut game, *max_moves, cancel),
             Strategy::Random { steps, seed } => run_random(&mut game, *steps, *seed, cancel),
@@ -356,7 +360,7 @@ impl CuAsmRl {
             } => run_evolutionary(&mut game, *generations, *mutation_length, *seed, cancel),
         };
         let search_ms = duration_ms(search_start.elapsed());
-        let (report, verify_ms) = finalize_search(kernel, &game, moves);
+        let (report, verify_ms) = finalize_search(kernel, &game);
         let mut telemetry = KernelTelemetry {
             from_deploy_cache: false,
             cache: CacheTelemetry::from_stats(game.eval_cache().stats()),
@@ -382,16 +386,13 @@ fn write_back(mut cubin: Cubin, kernel: &str, report: &OptimizationReport) -> Op
 }
 
 /// Builds the [`OptimizationReport`] of a finished search: reads the game's
-/// best schedule, runs probabilistic verification (§4.1 — the optimized
-/// schedule must produce the same outputs as the original and run without
-/// hazards; the best schedule was measured during the search, so this
-/// answers from the game's evaluation cache) and returns the report plus the
-/// verification wall-clock.
-fn finalize_search(
-    kernel: &str,
-    game: &AssemblyGame,
-    moves: Vec<Move>,
-) -> (OptimizationReport, f64) {
+/// best schedule, its runtime and the moves that reached it, runs
+/// probabilistic verification (§4.1 — the optimized schedule must produce
+/// the same outputs as the original and run without hazards; the best
+/// schedule was measured during the search, so this answers from the game's
+/// evaluation cache) and returns the report plus the verification
+/// wall-clock.
+fn finalize_search(kernel: &str, game: &AssemblyGame) -> (OptimizationReport, f64) {
     let baseline_us = game.initial_runtime_us();
     let (best, optimized_us) = game.best();
     let best = best.clone();
@@ -407,7 +408,7 @@ fn finalize_search(
         speedup: baseline_us / optimized_us.max(1e-9),
         verified,
         optimized_listing: best.to_string(),
-        moves,
+        moves: game.best_trace().to_vec(),
     };
     (report, verify_ms)
 }
@@ -416,19 +417,18 @@ fn finalize_search(
 /// ([`CuAsmRl::with_checkpoint`]) training opens from the file when it
 /// exists, saves at every update boundary it stops on and removes the file
 /// once the schedule has been trained to completion — so however often the
-/// run is cut, the moves returned at the end are those of the uninterrupted
-/// run.
+/// run is cut, the game ends in the state of the uninterrupted run.
 fn run_rl(
     game: &mut AssemblyGame,
     config: PpoConfig,
-    checkpoint: Option<&(PathBuf, usize)>,
+    checkpoint: Option<&Path>,
     cancel: &CancelToken,
-) -> Result<(Vec<Move>, rl::TrainingStats, bool), CheckpointError> {
+) -> Result<(rl::TrainingStats, bool), CheckpointError> {
     let features = game.observation_features();
     let actions = game.action_count();
     let mut trainer = match checkpoint {
         None => PpoTrainer::new(config, features, actions),
-        Some((path, _)) => {
+        Some(path) => {
             match PpoTrainer::resume_from_or_new(path, game, config.clone(), features, actions) {
                 Ok((trainer, _resumed)) => trainer,
                 Err(err) => {
@@ -445,53 +445,45 @@ fn run_rl(
             }
         }
     };
-    let interval = checkpoint.map_or(usize::MAX, |(_, updates)| *updates);
-    while !trainer.train_updates_until(game, interval, cancel) {
-        if let Some((path, _)) = checkpoint {
+    while !trainer.train_updates_until(game, 1, cancel) {
+        if let Some(path) = checkpoint {
             trainer.save_checkpoint(game, path)?;
         }
         if cancel.is_cancelled() {
             break;
         }
     }
-    let moves = inference_trace(game, trainer.policy());
+    inference_episode(game, trainer.policy());
     let preempted = !trainer.is_finished();
-    if let Some((path, _)) = checkpoint.filter(|_| !preempted) {
+    if let Some(path) = checkpoint.filter(|_| !preempted) {
         let _ = std::fs::remove_file(path);
     }
-    Ok((moves, trainer.stats().clone(), preempted))
+    Ok((trainer.stats().clone(), preempted))
 }
 
-/// Deterministic, seeded greedy inference pass (§5.7) recovering the move
-/// trace the (possibly partially) trained policy plays.
-fn inference_trace(game: &mut AssemblyGame, policy: &rl::ActorCritic) -> Vec<Move> {
+/// Deterministic greedy inference pass (§5.7): the (possibly partially)
+/// trained policy plays one episode, whose schedules compete for the game's
+/// best like every training step's.
+fn inference_episode(game: &mut AssemblyGame, policy: &rl::ActorCritic) {
     let mut observation = game.reset();
-    let mut moves = Vec::new();
-    for _ in 0..32 {
+    loop {
         let mask = game.action_mask();
         let Some(action) = policy.act_greedy(&observation, &mask) else {
             break;
         };
         let step = game.step(action);
-        moves = game.trace().to_vec();
-        observation = step.observation;
         if step.done {
             break;
         }
+        observation = step.observation;
     }
-    moves
 }
 
-fn run_greedy(
-    game: &mut AssemblyGame,
-    max_moves: usize,
-    cancel: &CancelToken,
-) -> (Vec<Move>, bool) {
+fn run_greedy(game: &mut AssemblyGame, max_moves: usize, cancel: &CancelToken) -> bool {
     let _ = game.reset();
-    let mut best_trace = Vec::new();
     for _ in 0..max_moves {
         if cancel.is_cancelled() {
-            return (best_trace, true);
+            return true;
         }
         let mask = game.action_mask();
         // Try each legal action, keep the best improvement.
@@ -507,28 +499,19 @@ fn run_greedy(
             }
         }
         let Some((action, _)) = best else { break };
-        let step = game.step(action);
-        best_trace = game.trace().to_vec();
-        if step.done {
+        if game.step(action).done {
             break;
         }
     }
-    (best_trace, false)
+    false
 }
 
-fn run_random(
-    game: &mut AssemblyGame,
-    steps: usize,
-    seed: u64,
-    cancel: &CancelToken,
-) -> (Vec<Move>, bool) {
+fn run_random(game: &mut AssemblyGame, steps: usize, seed: u64, cancel: &CancelToken) -> bool {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let _ = game.reset();
-    let mut best_trace = Vec::new();
-    let mut best_runtime = game.best().1;
     for _ in 0..steps {
         if cancel.is_cancelled() {
-            return (best_trace, true);
+            return true;
         }
         let mask = game.action_mask();
         let legal: Vec<usize> = mask
@@ -541,16 +524,11 @@ fn run_random(
             continue;
         }
         let action = legal[rng.gen_range(0..legal.len())];
-        let step = game.step(action);
-        if game.best().1 < best_runtime {
-            best_runtime = game.best().1;
-            best_trace = game.trace().to_vec();
-        }
-        if step.done {
+        if game.step(action).done {
             let _ = game.reset();
         }
     }
-    (best_trace, false)
+    false
 }
 
 fn run_evolutionary(
@@ -559,16 +537,15 @@ fn run_evolutionary(
     mutation_length: usize,
     seed: u64,
     cancel: &CancelToken,
-) -> (Vec<Move>, bool) {
+) -> bool {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut best_sequence: Vec<usize> = Vec::new();
-    let mut best_runtime = game.initial_runtime_us();
-    let mut best_trace = Vec::new();
     for _ in 0..generations {
         if cancel.is_cancelled() {
-            return (best_trace, true);
+            return true;
         }
-        // Mutate: replay the best sequence, then append random legal moves.
+        // Mutate: replay the last improving candidate, then add random moves.
+        let parent_runtime = game.best().1;
         let _ = game.reset();
         let mut candidate = Vec::new();
         for &action in &best_sequence {
@@ -591,20 +568,17 @@ fn run_evolutionary(
             let _ = game.step(action);
             candidate.push(action);
         }
-        if game.best().1 < best_runtime {
-            best_runtime = game.best().1;
+        if game.best().1 < parent_runtime {
             best_sequence = candidate;
-            best_trace = game.trace().to_vec();
         }
     }
-    (best_trace, false)
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use kernels::{generate, Autotuner, KernelConfig, KernelKind, ScheduleStyle};
-    use std::path::Path;
 
     fn small_kernel() -> (String, Program, gpusim::LaunchConfig) {
         let spec = KernelSpec::scaled(KernelKind::MatmulLeakyRelu, 16);
@@ -747,7 +721,7 @@ mod tests {
         let (control, _cubin, control_telemetry) =
             optimizer.optimize_spec_instrumented(&spec, &space, &tune);
         let path = temp_ckpt("restart");
-        let checkpointed = optimizer.clone().with_checkpoint(&path, 1);
+        let checkpointed = optimizer.clone().with_checkpoint(&path);
         for boundary in 0..TINY_RL_UPDATES {
             // A process dies `boundary` updates in; the next one is stopped
             // before it trains at all, so the file it resumes from and
@@ -788,9 +762,7 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&cache_dir);
-        let optimizer = optimizer
-            .with_cache_dir(&cache_dir)
-            .with_checkpoint(&path, 1);
+        let optimizer = optimizer.with_cache_dir(&cache_dir).with_checkpoint(&path);
 
         // One update in, a fired token preempts the search.
         plant_checkpoint(&optimizer, &spec, &space, &tune, 1, &path);

@@ -182,7 +182,8 @@ pub struct KernelTelemetry {
     /// Whether the result came from the deploy-time schedule cache (§4.2)
     /// instead of a fresh search.
     pub from_deploy_cache: bool,
-    /// Per-move rewards of the winning move trace (the reward curve).
+    /// Rewards of the moves that reached the best schedule, in order (the
+    /// reward curve of the report's `moves`).
     pub reward_curve: Vec<f32>,
     /// Eval-cache counters of this kernel's search.
     pub cache: CacheTelemetry,

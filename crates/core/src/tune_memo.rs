@@ -117,13 +117,17 @@ mod tests {
         let (report, _, telemetry) = answer(&cached(&dir), &space, &options());
         assert!(!telemetry.from_deploy_cache);
         assert_eq!(json(&report), expected);
-        // The republished record is a valid hit but for its version.
-        let mut record = read_record(&key);
-        record.version += 1;
-        write_record(&key, &record);
-        let (report, _, telemetry) = answer(&cached(&dir), &space, &options());
-        assert!(!telemetry.from_deploy_cache);
-        assert_eq!(json(&report), expected);
+        // The republished record is a valid hit but for its version: the
+        // previous format's (whose moves were not the best trace) and a
+        // later one's both re-search.
+        for version in [DEPLOY_RECORD_VERSION - 1, DEPLOY_RECORD_VERSION + 1] {
+            let mut record = read_record(&key);
+            record.version = version;
+            write_record(&key, &record);
+            let (report, _, telemetry) = answer(&cached(&dir), &space, &options());
+            assert!(!telemetry.from_deploy_cache, "version {version}");
+            assert_eq!(json(&report), expected);
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -23,10 +23,12 @@ OPTIONS:
   --strategy NAME          greedy | rl | rl-tiny (default greedy)
   --seed N                 default base seed (default 0)
   --scale N                default paper-shape divisor (default 1)
-  --checkpoint-updates N   PPO updates between checkpoints (default 1)
   --fault-plan PATH        JSON fault-injection plan (chaos testing only)
   --fast                   fast simulation settings (CI smoke): scale 16,
                            zero-noise 2-repeat measurements, short episodes
+
+RL strategies checkpoint training beside the store entries at every PPO
+update, so a killed daemon resumes an unfinished search where it stopped.
 
 SIGTERM or SIGINT triggers a graceful drain: stop accepting, answer queued
 work Busy, preempt in-flight searches (checkpoints persist), flush
@@ -82,11 +84,6 @@ fn parse(args: &[String]) -> Result<(ServerConfig, Option<PathBuf>), String> {
                 config.scale = value("--scale")?
                     .parse()
                     .map_err(|_| "--scale must be an integer".to_string())?;
-            }
-            "--checkpoint-updates" => {
-                config.checkpoint_updates = value("--checkpoint-updates")?
-                    .parse()
-                    .map_err(|_| "--checkpoint-updates must be an integer".to_string())?;
             }
             "--fault-plan" => {
                 let path = PathBuf::from(value("--fault-plan")?);

@@ -116,11 +116,6 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Default paper-shape scale divisor when a request names none.
     pub scale: usize,
-    /// PPO updates between training checkpoints (RL strategies only; at
-    /// least 1) — the update count [`CuAsmRl::with_checkpoint`] is given.
-    /// Deadlines and drain signals are observed at every update boundary
-    /// whatever this is set to.
-    pub checkpoint_updates: usize,
     /// Measurement protocol used while autotuning.
     pub tune_options: MeasureOptions,
     /// Assembly-game configuration.
@@ -143,7 +138,6 @@ impl ServerConfig {
             strategy: Strategy::Greedy { max_moves: 8 },
             seed: 0,
             scale: 1,
-            checkpoint_updates: 1,
             tune_options: MeasureOptions::default(),
             game_config: cuasmrl::GameConfig::default(),
             fault_plan: None,
@@ -891,10 +885,9 @@ fn compute(
     let suite = shared
         .config
         .suite_optimizer(canonical.gpu.clone(), canonical.seed);
-    let optimizer: CuAsmRl = suite.optimizer_for(&canonical.spec).with_checkpoint(
-        shared.store.checkpoint_path(key),
-        shared.config.checkpoint_updates,
-    );
+    let optimizer: CuAsmRl = suite
+        .optimizer_for(&canonical.spec)
+        .with_checkpoint(shared.store.checkpoint_path(key));
     optimizer
         .optimize_spec_instrumented_with(
             &canonical.spec,

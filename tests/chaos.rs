@@ -166,7 +166,6 @@ fn a_deadline_preempts_a_stalled_search_and_the_resume_reaches_the_full_answer()
         ..rl::PpoConfig::tiny()
     });
     config.workers = 1;
-    config.checkpoint_updates = 1;
     // The stall dwarfs the deadline: the request's token fires mid-stall
     // and the search is preempted before finishing.
     config.fault_plan = Some(FaultPlan::new(vec![InjectedFault {

@@ -1,6 +1,7 @@
-//! Shared helpers for the reproduction harness binaries and Criterion
-//! benches. Each table/figure of the paper has a dedicated binary under
-//! `src/bin/`; the Criterion benches in `benches/` time the hot paths.
+//! Shared helpers for the reproduction harness binaries. Each table/figure
+//! of the paper has a dedicated binary under `src/bin/`; `bench_report`
+//! records the exact counters `BENCH_fig6.json` gates. Wall-clock numbers
+//! belong to the repo benchmark (`benchmarks/`), not to this crate.
 //!
 //! Every harness accepts the shared [`HarnessArgs`] flags:
 //! `--scale`/`--jobs`/`--smoke` control problem size and parallelism, and

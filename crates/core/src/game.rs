@@ -401,58 +401,37 @@ impl AssemblyGame {
     }
 
     /// Applies `edit` to every mirror of the current schedule: the source
-    /// program, its lowered form and the per-item digests.
+    /// program and its lowered form through [`ScheduleEdit::apply`] and
+    /// [`ScheduleEdit::apply_to_compiled`] (the pair `edit_equivalence`
+    /// proves), and the per-item digests here.
     /// Returns false (with everything unchanged) when the edit does not fit
     /// the program — mask-resolved edits always do.
     fn apply_edit_everywhere(&mut self, edit: &ScheduleEdit) -> bool {
+        if !edit.apply(&mut self.current) {
+            return false;
+        }
+        self.lowered.apply(edit, &self.current);
         match *edit {
             ScheduleEdit::Swap { .. } | ScheduleEdit::BlockMove { .. } => {
-                let swaps = edit.swap_sequence();
-                if swaps.is_empty()
-                    || swaps
-                        .iter()
-                        .any(|&u| u + 1 >= self.current.instruction_count())
-                {
-                    return false;
-                }
-                for (applied, &upper) in swaps.iter().enumerate() {
-                    if self.current.swap_instructions(upper, upper + 1).is_err() {
-                        // Roll the already-applied prefix back so a
-                        // malformed edit leaves no partial state.
-                        for &undo in swaps[..applied].iter().rev() {
-                            let _ = self.current.swap_instructions(undo, undo + 1);
-                            self.lowered.swap(undo);
-                            self.item_keys.swap(
-                                self.item_of_instruction[undo],
-                                self.item_of_instruction[undo + 1],
-                            );
-                        }
-                        return false;
-                    }
-                    self.lowered.swap(upper);
+                for upper in edit.swap_sequence() {
                     self.item_keys.swap(
                         self.item_of_instruction[upper],
                         self.item_of_instruction[upper + 1],
                     );
                 }
-                true
             }
             _ => {
-                if !edit.apply(&mut self.current) {
-                    return false;
-                }
                 let index = edit.index();
                 let inst = self
                     .current
                     .instruction(index)
                     .expect("edit target exists")
                     .clone();
-                self.lowered.replace(index, &inst);
                 self.item_keys[self.item_of_instruction[index]] =
                     item_key(&sass::Item::Instr(inst));
-                true
             }
         }
+        true
     }
 
     /// Refreshes the derived views after an accepted edit: revisited

@@ -16,7 +16,9 @@ use std::sync::Arc;
 use gpusim::{
     resident_warps, CompiledProgram, ConstantBank, GpuConfig, LaunchConfig, SmReport, SmSimulator,
 };
-use sass::{Instruction, Program};
+use sass::Program;
+
+use crate::action::ScheduleEdit;
 
 /// The current schedule in lowered form, with everything one simulation of
 /// it needs.
@@ -45,16 +47,10 @@ impl LoweredSchedule {
         }
     }
 
-    /// Mirrors `Program::swap_instructions(upper, upper + 1)`.
-    pub(crate) fn swap(&mut self, upper: usize) {
-        self.current.swap_insts(upper, upper + 1);
-    }
-
-    /// Mirrors an in-place content edit: `inst` is the instruction at
-    /// `index` *after* the edit.
-    pub(crate) fn replace(&mut self, index: usize, inst: &Instruction) {
-        self.current
-            .replace_inst(index, inst, self.simulator.config());
+    /// Mirrors `edit`, already applied to the source schedule, which is now
+    /// `program_after` ([`ScheduleEdit::apply_to_compiled`]).
+    pub(crate) fn apply(&mut self, edit: &ScheduleEdit, program_after: &Program) {
+        edit.apply_to_compiled(&mut self.current, program_after, self.simulator.config());
     }
 
     /// Simulates the current schedule from cycle zero.
@@ -110,16 +106,17 @@ mod tests {
         assert_eq!(lowered.simulate(), initial);
         // Walk a chain of swaps and one content edit, cross-checking every
         // intermediate schedule against lowering the listing from scratch.
-        for upper in [4, 5, 4, 0, 5, 4, 1, 5, 0] {
-            program.swap_instructions(upper, upper + 1).unwrap();
-            lowered.swap(upper);
-            assert_eq!(lowered.simulate(), full(&program), "after swap at {upper}");
+        let swaps = [4, 5, 4, 0, 5, 4, 1, 5, 0].map(|upper| ScheduleEdit::Swap { upper });
+        let retune = ScheduleEdit::SetStall {
+            index: 5,
+            from: 4,
+            to: 6,
+        };
+        for edit in swaps.iter().chain([&retune]) {
+            assert!(edit.apply(&mut program), "{edit:?}");
+            lowered.apply(edit, &program);
+            assert_eq!(lowered.simulate(), full(&program), "after {edit:?}");
         }
-        let inst = program.instruction_mut(5).unwrap();
-        inst.control_mut().set_stall(6);
-        let inst = inst.clone();
-        lowered.replace(5, &inst);
-        assert_eq!(lowered.simulate(), full(&program), "after the stall retune");
         // A reset and a re-lowering land on the schedules they name.
         lowered.reset();
         assert_eq!(lowered.simulate(), initial);

@@ -37,8 +37,13 @@ pub enum Strategy {
         /// Random seed.
         seed: u64,
     },
-    /// (1+1) evolutionary search: mutate the best schedule by a short random
-    /// action sequence and keep the mutant if it is faster (§7).
+    /// (1+1) evolutionary search (§7): each generation replays the last
+    /// candidate sequence that set a new best runtime (skipping moves the
+    /// mask no longer allows), appends a short random action sequence, and
+    /// keeps the whole result as the next parent if the game's best runtime
+    /// improved along the way. The parent is that sequence's end state, not
+    /// the best schedule itself, which can sit several moves earlier
+    /// (ROADMAP item 1).
     Evolutionary {
         /// Number of generations.
         generations: usize,

@@ -360,7 +360,10 @@ pub fn persist_run_manifest(
 /// [`ArtifactError::Io`] when the file exists but cannot be read,
 /// [`ArtifactError::Torn`] when it ends before the document does,
 /// [`ArtifactError::Corrupt`] when it decodes as neither layout,
-/// [`ArtifactError::ChecksumMismatch`] when the envelope's checksum fails.
+/// [`ArtifactError::UnsupportedVersion`] when the envelope was sealed under
+/// another [`MANIFEST_SEAL_VERSION`] (checked before the checksum, whose
+/// rule the version names), [`ArtifactError::ChecksumMismatch`] when the
+/// envelope's checksum fails.
 pub fn load_run_manifest_checked(
     dir: &Path,
     gpu: &str,
@@ -374,6 +377,13 @@ pub fn load_run_manifest_checked(
     };
     match decode_json::<SealedManifest>(&path, &bytes) {
         Ok(sealed) => {
+            if sealed.seal_version != MANIFEST_SEAL_VERSION {
+                return Err(ArtifactError::UnsupportedVersion {
+                    path,
+                    found: sealed.seal_version,
+                    supported: MANIFEST_SEAL_VERSION,
+                });
+            }
             let computed = manifest_checksum(&sealed.manifest).unwrap_or_default();
             if computed == sealed.checksum {
                 Ok(Some(sealed.manifest))
@@ -586,6 +596,38 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(stray.is_empty(), "temp file was renamed away");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_manifest_sealed_under_another_version_is_version_skew_not_damage() {
+        let dir = seal_test_dir("skew");
+        let _ = std::fs::remove_dir_all(&dir);
+        // A later build's envelope: another seal version, under a checksum
+        // rule this build does not know.
+        let sealed = SealedManifest {
+            seal_version: 2,
+            checksum: "v2:0123456789abcdef".to_string(),
+            manifest: RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0),
+        };
+        publish_json(
+            &UnsyncedIo,
+            &telemetry_path(&dir, "a100", "service"),
+            &sealed,
+        )
+        .unwrap();
+        let err = load_run_manifest_checked(&dir, "a100", "service").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ArtifactError::UnsupportedVersion {
+                    found: 2,
+                    supported: MANIFEST_SEAL_VERSION,
+                    ..
+                }
+            ),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

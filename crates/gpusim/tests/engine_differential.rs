@@ -310,3 +310,91 @@ fn a_delta_resume_inside_an_idle_stretch_matches_full_simulation() {
     assert_eq!(resumed_mid_stretch, 1);
     assert!(engine.work().cycles_jumped > 0);
 }
+
+/// The autotune candidate `label` of `suite` (at the repo benchmark's scale
+/// 8) under `config`, lowered for `arch` and run once with
+/// [`SmSimulator::run_compiled`].
+fn run_candidate(
+    arch: &str,
+    suite: &str,
+    label: &str,
+    config: kernels::KernelConfig,
+) -> gpusim::SimOutput {
+    let gpu = GpuConfig::by_name(arch).expect("built-in profile");
+    let suite = kernels::find_suite(suite).expect("registry suite");
+    let entry = suite
+        .entries
+        .iter()
+        .find(|entry| entry.label == label)
+        .expect("suite kernel");
+    let kernel = kernels::generate(&entry.spec(8), &config, kernels::ScheduleStyle::Baseline);
+    let compiled = CompiledProgram::compile(&kernel.program, &gpu);
+    let warps = gpusim::resident_warps(&gpu, &kernel.launch);
+    SmSimulator::new(gpu).run_compiled(
+        &compiled,
+        warps,
+        0,
+        &kernel.launch.constant_bank(),
+        kernel.launch.max_cycles,
+    )
+}
+
+/// The three shapes whose cost the event-driven engine splits differently
+/// (`docs/PERFORMANCE.md` § *The event-driven engine*), pinned on their
+/// deterministic half: simulated cycles and issues, and the engine's own
+/// work. `idle_gemm` is a 4-warp fused-GEMM candidate carried by
+/// idle-stretch jumps; `rowwise` a 32-warp softmax candidate carried by the
+/// per-warp wake compare and eligibility evaluation; `attention_stage` the
+/// longest flash-attention candidate on Hopper, carried by the barrier
+/// release and the scoreboard deadlines.
+#[test]
+fn engine_shapes_pin_their_cycles_and_engine_work() {
+    let gemm = |block_m, block_n, block_k, num_warps| kernels::KernelConfig {
+        block_m,
+        block_n,
+        block_k,
+        num_warps,
+        num_stages: 2,
+    };
+    let rowwise = kernels::KernelConfig {
+        block_m: 1,
+        block_n: 256,
+        block_k: 1,
+        num_warps: 8,
+        num_stages: 1,
+    };
+    // (shape, output, [cycles, issued, steps, cycles jumped, evaluations]);
+    // a per-cycle loop would make `cycles` steps and `warps x cycles`
+    // evaluations.
+    let shapes = [
+        (
+            "idle_gemm",
+            run_candidate("ampere", "table2", "mmLeakyReLu", gemm(32, 128, 32, 4)),
+            [3_384, 872, 1_172, 2_212, 1_648],
+        ),
+        (
+            "rowwise",
+            run_candidate("ampere", "table2", "softmax", rowwise),
+            [1_174, 960, 964, 210, 20_400],
+        ),
+        (
+            "attention_stage",
+            run_candidate("hopper", "attention", "attn-s4096-h4", gemm(128, 32, 64, 4)),
+            [6_728, 2_884, 3_856, 2_872, 5_550],
+        ),
+    ];
+    for (name, out, pinned) in shapes {
+        assert!(out.report.completed, "{name}");
+        let got = [
+            out.report.cycles,
+            out.report.instructions_issued,
+            out.work.steps,
+            out.work.cycles_jumped,
+            out.work.eligibility_evals,
+        ];
+        assert_eq!(
+            got, pinned,
+            "{name}: [cycles, issued, steps, jumped, evals]"
+        );
+    }
+}

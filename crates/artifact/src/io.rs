@@ -297,6 +297,23 @@ impl CrashPointIo {
             _ => Ok(None),
         }
     }
+
+    /// A `write` or `append` of `bytes` under the crash point: a torn kill
+    /// puts only the first half of them.
+    fn put(
+        &self,
+        kind: &'static str,
+        path: &Path,
+        bytes: &[u8],
+        put: impl Fn(&[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        match self.admit(kind, path)? {
+            None => put(bytes),
+            Some(CrashEffect::Before) => Err(self.crash_error()),
+            Some(CrashEffect::Torn) => put(&bytes[..bytes.len() / 2]).and(Err(self.crash_error())),
+            Some(CrashEffect::After) => put(bytes).and(Err(self.crash_error())),
+        }
+    }
 }
 
 impl StoreIo for CrashPointIo {
@@ -310,33 +327,13 @@ impl StoreIo for CrashPointIo {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.admit("write", path)? {
-            Some(CrashEffect::Before) => Err(self.crash_error()),
-            Some(CrashEffect::Torn) => {
-                self.inner.write(path, &bytes[..bytes.len() / 2])?;
-                Err(self.crash_error())
-            }
-            Some(CrashEffect::After) => {
-                self.inner.write(path, bytes)?;
-                Err(self.crash_error())
-            }
-            None => self.inner.write(path, bytes),
-        }
+        self.put("write", path, bytes, |bytes| self.inner.write(path, bytes))
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.admit("append", path)? {
-            Some(CrashEffect::Before) => Err(self.crash_error()),
-            Some(CrashEffect::Torn) => {
-                self.inner.append(path, &bytes[..bytes.len() / 2])?;
-                Err(self.crash_error())
-            }
-            Some(CrashEffect::After) => {
-                self.inner.append(path, bytes)?;
-                Err(self.crash_error())
-            }
-            None => self.inner.append(path, bytes),
-        }
+        self.put("append", path, bytes, |bytes| {
+            self.inner.append(path, bytes)
+        })
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {

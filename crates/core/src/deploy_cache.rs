@@ -7,34 +7,35 @@
 //! depends on — then (search strategy, game configuration). The stall table
 //! follows from the device's architecture and a training checkpoint cannot
 //! change the answer (resume ≡ uninterrupted), so neither is part of it. The
-//! record holds its format version, the full key string, the autotune winner
-//! and the [`OptimizationReport`]; anything that does not match exactly
-//! (unreadable, undecodable, another version, another key behind a colliding
-//! hash, a `best` outside the space) is a miss that re-searches and
-//! republishes. Without a cache directory nothing is read or written.
+//! record is sealed under [`DEPLOY_RECORD_VERSION`] ([`artifact::seal`]) and
+//! holds the full key string, the autotune winner and the
+//! [`OptimizationReport`]. Another key behind a colliding hash or a `best`
+//! outside the space is a miss; a damaged record (torn, corrupt, another
+//! version, a failed checksum) is an [`ArtifactError`] the pipeline logs.
+//! Either way the pipeline re-searches and republishes. Without a cache
+//! directory nothing is read or written.
 //!
 //! [`Autotuner::tune`]: kernels::Autotuner::tune
 
 use std::path::{Path, PathBuf};
 
-use artifact::{fnv1a64_hex, StoreIo};
+use artifact::{fnv1a64_hex, seal, unseal, ArtifactError, StoreIo};
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{ConfigSpace, KernelConfig, KernelSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::game::GameConfig;
 use crate::optimizer::{OptimizationReport, Strategy};
-use crate::telemetry::publish_json;
 
-/// Format version of a deploy record. Version 2: the report's `moves` are
-/// the game's best trace; a version-1 record's evolutionary and PPO moves
-/// could run past, or miss, the schedule it answers with.
-pub(crate) const DEPLOY_RECORD_VERSION: u32 = 2;
+/// The version a deploy record is sealed under. Version 3: the record is
+/// sealed. Version 2: the report's `moves` are the game's best trace; a
+/// version-1 record's evolutionary and PPO moves could run past, or miss,
+/// the schedule it answers with.
+pub(crate) const DEPLOY_RECORD_VERSION: u32 = 3;
 
 /// What a deploy-cache file holds: one answer and the key it answers.
 #[derive(Debug, Serialize, Deserialize)]
 pub(crate) struct DeployRecord {
-    pub(crate) version: u32,
     pub(crate) key: String,
     pub(crate) best: KernelConfig,
     pub(crate) report: OptimizationReport,
@@ -65,16 +66,19 @@ impl DeployKey {
     }
 
     /// The cached answer — the autotune winner and the report — if the
-    /// record on disk is exactly this key's: same format version, a
-    /// byte-equal key and a winner inside `space`.
-    #[must_use]
-    pub fn read(&self, space: &ConfigSpace) -> Option<(KernelConfig, OptimizationReport)> {
-        let text = std::fs::read_to_string(&self.path).ok()?;
-        let record: DeployRecord = serde_json::from_str(&text).ok()?;
-        (record.version == DEPLOY_RECORD_VERSION
-            && record.key == self.key
-            && space.candidates.contains(&record.best))
-        .then_some((record.best, record.report))
+    /// record on disk is exactly this key's: a byte-equal key and a winner
+    /// inside `space`. `Ok(None)` is a miss.
+    ///
+    /// # Errors
+    ///
+    /// The [`ArtifactError`] of a damaged record ([`artifact::unseal`]).
+    pub fn read(
+        &self,
+        space: &ConfigSpace,
+    ) -> Result<Option<(KernelConfig, OptimizationReport)>, ArtifactError> {
+        Ok(unseal::<DeployRecord>(&self.path, DEPLOY_RECORD_VERSION)?
+            .filter(|record| record.key == self.key && space.candidates.contains(&record.best))
+            .map(|record| (record.best, record.report)))
     }
 
     /// Publishes `(best, report)` as this key's record through `io`,
@@ -91,12 +95,11 @@ impl DeployKey {
         report: &OptimizationReport,
     ) -> std::io::Result<()> {
         let record = DeployRecord {
-            version: DEPLOY_RECORD_VERSION,
             key: self.key.clone(),
             best,
             report: report.clone(),
         };
-        publish_json(io, &self.path, &record)
+        seal(io, &self.path, DEPLOY_RECORD_VERSION, &record)
     }
 }
 
@@ -170,11 +173,12 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn read_record(key: &DeployKey) -> DeployRecord {
-        serde_json::from_str(&std::fs::read_to_string(&key.path).unwrap()).unwrap()
+        unseal(&key.path, DEPLOY_RECORD_VERSION).unwrap().unwrap()
     }
 
-    pub(crate) fn write_record(at: &DeployKey, record: &DeployRecord) {
-        publish_json(&UnsyncedIo, &at.path, record).unwrap();
+    /// Seals `record` at `at`'s file under `version`.
+    pub(crate) fn write_record(at: &DeployKey, version: u32, record: &DeployRecord) {
+        seal(&UnsyncedIo, &at.path, version, record).unwrap();
     }
 
     /// A configuration of `space` the autotune grid does not choose.
@@ -193,12 +197,11 @@ pub(crate) mod tests {
         let program = compiled.cubin.kernel_program(&compiled.name).unwrap();
         let report = optimizer().optimize_program(&compiled.name, program, compiled.launch);
         let record = DeployRecord {
-            version: DEPLOY_RECORD_VERSION,
             key: key.key.clone(),
             best,
             report,
         };
-        write_record(at, &record);
+        write_record(at, DEPLOY_RECORD_VERSION, &record);
     }
 
     #[test]
@@ -221,13 +224,40 @@ pub(crate) mod tests {
         for damage in damages {
             let mut record = read_record(&key);
             damage(&mut record.report);
-            write_record(&key, &record);
+            write_record(&key, DEPLOY_RECORD_VERSION, &record);
             let (report, cubin, telemetry) = answer(&cached(&dir), &space, &options());
             assert!(!telemetry.from_deploy_cache, "a damaged hit re-searches");
             assert_eq!(json(&report), json(&expected));
             assert_eq!(cubin.to_bytes(), expected_cubin.to_bytes());
             assert_eq!(std::fs::read(&key.path).unwrap(), good, "republished");
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A record edited in place so that its schedule still parses — one
+    /// stall count of the optimized listing — is not answered: the
+    /// pipeline searches again and republishes instead of compiling the
+    /// edit into the cubin.
+    #[test]
+    fn a_record_edited_in_place_is_searched_not_answered() {
+        let dir = temp_dir("edited");
+        let space = ConfigSpace::small();
+        let key = key_in(&dir, &space, &options());
+        let (expected, expected_cubin) = fresh(&space, &options());
+        answer(&cached(&dir), &space, &options());
+        let good = std::fs::read_to_string(&key.path).unwrap();
+        let edited = good.replacen(":S04]", ":S01]", 1);
+        assert_ne!(edited, good, "the listing has a stall count to edit");
+        std::fs::write(&key.path, &edited).unwrap();
+        let (report, cubin, telemetry) = answer(&cached(&dir), &space, &options());
+        assert!(!telemetry.from_deploy_cache, "an edited record re-searches");
+        assert_eq!(json(&report), json(&expected));
+        assert_eq!(cubin.to_bytes(), expected_cubin.to_bytes());
+        assert_eq!(
+            std::fs::read_to_string(&key.path).unwrap(),
+            good,
+            "republished"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -66,7 +66,6 @@ pub use suite_optimizer::{
     load_suite_report, persist_suite_report, suite_report_path, SuiteOptimizer, SuiteReport,
 };
 pub use telemetry::{
-    duration_ms, load_run_manifest, load_run_manifest_checked, persist_run_manifest,
-    telemetry_path, CacheTelemetry, KernelTelemetry, PhaseTimings, RunManifest, TrainingTelemetry,
-    MANIFEST_SEAL_VERSION, TELEMETRY_SCHEMA_VERSION,
+    duration_ms, load_run_manifest_checked, persist_run_manifest, telemetry_path, CacheTelemetry,
+    KernelTelemetry, PhaseTimings, RunManifest, TrainingTelemetry, TELEMETRY_SCHEMA_VERSION,
 };

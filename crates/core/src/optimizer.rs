@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::deploy_cache::DeployKey;
 use crate::game::{AssemblyGame, GameConfig, Move};
 use crate::stall_table::StallTable;
-use crate::telemetry::{duration_ms, CacheTelemetry, KernelTelemetry, TrainingTelemetry};
+use crate::telemetry::{duration_ms, CacheTelemetry, KernelTelemetry};
 
 /// The search strategy used to play the assembly game.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -212,9 +212,9 @@ impl CuAsmRl {
     /// delegate here. With a deploy cache configured, a record under this
     /// call's [`CuAsmRl::deploy_key`] answers it: the record's autotune
     /// winner is compiled and its schedule written back, so a repeat lookup
-    /// simulates nothing. A record that does not match exactly, or whose
-    /// schedule is not the compiled kernel's or does not parse, is a miss
-    /// that searches and republishes.
+    /// simulates nothing. A record that does not match exactly, whose
+    /// schedule is not the compiled kernel's or does not parse, or that is
+    /// damaged (logged) is a miss that searches and republishes.
     ///
     /// Preemption is cooperative: the search polls `cancel` at its
     /// step/update boundaries and, once the token fires, stops early and
@@ -244,7 +244,11 @@ impl CuAsmRl {
         let run_start = std::time::Instant::now();
         let pipeline = TritonPipeline::new(self.gpu.clone());
         let key = self.deploy_key(spec, space, tune_options);
-        if let Some((best, report)) = key.as_ref().and_then(|key| key.read(space)) {
+        let cached = key.as_ref().map_or(Ok(None), |key| key.read(space));
+        if let Err(err) = &cached {
+            eprintln!("cuasmrl: damaged deploy-cache record, searching again: {err}");
+        }
+        if let Ok(Some((best, report))) = cached {
             let autotune_ms = duration_ms(run_start.elapsed());
             let compile_start = std::time::Instant::now();
             let compiled = pipeline.compile(spec, &best);
@@ -353,7 +357,7 @@ impl CuAsmRl {
                     self.checkpoint.as_deref(),
                     cancel,
                 )?;
-                training = Some(TrainingTelemetry::from_stats(&stats));
+                training = Some(stats);
                 preempted
             }
             Strategy::Greedy { max_moves } => run_greedy(&mut game, *max_moves, cancel),
@@ -642,12 +646,12 @@ mod tests {
         let key = optimizer
             .deploy_key(&spec, &space, &tune)
             .expect("a cache dir");
-        assert!(key.read(&space).is_none());
+        assert!(key.read(&space).unwrap().is_none());
         let (name, program, launch) = small_kernel();
         let report = optimizer.optimize_program(&name, program, launch);
         let best = space.candidates[0];
         key.publish(&UnsyncedIo, best, &report).expect("publish");
-        let (hit_best, hit) = key.read(&space).expect("cache hit after publish");
+        let (hit_best, hit) = key.read(&space).unwrap().expect("cache hit after publish");
         assert_eq!(hit_best, best);
         assert_eq!(
             serde_json::to_string(&hit).unwrap(),
@@ -782,7 +786,7 @@ mod tests {
         assert!(path.exists(), "preemption must keep the checkpoint");
         let key = optimizer.deploy_key(&spec, &space, &tune).unwrap();
         assert!(
-            key.read(&space).is_none(),
+            key.read(&space).unwrap().is_none(),
             "a degraded report must not enter the deploy cache"
         );
 
@@ -797,7 +801,7 @@ mod tests {
         );
         assert!(!path.exists());
         assert!(
-            key.read(&space).is_some(),
+            key.read(&space).unwrap().is_some(),
             "the converged answer does enter the deploy cache"
         );
         let _ = std::fs::remove_dir_all(&cache_dir);

@@ -17,18 +17,22 @@
 //! `jobs = 1`. The workspace-level `parallel_determinism` test enforces
 //! this.
 
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 
-use artifact::UnsyncedIo;
+use artifact::{seal, unseal, ArtifactError, StoreIo, UnsyncedIo};
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{ConfigSpace, KernelSpec, WorkloadSuite};
 use serde::{Deserialize, Serialize};
 
 use crate::game::GameConfig;
 use crate::optimizer::{CuAsmRl, OptimizationReport, Strategy};
-use crate::telemetry::{persist_run_manifest, publish_json, KernelTelemetry, RunManifest};
+use crate::telemetry::{persist_run_manifest, KernelTelemetry, RunManifest};
+
+/// The version a suite report is sealed under.
+const SUITE_REPORT_VERSION: u32 = 1;
 
 /// Aggregated result of optimizing a kernel suite.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -386,8 +390,12 @@ impl SuiteOptimizer {
             geomean_speedup,
         );
         if let Some(dir) = &self.cache_dir {
-            let _ = persist_suite_report(dir, &suite);
-            let _ = persist_run_manifest(&UnsyncedIo, dir, &manifest);
+            if let Err(err) = persist_suite_report(&UnsyncedIo, dir, &suite) {
+                eprintln!("cuasmrl: failed to persist suite report: {err}");
+            }
+            if let Err(err) = persist_run_manifest(&UnsyncedIo, dir, &manifest) {
+                eprintln!("cuasmrl: failed to persist telemetry manifest: {err}");
+            }
         }
         (suite, manifest)
     }
@@ -401,22 +409,30 @@ pub fn suite_report_path(dir: &Path, gpu: &str, suite: &str) -> PathBuf {
     dir.join(format!("{gpu}_{suite}_suite.json"))
 }
 
-/// Writes the aggregate suite report into the cache directory, atomically
-/// (a reader or a kill sees the previous report or this one).
+/// Writes the aggregate suite report into the cache directory through
+/// `io`, sealed ([`artifact::seal`]) and published atomically (a reader or
+/// a kill sees the previous report or this one).
 ///
 /// # Errors
 ///
 /// Returns an IO error if the directory cannot be created or written.
-pub fn persist_suite_report(dir: &Path, suite: &SuiteReport) -> std::io::Result<()> {
+pub fn persist_suite_report(io: &dyn StoreIo, dir: &Path, suite: &SuiteReport) -> io::Result<()> {
     let path = suite_report_path(dir, &suite.gpu, &suite.suite);
-    publish_json(&UnsyncedIo, &path, suite)
+    seal(io, &path, SUITE_REPORT_VERSION, suite)
 }
 
-/// Loads a previously persisted aggregate suite report.
-#[must_use]
-pub fn load_suite_report(dir: &Path, gpu: &str, suite: &str) -> Option<SuiteReport> {
-    let text = std::fs::read_to_string(suite_report_path(dir, gpu, suite)).ok()?;
-    serde_json::from_str(&text).ok()
+/// Loads a previously persisted aggregate suite report: `Ok(None)` only
+/// when no report file exists.
+///
+/// # Errors
+///
+/// The [`ArtifactError`] of a damaged report ([`artifact::unseal`]).
+pub fn load_suite_report(
+    dir: &Path,
+    gpu: &str,
+    suite: &str,
+) -> Result<Option<SuiteReport>, ArtifactError> {
+    unseal(&suite_report_path(dir, gpu, suite), SUITE_REPORT_VERSION)
 }
 
 #[cfg(test)]
@@ -514,7 +530,8 @@ mod tests {
         // The search measures every candidate through the eval cache, so a
         // greedy probe suite must revisit schedules (hits > 0 overall).
         assert!(manifest.cache.hits > 0);
-        let loaded = crate::load_run_manifest(&dir, &suite.gpu, &suite.suite)
+        let loaded = crate::load_run_manifest_checked(&dir, &suite.gpu, &suite.suite)
+            .unwrap()
             .expect("manifest persisted next to the suite report");
         assert_eq!(loaded, manifest);
         let _ = std::fs::remove_dir_all(dir);
@@ -530,8 +547,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let driver = optimizer(2).with_cache_dir(&dir);
         let suite = driver.optimize(&small_suite());
-        let loaded =
-            load_suite_report(&dir, &suite.gpu, &suite.suite).expect("aggregate report persisted");
+        let loaded = load_suite_report(&dir, &suite.gpu, &suite.suite)
+            .unwrap()
+            .expect("aggregate report persisted");
         assert_eq!(loaded.suite, "custom");
         assert_eq!(
             serde_json::to_string(&loaded).unwrap(),
@@ -566,6 +584,37 @@ mod tests {
             })
             .optimize_labeled_instrumented(&small_suite(), "custom");
         assert!(manifest.kernels.iter().all(|k| !k.from_deploy_cache));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A suite report edited in place so that it still decodes is a
+    /// checksum failure, never the edited report.
+    #[test]
+    fn a_suite_report_edited_in_place_fails_its_checksum() {
+        let dir = std::env::temp_dir().join(format!(
+            "cuasmrl-suite-edited-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let suite = SuiteReport {
+            gpu: "a100".to_string(),
+            suite: "custom".to_string(),
+            seed: 7,
+            reports: Vec::new(),
+            geomean_speedup: 1.25,
+            verified: 0,
+        };
+        persist_suite_report(&UnsyncedIo, &dir, &suite).unwrap();
+        let path = suite_report_path(&dir, "a100", "custom");
+        let good = std::fs::read_to_string(&path).unwrap();
+        let edited = good.replace("\"geomean_speedup\":1.25", "\"geomean_speedup\":9.25");
+        assert_ne!(edited, good, "the report has a geomean to edit");
+        std::fs::write(&path, edited).unwrap();
+        assert!(matches!(
+            load_suite_report(&dir, "a100", "custom"),
+            Err(ArtifactError::ChecksumMismatch { .. })
+        ));
         let _ = std::fs::remove_dir_all(dir);
     }
 }

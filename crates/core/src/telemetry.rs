@@ -19,7 +19,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use artifact::{decode_json, fnv1a64_hex, publish_atomic, ArtifactError, StoreIo};
+use artifact::{seal, unseal, ArtifactError, StoreIo};
 use serde::{Deserialize, Serialize};
 
 use crate::eval_cache::EvalCacheStats;
@@ -30,7 +30,7 @@ use crate::optimizer::OptimizationReport;
 /// v2 added the `delta_hits`, `delta_fallbacks` and `delta_fallback_rate`
 /// counters to [`CacheTelemetry`]. They default to zero on decode, so v1
 /// manifests remain loadable (pinned by the `v1_manifests_still_load`
-/// test).
+/// test). Manifest files are sealed under this version.
 pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Eval-cache effectiveness counters for one kernel search or a whole run.
@@ -62,19 +62,14 @@ impl CacheTelemetry {
     /// Builds the telemetry record from raw cache counters.
     #[must_use]
     pub fn from_stats(stats: EvalCacheStats) -> Self {
-        let total = stats.hits + stats.misses;
-        CacheTelemetry {
+        let mut telemetry = CacheTelemetry::default();
+        telemetry.accumulate(&CacheTelemetry {
             hits: stats.hits,
             misses: stats.misses,
-            hit_rate: if total == 0 {
-                0.0
-            } else {
-                stats.hits as f64 / total as f64
-            },
-            delta_hits: 0,
             delta_fallbacks: stats.misses,
-            delta_fallback_rate: if stats.misses == 0 { 0.0 } else { 1.0 },
-        }
+            ..CacheTelemetry::default()
+        });
+        telemetry
     }
 
     /// Accumulates another record into this one, recomputing the rates.
@@ -134,37 +129,8 @@ pub fn duration_ms(duration: Duration) -> f64 {
 
 /// The RL training series of one kernel (present when the search strategy
 /// was [`crate::Strategy::Rl`]): the per-update time series Figures 8 and 12
-/// of the paper plot, re-exported verbatim from [`rl::TrainingStats`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TrainingTelemetry {
-    /// Environment steps collected.
-    pub steps: usize,
-    /// Episodic returns in completion order.
-    pub episodic_returns: Vec<f32>,
-    /// Approximate KL divergence per update.
-    pub approx_kl: Vec<f32>,
-    /// Mean policy entropy per update.
-    pub entropy: Vec<f32>,
-    /// Mean policy loss per update.
-    pub policy_loss: Vec<f32>,
-    /// Mean value loss per update.
-    pub value_loss: Vec<f32>,
-}
-
-impl TrainingTelemetry {
-    /// Builds the telemetry record from PPO training statistics.
-    #[must_use]
-    pub fn from_stats(stats: &rl::TrainingStats) -> Self {
-        TrainingTelemetry {
-            steps: stats.steps,
-            episodic_returns: stats.episodic_returns.clone(),
-            approx_kl: stats.approx_kl.clone(),
-            entropy: stats.entropy.clone(),
-            policy_loss: stats.policy_loss.clone(),
-            value_loss: stats.value_loss.clone(),
-        }
-    }
-}
+/// of the paper plot, recorded verbatim as [`rl::TrainingStats`].
+pub type TrainingTelemetry = rl::TrainingStats;
 
 /// Everything recorded about one kernel's optimization.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -284,50 +250,8 @@ pub fn telemetry_path(dir: &Path, gpu: &str, suite: &str) -> PathBuf {
     dir.join(format!("{gpu}_{suite}_telemetry.json"))
 }
 
-/// Version of the sealed-manifest envelope ([`persist_run_manifest`]'s
-/// on-disk wrapper). Bumped on any envelope-level change; the manifest's
-/// own schema stays versioned by [`TELEMETRY_SCHEMA_VERSION`].
-pub const MANIFEST_SEAL_VERSION: u32 = 1;
-
-/// FNV-1a-64 over the manifest's compact-JSON serialization — the same
-/// checksum family as the schedule store's entries and journal.
-fn manifest_checksum(manifest: &RunManifest) -> Option<String> {
-    let compact = serde_json::to_string(manifest).ok()?;
-    Some(fnv1a64_hex(compact.as_bytes()))
-}
-
-/// The on-disk envelope of a persisted manifest: the manifest plus a
-/// schema-versioned checksum trailer, so a reader can tell silent
-/// corruption from schema skew.
-#[derive(Debug, Serialize, Deserialize)]
-struct SealedManifest {
-    /// [`MANIFEST_SEAL_VERSION`] at write time.
-    seal_version: u32,
-    /// FNV-1a-64 (hex) of the manifest's compact-JSON serialization.
-    checksum: String,
-    /// The manifest itself.
-    manifest: RunManifest,
-}
-
-/// Publishes `value` as pretty JSON at `path` through `io`
-/// ([`artifact::publish_atomic`]), creating the directory first — how
-/// every JSON artifact of this crate (deploy-cache report, suite report,
-/// run manifest) reaches disk.
-pub(crate) fn publish_json<T: Serialize>(
-    io: &dyn StoreIo,
-    path: &Path,
-    value: &T,
-) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let text = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    publish_atomic(io, path, text.as_bytes())
-}
-
-/// Writes a run manifest into the directory through `io`: a sealed
-/// envelope (checksum trailer, [`MANIFEST_SEAL_VERSION`]) published
+/// Writes a run manifest into the directory through `io`, sealed under
+/// [`TELEMETRY_SCHEMA_VERSION`] ([`artifact::seal`]) and published
 /// atomically, so a crash mid-persist leaves the previous manifest intact
 /// — never a torn one — and concurrent persists of the same device's
 /// manifest each stage their own file, the last rename winning.
@@ -340,73 +264,23 @@ pub fn persist_run_manifest(
     dir: &Path,
     manifest: &RunManifest,
 ) -> std::io::Result<()> {
-    let sealed = SealedManifest {
-        seal_version: MANIFEST_SEAL_VERSION,
-        checksum: manifest_checksum(manifest).unwrap_or_default(),
-        manifest: manifest.clone(),
-    };
     let path = telemetry_path(dir, &manifest.gpu, &manifest.suite);
-    publish_json(io, &path, &sealed)
+    seal(io, &path, TELEMETRY_SCHEMA_VERSION, manifest)
 }
 
-/// Loads a previously persisted run manifest with the full typed-error
-/// path: `Ok(None)` only when no manifest file exists, [`ArtifactError`]
-/// when one exists but cannot be read or is damaged. Reads both the sealed
-/// envelope (verifying its checksum) and the legacy bare layout older
-/// builds wrote.
+/// Loads a previously persisted run manifest: `Ok(None)` only when no
+/// manifest file exists.
 ///
 /// # Errors
 ///
-/// [`ArtifactError::Io`] when the file exists but cannot be read,
-/// [`ArtifactError::Torn`] when it ends before the document does,
-/// [`ArtifactError::Corrupt`] when it decodes as neither layout,
-/// [`ArtifactError::UnsupportedVersion`] when the envelope was sealed under
-/// another [`MANIFEST_SEAL_VERSION`] (checked before the checksum, whose
-/// rule the version names), [`ArtifactError::ChecksumMismatch`] when the
-/// envelope's checksum fails.
+/// The [`ArtifactError`] of a damaged manifest ([`artifact::unseal`]; a
+/// layout from before the seal reads as version skew).
 pub fn load_run_manifest_checked(
     dir: &Path,
     gpu: &str,
     suite: &str,
 ) -> Result<Option<RunManifest>, ArtifactError> {
-    let path = telemetry_path(dir, gpu, suite);
-    let bytes = match std::fs::read(&path) {
-        Ok(bytes) => bytes,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(err) => return Err(ArtifactError::Io(err)),
-    };
-    match decode_json::<SealedManifest>(&path, &bytes) {
-        Ok(sealed) => {
-            if sealed.seal_version != MANIFEST_SEAL_VERSION {
-                return Err(ArtifactError::UnsupportedVersion {
-                    path,
-                    found: sealed.seal_version,
-                    supported: MANIFEST_SEAL_VERSION,
-                });
-            }
-            let computed = manifest_checksum(&sealed.manifest).unwrap_or_default();
-            if computed == sealed.checksum {
-                Ok(Some(sealed.manifest))
-            } else {
-                Err(ArtifactError::ChecksumMismatch {
-                    path,
-                    recorded: sealed.checksum,
-                    computed,
-                })
-            }
-        }
-        // Legacy bare manifests (pre-seal) have no checksum to verify; a
-        // `kernels` array distinguishes a real one from arbitrary JSON.
-        Err(ArtifactError::Corrupt { .. }) => decode_json(&path, &bytes).map(Some),
-        Err(err) => Err(err),
-    }
-}
-
-/// Loads a previously persisted run manifest, treating damage as absence
-/// (the checked variant, [`load_run_manifest_checked`], distinguishes).
-#[must_use]
-pub fn load_run_manifest(dir: &Path, gpu: &str, suite: &str) -> Option<RunManifest> {
-    load_run_manifest_checked(dir, gpu, suite).ok().flatten()
+    unseal(&telemetry_path(dir, gpu, suite), TELEMETRY_SCHEMA_VERSION)
 }
 
 #[cfg(test)]
@@ -559,9 +433,10 @@ mod tests {
         let b = RunManifest::new("a100", "attention", "greedy", 0, 1, Vec::new(), 1.0);
         persist_run_manifest(&UnsyncedIo, &dir, &a).unwrap();
         persist_run_manifest(&UnsyncedIo, &dir, &b).unwrap();
-        assert_eq!(load_run_manifest(&dir, "a100", "table2"), Some(a));
-        assert_eq!(load_run_manifest(&dir, "a100", "attention"), Some(b));
-        assert_eq!(load_run_manifest(&dir, "hopper", "table2"), None);
+        let load = |gpu, suite| load_run_manifest_checked(&dir, gpu, suite).unwrap();
+        assert_eq!(load("a100", "table2"), Some(a));
+        assert_eq!(load("a100", "attention"), Some(b));
+        assert_eq!(load("hopper", "table2"), None);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -579,16 +454,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
         persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
-        // The envelope is on disk…
+        // The seal is on disk, around the manifest's one serialisation…
         let raw = std::fs::read_to_string(telemetry_path(&dir, "a100", "service")).unwrap();
-        assert!(raw.contains("\"seal_version\""));
-        assert!(raw.contains("\"checksum\""));
-        // …and both loaders see through it.
+        assert!(raw.starts_with("{\"seal\":{\"version\":2,"), "{raw}");
+        assert!(raw.contains(&serde_json::to_string(&manifest).unwrap()));
+        // …and the reader sees through it.
         assert_eq!(
             load_run_manifest_checked(&dir, "a100", "service").unwrap(),
-            Some(manifest.clone())
+            Some(manifest)
         );
-        assert_eq!(load_run_manifest(&dir, "a100", "service"), Some(manifest));
         // No temp debris left behind by the atomic publish.
         let stray: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -603,17 +477,13 @@ mod tests {
     fn a_manifest_sealed_under_another_version_is_version_skew_not_damage() {
         let dir = seal_test_dir("skew");
         let _ = std::fs::remove_dir_all(&dir);
-        // A later build's envelope: another seal version, under a checksum
-        // rule this build does not know.
-        let sealed = SealedManifest {
-            seal_version: 2,
-            checksum: "v2:0123456789abcdef".to_string(),
-            manifest: RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0),
-        };
-        publish_json(
+        // A later build's manifest: sealed under another schema version.
+        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        seal(
             &UnsyncedIo,
             &telemetry_path(&dir, "a100", "service"),
-            &sealed,
+            TELEMETRY_SCHEMA_VERSION + 1,
+            &manifest,
         )
         .unwrap();
         let err = load_run_manifest_checked(&dir, "a100", "service").unwrap_err();
@@ -621,8 +491,8 @@ mod tests {
             matches!(
                 err,
                 ArtifactError::UnsupportedVersion {
-                    found: 2,
-                    supported: MANIFEST_SEAL_VERSION,
+                    found: 3,
+                    supported: TELEMETRY_SCHEMA_VERSION,
                     ..
                 }
             ),
@@ -682,21 +552,28 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_manifests_still_load_without_a_seal() {
+    fn legacy_manifests_read_as_version_skew() {
         let dir = seal_test_dir("legacy");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
-        // What an older build wrote: the bare manifest, no envelope.
-        std::fs::write(
-            telemetry_path(&dir, "a100", "service"),
-            serde_json::to_string_pretty(&manifest).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            load_run_manifest_checked(&dir, "a100", "service").unwrap(),
-            Some(manifest)
+        let bare = serde_json::to_string_pretty(&manifest).unwrap();
+        // What older builds wrote: the bare manifest, and the
+        // `seal_version` 1 envelope around it. Neither is answered.
+        let enveloped = format!(
+            "{{\n  \"seal_version\": 1,\n  \"checksum\": \"{}\",\n  \"manifest\": {bare}\n}}",
+            artifact::fnv1a64_hex(serde_json::to_string(&manifest).unwrap().as_bytes())
         );
+        for legacy in [bare, enveloped] {
+            std::fs::write(telemetry_path(&dir, "a100", "service"), &legacy).unwrap();
+            assert!(
+                matches!(
+                    load_run_manifest_checked(&dir, "a100", "service"),
+                    Err(ArtifactError::UnsupportedVersion { found: 0, .. })
+                ),
+                "{legacy}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -704,29 +581,26 @@ mod tests {
     fn damaged_manifests_are_typed_errors_not_silence() {
         let dir = seal_test_dir("damage");
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let path = telemetry_path(&dir, "a100", "service");
+        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
+        let sealed = std::fs::read_to_string(&path).unwrap();
 
         // Structural damage → Corrupt.
-        std::fs::write(&path, "{ torn-off mid-write").unwrap();
+        std::fs::write(&path, format!("{sealed} trailing bytes")).unwrap();
         assert!(matches!(
             load_run_manifest_checked(&dir, "a100", "service"),
             Err(ArtifactError::Corrupt { .. })
         ));
-        assert_eq!(load_run_manifest(&dir, "a100", "service"), None);
 
-        // Content damage under a valid envelope → ChecksumMismatch.
-        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
-        persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
-        let sealed = std::fs::read_to_string(&path).unwrap();
-        let tampered = sealed.replace("\"geomean_speedup\": 1.0", "\"geomean_speedup\": 99.0");
+        // Content damage that still parses → ChecksumMismatch.
+        let tampered = sealed.replace("\"geomean_speedup\":1.0", "\"geomean_speedup\":9.0");
         assert_ne!(sealed, tampered, "tamper target present");
         std::fs::write(&path, tampered).unwrap();
         assert!(matches!(
             load_run_manifest_checked(&dir, "a100", "service"),
             Err(ArtifactError::ChecksumMismatch { .. })
         ));
-        assert_eq!(load_run_manifest(&dir, "a100", "service"), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -741,7 +615,8 @@ mod tests {
             Ok(None)
         ));
 
-        // One byte that is not UTF-8: damage in place, not absence.
+        // One byte that is not UTF-8 in the body: damage in place, not
+        // absence.
         let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
         persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -750,7 +625,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             load_run_manifest_checked(&dir, "a100", "service"),
-            Err(ArtifactError::Corrupt { .. })
+            Err(ArtifactError::ChecksumMismatch { .. })
         ));
 
         // Cut mid-document: torn. Unreadable (a directory in its place):

@@ -677,7 +677,8 @@ mod tests {
     }
 
     /// Judged alone (no journal to consult), every strict prefix of a
-    /// sealed store entry or sealed telemetry manifest reads `torn`, and a
+    /// sealed store entry or sealed telemetry manifest reads `torn` (the
+    /// manifest's seal decides it by the body length it declares), and a
     /// 0xFF byte at any offset of the complete file reads `corrupt` — a
     /// manifest that is not UTF-8 exists, so it is never `ok` as absent.
     #[test]
@@ -726,9 +727,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A manifest sealed under another seal version is format version
-    /// skew, not a checksum mismatch: the runbook's disk-corruption alarm
-    /// stays for damage.
+    /// A manifest sealed under another version, or written before the seal
+    /// (version 0), is format version skew, not a checksum mismatch: the
+    /// runbook's disk-corruption alarm stays for damage.
     #[test]
     fn a_manifest_from_another_seal_version_reads_as_version_skew() {
         let dir = temp_dir("seal-skew");
@@ -738,16 +739,28 @@ mod tests {
         cuasmrl::persist_run_manifest(&artifact::UnsyncedIo, &dir, &manifest).unwrap();
         let file = "a100_service_telemetry.json";
         let sealed = std::fs::read_to_string(dir.join(file)).unwrap();
-        let skewed = sealed.replace("\"seal_version\": 1,", "\"seal_version\": 2,");
-        assert_ne!(skewed, sealed, "the envelope names its seal version");
-        std::fs::write(dir.join(file), skewed).unwrap();
-        let report = fsck(&dir, false).unwrap();
-        let entry = report.entries.iter().find(|e| e.file == file).unwrap();
-        assert_eq!(entry.verdict, "corrupt", "{entry:?}");
-        assert!(
-            entry.detail.starts_with("format version skew: file is v2"),
-            "{entry:?}"
+        let version = cuasmrl::TELEMETRY_SCHEMA_VERSION;
+        let skewed = sealed.replacen(
+            &format!("{{\"seal\":{{\"version\":{version},"),
+            &format!("{{\"seal\":{{\"version\":{},", version + 1),
+            1,
         );
+        assert_ne!(skewed, sealed, "the seal names its version");
+        let bare = serde_json::to_string_pretty(&manifest).unwrap();
+        let pre_seal = format!(
+            "{{\n  \"seal_version\": 1,\n  \"checksum\": \"0123456789abcdef\",\n  \"manifest\": {bare}\n}}"
+        );
+        for (bytes, found) in [(skewed, version + 1), (pre_seal, 0)] {
+            std::fs::write(dir.join(file), bytes).unwrap();
+            let report = fsck(&dir, false).unwrap();
+            let entry = report.entries.iter().find(|e| e.file == file).unwrap();
+            assert_eq!(entry.verdict, "corrupt", "{entry:?}");
+            assert_eq!(
+                entry.detail,
+                format!("format version skew: file is v{found}, this build reads v{version}"),
+                "{entry:?}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

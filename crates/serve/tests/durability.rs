@@ -12,9 +12,10 @@
 //! exhaustive when the store's I/O pattern changes.
 //!
 //! The same sweep then runs over the families that publish outside the
-//! store — RL checkpoints, sealed telemetry manifests, deploy-cache
-//! records — each read back with its production reader: the old artifact or
-//! the new one, and nothing in the directory but recognisable debris.
+//! store — RL checkpoints and the three sealed JSON families (telemetry
+//! manifests, deploy-cache records, suite reports) — each read back with
+//! its production reader: the old artifact or the new one, and nothing in
+//! the directory but recognisable debris.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -520,9 +521,33 @@ fn a_killed_deploy_cache_store_leaves_the_old_report_or_the_new_one() {
         &|dir| {
             let (read_best, report) = key_in(dir)
                 .read(&space)
-                .expect("the cached record decodes and matches its key");
+                .expect("the cached record decodes and verifies")
+                .expect("the record matches its key");
             assert_eq!(read_best, best);
             serde_json::to_string(&report).unwrap().into_bytes()
+        },
+    );
+}
+
+#[test]
+fn a_killed_suite_report_persist_leaves_the_old_report_or_the_new_one() {
+    let version = |new: bool| cuasmrl::SuiteReport {
+        gpu: "a100".to_string(),
+        suite: "table2".to_string(),
+        seed: 0,
+        reports: Vec::new(),
+        geomean_speedup: if new { 1.25 } else { 1.0 },
+        verified: 0,
+    };
+    sweep_family_publish(
+        "suite-report",
+        "a100_table2_suite.json",
+        &|io, dir, new| cuasmrl::persist_suite_report(io, dir, &version(new)),
+        &|dir| {
+            let suite = cuasmrl::load_suite_report(dir, "a100", "table2")
+                .expect("the suite report decodes and verifies")
+                .expect("a suite report is present");
+            serde_json::to_string(&suite).unwrap().into_bytes()
         },
     );
 }

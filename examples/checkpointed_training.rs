@@ -11,7 +11,7 @@
 //! uninterrupted one by a single bit, in either the policy weights or the
 //! optimized schedule.
 
-use cuasmrl::{AssemblyGame, GameConfig, StallTable, TrainingTelemetry};
+use cuasmrl::{AssemblyGame, GameConfig, StallTable};
 use gpusim::GpuConfig;
 use kernels::{generate, KernelConfig, KernelKind, KernelSpec, ScheduleStyle};
 use rl::{Env, PpoConfig, PpoTrainer};
@@ -112,9 +112,8 @@ fn main() {
     println!("resume check passed: policy weights and optimized schedule are bit-identical");
 
     // Publish the training telemetry of the (resumed) run.
-    let telemetry = TrainingTelemetry::from_stats(&resumed_stats);
     let telemetry_path = artifact_dir.join("training_telemetry.json");
-    let json = serde_json::to_string_pretty(&telemetry).expect("serialize telemetry");
+    let json = serde_json::to_string_pretty(&resumed_stats).expect("serialize telemetry");
     std::fs::write(&telemetry_path, json + "\n").expect("write telemetry");
     println!("training telemetry at {}", telemetry_path.display());
 }

@@ -84,6 +84,7 @@ fn main() {
 
     if let Some(dir) = cache {
         let persisted = load_suite_report(dir.as_ref(), &suite.gpu, &suite.suite)
+            .expect("the suite report reads back")
             .expect("suite report persisted");
         println!(
             "\nschedule cache ready at `{dir}` ({} kernels); deploy-time lookup will reuse it",

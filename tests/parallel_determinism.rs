@@ -83,8 +83,9 @@ fn schedule_cache_round_trips_across_runs() {
         serde_json::to_string(&first.reports).unwrap(),
         serde_json::to_string(&second.reports).unwrap()
     );
-    let loaded =
-        cuasmrl::load_suite_report(&dir, &first.gpu, &first.suite).expect("aggregate persisted");
+    let loaded = cuasmrl::load_suite_report(&dir, &first.gpu, &first.suite)
+        .expect("the aggregate reads back")
+        .expect("aggregate persisted");
     assert_eq!(
         serde_json::to_string(&loaded).unwrap(),
         serde_json::to_string(&second).unwrap()

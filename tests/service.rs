@@ -780,8 +780,10 @@ fn admission_serves_by_deadline_rank_and_the_order_survives_arrival_permutation(
         server.shutdown();
 
         let gpu = cuasmrl::cli::resolve_arch("ampere").unwrap().name;
-        let manifest = cuasmrl::load_run_manifest(&dir, &gpu, cuasmrld::SERVICE_SUITE_LABEL)
-            .expect("service manifest persisted");
+        let manifest =
+            cuasmrl::load_run_manifest_checked(&dir, &gpu, cuasmrld::SERVICE_SUITE_LABEL)
+                .expect("the service manifest reads back")
+                .expect("service manifest persisted");
         // Manifest entries carry the full spec name (kernel + shape); the
         // kernel prefix is the order witness.
         let served: Vec<&str> = manifest.kernels.iter().map(|k| k.kernel.as_str()).collect();
@@ -823,7 +825,8 @@ fn the_load_generator_proves_zero_failures_and_warm_phase_hit_economics() {
     // service suite label. Store-hit records reach disk at the drain.
     let stats = server.shutdown();
     let gpu = cuasmrl::cli::resolve_arch("ampere").unwrap().name;
-    let manifest = cuasmrl::load_run_manifest(&dir, &gpu, cuasmrld::SERVICE_SUITE_LABEL)
+    let manifest = cuasmrl::load_run_manifest_checked(&dir, &gpu, cuasmrld::SERVICE_SUITE_LABEL)
+        .expect("the service manifest reads back")
         .expect("service manifest persisted");
     assert_eq!(manifest.suite, cuasmrld::SERVICE_SUITE_LABEL);
     assert_eq!(manifest.kernels.len(), report.ok);
@@ -846,7 +849,8 @@ fn a_store_hit_publishes_no_telemetry_and_the_drain_keeps_every_record() {
     let gpu = cuasmrl::cli::resolve_arch("ampere").unwrap().name;
     let manifest_path = dir.join(format!("{gpu}_service_telemetry.json"));
     let manifest = || {
-        cuasmrl::load_run_manifest(&dir, &gpu, cuasmrld::SERVICE_SUITE_LABEL)
+        cuasmrl::load_run_manifest_checked(&dir, &gpu, cuasmrld::SERVICE_SUITE_LABEL)
+            .expect("the service manifest reads back")
             .expect("service manifest persisted")
     };
     let request = OptimizeRequest::table2("softmax", "ampere");

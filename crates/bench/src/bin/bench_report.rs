@@ -5,7 +5,7 @@
 //! ```text
 //! # Run the fig6 suite harness over an arch x suite matrix plus the Table-1
 //! # stall micro-benchmarks, and emit the canonical BENCH_*.json artifact:
-//! bench_report run [--out PATH] [--scale N] [--jobs N] [--smoke]
+//! bench_report run [--out PATH] [--scale N] [--jobs N]
 //!                  [--arch NAME[,NAME...]] [--suite NAME[,NAME...]]
 //!
 //! # Diff a candidate report against a baseline; exit 1 on regression:
@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 use bench::{
     compare_reports, harness_config, suite_driver, ArchStalls, BenchCell, BenchReport,
-    BenchRunConfig, HarnessArgs, OpStall, BENCH_REPORT_SCHEMA_VERSION, SMOKE_SCALE,
+    BenchRunConfig, HarnessArgs, OpStall, BENCH_REPORT_SCHEMA_VERSION, DEFAULT_SCALE,
     STALL_TABLE_OPS,
 };
 use cuasmrl::dependency_based_stall;
@@ -32,7 +32,7 @@ use kernels::{generate, Autotuner, KernelSpec, ScheduleStyle};
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
-    eprintln!("usage: bench_report run [--out PATH] [--scale N] [--jobs N] [--smoke]");
+    eprintln!("usage: bench_report run [--out PATH] [--scale N] [--jobs N]");
     eprintln!("                        [--arch NAME[,NAME...]] [--suite NAME[,NAME...]]");
     eprintln!("       bench_report compare BASELINE CANDIDATE");
     ExitCode::from(2)
@@ -105,9 +105,8 @@ fn autotune_sim_steps(driver: &SuiteOptimizer, specs: &[KernelSpec]) -> u64 {
 
 fn run_mode(args: &[String]) -> ExitCode {
     let mut out = std::path::PathBuf::from("bench_report.json");
-    let mut scale: Option<usize> = None;
+    let mut scale = DEFAULT_SCALE;
     let mut jobs = 4usize;
-    let mut smoke = false;
     let arch_names: Vec<String> = gpusim::ArchSpec::builtin_names()
         .iter()
         .map(ToString::to_string)
@@ -126,14 +125,13 @@ fn run_mode(args: &[String]) -> ExitCode {
                 None => return usage("--out requires a path"),
             },
             "--scale" => match iter.next().map(|v| v.parse()) {
-                Some(Ok(n)) if n > 0 => scale = Some(n),
+                Some(Ok(n)) if n > 0 => scale = n,
                 _ => return usage("--scale requires a positive integer"),
             },
             "--jobs" => match iter.next().map(|v| v.parse()) {
                 Some(Ok(n)) if n > 0 => jobs = n,
                 _ => return usage("--jobs requires a positive integer"),
             },
-            "--smoke" => smoke = true,
             "--arch" => match iter.next() {
                 Some(v) => match parse_names(v, &arch_names, "architecture") {
                     Ok(names) => arches = names,
@@ -151,7 +149,6 @@ fn run_mode(args: &[String]) -> ExitCode {
             other => return usage(&format!("unrecognized argument `{other}`")),
         }
     }
-    let scale = scale.unwrap_or(if smoke { SMOKE_SCALE } else { 8 });
 
     let mut cells = Vec::new();
     for arch in &arches {
@@ -159,12 +156,11 @@ fn run_mode(args: &[String]) -> ExitCode {
             let harness = HarnessArgs {
                 scale,
                 jobs,
-                smoke,
                 arch: arch.clone(),
                 suite: suite.clone(),
                 report_dir: None,
             };
-            let driver = suite_driver(&harness, harness.budget_moves(48));
+            let driver = suite_driver(&harness);
             let report = driver.optimize_workload(&harness.workload(), harness.scale);
             cells.push(BenchCell {
                 arch: arch.clone(),
@@ -186,7 +182,6 @@ fn run_mode(args: &[String]) -> ExitCode {
         let harness = HarnessArgs {
             scale,
             jobs,
-            smoke,
             arch: arch.clone(),
             suite: suites[0].clone(),
             report_dir: None,
@@ -207,7 +202,7 @@ fn run_mode(args: &[String]) -> ExitCode {
     let report = BenchReport {
         schema_version: BENCH_REPORT_SCHEMA_VERSION,
         tool: "bench_report".to_string(),
-        config: BenchRunConfig { scale, jobs, smoke },
+        config: BenchRunConfig { scale, jobs },
         cells,
         stall_counts,
     };

@@ -3,17 +3,16 @@
 //!
 //! The CuAsmRL column is produced by the parallel [`cuasmrl::SuiteOptimizer`]
 //! driver: one hierarchical search per kernel, sharded across `--jobs`
-//! worker threads. `--smoke` switches to the CI configuration (smallest
-//! shapes and budgets, small autotuning space) which exercises the whole
-//! parallel pipeline end to end in seconds. `--arch` selects the GPU
-//! architecture backend (`ampere` default, `turing`, `hopper`) and
-//! `--suite` the workload-registry suite (`table2` default, `attention`,
-//! `reduction`); the default selection reproduces the paper's
-//! single-architecture figure byte for byte.
+//! worker threads, at the one search budget `bench_report` gates. Every run
+//! asserts that each kernel verified and that the suite never got slower.
+//! `--arch` selects the GPU architecture backend (`ampere` default,
+//! `turing`, `hopper`) and `--suite` the workload-registry suite (`table2`
+//! default, `attention`, `reduction`); the default selection reproduces the
+//! paper's single-architecture figure byte for byte.
 //!
 //! ```text
 //! cargo run --release --bin fig6_throughput -- \
-//!     [--scale N] [--jobs N] [--smoke] [--arch NAME] [--suite NAME]
+//!     [--scale N] [--jobs N] [--arch NAME] [--suite NAME] [--report-dir DIR]
 //! ```
 
 use bench::{harness_config, harness_measure, suite_driver, HarnessArgs, DEFAULT_SCALE};
@@ -25,16 +24,15 @@ fn main() {
     let workload = args.workload();
     let opts = harness_measure();
     println!(
-        "Figure 6 — normalized kernel throughput (Triton = 1.00), scale=1/{}, jobs={}{}{}",
+        "Figure 6 — normalized kernel throughput (Triton = 1.00), scale=1/{}, jobs={}{}",
         args.scale,
         args.jobs,
-        if args.smoke { ", smoke" } else { "" },
         args.selection_suffix(),
     );
 
     // Optimize the whole suite through the parallel driver first; the table
     // below is then pure measurement and formatting.
-    let driver = suite_driver(&args, args.budget_moves(48));
+    let driver = suite_driver(&args);
     let suite = driver.optimize_workload(&workload, args.scale);
     assert_eq!(suite.reports.len(), workload.entries.len());
 
@@ -78,16 +76,14 @@ fn main() {
             dir.display()
         );
     }
-    if args.smoke {
-        assert_eq!(
-            suite.verified,
-            suite.reports.len(),
-            "smoke run must verify every kernel"
-        );
-        assert!(
-            suite.geomean_speedup >= 1.0,
-            "smoke run must never regress the suite"
-        );
-        println!("smoke check passed: parallel driver verified the full suite");
-    }
+    assert_eq!(
+        suite.verified,
+        suite.reports.len(),
+        "the run must verify every kernel"
+    );
+    assert!(
+        suite.geomean_speedup >= 1.0,
+        "the run must never regress the suite"
+    );
+    println!("check passed: parallel driver verified the full suite");
 }

@@ -18,7 +18,7 @@ fn main() {
         ("Figure 9", KernelKind::MatmulLeakyRelu),
         ("Figure 13", KernelKind::BatchMatmul),
     ] {
-        let report = optimize_kernel(&gpu, kind, args.scale, args.budget_moves(20));
+        let report = optimize_kernel(&gpu, kind, args.scale, 20);
         println!(
             "{figure} — {}: {:.2} us -> {:.2} us ({:.2}x, verified={}){}",
             kind.name(),

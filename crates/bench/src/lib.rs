@@ -4,7 +4,7 @@
 //! belong to the repo benchmark (`benchmarks/`), not to this crate.
 //!
 //! Every harness accepts the shared [`HarnessArgs`] flags:
-//! `--scale`/`--jobs`/`--smoke` control problem size and parallelism, and
+//! `--scale`/`--jobs` control problem size and parallelism, and
 //! `--arch`/`--suite` select the GPU architecture backend and the
 //! workload-registry suite (defaults reproduce the paper's
 //! single-architecture tables byte for byte).
@@ -22,8 +22,7 @@ pub use report::{
 use cuasmrl::{CuAsmRl, GameConfig, OptimizationReport, Strategy, SuiteOptimizer};
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{
-    find_suite, generate, ConfigSpace, KernelConfig, KernelKind, KernelSpec, ScheduleStyle,
-    WorkloadSuite,
+    find_suite, generate, KernelConfig, KernelKind, KernelSpec, ScheduleStyle, WorkloadSuite,
 };
 
 /// Scale factor applied to the paper's problem shapes so that every harness
@@ -47,9 +46,12 @@ pub const STALL_TABLE_OPS: &[&str] = &[
     "IMAD.WIDE.U32",
 ];
 
-/// Scale factor used by `--smoke` runs (CI): the deepest shrink the
-/// generators support, so a full parallel suite pass finishes in seconds.
-pub const SMOKE_SCALE: usize = 64;
+/// Figure 6's per-kernel search budget: generations of the (1+1)
+/// evolutionary searcher, and moves per assembly-game episode.
+const SUITE_BUDGET: usize = 48;
+
+/// Moves per mutation of the (1+1) evolutionary searcher.
+const MUTATION_LENGTH: usize = 24;
 
 /// Command-line options shared by the harness binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,8 +60,6 @@ pub struct HarnessArgs {
     pub scale: usize,
     /// Worker threads for the parallel suite driver.
     pub jobs: usize,
-    /// CI smoke mode: smallest shapes, smallest search budget.
-    pub smoke: bool,
     /// GPU architecture profile (`--arch`): `ampere` (default), `turing` or
     /// `hopper`, including the aliases `gpusim::ArchSpec::by_name` accepts.
     pub arch: String,
@@ -73,8 +73,8 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `[scale] [--scale N] [--jobs N] [--smoke] [--arch NAME]
-    /// [--suite NAME]` from the process arguments. A bare integer is
+    /// Parses `[scale] [--scale N] [--jobs N] [--arch NAME] [--suite NAME]
+    /// [--report-dir DIR]` from the process arguments. A bare integer is
     /// accepted as the first positional argument (the scale) for backwards
     /// compatibility with the original harness binaries. Malformed or
     /// unknown arguments abort with a usage message rather than being
@@ -84,7 +84,6 @@ impl HarnessArgs {
         let mut args = HarnessArgs {
             scale: default_scale,
             jobs: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-            smoke: false,
             arch: "ampere".to_string(),
             suite: "table2".to_string(),
             report_dir: None,
@@ -92,7 +91,7 @@ impl HarnessArgs {
         let usage = |problem: &str| -> ! {
             eprintln!("error: {problem}");
             eprintln!(
-                "usage: [scale] [--scale N] [--jobs N] [--smoke] [--arch NAME] [--suite NAME] \
+                "usage: [scale] [--scale N] [--jobs N] [--arch NAME] [--suite NAME] \
                  [--report-dir DIR]"
             );
             eprintln!(
@@ -106,10 +105,6 @@ impl HarnessArgs {
         let mut iter = std::env::args().skip(1);
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--smoke" => {
-                    args.smoke = true;
-                    args.scale = SMOKE_SCALE;
-                }
                 "--jobs" => match iter.next().map(|v| v.parse()) {
                     Some(Ok(n)) => args.jobs = n,
                     _ => usage("--jobs requires an integer value"),
@@ -153,6 +148,9 @@ impl HarnessArgs {
                 },
             }
         }
+        if args.scale == 0 {
+            usage("the scale must be a positive integer");
+        }
         args.jobs = args.jobs.max(1);
         args
     }
@@ -191,16 +189,6 @@ impl HarnessArgs {
             suffix.push_str(&format!(", suite={}", self.suite));
         }
         suffix
-    }
-
-    /// The per-kernel search budget (moves/generations) for this run.
-    #[must_use]
-    pub fn budget_moves(&self, full: usize) -> usize {
-        if self.smoke {
-            4
-        } else {
-            full
-        }
     }
 }
 
@@ -242,34 +230,28 @@ pub fn harness_measure() -> MeasureOptions {
 
 /// Builds the parallel suite driver all multi-kernel harnesses share: the
 /// (1+1) evolutionary searcher (see [`optimize_kernel`] for why) over the
-/// autotuned Triton pipeline, sharded across `jobs` worker threads. In smoke
-/// mode the autotuning space collapses to [`ConfigSpace::small`] so a full
-/// suite pass stays within a CI minute.
+/// autotuned Triton pipeline, sharded across `jobs` worker threads, with
+/// Figure 6's search budget.
 #[must_use]
-pub fn suite_driver(args: &HarnessArgs, budget_moves: usize) -> SuiteOptimizer {
+pub fn suite_driver(args: &HarnessArgs) -> SuiteOptimizer {
     let driver = SuiteOptimizer::new(
         args.gpu(),
         Strategy::Evolutionary {
-            generations: budget_moves.max(4),
-            mutation_length: 24,
+            generations: SUITE_BUDGET,
+            mutation_length: MUTATION_LENGTH,
             seed: 0,
         },
     )
     .with_jobs(args.jobs)
     .with_tune_options(harness_measure())
     .with_game_config(GameConfig {
-        episode_length: budget_moves.max(32),
+        episode_length: SUITE_BUDGET,
         measure: harness_measure(),
         ..GameConfig::default()
     });
-    let driver = match &args.report_dir {
+    match &args.report_dir {
         Some(dir) => driver.with_cache_dir(dir.clone()),
         None => driver,
-    };
-    if args.smoke {
-        driver.with_config_space(ConfigSpace::small())
-    } else {
-        driver
     }
 }
 
@@ -302,7 +284,7 @@ pub fn optimize_kernel(
         gpu.clone(),
         Strategy::Evolutionary {
             generations: budget_moves.max(8),
-            mutation_length: 24,
+            mutation_length: MUTATION_LENGTH,
             seed: 0,
         },
     )

@@ -23,18 +23,18 @@ use serde::{Deserialize, Serialize};
 ///
 /// v2 dropped the wall-clock samples, the delta-sweep tallies and the
 /// `*-edits` companion cells, and re-sourced `sim_steps`; v3 added
-/// `autotune_sim_steps`.
-pub const BENCH_REPORT_SCHEMA_VERSION: u32 = 3;
+/// `autotune_sim_steps`; v4 dropped the reduced-budget flag from `config`:
+/// every cell is Figure 6's one search budget.
+pub const BENCH_REPORT_SCHEMA_VERSION: u32 = 4;
 
 /// The run configuration a report was produced under.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BenchRunConfig {
     /// Problem-shape divisor (`1/scale` of the paper shapes).
     pub scale: usize,
-    /// Worker threads of the parallel suite driver.
+    /// Worker threads of the parallel suite driver (never compared:
+    /// `jobs=N` reproduces `jobs=1` bit for bit).
     pub jobs: usize,
-    /// Whether the smoke (CI) configuration was used.
-    pub smoke: bool,
 }
 
 /// One (architecture × suite) cell of the benchmark matrix.
@@ -122,9 +122,18 @@ const GEOMEAN_RELATIVE_SLACK: f64 = 1e-9;
 /// Compares a candidate report against a baseline and returns one
 /// human-readable line per regression (empty = no regression). Extra cells
 /// in the candidate (new coverage) are never regressions; cells or
-/// architectures missing from the candidate always are.
+/// architectures missing from the candidate always are. Reports run at
+/// different scales are not comparable cell by cell: that is the one line
+/// returned.
 #[must_use]
 pub fn compare_reports(baseline: &BenchReport, candidate: &BenchReport) -> Vec<String> {
+    if candidate.config.scale != baseline.config.scale {
+        return vec![format!(
+            "config: scale changed 1/{} -> 1/{} (the cells are not comparable; \
+             run the candidate at the baseline's --scale)",
+            baseline.config.scale, candidate.config.scale
+        )];
+    }
     let mut regressions = Vec::new();
     for base in &baseline.cells {
         let key = base.key();
@@ -211,11 +220,7 @@ mod tests {
         BenchReport {
             schema_version: BENCH_REPORT_SCHEMA_VERSION,
             tool: "bench_report".to_string(),
-            config: BenchRunConfig {
-                scale: 64,
-                jobs: 4,
-                smoke: true,
-            },
+            config: BenchRunConfig { scale: 8, jobs: 4 },
             cells: vec![BenchCell {
                 arch: "ampere".to_string(),
                 suite: "table2".to_string(),
@@ -245,6 +250,27 @@ mod tests {
     fn identical_reports_show_no_regression() {
         let a = report();
         assert!(compare_reports(&a, &a.clone()).is_empty());
+    }
+
+    #[test]
+    fn a_scale_mismatch_is_one_regression_naming_both_scales() {
+        let base = report();
+        let mut rescaled = base.clone();
+        rescaled.config.scale = 64;
+        // Every cell of a run at another scale differs too; the cause is
+        // named once instead.
+        rescaled.cells[0].sim_steps = 1_500;
+        rescaled.cells[0].geomean_speedup = 1.0;
+        let regressions = compare_reports(&base, &rescaled);
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        assert!(
+            regressions[0].contains("scale changed 1/8 -> 1/64"),
+            "{regressions:?}"
+        );
+        // The worker count is not part of the result.
+        let mut serial = base.clone();
+        serial.config.jobs = 1;
+        assert!(compare_reports(&base, &serial).is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Each suite is pure data: a list of [`SuiteEntry`]s (label, kernel kind,
 //! full-scale problem shape). [`WorkloadSuite::specs`] applies the same
 //! shape-shrinking rule as [`KernelSpec::scaled`], so every suite supports
-//! the harness `--scale`/`--smoke` machinery unchanged.
+//! the harness `--scale` machinery unchanged.
 
 use crate::suite::{KernelKind, KernelSpec, ProblemShape};
 

@@ -6,10 +6,22 @@
 //! gradient accumulation, and flattened parameter access for the Adam
 //! optimizer — without a general autograd engine.
 
+use std::cell::RefCell;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
+
+/// Channels [`ConvEncoder::forward`] accumulates at once. On x86-64, eight
+/// lanes measured faster than four or sixteen for a 16-channel encoder.
+const LANES: usize = 8;
+
+thread_local! {
+    /// [`ConvEncoder::forward`]'s transposed weights, reused by every call
+    /// on the thread so a forward pass allocates only its outputs.
+    static FORWARD_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Rectified linear unit applied in place.
 pub fn relu_inplace(values: &mut [f32]) {
@@ -123,13 +135,22 @@ impl Linear {
     /// gradient with respect to the input.
     #[allow(clippy::needless_range_loop)] // indexes three parallel buffers
     pub fn backward(&mut self, input: &[f32], grad_output: &[f32]) -> Vec<f32> {
-        let mut grad_input = vec![0.0; self.in_features];
+        let n = self.in_features;
+        let input = &input[..n];
+        let mut grad_input = vec![0.0; n];
         for o in 0..self.out_features {
             let go = grad_output[o];
             self.grad_bias[o] += go;
-            for i in 0..self.in_features {
-                self.grad_weight[o * self.in_features + i] += go * input[i];
-                grad_input[i] += go * self.weight[o * self.in_features + i];
+            let weights = &self.weight[o * n..(o + 1) * n];
+            let grads = &mut self.grad_weight[o * n..(o + 1) * n];
+            for (((g, gi), &w), &x) in grads
+                .iter_mut()
+                .zip(&mut grad_input)
+                .zip(weights)
+                .zip(input)
+            {
+                *g += go * x;
+                *gi += go * w;
             }
         }
         grad_input
@@ -257,6 +278,13 @@ impl ConvEncoder {
 
     /// Forward pass: convolution, ReLU, then mean pooling over positions.
     /// Also returns the pre-pooling activations needed by the backward pass.
+    ///
+    /// Eight channels of one window accumulate at once in a stack array
+    /// the compiler keeps in vector registers, each lane an independent
+    /// multiply-add over a contiguous run of transposed weights. Every output
+    /// still adds its bias, then its `(k, f)` terms in ascending order, and
+    /// pools in ascending window order: the result is bit-identical to one
+    /// scalar dot product per output.
     #[must_use]
     pub fn forward(&self, input: &Matrix) -> (Vec<f32>, Matrix) {
         let rows = input.rows();
@@ -270,27 +298,54 @@ impl ConvEncoder {
         if windows == 0 {
             return (pooled, activations);
         }
-        #[allow(clippy::needless_range_loop)] // indexes parallel buffers
-        for c in 0..self.channels {
-            for t in 0..windows {
-                let mut acc = self.bias[c];
-                for k in 0..self.kernel {
-                    for f in 0..self.features.min(input.cols()) {
-                        let w = self.weight[(c * self.kernel + k) * self.features + f];
-                        acc += w * input.get(t + k, f);
+        let filter = self.kernel * self.features;
+        let used = self.features.min(input.cols());
+        FORWARD_SCRATCH.with_borrow_mut(|taps| {
+            // `[channels x kernel x features]` -> `[channel block x kernel x
+            // features x LANES]`, the last block zero-padded.
+            taps.clear();
+            taps.resize(self.channels.div_ceil(LANES) * filter * LANES, 0.0);
+            for c in 0..self.channels {
+                for kf in 0..filter {
+                    taps[((c / LANES) * filter + kf) * LANES + c % LANES] =
+                        self.weight[c * filter + kf];
+                }
+            }
+            for first in (0..self.channels).step_by(LANES) {
+                let lanes = (self.channels - first).min(LANES);
+                let block = &taps[first * filter..(first + LANES) * filter];
+                for t in 0..windows {
+                    let mut acc = [0.0f32; LANES];
+                    acc[..lanes].copy_from_slice(&self.bias[first..first + lanes]);
+                    for k in 0..self.kernel {
+                        let row = &input.row(t + k)[..used];
+                        let block_k = &block[k * self.features * LANES..][..used * LANES];
+                        for (&x, w) in row.iter().zip(block_k.chunks_exact(LANES)) {
+                            for (a, &w) in acc.iter_mut().zip(w) {
+                                *a += w * x;
+                            }
+                        }
+                    }
+                    for (c, &a) in (first..).zip(&acc[..lanes]) {
+                        let act = a.max(0.0);
+                        activations.set(c, t, act);
+                        pooled[c] += act / windows as f32;
                     }
                 }
-                let act = acc.max(0.0);
-                activations.set(c, t, act);
-                pooled[c] += act / windows as f32;
             }
-        }
+        });
         (pooled, activations)
     }
 
     /// Backward pass from the gradient of the pooled output. Accumulates
     /// parameter gradients (the gradient with respect to the input state is
     /// not needed and not computed).
+    ///
+    /// Each ungated `(channel, window)` pair is one contiguous axpy into the
+    /// channel's filter gradient: over the whole window when the input is
+    /// exactly `features` wide (its rows then lie back to back, in filter
+    /// order), one per kernel tap otherwise. Every gradient element still
+    /// sums its windows in ascending order.
     #[allow(clippy::needless_range_loop)] // indexes three parallel buffers
     pub fn backward(&mut self, input: &Matrix, activations: &Matrix, grad_pooled: &[f32]) {
         let rows = input.rows();
@@ -298,17 +353,29 @@ impl ConvEncoder {
             return;
         }
         let windows = self.windows(rows);
+        let filter = self.kernel * self.features;
+        let used = self.features.min(input.cols());
+        let contiguous = input.cols() == self.features;
         for c in 0..self.channels {
+            let grad_filter = &mut self.grad_weight[c * filter..(c + 1) * filter];
             for t in 0..windows {
                 if activations.get(c, t) <= 0.0 {
                     continue; // ReLU gate.
                 }
                 let upstream = grad_pooled[c] / windows as f32;
                 self.grad_bias[c] += upstream;
+                if contiguous {
+                    let window = &input.data()[t * self.features..][..filter];
+                    for (g, &x) in grad_filter.iter_mut().zip(window) {
+                        *g += upstream * x;
+                    }
+                    continue;
+                }
                 for k in 0..self.kernel {
-                    for f in 0..self.features.min(input.cols()) {
-                        self.grad_weight[(c * self.kernel + k) * self.features + f] +=
-                            upstream * input.get(t + k, f);
+                    let row = &input.row(t + k)[..used];
+                    let grad_taps = &mut grad_filter[k * self.features..][..used];
+                    for (g, &x) in grad_taps.iter_mut().zip(row) {
+                        *g += upstream * x;
                     }
                 }
             }
@@ -351,6 +418,224 @@ mod tests {
 
     fn rng() -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(0)
+    }
+
+    /// The scalar loops `ConvEncoder::forward` ran before it accumulated
+    /// eight channels at once: one sequential dot product per output. The
+    /// bit-identity reference of the vectorised pass.
+    #[allow(clippy::needless_range_loop)]
+    fn reference_forward(enc: &ConvEncoder, input: &Matrix) -> (Vec<f32>, Matrix) {
+        let rows = input.rows();
+        let windows = if rows >= enc.kernel {
+            enc.windows(rows)
+        } else {
+            0
+        };
+        let mut activations = Matrix::zeros(enc.channels, windows.max(1));
+        let mut pooled = vec![0.0; enc.channels];
+        if windows == 0 {
+            return (pooled, activations);
+        }
+        for c in 0..enc.channels {
+            for t in 0..windows {
+                let mut acc = enc.bias[c];
+                for k in 0..enc.kernel {
+                    for f in 0..enc.features.min(input.cols()) {
+                        let w = enc.weight[(c * enc.kernel + k) * enc.features + f];
+                        acc += w * input.get(t + k, f);
+                    }
+                }
+                let act = acc.max(0.0);
+                activations.set(c, t, act);
+                pooled[c] += act / windows as f32;
+            }
+        }
+        (pooled, activations)
+    }
+
+    /// The scalar `ConvEncoder::backward` loops, accumulating into `enc`'s
+    /// gradients.
+    #[allow(clippy::needless_range_loop)]
+    fn reference_backward(
+        enc: &mut ConvEncoder,
+        input: &Matrix,
+        activations: &Matrix,
+        grad_pooled: &[f32],
+    ) {
+        let rows = input.rows();
+        if rows < enc.kernel {
+            return;
+        }
+        let windows = enc.windows(rows);
+        for c in 0..enc.channels {
+            for t in 0..windows {
+                if activations.get(c, t) <= 0.0 {
+                    continue;
+                }
+                let upstream = grad_pooled[c] / windows as f32;
+                enc.grad_bias[c] += upstream;
+                for k in 0..enc.kernel {
+                    for f in 0..enc.features.min(input.cols()) {
+                        enc.grad_weight[(c * enc.kernel + k) * enc.features + f] +=
+                            upstream * input.get(t + k, f);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scalar `Linear::backward` loops.
+    #[allow(clippy::needless_range_loop)]
+    fn reference_linear_backward(
+        layer: &mut Linear,
+        input: &[f32],
+        grad_output: &[f32],
+    ) -> Vec<f32> {
+        let mut grad_input = vec![0.0; layer.in_features];
+        for o in 0..layer.out_features {
+            let go = grad_output[o];
+            layer.grad_bias[o] += go;
+            for i in 0..layer.in_features {
+                layer.grad_weight[o * layer.in_features + i] += go * input[i];
+                grad_input[i] += go * layer.weight[o * layer.in_features + i];
+            }
+        }
+        grad_input
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A `rows x cols` input of mixed-sign values with an all-zero block of
+    /// rows 10..20, so every window inside it pre-activates at exactly the
+    /// bias (`+0`, or `-0` for a channel whose bias and weights are set up
+    /// for it).
+    fn oracle_input(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|i| {
+                if (10..20).contains(&(i / cols)) {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    #[test]
+    fn conv_encoder_matches_the_scalar_reference_bit_for_bit() {
+        const FEATURES: usize = 6;
+        let mut rng = rng();
+        for channels in [1, 3, 8, 16, 17] {
+            for kernel in [1, 3, 5] {
+                let mut enc = ConvEncoder::new(&mut rng, channels, kernel, FEATURES);
+                for b in &mut enc.bias {
+                    *b = rng.gen_range(-0.5..0.5);
+                }
+                // Channel 0 pre-activates at exactly -0 over zero rows: bias
+                // -0 plus only -0 products (negative weights times +0).
+                enc.bias[0] = -0.0;
+                let filter = kernel * FEATURES;
+                for w in &mut enc.weight[..filter] {
+                    *w = -w.abs() - 0.01;
+                }
+                // The last channel pre-activates at exactly +0 there.
+                enc.bias[channels - 1] = 0.0;
+                for rows in [kernel - 1, kernel, 70] {
+                    for cols in [FEATURES - 2, FEATURES, FEATURES + 3] {
+                        let shape = format!("c{channels} k{kernel} rows{rows} cols{cols}");
+                        let mut oracle = enc.clone();
+                        enc.zero_grad();
+                        oracle.zero_grad();
+                        for _ in 0..3 {
+                            let input = oracle_input(&mut rng, rows, cols);
+                            let grad_pooled: Vec<f32> =
+                                (0..channels).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                            let (pooled, activations) = enc.forward(&input);
+                            let (want_pooled, want_activations) =
+                                reference_forward(&oracle, &input);
+                            assert_eq!(bits(&pooled), bits(&want_pooled), "pooled {shape}");
+                            assert_eq!(
+                                (activations.rows(), activations.cols()),
+                                (want_activations.rows(), want_activations.cols()),
+                                "{shape}"
+                            );
+                            assert_eq!(
+                                bits(activations.data()),
+                                bits(want_activations.data()),
+                                "activations {shape}"
+                            );
+                            enc.backward(&input, &activations, &grad_pooled);
+                            reference_backward(
+                                &mut oracle,
+                                &input,
+                                &want_activations,
+                                &grad_pooled,
+                            );
+                            assert_eq!(
+                                bits(&enc.grad_weight),
+                                bits(&oracle.grad_weight),
+                                "grad_weight {shape}"
+                            );
+                            assert_eq!(
+                                bits(&enc.grad_bias),
+                                bits(&oracle.grad_bias),
+                                "grad_bias {shape}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_oracle_inputs_reach_signed_zero_pre_activations() {
+        let mut rng = rng();
+        let mut enc = ConvEncoder::new(&mut rng, 2, 3, 4);
+        enc.bias = vec![-0.0, 0.0];
+        for w in &mut enc.weight[..12] {
+            *w = -w.abs() - 0.01;
+        }
+        let input = oracle_input(&mut rng, 30, 4);
+        // Window 10 covers zero rows 10..13 only.
+        let mut acc = enc.bias.clone();
+        for (c, a) in acc.iter_mut().enumerate() {
+            for kf in 0..12 {
+                *a += enc.weight[c * 12 + kf] * input.data()[10 * 4 + kf];
+            }
+        }
+        assert_eq!(acc[0].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(acc[1].to_bits(), 0.0f32.to_bits());
+        let (_, activations) = enc.forward(&input);
+        let (_, want) = reference_forward(&enc, &input);
+        assert_eq!(activations.get(0, 10).to_bits(), want.get(0, 10).to_bits());
+    }
+
+    #[test]
+    fn linear_matches_the_scalar_reference_bit_for_bit() {
+        let mut rng = rng();
+        for (inputs, outputs) in [(1, 1), (3, 5), (16, 1), (17, 40)] {
+            let mut layer = Linear::new(&mut rng, inputs, outputs);
+            let mut oracle = layer.clone();
+            for _ in 0..3 {
+                let input: Vec<f32> = (0..inputs).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                let grad_output: Vec<f32> =
+                    (0..outputs).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let grad_input = layer.backward(&input, &grad_output);
+                let want = reference_linear_backward(&mut oracle, &input, &grad_output);
+                let shape = format!("{inputs} -> {outputs}");
+                assert_eq!(bits(&grad_input), bits(&want), "grad_input {shape}");
+                assert_eq!(
+                    bits(&layer.grad_weight),
+                    bits(&oracle.grad_weight),
+                    "{shape}"
+                );
+                assert_eq!(bits(&layer.grad_bias), bits(&oracle.grad_bias), "{shape}");
+            }
+        }
     }
 
     #[test]

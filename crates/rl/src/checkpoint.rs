@@ -57,8 +57,10 @@ pub enum CheckpointError {
     /// checkpoint cannot be taken or applied.
     EnvSnapshotUnsupported,
     /// The environment rejected the checkpointed state
-    /// ([`crate::Env::restore_state`] returned `false`) — it was likely
-    /// constructed for a different problem instance.
+    /// ([`crate::Env::restore_state`] returned `false`), or the checkpointed
+    /// policy takes another observation width or action count than the
+    /// environment has — it was likely constructed for a different problem
+    /// instance.
     EnvRejectedState,
 }
 

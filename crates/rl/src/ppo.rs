@@ -404,13 +404,18 @@ impl PpoTrainer {
     ///
     /// Returns [`CheckpointError::Artifact`] (`Corrupt`) when the checkpoint
     /// is not a single-env snapshot or its policy state is inconsistent, and
-    /// [`CheckpointError::EnvRejectedState`] when the env refuses the state
-    /// bytes.
+    /// [`CheckpointError::EnvRejectedState`] when its policy was built for
+    /// another observation width or action count than `env`'s (checked
+    /// before `env` is touched) or the env refuses the state bytes.
     pub fn resume_from_checkpoint<E: Env>(
         checkpoint: &Checkpoint,
         env: &mut E,
     ) -> Result<Self, CheckpointError> {
-        let policy = ActorCritic::from_state(&checkpoint.policy).map_err(corrupt_in_memory)?;
+        let state = &checkpoint.policy;
+        if (state.features, state.n_actions) != (env.observation_features(), env.action_count()) {
+            return Err(CheckpointError::EnvRejectedState);
+        }
+        let policy = ActorCritic::from_state(state).map_err(corrupt_in_memory)?;
         let [env_checkpoint] = checkpoint.envs.as_slice() else {
             return Err(corrupt_in_memory(format!(
                 "expected a single-env checkpoint, found {} envs",
@@ -536,6 +541,26 @@ mod tests {
     #[test]
     fn final_return_handles_empty_history() {
         assert_eq!(TrainingStats::default().final_return(5), 0.0);
+    }
+
+    #[test]
+    fn a_checkpoint_for_another_env_shape_is_refused_before_the_env_is_touched() {
+        let bandit = BanditEnv::new(8);
+        let (features, actions) = (bandit.observation_features(), bandit.action_count());
+        for (other_features, other_actions) in [(5, actions), (features, 4)] {
+            let mut env = BanditEnv::new(8);
+            let trainer = PpoTrainer::new(PpoConfig::tiny(), other_features, other_actions);
+            let checkpoint = trainer.checkpoint(&bandit).expect("bandit snapshots");
+            env.t = 5;
+            assert!(
+                matches!(
+                    PpoTrainer::resume_from_checkpoint(&checkpoint, &mut env),
+                    Err(CheckpointError::EnvRejectedState)
+                ),
+                "a {other_features}-feature, {other_actions}-action policy resumed on a bandit"
+            );
+            assert_eq!(env.t, 5, "the env was touched");
+        }
     }
 
     #[test]

@@ -63,6 +63,18 @@ fn default_space_reports_match_the_pinned_digests() {
             }),
             0x89bf_355e_40a3_3a4e,
         ),
+        // `train-rl`'s encoder shape (16 channels, window 5), so a kernel
+        // change that only moves wide or long-window outputs still shows.
+        (
+            Strategy::Rl(PpoConfig {
+                rollout_steps: 32,
+                total_steps: 128,
+                channels: 16,
+                kernel: 5,
+                ..PpoConfig::tiny()
+            }),
+            0x5c54_7583_fd27_3376,
+        ),
     ];
     for (strategy, expected) in pinned {
         let name = strategy.name();

@@ -6,8 +6,6 @@
 //! gradient accumulation, and flattened parameter access for the Adam
 //! optimizer — without a general autograd engine.
 
-use std::cell::RefCell;
-
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -16,12 +14,6 @@ use crate::matrix::Matrix;
 /// Channels [`ConvEncoder::forward`] accumulates at once. On x86-64, eight
 /// lanes measured faster than four or sixteen for a 16-channel encoder.
 const LANES: usize = 8;
-
-thread_local! {
-    /// [`ConvEncoder::forward`]'s transposed weights, reused by every call
-    /// on the thread so a forward pass allocates only its outputs.
-    static FORWARD_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Rectified linear unit applied in place.
 pub fn relu_inplace(values: &mut [f32]) {
@@ -300,40 +292,37 @@ impl ConvEncoder {
         }
         let filter = self.kernel * self.features;
         let used = self.features.min(input.cols());
-        FORWARD_SCRATCH.with_borrow_mut(|taps| {
-            // `[channels x kernel x features]` -> `[channel block x kernel x
-            // features x LANES]`, the last block zero-padded.
-            taps.clear();
-            taps.resize(self.channels.div_ceil(LANES) * filter * LANES, 0.0);
-            for c in 0..self.channels {
-                for kf in 0..filter {
-                    taps[((c / LANES) * filter + kf) * LANES + c % LANES] =
-                        self.weight[c * filter + kf];
-                }
+        // `[channels x kernel x features]` -> `[channel block x kernel x
+        // features x LANES]`, the last block zero-padded.
+        let mut taps = vec![0.0; self.channels.div_ceil(LANES) * filter * LANES];
+        for c in 0..self.channels {
+            for kf in 0..filter {
+                taps[((c / LANES) * filter + kf) * LANES + c % LANES] =
+                    self.weight[c * filter + kf];
             }
-            for first in (0..self.channels).step_by(LANES) {
-                let lanes = (self.channels - first).min(LANES);
-                let block = &taps[first * filter..(first + LANES) * filter];
-                for t in 0..windows {
-                    let mut acc = [0.0f32; LANES];
-                    acc[..lanes].copy_from_slice(&self.bias[first..first + lanes]);
-                    for k in 0..self.kernel {
-                        let row = &input.row(t + k)[..used];
-                        let block_k = &block[k * self.features * LANES..][..used * LANES];
-                        for (&x, w) in row.iter().zip(block_k.chunks_exact(LANES)) {
-                            for (a, &w) in acc.iter_mut().zip(w) {
-                                *a += w * x;
-                            }
+        }
+        for first in (0..self.channels).step_by(LANES) {
+            let lanes = (self.channels - first).min(LANES);
+            let block = &taps[first * filter..(first + LANES) * filter];
+            for t in 0..windows {
+                let mut acc = [0.0f32; LANES];
+                acc[..lanes].copy_from_slice(&self.bias[first..first + lanes]);
+                for k in 0..self.kernel {
+                    let row = &input.row(t + k)[..used];
+                    let block_k = &block[k * self.features * LANES..][..used * LANES];
+                    for (&x, w) in row.iter().zip(block_k.chunks_exact(LANES)) {
+                        for (a, &w) in acc.iter_mut().zip(w) {
+                            *a += w * x;
                         }
                     }
-                    for (c, &a) in (first..).zip(&acc[..lanes]) {
-                        let act = a.max(0.0);
-                        activations.set(c, t, act);
-                        pooled[c] += act / windows as f32;
-                    }
+                }
+                for (c, &a) in (first..).zip(&acc[..lanes]) {
+                    let act = a.max(0.0);
+                    activations.set(c, t, act);
+                    pooled[c] += act / windows as f32;
                 }
             }
-        });
+        }
         (pooled, activations)
     }
 
@@ -341,11 +330,9 @@ impl ConvEncoder {
     /// parameter gradients (the gradient with respect to the input state is
     /// not needed and not computed).
     ///
-    /// Each ungated `(channel, window)` pair is one contiguous axpy into the
-    /// channel's filter gradient: over the whole window when the input is
-    /// exactly `features` wide (its rows then lie back to back, in filter
-    /// order), one per kernel tap otherwise. Every gradient element still
-    /// sums its windows in ascending order.
+    /// Each ungated `(channel, window, kernel tap)` is one contiguous axpy
+    /// of an input row into the channel's filter gradient. Every gradient
+    /// element still sums its windows in ascending order.
     #[allow(clippy::needless_range_loop)] // indexes three parallel buffers
     pub fn backward(&mut self, input: &Matrix, activations: &Matrix, grad_pooled: &[f32]) {
         let rows = input.rows();
@@ -355,7 +342,6 @@ impl ConvEncoder {
         let windows = self.windows(rows);
         let filter = self.kernel * self.features;
         let used = self.features.min(input.cols());
-        let contiguous = input.cols() == self.features;
         for c in 0..self.channels {
             let grad_filter = &mut self.grad_weight[c * filter..(c + 1) * filter];
             for t in 0..windows {
@@ -364,13 +350,6 @@ impl ConvEncoder {
                 }
                 let upstream = grad_pooled[c] / windows as f32;
                 self.grad_bias[c] += upstream;
-                if contiguous {
-                    let window = &input.data()[t * self.features..][..filter];
-                    for (g, &x) in grad_filter.iter_mut().zip(window) {
-                        *g += upstream * x;
-                    }
-                    continue;
-                }
                 for k in 0..self.kernel {
                     let row = &input.row(t + k)[..used];
                     let grad_taps = &mut grad_filter[k * self.features..][..used];

@@ -1,9 +1,8 @@
 //! The injectable I/O layer and deterministic crash-point injection.
 //!
 //! Every byte an artifact family publishes goes through a [`StoreIo`]
-//! implementation: [`RealIo`] (fsynced) under the schedule store's entries
-//! and journal — including the replay `cuasmrld-fsck --repair` runs, which
-//! is a store open — [`UnsyncedIo`] under every rebuildable family, and
+//! implementation: [`RealIo`] (fsynced) under the schedule store's
+//! entries, [`UnsyncedIo`] under every rebuildable family, and
 //! [`CrashPointIo`] in the durability suites. `CrashPointIo` is the one
 //! injector at the I/O boundary (the daemon's `cuasmrld::FaultPlan` plans
 //! only worker faults): every I/O operation is numbered in program order,
@@ -21,7 +20,9 @@
 //! [`StoreIo::write`] and [`StoreIo::append`] — each returns only once the
 //! bytes are synced, so "written but not yet synced, then power loss" is
 //! modelled by the [`CrashEffect::Torn`] outcome of the same ordinal rather
-//! than by a separate sync boundary.
+//! than by a separate sync boundary. Likewise [`StoreIo::rename`] syncs
+//! the parent directory before it returns, so a completed rename is the
+//! one boundary after which a publish survives power loss.
 
 use std::fmt;
 use std::io::{self, Write as _};
@@ -55,9 +56,9 @@ pub fn is_simulated_crash(err: &io::Error) -> bool {
 /// trait so tests can kill the store at every I/O boundary.
 ///
 /// Under [`RealIo`] `write` and `append` are *durable*: they return only
-/// after the data is flushed (`File::sync_all`); [`UnsyncedIo`] skips the
-/// flush. `rename` is the atomic publish primitive (same-directory rename,
-/// POSIX-atomic).
+/// after the data is flushed (`File::sync_all`), and `rename` only after
+/// the parent directory is; [`UnsyncedIo`] skips the flushes. `rename` is
+/// the atomic publish primitive (same-directory rename, POSIX-atomic).
 pub trait StoreIo: Send + Sync {
     /// Reads a whole file.
     ///
@@ -76,7 +77,9 @@ pub trait StoreIo: Send + Sync {
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 
     /// Appends `bytes` to `path`, creating it if absent ([`RealIo`]:
-    /// fsyncing before returning).
+    /// fsyncing before returning). No artifact family appends today; the
+    /// operation stays for the crash-injection suites and the benchmark's
+    /// fsync probe.
     ///
     /// # Errors
     ///
@@ -100,7 +103,7 @@ pub trait StoreIo: Send + Sync {
 }
 
 /// The durable [`StoreIo`]: `std::fs` with fsync on every write path —
-/// what the schedule store's entries and journal publish through.
+/// what the schedule store's entries publish through.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealIo;
 
@@ -125,7 +128,12 @@ impl StoreIo for RealIo {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
+        std::fs::rename(from, to)?;
+        // Durability flush: the rename lives in the parent directory, so
+        // until the directory is synced a power loss can undo a publish
+        // the caller has already acknowledged.
+        let parent = to.parent().filter(|dir| !dir.as_os_str().is_empty());
+        std::fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
@@ -136,9 +144,9 @@ impl StoreIo for RealIo {
 /// [`RealIo`]'s calls without the `sync_all`: what every family that a
 /// later run rebuilds on damage (checkpoints, manifests, deploy-cache and
 /// suite reports, the daemon's address file) publishes through. fsck
-/// writes through neither: its repair reopens the store, whose recovery
-/// publishes through [`RealIo`]. Syncing one of them is a measured, per-family decision made by
-/// naming [`RealIo`] at its call site.
+/// writes through neither: its repair only moves damage aside. Syncing one
+/// of them is a measured, per-family decision made by naming [`RealIo`] at
+/// its call site.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UnsyncedIo;
 

@@ -1,15 +1,14 @@
 //! How an artifact becomes visible on disk.
 //!
-//! Everything this workspace produces is a file — schedule-store entries
-//! and their journal, RL checkpoints, telemetry manifests, deploy-cache and
-//! suite reports — and every one of them is published the same way. This
+//! Everything this workspace produces is a file — schedule-store entries,
+//! RL checkpoints, telemetry manifests, deploy-cache and suite reports — and every one of them is published the same way. This
 //! crate sits at the bottom of the dependency graph (no first-party
 //! dependency) and owns that decision and its inverse, reading a file
 //! back:
 //!
 //! - [`StoreIo`] — the injectable filesystem layer, with [`RealIo`]
-//!   (fsynced: store entries and the journal), [`UnsyncedIo`] (the same
-//!   calls without `sync_all`: every rebuildable family) and
+//!   (fsynced, directory included: store entries), [`UnsyncedIo`] (the
+//!   same calls without `sync_all`: every rebuildable family) and
 //!   [`CrashPointIo`] (deterministic kill at any I/O ordinal, for the
 //!   durability sweeps). Which of the two unit implementations a family
 //!   publishes through is fixed at its call site.
@@ -17,7 +16,7 @@
 //! - [`is_temp_debris`] — the rule that recognises what a kill between
 //!   that write and that rename leaves behind.
 //! - [`fnv1a64`] / [`fnv1a64_hex`] — the checksum every integrity format
-//!   (entry, journal record, seal, checkpoint trailer, request digest) is
+//!   (entry, seal, checkpoint trailer, request digest) is
 //!   built on.
 //! - [`ArtifactError`] — what every family's reader answers when the file
 //!   is damaged. The rule: a file whose bytes end before its format does

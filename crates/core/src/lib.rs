@@ -43,7 +43,6 @@ mod optimizer;
 mod stall_table;
 mod suite_optimizer;
 mod telemetry;
-mod tune_memo;
 
 pub use action::{
     action_mask, schedule_edits, ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit,

@@ -1,10 +1,9 @@
 //! `cuasmrld-fsck`: offline verify/repair for a `cuasmrld` store directory.
 //!
 //! Walks a (cold) store directory, prints a stable JSON [`FsckReport`]
-//! with a per-file verdict (ok / torn / corrupt / orphaned /
-//! stale-generation) plus journal health, and — with `--repair` —
-//! quarantines every non-ok file, then opens the directory as a
-//! `ScheduleStore`, whose own recovery replays and rotates the journal.
+//! with a per-file verdict (ok / torn / corrupt / orphaned), and — with
+//! `--repair` — quarantines every non-ok file; the daemon recomputes a
+//! quarantined entry on demand.
 //!
 //! Exit codes: `0` healthy (without `--repair`: everything ok; with it:
 //! nothing unrepairable), `1` unhealthy, `2` usage or I/O failure.
@@ -21,8 +20,7 @@ USAGE: cuasmrld-fsck --store-dir PATH [OPTIONS]
 OPTIONS:
   --store-dir PATH     the store directory to walk (required; the daemon
                        must not be running against it)
-  --repair             quarantine damaged files, then reopen the store:
-                       its recovery replays and rotates the journal
+  --repair             quarantine damaged files and crash debris
   --out PATH           also write the JSON report to PATH
 ";
 

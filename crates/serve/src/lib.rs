@@ -24,13 +24,11 @@
 //!   canonicalization, admission ranking, the error taxonomy
 //!   ([`ErrorCode`]).
 //! - [`queue`] — the bounded, deterministic priority admission queue.
-//! - [`store`] — the versioned, checksummed, write-ahead-journaled
-//!   schedule store (crash-consistent since durability v2).
+//! - [`store`] — the versioned, checksummed schedule store: a put is one
+//!   fsynced atomic publish (crash-consistent since durability v2).
 //! - [`io`] — re-export of the `artifact` crate's injectable [`StoreIo`]
 //!   layer and [`CrashPoint`] injection; every file this crate writes is
 //!   published through [`artifact::publish_atomic`].
-//! - [`journal`] — the store's checksummed append-only write-ahead
-//!   journal.
 //! - [`mod@fsck`] — the offline verify/repair walk behind `cuasmrld-fsck`.
 //! - [`server`] — acceptor, the one frame path (decode, poison, answer or
 //!   admit), session demultiplexing, admission control, worker pool,
@@ -69,7 +67,6 @@
 pub mod client;
 pub mod fault;
 pub mod fsck;
-pub mod journal;
 pub mod load;
 pub mod protocol;
 pub mod queue;
@@ -81,7 +78,6 @@ pub use client::{Client, ClientBuilder, Connection, RequestHandle, RetryPolicy};
 pub use fault::{FaultKind, FaultPlan, InjectedFault};
 pub use fsck::{fsck, EntryVerdict, FsckReport, FSCK_SCHEMA_VERSION, QUARANTINE_DIR};
 pub use io::{is_simulated_crash, CrashEffect, CrashPoint, CrashPointIo, IoOp, RealIo, StoreIo};
-pub use journal::{Journal, JournalOp, JournalReplay, JOURNAL_FILE, JOURNAL_FORMAT_VERSION};
 pub use load::{run_load, LoadReport, LoadSpec};
 pub use protocol::{
     admission_rank, check_version, poll_frame, read_frame, write_frame, CanonicalRequest,
@@ -92,4 +88,6 @@ pub use protocol::{
 };
 pub use queue::{AdmissionQueue, PushError};
 pub use server::{Server, ServerConfig, ServiceStats, SERVICE_SUITE_LABEL};
-pub use store::{decode_entry_bytes, ScheduleStore, StoreEntry, StoreStats, STORE_SCHEMA_VERSION};
+pub use store::{
+    decode_entry_bytes, ScheduleStore, StoreEntry, StoreStats, JOURNAL_FILE, STORE_SCHEMA_VERSION,
+};

@@ -134,13 +134,6 @@ pub struct LoadReport {
     /// (additive, `#[serde(default)]`).
     #[serde(default)]
     pub checksum_failures: u64,
-    /// The daemon's cumulative journal-replay count
-    /// ([`crate::StoreStats::journal_replayed`]) probed at the end of the
-    /// run: entry writes a previous crash lost and the write-ahead journal
-    /// restored at open. Expected after a kill burst, alarming during a
-    /// clean one. Added in durability v2 (additive, `#[serde(default)]`).
-    #[serde(default)]
-    pub journal_replays: u64,
 }
 
 impl LoadReport {
@@ -182,7 +175,6 @@ pub fn run_load(addr: SocketAddr, spec: &LoadSpec) -> LoadReport {
     // them zero rather than failing a run that otherwise succeeded.
     if let Ok(status) = client.status() {
         report.checksum_failures = status.stats.checksum_failures + status.store.checksum_failures;
-        report.journal_replays = status.store.journal_replayed;
     }
     report
 }

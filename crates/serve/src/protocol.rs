@@ -283,8 +283,14 @@ impl RequestKey {
     /// File-name stem of this key's store entry (and training checkpoint).
     #[must_use]
     pub fn file_stem(&self) -> String {
-        format!("{}_{}_{}", self.arch, self.kernel, self.digest)
+        file_stem_of(&self.arch, &self.kernel, &self.digest)
     }
+}
+
+/// The one file-name stem rule of the store: `{arch}_{kernel}_{digest}`,
+/// shared by [`RequestKey::file_stem`] and the entry provenance check.
+pub(crate) fn file_stem_of(arch: &str, kernel: &str, digest: &str) -> String {
+    format!("{arch}_{kernel}_{digest}")
 }
 
 /// A successful optimization answer.
@@ -970,7 +976,7 @@ mod tests {
     #[test]
     fn status_results_decode_pre_durability_literals_without_new_counters() {
         // The exact JSON a pre-durability-v2 daemon serializes: no
-        // `checksum_failures` in the service stats, none of the journal
+        // `checksum_failures` in the service stats, none of the durability
         // counters in the store stats. All the new fields are additive
         // (`#[serde(default)]`) and must decode as zero.
         let json = r#"{
@@ -996,8 +1002,6 @@ mod tests {
         assert_eq!(status.store.hits, 4);
         assert_eq!(status.store.checksum_failures, 0);
         assert_eq!(status.store.journal_replayed, 0);
-        assert_eq!(status.store.journal_torn, 0);
-        assert_eq!(status.store.generation, 0);
         assert_eq!(status.store.lru_bytes, 0);
     }
 

@@ -840,7 +840,7 @@ fn handle_job(shared: &Shared, job: &Job) {
                     arch: job.key.arch.clone(),
                     kernel: job.key.kernel.clone(),
                     seed: job.canonical.seed,
-                    generation: 0, // stamped by the store's put()
+                    generation: 0,
                     checksum: String::new(),
                     report: report.clone(),
                 }

@@ -3,27 +3,31 @@
 //!
 //! One JSON file per served request, named by the request's
 //! [`RequestKey::file_stem`] (see `docs/SERVICE.md` for the on-disk
-//! layout). Since durability v2 every write of the durable set is
-//! write-ahead journaled ([`crate::journal`]) before the entry file is
-//! touched, every write goes through the injectable [`StoreIo`] layer
-//! with fsync, and every entry carries a content checksum verified on
+//! layout). The store's one mutation, [`ScheduleStore::put`], is one
+//! atomic publish through the injectable [`StoreIo`] layer: the entry is
+//! written to a staging file and fsynced, renamed over its name, and the
+//! directory is synced. Every entry carries a content checksum verified on
 //! every read path. The resulting guarantee — proven by the crash-point
 //! sweep in `tests/durability.rs` — is that a kill at *any* I/O boundary
 //! leaves a store that reopens to either the pre-write or the post-write
-//! bytes of the interrupted write, never a third state.
+//! bytes of the interrupted write, never a third state. A put killed
+//! before its rename was never acknowledged (the daemon answers only after
+//! `put` returns), and every answer is a deterministic function of its
+//! canonical request, so losing it costs one recompute, never a wrong
+//! answer.
 //!
 //! Every entry carries [`STORE_SCHEMA_VERSION`]; decoding is a
 //! typed-error path ([`ArtifactError`], shared with every other artifact
-//! family): a torn or corrupt file, checksum mismatch and version skew
-//! surface to the caller, never as a panic. The daemon heals them all the
-//! same way — treat as a miss, recompute, overwrite — counting checksum
-//! mismatches in [`StoreStats::checksum_failures`].
+//! family): a torn or corrupt file, checksum mismatch, version skew and an
+//! entry that answers another request than its file names surface to the
+//! caller, never as a panic. The daemon heals them all the same way —
+//! treat as a miss, recompute, overwrite — counting checksum mismatches in
+//! [`StoreStats::checksum_failures`].
 //!
 //! In memory the store keeps at most `capacity` decoded entries in an LRU
 //! map; colder entries stay on disk and are decoded back in on demand.
-//! The disk set is the source of truth — a daemon restart reloads it
-//! (applying the journal first), which is what makes repeat traffic
-//! near-free across restarts.
+//! The disk set is the source of truth — a daemon restart reloads it,
+//! which is what makes repeat traffic near-free across restarts.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -35,14 +39,20 @@ use artifact::{
 use cuasmrl::OptimizationReport;
 use serde::{Deserialize, Serialize};
 
-use crate::journal::{self, Journal, JournalOp};
-use crate::protocol::RequestKey;
+use crate::protocol::{file_stem_of, RequestKey};
 
 /// Version of the store's on-disk entry schema. Bumped on any field-level
 /// change; entries with another version decode to
 /// [`ArtifactError::UnsupportedVersion`]. v2 added the `generation` stamp
-/// and the `checksum` trailer field.
+/// (retired since, see [`StoreEntry::generation`]) and the `checksum`
+/// trailer field.
 pub const STORE_SCHEMA_VERSION: u32 = 2;
+
+/// File name of the write-ahead journal earlier builds kept in a store
+/// directory. Retired: the only records it held that the entry files did
+/// not were puts never acknowledged, so [`ScheduleStore::open`] removes a
+/// leftover one as crash debris and `cuasmrld-fsck` calls it `orphaned`.
+pub const JOURNAL_FILE: &str = "journal.wal";
 
 /// One persisted schedule: the canonical request it answers plus the
 /// optimization report.
@@ -58,11 +68,9 @@ pub struct StoreEntry {
     pub kernel: String,
     /// Base search seed.
     pub seed: u64,
-    /// Journal generation at write time — provenance, not content:
-    /// excluded from the checksum, stamped by [`ScheduleStore::put`].
-    /// `cuasmrld-fsck` flags entries from a *future* generation
-    /// (`stale-generation`), the signature of a store directory mixed
-    /// from different machines or restored from a newer backup.
+    /// Retired: the journal generation earlier builds stamped at write
+    /// time. Never stamped now, and outside the checksum, so entries those
+    /// builds wrote still decode and verify.
     #[serde(default)]
     pub generation: u64,
     /// FNV-1a-64 (hex) over the entry's content fields — see
@@ -76,7 +84,7 @@ pub struct StoreEntry {
 
 impl StoreEntry {
     /// The checksum of the entry's content fields (everything except the
-    /// checksum itself and the `generation` provenance stamp), as 16 hex
+    /// checksum itself and the retired `generation` stamp), as 16 hex
     /// digits of FNV-1a-64.
     #[must_use]
     pub fn content_checksum(&self) -> String {
@@ -96,6 +104,17 @@ impl StoreEntry {
         self.checksum = self.content_checksum();
         self
     }
+
+    /// The file stem of the request this entry answers — the
+    /// [`RequestKey::file_stem`] of its `arch`, `kernel` and `canonical`.
+    #[must_use]
+    pub fn file_stem(&self) -> String {
+        file_stem_of(
+            &self.arch,
+            &self.kernel,
+            &fnv1a64_hex(self.canonical.as_bytes()),
+        )
+    }
 }
 
 /// Counters of the store's effectiveness, for telemetry and the load
@@ -110,10 +129,11 @@ pub struct StoreStats {
     pub disk_hits: u64,
     /// Entries currently decoded in memory.
     pub entries_in_memory: usize,
-    /// Undecodable entry files skipped when the store was opened.
+    /// Entry files skipped when the store was opened: undecodable, or
+    /// answering another request than their file names.
     pub skipped_at_open: usize,
-    /// Orphaned temp files (from a crash mid-write) swept when the store
-    /// was opened.
+    /// Crash debris swept when the store was opened: orphaned temp files
+    /// from a kill mid-write, and a retired [`JOURNAL_FILE`].
     pub tmp_swept: usize,
     /// Serialized bytes of the entries currently held in the in-memory LRU
     /// map — with `entries_in_memory`, the memory-pressure gauge a status
@@ -127,20 +147,10 @@ pub struct StoreStats {
     /// since durability v2.
     #[serde(default)]
     pub checksum_failures: u64,
-    /// Journal records applied at open because the entry files did not
-    /// reflect them (a kill interrupted the covered mutation). Additive
-    /// since durability v2.
+    /// Retired: journal records an earlier build replayed at open. Always
+    /// 0 now that the store keeps no journal.
     #[serde(default)]
     pub journal_replayed: u64,
-    /// Torn journal tails (or damaged headers) truncated at open — each is
-    /// one in-flight mutation that a kill made absent-not-torn. Additive
-    /// since durability v2.
-    #[serde(default)]
-    pub journal_torn: u64,
-    /// Current journal generation (a gauge, bumped on every rotation).
-    /// Additive since durability v2.
-    #[serde(default)]
-    pub generation: u64,
 }
 
 struct Inner {
@@ -150,9 +160,6 @@ struct Inner {
     /// `entries` so `stats.lru_bytes` is always the exact LRU footprint.
     sizes: HashMap<String, u64>,
     stats: StoreStats,
-    /// The write-ahead journal, under the same lock as the maps so every
-    /// append is strictly ordered with the mutation it covers.
-    journal: Journal,
 }
 
 impl Inner {
@@ -198,12 +205,6 @@ pub struct ScheduleStore {
 }
 
 impl ScheduleStore {
-    /// Journal appends between automatic rotations. Entry files are
-    /// written eagerly at put time, so rotation only retires redundant
-    /// records; this bound caps how much redundant journal a healthy store
-    /// carries.
-    pub const JOURNAL_ROTATE_EVERY: u64 = 64;
-
     /// Locks the inner state, recovering from poison: every mutation under
     /// this mutex is a single complete insert/touch, so state is consistent
     /// even if a panicking thread held the lock — a poisoned store must not
@@ -217,8 +218,8 @@ impl ScheduleStore {
     ///
     /// # Errors
     ///
-    /// Returns [`ArtifactError::Io`] when the directory cannot be created,
-    /// listed, or its journal recovered.
+    /// Returns [`ArtifactError::Io`] when the directory cannot be created
+    /// or listed.
     pub fn open(dir: impl Into<PathBuf>, capacity: usize) -> Result<ScheduleStore, ArtifactError> {
         Self::open_with_io(dir, capacity, Arc::new(RealIo))
     }
@@ -227,12 +228,9 @@ impl ScheduleStore {
     /// suite passes a [`crate::CrashPointIo`] here to kill the store at
     /// every I/O boundary.
     ///
-    /// Open is also recovery: orphaned temp files left by a crash
-    /// mid-write are swept (counted in [`StoreStats::tmp_swept`]), the
-    /// write-ahead journal is replayed — rewriting any entry file a kill
-    /// left behind its covering record ([`StoreStats::journal_replayed`]),
-    /// truncating a torn tail ([`StoreStats::journal_torn`]) — and then
-    /// rotated to a fresh generation. Entry files that fail to decode are
+    /// Open sweeps crash debris ([`is_store_debris`], counted in
+    /// [`StoreStats::tmp_swept`]) and loads entries. Entry files that fail
+    /// to decode, or answer another request than their file names, are
     /// skipped and counted in [`StoreStats::skipped_at_open`] (checksum
     /// mismatches additionally in [`StoreStats::checksum_failures`]) — one
     /// damaged file never takes the store down; the entry is recomputed
@@ -240,8 +238,8 @@ impl ScheduleStore {
     ///
     /// # Errors
     ///
-    /// Returns [`ArtifactError::Io`] when the directory cannot be created or
-    /// listed, or journal recovery cannot write.
+    /// Returns [`ArtifactError::Io`] when the directory cannot be created
+    /// or listed.
     pub fn open_with_io(
         dir: impl Into<PathBuf>,
         capacity: usize,
@@ -249,39 +247,19 @@ impl ScheduleStore {
     ) -> Result<ScheduleStore, ArtifactError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let mut stats = StoreStats::default();
-
-        // 1. Sweep crash debris: a temp file is by construction
-        // unpublished (the rename never happened), so removal is always
-        // safe.
-        for name in list_dir(&dir)? {
-            if is_temp_debris(&name) && io.remove(&dir.join(&name)).is_ok() {
-                stats.tmp_swept += 1;
-            }
-        }
-
-        // 2. Recover the journal: publish the writes the entry files do not
-        // reflect, then rotate to a fresh generation (which also truncates
-        // any torn tail).
-        let (mut journal, replay) = Journal::open(&dir, Arc::clone(&io))?;
-        if replay.torn_tail || replay.damaged_header {
-            stats.journal_torn += 1;
-        }
-        for put in journal::unapplied(&dir, io.as_ref(), &replay.ops)? {
-            publish_atomic(io.as_ref(), &dir.join(&put.file), put.bytes.as_bytes())?;
-            stats.journal_replayed += 1;
-        }
-        journal.rotate()?;
-        stats.generation = journal.generation();
-
-        // 3. Reload the durable set into the LRU map, up to capacity.
         let mut inner = Inner {
             entries: HashMap::new(),
             recency: VecDeque::new(),
             sizes: HashMap::new(),
-            stats,
-            journal,
+            stats: StoreStats::default(),
         };
+        for name in list_dir(&dir)? {
+            if is_store_debris(&name) && io.remove(&dir.join(&name)).is_ok() {
+                inner.stats.tmp_swept += 1;
+            }
+        }
+
+        // Reload the durable set into the LRU map, up to capacity.
         let mut names: Vec<String> = list_dir(&dir)?
             .into_iter()
             .filter(|name| is_entry_file(name))
@@ -295,7 +273,7 @@ impl ScheduleStore {
             match io
                 .read(&path)
                 .map_err(ArtifactError::Io)
-                .and_then(|bytes| decode_entry_bytes(&path, &bytes))
+                .and_then(|bytes| decode_entry_file(&path, &bytes))
             {
                 Ok(entry) => inner.insert(name.trim_end_matches(".json"), entry, capacity),
                 Err(err) => {
@@ -315,19 +293,21 @@ impl ScheduleStore {
         })
     }
 
-    /// Decodes one entry file with the full typed-error path.
+    /// Decodes one entry file with the full typed-error path, including
+    /// the check that the entry answers the request its file names.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::Io`] when the file cannot be read,
     /// [`ArtifactError::Torn`] when it ends before the entry does,
-    /// [`ArtifactError::Corrupt`] when it is not a valid entry,
+    /// [`ArtifactError::Corrupt`] when it is not a valid entry or answers
+    /// another request than its file name,
     /// [`ArtifactError::UnsupportedVersion`] on schema-version skew,
     /// [`ArtifactError::ChecksumMismatch`] when the content does not match
     /// its recorded checksum.
     pub fn decode_entry(path: &Path) -> Result<StoreEntry, ArtifactError> {
         let bytes = std::fs::read(path)?;
-        decode_entry_bytes(path, &bytes)
+        decode_entry_file(path, &bytes)
     }
 
     /// The store's root directory.
@@ -350,40 +330,59 @@ impl ScheduleStore {
     }
 
     /// Looks a key up: memory first, then disk (decoding the entry back
-    /// into the LRU map on a disk hit).
+    /// into the LRU map on a disk hit). Either way the entry must answer
+    /// the key's canonical request.
     ///
     /// # Errors
     ///
     /// Propagates the typed decode error when the entry file exists but
     /// cannot be read — the caller decides whether to recompute (the
-    /// daemon does, overwriting the damaged file). A
-    /// [`ArtifactError::ChecksumMismatch`] is additionally counted in
+    /// daemon does, overwriting the damaged file). An entry whose
+    /// canonical request is not the key's (a file copied onto another
+    /// key's name, or a digest collision) is [`ArtifactError::Corrupt`].
+    /// A [`ArtifactError::ChecksumMismatch`] is additionally counted in
     /// [`StoreStats::checksum_failures`].
     pub fn get(&self, key: &RequestKey) -> Result<Option<StoreEntry>, ArtifactError> {
         let stem = key.file_stem();
         let mut inner = self.lock_inner();
-        if let Some(entry) = inner.entries.get(&stem).cloned() {
-            inner.stats.hits += 1;
-            inner.touch(&stem);
-            return Ok(Some(entry));
-        }
-        let path = self.entry_path(key);
-        let bytes = match self.io.read(&path) {
-            Ok(bytes) => bytes,
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-                inner.stats.misses += 1;
-                return Ok(None);
-            }
-            Err(err) => {
-                inner.stats.misses += 1;
-                return Err(err.into());
+        let cached = inner.entries.get(&stem).cloned();
+        let from_disk = cached.is_none();
+        let found = match cached {
+            Some(entry) => Ok(entry),
+            None => {
+                let path = self.entry_path(key);
+                match self.io.read(&path) {
+                    Ok(bytes) => decode_entry_file(&path, &bytes),
+                    Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
+                        inner.stats.misses += 1;
+                        return Ok(None);
+                    }
+                    Err(err) => Err(err.into()),
+                }
             }
         };
-        match decode_entry_bytes(&path, &bytes) {
+        let answer = found.and_then(|entry| {
+            if entry.canonical == key.canonical {
+                Ok(entry)
+            } else {
+                Err(ArtifactError::Corrupt {
+                    detail: format!(
+                        "entry answers `{}`, not `{}`",
+                        entry.canonical, key.canonical
+                    ),
+                    path: self.entry_path(key),
+                })
+            }
+        });
+        match answer {
             Ok(entry) => {
                 inner.stats.hits += 1;
-                inner.stats.disk_hits += 1;
-                inner.insert(&stem, entry.clone(), self.capacity);
+                if from_disk {
+                    inner.stats.disk_hits += 1;
+                    inner.insert(&stem, entry.clone(), self.capacity);
+                } else {
+                    inner.touch(&stem);
+                }
                 Ok(Some(entry))
             }
             Err(err) => {
@@ -399,46 +398,28 @@ impl ScheduleStore {
     /// Persists an entry atomically-or-absent and caches it in memory,
     /// evicting the least-recently-used entry beyond capacity.
     ///
-    /// The write is journaled first (fsynced), then published via temp
-    /// file + rename: a kill during the append leaves a torn tail that
-    /// truncates away (absent), a kill anywhere after it is replayed from
-    /// the journal at the next open (post-write). The entry is stamped
-    /// with the current journal generation; its content checksum (see
-    /// [`StoreEntry::seal`]) is written exactly as given — planting an
-    /// unsealed or skewed entry is how the tests prove the read paths
-    /// catch damage.
+    /// The write is one [`publish_atomic`]: staging file written and
+    /// fsynced, renamed over the entry's name, directory synced (under
+    /// [`RealIo`]). A kill before the rename leaves the old bytes plus
+    /// debris the next open sweeps; after it, the new bytes. The entry is
+    /// written exactly as given — planting an unsealed or skewed entry is
+    /// how the tests prove the read paths catch damage.
     ///
     /// # Errors
     ///
-    /// Returns [`ArtifactError::Io`] when the journal append, write or
-    /// rename fails.
-    pub fn put(&self, key: &RequestKey, mut entry: StoreEntry) -> Result<(), ArtifactError> {
-        let stem = key.file_stem();
-        let final_path = self.entry_path(key);
-        let mut inner = self.lock_inner();
-        entry.generation = inner.journal.generation();
+    /// Returns [`ArtifactError::Io`] when the write or rename fails.
+    pub fn put(&self, key: &RequestKey, entry: StoreEntry) -> Result<(), ArtifactError> {
+        let path = self.entry_path(key);
         let text = serde_json::to_string_pretty(&entry).map_err(|err| ArtifactError::Corrupt {
-            path: final_path.clone(),
+            path: path.clone(),
             detail: err.to_string(),
         })?;
-        inner.journal.append(&JournalOp::Put {
-            stem: stem.clone(),
-            entry: entry.clone(),
-        })?;
-        publish_atomic(self.io.as_ref(), &final_path, text.as_bytes())?;
-        inner.insert(&stem, entry, self.capacity);
-        if inner.journal.appends_since_rotate() >= Self::JOURNAL_ROTATE_EVERY {
-            inner.journal.rotate()?;
-            inner.stats.generation = inner.journal.generation();
-        }
+        // Publish under the lock, so memory and disk agree on which of two
+        // racing puts of one key won.
+        let mut inner = self.lock_inner();
+        publish_atomic(self.io.as_ref(), &path, text.as_bytes())?;
+        inner.insert(&key.file_stem(), entry, self.capacity);
         Ok(())
-    }
-
-    /// The current journal generation (what new entries are stamped
-    /// with).
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.lock_inner().journal.generation()
     }
 
     /// Current effectiveness counters.
@@ -456,8 +437,9 @@ impl ScheduleStore {
     }
 }
 
-/// Decodes entry bytes with the full typed-error path (see
-/// [`ScheduleStore::decode_entry`]).
+/// Decodes entry bytes with the full typed-error path, judging the
+/// content alone (see [`ScheduleStore::decode_entry`] for the check
+/// against the file name).
 ///
 /// # Errors
 ///
@@ -484,6 +466,22 @@ pub fn decode_entry_bytes(path: &Path, bytes: &[u8]) -> Result<StoreEntry, Artif
     Ok(entry)
 }
 
+/// [`decode_entry_bytes`], then the provenance check: an entry answers
+/// only the request its file names, so one whose [`StoreEntry::file_stem`]
+/// is not the file's stem is [`ArtifactError::Corrupt`].
+fn decode_entry_file(path: &Path, bytes: &[u8]) -> Result<StoreEntry, ArtifactError> {
+    let entry = decode_entry_bytes(path, bytes)?;
+    let named = path.file_stem().unwrap_or_default().to_string_lossy();
+    let answers = entry.file_stem();
+    if answers != named {
+        return Err(ArtifactError::Corrupt {
+            path: path.to_path_buf(),
+            detail: format!("entry answers {answers}, but its file names {named}"),
+        });
+    }
+    Ok(entry)
+}
+
 /// Whether a file name is a store entry's: `.json`, but not a service
 /// telemetry manifest (those share the directory — see
 /// `docs/ARTIFACTS.md` — and have their own sealed format).
@@ -491,7 +489,16 @@ fn is_entry_file(name: &str) -> bool {
     name.ends_with(".json") && !name.ends_with("_telemetry.json")
 }
 
-/// The file names in `dir` — what [`is_temp_debris`] and
+/// Whether a file name is crash debris the store's open removes:
+/// unpublished staging files ([`is_temp_debris`]) and a retired
+/// [`JOURNAL_FILE`].
+/// `cuasmrld-fsck` calls exactly these files `orphaned`.
+#[must_use]
+pub fn is_store_debris(name: &str) -> bool {
+    is_temp_debris(name) || name == JOURNAL_FILE
+}
+
+/// The file names in `dir` — what [`is_store_debris`] and
 /// [`is_entry_file`] classify.
 fn list_dir(dir: &Path) -> std::io::Result<Vec<String>> {
     Ok(std::fs::read_dir(dir)?
@@ -503,7 +510,6 @@ fn list_dir(dir: &Path) -> std::io::Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::JOURNAL_FILE;
     use crate::protocol::{CanonicalRequest, OptimizeRequest, RequestDefaults};
 
     fn key_for(kernel: &str, seed: u64) -> RequestKey {
@@ -569,9 +575,6 @@ mod tests {
         let entry = store.get(&key).unwrap().expect("entry survived restart");
         assert_eq!(entry.kernel, "softmax");
         assert_eq!(store.entries_on_disk(), 1);
-        // The restart rotated the journal: the put's record is retired, so
-        // damage below cannot be silently healed from stale evidence.
-        assert!(store.generation() >= 2);
 
         // Damage the file: decoding is a typed error, opening skips it.
         let path = store.entry_path(&key);
@@ -695,8 +698,6 @@ mod tests {
         assert_eq!(stats.lru_bytes, 0);
         assert_eq!(stats.checksum_failures, 0);
         assert_eq!(stats.journal_replayed, 0);
-        assert_eq!(stats.journal_torn, 0);
-        assert_eq!(stats.generation, 0);
         assert_eq!(stats.hits, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -714,11 +715,8 @@ mod tests {
         let cold = key_for("bmm", 2);
 
         // A fat entry, then plant corruption over it on disk: recorded
-        // checksum no longer matches the (still fat) content. Reopen first
-        // so the rotation leaves no record to silently heal it from.
+        // checksum no longer matches the (still fat) content.
         store.put(&hot, padded_entry_for(&hot, 1, 4096)).unwrap();
-        drop(store);
-        let store = ScheduleStore::open(&dir, 2).unwrap();
         let mut damaged = padded_entry_for(&hot, 1, 4096);
         damaged.checksum = "0000000000000000".to_string();
         let text = serde_json::to_string_pretty(&damaged).unwrap();
@@ -789,53 +787,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An entry answers only the request it names: key A's sealed bytes
+    /// copied onto key B's file are refused by `get` and skipped by `open`,
+    /// and a key whose digest collides with A's file is refused too.
     #[test]
-    fn the_journal_replays_a_lost_entry_write_at_open() {
-        let dir = temp_dir("replay");
+    fn an_entry_answers_only_the_request_its_file_names() {
+        let dir = temp_dir("provenance");
         let _ = std::fs::remove_dir_all(&dir);
-        let key = key_for("softmax", 3);
+        let a = key_for("softmax", 1);
+        let b = key_for("bmm", 2);
         let store = ScheduleStore::open(&dir, 8).unwrap();
-        store.put(&key, entry_for(&key, 3)).unwrap();
-        let good = std::fs::read(store.entry_path(&key)).unwrap();
-        // Simulate a kill after the journal append but before the entry
-        // file survived: delete the published file without rotating.
-        std::fs::remove_file(store.entry_path(&key)).unwrap();
+        store.put(&a, entry_for(&a, 1)).unwrap();
+        assert_eq!(entry_for(&a, 1).file_stem(), a.file_stem());
+        std::fs::copy(store.entry_path(&a), store.entry_path(&b)).unwrap();
         drop(store);
 
-        let reopened = ScheduleStore::open(&dir, 8).unwrap();
-        assert_eq!(reopened.stats().journal_replayed, 1);
-        assert_eq!(
-            std::fs::read(reopened.entry_path(&key)).unwrap(),
-            good,
-            "replay rewrote the exact post-write bytes"
-        );
-        assert!(reopened.get(&key).unwrap().is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rotation_is_periodic() {
-        let dir = temp_dir("rotate");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ScheduleStore::open(&dir, 4).unwrap();
-        let opened_at = store.generation();
-        let journal_len = || std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
-        for seed in 0..ScheduleStore::JOURNAL_ROTATE_EVERY {
-            assert_eq!(store.generation(), opened_at, "no rotation mid-window");
-            let key = key_for("softmax", seed % 3);
-            store.put(&key, entry_for(&key, seed)).unwrap();
+        let store = ScheduleStore::open(&dir, 8).unwrap();
+        assert_eq!(store.stats().skipped_at_open, 1, "B's file is skipped");
+        assert_eq!(store.stats().checksum_failures, 0, "its bytes are sound");
+        match store.get(&b) {
+            Err(ArtifactError::Corrupt { detail, .. }) => {
+                assert!(detail.contains(&a.file_stem()), "{detail}");
+            }
+            other => panic!("B answered with A's entry: {other:?}"),
         }
-        assert_eq!(store.generation(), opened_at + 1);
-        assert_eq!(store.stats().generation, opened_at + 1);
-        // The journal file is back to a bare header after the rotation.
+        assert!(matches!(
+            ScheduleStore::decode_entry(&store.entry_path(&b)),
+            Err(ArtifactError::Corrupt { .. })
+        ));
+        assert_eq!(store.get(&a).unwrap().unwrap().canonical, a.canonical);
+
+        // A digest collision: another request named by A's file. Only the
+        // canonical comparison in `get` can tell them apart.
+        let collision = RequestKey {
+            canonical: format!("{};collides", a.canonical),
+            ..a.clone()
+        };
+        let cold = ScheduleStore::open(&dir, 8).unwrap();
+        assert!(matches!(
+            cold.get(&collision),
+            Err(ArtifactError::Corrupt { .. })
+        ));
+
+        // Healing B is a recompute that overwrites the file.
+        cold.put(&b, entry_for(&b, 2)).unwrap();
         assert_eq!(
-            journal_len(),
-            20,
-            "header only: 8 magic + 4 version + 8 gen"
+            ScheduleStore::open(&dir, 8)
+                .unwrap()
+                .stats()
+                .skipped_at_open,
+            0
         );
-        let key = key_for("softmax", 0);
-        store.put(&key, entry_for(&key, 0)).unwrap();
-        assert!(journal_len() > 20, "the next put appends again");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,8 +4,9 @@
 //! or `cuasmrld-fsck --repair` — always lands every key on a state the
 //! store legitimately passed through: absent, the first written value, or
 //! the second. Never a third state. At every one of those crash points
-//! fsck's verdict also predicts the reopen: the entries it calls torn for
-//! a journal reason are exactly the ones the next open rewrites.
+//! fsck's verdict also predicts the reopen: the files it calls non-ok are
+//! exactly the debris the next open sweeps, and no entry file is ever
+//! torn — a put is one atomic publish.
 //!
 //! The op list is not hard-coded: a recording run enumerates the cycle's
 //! actual I/O sequence ([`CrashPointIo::recording`]), so the sweep stays
@@ -22,10 +23,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use artifact::{is_temp_debris, UnsyncedIo};
+use cuasmrld::store::is_store_debris;
 use cuasmrld::{
     decode_entry_bytes, fsck, is_simulated_crash, ArtifactError, CanonicalRequest, CrashEffect,
     CrashPoint, CrashPointIo, OptimizeRequest, RequestDefaults, RequestKey, ScheduleStore,
-    StoreEntry, StoreIo, STORE_SCHEMA_VERSION,
+    StoreEntry, StoreIo, JOURNAL_FILE, STORE_SCHEMA_VERSION,
 };
 
 fn key_for(kernel: &str, seed: u64) -> RequestKey {
@@ -177,8 +179,8 @@ impl Cycle {
     }
 }
 
-/// Recovery path (a): just reopen the store — open is recovery (sweep,
-/// replay, rotate).
+/// Recovery path (a): just reopen the store — open is recovery (it sweeps
+/// the debris).
 fn recover_by_reopen(cycle: &Cycle, dir: &Path, label: &str) {
     let store = ScheduleStore::open(dir, 2)
         .unwrap_or_else(|err| panic!("{label}: reopen after crash failed: {err}"));
@@ -229,14 +231,16 @@ fn the_sweep_covers_every_io_boundary_and_recovery_never_invents_state() {
         ops.len() >= 12,
         "the cycle must exercise a real I/O sequence, got {ops:?}"
     );
-    // Every mutation kind the StoreIo trait defines shows up — the sweep
-    // genuinely enumerates the whole surface.
-    for kind in ["read", "write", "append", "rename", "remove"] {
+    // Every operation kind the store performs shows up — the sweep
+    // genuinely enumerates its whole surface — and it appends nothing: a
+    // put is one atomic publish, with no journal in front of it.
+    for kind in ["read", "write", "rename", "remove"] {
         assert!(
             ops.iter().any(|op| op.kind == kind),
             "cycle never performed a {kind}; ops: {ops:?}"
         );
     }
+    assert!(ops.iter().all(|op| op.kind != "append"), "{ops:?}");
 
     // 2. The sweep proper: for every ordinal x every crash effect, run the
     // cycle to its deterministic death, then recover — alternating between
@@ -267,12 +271,11 @@ fn the_sweep_covers_every_io_boundary_and_recovery_never_invents_state() {
     assert_eq!(scenarios, ops.len() * 3);
 }
 
-/// The entry files of `dir` and their bytes.
-fn entry_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+/// The files of `dir` and their bytes.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
         .unwrap()
         .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|name| name.ends_with(".json") && !is_temp_debris(name))
         .map(|name| {
             let bytes = std::fs::read(dir.join(&name)).unwrap();
             (name, bytes)
@@ -283,10 +286,10 @@ fn entry_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 }
 
 #[test]
-fn fsck_verify_predicts_what_reopen_replays_at_every_crash_point() {
+fn fsck_verify_predicts_what_reopen_sweeps_at_every_crash_point() {
     let cycle = Cycle::new();
     let ops = recorded_ops(&cycle);
-    let mut replays = 0u64;
+    let mut swept = 0usize;
     for op in &ops {
         for effect in [CrashEffect::Before, CrashEffect::Torn, CrashEffect::After] {
             let label = format!("ordinal {} ({}) {effect}", op.ordinal, op.kind);
@@ -295,35 +298,42 @@ fn fsck_verify_predicts_what_reopen_replays_at_every_crash_point() {
                 effect,
             };
 
-            // What verify calls torn for a journal reason…
+            // What verify calls non-ok is debris, never a torn entry…
             let dir = temp_dir(&format!("predict-{}-{effect}", op.ordinal));
             cycle.crash(&dir, point, &label);
             let report = fsck(&dir, false).unwrap();
-            let mut predicted: Vec<&str> = report
+            assert_eq!(report.torn + report.corrupt, 0, "{label}: {report:?}");
+            let predicted: Vec<&str> = report
                 .entries
                 .iter()
-                .filter(|e| e.verdict == "torn" && e.detail.starts_with("journaled write"))
+                .filter(|e| e.verdict != "ok")
                 .map(|e| e.file.as_str())
                 .collect();
-            predicted.sort_unstable();
-            // …is exactly what the next open rewrites.
-            let before = entry_files(&dir);
+            assert!(
+                predicted.iter().all(|file| is_store_debris(file)),
+                "{label}: {report:?}"
+            );
+            // …and is exactly what the next open sweeps, which writes
+            // nothing and leaves every other file as it was.
+            let before = files(&dir);
             let store = ScheduleStore::open(&dir, 2)
                 .unwrap_or_else(|err| panic!("{label}: reopen failed: {err}"));
-            let after = entry_files(&dir);
-            let rewritten: Vec<&str> = after
+            let after = files(&dir);
+            let removed: Vec<&str> = before
                 .iter()
-                .filter(|file| !before.contains(file))
+                .filter(|file| !after.contains(file))
                 .map(|(name, _)| name.as_str())
                 .collect();
-            assert_eq!(predicted, rewritten, "{label}: {report:?}");
-            assert_eq!(
-                store.stats().journal_replayed,
-                predicted.len() as u64,
-                "{label}"
+            assert_eq!(predicted, removed, "{label}: {report:?}");
+            assert!(
+                after.iter().all(|file| before.contains(file)),
+                "{label}: the reopen wrote"
             );
-            replays += store.stats().journal_replayed;
+            assert_eq!(store.stats().tmp_swept, predicted.len(), "{label}");
+            assert_eq!(store.stats().skipped_at_open, 0, "{label}");
+            swept += predicted.len();
             drop(store);
+            cycle.assert_no_third_state(&dir, &label);
             let _ = std::fs::remove_dir_all(&dir);
 
             // And a repair leaves a directory verify calls healthy.
@@ -336,9 +346,69 @@ fn fsck_verify_predicts_what_reopen_replays_at_every_crash_point() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
-    // The sweep crosses the interrupted overwrite: at least one crash
-    // point leaves B's first value behind its journaled second one.
-    assert!(replays > 0, "no crash point needed a replay");
+    // The sweep crosses kills between a publish's write and its rename:
+    // at least one crash point leaves debris for the reopen to sweep.
+    assert!(swept > 0, "no crash point left debris");
+}
+
+/// A store directory as the journaled build left it — sealed entries
+/// stamped with journal generations, beside a `journal.wal` — upgrades
+/// without a recompute: verify calls the journal `orphaned` and every
+/// entry `ok`, the open removes the journal and serves every entry, and
+/// a repair of a second copy leaves it healthy.
+#[test]
+fn a_store_left_by_the_journaled_build_upgrades_without_recompute() {
+    let cycle = Cycle::new();
+    let dirs = [temp_dir("upgrade-open"), temp_dir("upgrade-repair")];
+    let entries = [
+        (&cycle.a, &cycle.a_value),
+        (&cycle.b, &cycle.b_second),
+        (&cycle.c, &cycle.c_value),
+    ];
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).unwrap();
+        for (generation, (key, value)) in (1u64..).zip(entries) {
+            let mut stamped = value.clone();
+            stamped.generation = generation;
+            let bytes = serde_json::to_string_pretty(&stamped).unwrap();
+            std::fs::write(dir.join(format!("{}.json", key.file_stem())), bytes).unwrap();
+        }
+        std::fs::write(
+            dir.join(JOURNAL_FILE),
+            b"CASRLWAL\x01\0\0\0 arbitrary bytes",
+        )
+        .unwrap();
+    }
+
+    let dry = fsck(&dirs[0], false).unwrap();
+    assert_eq!(
+        (dry.ok, dry.orphaned, dry.entries.len()),
+        (3, 1, 4),
+        "{dry:?}"
+    );
+    let journal = dry.entries.iter().find(|e| e.file == JOURNAL_FILE).unwrap();
+    assert_eq!(journal.verdict, "orphaned");
+
+    let store = ScheduleStore::open(&dirs[0], 2).unwrap();
+    assert!(!dirs[0].join(JOURNAL_FILE).exists());
+    for (key, value) in entries {
+        let entry = store.get(key).unwrap().expect("the entry serves");
+        assert_eq!(entry.checksum, value.checksum);
+    }
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.misses, stats.skipped_at_open), (3, 0, 0));
+    assert_eq!(stats.tmp_swept, 1);
+    drop(store);
+    assert!(fsck(&dirs[0], false).unwrap().healthy());
+
+    let repaired = fsck(&dirs[1], true).unwrap();
+    assert_eq!((repaired.quarantined, repaired.unrepairable), (1, 0));
+    let after = fsck(&dirs[1], false).unwrap();
+    assert!(after.healthy() && after.ok == 3, "{after:?}");
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

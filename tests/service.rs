@@ -141,16 +141,14 @@ fn the_store_survives_a_daemon_restart_and_recovers_from_corruption() {
         server.shutdown();
     }
 
-    // Damage the entry on disk, three ways: the next daemon skips it at
+    // Damage the entry on disk, four ways: the next daemon skips it at
     // open, recomputes on demand, overwrites the damage, and the answer
-    // bytes still match (determinism makes recovery invisible). The store
-    // is opened first so its journal rotates and no record covers the
-    // entry: the damage reaches the daemon instead of being replayed away.
+    // bytes still match (determinism makes recovery invisible).
     let canonical = request.canonicalize(&config.defaults()).expect("canonical");
     let key = cuasmrld::RequestKey::of(&canonical);
     // (label, whether it is a checksum failure, damaged bytes of the entry)
     type Damage = (&'static str, bool, fn(&[u8]) -> Vec<u8>);
-    let damages: [Damage; 3] = [
+    let damages: [Damage; 4] = [
         ("undecodable", false, |_| b"{ damaged".to_vec()),
         ("torn", false, |sealed| sealed[..sealed.len() / 2].to_vec()),
         ("checksum mismatch", true, |sealed| {
@@ -159,6 +157,18 @@ fn the_store_survives_a_daemon_restart_and_recovers_from_corruption() {
                 .expect("the healed entry decodes");
             entry.report.speedup += 1.0;
             serde_json::to_string_pretty(&entry)
+                .expect("entry encodes")
+                .into_bytes()
+        }),
+        ("another request's entry", false, |sealed| {
+            // A sound, sealed entry of the same kernel under the next
+            // seed, sitting on this request's file.
+            let mut entry = cuasmrld::decode_entry_bytes(std::path::Path::new("entry"), sealed)
+                .expect("the healed entry decodes");
+            entry.seed += 1;
+            let (tuple, _) = entry.canonical.rsplit_once(";seed=").expect("seed last");
+            entry.canonical = format!("{tuple};seed={}", entry.seed);
+            serde_json::to_string_pretty(&entry.seal())
                 .expect("entry encodes")
                 .into_bytes()
         }),
@@ -965,7 +975,7 @@ fn every_bare_first_frame_outcome_is_pinned_by_literal_bytes_and_closes_after_on
                 r#""degraded":0,"worker_panics":0,"status_served":1,"injected_faults":0,"#,
                 r#""checksum_failures":0},"store":{"hits":0,"misses":0,"disk_hits":0,"#,
                 r#""entries_in_memory":0,"skipped_at_open":0,"tmp_swept":0,"lru_bytes":0,"#,
-                r#""checksum_failures":0,"journal_replayed":0,"journal_torn":0,"generation":1},"#,
+                r#""checksum_failures":0,"journal_replayed":0},"#,
                 r#""workers":2,"queue_capacity":32,"queue_depth":0,"draining":false}}"#
             ),
         ),

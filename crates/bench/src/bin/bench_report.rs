@@ -14,10 +14,12 @@
 //!
 //! The report holds deterministic simulator outputs only and `compare` gates
 //! all of them: the geometric-mean speedup, verified-kernel counts, the
-//! simulator's engine-step counts (baseline kernels and autotuning) and the
+//! simulator's engine-step counts (baseline kernels and autotuning), the
+//! searches' eval-cache lookups, the distinct programs searched and the
 //! stall tables. Wall-clock claims
 //! belong to the repo benchmark (`benchmarks/`).
 
+use std::collections::HashSet;
 use std::process::ExitCode;
 
 use bench::{
@@ -93,14 +95,24 @@ fn baseline_sim_steps(harness: &HarnessArgs) -> u64 {
     steps
 }
 
-/// Engine steps of autotuning each of `specs` once, the way the suite
-/// driver does: its device, its space for the kernel, its tune options.
-fn autotune_sim_steps(driver: &SuiteOptimizer, specs: &[KernelSpec]) -> u64 {
+/// Autotunes each of `specs` once, the way the suite driver does (its
+/// device, its space for the kernel, its tune options), and returns the
+/// engine steps spent and the number of distinct Baseline listings the
+/// winning configurations generate — the programs the searches run on.
+fn autotune_work(driver: &SuiteOptimizer, specs: &[KernelSpec]) -> (u64, usize) {
     let tuner = Autotuner::new(driver.gpu().clone()).with_options(driver.tune_options().clone());
-    specs
-        .iter()
-        .map(|spec| tuner.tune(spec, &driver.config_space_for(spec)).sim_steps)
-        .sum()
+    let mut steps = 0;
+    let mut listings = HashSet::new();
+    for spec in specs {
+        let tuned = tuner.tune(spec, &driver.config_space_for(spec));
+        steps += tuned.sim_steps;
+        listings.insert(
+            generate(spec, &tuned.best, ScheduleStyle::Baseline)
+                .program
+                .to_string(),
+        );
+    }
+    (steps, listings.len())
 }
 
 fn run_mode(args: &[String]) -> ExitCode {
@@ -161,7 +173,10 @@ fn run_mode(args: &[String]) -> ExitCode {
                 report_dir: None,
             };
             let driver = suite_driver(&harness);
-            let report = driver.optimize_workload(&harness.workload(), harness.scale);
+            let workload = harness.workload();
+            let specs = workload.specs(harness.scale);
+            let (report, manifest) = driver.optimize_labeled_instrumented(&specs, workload.name);
+            let (autotune_sim_steps, distinct_programs) = autotune_work(&driver, &specs);
             cells.push(BenchCell {
                 arch: arch.clone(),
                 suite: suite.clone(),
@@ -169,10 +184,13 @@ fn run_mode(args: &[String]) -> ExitCode {
                 verified: report.verified,
                 kernels: report.reports.len(),
                 sim_steps: baseline_sim_steps(&harness),
-                autotune_sim_steps: autotune_sim_steps(
-                    &driver,
-                    &harness.workload().specs(harness.scale),
-                ),
+                autotune_sim_steps,
+                evaluations: manifest
+                    .kernels
+                    .iter()
+                    .map(|kernel| kernel.cache.hits + kernel.cache.misses)
+                    .sum(),
+                distinct_programs,
             });
         }
     }
@@ -218,18 +236,20 @@ fn run_mode(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "{:<24} {:>9} {:>10} {:>10} {:>13}",
-        "cell", "geomean", "verified", "sim_steps", "autotune_steps"
+        "{:<24} {:>9} {:>10} {:>10} {:>14} {:>11} {:>8}",
+        "cell", "geomean", "verified", "sim_steps", "autotune_steps", "evaluations", "programs"
     );
     for cell in &report.cells {
         println!(
-            "{:<24} {:>8.3}x {:>7}/{} {:>10} {:>13}",
+            "{:<24} {:>8.3}x {:>7}/{} {:>10} {:>14} {:>11} {:>8}",
             cell.key(),
             cell.geomean_speedup,
             cell.verified,
             cell.kernels,
             cell.sim_steps,
-            cell.autotune_sim_steps
+            cell.autotune_sim_steps,
+            cell.evaluations,
+            cell.distinct_programs
         );
     }
     println!("wrote {}", out.display());
@@ -277,7 +297,8 @@ fn compare_mode(args: &[String]) -> ExitCode {
         if let Some(cand) = candidate.cell(&base.arch, &base.suite) {
             println!(
                 "{:<24} geomean {:.3}x -> {:.3}x  verified {}/{} -> {}/{}  \
-                 sim steps {} -> {}  autotune steps {} -> {}",
+                 sim steps {} -> {}  autotune steps {} -> {}  \
+                 evaluations {} -> {}  programs {} -> {}",
                 base.key(),
                 base.geomean_speedup,
                 cand.geomean_speedup,
@@ -288,7 +309,11 @@ fn compare_mode(args: &[String]) -> ExitCode {
                 base.sim_steps,
                 cand.sim_steps,
                 base.autotune_sim_steps,
-                cand.autotune_sim_steps
+                cand.autotune_sim_steps,
+                base.evaluations,
+                cand.evaluations,
+                base.distinct_programs,
+                cand.distinct_programs
             );
         }
     }

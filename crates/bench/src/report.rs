@@ -4,7 +4,8 @@
 //! (architecture × workload suite) combination holding the
 //! machine-independent products of one full suite pass (geometric-mean
 //! speedup, verified-kernel count, simulator engine steps of the baseline
-//! kernels and of autotuning them), plus the
+//! kernels and of autotuning them, eval-cache lookups of the searches and
+//! distinct programs searched), plus the
 //! deterministic dependency-measured stall table per architecture.
 //! `bench_report compare` diffs a candidate report against a committed
 //! baseline with [`compare_reports`] and fails (nonzero exit) on any
@@ -12,8 +13,8 @@
 //!
 //! Every field is a deterministic product of the simulator and every field
 //! is gated: the geometric-mean speedup (equal up to last-ulp `libm`
-//! slack), verified-kernel and coverage counts, the engine-step count and
-//! the stall tables. The report carries no wall clock: every wall-clock
+//! slack), verified-kernel and coverage counts, the engine-step counts, the
+//! evaluation and distinct-program counts and the stall tables. The report carries no wall clock: every wall-clock
 //! claim belongs to the repo benchmark (`benchmarks/`, see
 //! `docs/PERFORMANCE.md`).
 
@@ -24,8 +25,9 @@ use serde::{Deserialize, Serialize};
 /// v2 dropped the wall-clock samples, the delta-sweep tallies and the
 /// `*-edits` companion cells, and re-sourced `sim_steps`; v3 added
 /// `autotune_sim_steps`; v4 dropped the reduced-budget flag from `config`:
-/// every cell is Figure 6's one search budget.
-pub const BENCH_REPORT_SCHEMA_VERSION: u32 = 4;
+/// every cell is Figure 6's one search budget; v5 added `evaluations` and
+/// `distinct_programs`.
+pub const BENCH_REPORT_SCHEMA_VERSION: u32 = 5;
 
 /// The run configuration a report was produced under.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,6 +61,14 @@ pub struct BenchCell {
     /// included) in the driver's space under its tune options: the work
     /// counter of the bounded autotune grid. Exact on any machine.
     pub autotune_sim_steps: u64,
+    /// Eval-cache lookups of the suite's searches, hits included
+    /// (`CacheTelemetry::hits + misses`, summed over the kernels): every
+    /// schedule the searches priced. Exact on any machine.
+    pub evaluations: u64,
+    /// Distinct Baseline listings among the suite's autotuned kernels: how
+    /// many different programs the cell's searches ran on. Exact on any
+    /// machine.
+    pub distinct_programs: usize,
 }
 
 impl BenchCell {
@@ -178,6 +188,19 @@ pub fn compare_reports(baseline: &BenchReport, candidate: &BenchReport) -> Vec<S
                 base.autotune_sim_steps, cand.autotune_sim_steps
             ));
         }
+        if cand.evaluations != base.evaluations {
+            regressions.push(format!(
+                "{key}: evaluations changed {} -> {} \
+                 (deterministic work counter; regenerate the baseline if intended)",
+                base.evaluations, cand.evaluations
+            ));
+        }
+        if cand.distinct_programs != base.distinct_programs {
+            regressions.push(format!(
+                "{key}: distinct programs changed {} -> {}",
+                base.distinct_programs, cand.distinct_programs
+            ));
+        }
     }
     for base_arch in &baseline.stall_counts {
         let Some(cand_arch) = candidate
@@ -229,6 +252,8 @@ mod tests {
                 kernels: 6,
                 sim_steps: 9_000,
                 autotune_sim_steps: 40_000,
+                evaluations: 50_000,
+                distinct_programs: 5,
             }],
             stall_counts: vec![ArchStalls {
                 arch: "ampere".to_string(),
@@ -303,6 +328,37 @@ mod tests {
                     "autotune simulator steps changed 40000 -> {}",
                     40_000 + delta
                 )),
+                "{regressions:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn evaluation_counter_is_gated_exactly() {
+        let base = report();
+        for delta in [1_i64, -1] {
+            let mut moved = base.clone();
+            moved.cells[0].evaluations = (50_000 + delta) as u64;
+            let regressions = compare_reports(&base, &moved);
+            assert_eq!(regressions.len(), 1, "{regressions:?}");
+            assert!(
+                regressions[0]
+                    .contains(&format!("evaluations changed 50000 -> {}", 50_000 + delta)),
+                "{regressions:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn distinct_program_count_is_gated_exactly() {
+        let base = report();
+        for count in [4, 6] {
+            let mut moved = base.clone();
+            moved.cells[0].distinct_programs = count;
+            let regressions = compare_reports(&base, &moved);
+            assert_eq!(regressions.len(), 1, "{regressions:?}");
+            assert!(
+                regressions[0].contains(&format!("distinct programs changed 5 -> {count}")),
                 "{regressions:?}"
             );
         }

@@ -232,23 +232,27 @@ impl ScheduleEdit {
     /// for malformed moves that would run off the program start.
     #[must_use]
     pub fn swap_sequence(&self) -> Vec<usize> {
-        match *self {
-            ScheduleEdit::Swap { upper } => vec![upper],
+        self.swap_uppers().collect()
+    }
+
+    /// [`ScheduleEdit::swap_sequence`] without collecting it: the game's
+    /// step applies a swap without allocating.
+    pub(crate) fn swap_uppers(&self) -> impl ExactSizeIterator<Item = usize> + Clone {
+        let (start, count, up) = match *self {
+            ScheduleEdit::Swap { upper } => (upper, 1, false),
             ScheduleEdit::BlockMove {
                 index,
-                direction,
+                direction: Direction::Up,
                 distance,
-            } => match direction {
-                Direction::Up => {
-                    if index < distance {
-                        return Vec::new();
-                    }
-                    (1..=distance).map(|k| index - k).collect()
-                }
-                Direction::Down => (0..distance).map(|k| index + k).collect(),
-            },
-            _ => Vec::new(),
-        }
+            } if index >= distance => (index, distance, true),
+            ScheduleEdit::BlockMove {
+                index,
+                direction: Direction::Down,
+                distance,
+            } => (index, distance, false),
+            _ => (0, 0, false),
+        };
+        (0..count).map(move |k| if up { start - 1 - k } else { start + k })
     }
 
     /// The edit that exactly undoes this one when applied to the post-edit
@@ -343,11 +347,12 @@ impl ScheduleEdit {
     pub fn apply(&self, program: &mut Program) -> bool {
         match *self {
             ScheduleEdit::Swap { .. } | ScheduleEdit::BlockMove { .. } => {
-                let swaps = self.swap_sequence();
-                if swaps.is_empty() || swaps.iter().any(|&u| u + 1 >= program.instruction_count()) {
+                let swaps = self.swap_uppers();
+                let count = program.instruction_count();
+                if swaps.len() == 0 || swaps.clone().any(|u| u + 1 >= count) {
                     return false;
                 }
-                for &upper in &swaps {
+                for upper in swaps {
                     if program.swap_instructions(upper, upper + 1).is_err() {
                         return false;
                     }
@@ -399,7 +404,7 @@ impl ScheduleEdit {
     ) {
         match *self {
             ScheduleEdit::Swap { .. } | ScheduleEdit::BlockMove { .. } => {
-                for upper in self.swap_sequence() {
+                for upper in self.swap_uppers() {
                     compiled.swap_insts(upper, upper + 1);
                 }
             }
@@ -950,7 +955,7 @@ impl IncrementalMasker {
     pub fn apply_edit(&mut self, edit: &ScheduleEdit) {
         match *edit {
             ScheduleEdit::Swap { .. } | ScheduleEdit::BlockMove { .. } => {
-                for upper in edit.swap_sequence() {
+                for upper in edit.swap_uppers() {
                     self.ctx.swap_entries(upper);
                 }
             }

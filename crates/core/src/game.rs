@@ -119,11 +119,18 @@ pub struct AssemblyGame {
     item_keys: Vec<u64>,
     /// Listing-item position of each instruction index (labels interleave).
     item_of_instruction: Vec<usize>,
+    /// `Display` text of each instruction of `current`, by instruction
+    /// index, advanced with `item_keys`: a recorded [`Move::text`] is a copy
+    /// of one entry instead of a fresh rendering.
+    texts: Vec<Arc<str>>,
     /// Views of the initial schedule, re-adopted by every episode reset
     /// (the initial schedule never changes, and resets happen once per
     /// episode).
     initial_views: Arc<DerivedViews>,
     initial_item_keys: Vec<u64>,
+    /// Shared, so a greedy probe's clone of the game copies no text table
+    /// it never writes.
+    initial_texts: Arc<[Arc<str>]>,
 }
 
 /// Upper bound on memoized [`DerivedViews`] per kernel; beyond it new
@@ -162,6 +169,15 @@ fn index_item_keys(program: &Program) -> (Vec<u64>, Vec<usize>) {
         keys.push(item_key(item));
     }
     (keys, item_of_instruction)
+}
+
+/// The `Display` text of every instruction of `program`, by instruction
+/// index.
+fn instruction_texts(program: &Program) -> Vec<Arc<str>> {
+    program
+        .instructions()
+        .map(|inst| Arc::from(inst.to_string()))
+        .collect()
 }
 
 /// Builds the full derived views of one listing from a fresh analysis.
@@ -252,6 +268,7 @@ impl AssemblyGame {
             config.action_space,
         ));
         let (item_keys, item_of_instruction) = index_item_keys(&program);
+        let texts = instruction_texts(&program);
         let views_memo = Arc::new(Mutex::new(HashMap::new()));
         views_memo.lock().expect("views memo").insert(
             combine_item_keys(item_keys.iter().copied()),
@@ -271,6 +288,8 @@ impl AssemblyGame {
             initial_item_keys: item_keys.clone(),
             item_keys,
             item_of_instruction,
+            initial_texts: texts.iter().cloned().collect(),
+            texts,
             views,
             views_memo,
             steps_in_episode: 0,
@@ -324,6 +343,12 @@ impl AssemblyGame {
         &self.views.analysis
     }
 
+    /// The action mask of the current schedule, borrowed: what
+    /// [`Env::action_mask`] copies.
+    pub(crate) fn mask(&self) -> &[bool] {
+        &self.views.mask
+    }
+
     /// The moves applied since the last reset (inference-mode trace, §5.7).
     #[must_use]
     pub fn trace(&self) -> &[Move] {
@@ -334,16 +359,14 @@ impl AssemblyGame {
     /// shared cache and fresh schedules by simulating the lowered mirror
     /// (bit-identical to `measure` on the listing, so cache entries stay
     /// interchangeable with ones other games computed from source).
-    fn measure_current_schedule(&mut self) -> (f64, u64, u64) {
+    /// `schedule_key` is [`AssemblyGame::current_schedule_key`].
+    fn measure_current_schedule(&mut self, schedule_key: u64) -> (f64, u64, u64) {
         debug_assert_eq!(
-            combine_item_keys(self.item_keys.iter().copied()),
+            schedule_key,
             program_key(&self.current),
             "cached item digests must track the current listing"
         );
-        let key = combine_keys(
-            self.context_key,
-            combine_item_keys(self.item_keys.iter().copied()),
-        );
+        let key = combine_keys(self.context_key, schedule_key);
         let m = match self.cache.lookup(key) {
             Some(hit) => hit,
             None => {
@@ -403,7 +426,7 @@ impl AssemblyGame {
     /// Applies `edit` to every mirror of the current schedule: the source
     /// program and its lowered form through [`ScheduleEdit::apply`] and
     /// [`ScheduleEdit::apply_to_compiled`] (the pair `edit_equivalence`
-    /// proves), and the per-item digests here.
+    /// proves), and the per-item digests and instruction texts here.
     /// Returns false (with everything unchanged) when the edit does not fit
     /// the program — mask-resolved edits always do.
     fn apply_edit_everywhere(&mut self, edit: &ScheduleEdit) -> bool {
@@ -413,22 +436,23 @@ impl AssemblyGame {
         self.lowered.apply(edit, &self.current);
         match *edit {
             ScheduleEdit::Swap { .. } | ScheduleEdit::BlockMove { .. } => {
-                for upper in edit.swap_sequence() {
+                for upper in edit.swap_uppers() {
                     self.item_keys.swap(
                         self.item_of_instruction[upper],
                         self.item_of_instruction[upper + 1],
                     );
+                    self.texts.swap(upper, upper + 1);
                 }
             }
             _ => {
                 let index = edit.index();
-                let inst = self
-                    .current
-                    .instruction(index)
-                    .expect("edit target exists")
-                    .clone();
-                self.item_keys[self.item_of_instruction[index]] =
-                    item_key(&sass::Item::Instr(inst));
+                let position = self.item_of_instruction[index];
+                let item = &self.current.items()[position];
+                let sass::Item::Instr(inst) = item else {
+                    unreachable!("instruction positions index instructions")
+                };
+                self.texts[index] = Arc::from(inst.to_string());
+                self.item_keys[position] = item_key(item);
             }
         }
         true
@@ -439,9 +463,9 @@ impl AssemblyGame {
     /// incremental edit-table path when its preconditions verifiably hold
     /// against the fresh analysis, and everything else falls back to
     /// [`AssemblyGame::refresh_full`] (`masking_properties` pins
-    /// incremental ≡ full for every edit kind in both spaces).
-    fn refresh_after_edit(&mut self, edit: &ScheduleEdit) {
-        let key = self.current_schedule_key();
+    /// incremental ≡ full for every edit kind in both spaces). `key` is
+    /// [`AssemblyGame::current_schedule_key`].
+    fn refresh_after_edit(&mut self, edit: &ScheduleEdit, key: u64) {
         let memoized = self
             .views_memo
             .lock()
@@ -539,15 +563,20 @@ struct GameSnapshot {
 }
 
 impl Env for AssemblyGame {
+    /// Rewinds to the initial schedule in place: the listing and its
+    /// lowering through `clone_from` (which swaps moved instructions back
+    /// into their slots), the digests and texts into their own buffers, and
+    /// the initial derived views by `Arc`. The returned observation is the
+    /// only allocation of a reset after an adjacent-swap episode.
     fn reset(&mut self) -> Matrix {
-        self.current = self.initial.clone();
+        self.current.clone_from(&self.initial);
         self.current_runtime = self.initial_runtime;
         self.steps_in_episode = 0;
         self.trace.clear();
-        // The initial schedule never changes, so every derived view is a
-        // clone of the cached copies instead of a recomputation.
         self.lowered.reset();
         self.item_keys.clone_from(&self.initial_item_keys);
+        self.texts.clear();
+        self.texts.extend_from_slice(&self.initial_texts);
         self.views = Arc::clone(&self.initial_views);
         self.views.obs.clone()
     }
@@ -564,13 +593,10 @@ impl Env for AssemblyGame {
         if let Some(edit) = self.views.edits.get(action_id).copied().flatten() {
             let (slot, kind) = self.config.action_space.decode(action_id);
             let instruction = self.views.movable[slot];
-            let text = self
-                .current
-                .instruction(instruction)
-                .map(ToString::to_string)
-                .unwrap_or_default();
+            let text = Arc::clone(&self.texts[instruction]);
             if self.apply_edit_everywhere(&edit) {
-                let (runtime, hazards, digest) = self.measure_current_schedule();
+                let key = self.current_schedule_key();
+                let (runtime, hazards, digest) = self.measure_current_schedule(key);
                 // Reward (equation 3): relative improvement scaled by 100.
                 reward = ((self.current_runtime - runtime) / self.initial_runtime * 100.0) as f32;
                 if hazards > 0 || digest != self.initial_digest {
@@ -590,7 +616,7 @@ impl Env for AssemblyGame {
                             _ => Direction::Down,
                         },
                         kind,
-                        text,
+                        text: text.to_string(),
                         reward,
                     });
                     if runtime < self.best_runtime {
@@ -598,7 +624,7 @@ impl Env for AssemblyGame {
                         self.best = self.current.clone();
                         self.best_trace = self.trace.clone();
                     }
-                    self.refresh_after_edit(&edit);
+                    self.refresh_after_edit(&edit, key);
                 }
             }
         }
@@ -616,7 +642,7 @@ impl Env for AssemblyGame {
     }
 
     fn action_mask(&self) -> Vec<bool> {
-        self.views.mask.clone()
+        self.mask().to_vec()
     }
 
     fn observation_features(&self) -> usize {
@@ -698,6 +724,7 @@ impl Env for AssemblyGame {
         let (item_keys, item_of_instruction) = index_item_keys(&self.current);
         self.item_keys = item_keys;
         self.item_of_instruction = item_of_instruction;
+        self.texts = instruction_texts(&self.current);
         true
     }
 }
@@ -983,6 +1010,75 @@ mod tests {
                 fresh.step(legal).reward.to_bits()
             );
             assert_eq!(game.trace(), fresh.trace());
+        }
+    }
+
+    /// A seeded walk of up to `moves` legal actions from the current state.
+    fn random_walk(game: &mut AssemblyGame, moves: usize, seed: u64) -> Vec<usize> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut actions = Vec::new();
+        for _ in 0..moves {
+            let legal: Vec<usize> = (0..game.mask().len())
+                .filter(|&id| game.mask()[id])
+                .collect();
+            if legal.is_empty() {
+                break;
+            }
+            let action = legal[rng.gen_range(0..legal.len())];
+            let _ = game.step(action);
+            actions.push(action);
+        }
+        actions
+    }
+
+    /// Replays `actions` on `game` (just reset) and on a fresh game of the
+    /// same kernel, step for step: observations, masks, rewards, done flags
+    /// and traces must agree, and every measurement `game` takes must be a
+    /// hit of its cache, one per lookup the fresh game makes.
+    fn assert_replay_matches_a_fresh_game(game: &mut AssemblyGame, actions: &[usize]) {
+        let space = game.config.action_space;
+        let mut fresh = small_game_in(space);
+        assert_eq!(game.reset(), fresh.reset(), "{space:?}");
+        let (before, fresh_before) = (game.eval_cache().stats(), fresh.eval_cache().stats());
+        for (i, &action) in actions.iter().enumerate() {
+            let (a, b) = (game.step(action), fresh.step(action));
+            assert_eq!(a.observation, b.observation, "{space:?} step {i}");
+            assert_eq!(a.reward.to_bits(), b.reward.to_bits(), "{space:?} step {i}");
+            assert_eq!(a.done, b.done, "{space:?} step {i}");
+            assert_eq!(game.mask(), fresh.mask(), "{space:?} step {i}");
+            assert_eq!(game.trace(), fresh.trace(), "{space:?} step {i}");
+        }
+        assert_eq!(game.current.to_string(), fresh.current.to_string());
+        let (after, fresh_after) = (game.eval_cache().stats(), fresh.eval_cache().stats());
+        assert_eq!(after.misses, before.misses, "{space:?}: a replay only hits");
+        assert_eq!(
+            after.hits - before.hits,
+            (fresh_after.hits + fresh_after.misses) - (fresh_before.hits + fresh_before.misses),
+            "{space:?}: one lookup per measured step"
+        );
+    }
+
+    /// An episode reset rewinds every mirror of the schedule in place — the
+    /// listing, its lowering, the item digests and the instruction texts —
+    /// so a replay after a walk plays exactly like a fresh game, in both
+    /// spaces, and again after a state restore rebuilt those mirrors.
+    #[test]
+    fn a_reset_replay_matches_a_fresh_game_step_for_step() {
+        for space in [ActionSpace::AdjacentSwap, ActionSpace::Rich] {
+            let mut game = small_game_in(space);
+            let _ = game.reset();
+            let actions = random_walk(&mut game, 24, 11);
+            assert!(actions.len() >= 12, "{space:?}");
+            assert_replay_matches_a_fresh_game(&mut game, &actions);
+            assert_replay_matches_a_fresh_game(&mut game, &actions);
+
+            let mut walked = small_game_in(space);
+            let _ = walked.reset();
+            let _ = random_walk(&mut walked, 16, 5);
+            assert!(game.restore_state(&walked.state_bytes().unwrap()));
+            assert_eq!(game.texts, instruction_texts(&game.current));
+            assert_replay_matches_a_fresh_game(&mut game, &actions);
         }
     }
 

@@ -475,11 +475,7 @@ fn run_rl(
 /// best like every training step's.
 fn inference_episode(game: &mut AssemblyGame, policy: &rl::ActorCritic) {
     let mut observation = game.reset();
-    loop {
-        let mask = game.action_mask();
-        let Some(action) = policy.act_greedy(&observation, &mask) else {
-            break;
-        };
+    while let Some(action) = policy.act_greedy(&observation, game.mask()) {
         let step = game.step(action);
         if step.done {
             break;
@@ -494,10 +490,9 @@ fn run_greedy(game: &mut AssemblyGame, max_moves: usize, cancel: &CancelToken) -
         if cancel.is_cancelled() {
             return true;
         }
-        let mask = game.action_mask();
         // Try each legal action, keep the best improvement.
         let mut best: Option<(usize, f32)> = None;
-        for (action, &legal) in mask.iter().enumerate() {
+        for (action, &legal) in game.mask().iter().enumerate() {
             if !legal {
                 continue;
             }
@@ -517,17 +512,13 @@ fn run_greedy(game: &mut AssemblyGame, max_moves: usize, cancel: &CancelToken) -
 
 fn run_random(game: &mut AssemblyGame, steps: usize, seed: u64, cancel: &CancelToken) -> bool {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut legal = Vec::new();
     let _ = game.reset();
     for _ in 0..steps {
         if cancel.is_cancelled() {
             return true;
         }
-        let mask = game.action_mask();
-        let legal: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| m.then_some(i))
-            .collect();
+        legal_actions(game, &mut legal);
         if legal.is_empty() {
             let _ = game.reset();
             continue;
@@ -540,6 +531,18 @@ fn run_random(game: &mut AssemblyGame, steps: usize, seed: u64, cancel: &CancelT
     false
 }
 
+/// Overwrites `legal` with the ids the game's current mask admits, in id
+/// order.
+fn legal_actions(game: &AssemblyGame, legal: &mut Vec<usize>) {
+    legal.clear();
+    legal.extend(
+        game.mask()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &m)| m.then_some(i)),
+    );
+}
+
 fn run_evolutionary(
     game: &mut AssemblyGame,
     generations: usize,
@@ -549,6 +552,7 @@ fn run_evolutionary(
 ) -> bool {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut best_sequence: Vec<usize> = Vec::new();
+    let mut legal = Vec::new();
     for _ in 0..generations {
         if cancel.is_cancelled() {
             return true;
@@ -558,18 +562,13 @@ fn run_evolutionary(
         let _ = game.reset();
         let mut candidate = Vec::new();
         for &action in &best_sequence {
-            if *game.action_mask().get(action).unwrap_or(&false) {
+            if *game.mask().get(action).unwrap_or(&false) {
                 let _ = game.step(action);
                 candidate.push(action);
             }
         }
         for _ in 0..mutation_length {
-            let mask = game.action_mask();
-            let legal: Vec<usize> = mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &m)| m.then_some(i))
-                .collect();
+            legal_actions(game, &mut legal);
             if legal.is_empty() {
                 break;
             }

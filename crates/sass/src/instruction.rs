@@ -50,12 +50,43 @@ impl fmt::Display for Guard {
 }
 
 /// A single SASS instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Instruction {
     control: ControlCode,
     guard: Option<Guard>,
     opcode: Opcode,
     operands: Vec<Operand>,
+}
+
+impl Clone for Instruction {
+    fn clone(&self) -> Self {
+        let Instruction {
+            control,
+            guard,
+            opcode,
+            operands,
+        } = self;
+        Instruction {
+            control: *control,
+            guard: *guard,
+            opcode: opcode.clone(),
+            operands: operands.clone(),
+        }
+    }
+
+    /// Reuses the modifier and operand buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Instruction {
+            control,
+            guard,
+            opcode,
+            operands,
+        } = self;
+        *control = source.control;
+        *guard = source.guard;
+        opcode.clone_from(&source.opcode);
+        operands.clone_from(&source.operands);
+    }
 }
 
 impl Instruction {

@@ -4,15 +4,48 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{parse_program, Instruction, SassError};
+use crate::{parse_program, Instruction, Operand, SassError};
 
 /// One item of a SASS listing: either a label or an instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub enum Item {
     /// A code label such as `.L_x_1:`.
     Label(String),
     /// An instruction.
     Instr(Instruction),
+}
+
+impl Item {
+    /// Bit-exact equality: `==`, except that an instruction with a
+    /// floating-point immediate never counts (`0.0 == -0.0`, `NaN != NaN`).
+    fn is_identical(&self, other: &Item) -> bool {
+        self == other
+            && match self {
+                Item::Label(_) => true,
+                Item::Instr(inst) => !inst
+                    .operands()
+                    .iter()
+                    .any(|operand| matches!(operand, Operand::FImm(_))),
+            }
+    }
+}
+
+impl Clone for Item {
+    fn clone(&self) -> Self {
+        match self {
+            Item::Label(name) => Item::Label(name.clone()),
+            Item::Instr(inst) => Item::Instr(inst.clone()),
+        }
+    }
+
+    /// Reuses this item's buffers when `source` is of the same kind.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Item::Label(name), Item::Label(from)) => name.clone_from(from),
+            (Item::Instr(inst), Item::Instr(from)) => inst.clone_from(from),
+            (this, _) => *this = source.clone(),
+        }
+    }
 }
 
 /// A basic block: a maximal range of instructions with no label in the
@@ -49,9 +82,50 @@ impl BasicBlock {
 }
 
 /// A parsed kernel section.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct Program {
     items: Vec<Item>,
+}
+
+impl Clone for Program {
+    fn clone(&self) -> Self {
+        let Program { items } = self;
+        Program {
+            items: items.clone(),
+        }
+    }
+
+    /// Makes this program equal to `source` while keeping its buffers.
+    ///
+    /// An item that only moved (an instruction swapped away from its place)
+    /// is swapped back instead of copied, so its modifier strings and
+    /// operand list return to the slot that fits them; every other item is
+    /// copied field by field into the buffers already there. Rewinding a
+    /// reordered schedule to the one it came from therefore allocates
+    /// nothing. A moved item is found by a forward search from its slot, so
+    /// that rewind costs the listing's length times how far items moved; an
+    /// item found nowhere (edited, or from another listing) costs one scan
+    /// of the rest of the listing.
+    fn clone_from(&mut self, source: &Self) {
+        let Program { items } = self;
+        items.truncate(source.items.len());
+        for (slot, wanted) in source.items.iter().enumerate() {
+            let Some(item) = items.get_mut(slot) else {
+                items.push(wanted.clone());
+                continue;
+            };
+            if item.is_identical(wanted) {
+                continue;
+            }
+            match items[slot + 1..]
+                .iter()
+                .position(|moved| moved.is_identical(wanted))
+            {
+                Some(offset) => items.swap(slot, slot + 1 + offset),
+                None => items[slot].clone_from(wanted),
+            }
+        }
+    }
 }
 
 impl Program {
@@ -124,21 +198,27 @@ impl Program {
     ///
     /// Returns an error if either index is out of range.
     pub fn swap_instructions(&mut self, a: usize, b: usize) -> Result<(), SassError> {
-        let item_indices: Vec<usize> = self
-            .items
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, item)| match item {
-                Item::Instr(_) => Some(idx),
-                Item::Label(_) => None,
-            })
-            .collect();
-        let ia = *item_indices
-            .get(a)
-            .ok_or_else(|| SassError::Encoding(format!("instruction index {a} out of range")))?;
-        let ib = *item_indices
-            .get(b)
-            .ok_or_else(|| SassError::Encoding(format!("instruction index {b} out of range")))?;
+        // One scan up to the later of the two instructions.
+        let (mut ia, mut ib) = (None, None);
+        let mut index = 0usize;
+        for (position, item) in self.items.iter().enumerate() {
+            if let Item::Instr(_) = item {
+                if index == a {
+                    ia = Some(position);
+                }
+                if index == b {
+                    ib = Some(position);
+                }
+                if ia.is_some() && ib.is_some() {
+                    break;
+                }
+                index += 1;
+            }
+        }
+        let out_of_range =
+            |index: usize| SassError::Encoding(format!("instruction index {index} out of range"));
+        let ia = ia.ok_or_else(|| out_of_range(a))?;
+        let ib = ib.ok_or_else(|| out_of_range(b))?;
         self.items.swap(ia, ib);
         Ok(())
     }

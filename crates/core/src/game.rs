@@ -127,10 +127,10 @@ pub struct AssemblyGame {
     /// (the initial schedule never changes, and resets happen once per
     /// episode).
     initial_views: Arc<DerivedViews>,
-    initial_item_keys: Vec<u64>,
-    /// Shared, so a greedy probe's clone of the game copies no text table
-    /// it never writes.
-    initial_texts: Arc<[Arc<str>]>,
+    /// The edits accepted since the last reset, in order: `reset` undoes
+    /// them through their inverses. `None` after a state restore, whose
+    /// path from the initial schedule is unknown; the next reset rebuilds.
+    episode_edits: Option<Vec<ScheduleEdit>>,
 }
 
 /// Upper bound on memoized [`DerivedViews`] per kernel; beyond it new
@@ -285,10 +285,9 @@ impl AssemblyGame {
             current: program.clone(),
             current_runtime: runtime,
             initial_views: Arc::clone(&views),
-            initial_item_keys: item_keys.clone(),
+            episode_edits: Some(Vec::new()),
             item_keys,
             item_of_instruction,
-            initial_texts: texts.iter().cloned().collect(),
             texts,
             views,
             views_memo,
@@ -458,6 +457,18 @@ impl AssemblyGame {
         true
     }
 
+    /// Makes `program` the current schedule and rebuilds its lowering, item
+    /// digests and instruction texts anew (a state restore, and the
+    /// first reset after one). The derived views are the caller's.
+    fn rebuild_mirrors(&mut self, program: Program) {
+        self.current = program;
+        self.lowered.relower(&self.current);
+        let (item_keys, item_of_instruction) = index_item_keys(&self.current);
+        self.item_keys = item_keys;
+        self.item_of_instruction = item_of_instruction;
+        self.texts = instruction_texts(&self.current);
+    }
+
     /// Refreshes the derived views after an accepted edit: revisited
     /// schedules re-adopt their memoized views, new ones take the
     /// incremental edit-table path when its preconditions verifiably hold
@@ -563,20 +574,30 @@ struct GameSnapshot {
 }
 
 impl Env for AssemblyGame {
-    /// Rewinds to the initial schedule in place: the listing and its
-    /// lowering through `clone_from` (which swaps moved instructions back
-    /// into their slots), the digests and texts into their own buffers, and
-    /// the initial derived views by `Arc`. The returned observation is the
-    /// only allocation of a reset after an adjacent-swap episode.
+    /// Rewinds to the initial schedule by undoing the episode: the inverse
+    /// of every accepted edit, in reverse, through
+    /// [`AssemblyGame::apply_edit_everywhere`] (listing, lowering, digests
+    /// and texts in O(accepted edits)), then the initial derived views by
+    /// `Arc`. After a state restore the mirrors are rebuilt from the initial
+    /// schedule instead. The returned observation is the only allocation of
+    /// a reset after an adjacent-swap episode.
     fn reset(&mut self) -> Matrix {
-        self.current.clone_from(&self.initial);
+        match self.episode_edits.take() {
+            Some(mut edits) => {
+                for edit in edits.drain(..).rev() {
+                    let undone = self.apply_edit_everywhere(&edit.inverse());
+                    debug_assert!(undone, "inverse edit must apply");
+                }
+                self.episode_edits = Some(edits);
+            }
+            None => {
+                self.rebuild_mirrors(self.initial.clone());
+                self.episode_edits = Some(Vec::new());
+            }
+        }
         self.current_runtime = self.initial_runtime;
         self.steps_in_episode = 0;
         self.trace.clear();
-        self.lowered.reset();
-        self.item_keys.clone_from(&self.initial_item_keys);
-        self.texts.clear();
-        self.texts.extend_from_slice(&self.initial_texts);
         self.views = Arc::clone(&self.initial_views);
         self.views.obs.clone()
     }
@@ -609,6 +630,9 @@ impl Env for AssemblyGame {
                     reward = -10.0;
                 } else {
                     self.current_runtime = runtime;
+                    if let Some(edits) = &mut self.episode_edits {
+                        edits.push(edit);
+                    }
                     self.trace.push(Move {
                         instruction,
                         direction: match kind {
@@ -712,19 +736,15 @@ impl Env for AssemblyGame {
         if multiset(&current) != initial || multiset(&best) != initial {
             return false;
         }
-        self.current = current;
+        self.rebuild_mirrors(current);
+        self.refresh_full();
+        self.episode_edits = None;
         self.current_runtime = f64::from_bits(snapshot.current_runtime_bits);
         self.steps_in_episode = snapshot.steps_in_episode;
         self.best = best;
         self.best_runtime = f64::from_bits(snapshot.best_runtime_bits);
         self.best_trace = snapshot.best_trace;
         self.trace = snapshot.trace;
-        self.refresh_full();
-        self.lowered.relower(&self.current);
-        let (item_keys, item_of_instruction) = index_item_keys(&self.current);
-        self.item_keys = item_keys;
-        self.item_of_instruction = item_of_instruction;
-        self.texts = instruction_texts(&self.current);
         true
     }
 }
@@ -1032,14 +1052,62 @@ mod tests {
         actions
     }
 
-    /// Replays `actions` on `game` (just reset) and on a fresh game of the
-    /// same kernel, step for step: observations, masks, rewards, done flags
-    /// and traces must agree, and every measurement `game` takes must be a
-    /// hit of its cache, one per lookup the fresh game makes.
+    /// A seeded walk of up to `moves` legal actions that cycles through the
+    /// space's edit kinds: each step takes a random legal action of the next
+    /// kind that has one.
+    fn kind_cycling_walk(game: &mut AssemblyGame, moves: usize, seed: u64) -> Vec<usize> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let kinds = game.config.action_space.kinds_per_slot();
+        let mut actions = Vec::new();
+        for step in 0..moves {
+            let legal: Vec<usize> = (0..game.mask().len())
+                .filter(|&id| game.mask()[id])
+                .collect();
+            let Some(kind) = (0..kinds)
+                .map(|k| (step + k) % kinds)
+                .find(|&kind| legal.iter().any(|&id| id % kinds == kind))
+            else {
+                break;
+            };
+            let of_kind: Vec<usize> = legal.into_iter().filter(|&id| id % kinds == kind).collect();
+            let action = of_kind[rng.gen_range(0..of_kind.len())];
+            let _ = game.step(action);
+            actions.push(action);
+        }
+        actions
+    }
+
+    /// Every mirror of `game`'s current schedule is the initial one: the
+    /// listing, the item digests, the instruction texts and the lowering.
+    fn assert_at_initial(game: &AssemblyGame) {
+        let space = game.config.action_space;
+        assert_eq!(
+            game.current.to_string(),
+            game.initial.to_string(),
+            "{space:?}"
+        );
+        assert_eq!(
+            (game.item_keys.clone(), game.item_of_instruction.clone()),
+            index_item_keys(&game.initial),
+            "{space:?}"
+        );
+        assert_eq!(game.texts, instruction_texts(&game.initial), "{space:?}");
+        let lowered = LoweredSchedule::new(&game.gpu, &game.launch, &game.initial);
+        assert_eq!(game.lowered.simulate(), lowered.simulate(), "{space:?}");
+    }
+
+    /// Resets `game`, checks every mirror is back at the initial schedule,
+    /// and replays `actions` on it and on a fresh game of the same kernel,
+    /// step for step: observations, masks, rewards, done flags and traces
+    /// must agree, and every measurement `game` takes must be a hit of its
+    /// cache, one per lookup the fresh game makes.
     fn assert_replay_matches_a_fresh_game(game: &mut AssemblyGame, actions: &[usize]) {
         let space = game.config.action_space;
         let mut fresh = small_game_in(space);
-        assert_eq!(game.reset(), fresh.reset(), "{space:?}");
+        let observation = game.reset();
+        assert_at_initial(game);
+        assert_eq!(observation, fresh.reset(), "{space:?}");
         let (before, fresh_before) = (game.eval_cache().stats(), fresh.eval_cache().stats());
         for (i, &action) in actions.iter().enumerate() {
             let (a, b) = (game.step(action), fresh.step(action));
@@ -1059,10 +1127,12 @@ mod tests {
         );
     }
 
-    /// An episode reset rewinds every mirror of the schedule in place — the
-    /// listing, its lowering, the item digests and the instruction texts —
-    /// so a replay after a walk plays exactly like a fresh game, in both
-    /// spaces, and again after a state restore rebuilt those mirrors.
+    /// An episode reset undoes the episode's edits on every mirror of the
+    /// schedule — the listing, its lowering, the item digests and the
+    /// instruction texts — so a replay after a walk plays exactly like a
+    /// fresh game: in both spaces, after a rich walk through every edit
+    /// family, and after a state restore, whose first reset rebuilds those
+    /// mirrors from the initial schedule.
     #[test]
     fn a_reset_replay_matches_a_fresh_game_step_for_step() {
         for space in [ActionSpace::AdjacentSwap, ActionSpace::Rich] {
@@ -1078,8 +1148,28 @@ mod tests {
             let _ = random_walk(&mut walked, 16, 5);
             assert!(game.restore_state(&walked.state_bytes().unwrap()));
             assert_eq!(game.texts, instruction_texts(&game.current));
+            let _ = random_walk(&mut game, 4, 2);
+            assert_replay_matches_a_fresh_game(&mut game, &actions);
             assert_replay_matches_a_fresh_game(&mut game, &actions);
         }
+
+        let mut game = small_game_in(ActionSpace::Rich);
+        let _ = game.reset();
+        let actions = kind_cycling_walk(&mut game, 32, 3);
+        let walked: Vec<EditKind> = game.trace().iter().map(|m| m.kind).collect();
+        for family in [
+            [EditKind::MoveUp, EditKind::MoveDown],
+            [EditKind::ToggleReuse, EditKind::ToggleReuse],
+            [EditKind::StallInc, EditKind::StallDec],
+            [EditKind::WaitWiden, EditKind::WaitTighten],
+        ] {
+            assert!(
+                family.iter().any(|kind| walked.contains(kind)),
+                "the rich walk accepts a {family:?} edit: {walked:?}"
+            );
+        }
+        assert_replay_matches_a_fresh_game(&mut game, &actions);
+        assert_replay_matches_a_fresh_game(&mut game, &actions);
     }
 
     #[test]

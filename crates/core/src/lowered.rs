@@ -4,14 +4,11 @@
 //! eval-cache miss simulates the game's current schedule from cycle zero.
 //! What a game keeps between moves is only the schedule's lowered
 //! [`CompiledProgram`], advanced edit by edit in O(1) instead of re-lowered
-//! per candidate, plus the lowering of the initial schedule for episode
-//! resets. Every report produced here is bit-identical to
+//! per candidate. Every report produced here is bit-identical to
 //! [`gpusim::simulate_launch`] on the same listing (pinned across action
 //! spaces and architecture profiles by the workspace `delta_equivalence`
 //! suite), so cache entries stay interchangeable with ones computed through
 //! [`gpusim::measure`].
-
-use std::sync::Arc;
 
 use gpusim::{
     resident_warps, CompiledProgram, ConstantBank, GpuConfig, LaunchConfig, SmReport, SmSimulator,
@@ -28,22 +25,18 @@ pub(crate) struct LoweredSchedule {
     warps: usize,
     constants: ConstantBank,
     max_cycles: u64,
-    /// Lowering of the initial schedule, shared across game clones.
-    initial: Arc<CompiledProgram>,
     current: CompiledProgram,
 }
 
 impl LoweredSchedule {
     /// Lowers `program` for `gpu`, to be simulated as `launch` runs it.
     pub(crate) fn new(gpu: &GpuConfig, launch: &LaunchConfig, program: &Program) -> Self {
-        let current = CompiledProgram::compile(program, gpu);
         LoweredSchedule {
             simulator: SmSimulator::new(gpu.clone()),
             warps: resident_warps(gpu, launch),
             constants: launch.constant_bank(),
             max_cycles: launch.max_cycles,
-            initial: Arc::new(current.clone()),
-            current,
+            current: CompiledProgram::compile(program, gpu),
         }
     }
 
@@ -64,11 +57,6 @@ impl LoweredSchedule {
                 self.max_cycles,
             )
             .report
-    }
-
-    /// Rewinds to the initial schedule (an episode reset).
-    pub(crate) fn reset(&mut self) {
-        self.current.clone_from(&self.initial);
     }
 
     /// Adopts an arbitrary schedule of the same kernel (checkpoint restore).
@@ -117,10 +105,15 @@ mod tests {
             lowered.apply(edit, &program);
             assert_eq!(lowered.simulate(), full(&program), "after {edit:?}");
         }
-        // A reset and a re-lowering land on the schedules they name.
-        lowered.reset();
+        // The inverses, in reverse, walk back to the initial schedule (an
+        // episode reset), and a re-lowering lands on the schedule it names.
+        let edited = program.clone();
+        for edit in swaps.iter().chain([&retune]).rev() {
+            assert!(edit.inverse().apply(&mut program), "{edit:?}");
+            lowered.apply(&edit.inverse(), &program);
+        }
         assert_eq!(lowered.simulate(), initial);
-        lowered.relower(&program);
-        assert_eq!(lowered.simulate(), full(&program));
+        lowered.relower(&edited);
+        assert_eq!(lowered.simulate(), full(&edited));
     }
 }

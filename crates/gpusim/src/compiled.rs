@@ -243,7 +243,7 @@ pub(crate) struct ExecEffects {
 
 /// One fully decoded instruction: the functional recipe plus every piece of
 /// scheduling metadata the cycle loop needs, in dense pre-computed fields.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct CompiledInst {
     // --- functional ---
     guard: Option<(Register, bool)>,
@@ -287,136 +287,6 @@ pub(crate) struct CompiledInst {
     pub(crate) reuse_regs: Vec<(Register, usize)>,
     /// LDGSTS ascending-group key (shared base register, offset).
     pub(crate) ldgsts_key: Option<(Register, i64)>,
-}
-
-impl Clone for CompiledInst {
-    fn clone(&self) -> Self {
-        let CompiledInst {
-            guard,
-            kind,
-            sources,
-            first_dest,
-            extra_dests,
-            mix_dests,
-            mem,
-            mem2,
-            store_data,
-            access_bytes,
-            bypass_l1,
-            branch,
-            stall,
-            yield_flag,
-            wait_mask,
-            read_barrier,
-            write_barrier,
-            fixed_latency,
-            is_memory,
-            is_mma,
-            is_bar,
-            is_depbar,
-            is_ldgsts,
-            variable_latency,
-            mma_busy,
-            bank_sources,
-            reuse_regs,
-            ldgsts_key,
-        } = self;
-        CompiledInst {
-            guard: *guard,
-            kind: *kind,
-            sources: sources.clone(),
-            first_dest: *first_dest,
-            extra_dests: extra_dests.clone(),
-            mix_dests: mix_dests.clone(),
-            mem: *mem,
-            mem2: *mem2,
-            store_data: *store_data,
-            access_bytes: *access_bytes,
-            bypass_l1: *bypass_l1,
-            branch: *branch,
-            stall: *stall,
-            yield_flag: *yield_flag,
-            wait_mask: *wait_mask,
-            read_barrier: *read_barrier,
-            write_barrier: *write_barrier,
-            fixed_latency: *fixed_latency,
-            is_memory: *is_memory,
-            is_mma: *is_mma,
-            is_bar: *is_bar,
-            is_depbar: *is_depbar,
-            is_ldgsts: *is_ldgsts,
-            variable_latency: *variable_latency,
-            mma_busy: *mma_busy,
-            bank_sources: bank_sources.clone(),
-            reuse_regs: reuse_regs.clone(),
-            ldgsts_key: *ldgsts_key,
-        }
-    }
-
-    /// Copies `source` into this slot's five operand/register lists in
-    /// place, so rewinding a lowered schedule reallocates nothing. Every
-    /// field is named: a new one fails to compile here instead of being
-    /// skipped.
-    fn clone_from(&mut self, source: &Self) {
-        let CompiledInst {
-            guard,
-            kind,
-            sources,
-            first_dest,
-            extra_dests,
-            mix_dests,
-            mem,
-            mem2,
-            store_data,
-            access_bytes,
-            bypass_l1,
-            branch,
-            stall,
-            yield_flag,
-            wait_mask,
-            read_barrier,
-            write_barrier,
-            fixed_latency,
-            is_memory,
-            is_mma,
-            is_bar,
-            is_depbar,
-            is_ldgsts,
-            variable_latency,
-            mma_busy,
-            bank_sources,
-            reuse_regs,
-            ldgsts_key,
-        } = self;
-        *guard = source.guard;
-        *kind = source.kind;
-        sources.clone_from(&source.sources);
-        *first_dest = source.first_dest;
-        extra_dests.clone_from(&source.extra_dests);
-        mix_dests.clone_from(&source.mix_dests);
-        *mem = source.mem;
-        *mem2 = source.mem2;
-        *store_data = source.store_data;
-        *access_bytes = source.access_bytes;
-        *bypass_l1 = source.bypass_l1;
-        *branch = source.branch;
-        *stall = source.stall;
-        *yield_flag = source.yield_flag;
-        *wait_mask = source.wait_mask;
-        *read_barrier = source.read_barrier;
-        *write_barrier = source.write_barrier;
-        *fixed_latency = source.fixed_latency;
-        *is_memory = source.is_memory;
-        *is_mma = source.is_mma;
-        *is_bar = source.is_bar;
-        *is_depbar = source.is_depbar;
-        *is_ldgsts = source.is_ldgsts;
-        *variable_latency = source.variable_latency;
-        *mma_busy = source.mma_busy;
-        bank_sources.clone_from(&source.bank_sources);
-        reuse_regs.clone_from(&source.reuse_regs);
-        *ldgsts_key = source.ldgsts_key;
-    }
 }
 
 impl CompiledInst {
@@ -787,42 +657,9 @@ impl CompiledInst {
 /// rules of one [`GpuConfig`]'s architecture backend
 /// ([`crate::ArchSpec`]); compile once per (schedule, device) pair — a
 /// program compiled for one architecture must not be run under another.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub(crate) insts: Vec<CompiledInst>,
-}
-
-impl Clone for CompiledProgram {
-    fn clone(&self) -> Self {
-        let CompiledProgram { insts } = self;
-        CompiledProgram {
-            insts: insts.clone(),
-        }
-    }
-
-    /// Makes this program equal to `source` while keeping its buffers, as
-    /// `sass::Program`'s `clone_from` does: an instruction that only moved
-    /// is swapped back into its slot, every other slot is copied field by
-    /// field into the lists already there. Rewinding a reordered lowering
-    /// to the one it came from (an episode reset) therefore allocates
-    /// nothing.
-    fn clone_from(&mut self, source: &Self) {
-        let CompiledProgram { insts } = self;
-        insts.truncate(source.insts.len());
-        for (slot, wanted) in source.insts.iter().enumerate() {
-            let Some(inst) = insts.get_mut(slot) else {
-                insts.push(wanted.clone());
-                continue;
-            };
-            if inst == wanted {
-                continue;
-            }
-            match insts[slot + 1..].iter().position(|moved| moved == wanted) {
-                Some(offset) => insts.swap(slot, slot + 1 + offset),
-                None => insts[slot].clone_from(wanted),
-            }
-        }
-    }
 }
 
 impl CompiledProgram {
@@ -906,82 +743,5 @@ impl CompiledProgram {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{ConstantBank, SmSimulator};
-
-    const SOURCE: &str = "\
-[B------:R-:W-:-:S04] MOV R4, 0x1000 ;
-[B------:R-:W-:-:S04] MOV R8, 0x2000 ;
-[B------:R-:W0:-:S02] LDG.E R2, [R4] ;
-[B------:R-:W1:-:S02] LDG.E R3, [R8] ;
-[B------:R-:W-:-:S04] MOV R20, 0x3 ;
-.L_loop:
-[B------:R-:W-:-:S04] IMAD R21, R20, R20, RZ ;
-[B01----:R-:W-:-:S04] IADD3 R6, R2, R3, RZ ;
-[B------:R-:W-:-:S04] ISETP.LT.AND P1, PT, R21, R20, PT ;
-[B------:R-:W-:-:S06] @P1 BRA `(.L_loop) ;
-[B------:R-:W-:-:S04] STG.E [R4], R6 ;
-[B------:R-:W-:-:S05] EXIT ;
-";
-
-    const OTHER: &str = "\
-[B------:R-:W-:-:S13] S2R R0, SR_TID.X ;
-[B------:R-:W-:-:S04] LEA R4, R0, 0x40, RZ ;
-[B------:R-:W0:-:S02] LDS.128 R80, [R4+0x100] ;
-[B0-----:R-:W-:-:S02] HMMA.16816.F32 R162, R80.reuse, R84, R162 ;
-[B------:R-:W-:-:S05] EXIT ;
-";
-
-    fn report(simulator: &SmSimulator, compiled: &CompiledProgram) -> crate::SmReport {
-        simulator
-            .run_compiled(compiled, 2, 0, &ConstantBank::new(), 1_000_000)
-            .report
-    }
-
-    /// After `clone_from`, a lowering simulates exactly like its source,
-    /// whether it held another program (longer or shorter) or the source
-    /// reordered (the swap-back path).
-    #[test]
-    fn clone_from_simulates_like_its_source() {
-        let simulator = SmSimulator::new(GpuConfig::small());
-        let config = simulator.config();
-        let source: Program = SOURCE.parse().unwrap();
-        let source = CompiledProgram::compile(&source, config);
-        let expected = report(&simulator, &source);
-        let other = CompiledProgram::compile(&OTHER.parse().unwrap(), config);
-        assert_ne!(report(&simulator, &other), expected);
-
-        let mut target = other.clone();
-        target.clone_from(&source);
-        assert_eq!(target.insts, source.insts);
-        assert_eq!(report(&simulator, &target), expected);
-
-        let mut longer = source.clone();
-        longer.insts.extend(other.insts.iter().cloned());
-        longer.swap_insts(0, 12);
-        longer.clone_from(&source);
-        assert_eq!(report(&simulator, &longer), expected);
-
-        let mut reordered = source.clone();
-        for (a, b) in [(0, 1), (2, 4), (1, 3), (5, 6), (9, 8)] {
-            reordered.swap_insts(a, b);
-        }
-        let s2r = OTHER
-            .parse::<Program>()
-            .unwrap()
-            .instructions()
-            .next()
-            .unwrap()
-            .clone();
-        reordered.replace_inst(7, &s2r, config);
-        assert_ne!(reordered.insts, source.insts);
-        reordered.clone_from(&source);
-        assert_eq!(reordered.insts, source.insts);
-        assert_eq!(report(&simulator, &reordered), expected);
     }
 }

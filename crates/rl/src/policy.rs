@@ -6,7 +6,7 @@
 //! actions are masked out of the categorical distribution.
 
 use nn::{Adam, ConvEncoder, Linear, MaskedCategorical, Matrix};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::{ChaCha8Rng, ChaChaState};
 use serde::{Deserialize, Serialize};
 
@@ -398,20 +398,6 @@ impl ActorCritic {
             .step(&mut self.critic.parameters_mut(), &critic_grads);
         stats
     }
-
-    /// Draws a uniform random valid action; used for exploration baselines.
-    pub fn random_action(&mut self, mask: &[bool]) -> Option<usize> {
-        let valid: Vec<usize> = mask
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &m)| m.then_some(i))
-            .collect();
-        if valid.is_empty() {
-            None
-        } else {
-            Some(valid[self.rng.gen_range(0..valid.len())])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -581,9 +567,9 @@ mod tests {
         assert_eq!(a, b);
         assert!(mask[a]);
         for _ in 0..20 {
-            let r = policy.random_action(&mask).unwrap();
+            let r = policy.act(&obs, &mask).action.unwrap();
             assert!(mask[r]);
         }
-        assert_eq!(policy.random_action(&[false; 4]), None);
+        assert_eq!(policy.act(&obs, &[false; 4]).action, None);
     }
 }

@@ -204,12 +204,6 @@ impl ControlCode {
         }
     }
 
-    /// Returns true if the instruction neither waits on nor sets any barrier.
-    #[must_use]
-    pub fn is_barrier_free(&self) -> bool {
-        self.wait_mask == 0 && self.read_barrier.is_none() && self.write_barrier.is_none()
-    }
-
     /// Packs the control code into the 21-bit layout used by the binary
     /// encoder: `[stall:4][yield:1][write:3][read:3][wait:6]` (from LSB).
     #[must_use]
@@ -463,10 +457,12 @@ mod tests {
 
     #[test]
     fn barrier_free_detection() {
-        assert!(ControlCode::with_stall(4).is_barrier_free());
-        assert!(!ControlCode::with_stall(4)
-            .set_write_barrier(0)
-            .is_barrier_free());
-        assert!(!ControlCode::with_stall(4).wait_on(3).is_barrier_free());
+        let free = ControlCode::with_stall(4);
+        assert_eq!(
+            (free.wait_mask(), free.read_barrier(), free.write_barrier()),
+            (0, None, None)
+        );
+        assert_eq!(free.set_write_barrier(0).write_barrier(), Some(0));
+        assert_eq!(free.wait_on(3).wait_mask(), 1 << 3);
     }
 }

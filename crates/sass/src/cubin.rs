@@ -8,7 +8,6 @@
 //! [`Cubin::replace_kernel_section`] rewrites the text section of one kernel
 //! without touching anything else.
 
-use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 
 use crate::{decode_program, encode_program, Program, SassError};
@@ -197,27 +196,27 @@ impl Cubin {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.put_slice(CUBIN_MAGIC);
+        buf.extend_from_slice(CUBIN_MAGIC);
         put_string(&mut buf, &self.architecture);
-        buf.put_u32_le(self.sections.len() as u32);
+        buf.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         for section in &self.sections {
             put_string(&mut buf, &section.name);
-            buf.put_u8(match section.kind {
+            buf.push(match section.kind {
                 SectionKind::Text => 0,
                 SectionKind::SymbolTable => 1,
                 SectionKind::Info => 2,
                 SectionKind::Constant => 3,
                 SectionKind::Other => 4,
             });
-            buf.put_u32_le(section.data.len() as u32);
-            buf.put_slice(&section.data);
+            buf.extend_from_slice(&(section.data.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&section.data);
         }
-        buf.put_u32_le(self.symbols.len() as u32);
+        buf.extend_from_slice(&(self.symbols.len() as u32).to_le_bytes());
         for symbol in &self.symbols {
             put_string(&mut buf, &symbol.name);
             put_string(&mut buf, &symbol.section);
-            buf.put_u64_le(symbol.offset);
-            buf.put_u64_le(symbol.size);
+            buf.extend_from_slice(&symbol.offset.to_le_bytes());
+            buf.extend_from_slice(&symbol.size.to_le_bytes());
         }
         buf
     }
@@ -226,23 +225,24 @@ impl Cubin {
     ///
     /// # Errors
     ///
-    /// Returns an error if the buffer is truncated or malformed.
+    /// Returns an error if the buffer is truncated or malformed, including
+    /// when it claims more sections or symbols than its bytes can hold.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SassError> {
-        let mut buf = bytes;
-        if buf.remaining() < 4 {
+        let Some((magic, mut buf)) = bytes.split_first_chunk::<4>() else {
             return Err(SassError::Cubin("truncated container".to_string()));
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != CUBIN_MAGIC {
+        };
+        if magic != CUBIN_MAGIC {
             return Err(SassError::Cubin("bad container magic".to_string()));
         }
         let architecture = get_string(&mut buf)?;
+        // The counts are untrusted: reserve only what the rest of the input
+        // could fill (a section takes at least 9 bytes, a symbol 24).
         let section_count = get_u32(&mut buf)? as usize;
-        let mut sections = Vec::with_capacity(section_count);
+        let mut sections = Vec::with_capacity(section_count.min(buf.len() / 9));
         for _ in 0..section_count {
             let name = get_string(&mut buf)?;
-            let kind = match get_u8(&mut buf)? {
+            let [kind] = take(&mut buf, "truncated container")?;
+            let kind = match kind {
                 0 => SectionKind::Text,
                 1 => SectionKind::SymbolTable,
                 2 => SectionKind::Info,
@@ -250,23 +250,16 @@ impl Cubin {
                 _ => SectionKind::Other,
             };
             let len = get_u32(&mut buf)? as usize;
-            if buf.remaining() < len {
-                return Err(SassError::Cubin("truncated section".to_string()));
-            }
-            let mut data = vec![0u8; len];
-            buf.copy_to_slice(&mut data);
+            let data = get_bytes(&mut buf, len, "truncated section")?.to_vec();
             sections.push(Section { name, kind, data });
         }
         let symbol_count = get_u32(&mut buf)? as usize;
-        let mut symbols = Vec::with_capacity(symbol_count);
+        let mut symbols = Vec::with_capacity(symbol_count.min(buf.len() / 24));
         for _ in 0..symbol_count {
             let name = get_string(&mut buf)?;
             let section = get_string(&mut buf)?;
-            if buf.remaining() < 16 {
-                return Err(SassError::Cubin("truncated symbol".to_string()));
-            }
-            let offset = buf.get_u64_le();
-            let size = buf.get_u64_le();
+            let offset = u64::from_le_bytes(take(&mut buf, "truncated symbol")?);
+            let size = u64::from_le_bytes(take(&mut buf, "truncated symbol")?);
             symbols.push(Symbol {
                 name,
                 section,
@@ -283,32 +276,38 @@ impl Cubin {
 }
 
 fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
-fn get_u8(buf: &mut &[u8]) -> Result<u8, SassError> {
-    if buf.remaining() < 1 {
-        return Err(SassError::Cubin("truncated container".to_string()));
-    }
-    Ok(buf.get_u8())
+/// Splits the first `len` bytes off `buf`, or fails with `what` when fewer
+/// remain.
+fn get_bytes<'a>(buf: &mut &'a [u8], len: usize, what: &str) -> Result<&'a [u8], SassError> {
+    let (head, rest) = buf
+        .split_at_checked(len)
+        .ok_or_else(|| SassError::Cubin(what.to_string()))?;
+    *buf = rest;
+    Ok(head)
+}
+
+/// Splits the first `N` bytes off `buf`, or fails with `what` when fewer
+/// remain.
+fn take<const N: usize>(buf: &mut &[u8], what: &str) -> Result<[u8; N], SassError> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| SassError::Cubin(what.to_string()))?;
+    *buf = rest;
+    Ok(*head)
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32, SassError> {
-    if buf.remaining() < 4 {
-        return Err(SassError::Cubin("truncated container".to_string()));
-    }
-    Ok(buf.get_u32_le())
+    take(buf, "truncated container").map(u32::from_le_bytes)
 }
 
 fn get_string(buf: &mut &[u8]) -> Result<String, SassError> {
     let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(SassError::Cubin("truncated string".to_string()));
-    }
-    let mut data = vec![0u8; len];
-    buf.copy_to_slice(&mut data);
-    String::from_utf8(data).map_err(|e| SassError::Cubin(format!("invalid UTF-8: {e}")))
+    let data = get_bytes(buf, len, "truncated string")?;
+    String::from_utf8(data.to_vec()).map_err(|e| SassError::Cubin(format!("invalid UTF-8: {e}")))
 }
 
 #[cfg(test)]
@@ -387,5 +386,26 @@ mod tests {
         let mut corrupted = bytes.clone();
         corrupted[0] = b'X';
         assert!(Cubin::from_bytes(&corrupted).is_err());
+    }
+
+    /// A 16-byte container claiming `u32::MAX` sections, or `u32::MAX`
+    /// symbols, is a typed error: the claimed count reserves nothing the
+    /// input could not fill.
+    #[test]
+    fn hostile_counts_are_errors_not_reservations() {
+        let container = |section_count: u32, symbol_count: u32| {
+            let mut bytes = CUBIN_MAGIC.to_vec();
+            bytes.extend_from_slice(&0u32.to_le_bytes()); // empty architecture
+            bytes.extend_from_slice(&section_count.to_le_bytes());
+            bytes.extend_from_slice(&symbol_count.to_le_bytes());
+            assert_eq!(bytes.len(), 16);
+            bytes
+        };
+        for bytes in [container(u32::MAX, 0), container(0, u32::MAX)] {
+            assert!(matches!(
+                Cubin::from_bytes(&bytes),
+                Err(SassError::Cubin(_))
+            ));
+        }
     }
 }

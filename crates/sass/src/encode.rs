@@ -9,8 +9,6 @@
 //! round-trips exactly, which is what the cubin interception workflow of
 //! §4.1 relies on.
 
-use bytes::{Buf, BufMut};
-
 use crate::{ControlCode, Item, Program, SassError};
 
 /// Magic bytes identifying an encoded kernel section.
@@ -30,14 +28,13 @@ pub fn encode_program(program: &Program) -> Vec<u8> {
         .map(|inst| inst.control().to_bits())
         .collect();
     let mut buf = Vec::with_capacity(16 + control_words.len() * 4 + text.len());
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(u32::try_from(control_words.len()).expect("instruction count fits in u32"));
-    buf.put_u32_le(u32::try_from(text.len()).expect("listing length fits in u32"));
-    for word in control_words {
-        buf.put_u32_le(word);
+    let count = u32::try_from(control_words.len()).expect("instruction count fits in u32");
+    let text_len = u32::try_from(text.len()).expect("listing length fits in u32");
+    buf.extend_from_slice(MAGIC);
+    for word in [VERSION, count, text_len].into_iter().chain(control_words) {
+        buf.extend_from_slice(&word.to_le_bytes());
     }
-    buf.put_slice(text.as_bytes());
+    buf.extend_from_slice(text.as_bytes());
     buf
 }
 
@@ -48,35 +45,35 @@ pub fn encode_program(program: &Program) -> Vec<u8> {
 /// Returns [`SassError::Encoding`] if the header is malformed, the buffer is
 /// truncated, or the control-code words disagree with the listing text.
 pub fn decode_program(bytes: &[u8]) -> Result<Program, SassError> {
-    let mut buf = bytes;
-    if buf.remaining() < 16 {
+    let Some((header, body)) = bytes.split_first_chunk::<16>() else {
         return Err(SassError::Encoding("truncated header".to_string()));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    };
+    let ([magic, version, count, text_len], []) = header.as_chunks::<4>() else {
+        unreachable!("a 16-byte header is four words")
+    };
+    if magic != MAGIC {
         return Err(SassError::Encoding(format!(
             "bad magic {magic:?}, expected {MAGIC:?}"
         )));
     }
-    let version = buf.get_u32_le();
+    let version = u32::from_le_bytes(*version);
     if version != VERSION {
         return Err(SassError::Encoding(format!(
             "unsupported encoding version {version}"
         )));
     }
-    let instruction_count = buf.get_u32_le() as usize;
-    let text_len = buf.get_u32_le() as usize;
-    if buf.remaining() < instruction_count * 4 + text_len {
+    let instruction_count = u32::from_le_bytes(*count) as usize;
+    let text_len = u32::from_le_bytes(*text_len) as usize;
+    if body.len() < instruction_count * 4 + text_len {
         return Err(SassError::Encoding("truncated body".to_string()));
     }
-    let mut control_words = Vec::with_capacity(instruction_count);
-    for _ in 0..instruction_count {
-        control_words.push(buf.get_u32_le());
-    }
-    let mut text_bytes = vec![0u8; text_len];
-    buf.copy_to_slice(&mut text_bytes);
-    let text = String::from_utf8(text_bytes)
+    let (words, text) = body.split_at(instruction_count * 4);
+    let control_words = words
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|w| u32::from_le_bytes(*w));
+    let text = std::str::from_utf8(&text[..text_len])
         .map_err(|e| SassError::Encoding(format!("listing is not valid UTF-8: {e}")))?;
     let program: Program = text.parse()?;
     if program.instruction_count() != instruction_count {

@@ -50,43 +50,12 @@ impl fmt::Display for Guard {
 }
 
 /// A single SASS instruction.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Instruction {
     control: ControlCode,
     guard: Option<Guard>,
     opcode: Opcode,
     operands: Vec<Operand>,
-}
-
-impl Clone for Instruction {
-    fn clone(&self) -> Self {
-        let Instruction {
-            control,
-            guard,
-            opcode,
-            operands,
-        } = self;
-        Instruction {
-            control: *control,
-            guard: *guard,
-            opcode: opcode.clone(),
-            operands: operands.clone(),
-        }
-    }
-
-    /// Reuses the modifier and operand buffers.
-    fn clone_from(&mut self, source: &Self) {
-        let Instruction {
-            control,
-            guard,
-            opcode,
-            operands,
-        } = self;
-        *control = source.control;
-        *guard = source.guard;
-        opcode.clone_from(&source.opcode);
-        operands.clone_from(&source.operands);
-    }
 }
 
 impl Instruction {
@@ -99,13 +68,6 @@ impl Instruction {
             opcode,
             operands,
         }
-    }
-
-    /// Builder-style setter for the guard predicate.
-    #[must_use]
-    pub fn with_guard(mut self, guard: Guard) -> Self {
-        self.guard = Some(guard);
-        self
     }
 
     /// The scheduling control code.
@@ -245,13 +207,6 @@ impl Instruction {
             }
         }
         regs
-    }
-
-    /// Returns true if this instruction carries the `.reuse` operand-cache
-    /// hint on any source operand.
-    #[must_use]
-    pub fn has_reuse_hint(&self) -> bool {
-        self.operands.iter().any(Operand::has_reuse)
     }
 
     /// Sets or clears the `.reuse` operand-cache hint on one operand.
@@ -495,7 +450,8 @@ mod tests {
         let inst: Instruction = "[B------:R-:W-:-:S02] HMMA.16816.F32 R24, R84.reuse, R90, R24 ;"
             .parse()
             .unwrap();
-        assert!(inst.has_reuse_hint());
+        let reused: Vec<bool> = inst.operands().iter().map(Operand::has_reuse).collect();
+        assert_eq!(reused, [false, true, false, false]);
     }
 
     #[test]
@@ -535,10 +491,10 @@ mod tests {
             ControlCode::with_stall(4),
             Opcode::new(Mnemonic::Mov),
             vec![Operand::reg(Register::Gpr(1)), Operand::Imm(7)],
-        )
-        .with_guard(Guard::negated(Register::Pt));
-        assert!(inst.is_predicated_off());
+        );
+        assert!(!inst.is_predicated_off());
         assert_eq!(inst.defs(), vec![Register::Gpr(1)]);
+        assert_eq!(inst.to_string(), "[B------:R-:W-:-:S04] MOV R1, 0x7 ;");
         let _ = RegOperand::new(Register::Gpr(0)).wide().reuse();
     }
 }

@@ -303,27 +303,10 @@ impl fmt::Display for Mnemonic {
 /// For example `IMAD.WIDE.U32` has base [`Mnemonic::Imad`] and modifiers
 /// `["WIDE", "U32"]`, and `LDGSTS.E.BYPASS.LTC128B.128` has base
 /// [`Mnemonic::Ldgsts`] with four modifiers.
-#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Opcode {
     base: Mnemonic,
     modifiers: Vec<String>,
-}
-
-impl Clone for Opcode {
-    fn clone(&self) -> Self {
-        let Opcode { base, modifiers } = self;
-        Opcode {
-            base: base.clone(),
-            modifiers: modifiers.clone(),
-        }
-    }
-
-    /// Reuses the modifier list and its strings.
-    fn clone_from(&mut self, source: &Self) {
-        let Opcode { base, modifiers } = self;
-        base.clone_from(&source.base);
-        modifiers.clone_from(&source.modifiers);
-    }
 }
 
 impl Opcode {

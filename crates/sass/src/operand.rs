@@ -220,7 +220,7 @@ impl fmt::Display for MemRef {
 }
 
 /// A single operand of a SASS instruction.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Operand {
     /// A register operand (general purpose, uniform or predicate).
     Reg(RegOperand),
@@ -241,32 +241,6 @@ pub enum Operand {
     Special(String),
     /// A code label, used by branches.
     Label(String),
-}
-
-impl Clone for Operand {
-    fn clone(&self) -> Self {
-        match self {
-            Operand::Reg(reg) => Operand::Reg(*reg),
-            Operand::Imm(value) => Operand::Imm(*value),
-            Operand::FImm(value) => Operand::FImm(*value),
-            Operand::Const { bank, offset } => Operand::Const {
-                bank: *bank,
-                offset: *offset,
-            },
-            Operand::Mem(mem) => Operand::Mem(*mem),
-            Operand::Special(name) => Operand::Special(name.clone()),
-            Operand::Label(name) => Operand::Label(name.clone()),
-        }
-    }
-
-    /// Reuses the name buffer when both operands carry one of the same kind.
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (Operand::Special(name), Operand::Special(from))
-            | (Operand::Label(name), Operand::Label(from)) => name.clone_from(from),
-            (this, _) => *this = source.clone(),
-        }
-    }
 }
 
 impl Operand {

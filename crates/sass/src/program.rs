@@ -4,48 +4,15 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{parse_program, Instruction, Operand, SassError};
+use crate::{parse_program, Instruction, SassError};
 
 /// One item of a SASS listing: either a label or an instruction.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Item {
     /// A code label such as `.L_x_1:`.
     Label(String),
     /// An instruction.
     Instr(Instruction),
-}
-
-impl Item {
-    /// Bit-exact equality: `==`, except that an instruction with a
-    /// floating-point immediate never counts (`0.0 == -0.0`, `NaN != NaN`).
-    fn is_identical(&self, other: &Item) -> bool {
-        self == other
-            && match self {
-                Item::Label(_) => true,
-                Item::Instr(inst) => !inst
-                    .operands()
-                    .iter()
-                    .any(|operand| matches!(operand, Operand::FImm(_))),
-            }
-    }
-}
-
-impl Clone for Item {
-    fn clone(&self) -> Self {
-        match self {
-            Item::Label(name) => Item::Label(name.clone()),
-            Item::Instr(inst) => Item::Instr(inst.clone()),
-        }
-    }
-
-    /// Reuses this item's buffers when `source` is of the same kind.
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (Item::Label(name), Item::Label(from)) => name.clone_from(from),
-            (Item::Instr(inst), Item::Instr(from)) => inst.clone_from(from),
-            (this, _) => *this = source.clone(),
-        }
-    }
 }
 
 /// A basic block: a maximal range of instructions with no label in the
@@ -82,50 +49,9 @@ impl BasicBlock {
 }
 
 /// A parsed kernel section.
-#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Program {
     items: Vec<Item>,
-}
-
-impl Clone for Program {
-    fn clone(&self) -> Self {
-        let Program { items } = self;
-        Program {
-            items: items.clone(),
-        }
-    }
-
-    /// Makes this program equal to `source` while keeping its buffers.
-    ///
-    /// An item that only moved (an instruction swapped away from its place)
-    /// is swapped back instead of copied, so its modifier strings and
-    /// operand list return to the slot that fits them; every other item is
-    /// copied field by field into the buffers already there. Rewinding a
-    /// reordered schedule to the one it came from therefore allocates
-    /// nothing. A moved item is found by a forward search from its slot, so
-    /// that rewind costs the listing's length times how far items moved; an
-    /// item found nowhere (edited, or from another listing) costs one scan
-    /// of the rest of the listing.
-    fn clone_from(&mut self, source: &Self) {
-        let Program { items } = self;
-        items.truncate(source.items.len());
-        for (slot, wanted) in source.items.iter().enumerate() {
-            let Some(item) = items.get_mut(slot) else {
-                items.push(wanted.clone());
-                continue;
-            };
-            if item.is_identical(wanted) {
-                continue;
-            }
-            match items[slot + 1..]
-                .iter()
-                .position(|moved| moved.is_identical(wanted))
-            {
-                Some(offset) => items.swap(slot, slot + 1 + offset),
-                None => items[slot].clone_from(wanted),
-            }
-        }
-    }
 }
 
 impl Program {
@@ -144,11 +70,6 @@ impl Program {
     /// Appends an instruction.
     pub fn push(&mut self, instruction: Instruction) {
         self.items.push(Item::Instr(instruction));
-    }
-
-    /// Appends a label.
-    pub fn push_label(&mut self, name: impl Into<String>) {
-        self.items.push(Item::Label(name.into()));
     }
 
     /// The raw items (labels and instructions) in listing order.
@@ -382,9 +303,8 @@ mod tests {
 
     #[test]
     fn push_and_block_of_empty() {
-        let mut p = Program::new();
-        assert!(p.basic_blocks().is_empty());
-        p.push_label(".L_start");
+        assert!(Program::new().basic_blocks().is_empty());
+        let mut p = Program::from_items(vec![Item::Label(".L_start".to_string())]);
         p.push("MOV R0, 0x1 ;".parse().unwrap());
         assert_eq!(p.instruction_count(), 1);
         assert_eq!(p.basic_blocks().len(), 1);

@@ -437,13 +437,6 @@ impl ServiceError {
         }
     }
 
-    /// Attaches the admission-queue saturation hint (`Busy` answers).
-    #[must_use]
-    pub fn with_queue_depth(mut self, depth: usize) -> ServiceError {
-        self.queue_depth = Some(depth);
-        self
-    }
-
     fn bad_request(err: cuasmrl::cli::UnknownName) -> ServiceError {
         ServiceError::new(ErrorCode::BadRequest, err.to_string())
     }
@@ -844,7 +837,10 @@ mod tests {
             assert_eq!(back, error);
         }
         // The queue-depth hint survives the round trip too.
-        let busy = ServiceError::new(ErrorCode::Busy, "full").with_queue_depth(17);
+        let busy = ServiceError {
+            queue_depth: Some(17),
+            ..ServiceError::new(ErrorCode::Busy, "full")
+        };
         let json = serde_json::to_string(&busy).unwrap();
         let back: ServiceError = serde_json::from_str(&json).unwrap();
         assert_eq!(back.queue_depth, Some(17));
@@ -920,9 +916,10 @@ mod tests {
     fn tagged_responses_round_trip_with_their_request_id() {
         let response = TaggedResponse {
             request_id: 42,
-            response: OptimizeResponse::Err(
-                ServiceError::new(ErrorCode::Busy, "queue full").with_queue_depth(3),
-            ),
+            response: OptimizeResponse::Err(ServiceError {
+                queue_depth: Some(3),
+                ..ServiceError::new(ErrorCode::Busy, "queue full")
+            }),
         };
         let json = serde_json::to_string(&response).unwrap();
         let back: TaggedResponse = serde_json::from_str(&json).unwrap();

@@ -427,14 +427,6 @@ impl ScheduleStore {
     pub fn stats(&self) -> StoreStats {
         self.lock_inner().stats
     }
-
-    /// Number of entry files on disk (the durable set).
-    #[must_use]
-    pub fn entries_on_disk(&self) -> usize {
-        list_dir(&self.dir)
-            .map(|names| names.iter().filter(|name| is_entry_file(name)).count())
-            .unwrap_or(0)
-    }
 }
 
 /// Decodes entry bytes with the full typed-error path, judging the
@@ -551,6 +543,15 @@ mod tests {
         entry.seal()
     }
 
+    /// Number of entry files in `dir` (the durable set).
+    fn entries_on_disk(dir: &Path) -> usize {
+        list_dir(dir)
+            .unwrap()
+            .iter()
+            .filter(|name| is_entry_file(name))
+            .count()
+    }
+
     fn temp_dir(label: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
             "cuasmrld-store-{label}-{}-{:?}",
@@ -574,7 +575,7 @@ mod tests {
         let store = ScheduleStore::open(&dir, 8).unwrap();
         let entry = store.get(&key).unwrap().expect("entry survived restart");
         assert_eq!(entry.kernel, "softmax");
-        assert_eq!(store.entries_on_disk(), 1);
+        assert_eq!(entries_on_disk(&dir), 1);
 
         // Damage the file: decoding is a typed error, opening skips it.
         let path = store.entry_path(&key);
@@ -653,7 +654,7 @@ mod tests {
             store.put(key, entry_for(key, seed as u64)).unwrap();
         }
         assert_eq!(store.stats().entries_in_memory, 2);
-        assert_eq!(store.entries_on_disk(), 4);
+        assert_eq!(entries_on_disk(&dir), 4);
         // The evicted entry still answers — from disk — and is re-cached.
         let before = store.stats().disk_hits;
         assert!(store.get(&keys[0]).unwrap().is_some());

@@ -7,11 +7,11 @@
 //! cache hit on a schedule already seen. Once the game's buffers have grown
 //! to the sizes the replay cycles through, a reset must allocate only the
 //! observation it returns, and a hit step only its observation and the
-//! recorded move's text. A `derive(Clone)` that comes back on a listing or
-//! lowered-schedule type, a digest re-rendered per step or a mask cloned per
-//! step shows up here as a count, on any machine. CI also runs it on the
-//! release build the benchmark times: `cargo test --release --test
-//! replay_allocations`.
+//! recorded move's text. A reset that copies the listing or its lowering
+//! instead of undoing the episode's edits, a digest re-rendered per step or
+//! a mask cloned per step shows up here as a count, on any machine. CI also
+//! runs it on the release build the benchmark times: `cargo test --release
+//! --test replay_allocations`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

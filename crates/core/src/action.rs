@@ -489,7 +489,7 @@ fn reuse_target_of(inst: &Instruction) -> Option<usize> {
 
 impl MaskContext {
     fn new(program: &Program, analysis: &Analysis, stalls: &StallTable) -> Self {
-        let instructions: Vec<&Instruction> = program.instructions().collect();
+        let instructions = program.instructions();
         let n = instructions.len();
         let mut ctx = MaskContext {
             defs: Vec::with_capacity(n),
@@ -505,7 +505,7 @@ impl MaskContext {
             ldgsts_base: Vec::with_capacity(n),
             blocks: program.basic_blocks(),
         };
-        for inst in &instructions {
+        for inst in instructions {
             ctx.defs.push(inst.defs());
             ctx.uses.push(inst.uses());
             ctx.stall.push(u64::from(inst.control().stall()).max(1));

@@ -97,7 +97,7 @@ impl Analysis {
 /// Runs the pre-game analysis passes over a program.
 #[must_use]
 pub fn analyze(program: &Program, builtin: &StallTable) -> Analysis {
-    let instructions: Vec<_> = program.instructions().collect();
+    let instructions = program.instructions();
     let blocks = program.basic_blocks();
     let block_of = |idx: usize| blocks.iter().find(|b| b.contains(idx)).copied();
 
@@ -180,7 +180,7 @@ pub fn analyze(program: &Program, builtin: &StallTable) -> Analysis {
 
     // Pass 2: embedding preparation.
     let mut register_table = HashMap::new();
-    for inst in &instructions {
+    for inst in instructions {
         for operand in inst.operands() {
             for reg in operand.registers() {
                 let next = register_table.len();

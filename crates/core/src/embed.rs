@@ -77,6 +77,7 @@ pub fn embed_program(program: &Program, analysis: &Analysis, arch: &ArchSpec) ->
     let arch_row = arch_features(arch);
     let rows: Vec<Vec<f32>> = program
         .instructions()
+        .iter()
         .map(|inst| embed_instruction(inst, analysis, features, &arch_row))
         .collect();
     let mut matrix = Matrix::zeros(rows.len(), features);

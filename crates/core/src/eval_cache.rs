@@ -28,11 +28,11 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard};
 
 use gpusim::{splitmix64, ArchSpec, GpuConfig, LaunchConfig, MeasureOptions, Measurement};
-use sass::Program;
+use sass::{Instruction, Program};
 
 /// Cache effectiveness counters, for observability and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -145,44 +145,47 @@ impl fmt::Write for HashWriter<'_> {
     }
 }
 
-/// Digest of one listing item (a label or an instruction line) in its
-/// canonical `Display` round-trip form. Item digests are position-free —
-/// [`combine_item_keys`] folds the listing order in — so a game that only
-/// ever *reorders* instructions computes each line's digest exactly once
-/// and re-derives [`program_key`] from the cached digests in a handful of
-/// integer operations per schedule change.
+/// Digest of one instruction line in its canonical `Display` round-trip
+/// form. Instruction digests are position-free — [`schedule_key`] folds the
+/// listing order in — so a game that only ever *reorders* instructions
+/// computes each line's digest exactly once and re-derives [`program_key`]
+/// from the cached digests in a handful of integer operations per schedule
+/// change.
 #[must_use]
-pub fn item_key(item: &sass::Item) -> u64 {
+pub fn instruction_key(inst: &Instruction) -> u64 {
     let mut hasher = DefaultHasher::new();
-    match item {
-        sass::Item::Label(name) => {
-            hasher.write_u8(b'L');
-            hasher.write(name.as_bytes());
-        }
-        sass::Item::Instr(inst) => {
-            hasher.write_u8(b'I');
-            write!(HashWriter(&mut hasher), "{inst}").expect("hashing never fails");
-        }
-    }
+    write!(HashWriter(&mut hasher), "{inst}").expect("hashing never fails");
     hasher.finish()
 }
 
-/// Order-sensitively folds per-item digests into one schedule digest.
+/// Digest of a listing's labels with their anchors. Reordering
+/// instructions never moves a label, so a game digests its labels once.
 #[must_use]
-pub fn combine_item_keys(items: impl IntoIterator<Item = u64>) -> u64 {
-    items
-        .into_iter()
-        .fold(0x05ca_1ab1_e0dd_ba11_u64, |acc, item| {
-            splitmix64(acc.rotate_left(17) ^ item)
+pub fn labels_key(program: &Program) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    program.labels().hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Order-sensitively folds a labels digest and the per-instruction digests,
+/// in listing order, into one schedule digest.
+#[must_use]
+pub fn schedule_key(labels: u64, instructions: impl IntoIterator<Item = u64>) -> u64 {
+    std::iter::once(labels)
+        .chain(instructions)
+        .fold(0x05ca_1ab1_e0dd_ba11_u64, |acc, key| {
+            splitmix64(acc.rotate_left(17) ^ key)
         })
 }
 
-/// Digest of a schedule: every label, instruction, operand and control code
-/// in listing order — the fold of [`item_key`] over the listing via
-/// [`combine_item_keys`].
+/// Digest of a schedule: every label with its anchor, then every
+/// instruction, operand and control code in listing order.
 #[must_use]
 pub fn program_key(program: &Program) -> u64 {
-    combine_item_keys(program.items().iter().map(item_key))
+    schedule_key(
+        labels_key(program),
+        program.instructions().iter().map(instruction_key),
+    )
 }
 
 /// Digest of one GPU architecture profile: every field of the
@@ -357,5 +360,27 @@ mod tests {
         let a: Program = SAMPLE.parse().unwrap();
         let b: Program = a.to_string().parse().unwrap();
         assert_eq!(program_key(&a), program_key(&b));
+    }
+
+    #[test]
+    fn program_key_covers_label_names_and_anchors() {
+        let body = ["MOV R0, 0x1 ;", "MOV R1, 0x2 ;", "EXIT ;"];
+        let with_label = |at: usize, name: &str| -> Program {
+            let mut lines: Vec<String> = body.iter().map(ToString::to_string).collect();
+            lines.insert(at, format!("{name}:"));
+            lines.join("\n").parse().unwrap()
+        };
+        let keys = [
+            program_key(&body.join("\n").parse().unwrap()),
+            program_key(&with_label(1, ".L_a")),
+            program_key(&with_label(2, ".L_a")),
+            program_key(&with_label(1, ".L_b")),
+            program_key(&with_label(3, ".L_a")),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
     }
 }

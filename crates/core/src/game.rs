@@ -16,8 +16,9 @@ use serde::{Deserialize, Serialize};
 use crate::action::{ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit};
 use crate::analysis::{analyze, Analysis};
 use crate::embed::{embed_program, embed_rows_into, feature_count};
-use crate::eval_cache::program_key;
-use crate::eval_cache::{combine_item_keys, combine_keys, context_key, item_key, EvalCache};
+use crate::eval_cache::{
+    combine_keys, context_key, instruction_key, labels_key, program_key, schedule_key, EvalCache,
+};
 use crate::lowered::LoweredSchedule;
 use crate::stall_table::StallTable;
 
@@ -112,16 +113,17 @@ pub struct AssemblyGame {
     /// `current` in lowered form, advanced edit by edit: a cache miss
     /// simulates it without re-lowering the listing.
     lowered: LoweredSchedule,
-    /// Per listing-item digests of `current` (see
-    /// [`crate::eval_cache::item_key`]): reordering instructions only swaps
-    /// entries, so cache keys cost a fold over cached `u64`s instead of
-    /// re-hashing the whole listing per measurement.
-    item_keys: Vec<u64>,
-    /// Listing-item position of each instruction index (labels interleave).
-    item_of_instruction: Vec<usize>,
+    /// Digest of `current`'s labels and their anchors, which no edit moves
+    /// (see [`crate::eval_cache::labels_key`]).
+    labels_key: u64,
+    /// Per-instruction digests of `current`, by instruction index (see
+    /// [`crate::eval_cache::instruction_key`]): reordering instructions only
+    /// swaps entries, so cache keys cost a fold over cached `u64`s instead
+    /// of re-hashing the whole listing per measurement.
+    instruction_keys: Vec<u64>,
     /// `Display` text of each instruction of `current`, by instruction
-    /// index, advanced with `item_keys`: a recorded [`Move::text`] is a copy
-    /// of one entry instead of a fresh rendering.
+    /// index, advanced with `instruction_keys`: a recorded [`Move::text`] is
+    /// a copy of one entry instead of a fresh rendering.
     texts: Vec<Arc<str>>,
     /// Views of the initial schedule, re-adopted by every episode reset
     /// (the initial schedule never changes, and resets happen once per
@@ -156,19 +158,9 @@ struct DerivedViews {
     obs: Matrix,
 }
 
-/// Digests every listing item of `program` and records where each
-/// instruction sits among the items (labels interleave), so swaps can be
-/// mirrored onto the digest list in O(1).
-fn index_item_keys(program: &Program) -> (Vec<u64>, Vec<usize>) {
-    let mut keys = Vec::new();
-    let mut item_of_instruction = Vec::new();
-    for (position, item) in program.items().iter().enumerate() {
-        if matches!(item, sass::Item::Instr(_)) {
-            item_of_instruction.push(position);
-        }
-        keys.push(item_key(item));
-    }
-    (keys, item_of_instruction)
+/// The digest of every instruction of `program`, by instruction index.
+fn instruction_keys(program: &Program) -> Vec<u64> {
+    program.instructions().iter().map(instruction_key).collect()
 }
 
 /// The `Display` text of every instruction of `program`, by instruction
@@ -176,6 +168,7 @@ fn index_item_keys(program: &Program) -> (Vec<u64>, Vec<usize>) {
 fn instruction_texts(program: &Program) -> Vec<Arc<str>> {
     program
         .instructions()
+        .iter()
         .map(|inst| Arc::from(inst.to_string()))
         .collect()
 }
@@ -251,10 +244,12 @@ impl AssemblyGame {
     ) -> Self {
         let ctx_key = context_key(&gpu, &launch, &config.measure);
         let lowered = LoweredSchedule::new(&gpu, &launch, &program);
-        let measurement = cache
-            .get_or_insert_with(combine_keys(ctx_key, program_key(&program)), || {
-                measurement_of(&gpu, &launch, &config.measure, lowered.simulate())
-            });
+        let labels_key = labels_key(&program);
+        let instruction_keys = instruction_keys(&program);
+        let key = schedule_key(labels_key, instruction_keys.iter().copied());
+        let measurement = cache.get_or_insert_with(combine_keys(ctx_key, key), || {
+            measurement_of(&gpu, &launch, &config.measure, lowered.simulate())
+        });
         let runtime = measurement.mean_us;
         let digest = measurement.run.sm.output_digest;
         let analysis = analyze(&program, &stalls);
@@ -267,13 +262,12 @@ impl AssemblyGame {
             action_slots,
             config.action_space,
         ));
-        let (item_keys, item_of_instruction) = index_item_keys(&program);
         let texts = instruction_texts(&program);
         let views_memo = Arc::new(Mutex::new(HashMap::new()));
-        views_memo.lock().expect("views memo").insert(
-            combine_item_keys(item_keys.iter().copied()),
-            Arc::clone(&views),
-        );
+        views_memo
+            .lock()
+            .expect("views memo")
+            .insert(key, Arc::clone(&views));
         AssemblyGame {
             gpu,
             launch,
@@ -286,8 +280,8 @@ impl AssemblyGame {
             current_runtime: runtime,
             initial_views: Arc::clone(&views),
             episode_edits: Some(Vec::new()),
-            item_keys,
-            item_of_instruction,
+            labels_key,
+            instruction_keys,
             texts,
             views,
             views_memo,
@@ -363,7 +357,7 @@ impl AssemblyGame {
         debug_assert_eq!(
             schedule_key,
             program_key(&self.current),
-            "cached item digests must track the current listing"
+            "cached digests must track the current listing"
         );
         let key = combine_keys(self.context_key, schedule_key);
         let m = match self.cache.lookup(key) {
@@ -390,10 +384,10 @@ impl AssemblyGame {
             })
     }
 
-    /// The schedule digest of `current`, folded from the cached per-item
-    /// digests (no re-hashing of the listing text).
+    /// The schedule digest of `current`, folded from the cached digests (no
+    /// re-hashing of the listing text).
     fn current_schedule_key(&self) -> u64 {
-        combine_item_keys(self.item_keys.iter().copied())
+        schedule_key(self.labels_key, self.instruction_keys.iter().copied())
     }
 
     /// Rebuilds every derived view of `current` from scratch: static
@@ -425,7 +419,7 @@ impl AssemblyGame {
     /// Applies `edit` to every mirror of the current schedule: the source
     /// program and its lowered form through [`ScheduleEdit::apply`] and
     /// [`ScheduleEdit::apply_to_compiled`] (the pair `edit_equivalence`
-    /// proves), and the per-item digests and instruction texts here.
+    /// proves), and the instruction digests and texts here.
     /// Returns false (with everything unchanged) when the edit does not fit
     /// the program — mask-resolved edits always do.
     fn apply_edit_everywhere(&mut self, edit: &ScheduleEdit) -> bool {
@@ -436,36 +430,28 @@ impl AssemblyGame {
         match *edit {
             ScheduleEdit::Swap { .. } | ScheduleEdit::BlockMove { .. } => {
                 for upper in edit.swap_uppers() {
-                    self.item_keys.swap(
-                        self.item_of_instruction[upper],
-                        self.item_of_instruction[upper + 1],
-                    );
+                    self.instruction_keys.swap(upper, upper + 1);
                     self.texts.swap(upper, upper + 1);
                 }
             }
             _ => {
                 let index = edit.index();
-                let position = self.item_of_instruction[index];
-                let item = &self.current.items()[position];
-                let sass::Item::Instr(inst) = item else {
-                    unreachable!("instruction positions index instructions")
-                };
+                let inst = &self.current.instructions()[index];
                 self.texts[index] = Arc::from(inst.to_string());
-                self.item_keys[position] = item_key(item);
+                self.instruction_keys[index] = instruction_key(inst);
             }
         }
         true
     }
 
-    /// Makes `program` the current schedule and rebuilds its lowering, item
-    /// digests and instruction texts anew (a state restore, and the
-    /// first reset after one). The derived views are the caller's.
+    /// Makes `program` the current schedule and rebuilds its lowering,
+    /// digests and instruction texts anew (a state restore, and the first
+    /// reset after one). The derived views are the caller's.
     fn rebuild_mirrors(&mut self, program: Program) {
         self.current = program;
         self.lowered.relower(&self.current);
-        let (item_keys, item_of_instruction) = index_item_keys(&self.current);
-        self.item_keys = item_keys;
-        self.item_of_instruction = item_of_instruction;
+        self.labels_key = labels_key(&self.current);
+        self.instruction_keys = instruction_keys(&self.current);
         self.texts = instruction_texts(&self.current);
     }
 
@@ -575,12 +561,12 @@ struct GameSnapshot {
 
 impl Env for AssemblyGame {
     /// Rewinds to the initial schedule by undoing the episode: the inverse
-    /// of every accepted edit, in reverse, through
-    /// [`AssemblyGame::apply_edit_everywhere`] (listing, lowering, digests
-    /// and texts in O(accepted edits)), then the initial derived views by
-    /// `Arc`. After a state restore the mirrors are rebuilt from the initial
-    /// schedule instead. The returned observation is the only allocation of
-    /// a reset after an adjacent-swap episode.
+    /// of every accepted edit, in reverse, through the private
+    /// `apply_edit_everywhere` (listing, lowering, digests and texts in
+    /// O(accepted edits)), then the initial derived views by `Arc`. After a
+    /// state restore the mirrors are rebuilt from the initial schedule
+    /// instead. The returned observation is the only allocation of a reset
+    /// after an adjacent-swap episode.
     fn reset(&mut self) -> Matrix {
         match self.episode_edits.take() {
             Some(mut edits) => {
@@ -728,7 +714,7 @@ impl Env for AssemblyGame {
             }
         };
         let multiset = |program: &Program| {
-            let mut texts: Vec<String> = program.instructions().map(canonical).collect();
+            let mut texts: Vec<String> = program.instructions().iter().map(canonical).collect();
             texts.sort_unstable();
             texts
         };
@@ -1079,7 +1065,7 @@ mod tests {
     }
 
     /// Every mirror of `game`'s current schedule is the initial one: the
-    /// listing, the item digests, the instruction texts and the lowering.
+    /// listing, the digests, the instruction texts and the lowering.
     fn assert_at_initial(game: &AssemblyGame) {
         let space = game.config.action_space;
         assert_eq!(
@@ -1088,8 +1074,8 @@ mod tests {
             "{space:?}"
         );
         assert_eq!(
-            (game.item_keys.clone(), game.item_of_instruction.clone()),
-            index_item_keys(&game.initial),
+            (game.labels_key, game.instruction_keys.clone()),
+            (labels_key(&game.initial), instruction_keys(&game.initial)),
             "{space:?}"
         );
         assert_eq!(game.texts, instruction_texts(&game.initial), "{space:?}");
@@ -1128,7 +1114,7 @@ mod tests {
     }
 
     /// An episode reset undoes the episode's edits on every mirror of the
-    /// schedule — the listing, its lowering, the item digests and the
+    /// schedule — the listing, its lowering, the digests and the
     /// instruction texts — so a replay after a walk plays exactly like a
     /// fresh game: in both spaces, after a rich walk through every edit
     /// family, and after a state restore, whose first reset rebuilds those

@@ -334,8 +334,6 @@ mod tests {
         assert_ne!(a.lsu_bytes_per_cycle, t.lsu_bytes_per_cycle);
         assert!(t.class.sm_version() < a.class.sm_version());
         assert!(a.class.sm_version() < h.class.sm_version());
-        assert!(!t.class.has_async_copy());
-        assert!(h.class.has_async_copy());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! The `compiled_matches_reference` tests and the workspace-level
 //! `compiled_equivalence` suite enforce this.
 
-use sass::{Instruction, Item, LatencyClass, MemorySpace, Mnemonic, Operand, Program, Register};
+use sass::{Instruction, LatencyClass, MemorySpace, Mnemonic, Operand, Program, Register};
 
 use crate::config::GpuConfig;
 use crate::exec::{
@@ -668,37 +668,25 @@ impl CompiledProgram {
     /// run time (matching the interpretive executor).
     #[must_use]
     pub fn compile(program: &Program, config: &GpuConfig) -> Self {
-        let mut insts = Vec::with_capacity(program.instruction_count());
-        let mut labels: Vec<(&str, usize)> = Vec::new();
-        let mut index = 0usize;
-        for item in program.items() {
-            match item {
-                Item::Label(name) => labels.push((name, index)),
-                Item::Instr(inst) => {
-                    insts.push(CompiledInst::compile(inst, config));
-                    index += 1;
-                }
-            }
-        }
-        // Resolve branch labels in a second pass.
-        index = 0;
-        for item in program.items() {
-            let Item::Instr(inst) = item else { continue };
-            if matches!(insts[index].branch, BranchTarget::Invalid) {
-                if let Some(Operand::Label(name)) = inst
-                    .operands()
-                    .iter()
-                    .find(|o| matches!(o, Operand::Label(_)))
-                {
-                    if let Some(&(_, target)) =
-                        labels.iter().find(|(label, _)| label == &name.as_str())
+        let insts = program
+            .instructions()
+            .iter()
+            .map(|inst| {
+                let mut lowered = CompiledInst::compile(inst, config);
+                if matches!(lowered.branch, BranchTarget::Invalid) {
+                    let target = inst.operands().iter().find_map(|o| match o {
+                        Operand::Label(name) => Some(name),
+                        _ => None,
+                    });
+                    if let Some(&(at, _)) =
+                        target.and_then(|name| program.labels().iter().find(|(_, l)| l == name))
                     {
-                        insts[index].branch = BranchTarget::Index(target);
+                        lowered.branch = BranchTarget::Index(at);
                     }
                 }
-            }
-            index += 1;
-        }
+                lowered
+            })
+            .collect();
         CompiledProgram { insts }
     }
 

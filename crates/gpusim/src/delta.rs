@@ -785,7 +785,13 @@ mod tests {
                 let config = if entry.kind.is_compute_bound() {
                     kernels::KernelConfig::default_compute()
                 } else {
-                    kernels::KernelConfig::default_memory()
+                    kernels::KernelConfig {
+                        block_m: 1,
+                        block_n: 1024,
+                        block_k: 1,
+                        num_warps: 4,
+                        num_stages: 1,
+                    }
                 };
                 let kernel =
                     kernels::generate(&entry.spec(32), &config, kernels::ScheduleStyle::Baseline);

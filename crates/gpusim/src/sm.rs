@@ -381,7 +381,7 @@ impl SmSimulator {
         constants: &ConstantBank,
         max_cycles: u64,
     ) -> SimOutput {
-        let instructions: Vec<&Instruction> = program.instructions().collect();
+        let instructions = program.instructions();
         let label_map = build_label_map(program);
         let mut memory = MemorySubsystem::new(&self.config);
         let mut warp_states: Vec<Warp> =
@@ -447,7 +447,7 @@ impl SmSimulator {
                     self.warp_eligible(
                         &warp_states[w],
                         &pending[w],
-                        &instructions,
+                        instructions,
                         cycle,
                         lsu_free_at,
                         tensor_free_at,
@@ -477,7 +477,7 @@ impl SmSimulator {
 
                 let warp = &mut warp_states[chosen];
                 let pending = &mut pending[chosen];
-                let inst = instructions[warp.pc];
+                let inst = &instructions[warp.pc];
                 let ctx = ExecContext {
                     warp_id: chosen,
                     block_id,
@@ -611,16 +611,14 @@ impl SmSimulator {
                 if outcome.exit {
                     warp.finished = true;
                 } else if let Some(target) = &outcome.branch_to {
-                    match label_map.get(target) {
+                    match label_map.get(target.as_str()) {
                         Some(&idx) => warp.pc = idx,
                         None => warp.finished = true,
                     }
                 } else {
                     warp.pc += 1;
-                    if warp.pc >= instructions.len() {
-                        warp.finished = true;
-                    }
                 }
+                warp.finished |= warp.pc >= instructions.len();
                 for completions in pending.iter_mut() {
                     completions.retain(|&done| done > cycle);
                 }
@@ -664,7 +662,7 @@ impl SmSimulator {
         &self,
         warp: &Warp,
         pending: &[Vec<u64>],
-        instructions: &[&Instruction],
+        instructions: &[Instruction],
         cycle: u64,
         lsu_free_at: u64,
         tensor_free_at: u64,
@@ -1168,17 +1166,14 @@ impl<'a> CycleEngine<'a> {
                 }
             }
 
-            // Control flow.
+            // Control flow. Leaving the program, by falling off its end or
+            // by a branch to a trailing label, finishes the warp.
             match effects.flow {
                 Flow::Finish => warp.finished = true,
                 Flow::Jump(target) => warp.pc = target,
-                Flow::Next => {
-                    warp.pc += 1;
-                    if warp.pc >= self.compiled.len() {
-                        warp.finished = true;
-                    }
-                }
+                Flow::Next => warp.pc += 1,
             }
+            warp.finished |= warp.pc >= self.compiled.len();
 
             // The issue invalidated everything the warp's wake cycle was
             // derived from; until its stall has passed nothing else matters.
@@ -1260,18 +1255,12 @@ fn ldgsts_group_key(inst: &Instruction) -> Option<(Register, i64)> {
     Some((base.reg, mem.offset))
 }
 
-fn build_label_map(program: &Program) -> HashMap<String, usize> {
-    let mut map = HashMap::new();
-    let mut instr_index = 0usize;
-    for item in program.items() {
-        match item {
-            sass::Item::Label(name) => {
-                map.insert(name.clone(), instr_index);
-            }
-            sass::Item::Instr(_) => instr_index += 1,
-        }
-    }
-    map
+fn build_label_map(program: &Program) -> HashMap<&str, usize> {
+    program
+        .labels()
+        .iter()
+        .map(|(at, name)| (name.as_str(), *at))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1555,6 +1544,45 @@ mod tests {
              [B------:R-:W-:-:S05] EXIT ;\n",
         ];
         for text in programs {
+            for warps in [1, 4] {
+                assert_compiled_matches_reference(text, warps);
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_matches_reference_at_label_edges() {
+        let programs = [
+            // A label at instruction 0, taken backwards.
+            ".L_top:\n\
+             [B------:R-:W-:-:S04] IADD3 R10, R10, 0x1, RZ ;\n\
+             [B------:R-:W-:-:S04] ISETP.LT.AND P0, PT, R10, 0x3, PT ;\n\
+             [B------:R-:W-:-:S06] @P0 BRA `(.L_top) ;\n\
+             [B------:R-:W-:-:S04] MOV R4, 0x40 ;\n\
+             [B------:R-:W-:-:S04] STG.E [R4], R10 ;\n\
+             [B------:R-:W-:-:S05] EXIT ;\n",
+            // Two consecutive labels, each a branch target.
+            "[B------:R-:W-:-:S04] MOV R10, 0x0 ;\n\
+             .L_a:\n\
+             .L_b:\n\
+             [B------:R-:W-:-:S04] IADD3 R10, R10, 0x1, RZ ;\n\
+             [B------:R-:W-:-:S04] ISETP.LT.AND P0, PT, R10, 0x2, PT ;\n\
+             [B------:R-:W-:-:S06] @P0 BRA `(.L_a) ;\n\
+             [B------:R-:W-:-:S04] ISETP.LT.AND P1, PT, R10, 0x4, PT ;\n\
+             [B------:R-:W-:-:S06] @P1 BRA `(.L_b) ;\n\
+             [B------:R-:W-:-:S04] MOV R4, 0x40 ;\n\
+             [B------:R-:W-:-:S04] STG.E [R4], R10 ;\n\
+             [B------:R-:W-:-:S05] EXIT ;\n",
+            // A trailing label: the branch leaves the program, which
+            // finishes the warp.
+            "[B------:R-:W-:-:S04] MOV R1, 0x1 ;\n\
+             [B------:R-:W-:-:S06] BRA `(.L_end) ;\n\
+             [B------:R-:W-:-:S04] MOV R1, 0x2 ;\n\
+             [B------:R-:W-:-:S05] EXIT ;\n\
+             .L_end:\n",
+        ];
+        for text in programs {
+            assert!(run_text(text, 1).report.completed, "{text}");
             for warps in [1, 4] {
                 assert_compiled_matches_reference(text, warps);
             }

@@ -31,18 +31,6 @@ impl KernelConfig {
         }
     }
 
-    /// A reasonable default configuration for memory-bound kernels.
-    #[must_use]
-    pub fn default_memory() -> Self {
-        KernelConfig {
-            block_m: 1,
-            block_n: 1024,
-            block_k: 1,
-            num_warps: 4,
-            num_stages: 1,
-        }
-    }
-
     /// A deliberately poor configuration, standing in for the untuned
     /// "Cutlass default" the paper observes to be ~10x slower than Triton
     /// (§5.3).

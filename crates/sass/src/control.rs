@@ -49,13 +49,6 @@ impl ArchClass {
         NUM_BARRIERS
     }
 
-    /// True when the generation has a hardware asynchronous-copy path
-    /// (`LDGSTS` / `cp.async`), introduced with Ampere.
-    #[must_use]
-    pub fn has_async_copy(&self) -> bool {
-        !matches!(self, ArchClass::Turing)
-    }
-
     /// Lower-case generation name (`"turing"`, `"ampere"`, `"hopper"`).
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -110,37 +103,6 @@ impl ControlCode {
             yield_flag: false,
             stall,
         }
-    }
-
-    /// Builder-style setter for the wait barrier mask (bits 0..=5).
-    #[must_use]
-    pub fn wait_on(mut self, barrier: u8) -> Self {
-        assert!(barrier < NUM_BARRIERS, "barrier index out of range");
-        self.wait_mask |= 1 << barrier;
-        self
-    }
-
-    /// Builder-style setter for the read barrier index.
-    #[must_use]
-    pub fn set_read_barrier(mut self, barrier: u8) -> Self {
-        assert!(barrier < NUM_BARRIERS, "barrier index out of range");
-        self.read_barrier = Some(barrier);
-        self
-    }
-
-    /// Builder-style setter for the write barrier index.
-    #[must_use]
-    pub fn set_write_barrier(mut self, barrier: u8) -> Self {
-        assert!(barrier < NUM_BARRIERS, "barrier index out of range");
-        self.write_barrier = Some(barrier);
-        self
-    }
-
-    /// Builder-style setter for the yield flag.
-    #[must_use]
-    pub fn set_yield(mut self, yield_flag: bool) -> Self {
-        self.yield_flag = yield_flag;
-        self
     }
 
     /// The wait barrier bitmask (bit `i` set means "wait for barrier `i`").
@@ -415,18 +377,12 @@ mod tests {
 
     #[test]
     fn bits_round_trip() {
-        let cases = [
-            ControlCode::with_stall(4),
-            ControlCode::with_stall(2)
-                .set_write_barrier(2)
-                .set_yield(true),
-            ControlCode::with_stall(0)
-                .wait_on(0)
-                .wait_on(5)
-                .set_read_barrier(1)
-                .set_write_barrier(3),
-        ];
-        for cc in cases {
+        for text in [
+            "[B------:R-:W-:-:S04]",
+            "[B------:R-:W2:Y:S02]",
+            "[B0----5:R1:W3:-:S00]",
+        ] {
+            let cc: ControlCode = text.parse().unwrap();
             assert_eq!(ControlCode::from_bits(cc.to_bits()).unwrap(), cc);
         }
     }
@@ -462,7 +418,10 @@ mod tests {
             (free.wait_mask(), free.read_barrier(), free.write_barrier()),
             (0, None, None)
         );
-        assert_eq!(free.set_write_barrier(0).write_barrier(), Some(0));
-        assert_eq!(free.wait_on(3).wait_mask(), 1 << 3);
+        let writes: ControlCode = "[B------:R-:W0:-:S04]".parse().unwrap();
+        assert_eq!(writes.write_barrier(), Some(0));
+        let mut waits = free;
+        waits.set_wait(3, true);
+        assert_eq!(waits.wait_mask(), 1 << 3);
     }
 }

@@ -9,7 +9,7 @@
 //! round-trips exactly, which is what the cubin interception workflow of
 //! §4.1 relies on.
 
-use crate::{ControlCode, Item, Program, SassError};
+use crate::{ControlCode, Program, SassError};
 
 /// Magic bytes identifying an encoded kernel section.
 const MAGIC: &[u8; 4] = b"SASS";
@@ -25,6 +25,7 @@ pub fn encode_program(program: &Program) -> Vec<u8> {
     let text = program.to_string();
     let control_words: Vec<u32> = program
         .instructions()
+        .iter()
         .map(|inst| inst.control().to_bits())
         .collect();
     let mut buf = Vec::with_capacity(16 + control_words.len() * 4 + text.len());
@@ -82,7 +83,7 @@ pub fn decode_program(bytes: &[u8]) -> Result<Program, SassError> {
             program.instruction_count()
         )));
     }
-    for (inst, word) in program.instructions().zip(control_words) {
+    for (inst, word) in program.instructions().iter().zip(control_words) {
         let expected = ControlCode::from_bits(word)?;
         if *inst.control() != expected {
             return Err(SassError::Encoding(
@@ -91,19 +92,6 @@ pub fn decode_program(bytes: &[u8]) -> Result<Program, SassError> {
         }
     }
     Ok(program)
-}
-
-/// Returns true if the byte slice looks like an encoded kernel section.
-#[must_use]
-pub fn is_encoded_program(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == MAGIC
-}
-
-#[allow(dead_code)]
-fn assert_items_send_sync() {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Item>();
-    assert_send_sync::<Program>();
 }
 
 #[cfg(test)]
@@ -123,7 +111,7 @@ mod tests {
     fn encode_decode_round_trip() {
         let program: Program = SAMPLE.parse().unwrap();
         let bytes = encode_program(&program);
-        assert!(is_encoded_program(&bytes));
+        assert_eq!(&bytes[..4], MAGIC);
         let decoded = decode_program(&bytes).unwrap();
         assert_eq!(program, decoded);
     }

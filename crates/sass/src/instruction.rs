@@ -34,13 +34,6 @@ impl Guard {
             pred,
         }
     }
-
-    /// Returns true if the guard statically never allows execution
-    /// (`@!PT`): the instruction is architecturally a no-op.
-    #[must_use]
-    pub fn is_always_false(&self) -> bool {
-        self.negated && self.pred == Register::Pt
-    }
 }
 
 impl fmt::Display for Guard {
@@ -231,13 +224,6 @@ impl Instruction {
             _ => false,
         }
     }
-
-    /// Returns true if the instruction is architecturally disabled by an
-    /// always-false guard (`@!PT`).
-    #[must_use]
-    pub fn is_predicated_off(&self) -> bool {
-        self.guard.is_some_and(|g| g.is_always_false())
-    }
 }
 
 impl fmt::Display for Instruction {
@@ -423,11 +409,11 @@ mod tests {
     fn guard_predicate_parsing_and_display() {
         let text = "[B------:R-:W-:-:S01] @!PT LDS.U.128 R76, [R156] ;";
         let inst: Instruction = text.parse().unwrap();
-        assert!(inst.is_predicated_off());
+        assert_eq!(inst.guard(), Some(&Guard::negated(Register::Pt)));
         assert_eq!(inst.to_string(), text);
         let text2 = "[B------:R-:W-:-:S01] @P2 BRA `(.L_x_1) ;";
         let inst2: Instruction = text2.parse().unwrap();
-        assert!(!inst2.is_predicated_off());
+        assert_eq!(inst2.guard(), Some(&Guard::new(Register::Pred(2))));
         assert!(inst2.uses().contains(&Register::Pred(2)));
     }
 
@@ -492,7 +478,7 @@ mod tests {
             Opcode::new(Mnemonic::Mov),
             vec![Operand::reg(Register::Gpr(1)), Operand::Imm(7)],
         );
-        assert!(!inst.is_predicated_off());
+        assert_eq!(inst.guard(), None);
         assert_eq!(inst.defs(), vec![Register::Gpr(1)]);
         assert_eq!(inst.to_string(), "[B------:R-:W-:-:S04] MOV R1, 0x7 ;");
         let _ = RegOperand::new(Register::Gpr(0)).wide().reuse();

@@ -17,8 +17,8 @@
 //!   memory references with descriptor (`desc[UR18][R18.64]`) addressing.
 //! * [`Instruction`] — a full instruction: guard predicate, opcode, operands
 //!   and control code, with use/def analysis.
-//! * [`Program`] — a kernel section: labels and instructions, with basic
-//!   block boundaries.
+//! * [`Program`] — a kernel section: its instructions and the labels
+//!   anchored between them, with basic block boundaries.
 //! * [`Cubin`] — an ELF-like container holding the encoded kernel section
 //!   plus the metadata sections (symbol table, headers) that must be
 //!   preserved when the scheduler rewrites only the text section.
@@ -33,8 +33,8 @@
 //! [B--2---:R-:W-:-:S04] IADD3 R4, R0, 0x1, RZ ;
 //! [B------:R-:W-:-:S01] EXIT ;";
 //! let program: Program = listing.parse()?;
-//! assert_eq!(program.instructions().count(), 3);
-//! let first: &Instruction = program.instructions().next().unwrap();
+//! assert_eq!(program.instruction_count(), 3);
+//! let first: &Instruction = &program.instructions()[0];
 //! assert!(first.opcode().is_memory());
 //! assert_eq!(first.control().write_barrier(), Some(2));
 //! # Ok::<(), sass::SassError>(())
@@ -56,11 +56,11 @@ mod register;
 
 pub use control::{ArchClass, ControlCode, NUM_BARRIERS};
 pub use cubin::{Cubin, Section, SectionKind, Symbol};
-pub use encode::{decode_program, encode_program, is_encoded_program};
+pub use encode::{decode_program, encode_program};
 pub use error::SassError;
 pub use instruction::{Guard, Instruction};
 pub use opcode::{LatencyClass, MemorySpace, Mnemonic, Opcode};
 pub use operand::{MemRef, Operand, RegOperand};
 pub use parser::parse_program;
-pub use program::{BasicBlock, Item, Program};
+pub use program::{BasicBlock, Program};
 pub use register::{adjacent_register, Register};

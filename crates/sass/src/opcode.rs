@@ -35,261 +35,132 @@ pub enum MemorySpace {
     GlobalToShared,
 }
 
-/// The base mnemonic of a SASS instruction.
-///
-/// The set below covers every mnemonic that appears in the kernels evaluated
-/// by the paper (Table 2) plus the mnemonics used by the microbenchmarks.
-/// Unknown mnemonics are preserved verbatim in [`Mnemonic::Other`] so that a
-/// listing always round-trips.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub enum Mnemonic {
+/// Declares [`Mnemonic`] from one `Variant => "TEXT"` list, so the enum,
+/// [`Mnemonic::as_str`] and its `FromStr` are both `match`es over the same
+/// spellings and can never disagree.
+macro_rules! mnemonics {
+    ($($variant:ident => $text:literal,)*) => {
+        /// The base mnemonic of a SASS instruction.
+        ///
+        /// The set below covers every mnemonic that appears in the kernels
+        /// evaluated by the paper (Table 2) plus the mnemonics used by the
+        /// microbenchmarks. Unknown mnemonics are preserved verbatim in
+        /// [`Mnemonic::Other`] so that a listing always round-trips.
+        #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        #[allow(missing_docs)]
+        pub enum Mnemonic {
+            $($variant,)*
+            /// Any mnemonic not in the list above, preserved verbatim.
+            Other(String),
+        }
+
+        impl Mnemonic {
+            /// Canonical upper-case text of the mnemonic.
+            #[must_use]
+            pub fn as_str(&self) -> &str {
+                match self {
+                    $(Mnemonic::$variant => $text,)*
+                    Mnemonic::Other(s) => s,
+                }
+            }
+        }
+
+        impl FromStr for Mnemonic {
+            type Err = SassError;
+
+            fn from_str(s: &str) -> Result<Self, Self::Err> {
+                if s.is_empty() {
+                    return Err(SassError::Operand("empty mnemonic".to_string()));
+                }
+                Ok(match s {
+                    $($text => Mnemonic::$variant,)*
+                    other => Mnemonic::Other(other.to_string()),
+                })
+            }
+        }
+    };
+}
+
+mnemonics! {
     // Integer ALU (fixed latency).
-    Iadd3,
-    Imad,
-    Imnmx,
-    Lea,
-    Sel,
-    Mov,
-    Iabs,
-    Shf,
-    Lop3,
-    Isetp,
-    Iset,
-    Plop3,
-    Popc,
-    Flo,
-    Vote,
+    Iadd3 => "IADD3",
+    Imad => "IMAD",
+    Imnmx => "IMNMX",
+    Lea => "LEA",
+    Sel => "SEL",
+    Mov => "MOV",
+    Iabs => "IABS",
+    Shf => "SHF",
+    Lop3 => "LOP3",
+    Isetp => "ISETP",
+    Iset => "ISET",
+    Plop3 => "PLOP3",
+    Popc => "POPC",
+    Flo => "FLO",
+    Vote => "VOTE",
     // Floating point ALU (fixed latency).
-    Fadd,
-    Fmul,
-    Ffma,
-    Fsel,
-    Fsetp,
-    Fmnmx,
-    Hadd2,
-    Hmul2,
-    Hfma2,
-    Hset2,
-    Hsetp2,
-    F2f,
-    F2i,
-    I2f,
+    Fadd => "FADD",
+    Fmul => "FMUL",
+    Ffma => "FFMA",
+    Fsel => "FSEL",
+    Fsetp => "FSETP",
+    Fmnmx => "FMNMX",
+    Hadd2 => "HADD2",
+    Hmul2 => "HMUL2",
+    Hfma2 => "HFMA2",
+    Hset2 => "HSET2",
+    Hsetp2 => "HSETP2",
+    F2f => "F2F",
+    F2i => "F2I",
+    I2f => "I2F",
     // Tensor core.
-    Hmma,
-    Imma,
+    Hmma => "HMMA",
+    Imma => "IMMA",
     // Special function unit (variable latency).
-    Mufu,
+    Mufu => "MUFU",
     // Register / system moves.
-    Cs2r,
-    S2r,
-    R2p,
-    P2r,
-    Shfl,
+    Cs2r => "CS2R",
+    S2r => "S2R",
+    R2p => "R2P",
+    P2r => "P2R",
+    Shfl => "SHFL",
     // Memory (variable latency).
-    Ldg,
-    Stg,
-    Lds,
-    Sts,
-    Ldsm,
-    Ldgsts,
-    Ldl,
-    Stl,
-    Ld,
-    St,
-    Atom,
-    Atoms,
-    Atomg,
-    Red,
-    Ldc,
+    Ldg => "LDG",
+    Stg => "STG",
+    Lds => "LDS",
+    Sts => "STS",
+    Ldsm => "LDSM",
+    Ldgsts => "LDGSTS",
+    Ldl => "LDL",
+    Stl => "STL",
+    Ld => "LD",
+    St => "ST",
+    Atom => "ATOM",
+    Atoms => "ATOMS",
+    Atomg => "ATOMG",
+    Red => "RED",
+    Ldc => "LDC",
     // Barriers and synchronisation.
-    Bar,
-    Depbar,
-    Ldgdepbar,
-    Membar,
-    Errbar,
-    Cctl,
-    Fence,
-    Bssy,
-    Bsync,
+    Bar => "BAR",
+    Depbar => "DEPBAR",
+    Ldgdepbar => "LDGDEPBAR",
+    Membar => "MEMBAR",
+    Errbar => "ERRBAR",
+    Cctl => "CCTL",
+    Fence => "FENCE",
+    Bssy => "BSSY",
+    Bsync => "BSYNC",
     // Control flow.
-    Bra,
-    Brx,
-    Jmp,
-    Call,
-    Ret,
-    Exit,
-    Nop,
-    Warpsync,
-    Yield,
-    Nanosleep,
-    /// Any mnemonic not in the list above, preserved verbatim.
-    Other(String),
-}
-
-impl Mnemonic {
-    /// Canonical upper-case text of the mnemonic.
-    #[must_use]
-    pub fn as_str(&self) -> &str {
-        match self {
-            Mnemonic::Iadd3 => "IADD3",
-            Mnemonic::Imad => "IMAD",
-            Mnemonic::Imnmx => "IMNMX",
-            Mnemonic::Lea => "LEA",
-            Mnemonic::Sel => "SEL",
-            Mnemonic::Mov => "MOV",
-            Mnemonic::Iabs => "IABS",
-            Mnemonic::Shf => "SHF",
-            Mnemonic::Lop3 => "LOP3",
-            Mnemonic::Isetp => "ISETP",
-            Mnemonic::Iset => "ISET",
-            Mnemonic::Plop3 => "PLOP3",
-            Mnemonic::Popc => "POPC",
-            Mnemonic::Flo => "FLO",
-            Mnemonic::Vote => "VOTE",
-            Mnemonic::Fadd => "FADD",
-            Mnemonic::Fmul => "FMUL",
-            Mnemonic::Ffma => "FFMA",
-            Mnemonic::Fsel => "FSEL",
-            Mnemonic::Fsetp => "FSETP",
-            Mnemonic::Fmnmx => "FMNMX",
-            Mnemonic::Hadd2 => "HADD2",
-            Mnemonic::Hmul2 => "HMUL2",
-            Mnemonic::Hfma2 => "HFMA2",
-            Mnemonic::Hset2 => "HSET2",
-            Mnemonic::Hsetp2 => "HSETP2",
-            Mnemonic::F2f => "F2F",
-            Mnemonic::F2i => "F2I",
-            Mnemonic::I2f => "I2F",
-            Mnemonic::Hmma => "HMMA",
-            Mnemonic::Imma => "IMMA",
-            Mnemonic::Mufu => "MUFU",
-            Mnemonic::Cs2r => "CS2R",
-            Mnemonic::S2r => "S2R",
-            Mnemonic::R2p => "R2P",
-            Mnemonic::P2r => "P2R",
-            Mnemonic::Shfl => "SHFL",
-            Mnemonic::Ldg => "LDG",
-            Mnemonic::Stg => "STG",
-            Mnemonic::Lds => "LDS",
-            Mnemonic::Sts => "STS",
-            Mnemonic::Ldsm => "LDSM",
-            Mnemonic::Ldgsts => "LDGSTS",
-            Mnemonic::Ldl => "LDL",
-            Mnemonic::Stl => "STL",
-            Mnemonic::Ld => "LD",
-            Mnemonic::St => "ST",
-            Mnemonic::Atom => "ATOM",
-            Mnemonic::Atoms => "ATOMS",
-            Mnemonic::Atomg => "ATOMG",
-            Mnemonic::Red => "RED",
-            Mnemonic::Ldc => "LDC",
-            Mnemonic::Bar => "BAR",
-            Mnemonic::Depbar => "DEPBAR",
-            Mnemonic::Ldgdepbar => "LDGDEPBAR",
-            Mnemonic::Membar => "MEMBAR",
-            Mnemonic::Errbar => "ERRBAR",
-            Mnemonic::Cctl => "CCTL",
-            Mnemonic::Fence => "FENCE",
-            Mnemonic::Bssy => "BSSY",
-            Mnemonic::Bsync => "BSYNC",
-            Mnemonic::Bra => "BRA",
-            Mnemonic::Brx => "BRX",
-            Mnemonic::Jmp => "JMP",
-            Mnemonic::Call => "CALL",
-            Mnemonic::Ret => "RET",
-            Mnemonic::Exit => "EXIT",
-            Mnemonic::Nop => "NOP",
-            Mnemonic::Warpsync => "WARPSYNC",
-            Mnemonic::Yield => "YIELD",
-            Mnemonic::Nanosleep => "NANOSLEEP",
-            Mnemonic::Other(s) => s,
-        }
-    }
-}
-
-impl FromStr for Mnemonic {
-    type Err = SassError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.is_empty() {
-            return Err(SassError::Operand("empty mnemonic".to_string()));
-        }
-        Ok(match s {
-            "IADD3" => Mnemonic::Iadd3,
-            "IMAD" => Mnemonic::Imad,
-            "IMNMX" => Mnemonic::Imnmx,
-            "LEA" => Mnemonic::Lea,
-            "SEL" => Mnemonic::Sel,
-            "MOV" => Mnemonic::Mov,
-            "IABS" => Mnemonic::Iabs,
-            "SHF" => Mnemonic::Shf,
-            "LOP3" => Mnemonic::Lop3,
-            "ISETP" => Mnemonic::Isetp,
-            "ISET" => Mnemonic::Iset,
-            "PLOP3" => Mnemonic::Plop3,
-            "POPC" => Mnemonic::Popc,
-            "FLO" => Mnemonic::Flo,
-            "VOTE" => Mnemonic::Vote,
-            "FADD" => Mnemonic::Fadd,
-            "FMUL" => Mnemonic::Fmul,
-            "FFMA" => Mnemonic::Ffma,
-            "FSEL" => Mnemonic::Fsel,
-            "FSETP" => Mnemonic::Fsetp,
-            "FMNMX" => Mnemonic::Fmnmx,
-            "HADD2" => Mnemonic::Hadd2,
-            "HMUL2" => Mnemonic::Hmul2,
-            "HFMA2" => Mnemonic::Hfma2,
-            "HSET2" => Mnemonic::Hset2,
-            "HSETP2" => Mnemonic::Hsetp2,
-            "F2F" => Mnemonic::F2f,
-            "F2I" => Mnemonic::F2i,
-            "I2F" => Mnemonic::I2f,
-            "HMMA" => Mnemonic::Hmma,
-            "IMMA" => Mnemonic::Imma,
-            "MUFU" => Mnemonic::Mufu,
-            "CS2R" => Mnemonic::Cs2r,
-            "S2R" => Mnemonic::S2r,
-            "R2P" => Mnemonic::R2p,
-            "P2R" => Mnemonic::P2r,
-            "SHFL" => Mnemonic::Shfl,
-            "LDG" => Mnemonic::Ldg,
-            "STG" => Mnemonic::Stg,
-            "LDS" => Mnemonic::Lds,
-            "STS" => Mnemonic::Sts,
-            "LDSM" => Mnemonic::Ldsm,
-            "LDGSTS" => Mnemonic::Ldgsts,
-            "LDL" => Mnemonic::Ldl,
-            "STL" => Mnemonic::Stl,
-            "LD" => Mnemonic::Ld,
-            "ST" => Mnemonic::St,
-            "ATOM" => Mnemonic::Atom,
-            "ATOMS" => Mnemonic::Atoms,
-            "ATOMG" => Mnemonic::Atomg,
-            "RED" => Mnemonic::Red,
-            "LDC" => Mnemonic::Ldc,
-            "BAR" => Mnemonic::Bar,
-            "DEPBAR" => Mnemonic::Depbar,
-            "LDGDEPBAR" => Mnemonic::Ldgdepbar,
-            "MEMBAR" => Mnemonic::Membar,
-            "ERRBAR" => Mnemonic::Errbar,
-            "CCTL" => Mnemonic::Cctl,
-            "FENCE" => Mnemonic::Fence,
-            "BSSY" => Mnemonic::Bssy,
-            "BSYNC" => Mnemonic::Bsync,
-            "BRA" => Mnemonic::Bra,
-            "BRX" => Mnemonic::Brx,
-            "JMP" => Mnemonic::Jmp,
-            "CALL" => Mnemonic::Call,
-            "RET" => Mnemonic::Ret,
-            "EXIT" => Mnemonic::Exit,
-            "NOP" => Mnemonic::Nop,
-            "WARPSYNC" => Mnemonic::Warpsync,
-            "YIELD" => Mnemonic::Yield,
-            "NANOSLEEP" => Mnemonic::Nanosleep,
-            other => Mnemonic::Other(other.to_string()),
-        })
-    }
+    Bra => "BRA",
+    Brx => "BRX",
+    Jmp => "JMP",
+    Call => "CALL",
+    Ret => "RET",
+    Exit => "EXIT",
+    Nop => "NOP",
+    Warpsync => "WARPSYNC",
+    Yield => "YIELD",
+    Nanosleep => "NANOSLEEP",
 }
 
 impl fmt::Display for Mnemonic {

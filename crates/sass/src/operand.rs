@@ -199,21 +199,14 @@ impl fmt::Display for MemRef {
             write!(f, "desc[{d}]")?;
         }
         write!(f, "[")?;
-        let mut wrote_base = false;
         if let Some(base) = &self.base {
             write!(f, "{base}")?;
-            wrote_base = true;
         }
-        if self.offset != 0 || !wrote_base {
-            if wrote_base {
-                if self.offset >= 0 {
-                    write!(f, "+{:#x}", self.offset)?;
-                } else {
-                    write!(f, "-{:#x}", -self.offset)?;
-                }
-            } else {
-                write!(f, "{:#x}", self.offset)?;
-            }
+        match self.offset {
+            0 if self.base.is_some() => {}
+            offset if offset < 0 => write!(f, "-{:#x}", offset.unsigned_abs())?,
+            offset if self.base.is_some() => write!(f, "+{offset:#x}")?,
+            offset => write!(f, "{offset:#x}")?,
         }
         write!(f, "]")
     }
@@ -294,13 +287,8 @@ impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Operand::Reg(r) => write!(f, "{r}"),
-            Operand::Imm(v) => {
-                if *v < 0 {
-                    write!(f, "-{:#x}", -v)
-                } else {
-                    write!(f, "{v:#x}")
-                }
-            }
+            Operand::Imm(v) if *v < 0 => write!(f, "-{:#x}", v.unsigned_abs()),
+            Operand::Imm(v) => write!(f, "{v:#x}"),
             Operand::FImm(v) => write!(f, "{v}"),
             Operand::Const { bank, offset } => write!(f, "c[{bank:#x}][{offset:#x}]"),
             Operand::Mem(m) => write!(f, "{m}"),
@@ -340,14 +328,14 @@ impl FromStr for Operand {
             let offset_text = rest
                 .strip_suffix(']')
                 .ok_or_else(|| SassError::Operand(format!("malformed constant `{text}`")))?;
-            let bank = parse_uint(bank_text)
-                .ok_or_else(|| SassError::Operand(format!("bad constant bank `{bank_text}`")))?;
-            let offset = parse_uint(offset_text).ok_or_else(|| {
-                SassError::Operand(format!("bad constant offset `{offset_text}`"))
-            })?;
+            let field = |text: &str, what: &str| {
+                parse_uint(text)
+                    .and_then(|v| u32::try_from(v).ok())
+                    .ok_or_else(|| SassError::Operand(format!("bad constant {what} `{text}`")))
+            };
             return Ok(Operand::Const {
-                bank: bank as u32,
-                offset: offset as u32,
+                bank: field(bank_text, "bank")?,
+                offset: field(offset_text, "offset")?,
             });
         }
         // Memory reference, optionally with a descriptor: desc[UR16][R10.64]
@@ -407,8 +395,8 @@ fn split_base_offset(inner: &str) -> (&str, i64) {
     }
     if let Some(idx) = inner.rfind('-') {
         if idx > 0 {
-            if let Some(off) = parse_int(&inner[idx + 1..]) {
-                return (&inner[..idx], -off);
+            if let Some(off) = parse_int(&inner[idx..]) {
+                return (&inner[..idx], off);
             }
         }
     }
@@ -427,12 +415,13 @@ fn parse_uint(text: &str) -> Option<u64> {
     }
 }
 
+/// A signed integer; `None` for a magnitude outside `i64` (never wraps).
 fn parse_int(text: &str) -> Option<i64> {
     let t = text.trim();
     if let Some(neg) = t.strip_prefix('-') {
-        return parse_uint(neg).map(|v| -(v as i64));
+        return 0i64.checked_sub_unsigned(parse_uint(neg)?);
     }
-    parse_uint(t).map(|v| v as i64)
+    i64::try_from(parse_uint(t)?).ok()
 }
 
 #[cfg(test)]
@@ -544,5 +533,49 @@ mod tests {
     #[test]
     fn display_negative_immediate() {
         assert_eq!(Operand::Imm(-16).to_string(), "-0x10");
+    }
+
+    #[test]
+    fn integers_outside_their_field_are_errors_never_wrapped() {
+        for text in [
+            "0x8000000000000000",
+            "0xffffffffffffffff",
+            "[R4.64+0x8000000000000000]",
+            "[0x8000000000000000]",
+            "c[0x100000000][0x0]",
+            "c[0x0][0x100000000]",
+        ] {
+            assert!(text.parse::<Operand>().is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn integer_extremes_round_trip() {
+        let min = |base| {
+            Operand::Mem(MemRef {
+                descriptor: None,
+                base,
+                offset: i64::MIN,
+            })
+        };
+        let r4 = Some(RegOperand::new(Register::Gpr(4)).wide());
+        for (text, expected) in [
+            ("-0x8000000000000000", Operand::Imm(i64::MIN)),
+            ("0x7fffffffffffffff", Operand::Imm(i64::MAX)),
+            ("[R4.64-0x8000000000000000]", min(r4)),
+            ("[-0x8000000000000000]", min(None)),
+            (
+                "c[0xffffffff][0xffffffff]",
+                Operand::Const {
+                    bank: u32::MAX,
+                    offset: u32::MAX,
+                },
+            ),
+        ] {
+            let op: Operand = text.parse().unwrap();
+            assert_eq!(op, expected, "{text}");
+            assert_eq!(op.to_string(), text);
+            assert_eq!(op.to_string().parse::<Operand>().unwrap(), op);
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! Listing-level parser: turns a textual SASS dump into a [`Program`].
 
-use crate::{Instruction, Item, Program, SassError};
+use std::collections::HashSet;
+
+use crate::{Instruction, Program, SassError};
 
 /// Parses a complete SASS listing.
 ///
@@ -14,9 +16,10 @@ use crate::{Instruction, Item, Program, SassError};
 /// # Errors
 ///
 /// Returns a [`SassError::Parse`] identifying the offending line when any
-/// instruction fails to parse.
+/// instruction fails to parse or a label is defined a second time.
 pub fn parse_program(text: &str) -> Result<Program, SassError> {
-    let mut items = Vec::new();
+    let mut program = Program::new();
+    let mut defined = HashSet::new();
     for (line_no, raw_line) in text.lines().enumerate() {
         let line = raw_line.trim();
         if line.is_empty() || line.starts_with("//") {
@@ -29,7 +32,13 @@ pub fn parse_program(text: &str) -> Result<Program, SassError> {
         }
         if let Some(label) = line.strip_suffix(':') {
             if !label.contains(' ') && !label.contains('[') {
-                items.push(Item::Label(label.to_string()));
+                if !defined.insert(label) {
+                    return Err(SassError::parse(
+                        line_no + 1,
+                        format!("label `{label}` is already defined"),
+                    ));
+                }
+                program.push_label(label.to_string());
                 continue;
             }
         }
@@ -37,9 +46,9 @@ pub fn parse_program(text: &str) -> Result<Program, SassError> {
             SassError::Parse { message, .. } => SassError::parse(line_no + 1, message),
             other => SassError::parse(line_no + 1, other.to_string()),
         })?;
-        items.push(Item::Instr(instruction));
+        program.push(instruction);
     }
-    Ok(Program::from_items(items))
+    Ok(program)
 }
 
 #[cfg(test)]
@@ -59,7 +68,7 @@ mod tests {
 ";
         let program = parse_program(text).unwrap();
         assert_eq!(program.instruction_count(), 3);
-        assert_eq!(program.items().len(), 4);
+        assert_eq!(program.labels(), [(0, ".L_x_0".to_string())]);
     }
 
     #[test]
@@ -68,6 +77,27 @@ mod tests {
         let err = parse_program(text).unwrap_err();
         match err {
             SassError::Parse { line, .. } => assert_eq!(line, 2),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_label_defined_twice_is_an_error_on_its_second_line() {
+        // A branch to `.L_a` would have two targets: the loop head or the
+        // exit.
+        let text = "\
+.L_a:
+[B------:R-:W-:-:S04] IADD3 R10, R10, 0x1, RZ ;
+[B------:R-:W-:-:S04] ISETP.LT.AND P0, PT, R10, 0x3, PT ;
+[B------:R-:W-:-:S06] @P0 BRA `(.L_a) ;
+.L_a:
+[B------:R-:W-:-:S05] EXIT ;
+";
+        match parse_program(text).unwrap_err() {
+            SassError::Parse { line, message } => {
+                assert_eq!(line, 5);
+                assert!(message.contains(".L_a"), "{message}");
+            }
             other => panic!("expected parse error, got {other:?}"),
         }
     }

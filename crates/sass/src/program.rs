@@ -1,19 +1,10 @@
-//! A kernel section: an ordered list of labels and instructions.
+//! A kernel section: its instructions plus the labels anchored between them.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 use crate::{parse_program, Instruction, SassError};
-
-/// One item of a SASS listing: either a label or an instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Item {
-    /// A code label such as `.L_x_1:`.
-    Label(String),
-    /// An instruction.
-    Instr(Instruction),
-}
 
 /// A basic block: a maximal range of instructions with no label in the
 /// middle and no scheduling fence (branch, barrier, synchronisation) other
@@ -49,98 +40,83 @@ impl BasicBlock {
 }
 
 /// A parsed kernel section.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// Scheduling only reorders instructions inside basic blocks, so a label
+/// never moves: it is stored once, anchored at the index of the instruction
+/// it precedes (the instruction count for a trailing label), and every
+/// instruction position is a plain index into [`Program::instructions`].
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
-    items: Vec<Item>,
+    instructions: Vec<Instruction>,
+    /// `(anchor, name)` in listing order, so anchors never decrease. Only
+    /// the parser adds a label, and it rejects a name defined twice.
+    labels: Vec<(usize, String)>,
 }
 
 impl Program {
     /// Creates an empty program.
     #[must_use]
     pub fn new() -> Self {
-        Program { items: Vec::new() }
-    }
-
-    /// Creates a program from a list of items.
-    #[must_use]
-    pub fn from_items(items: Vec<Item>) -> Self {
-        Program { items }
+        Program::default()
     }
 
     /// Appends an instruction.
     pub fn push(&mut self, instruction: Instruction) {
-        self.items.push(Item::Instr(instruction));
+        self.instructions.push(instruction);
     }
 
-    /// The raw items (labels and instructions) in listing order.
+    /// Appends a label before the next instruction pushed. The caller
+    /// guarantees the name is not yet defined.
+    pub(crate) fn push_label(&mut self, name: String) {
+        self.labels.push((self.instructions.len(), name));
+    }
+
+    /// The instructions in listing order.
     #[must_use]
-    pub fn items(&self) -> &[Item] {
-        &self.items
+    pub fn instructions(&self) -> &[Instruction] {
+        &self.instructions
     }
 
-    /// Iterates over the instructions in listing order, skipping labels.
-    pub fn instructions(&self) -> impl Iterator<Item = &Instruction> {
-        self.items.iter().filter_map(|item| match item {
-            Item::Instr(i) => Some(i),
-            Item::Label(_) => None,
-        })
+    /// The labels in listing order, each with the index of the instruction
+    /// it precedes (the instruction count for a trailing label).
+    #[must_use]
+    pub fn labels(&self) -> &[(usize, String)] {
+        &self.labels
     }
 
     /// Number of instructions (labels excluded).
     #[must_use]
     pub fn instruction_count(&self) -> usize {
-        self.instructions().count()
+        self.instructions.len()
     }
 
     /// Returns the instruction with the given instruction index (labels are
     /// not counted), or `None` if out of range.
     #[must_use]
     pub fn instruction(&self, index: usize) -> Option<&Instruction> {
-        self.instructions().nth(index)
+        self.instructions.get(index)
     }
 
     /// Mutable access to the instruction with the given instruction index.
     pub fn instruction_mut(&mut self, index: usize) -> Option<&mut Instruction> {
-        self.items
-            .iter_mut()
-            .filter_map(|item| match item {
-                Item::Instr(i) => Some(i),
-                Item::Label(_) => None,
-            })
-            .nth(index)
+        self.instructions.get_mut(index)
     }
 
-    /// Swaps the instructions at instruction indices `a` and `b`.
-    ///
-    /// Labels keep their positions in the item list; only the instructions
-    /// move. This is the primitive mutation applied by the assembly game.
+    /// Swaps the instructions at instruction indices `a` and `b`; labels
+    /// stay anchored where they were. This is the primitive mutation
+    /// applied by the assembly game.
     ///
     /// # Errors
     ///
     /// Returns an error if either index is out of range.
     pub fn swap_instructions(&mut self, a: usize, b: usize) -> Result<(), SassError> {
-        // One scan up to the later of the two instructions.
-        let (mut ia, mut ib) = (None, None);
-        let mut index = 0usize;
-        for (position, item) in self.items.iter().enumerate() {
-            if let Item::Instr(_) = item {
-                if index == a {
-                    ia = Some(position);
-                }
-                if index == b {
-                    ib = Some(position);
-                }
-                if ia.is_some() && ib.is_some() {
-                    break;
-                }
-                index += 1;
-            }
+        let index = a.max(b);
+        if index >= self.instructions.len() {
+            return Err(SassError::Encoding(format!(
+                "instruction index {index} out of range"
+            )));
         }
-        let out_of_range =
-            |index: usize| SassError::Encoding(format!("instruction index {index} out of range"));
-        let ia = ia.ok_or_else(|| out_of_range(a))?;
-        let ib = ib.ok_or_else(|| out_of_range(b))?;
-        self.items.swap(ia, ib);
+        self.instructions.swap(a, b);
         Ok(())
     }
 
@@ -152,27 +128,30 @@ impl Program {
     #[must_use]
     pub fn basic_blocks(&self) -> Vec<BasicBlock> {
         let mut blocks = Vec::new();
+        let mut anchors = self.labels.iter().map(|&(at, _)| at).peekable();
         let mut start = 0usize;
-        let mut index = 0usize;
-        for item in &self.items {
-            match item {
-                Item::Label(_) => {
-                    if index > start {
-                        blocks.push(BasicBlock { start, end: index });
-                    }
-                    start = index;
-                }
-                Item::Instr(inst) => {
-                    index += 1;
-                    if inst.opcode().is_scheduling_fence() {
-                        blocks.push(BasicBlock { start, end: index });
-                        start = index;
-                    }
-                }
+        for (index, inst) in self.instructions.iter().enumerate() {
+            let mut labelled = false;
+            while anchors.next_if_eq(&index).is_some() {
+                labelled = true;
+            }
+            if labelled && index > start {
+                blocks.push(BasicBlock { start, end: index });
+                start = index;
+            }
+            if inst.opcode().is_scheduling_fence() {
+                blocks.push(BasicBlock {
+                    start,
+                    end: index + 1,
+                });
+                start = index + 1;
             }
         }
-        if index > start {
-            blocks.push(BasicBlock { start, end: index });
+        if self.instructions.len() > start {
+            blocks.push(BasicBlock {
+                start,
+                end: self.instructions.len(),
+            });
         }
         blocks
     }
@@ -187,7 +166,8 @@ impl Program {
     /// space is restricted to these).
     #[must_use]
     pub fn memory_instruction_indices(&self) -> Vec<usize> {
-        self.instructions()
+        self.instructions
+            .iter()
             .enumerate()
             .filter_map(|(i, inst)| inst.opcode().is_memory().then_some(i))
             .collect()
@@ -197,7 +177,8 @@ impl Program {
     /// are padded to this width (§3.4).
     #[must_use]
     pub fn max_operand_count(&self) -> usize {
-        self.instructions()
+        self.instructions
+            .iter()
             .map(|i| i.operands().len())
             .max()
             .unwrap_or(0)
@@ -206,11 +187,15 @@ impl Program {
 
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for item in &self.items {
-            match item {
-                Item::Label(name) => writeln!(f, "{name}:")?,
-                Item::Instr(inst) => writeln!(f, "{inst}")?,
+        let mut labels = self.labels.iter().peekable();
+        for (index, inst) in self.instructions.iter().enumerate() {
+            while let Some((_, name)) = labels.next_if(|(at, _)| *at == index) {
+                writeln!(f, "{name}:")?;
             }
+            writeln!(f, "{inst}")?;
+        }
+        for (_, name) in labels {
+            writeln!(f, "{name}:")?;
         }
         Ok(())
     }
@@ -245,7 +230,7 @@ mod tests {
     fn instruction_iteration_skips_labels() {
         let p = sample();
         assert_eq!(p.instruction_count(), 5);
-        assert_eq!(p.items().len(), 6);
+        assert_eq!(p.labels(), [(2, ".L_x_1".to_string())]);
     }
 
     #[test]
@@ -274,16 +259,49 @@ mod tests {
     fn swap_moves_instructions_but_not_labels() {
         let mut p = sample();
         p.swap_instructions(2, 3).unwrap();
-        // The label stays at the same item position.
-        assert!(matches!(p.items()[2], Item::Label(_)));
+        // The label stays anchored before instruction 2.
+        assert_eq!(p.labels(), [(2, ".L_x_1".to_string())]);
         assert!(p.instruction(2).unwrap().opcode().is_memory());
         assert!(!p.instruction(3).unwrap().opcode().is_memory());
+    }
+
+    #[test]
+    fn labels_anchor_before_the_instruction_they_precede() {
+        let text = "\
+.L_entry:
+[B------:R-:W-:-:S04] MOV R0, 0x1 ;
+.L_a:
+.L_b:
+[B------:R-:W-:-:S04] MOV R1, 0x2 ;
+[B------:R-:W-:-:S05] EXIT ;
+.L_end:
+";
+        let p: Program = text.parse().unwrap();
+        let anchors: Vec<(usize, &str)> = p
+            .labels()
+            .iter()
+            .map(|(at, name)| (*at, name.as_str()))
+            .collect();
+        assert_eq!(
+            anchors,
+            [(0, ".L_entry"), (1, ".L_a"), (1, ".L_b"), (3, ".L_end")]
+        );
+        assert_eq!(
+            p.basic_blocks(),
+            [
+                BasicBlock { start: 0, end: 1 },
+                BasicBlock { start: 1, end: 3 },
+            ]
+        );
+        assert_eq!(p.to_string(), text);
     }
 
     #[test]
     fn swap_out_of_range_is_an_error() {
         let mut p = sample();
         assert!(p.swap_instructions(0, 99).is_err());
+        assert!(p.swap_instructions(5, 0).is_err());
+        assert_eq!(p, sample());
     }
 
     #[test]
@@ -304,7 +322,7 @@ mod tests {
     #[test]
     fn push_and_block_of_empty() {
         assert!(Program::new().basic_blocks().is_empty());
-        let mut p = Program::from_items(vec![Item::Label(".L_start".to_string())]);
+        let mut p: Program = ".L_start:\n".parse().unwrap();
         p.push("MOV R0, 0x1 ;".parse().unwrap());
         assert_eq!(p.instruction_count(), 1);
         assert_eq!(p.basic_blocks().len(), 1);

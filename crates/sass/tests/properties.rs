@@ -24,20 +24,21 @@ proptest! {
         yld in any::<bool>(),
         stall in 0u8..16,
     ) {
-        let mut cc = ControlCode::with_stall(stall).set_yield(yld);
-        for b in 0..6 {
-            if wait & (1 << b) != 0 {
-                cc = cc.wait_on(b);
-            }
-        }
-        if let Some(r) = read {
-            cc = cc.set_read_barrier(r);
-        }
-        if let Some(w) = write {
-            cc = cc.set_write_barrier(w);
-        }
-        let text = cc.to_string();
-        prop_assert_eq!(text.parse::<ControlCode>().unwrap(), cc);
+        let slot = |b: u8| if wait & (1 << b) != 0 { char::from(b'0' + b) } else { '-' };
+        let barrier = |b: Option<u8>| b.map_or("-".to_string(), |b| b.to_string());
+        let text = format!(
+            "[B{}:R{}:W{}:{}:S{stall:02}]",
+            (0..6).map(slot).collect::<String>(),
+            barrier(read),
+            barrier(write),
+            if yld { "Y" } else { "-" },
+        );
+        let cc: ControlCode = text.parse().unwrap();
+        prop_assert_eq!(
+            (cc.wait_mask(), cc.read_barrier(), cc.write_barrier(), cc.yield_flag(), cc.stall()),
+            (wait, read, write, yld, stall)
+        );
+        prop_assert_eq!(cc.to_string(), text);
         prop_assert_eq!(ControlCode::from_bits(cc.to_bits()).unwrap(), cc);
     }
 
@@ -64,14 +65,15 @@ proptest! {
         }
         prop_assert_eq!(mutated.instruction_count(), original.instruction_count());
         let mut original_texts: Vec<String> =
-            original.instructions().map(ToString::to_string).collect();
+            original.instructions().iter().map(ToString::to_string).collect();
         let mut mutated_texts: Vec<String> =
-            mutated.instructions().map(ToString::to_string).collect();
+            mutated.instructions().iter().map(ToString::to_string).collect();
         original_texts.sort();
         mutated_texts.sort();
         prop_assert_eq!(original_texts, mutated_texts);
-        // Labels stay where they were in the item list.
-        prop_assert!(matches!(mutated.items()[2], sass::Item::Label(_)));
+        // Labels stay anchored where they were.
+        prop_assert_eq!(mutated.labels(), original.labels());
+        prop_assert_eq!(mutated.labels(), [(2, ".L_mid".to_string())]);
         // Binary encoding round-trips the mutated schedule exactly.
         let decoded = decode_program(&encode_program(&mutated)).unwrap();
         prop_assert_eq!(decoded, mutated);

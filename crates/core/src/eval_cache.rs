@@ -4,14 +4,15 @@
 //! The reward signal re-simulates the whole kernel after every move, and the
 //! search strategies revisit schedules constantly: episode resets replay the
 //! initial schedule, undo moves walk back to states already measured, greedy
-//! probes fan out from one state, evolutionary search replays its best move
+//! peeks fan out from one state (and its winner's step is a hit on what the
+//! peek stored), evolutionary search replays its best move
 //! sequence every generation, and PPO re-walks converged trajectories. All
 //! of those revisits are cache hits here — a hash of the schedule text
 //! instead of a cycle-by-cycle simulation.
 //!
 //! The cache is transparent by construction: the simulator is deterministic,
 //! so a hit returns exactly (bit for bit) what the miss path would have
-//! computed. Sharing one cache across episode resets, greedy probes,
+//! computed. Sharing one cache across episode resets, greedy peeks,
 //! evolutionary replays and clones of one game therefore cannot change any
 //! observable result — the `jobs = N ≡ jobs = 1` determinism contract
 //! survives, as enforced by `tests/parallel_determinism.rs` and the

@@ -90,7 +90,8 @@ pub struct AssemblyGame {
     /// an `Arc` clone instead of re-analyzing.
     views: Arc<DerivedViews>,
     /// Memo of derived views keyed by schedule digest, shared across clones
-    /// of this game (episode replays, greedy probes). The views are pure
+    /// of this game, of the schedules its steps accepted (episode replays
+    /// revisit them; a greedy peek derives no views). The views are pure
     /// functions of the listing, so sharing cannot change an observable
     /// result; the map is size-capped, never evicts, and only trades
     /// recomputation for memory.
@@ -104,8 +105,8 @@ pub struct AssemblyGame {
     action_slots: usize,
     trace: Vec<Move>,
     /// Schedule-evaluation memo, shared (via `Arc`) across clones of this
-    /// game — episode resets, greedy probes and evolutionary replays all hit
-    /// the same cache.
+    /// game — episode resets, greedy peeks and the winner's step after
+    /// them, and evolutionary replays all hit the same cache.
     cache: Arc<EvalCache>,
     /// Digest of (device, launch, measurement protocol), combined with the
     /// per-schedule digest into cache keys.
@@ -376,6 +377,35 @@ impl AssemblyGame {
         (m.mean_us, m.run.sm.hazards, m.run.sm.output_digest)
     }
 
+    /// The reward (equation 3) of moving from the current schedule to one
+    /// measured at `runtime`: the relative improvement scaled by 100.
+    fn reward_for(&self, runtime: f64) -> f32 {
+        ((self.current_runtime - runtime) / self.initial_runtime * 100.0) as f32
+    }
+
+    /// The reward [`Env::step`] would pay for `action_id`, with the game left
+    /// exactly as it was: the edit is applied to every mirror, priced by the
+    /// same eval-cache lookup (or simulated insert) a step makes, and undone
+    /// by its inverse. Greedy prices its candidates this way, so a scan
+    /// neither clones the game nor derives views of schedules it does not
+    /// keep. A masked or out-of-range id pays 0 and touches nothing.
+    pub(crate) fn peek_reward(&mut self, action_id: usize) -> f32 {
+        let Some(edit) = self.views.edits.get(action_id).copied().flatten() else {
+            return 0.0;
+        };
+        if !self.apply_edit_everywhere(&edit) {
+            return 0.0;
+        }
+        let (runtime, hazards, digest) = self.measure_current_schedule(self.current_schedule_key());
+        let undone = self.apply_edit_everywhere(&edit.inverse());
+        debug_assert!(undone, "inverse edit must apply");
+        if hazards > 0 || digest != self.initial_digest {
+            -10.0
+        } else {
+            self.reward_for(runtime)
+        }
+    }
+
     /// The full cached measurement of a schedule under the game's protocol.
     pub fn cached_measurement(&self, program: &Program) -> Measurement {
         self.cache
@@ -604,8 +634,7 @@ impl Env for AssemblyGame {
             if self.apply_edit_everywhere(&edit) {
                 let key = self.current_schedule_key();
                 let (runtime, hazards, digest) = self.measure_current_schedule(key);
-                // Reward (equation 3): relative improvement scaled by 100.
-                reward = ((self.current_runtime - runtime) / self.initial_runtime * 100.0) as f32;
+                reward = self.reward_for(runtime);
                 if hazards > 0 || digest != self.initial_digest {
                     // A corrupted schedule (should be prevented by masking):
                     // revert via the exact inverse edit and punish. The
@@ -740,18 +769,29 @@ mod tests {
     use super::*;
     use kernels::{generate, KernelConfig, KernelKind, KernelSpec, ScheduleStyle};
 
-    fn small_game_in(space: ActionSpace) -> AssemblyGame {
-        let spec = KernelSpec::scaled(KernelKind::MatmulLeakyRelu, 16);
-        let config = KernelConfig {
-            block_m: 32,
-            block_n: 32,
-            block_k: 32,
-            num_warps: 4,
-            num_stages: 2,
+    /// A game of the scale-16 `kind` kernel on `gpu`: 32 × 32 × 32 tiles
+    /// for the GEMM family, 256-wide rows otherwise, 4 warps.
+    fn game_of(kind: KernelKind, gpu: GpuConfig, space: ActionSpace) -> AssemblyGame {
+        let spec = KernelSpec::scaled(kind, 16);
+        let config = match kind {
+            KernelKind::Softmax | KernelKind::Rmsnorm => KernelConfig {
+                block_m: 1,
+                block_n: 256,
+                block_k: 1,
+                num_warps: 4,
+                num_stages: 1,
+            },
+            _ => KernelConfig {
+                block_m: 32,
+                block_n: 32,
+                block_k: 32,
+                num_warps: 4,
+                num_stages: 2,
+            },
         };
         let kernel = generate(&spec, &config, ScheduleStyle::Baseline);
         AssemblyGame::new(
-            GpuConfig::small(),
+            gpu,
             kernel.program,
             kernel.launch,
             StallTable::builtin_a100(),
@@ -760,6 +800,10 @@ mod tests {
                 ..GameConfig::default()
             },
         )
+    }
+
+    fn small_game_in(space: ActionSpace) -> AssemblyGame {
+        game_of(KernelKind::MatmulLeakyRelu, GpuConfig::small(), space)
     }
 
     fn small_game() -> AssemblyGame {
@@ -952,7 +996,8 @@ mod tests {
 
     /// In both spaces a masked (or out-of-range) id touches nothing and earns
     /// 0, while an edit the mask admitted but the simulator rejects is
-    /// measured, reverted through its inverse and punished with -10.
+    /// measured, reverted through its inverse and punished with -10 — by a
+    /// peek as by a step.
     #[test]
     fn masked_ids_are_inert_and_rejected_edits_are_reverted() {
         for space in [ActionSpace::AdjacentSwap, ActionSpace::Rich] {
@@ -969,6 +1014,7 @@ mod tests {
             let masked: Vec<usize> = (0..mask.len()).filter(|&id| !mask[id]).collect();
             let misses = game.eval_cache().stats().misses;
             for &id in masked.iter().chain([&mask.len()]) {
+                assert_eq!(game.peek_reward(id).to_bits(), 0.0f32.to_bits());
                 assert_eq!(game.step(id).reward.to_bits(), 0.0f32.to_bits());
             }
             assert_untouched(&game);
@@ -998,7 +1044,11 @@ mod tests {
                 views.mask[id] = true;
                 game.views = Arc::new(views);
                 let misses = game.eval_cache().stats().misses;
-                if game.step(id).reward.to_bits() == (-10.0f32).to_bits() {
+                let peeked = game.peek_reward(id);
+                assert_untouched(&game);
+                let reward = game.step(id).reward;
+                assert_eq!(peeked.to_bits(), reward.to_bits(), "{space:?}");
+                if reward.to_bits() == (-10.0f32).to_bits() {
                     assert_untouched(&game);
                     assert_eq!(game.eval_cache().stats().misses, misses + 1);
                     rejected = true;
@@ -1156,6 +1206,117 @@ mod tests {
         }
         assert_replay_matches_a_fresh_game(&mut game, &actions);
         assert_replay_matches_a_fresh_game(&mut game, &actions);
+    }
+
+    /// Everything a peek must leave as it found it: the listing and each
+    /// mirror of it (digests, texts, lowering), the mask and the episode
+    /// record.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        listing: String,
+        schedule_key: u64,
+        instruction_keys: Vec<u64>,
+        texts: Vec<Arc<str>>,
+        simulated: SmReport,
+        mask: Vec<bool>,
+        runtime: u64,
+        trace: Vec<Move>,
+        best: (String, u64),
+        best_trace: Vec<Move>,
+        steps_in_episode: usize,
+    }
+
+    fn observe(game: &AssemblyGame) -> Observed {
+        let schedule_key = game.current_schedule_key();
+        assert_eq!(schedule_key, program_key(&game.current));
+        Observed {
+            listing: game.current.to_string(),
+            schedule_key,
+            instruction_keys: game.instruction_keys.clone(),
+            texts: game.texts.clone(),
+            simulated: game.lowered.simulate(),
+            mask: game.mask().to_vec(),
+            runtime: game.current_runtime.to_bits(),
+            trace: game.trace().to_vec(),
+            best: (game.best.to_string(), game.best_runtime.to_bits()),
+            best_trace: game.best_trace().to_vec(),
+            steps_in_episode: game.steps_in_episode,
+        }
+    }
+
+    /// Peeks every legal action of `game` and steps a clone of `twin` (the
+    /// same game in the same state, on a cache of its own) on it: the
+    /// rewards agree bit for bit, every peek leaves `game` as it was, and
+    /// the scan makes the same cache lookups as the clone-and-step one.
+    /// Masked and out-of-range ids pay 0 and touch nothing.
+    fn assert_peeks_match_clone_steps(game: &mut AssemblyGame, twin: &AssemblyGame, at: &str) {
+        let before = observe(game);
+        assert_eq!(before, observe(twin), "{at}");
+        assert_eq!(game.eval_cache().stats(), twin.eval_cache().stats(), "{at}");
+        let (legal, masked): (Vec<usize>, Vec<usize>) =
+            (0..game.mask().len()).partition(|&id| game.mask()[id]);
+        assert!(!legal.is_empty(), "{at}");
+        for &id in &legal {
+            let peeked = game.peek_reward(id);
+            let stepped = twin.clone().step(id).reward;
+            assert_eq!(peeked.to_bits(), stepped.to_bits(), "{at}: action {id}");
+            assert_eq!(observe(game), before, "{at}: action {id}");
+        }
+        let stats = game.eval_cache().stats();
+        assert_eq!(stats, twin.eval_cache().stats(), "{at}");
+        for id in masked.into_iter().chain([game.action_count()]) {
+            assert_eq!(game.peek_reward(id).to_bits(), 0.0f32.to_bits(), "{at}");
+        }
+        assert_eq!(observe(game), before, "{at}");
+        assert_eq!(game.eval_cache().stats(), stats, "{at}");
+    }
+
+    /// `peek_reward` is `step` on a clone, minus the clone: on three
+    /// kernels, three device profiles and both action spaces, at the initial schedule,
+    /// mid-episode (after a rich walk through content edits too) and after a
+    /// state restore.
+    #[test]
+    fn a_peek_pays_what_a_cloned_step_pays_and_changes_nothing() {
+        for (kind, gpu) in [
+            (KernelKind::MatmulLeakyRelu, GpuConfig::small()),
+            (
+                KernelKind::FlashAttention,
+                GpuConfig::small_with_arch(gpusim::ArchSpec::hopper()),
+            ),
+            (
+                KernelKind::Softmax,
+                GpuConfig::small_with_arch(gpusim::ArchSpec::turing()),
+            ),
+        ] {
+            for space in [ActionSpace::AdjacentSwap, ActionSpace::Rich] {
+                let new_game = || game_of(kind, gpu.clone(), space);
+                let (mut game, mut twin) = (new_game(), new_game());
+                let _ = (game.reset(), twin.reset());
+                let at = format!("{kind:?} on {} in {space:?}", gpu.name);
+                assert_peeks_match_clone_steps(&mut game, &twin, &format!("{at}, initial"));
+
+                let actions = kind_cycling_walk(&mut game, 6, 7);
+                for &action in &actions {
+                    let _ = twin.step(action);
+                }
+                if space == ActionSpace::Rich {
+                    assert!(
+                        game.trace()
+                            .iter()
+                            .any(|m| !matches!(m.kind, EditKind::SwapUp | EditKind::SwapDown)),
+                        "{at}: the walk accepts a content edit"
+                    );
+                }
+                assert_peeks_match_clone_steps(&mut game, &twin, &format!("{at}, mid-episode"));
+
+                let mut walked = new_game();
+                let _ = walked.reset();
+                let _ = random_walk(&mut walked, 5, 13);
+                let state = walked.state_bytes().unwrap();
+                assert!(game.restore_state(&state) && twin.restore_state(&state));
+                assert_peeks_match_clone_steps(&mut game, &twin, &format!("{at}, restored"));
+            }
+        }
     }
 
     #[test]

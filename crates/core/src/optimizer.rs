@@ -485,21 +485,20 @@ fn inference_episode(game: &mut AssemblyGame, policy: &rl::ActorCritic) {
 }
 
 fn run_greedy(game: &mut AssemblyGame, max_moves: usize, cancel: &CancelToken) -> bool {
+    let mut legal = Vec::new();
     let _ = game.reset();
     for _ in 0..max_moves {
         if cancel.is_cancelled() {
             return true;
         }
-        // Try each legal action, keep the best improvement.
+        // Price each legal action in place, keep the best improvement; only
+        // the winner is stepped (a cache hit: its price was just stored).
+        legal_actions(game, &mut legal);
         let mut best: Option<(usize, f32)> = None;
-        for (action, &legal) in game.mask().iter().enumerate() {
-            if !legal {
-                continue;
-            }
-            let mut probe = game.clone();
-            let step = probe.step(action);
-            if step.reward > best.map_or(0.0, |(_, r)| r) {
-                best = Some((action, step.reward));
+        for &action in &legal {
+            let reward = game.peek_reward(action);
+            if reward > best.map_or(0.0, |(_, r)| r) {
+                best = Some((action, reward));
             }
         }
         let Some((action, _)) = best else { break };

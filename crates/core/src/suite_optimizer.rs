@@ -528,7 +528,8 @@ mod tests {
             assert!(kernel.phases.total_ms >= 0.0);
         }
         // The search measures every candidate through the eval cache, so a
-        // greedy probe suite must revisit schedules (hits > 0 overall).
+        // greedy suite revisits schedules: each move's winner was priced by
+        // its peek first (hits > 0 overall).
         assert!(manifest.cache.hits > 0);
         let loaded = crate::load_run_manifest_checked(&dir, &suite.gpu, &suite.suite)
             .unwrap()

@@ -184,8 +184,8 @@ fn episode_replays_hit_the_shared_cache() {
     );
     assert!(cache.stats().hits > 0);
 
-    // A clone of the game (as handed to greedy probes) shares the same
-    // cache.
+    // A clone of the game (as an independent replay would take) shares the
+    // same cache.
     let clone = game.clone();
     assert!(Arc::ptr_eq(clone.eval_cache(), game.eval_cache()));
 }

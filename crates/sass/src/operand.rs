@@ -289,7 +289,18 @@ impl fmt::Display for Operand {
             Operand::Reg(r) => write!(f, "{r}"),
             Operand::Imm(v) if *v < 0 => write!(f, "-{:#x}", v.unsigned_abs()),
             Operand::Imm(v) => write!(f, "{v:#x}"),
-            Operand::FImm(v) => write!(f, "{v}"),
+            // The shortest text that reads back to the same bits, always
+            // with the `.` the parser's float form requires: `2.0`, `-0.0`,
+            // `1.0e20` (`{v}` alone prints `2`, an integer immediate).
+            Operand::FImm(v) => {
+                let text = format!("{v:?}");
+                match text.split_once('e') {
+                    Some((mantissa, exponent)) if !mantissa.contains('.') => {
+                        write!(f, "{mantissa}.0e{exponent}")
+                    }
+                    _ => f.write_str(&text),
+                }
+            }
             Operand::Const { bank, offset } => write!(f, "c[{bank:#x}][{offset:#x}]"),
             Operand::Mem(m) => write!(f, "{m}"),
             Operand::Special(name) => write!(f, "{name}"),
@@ -427,6 +438,25 @@ fn parse_int(text: &str) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn float_immediates_print_with_a_point() {
+        for (text, printed) in [
+            ("2.0", "2.0"),
+            ("-0.0", "-0.0"),
+            ("0.5", "0.5"),
+            ("100000000000000000000.0", "1.0e20"),
+            ("1.5e-7", "1.5e-7"),
+        ] {
+            let op: Operand = text.parse().unwrap();
+            let Operand::FImm(v) = op else {
+                panic!("{text} parses as {op:?}");
+            };
+            assert_eq!(op.to_string(), printed);
+            let again: Operand = printed.parse().unwrap();
+            assert!(matches!(again, Operand::FImm(w) if w.to_bits() == v.to_bits()));
+        }
+    }
 
     #[test]
     fn parse_plain_register() {

@@ -1,7 +1,9 @@
 //! Property-based tests for the SASS instruction model.
 
 use proptest::prelude::*;
-use sass::{adjacent_register, decode_program, encode_program, ControlCode, Program};
+use sass::{
+    adjacent_register, decode_program, encode_program, ControlCode, Instruction, Operand, Program,
+};
 
 proptest! {
     /// The adjacent-register rule (equation 2) is an involution and always
@@ -77,5 +79,34 @@ proptest! {
         // Binary encoding round-trips the mutated schedule exactly.
         let decoded = decode_program(&encode_program(&mutated)).unwrap();
         prop_assert_eq!(decoded, mutated);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    /// A finite float immediate prints as text that parses back to the same
+    /// bits, on its own and inside an instruction: an arbitrary bit pattern
+    /// (mostly exponent forms), an integral value and `-0.0` per case.
+    #[test]
+    fn float_immediates_round_trip_bit_exactly(
+        high in any::<u32>(),
+        low in any::<u32>(),
+        integral in any::<i32>(),
+    ) {
+        let bits = u64::from(high) << 32 | u64::from(low);
+        for v in [f64::from_bits(bits), f64::from(integral), -0.0] {
+            if !v.is_finite() {
+                continue;
+            }
+            let text = Operand::FImm(v).to_string();
+            let parsed: Operand = text.parse().unwrap();
+            prop_assert!(
+                matches!(parsed, Operand::FImm(w) if w.to_bits() == v.to_bits()),
+                "{text} parses as {parsed:?}"
+            );
+            let line = format!("[B------:R-:W-:-:S04] FMUL R1, R2, {text} ;");
+            let inst: Instruction = line.parse().unwrap();
+            prop_assert_eq!(inst.to_string(), line);
+        }
     }
 }

@@ -3,11 +3,13 @@
 //! on `table2` must stay byte-identical to the digests recorded before the
 //! adjacent-swap space was routed through the typed-edit path. A mismatch
 //! means default-space answers — and with them every stored schedule and
-//! checkpoint — changed.
+//! checkpoint — changed. Greedy's answer in the rich action space is pinned
+//! beside them, so a change to how greedy prices content edits cannot move
+//! it unseen.
 
 use artifact::fnv1a64;
-use cuasmrl::{GameConfig, Strategy, SuiteOptimizer};
-use gpusim::{GpuConfig, MeasureOptions};
+use cuasmrl::{ActionSpace, EditKind, GameConfig, Strategy, SuiteOptimizer, SuiteReport};
+use gpusim::{ArchSpec, GpuConfig, MeasureOptions};
 use kernels::{find_suite, ConfigSpace};
 use rl::PpoConfig;
 
@@ -21,7 +23,25 @@ fn fast_measure() -> MeasureOptions {
 }
 
 fn report_digest(strategy: Strategy) -> u64 {
-    let report = SuiteOptimizer::new(GpuConfig::small(), strategy)
+    digest(&suite_report(
+        GpuConfig::small(),
+        "table2",
+        ActionSpace::default(),
+        strategy,
+    ))
+}
+
+fn digest(report: &SuiteReport) -> u64 {
+    fnv1a64(serde_json::to_string(report).unwrap().as_bytes())
+}
+
+fn suite_report(
+    gpu: GpuConfig,
+    suite: &str,
+    space: ActionSpace,
+    strategy: Strategy,
+) -> SuiteReport {
+    let report = SuiteOptimizer::new(gpu, strategy)
         .with_jobs(1)
         .with_seed(42)
         .with_tune_options(fast_measure())
@@ -29,14 +49,14 @@ fn report_digest(strategy: Strategy) -> u64 {
         .with_game_config(GameConfig {
             episode_length: 16,
             measure: fast_measure(),
-            ..GameConfig::default()
+            action_space: space,
         })
-        .optimize_workload(&find_suite("table2").expect("built-in suite"), 16);
+        .optimize_workload(&find_suite(suite).expect("built-in suite"), 16);
     assert!(
         report.reports.iter().any(|r| !r.moves.is_empty()),
         "the pinned run must record moves"
     );
-    fnv1a64(serde_json::to_string(&report).unwrap().as_bytes())
+    report
 }
 
 #[test]
@@ -84,4 +104,33 @@ fn default_space_reports_match_the_pinned_digests() {
             "default-space {name} report changed"
         );
     }
+}
+
+/// Greedy over the rich action space (`search-rich`'s strategy and space on
+/// `attention` and a Hopper backend): its scan prices content edits as well
+/// as swaps, so this digest moves if pricing a candidate changes the answer.
+#[test]
+fn rich_space_greedy_report_matches_the_pinned_digest() {
+    let report = suite_report(
+        GpuConfig::small_with_arch(ArchSpec::hopper()),
+        "attention",
+        ActionSpace::Rich,
+        Strategy::Greedy { max_moves: 6 },
+    );
+    let kinds: Vec<EditKind> = report
+        .reports
+        .iter()
+        .flat_map(|r| r.moves.iter().map(|m| m.kind))
+        .collect();
+    assert!(
+        kinds
+            .iter()
+            .any(|kind| !matches!(kind, EditKind::SwapUp | EditKind::SwapDown)),
+        "the pinned run must accept a content edit: {kinds:?}"
+    );
+    assert_eq!(
+        digest(&report),
+        0xe2d9_ace5_731f_1829,
+        "rich-space greedy report changed"
+    );
 }

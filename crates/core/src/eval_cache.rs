@@ -1,5 +1,5 @@
-//! The schedule-evaluation cache: a digest-keyed memo of kernel
-//! measurements.
+//! The schedule-evaluation cache: a game's one per-schedule memo, keyed by
+//! schedule digest, of kernel measurements and derived views.
 //!
 //! The reward signal re-simulates the whole kernel after every move, and the
 //! search strategies revisit schedules constantly: episode resets replay the
@@ -8,32 +8,40 @@
 //! peek stored), evolutionary search replays its best move
 //! sequence every generation, and PPO re-walks converged trajectories. All
 //! of those revisits are cache hits here — a hash of the schedule text
-//! instead of a cycle-by-cycle simulation.
+//! instead of a cycle-by-cycle simulation. A schedule an accepted step
+//! reached also keeps its derived views (analysis, mask, observation) in
+//! its entry, so a revisit re-adopts them from the same lookup.
 //!
-//! The cache is transparent by construction: the simulator is deterministic,
-//! so a hit returns exactly (bit for bit) what the miss path would have
-//! computed. Sharing one cache across episode resets, greedy peeks,
-//! evolutionary replays and clones of one game therefore cannot change any
-//! observable result — the `jobs = N ≡ jobs = 1` determinism contract
-//! survives, as enforced by `tests/parallel_determinism.rs` and the
-//! `eval_cache` test suite.
+//! The cache is transparent by construction: the simulator is deterministic
+//! and the views are pure functions of the listing, so a hit returns exactly
+//! (bit for bit) what the miss path would have computed. Sharing one cache
+//! across episode resets, greedy peeks, evolutionary replays and clones of
+//! one game therefore cannot change any observable result — the
+//! `jobs = N ≡ jobs = 1` determinism contract survives, as enforced by
+//! `tests/parallel_determinism.rs` and the `eval_cache` test suite.
 //!
-//! Keys combine the digest of the schedule listing with a context digest of
-//! the launch configuration, device model and measurement protocol
-//! (including the measurement seed), so distinct contexts never collide on
-//! purpose. The map sits behind one mutex, and misses are simulated *outside*
-//! the lock. Every sharer — a game and its clones — runs on that game's own
-//! thread, so the lock is uncontended; it is there because the cache is
-//! handed around in an `Arc` and must stay `Sync`.
+//! Each game builds its own cache, which only that game and its clones
+//! share, so the device, launch and measurement protocol are fixed and the
+//! schedule digest alone is the key. The map sits behind one mutex, and
+//! misses are simulated *outside* the lock. Every sharer runs on that
+//! game's own thread, so the lock is uncontended; it is there because the
+//! cache is handed around in an `Arc` and must stay `Sync`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use gpusim::{splitmix64, ArchSpec, GpuConfig, LaunchConfig, MeasureOptions, Measurement};
+use gpusim::{splitmix64, Measurement};
 use sass::{Instruction, Program};
+
+use crate::game::DerivedViews;
+
+/// Upper bound on entries carrying [`DerivedViews`]; beyond it the views of
+/// new schedules are computed without being remembered (no eviction, so the
+/// working set of the search's most-revisited schedules stays resident).
+const VIEWS_MEMO_CAP: usize = 256;
 
 /// Cache effectiveness counters, for observability and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,18 +52,28 @@ pub struct EvalCacheStats {
     pub misses: u64,
 }
 
-/// The memo map plus its hit/miss tallies. Keeping the counters under the
-/// same lock as the map makes a lookup and its counter update one consistent
+/// One schedule's memo entry: its measurement and, once an accepted step
+/// reached it, its derived views.
+#[derive(Debug)]
+struct Entry {
+    measurement: Measurement,
+    views: Option<Arc<DerivedViews>>,
+}
+
+/// The memo map plus its tallies. Keeping the counters under the same lock
+/// as the map makes a lookup and its counter update one consistent
 /// operation, so [`EvalCache::stats`] never reads counters that have drifted
 /// from the map they describe.
 #[derive(Debug, Default)]
 struct Memo {
-    map: HashMap<u64, Measurement>,
+    map: HashMap<u64, Entry>,
+    /// Entries whose views slot is filled (at most [`VIEWS_MEMO_CAP`]).
+    with_views: usize,
     hits: u64,
     misses: u64,
 }
 
-/// A digest → [`Measurement`] memo (see the module docs).
+/// A digest → measurement (and derived views) memo (see the module docs).
 #[derive(Debug, Default)]
 pub struct EvalCache {
     memo: Mutex<Memo>,
@@ -81,7 +99,7 @@ impl EvalCache {
     where
         F: FnOnce() -> Measurement,
     {
-        if let Some(hit) = self.lookup(key) {
+        if let Some((hit, _)) = self.lookup(key) {
             return hit;
         }
         let value = simulate();
@@ -89,26 +107,48 @@ impl EvalCache {
         value
     }
 
-    /// Looks `key` up, counting a hit when present. A `None` result is not
-    /// counted — the caller is expected to simulate and call
+    /// Looks `key` up, counting a hit when present, and returns the
+    /// measurement with the entry's views, if it carries any. A `None`
+    /// result is not counted — the caller is expected to simulate and call
     /// [`EvalCache::insert_computed`], which records the miss.
     #[must_use]
-    pub fn lookup(&self, key: u64) -> Option<Measurement> {
+    pub(crate) fn lookup(&self, key: u64) -> Option<(Measurement, Option<Arc<DerivedViews>>)> {
         let mut memo = self.memo();
-        let hit = memo.map.get(&key).cloned();
+        let hit = memo
+            .map
+            .get(&key)
+            .map(|entry| (entry.measurement.clone(), entry.views.clone()));
         if hit.is_some() {
             memo.hits += 1;
         }
         hit
     }
 
-    /// Records a freshly simulated measurement (one miss). A racing
-    /// duplicate insert stores an identical value, so last-write-wins is
-    /// harmless.
-    pub fn insert_computed(&self, key: u64, value: Measurement) {
+    /// Records a freshly simulated measurement (one miss), with no views. A
+    /// racing duplicate insert finds an identical measurement in place and
+    /// leaves the entry as it is.
+    pub(crate) fn insert_computed(&self, key: u64, value: Measurement) {
         let mut memo = self.memo();
         memo.misses += 1;
-        memo.map.insert(key, value);
+        memo.map.entry(key).or_insert(Entry {
+            measurement: value,
+            views: None,
+        });
+    }
+
+    /// Fills the views slot of `key`'s entry while fewer than
+    /// [`VIEWS_MEMO_CAP`] entries carry views; over budget, or with the slot
+    /// already filled, the views are simply not remembered. Not a lookup:
+    /// the counters do not move.
+    pub(crate) fn remember_views(&self, key: u64, views: &Arc<DerivedViews>) {
+        let mut memo = self.memo();
+        if memo.with_views >= VIEWS_MEMO_CAP {
+            return;
+        }
+        if let Some(entry @ Entry { views: None, .. }) = memo.map.get_mut(&key) {
+            entry.views = Some(Arc::clone(views));
+            memo.with_views += 1;
+        }
     }
 
     /// Number of cached measurements.
@@ -189,61 +229,10 @@ pub fn program_key(program: &Program) -> u64 {
     )
 }
 
-/// Digest of one GPU architecture profile: every field of the
-/// [`ArchSpec`] (latency tables, overrides, issue/stall rules, bank model,
-/// resource limits). Folded into every [`context_key`] so schedules
-/// measured under different architecture backends can never answer each
-/// other's lookups, even if the chip-level configuration matches.
-#[must_use]
-pub fn arch_key(arch: &ArchSpec) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    hasher.write(serde_json::to_string(arch).unwrap_or_default().as_bytes());
-    hasher.finish()
-}
-
-/// Digest of the evaluation context: the architecture profile, the device
-/// model, the launch configuration and the measurement protocol
-/// (warmup/repeats/noise/seed). Computed once per game; combined with
-/// [`program_key`] per evaluation.
-#[must_use]
-pub fn context_key(gpu: &GpuConfig, launch: &LaunchConfig, options: &MeasureOptions) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    // The arch digest is folded in explicitly (in addition to being part of
-    // the device JSON below) so the separation survives even if GpuConfig
-    // serialization ever stops embedding the arch.
-    hasher.write_u64(arch_key(&gpu.arch));
-    for json in [
-        serde_json::to_string(gpu).unwrap_or_default(),
-        serde_json::to_string(launch).unwrap_or_default(),
-        serde_json::to_string(options).unwrap_or_default(),
-    ] {
-        hasher.write(json.as_bytes());
-        hasher.write_u8(0x1f); // field separator
-    }
-    hasher.finish()
-}
-
-/// Combines a context digest with a program digest into one cache key.
-#[must_use]
-pub fn combine_keys(context: u64, program: u64) -> u64 {
-    splitmix64(context ^ program.rotate_left(23))
-}
-
-/// The full cache key of one (schedule, launch, device, protocol) tuple.
-#[must_use]
-pub fn eval_key(
-    program: &Program,
-    launch: &LaunchConfig,
-    gpu: &GpuConfig,
-    options: &MeasureOptions,
-) -> u64 {
-    combine_keys(context_key(gpu, launch, options), program_key(program))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpusim::measure;
+    use gpusim::{measure, GpuConfig, LaunchConfig, MeasureOptions};
 
     const SAMPLE: &str = "\
 [B------:R-:W-:-:S04] MOV R4, 0x1000 ;
@@ -268,7 +257,7 @@ mod tests {
         let gpu = GpuConfig::small();
         let launch = LaunchConfig::default();
         let program: Program = SAMPLE.parse().unwrap();
-        let key = eval_key(&program, &launch, &gpu, &options());
+        let key = program_key(&program);
         let first = cache.get_or_insert_with(key, || measure(&gpu, &program, &launch, &options()));
         let second = cache.get_or_insert_with(key, || unreachable!("second lookup must hit"));
         assert_eq!(first, second);
@@ -283,77 +272,53 @@ mod tests {
         let gpu = GpuConfig::small();
         let launch = LaunchConfig::default();
         let program: Program = SAMPLE.parse().unwrap();
-        let key = eval_key(&program, &launch, &gpu, &options());
+        let key = program_key(&program);
         assert!(cache.lookup(key).is_none());
         let value = measure(&gpu, &program, &launch, &options());
         cache.insert_computed(key, value.clone());
-        assert_eq!(cache.lookup(key), Some(value));
+        let (hit, views) = cache.lookup(key).expect("inserted");
+        assert_eq!(hit, value);
+        assert!(views.is_none(), "an insert carries no views");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
+    /// Views ride along in at most [`VIEWS_MEMO_CAP`] entries, first come
+    /// first kept, a filled slot is never refilled, and filling one is no
+    /// lookup: the counters do not move.
     #[test]
-    fn keys_separate_programs_launches_devices_and_seeds() {
-        let gpu = GpuConfig::small();
-        let launch = LaunchConfig::default();
+    fn views_fill_at_most_the_cap_and_count_nothing() {
         let program: Program = SAMPLE.parse().unwrap();
-        let base = eval_key(&program, &launch, &gpu, &options());
-
-        // Different schedule (swap two instructions).
-        let mut swapped = program.clone();
-        swapped.swap_instructions(0, 1).unwrap();
-        assert_ne!(base, eval_key(&swapped, &launch, &gpu, &options()));
-
-        // Different launch.
-        let other_launch = LaunchConfig {
-            grid_blocks: 99,
-            ..launch.clone()
-        };
-        assert_ne!(base, eval_key(&program, &other_launch, &gpu, &options()));
-
-        // Different device.
-        assert_ne!(
-            base,
-            eval_key(&program, &launch, &GpuConfig::a100(), &options())
+        let game = crate::AssemblyGame::new(
+            GpuConfig::small(),
+            program.clone(),
+            LaunchConfig::default(),
+            crate::StallTable::builtin_a100(),
+            crate::GameConfig::default(),
         );
-
-        // Different measurement seed / protocol.
-        let other_options = MeasureOptions {
-            seed: 7,
-            ..options()
-        };
-        assert_ne!(base, eval_key(&program, &launch, &gpu, &other_options));
-    }
-
-    #[test]
-    fn identical_listings_under_different_archs_get_distinct_entries() {
-        // Two devices identical in every chip-level parameter, differing
-        // only in the architecture backend: the same schedule listing must
-        // occupy two distinct cache entries.
-        let ampere = GpuConfig::small();
-        let hopper = gpusim::GpuConfig::small_with_arch(gpusim::ArchSpec::hopper());
-        let mut hopper_same_chip = hopper.clone();
-        hopper_same_chip.name = ampere.name.clone();
-        let program: Program = SAMPLE.parse().unwrap();
-        let launch = LaunchConfig::default();
-        assert_ne!(
-            arch_key(&ampere.arch),
-            arch_key(&hopper_same_chip.arch),
-            "arch profiles must digest differently"
-        );
-        let key_a = eval_key(&program, &launch, &ampere, &options());
-        let key_h = eval_key(&program, &launch, &hopper_same_chip, &options());
-        assert_ne!(key_a, key_h);
-        let cache = EvalCache::new();
-        let a = cache.get_or_insert_with(key_a, || measure(&ampere, &program, &launch, &options()));
-        let h = cache.get_or_insert_with(key_h, || {
-            measure(&hopper_same_chip, &program, &launch, &options())
-        });
-        assert_eq!(cache.len(), 2, "one entry per architecture");
-        assert_ne!(
-            a.run.sm.cycles, h.run.sm.cycles,
-            "the two backends time the schedule differently"
-        );
+        let cache = game.eval_cache();
+        let initial = program_key(&program);
+        let (measurement, views) = cache.lookup(initial).expect("the game measured it");
+        let views = views.expect("the initial schedule carries its views");
+        cache.remember_views(initial, &views);
+        assert_eq!(cache.memo().with_views, 1);
+        let before = cache.stats();
+        let keys: Vec<u64> = (0..VIEWS_MEMO_CAP as u64 + 8)
+            .map(|i| splitmix64(initial ^ i.wrapping_add(1)))
+            .collect();
+        for &key in &keys {
+            cache.insert_computed(key, measurement.clone());
+            cache.remember_views(key, &views);
+        }
+        let misses = before.misses + keys.len() as u64;
+        assert_eq!(cache.stats(), EvalCacheStats { misses, ..before });
+        assert_eq!(cache.memo().with_views, VIEWS_MEMO_CAP);
+        let carried: Vec<bool> = keys
+            .iter()
+            .map(|&key| cache.lookup(key).expect("inserted").1.is_some())
+            .collect();
+        assert!(carried[..VIEWS_MEMO_CAP - 1].iter().all(|&c| c));
+        assert!(carried[VIEWS_MEMO_CAP - 1..].iter().all(|&c| !c));
     }
 
     #[test]

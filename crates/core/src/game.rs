@@ -1,8 +1,7 @@
 //! The assembly game (§3.3–§3.6): the Gym-like environment the RL agent
 //! plays to optimize a SASS schedule.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use gpusim::{
     kernel_run_from_report, measure, measurement_from_run, GpuConfig, LaunchConfig, MeasureOptions,
@@ -16,9 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::action::{ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit};
 use crate::analysis::{analyze, Analysis};
 use crate::embed::{embed_program, embed_rows_into, feature_count};
-use crate::eval_cache::{
-    combine_keys, context_key, instruction_key, labels_key, program_key, schedule_key, EvalCache,
-};
+use crate::eval_cache::{instruction_key, labels_key, program_key, schedule_key, EvalCache};
 use crate::lowered::LoweredSchedule;
 use crate::stall_table::StallTable;
 
@@ -85,17 +82,10 @@ pub struct AssemblyGame {
     current: Program,
     current_runtime: f64,
     /// Schedule-pure derived state of `current` (analysis, action mask,
-    /// legality context, observation), shared through the per-kernel
-    /// [`DerivedViews`] memo: revisited schedules re-adopt their views with
-    /// an `Arc` clone instead of re-analyzing.
+    /// legality context, observation), kept in the eval cache's entry of
+    /// each schedule a step accepted: revisited schedules re-adopt their
+    /// views with an `Arc` clone instead of re-analyzing.
     views: Arc<DerivedViews>,
-    /// Memo of derived views keyed by schedule digest, shared across clones
-    /// of this game, of the schedules its steps accepted (episode replays
-    /// revisit them; a greedy peek derives no views). The views are pure
-    /// functions of the listing, so sharing cannot change an observable
-    /// result; the map is size-capped, never evicts, and only trades
-    /// recomputation for memory.
-    views_memo: Arc<Mutex<HashMap<u64, Arc<DerivedViews>>>>,
     steps_in_episode: usize,
     best: Program,
     best_runtime: f64,
@@ -104,13 +94,11 @@ pub struct AssemblyGame {
     best_trace: Vec<Move>,
     action_slots: usize,
     trace: Vec<Move>,
-    /// Schedule-evaluation memo, shared (via `Arc`) across clones of this
+    /// The game's one per-schedule memo (measurements and derived views,
+    /// keyed by schedule digest), shared (via `Arc`) across clones of this
     /// game — episode resets, greedy peeks and the winner's step after
     /// them, and evolutionary replays all hit the same cache.
     cache: Arc<EvalCache>,
-    /// Digest of (device, launch, measurement protocol), combined with the
-    /// per-schedule digest into cache keys.
-    context_key: u64,
     /// `current` in lowered form, advanced edit by edit: a cache miss
     /// simulates it without re-lowering the listing.
     lowered: LoweredSchedule,
@@ -136,18 +124,13 @@ pub struct AssemblyGame {
     episode_edits: Option<Vec<ScheduleEdit>>,
 }
 
-/// Upper bound on memoized [`DerivedViews`] per kernel; beyond it new
-/// schedules are computed without being remembered (no eviction, so the
-/// working set of the search's most-revisited schedules stays resident).
-const VIEWS_MEMO_CAP: usize = 256;
-
 /// Everything the game derives from the current listing alone: the static
 /// analysis, the movable set, the resized action mask, the retained
 /// legality context and the embedded observation. Pure function of the
 /// schedule text (given the game's fixed stall table and device), hence
 /// freely shareable and memoizable by schedule digest.
 #[derive(Debug)]
-struct DerivedViews {
+pub(crate) struct DerivedViews {
     analysis: Analysis,
     movable: Vec<usize>,
     mask: Vec<bool>,
@@ -220,35 +203,12 @@ impl AssemblyGame {
         stalls: StallTable,
         config: GameConfig,
     ) -> Self {
-        Self::with_eval_cache(
-            gpu,
-            program,
-            launch,
-            stalls,
-            config,
-            Arc::new(EvalCache::new()),
-        )
-    }
-
-    /// Creates a game sharing an existing schedule-evaluation cache (e.g.
-    /// one cache across games replaying the same kernel). Cache keys
-    /// include the full evaluation context, so sharing across different
-    /// kernels/launches/devices is always safe.
-    #[must_use]
-    pub fn with_eval_cache(
-        gpu: GpuConfig,
-        program: Program,
-        launch: LaunchConfig,
-        stalls: StallTable,
-        config: GameConfig,
-        cache: Arc<EvalCache>,
-    ) -> Self {
-        let ctx_key = context_key(&gpu, &launch, &config.measure);
+        let cache = EvalCache::new();
         let lowered = LoweredSchedule::new(&gpu, &launch, &program);
         let labels_key = labels_key(&program);
         let instruction_keys = instruction_keys(&program);
         let key = schedule_key(labels_key, instruction_keys.iter().copied());
-        let measurement = cache.get_or_insert_with(combine_keys(ctx_key, key), || {
+        let measurement = cache.get_or_insert_with(key, || {
             measurement_of(&gpu, &launch, &config.measure, lowered.simulate())
         });
         let runtime = measurement.mean_us;
@@ -263,12 +223,8 @@ impl AssemblyGame {
             action_slots,
             config.action_space,
         ));
+        cache.remember_views(key, &views);
         let texts = instruction_texts(&program);
-        let views_memo = Arc::new(Mutex::new(HashMap::new()));
-        views_memo
-            .lock()
-            .expect("views memo")
-            .insert(key, Arc::clone(&views));
         AssemblyGame {
             gpu,
             launch,
@@ -285,15 +241,13 @@ impl AssemblyGame {
             instruction_keys,
             texts,
             views,
-            views_memo,
             steps_in_episode: 0,
             best: program,
             best_runtime: runtime,
             best_trace: Vec::new(),
             action_slots,
             trace: Vec::new(),
-            cache,
-            context_key: ctx_key,
+            cache: Arc::new(cache),
             lowered,
         }
     }
@@ -331,7 +285,7 @@ impl AssemblyGame {
         self.initial_digest
     }
 
-    /// The static analysis of the initial schedule.
+    /// The static analysis of the current schedule.
     #[must_use]
     pub fn analysis(&self) -> &Analysis {
         &self.views.analysis
@@ -350,31 +304,33 @@ impl AssemblyGame {
     }
 
     /// Measures the game's current schedule, answering revisits from the
-    /// shared cache and fresh schedules by simulating the lowered mirror
-    /// (bit-identical to `measure` on the listing, so cache entries stay
-    /// interchangeable with ones other games computed from source).
-    /// `schedule_key` is [`AssemblyGame::current_schedule_key`].
-    fn measure_current_schedule(&mut self, schedule_key: u64) -> (f64, u64, u64) {
+    /// shared cache (with the views the entry carries, if any) and fresh
+    /// schedules by simulating the lowered mirror (bit-identical to
+    /// `measure` on the listing, so entries stay interchangeable with
+    /// [`AssemblyGame::cached_measurement`]'s). `key` is
+    /// [`AssemblyGame::current_schedule_key`].
+    fn measure_current_schedule(&self, key: u64) -> (Measurement, Option<Arc<DerivedViews>>) {
         debug_assert_eq!(
-            schedule_key,
+            key,
             program_key(&self.current),
             "cached digests must track the current listing"
         );
-        let key = combine_keys(self.context_key, schedule_key);
-        let m = match self.cache.lookup(key) {
-            Some(hit) => hit,
-            None => {
-                let measurement = measurement_of(
-                    &self.gpu,
-                    &self.launch,
-                    &self.config.measure,
-                    self.lowered.simulate(),
-                );
-                self.cache.insert_computed(key, measurement.clone());
-                measurement
-            }
-        };
-        (m.mean_us, m.run.sm.hazards, m.run.sm.output_digest)
+        self.cache.lookup(key).unwrap_or_else(|| {
+            let measurement = measurement_of(
+                &self.gpu,
+                &self.launch,
+                &self.config.measure,
+                self.lowered.simulate(),
+            );
+            self.cache.insert_computed(key, measurement.clone());
+            (measurement, None)
+        })
+    }
+
+    /// Whether a measured schedule is corrupted: the simulator reported
+    /// hazards or the output digest moved off the initial schedule's.
+    fn corrupts(&self, measured: &Measurement) -> bool {
+        measured.run.sm.hazards > 0 || measured.run.sm.output_digest != self.initial_digest
     }
 
     /// The reward (equation 3) of moving from the current schedule to one
@@ -396,22 +352,21 @@ impl AssemblyGame {
         if !self.apply_edit_everywhere(&edit) {
             return 0.0;
         }
-        let (runtime, hazards, digest) = self.measure_current_schedule(self.current_schedule_key());
+        let (measured, _) = self.measure_current_schedule(self.current_schedule_key());
         let undone = self.apply_edit_everywhere(&edit.inverse());
         debug_assert!(undone, "inverse edit must apply");
-        if hazards > 0 || digest != self.initial_digest {
+        if self.corrupts(&measured) {
             -10.0
         } else {
-            self.reward_for(runtime)
+            self.reward_for(measured.mean_us)
         }
     }
 
     /// The full cached measurement of a schedule under the game's protocol.
     pub fn cached_measurement(&self, program: &Program) -> Measurement {
-        self.cache
-            .get_or_insert_with(combine_keys(self.context_key, program_key(program)), || {
-                measure(&self.gpu, program, &self.launch, &self.config.measure)
-            })
+        self.cache.get_or_insert_with(program_key(program), || {
+            measure(&self.gpu, program, &self.launch, &self.config.measure)
+        })
     }
 
     /// The schedule digest of `current`, folded from the cached digests (no
@@ -434,16 +389,6 @@ impl AssemblyGame {
             self.action_slots,
             self.config.action_space,
         ));
-    }
-
-    /// Remembers freshly derived views under the current schedule digest
-    /// (bounded by [`VIEWS_MEMO_CAP`]; over budget they are simply not
-    /// remembered).
-    fn memoize_views(&self, key: u64, views: &Arc<DerivedViews>) {
-        let mut memo = self.views_memo.lock().expect("views memo");
-        if memo.len() < VIEWS_MEMO_CAP {
-            memo.insert(key, Arc::clone(views));
-        }
     }
 
     /// Applies `edit` to every mirror of the current schedule: the source
@@ -486,19 +431,19 @@ impl AssemblyGame {
     }
 
     /// Refreshes the derived views after an accepted edit: revisited
-    /// schedules re-adopt their memoized views, new ones take the
-    /// incremental edit-table path when its preconditions verifiably hold
-    /// against the fresh analysis, and everything else falls back to
-    /// [`AssemblyGame::refresh_full`] (`masking_properties` pins
-    /// incremental ≡ full for every edit kind in both spaces). `key` is
+    /// schedules re-adopt the `memoized` views their cache entry carried,
+    /// new ones take the incremental edit-table path when its preconditions
+    /// verifiably hold against the fresh analysis, and everything else
+    /// falls back to [`AssemblyGame::refresh_full`] (`masking_properties`
+    /// pins incremental ≡ full for every edit kind in both spaces); either
+    /// way the entry keeps the new views. `key` is
     /// [`AssemblyGame::current_schedule_key`].
-    fn refresh_after_edit(&mut self, edit: &ScheduleEdit, key: u64) {
-        let memoized = self
-            .views_memo
-            .lock()
-            .expect("views memo")
-            .get(&key)
-            .map(Arc::clone);
+    fn refresh_after_edit(
+        &mut self,
+        edit: &ScheduleEdit,
+        key: u64,
+        memoized: Option<Arc<DerivedViews>>,
+    ) {
         if let Some(views) = memoized {
             self.views = views;
             return;
@@ -521,7 +466,7 @@ impl AssemblyGame {
             && previous.masker.edit_stays_incremental(edit);
         if !incremental {
             self.refresh_full();
-            self.memoize_views(key, &Arc::clone(&self.views));
+            self.cache.remember_views(key, &self.views);
             return;
         }
         let movable = analysis.movable_memory_indices();
@@ -562,7 +507,7 @@ impl AssemblyGame {
             masker,
             obs,
         });
-        self.memoize_views(key, &views);
+        self.cache.remember_views(key, &views);
         self.views = views;
     }
 }
@@ -633,9 +578,10 @@ impl Env for AssemblyGame {
             let text = Arc::clone(&self.texts[instruction]);
             if self.apply_edit_everywhere(&edit) {
                 let key = self.current_schedule_key();
-                let (runtime, hazards, digest) = self.measure_current_schedule(key);
+                let (measured, memoized) = self.measure_current_schedule(key);
+                let runtime = measured.mean_us;
                 reward = self.reward_for(runtime);
-                if hazards > 0 || digest != self.initial_digest {
+                if self.corrupts(&measured) {
                     // A corrupted schedule (should be prevented by masking):
                     // revert via the exact inverse edit and punish. The
                     // schedule is back to its pre-step state, so every
@@ -663,7 +609,7 @@ impl Env for AssemblyGame {
                         self.best = self.current.clone();
                         self.best_trace = self.trace.clone();
                     }
-                    self.refresh_after_edit(&edit, key);
+                    self.refresh_after_edit(&edit, key, memoized);
                 }
             }
         }
@@ -728,9 +674,12 @@ impl Env for AssemblyGame {
         };
         // Any reachable state is a permutation of the initial schedule — in
         // the richer space additionally with retuned control codes and reuse
-        // flags, which the canonical form strips. A snapshot from a
-        // different kernel — even one with the same instruction count —
-        // fails this multiset check instead of being silently adopted.
+        // flags, which the canonical form strips — under the initial
+        // listing's labels, which no edit moves. A snapshot from a
+        // different kernel — even one with the same instruction count — or
+        // one whose listing anchors a label elsewhere (its branches would
+        // land on other instructions) fails these checks instead of being
+        // silently adopted.
         let canonical = |inst: &sass::Instruction| match self.config.action_space {
             ActionSpace::AdjacentSwap => inst.to_string(),
             ActionSpace::Rich => {
@@ -748,7 +697,10 @@ impl Env for AssemblyGame {
             texts
         };
         let initial = multiset(&self.initial);
-        if multiset(&current) != initial || multiset(&best) != initial {
+        let belongs = |program: &Program| {
+            program.labels() == self.initial.labels() && multiset(program) == initial
+        };
+        if !belongs(&current) || !belongs(&best) {
             return false;
         }
         self.rebuild_mirrors(current);
@@ -891,6 +843,44 @@ mod tests {
         let mut restored = small_game();
         assert!(restored.restore_state(state.as_bytes()));
         assert!(!restored.restore_state(legacy.as_bytes()));
+    }
+
+    /// The game never moves a label, so a snapshot whose current or best
+    /// listing anchors `.L_main` one line off — the same instructions, but
+    /// the loop's branch would land elsewhere — is no reachable state: it is
+    /// refused in both spaces, and the game is left as it was.
+    #[test]
+    fn a_snapshot_with_a_moved_label_is_refused() {
+        let move_label = |listing: &str| -> String {
+            let mut lines: Vec<&str> = listing.lines().collect();
+            let at = lines
+                .iter()
+                .position(|line| *line == ".L_main:")
+                .expect("the kernel has a .L_main loop label");
+            lines.swap(at, at + 1);
+            lines.join("\n")
+        };
+        for space in [ActionSpace::AdjacentSwap, ActionSpace::Rich] {
+            let mut walked = small_game_in(space);
+            let _ = walked.reset();
+            let _ = random_walk(&mut walked, 4, 1);
+            let state = String::from_utf8(walked.state_bytes().unwrap()).unwrap();
+            let snapshot: GameSnapshot = serde_json::from_str(&state).unwrap();
+            let mut game = small_game_in(space);
+            let _ = game.reset();
+            let _ = random_walk(&mut game, 3, 9);
+            let before = observe(&game);
+            let mut moved_current = snapshot.clone();
+            moved_current.current = move_label(&snapshot.current);
+            let mut moved_best = snapshot;
+            moved_best.best = move_label(&moved_best.best);
+            for forged in [moved_current, moved_best] {
+                let forged = serde_json::to_string(&forged).unwrap();
+                assert!(!game.restore_state(forged.as_bytes()), "{space:?}");
+                assert_eq!(observe(&game), before, "{space:?}");
+            }
+            assert!(game.restore_state(state.as_bytes()), "{space:?}");
+        }
     }
 
     /// Mid-walk rich-space snapshots restore exactly — trace (including
@@ -1316,6 +1306,41 @@ mod tests {
                 assert!(game.restore_state(&state) && twin.restore_state(&state));
                 assert_peeks_match_clone_steps(&mut game, &twin, &format!("{at}, restored"));
             }
+        }
+    }
+
+    /// Clones share the game's one memo, measurements and views alike: a
+    /// step on a clone leaves the new schedule's entry behind, so the same
+    /// step on the original is a hit on its own counters, adopts the very
+    /// same views, and plays exactly like a fresh game's step.
+    #[test]
+    fn a_clone_step_is_a_hit_for_the_original() {
+        for space in [ActionSpace::AdjacentSwap, ActionSpace::Rich] {
+            let (mut game, mut fresh) = (small_game_in(space), small_game_in(space));
+            let _ = (game.reset(), fresh.reset());
+            let action = game.mask().iter().position(|&m| m).unwrap();
+            let mut clone = game.clone();
+            let before = game.eval_cache().stats();
+            let _ = clone.step(action);
+            assert_eq!(clone.trace().len(), 1, "{space:?}: the step is accepted");
+            let cloned = game.eval_cache().stats();
+            assert_eq!(cloned.misses, before.misses + 1, "{space:?}");
+            let stepped = game.step(action);
+            let after = game.eval_cache().stats();
+            assert_eq!(
+                (after.hits, after.misses),
+                (cloned.hits + 1, cloned.misses),
+                "{space:?}"
+            );
+            assert!(Arc::ptr_eq(&game.views, &clone.views), "{space:?}");
+            let expected = fresh.step(action);
+            assert_eq!(game.mask(), fresh.mask(), "{space:?}");
+            assert_eq!(stepped.observation, expected.observation, "{space:?}");
+            assert_eq!(
+                stepped.reward.to_bits(),
+                expected.reward.to_bits(),
+                "{space:?}"
+            );
         }
     }
 

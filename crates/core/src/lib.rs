@@ -53,8 +53,7 @@ pub use embed::{
     arch_features, embed_program, embed_rows_into, feature_count, ARCH_FEATURES, FIXED_FEATURES,
 };
 pub use eval_cache::{
-    arch_key, combine_keys, context_key, eval_key, instruction_key, labels_key, program_key,
-    schedule_key, EvalCache, EvalCacheStats,
+    instruction_key, labels_key, program_key, schedule_key, EvalCache, EvalCacheStats,
 };
 pub use game::{AssemblyGame, GameConfig, Move};
 pub use optimizer::{CuAsmRl, OptimizationReport, Strategy};

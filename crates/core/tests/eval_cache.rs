@@ -1,12 +1,12 @@
 //! Integration tests of the schedule-evaluation cache: cached results must
-//! be bit-identical to uncached simulation, keys must separate every
-//! component of the evaluation context, and random masked move sequences
-//! must observe identical rewards with or without cache sharing.
+//! be bit-identical to uncached simulation, each game keeps a cache of its
+//! own that only its clones share, and random masked move sequences must
+//! observe identical rewards with or without cache sharing.
 
 use std::sync::Arc;
 
-use cuasmrl::{eval_key, AssemblyGame, EvalCache, GameConfig, StallTable};
-use gpusim::{measure, GpuConfig, LaunchConfig, MeasureOptions};
+use cuasmrl::{program_key, AssemblyGame, EvalCache, GameConfig, StallTable};
+use gpusim::{measure, GpuConfig, MeasureOptions};
 use kernels::{generate, KernelConfig, KernelKind, KernelSpec, ScheduleStyle};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -33,10 +33,10 @@ fn small_kernel() -> kernels::GeneratedKernel {
     generate(&spec, &config, ScheduleStyle::Baseline)
 }
 
-fn game_with(seed: u64, cache: Arc<EvalCache>) -> AssemblyGame {
+fn game_on(gpu: GpuConfig, seed: u64) -> AssemblyGame {
     let kernel = small_kernel();
-    AssemblyGame::with_eval_cache(
-        GpuConfig::small(),
+    AssemblyGame::new(
+        gpu,
         kernel.program,
         kernel.launch,
         StallTable::builtin_a100(),
@@ -45,8 +45,11 @@ fn game_with(seed: u64, cache: Arc<EvalCache>) -> AssemblyGame {
             measure: fast_measure(seed),
             ..GameConfig::default()
         },
-        cache,
     )
+}
+
+fn game_with(seed: u64) -> AssemblyGame {
+    game_on(GpuConfig::small(), seed)
 }
 
 #[test]
@@ -59,7 +62,7 @@ fn cached_kernel_run_is_bit_identical_to_uncached_across_seeds() {
             ..fast_measure(seed)
         };
         let cache = EvalCache::new();
-        let key = eval_key(&kernel.program, &kernel.launch, &gpu, &options);
+        let key = program_key(&kernel.program);
         let cached = cache.get_or_insert_with(key, || {
             measure(&gpu, &kernel.program, &kernel.launch, &options)
         });
@@ -75,88 +78,40 @@ fn cached_kernel_run_is_bit_identical_to_uncached_across_seeds() {
 }
 
 #[test]
-fn cache_keys_separate_every_context_component() {
-    let kernel = small_kernel();
-    let gpu = GpuConfig::small();
-    let options = fast_measure(0);
-    let base = eval_key(&kernel.program, &kernel.launch, &gpu, &options);
-
-    let mut swapped = kernel.program.clone();
-    let movable = cuasmrl::analyze(&swapped, &StallTable::builtin_a100()).movable_memory_indices();
-    let idx = movable[0];
-    swapped.swap_instructions(idx - 1, idx).unwrap();
-    assert_ne!(
-        base,
-        eval_key(&swapped, &kernel.launch, &gpu, &options),
-        "program digest must key the cache"
-    );
-    assert_ne!(
-        base,
-        eval_key(
-            &kernel.program,
-            &LaunchConfig {
-                warps_per_block: kernel.launch.warps_per_block + 1,
-                ..kernel.launch.clone()
-            },
-            &gpu,
-            &options
-        ),
-        "launch must key the cache"
-    );
-    assert_ne!(
-        base,
-        eval_key(
-            &kernel.program,
-            &kernel.launch,
-            &GpuConfig::a100(),
-            &options
-        ),
-        "gpu config must key the cache"
-    );
-    assert_ne!(
-        base,
-        eval_key(&kernel.program, &kernel.launch, &gpu, &fast_measure(9)),
-        "measure seed must key the cache"
-    );
-}
-
-#[test]
 fn identical_listings_never_share_entries_across_arch_profiles() {
-    // Regression test for the multi-architecture refactor: the same
-    // schedule listing evaluated under two architecture backends (on an
-    // otherwise identical chip, same name included) must occupy distinct
-    // cache entries — schedules must never cross-contaminate between archs.
-    let kernel = small_kernel();
-    let options = fast_measure(0);
+    // The same schedule listing played under two architecture backends (on
+    // an otherwise identical chip, same name included) lands in two caches:
+    // every game builds its own, so schedules never cross-contaminate
+    // between archs even though the key is the listing digest alone.
     let ampere = GpuConfig::small();
     let mut turing = GpuConfig::small_with_arch(gpusim::ArchSpec::turing());
     turing.name = ampere.name.clone();
-    let key_ampere = eval_key(&kernel.program, &kernel.launch, &ampere, &options);
-    let key_turing = eval_key(&kernel.program, &kernel.launch, &turing, &options);
+    let (a, t) = (game_with(0), game_on(turing, 0));
+    assert!(!Arc::ptr_eq(a.eval_cache(), t.eval_cache()));
+    assert_eq!((a.eval_cache().len(), t.eval_cache().len()), (1, 1));
     assert_ne!(
-        cuasmrl::arch_key(&ampere.arch),
-        cuasmrl::arch_key(&turing.arch)
+        a.initial_runtime_us().to_bits(),
+        t.initial_runtime_us().to_bits(),
+        "the two backends time the schedule differently"
     );
-    assert_ne!(key_ampere, key_turing, "arch profile must key the cache");
-
-    let cache = EvalCache::new();
-    let a = cache.get_or_insert_with(key_ampere, || {
-        measure(&ampere, &kernel.program, &kernel.launch, &options)
-    });
-    let t = cache.get_or_insert_with(key_turing, || {
-        measure(&turing, &kernel.program, &kernel.launch, &options)
-    });
-    assert_eq!(cache.len(), 2, "one entry per architecture profile");
-    assert_ne!(a.run.sm.cycles, t.run.sm.cycles);
-    // Each arch's subsequent lookups hit its own entry bit for bit.
-    let a2 = cache.get_or_insert_with(key_ampere, || unreachable!("must hit"));
-    assert_eq!(a, a2);
+    // Each game's lookups of the shared listing hit its own entry.
+    let kernel = small_kernel();
+    assert_eq!(
+        a.cached_measurement(&kernel.program).mean_us.to_bits(),
+        a.initial_runtime_us().to_bits()
+    );
+    assert_eq!(
+        t.cached_measurement(&kernel.program).mean_us.to_bits(),
+        t.initial_runtime_us().to_bits()
+    );
+    assert_eq!(a.eval_cache().stats().misses, 1);
+    assert_eq!(t.eval_cache().stats().misses, 1);
 }
 
 #[test]
 fn episode_replays_hit_the_shared_cache() {
-    let cache = Arc::new(EvalCache::new());
-    let mut game = game_with(0, cache.clone());
+    let mut game = game_with(0);
+    let cache = Arc::clone(game.eval_cache());
     let play = |game: &mut AssemblyGame| -> Vec<u32> {
         let _ = game.reset();
         let mut rewards = Vec::new();
@@ -185,22 +140,21 @@ fn episode_replays_hit_the_shared_cache() {
     assert!(cache.stats().hits > 0);
 
     // A clone of the game (as an independent replay would take) shares the
-    // same cache.
+    // same cache; a new game of the same kernel starts its own.
     let clone = game.clone();
     assert!(Arc::ptr_eq(clone.eval_cache(), game.eval_cache()));
+    assert!(!Arc::ptr_eq(game_with(0).eval_cache(), game.eval_cache()));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     /// Random masked move sequences observe bit-identical rewards whether
-    /// the games share one evaluation cache, use private caches, or replay
-    /// over a pre-warmed cache.
+    /// a game replays them over the cache a warm game's clone shares or
+    /// over a private one.
     #[test]
     fn random_move_sequences_are_cache_transparent(seed in 0u64..1000) {
-        let shared = Arc::new(EvalCache::new());
-        let mut warm = game_with(3, shared.clone());
-        let mut replay = game_with(3, shared.clone());
-        let mut cold = game_with(3, Arc::new(EvalCache::new()));
+        let mut warm = game_with(3);
+        let mut cold = game_with(3);
 
         let play = |game: &mut AssemblyGame, seed: u64| -> (Vec<u32>, u64) {
             let _ = game.reset();
@@ -227,7 +181,10 @@ proptest! {
         };
 
         let first = play(&mut warm, seed);
+        let mut replay = warm.clone();
+        let misses = replay.eval_cache().stats().misses;
         let hot = play(&mut replay, seed); // same sequence, warmed cache
+        prop_assert_eq!(replay.eval_cache().stats().misses, misses, "a warm replay only hits");
         let isolated = play(&mut cold, seed); // same sequence, private cache
         prop_assert_eq!(&first, &hot, "warm replay must match");
         prop_assert_eq!(&first, &isolated, "cache sharing must be invisible");

@@ -7,11 +7,9 @@
 //! action spaces, on every profile, through episode resets and state
 //! restores.
 
-use std::sync::Arc;
-
 use cuasmrl::{
-    action_mask, analyze, schedule_edits, ActionSpace, AssemblyGame, EditKind, EvalCache,
-    GameConfig, StallTable,
+    action_mask, analyze, schedule_edits, ActionSpace, AssemblyGame, EditKind, GameConfig,
+    StallTable,
 };
 use gpusim::{
     measure, CompiledProgram, DeltaEngine, GpuConfig, LaunchConfig, MeasureOptions, Measurement,
@@ -225,10 +223,10 @@ fn incremental_masks_equal_full_recomputation_along_legal_walks() {
     }
 }
 
-/// Sharing one eval cache across games replaying the same kernel cannot
-/// change a single observable value: a game
-/// using a warm shared cache steps bit-identically to a game simulating
-/// everything itself.
+/// Sharing one eval cache across clones of a game cannot change a single
+/// observable value: a warmed game's clone, answering from the cache it
+/// shares, steps bit-identically to a fresh game simulating everything
+/// itself.
 #[test]
 fn shared_cache_and_fresh_cache_games_step_identically() {
     let (program, launch) = small_kernel();
@@ -239,14 +237,12 @@ fn shared_cache_and_fresh_cache_games_step_identically() {
         measure: measure_options(),
         ..GameConfig::default()
     };
-    let shared = Arc::new(EvalCache::new());
-    let mut warm = AssemblyGame::with_eval_cache(
+    let mut warm = AssemblyGame::new(
         gpu.clone(),
         program.clone(),
         launch.clone(),
         table.clone(),
         config.clone(),
-        Arc::clone(&shared),
     );
     // Warm the shared cache with one full episode.
     let _ = warm.reset();
@@ -259,14 +255,7 @@ fn shared_cache_and_fresh_cache_games_step_identically() {
             break;
         }
     }
-    let mut cached_game = AssemblyGame::with_eval_cache(
-        gpu.clone(),
-        program.clone(),
-        launch.clone(),
-        table.clone(),
-        config.clone(),
-        shared,
-    );
+    let mut cached_game = warm.clone();
     let mut fresh_game = AssemblyGame::new(gpu, program, launch, table, config);
     let mut obs_a = cached_game.reset();
     let mut obs_b = fresh_game.reset();
@@ -289,16 +278,16 @@ fn shared_cache_and_fresh_cache_games_step_identically() {
     }
 }
 
-/// Reward-path measurements populate the shared cache with values other
-/// consumers would have computed from source: the measurement a suite-style
-/// `get_or_insert_with` sees after a game ran is the `measure` value.
+/// Reward-path measurements populate the game's cache with the values
+/// `gpusim::measure` computes from source: after a game ran, its
+/// `cached_measurement` of every schedule it visited is a hit, and equals
+/// the `measure` value of the printed listing.
 #[test]
 fn delta_populated_cache_entries_equal_full_measurements() {
     let (program, launch) = small_kernel();
     let gpu = GpuConfig::small();
     let table = StallTable::builtin_a100();
-    let cache = Arc::new(EvalCache::new());
-    let mut game = AssemblyGame::with_eval_cache(
+    let mut game = AssemblyGame::new(
         gpu.clone(),
         program.clone(),
         launch.clone(),
@@ -308,7 +297,6 @@ fn delta_populated_cache_entries_equal_full_measurements() {
             measure: measure_options(),
             ..GameConfig::default()
         },
-        Arc::clone(&cache),
     );
     let _ = game.reset();
     let mut schedules: Vec<Program> = vec![program.clone()];
@@ -330,11 +318,15 @@ fn delta_populated_cache_entries_equal_full_measurements() {
         reference.swap_instructions(a, b).unwrap();
         schedules.push(reference.clone());
     }
-    assert!(cache.stats().misses > 0, "the game must have simulated");
+    let misses = game.eval_cache().stats().misses;
+    assert!(misses > 1, "the game must have simulated");
     for schedule in &schedules {
-        let key = cuasmrl::eval_key(schedule, &launch, &gpu, &measure_options());
-        let cached: Measurement =
-            cache.get_or_insert_with(key, || panic!("schedule must already be cached"));
+        let cached: Measurement = game.cached_measurement(schedule);
+        assert_eq!(
+            game.eval_cache().stats().misses,
+            misses,
+            "schedule must already be cached"
+        );
         assert_eq!(cached, measure(&gpu, schedule, &launch, &measure_options()));
     }
 }

@@ -740,7 +740,8 @@ mod tests {
             assert!(preempted);
             let kept = rl::Checkpoint::read(&path).expect("preemption keeps the checkpoint");
             assert_eq!(
-                kept.completed_updates, boundary,
+                kept.trainer.completed_updates(),
+                boundary,
                 "resumed, not cold-started"
             );
 

@@ -62,7 +62,8 @@ impl Linear {
     }
 
     /// Rebuilds a layer from raw parameter vectors (e.g. a checkpoint).
-    /// Returns `None` when the vector lengths disagree with the dimensions.
+    /// Returns `None` when the vector lengths disagree with the dimensions,
+    /// or the dimensions' product overflows.
     #[must_use]
     pub fn from_parts(
         in_features: usize,
@@ -70,7 +71,8 @@ impl Linear {
         weight: Vec<f32>,
         bias: Vec<f32>,
     ) -> Option<Self> {
-        if weight.len() != in_features * out_features || bias.len() != out_features {
+        if Some(weight.len()) != in_features.checked_mul(out_features) || bias.len() != out_features
+        {
             return None;
         }
         Some(Linear {
@@ -211,7 +213,8 @@ impl ConvEncoder {
     }
 
     /// Rebuilds an encoder from raw parameter vectors (e.g. a checkpoint).
-    /// Returns `None` when the vector lengths disagree with the dimensions.
+    /// Returns `None` when the vector lengths disagree with the dimensions,
+    /// or the dimensions' product overflows.
     #[must_use]
     pub fn from_parts(
         channels: usize,
@@ -220,7 +223,10 @@ impl ConvEncoder {
         weight: Vec<f32>,
         bias: Vec<f32>,
     ) -> Option<Self> {
-        if weight.len() != channels * kernel * features || bias.len() != channels {
+        let expected = channels
+            .checked_mul(kernel)
+            .and_then(|n| n.checked_mul(features));
+        if Some(weight.len()) != expected || bias.len() != channels {
             return None;
         }
         Some(ConvEncoder {
@@ -770,6 +776,17 @@ mod tests {
         let b: Vec<u32> = pb.iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b);
         assert!(ConvEncoder::from_parts(2, 3, 4, vec![0.0; 7], vec![0.0; 2]).is_none());
+    }
+
+    /// A dimension whose product wraps is refused, not multiplied: in a
+    /// release build `8 * (2^61 + 3) * 3` wraps to 72, the real length, and
+    /// `8 * 2^63 * 3` wraps to 0.
+    #[test]
+    fn from_parts_refuses_dimensions_whose_product_overflows() {
+        let lie = (1usize << 61) + 3;
+        assert!(ConvEncoder::from_parts(8, lie, 3, vec![0.0; 72], vec![0.0; 8]).is_none());
+        assert!(ConvEncoder::from_parts(8, usize::MAX / 2 + 1, 3, vec![], vec![0.0; 8]).is_none());
+        assert!(Linear::from_parts((1usize << 61) + 1, 8, vec![0.0; 8], vec![0.0; 8]).is_none());
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Versioned binary checkpoints for PPO training runs.
 //!
-//! A [`Checkpoint`] captures everything a [`crate::PpoTrainer`] needs to
-//! continue a training run *bit-identically* after a process restart: the
-//! [`crate::PpoConfig`], the update counter and accumulated
-//! [`crate::TrainingStats`], the complete [`PolicyState`] (all
-//! `Linear`/`ConvEncoder` weights, the three Adam optimizer moments and the
-//! action-sampling RNG state), and one snapshot per environment (the env's
-//! own opaque state bytes plus the observation the next action would be
-//! conditioned on). The resume-equals-uninterrupted contract is enforced by
+//! A [`Checkpoint`] is the [`PpoTrainer`] itself plus the environment's
+//! opaque state bytes: everything a training run needs to continue
+//! *bit-identically* after a process restart. The trainer part is the
+//! [`crate::PpoConfig`], the update counter, the accumulated
+//! [`crate::TrainingStats`], the policy's `ConvEncoder`/`Linear` weights,
+//! its three Adam optimizers, its action-sampling RNG, and the observation
+//! the next action would be conditioned on. Decoding builds those types
+//! directly, so every shape check runs inside [`Checkpoint::from_bytes`].
+//! The resume-equals-uninterrupted contract is enforced by
 //! `crates/rl/tests/checkpoint.rs`, mirroring the `jobs=N ≡ jobs=1`
 //! determinism contract of the suite optimizer.
 //!
-//! # On-disk format (version 1)
+//! # On-disk format (version 2)
 //!
 //! Little-endian throughout; `f32` values are stored as their IEEE-754 bit
 //! patterns so round-trips are exact. Vectors are a `u64` length followed by
@@ -20,14 +21,15 @@
 //!
 //! ```text
 //! magic    8 bytes  b"CASRLCKP"
-//! version  u32      1
-//! body     PpoConfig, completed_updates, TrainingStats, PolicyState,
-//!          env snapshots
+//! version  u32      2
+//! body     PpoConfig, completed_updates, TrainingStats, policy,
+//!          pending observation, env state bytes
 //! trailer  u64      FNV-1a-64 checksum of every preceding byte
 //! ```
 //!
 //! Corrupted, truncated or wrong-version inputs are rejected with a typed
-//! [`ArtifactError`] — never a panic. The format has no length field, so
+//! [`ArtifactError`] — never a panic, including a shape whose product
+//! overflows behind a valid checksum. The format has no length field, so
 //! a file cut after its header fails the trailer checksum: only a cut
 //! inside the 20-byte header-plus-trailer reads [`ArtifactError::Torn`].
 
@@ -35,16 +37,17 @@ use std::fmt;
 use std::path::Path;
 
 use artifact::{fnv1a64, fnv1a64_hex, publish_atomic, ArtifactError, StoreIo};
-use nn::Matrix;
+use nn::{Adam, ConvEncoder, Linear, Matrix};
+use rand_chacha::{ChaCha8Rng, ChaChaState};
 
-use crate::policy::{OptimizerState, PolicyState, RngState};
-use crate::ppo::{PpoConfig, TrainingStats};
+use crate::policy::ActorCritic;
+use crate::ppo::{PpoConfig, PpoTrainer, TrainingStats};
 
 /// The 8-byte magic prefix of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CASRLCKP";
 
 /// The current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be taken, saved, resumed from or applied:
 /// file damage is an [`ArtifactError`], the rest is about the environment.
@@ -97,73 +100,23 @@ impl From<ArtifactError> for CheckpointError {
 /// (a file read names its path).
 const IN_MEMORY: &str = "checkpoint";
 
-/// [`ArtifactError::Corrupt`] of an in-memory checkpoint.
-pub(crate) fn corrupt_in_memory(detail: String) -> ArtifactError {
-    ArtifactError::Corrupt {
-        path: IN_MEMORY.into(),
-        detail,
-    }
-}
-
-/// One environment's snapshot inside a [`Checkpoint`]: the env's opaque
-/// state bytes (from [`crate::Env::state_bytes`]), the observation the next
-/// action would be conditioned on (absent before the first update) and the
-/// action-validity mask of that observation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnvCheckpoint {
-    /// Opaque environment state, produced and consumed by the env itself.
-    pub state: Vec<u8>,
-    /// The pending observation, when training was mid-stream.
-    pub observation: Option<Matrix>,
-    /// Action-validity mask of the pending observation.
-    pub mask: Vec<bool>,
-}
-
 /// A complete, versioned snapshot of a PPO training run at an update
 /// boundary. See the module docs for the serialized layout.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Training hyperparameters.
-    pub config: PpoConfig,
-    /// Number of policy updates completed so far.
-    pub completed_updates: usize,
-    /// Statistics accumulated over the completed updates.
-    pub stats: TrainingStats,
-    /// Complete policy + optimizer + RNG state.
-    pub policy: PolicyState,
-    /// One snapshot per environment. The format carries a count; the
-    /// trainer writes exactly one and refuses to resume from any other.
-    pub envs: Vec<EnvCheckpoint>,
+    /// The trainer: config, update counter, statistics, policy and the
+    /// pending observation.
+    pub trainer: PpoTrainer,
+    /// Opaque environment state, produced and consumed by the env itself
+    /// ([`crate::Env::state_bytes`]).
+    pub env_state: Vec<u8>,
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint into the version-1 binary format.
+    /// Serializes the checkpoint into the version-2 binary format.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(&CHECKPOINT_MAGIC);
-        w.u32(CHECKPOINT_VERSION);
-        encode_config(&mut w, &self.config);
-        w.u64(self.completed_updates as u64);
-        encode_stats(&mut w, &self.stats);
-        encode_policy(&mut w, &self.policy);
-        w.u64(self.envs.len() as u64);
-        for env in &self.envs {
-            w.byte_vec(&env.state);
-            match &env.observation {
-                Some(obs) => {
-                    w.u8(1);
-                    w.u64(obs.rows() as u64);
-                    w.u64(obs.cols() as u64);
-                    w.f32_vec(obs.data());
-                }
-                None => w.u8(0),
-            }
-            w.bool_vec(&env.mask);
-        }
-        let checksum = fnv1a64(&w.buf);
-        w.u64(checksum);
-        w.buf
+        encode(&self.trainer, &self.env_state)
     }
 
     /// Decodes a checkpoint from bytes; errors name the file
@@ -172,9 +125,10 @@ impl Checkpoint {
     /// # Errors
     ///
     /// Returns a typed [`ArtifactError`]: `Torn` when the bytes end inside
-    /// the header, `Corrupt` on bad magic or any structural inconsistency,
-    /// `UnsupportedVersion` and `ChecksumMismatch` by name. Never panics on
-    /// hostile input.
+    /// the header, `Corrupt` on bad magic or any structural inconsistency
+    /// (a weight, moment or observation whose length disagrees with the
+    /// declared shape included), `UnsupportedVersion` and
+    /// `ChecksumMismatch` by name. Never panics on hostile input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
         Self::decode(Path::new(IN_MEMORY), bytes)
     }
@@ -217,48 +171,24 @@ impl Checkpoint {
         let completed_updates = r.usize()?;
         let stats = decode_stats(&mut r)?;
         let policy = decode_policy(&mut r)?;
-        let env_count = r.usize()?;
-        if env_count > r.remaining() {
-            return Err(r.corrupt(format!("impossible env count {env_count}")));
-        }
-        let mut envs = Vec::with_capacity(env_count);
-        for _ in 0..env_count {
-            let state = r.byte_vec()?;
-            let observation = match r.u8()? {
-                0 => None,
-                1 => {
-                    let rows = r.usize()?;
-                    let cols = r.usize()?;
-                    let data = r.f32_vec()?;
-                    let expected = rows
-                        .checked_mul(cols)
-                        .ok_or_else(|| r.corrupt("observation shape".into()))?;
-                    if data.len() != expected {
-                        return Err(r.corrupt(format!(
-                            "observation is {rows}x{cols} but carries {} values",
-                            data.len()
-                        )));
-                    }
-                    Some(Matrix::from_vec(rows, cols, data))
-                }
-                other => return Err(r.corrupt(format!("bad observation flag {other}"))),
-            };
-            let mask = r.bool_vec()?;
-            envs.push(EnvCheckpoint {
-                state,
-                observation,
-                mask,
-            });
-        }
+        let pending_observation = match r.u8()? {
+            0 => None,
+            1 => Some(decode_observation(&mut r, policy.encoder.input_features())?),
+            other => return Err(r.corrupt(format!("bad observation flag {other}"))),
+        };
+        let env_state = r.byte_vec()?;
         if r.remaining() != 0 {
             return Err(r.corrupt(format!("{} trailing bytes after content", r.remaining())));
         }
         Ok(Checkpoint {
-            config,
-            completed_updates,
-            stats,
-            policy,
-            envs,
+            trainer: PpoTrainer {
+                config,
+                policy,
+                completed_updates,
+                stats,
+                pending_observation,
+            },
+            env_state,
         })
     }
 
@@ -271,10 +201,7 @@ impl Checkpoint {
     ///
     /// Returns [`ArtifactError::Io`] when the file cannot be written.
     pub fn write(&self, io: &dyn StoreIo, path: &Path) -> Result<(), ArtifactError> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        publish_atomic(io, path, &self.to_bytes()).map_err(ArtifactError::Io)
+        publish(io, path, &self.to_bytes())
     }
 
     /// Reads and decodes a checkpoint file.
@@ -287,6 +214,40 @@ impl Checkpoint {
         let bytes = std::fs::read(path)?;
         Self::decode(path, &bytes)
     }
+}
+
+/// Encodes `trainer` and `env_state` in the checkpoint format, reading the
+/// trainer in place: [`PpoTrainer::save_checkpoint`] copies nothing but the
+/// bytes.
+pub(crate) fn encode(trainer: &PpoTrainer, env_state: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.bytes(&CHECKPOINT_MAGIC);
+    w.u32(CHECKPOINT_VERSION);
+    encode_config(&mut w, &trainer.config);
+    w.u64(trainer.completed_updates as u64);
+    encode_stats(&mut w, &trainer.stats);
+    encode_policy(&mut w, &trainer.policy);
+    match &trainer.pending_observation {
+        Some(obs) => {
+            w.u8(1);
+            w.u64(obs.rows() as u64);
+            w.u64(obs.cols() as u64);
+            w.f32_vec(obs.data());
+        }
+        None => w.u8(0),
+    }
+    w.byte_vec(env_state);
+    let checksum = fnv1a64(&w.buf);
+    w.u64(checksum);
+    w.buf
+}
+
+/// Publishes checkpoint `bytes` at `path` (see [`Checkpoint::write`]).
+pub(crate) fn publish(io: &dyn StoreIo, path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    publish_atomic(io, path, bytes).map_err(ArtifactError::Io)
 }
 
 fn encode_config(w: &mut Writer, config: &PpoConfig) {
@@ -307,7 +268,7 @@ fn encode_config(w: &mut Writer, config: &PpoConfig) {
 }
 
 fn decode_config(r: &mut Reader<'_>) -> Result<PpoConfig, ArtifactError> {
-    Ok(PpoConfig {
+    let config = PpoConfig {
         learning_rate: r.f32()?,
         anneal_lr: r.u8()? != 0,
         gamma: r.f32()?,
@@ -322,7 +283,12 @@ fn decode_config(r: &mut Reader<'_>) -> Result<PpoConfig, ArtifactError> {
         channels: r.usize()?,
         kernel: r.usize()?,
         seed: r.u64()?,
-    })
+    };
+    if config.rollout_steps == 0 {
+        // The update count divides by it.
+        return Err(r.corrupt("zero rollout steps".into()));
+    }
+    Ok(config)
 }
 
 fn encode_stats(w: &mut Writer, stats: &TrainingStats) {
@@ -345,59 +311,53 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<TrainingStats, ArtifactError> {
     })
 }
 
-fn encode_policy(w: &mut Writer, policy: &PolicyState) {
-    w.u64(policy.features as u64);
-    w.u64(policy.channels as u64);
-    w.u64(policy.kernel as u64);
-    w.u64(policy.n_actions as u64);
-    w.f32_vec(&policy.encoder_weight);
-    w.f32_vec(&policy.encoder_bias);
-    w.f32_vec(&policy.actor_weight);
-    w.f32_vec(&policy.actor_bias);
-    w.f32_vec(&policy.critic_weight);
-    w.f32_vec(&policy.critic_bias);
+fn encode_policy(w: &mut Writer, policy: &ActorCritic) {
+    w.u64(policy.encoder.input_features() as u64);
+    w.u64(policy.encoder.channels() as u64);
+    w.u64(policy.encoder.kernel_size() as u64);
+    w.u64(policy.actor.out_features() as u64);
+    for layer in [
+        (policy.encoder.weight_values(), policy.encoder.bias_values()),
+        (policy.actor.weight_values(), policy.actor.bias_values()),
+        (policy.critic.weight_values(), policy.critic.bias_values()),
+    ] {
+        w.f32_vec(layer.0);
+        w.f32_vec(layer.1);
+    }
     for opt in [&policy.encoder_opt, &policy.actor_opt, &policy.critic_opt] {
-        w.f32(opt.learning_rate);
-        w.u64(opt.step);
-        w.f32_vec(&opt.first_moment);
-        w.f32_vec(&opt.second_moment);
+        w.f32(opt.learning_rate());
+        w.u64(opt.step_count());
+        w.f32_vec(opt.first_moment());
+        w.f32_vec(opt.second_moment());
     }
-    for word in policy.rng.key {
+    let rng = policy.rng.state();
+    for word in rng.key {
         w.u32(word);
     }
-    w.u64(policy.rng.counter);
-    for word in policy.rng.nonce {
+    w.u64(rng.counter);
+    for word in rng.nonce {
         w.u32(word);
     }
-    for word in policy.rng.buffer {
+    for word in rng.buffer {
         w.u32(word);
     }
-    w.u32(policy.rng.index);
+    w.u32(u32::try_from(rng.index).unwrap_or(u32::MAX));
 }
 
-fn decode_policy(r: &mut Reader<'_>) -> Result<PolicyState, ArtifactError> {
+fn decode_policy(r: &mut Reader<'_>) -> Result<ActorCritic, ArtifactError> {
     let features = r.usize()?;
     let channels = r.usize()?;
     let kernel = r.usize()?;
     let n_actions = r.usize()?;
-    let encoder_weight = r.f32_vec()?;
-    let encoder_bias = r.f32_vec()?;
-    let actor_weight = r.f32_vec()?;
-    let actor_bias = r.f32_vec()?;
-    let critic_weight = r.f32_vec()?;
-    let critic_bias = r.f32_vec()?;
-    let mut opts = Vec::with_capacity(3);
-    for _ in 0..3 {
-        opts.push(OptimizerState {
-            learning_rate: r.f32()?,
-            step: r.u64()?,
-            first_moment: r.f32_vec()?,
-            second_moment: r.f32_vec()?,
-        });
-    }
-    let critic_opt = opts.pop().expect("pushed above");
-    let actor_opt = opts.pop().expect("pushed above");
-    let encoder_opt = opts.pop().expect("pushed above");
+    let encoder = ConvEncoder::from_parts(channels, kernel, features, r.f32_vec()?, r.f32_vec()?)
+        .ok_or_else(|| r.corrupt("encoder weight shape mismatch".into()))?;
+    let actor = Linear::from_parts(channels, n_actions, r.f32_vec()?, r.f32_vec()?)
+        .ok_or_else(|| r.corrupt("actor weight shape mismatch".into()))?;
+    let critic = Linear::from_parts(channels, 1, r.f32_vec()?, r.f32_vec()?)
+        .ok_or_else(|| r.corrupt("critic weight shape mismatch".into()))?;
+    let encoder_opt = decode_adam(r, encoder.parameter_count(), "encoder")?;
+    let actor_opt = decode_adam(r, actor.parameter_count(), "actor")?;
+    let critic_opt = decode_adam(r, critic.parameter_count(), "critic")?;
     let mut key = [0u32; 8];
     for word in &mut key {
         *word = r.u32()?;
@@ -411,29 +371,48 @@ fn decode_policy(r: &mut Reader<'_>) -> Result<PolicyState, ArtifactError> {
     for word in &mut buffer {
         *word = r.u32()?;
     }
-    let index = r.u32()?;
-    Ok(PolicyState {
-        features,
-        channels,
-        kernel,
-        n_actions,
-        encoder_weight,
-        encoder_bias,
-        actor_weight,
-        actor_bias,
-        critic_weight,
-        critic_bias,
+    let index = r.u32()? as usize;
+    Ok(ActorCritic {
+        encoder,
+        actor,
+        critic,
         encoder_opt,
         actor_opt,
         critic_opt,
-        rng: RngState {
+        rng: ChaCha8Rng::from_state(ChaChaState {
             key,
             counter,
             nonce,
             buffer,
             index,
-        },
+        }),
     })
+}
+
+/// Decodes one Adam optimizer for a layer of `params` parameters.
+fn decode_adam(r: &mut Reader<'_>, params: usize, layer: &str) -> Result<Adam, ArtifactError> {
+    let learning_rate = r.f32()?;
+    let step = r.u64()?;
+    let first_moment = r.f32_vec()?;
+    if first_moment.len() != params {
+        return Err(r.corrupt(format!("{layer} optimizer moment length mismatch")));
+    }
+    Adam::from_state(learning_rate, step, first_moment, r.f32_vec()?)
+        .ok_or_else(|| r.corrupt(format!("{layer} optimizer moment vectors disagree")))
+}
+
+/// Decodes a pending observation, which must be `features` wide.
+fn decode_observation(r: &mut Reader<'_>, features: usize) -> Result<Matrix, ArtifactError> {
+    let rows = r.usize()?;
+    let cols = r.usize()?;
+    let data = r.f32_vec()?;
+    if cols != features || Some(data.len()) != rows.checked_mul(cols) {
+        return Err(r.corrupt(format!(
+            "observation is {rows}x{cols} of a {features}-feature policy but carries {} values",
+            data.len()
+        )));
+    }
+    Ok(Matrix::from_vec(rows, cols, data))
 }
 
 struct Writer {
@@ -475,13 +454,6 @@ impl Writer {
     fn byte_vec(&mut self, bytes: &[u8]) {
         self.u64(bytes.len() as u64);
         self.bytes(bytes);
-    }
-
-    fn bool_vec(&mut self, values: &[bool]) {
-        self.u64(values.len() as u64);
-        for &v in values {
-            self.u8(u8::from(v));
-        }
     }
 }
 
@@ -566,54 +538,53 @@ impl<'a> Reader<'a> {
         let len = self.usize()?;
         Ok(self.take(len)?.to_vec())
     }
-
-    fn bool_vec(&mut self) -> Result<Vec<bool>, ArtifactError> {
-        let len = self.usize()?;
-        let bytes = self.take(len)?;
-        bytes
-            .iter()
-            .map(|&b| match b {
-                0 => Ok(false),
-                1 => Ok(true),
-                other => Err(self.corrupt(format!("bad bool byte {other}"))),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_envs::BanditEnv;
     use artifact::UnsyncedIo;
 
+    /// A bandit run two updates in: statistics, Adam moments, RNG and the
+    /// pending observation are all mid-stream.
     fn sample_checkpoint() -> Checkpoint {
-        let policy = crate::ActorCritic::new(3, 4, 8, 3, 5, 1e-3).state();
-        Checkpoint {
-            config: PpoConfig::tiny(),
-            completed_updates: 2,
-            stats: TrainingStats {
-                steps: 128,
-                episodic_returns: vec![1.0, -2.5, 0.125],
-                approx_kl: vec![0.01, 0.02],
-                entropy: vec![1.2, 1.1],
-                policy_loss: vec![-0.5, -0.25],
-                value_loss: vec![0.75, 0.5],
-            },
-            policy,
-            envs: vec![EnvCheckpoint {
-                state: vec![9, 8, 7],
-                observation: Some(Matrix::from_vec(2, 3, vec![0.5; 6])),
-                mask: vec![true, false, true, true, false],
-            }],
-        }
+        let mut env = BanditEnv::new(8);
+        let mut trainer = PpoTrainer::new(PpoConfig::tiny(), 3, 3);
+        trainer.train_updates(&mut env, 2);
+        trainer.checkpoint(&env).expect("bandit snapshots")
     }
 
     #[test]
     fn binary_round_trip_is_exact() {
-        let checkpoint = sample_checkpoint();
-        let bytes = checkpoint.to_bytes();
+        let bytes = sample_checkpoint().to_bytes();
         let decoded = Checkpoint::from_bytes(&bytes).expect("round trip");
-        assert_eq!(decoded, checkpoint);
+        assert_eq!(decoded.to_bytes(), bytes);
+        assert_eq!(decoded.trainer.completed_updates(), 2);
+        assert!(decoded.trainer.pending_observation.is_some());
+    }
+
+    /// Lies a checksum cannot catch are `Corrupt`: an observation another
+    /// width than the policy reads, and a config whose update count would
+    /// divide by zero.
+    #[test]
+    fn an_untrainable_checkpoint_is_corrupt() {
+        let env = BanditEnv::new(8);
+        let mut wide = PpoTrainer::new(PpoConfig::tiny(), 3, 3);
+        wide.pending_observation = Some(Matrix::zeros(2, 5));
+        let no_rollout = PpoTrainer::new(
+            PpoConfig {
+                rollout_steps: 0,
+                ..PpoConfig::tiny()
+            },
+            3,
+            3,
+        );
+        for trainer in [wide, no_rollout] {
+            let bytes = trainer.checkpoint(&env).expect("snapshot").to_bytes();
+            let err = Checkpoint::from_bytes(&bytes).unwrap_err();
+            assert!(matches!(err, ArtifactError::Corrupt { .. }), "{err}");
+        }
     }
 
     #[test]
@@ -688,7 +659,10 @@ mod tests {
         let path = dir.join("run.ckpt");
         let checkpoint = sample_checkpoint();
         checkpoint.write(&UnsyncedIo, &path).expect("write");
-        assert_eq!(Checkpoint::read(&path).expect("read"), checkpoint);
+        assert_eq!(
+            Checkpoint::read(&path).expect("read").to_bytes(),
+            checkpoint.to_bytes()
+        );
         let missing = Checkpoint::read(&dir.join("absent.ckpt")).unwrap_err();
         assert!(matches!(missing, ArtifactError::Io(_)), "{missing}");
         let _ = std::fs::remove_dir_all(dir);

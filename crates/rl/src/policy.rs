@@ -7,74 +7,8 @@
 
 use nn::{Adam, ConvEncoder, Linear, MaskedCategorical, Matrix};
 use rand::SeedableRng;
-use rand_chacha::{ChaCha8Rng, ChaChaState};
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-/// The complete, bit-exact state of one Adam optimizer, as captured by
-/// [`ActorCritic::state`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimizerState {
-    /// Current learning rate.
-    pub learning_rate: f32,
-    /// Number of update steps applied so far.
-    pub step: u64,
-    /// First-moment estimates.
-    pub first_moment: Vec<f32>,
-    /// Second-moment estimates.
-    pub second_moment: Vec<f32>,
-}
-
-/// The complete, bit-exact state of an action-sampling RNG.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RngState {
-    /// ChaCha key words.
-    pub key: [u32; 8],
-    /// Block counter of the next keystream block.
-    pub counter: u64,
-    /// Nonce words.
-    pub nonce: [u32; 2],
-    /// Buffered keystream block.
-    pub buffer: [u32; 16],
-    /// Next unread word in the buffer.
-    pub index: u32,
-}
-
-/// The complete state of an [`ActorCritic`] network: every weight of the
-/// shared encoder and both heads, the three Adam optimizer states and the
-/// action-sampling RNG. Restoring this state with
-/// [`ActorCritic::from_state`] continues training bit-identically, which is
-/// what `rl`'s checkpoint format serializes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyState {
-    /// Observation features per row.
-    pub features: usize,
-    /// Encoder output channels.
-    pub channels: usize,
-    /// Encoder window (instructions).
-    pub kernel: usize,
-    /// Number of discrete actions.
-    pub n_actions: usize,
-    /// Encoder convolution weights.
-    pub encoder_weight: Vec<f32>,
-    /// Encoder bias.
-    pub encoder_bias: Vec<f32>,
-    /// Actor-head weights.
-    pub actor_weight: Vec<f32>,
-    /// Actor-head bias.
-    pub actor_bias: Vec<f32>,
-    /// Critic-head weights.
-    pub critic_weight: Vec<f32>,
-    /// Critic-head bias.
-    pub critic_bias: Vec<f32>,
-    /// Encoder optimizer state.
-    pub encoder_opt: OptimizerState,
-    /// Actor optimizer state.
-    pub actor_opt: OptimizerState,
-    /// Critic optimizer state.
-    pub critic_opt: OptimizerState,
-    /// Action-sampling RNG state.
-    pub rng: RngState,
-}
 
 /// A sampled action with the quantities PPO needs to store.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,16 +65,17 @@ pub struct Sample<'a> {
 }
 
 /// The actor-critic network: shared convolutional encoder, actor head and
-/// critic head, each with its own Adam state.
+/// critic head, each with its own Adam state, and the action-sampling RNG.
+/// A checkpoint stores these parts as they are (see `checkpoint.rs`).
 #[derive(Debug, Clone)]
 pub struct ActorCritic {
-    encoder: ConvEncoder,
-    actor: Linear,
-    critic: Linear,
-    encoder_opt: Adam,
-    actor_opt: Adam,
-    critic_opt: Adam,
-    rng: ChaCha8Rng,
+    pub(crate) encoder: ConvEncoder,
+    pub(crate) actor: Linear,
+    pub(crate) critic: Linear,
+    pub(crate) encoder_opt: Adam,
+    pub(crate) actor_opt: Adam,
+    pub(crate) critic_opt: Adam,
+    pub(crate) rng: ChaCha8Rng,
 }
 
 impl ActorCritic {
@@ -177,105 +112,6 @@ impl ActorCritic {
     #[must_use]
     pub fn action_count(&self) -> usize {
         self.actor.out_features()
-    }
-
-    /// Captures the complete network state (weights, optimizer moments, RNG)
-    /// for checkpointing. [`ActorCritic::from_state`] restores it such that
-    /// subsequent training is bit-identical to never having paused.
-    #[must_use]
-    pub fn state(&self) -> PolicyState {
-        let opt_state = |opt: &Adam| OptimizerState {
-            learning_rate: opt.learning_rate(),
-            step: opt.step_count(),
-            first_moment: opt.first_moment().to_vec(),
-            second_moment: opt.second_moment().to_vec(),
-        };
-        let rng = self.rng.state();
-        PolicyState {
-            features: self.encoder.input_features(),
-            channels: self.encoder.channels(),
-            kernel: self.encoder.kernel_size(),
-            n_actions: self.actor.out_features(),
-            encoder_weight: self.encoder.weight_values().to_vec(),
-            encoder_bias: self.encoder.bias_values().to_vec(),
-            actor_weight: self.actor.weight_values().to_vec(),
-            actor_bias: self.actor.bias_values().to_vec(),
-            critic_weight: self.critic.weight_values().to_vec(),
-            critic_bias: self.critic.bias_values().to_vec(),
-            encoder_opt: opt_state(&self.encoder_opt),
-            actor_opt: opt_state(&self.actor_opt),
-            critic_opt: opt_state(&self.critic_opt),
-            rng: RngState {
-                key: rng.key,
-                counter: rng.counter,
-                nonce: rng.nonce,
-                buffer: rng.buffer,
-                index: u32::try_from(rng.index).unwrap_or(u32::MAX),
-            },
-        }
-    }
-
-    /// Rebuilds a policy from a captured [`PolicyState`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first internal inconsistency (mismatched
-    /// weight-vector or moment-vector lengths) when the state is not a
-    /// faithful [`ActorCritic::state`] capture.
-    pub fn from_state(state: &PolicyState) -> Result<Self, String> {
-        let encoder = ConvEncoder::from_parts(
-            state.channels,
-            state.kernel,
-            state.features,
-            state.encoder_weight.clone(),
-            state.encoder_bias.clone(),
-        )
-        .ok_or("encoder weight shape mismatch")?;
-        let actor = Linear::from_parts(
-            state.channels,
-            state.n_actions,
-            state.actor_weight.clone(),
-            state.actor_bias.clone(),
-        )
-        .ok_or("actor weight shape mismatch")?;
-        let critic = Linear::from_parts(
-            state.channels,
-            1,
-            state.critic_weight.clone(),
-            state.critic_bias.clone(),
-        )
-        .ok_or("critic weight shape mismatch")?;
-        let restore_opt = |opt: &OptimizerState, params: usize, name: &str| {
-            if opt.first_moment.len() != params {
-                return Err(format!("{name} optimizer moment length mismatch"));
-            }
-            Adam::from_state(
-                opt.learning_rate,
-                opt.step,
-                opt.first_moment.clone(),
-                opt.second_moment.clone(),
-            )
-            .ok_or(format!("{name} optimizer moment vectors disagree"))
-        };
-        let encoder_opt = restore_opt(&state.encoder_opt, encoder.parameter_count(), "encoder")?;
-        let actor_opt = restore_opt(&state.actor_opt, actor.parameter_count(), "actor")?;
-        let critic_opt = restore_opt(&state.critic_opt, critic.parameter_count(), "critic")?;
-        let rng = ChaCha8Rng::from_state(ChaChaState {
-            key: state.rng.key,
-            counter: state.rng.counter,
-            nonce: state.rng.nonce,
-            buffer: state.rng.buffer,
-            index: state.rng.index as usize,
-        });
-        Ok(ActorCritic {
-            encoder,
-            actor,
-            critic,
-            encoder_opt,
-            actor_opt,
-            critic_opt,
-            rng,
-        })
     }
 
     /// Replaces the learning rate of all three optimizers (annealing).
@@ -403,9 +239,22 @@ impl ActorCritic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Checkpoint, PpoConfig, PpoTrainer};
 
     fn observation() -> Matrix {
         Matrix::from_vec(6, 4, (0..24).map(|i| (i as f32) * 0.05).collect())
+    }
+
+    /// The checkpoint bytes of a trainer holding `policy`: they store every
+    /// weight, Adam moment and RNG word bit for bit.
+    fn checkpoint_of(policy: &ActorCritic) -> Vec<u8> {
+        let mut trainer = PpoTrainer::new(PpoConfig::tiny(), 1, 1);
+        *trainer.policy_mut() = policy.clone();
+        Checkpoint {
+            trainer,
+            env_state: Vec::new(),
+        }
+        .to_bytes()
     }
 
     #[test]
@@ -540,9 +389,10 @@ mod tests {
                 vf_coef: 0.5,
             },
         );
-        let state = policy.state();
-        let mut restored = ActorCritic::from_state(&state).expect("faithful state");
-        assert_eq!(restored.state(), state);
+        let bytes = checkpoint_of(&policy);
+        let decoded = Checkpoint::from_bytes(&bytes).expect("faithful checkpoint");
+        assert_eq!(decoded.to_bytes(), bytes);
+        let mut restored = decoded.trainer.policy().clone();
         for _ in 0..10 {
             let a = policy.act(&obs, &mask);
             let b = restored.act(&obs, &mask);
@@ -550,11 +400,22 @@ mod tests {
             assert_eq!(a.log_prob.to_bits(), b.log_prob.to_bits());
             assert_eq!(a.value.to_bits(), b.value.to_bits());
         }
-        assert_eq!(policy.state(), restored.state());
-        // Shape lies are rejected, not panicked on.
-        let mut bad = state;
-        bad.actor_weight.pop();
-        assert!(ActorCritic::from_state(&bad).is_err());
+        let update = [Sample {
+            observation: &obs,
+            mask: &mask,
+            action: sample.action.unwrap(),
+            old_log_prob: sample.log_prob,
+            advantage: -0.5,
+            ret: 0.25,
+        }];
+        let config = UpdateConfig {
+            clip_coef: 0.2,
+            ent_coef: 0.01,
+            vf_coef: 0.5,
+        };
+        policy.update_minibatch(&update, &config);
+        restored.update_minibatch(&update, &config);
+        assert_eq!(checkpoint_of(&policy), checkpoint_of(&restored));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::buffer::{Advantages, RolloutBuffer, Transition};
 use crate::cancel::CancelToken;
-use crate::checkpoint::{corrupt_in_memory, Checkpoint, CheckpointError, EnvCheckpoint};
+use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::env::Env;
 use crate::policy::{ActorCritic, Sample, UpdateConfig};
 
@@ -130,18 +130,20 @@ impl TrainingStats {
 /// at any update boundary with [`PpoTrainer::save_checkpoint`] and continued
 /// in a fresh process via [`PpoTrainer::resume_from`] — bit-identically to a
 /// run that was never interrupted.
+///
+/// Its fields are exactly what a [`Checkpoint`] stores.
 #[derive(Debug, Clone)]
 pub struct PpoTrainer {
-    config: PpoConfig,
-    policy: ActorCritic,
+    pub(crate) config: PpoConfig,
+    pub(crate) policy: ActorCritic,
     /// Policy updates completed so far (the resume point).
-    completed_updates: usize,
+    pub(crate) completed_updates: usize,
     /// Statistics accumulated over the completed updates.
-    stats: TrainingStats,
+    pub(crate) stats: TrainingStats,
     /// The observation the next action will be conditioned on, carried
     /// across update boundaries (and into checkpoints) so pausing never
     /// perturbs the trajectory.
-    pending_observation: Option<Matrix>,
+    pub(crate) pending_observation: Option<Matrix>,
 }
 
 impl PpoTrainer {
@@ -366,32 +368,22 @@ impl PpoTrainer {
     /// Returns [`CheckpointError::EnvSnapshotUnsupported`] when the env does
     /// not implement [`Env::state_bytes`].
     pub fn checkpoint<E: Env>(&self, env: &E) -> Result<Checkpoint, CheckpointError> {
-        let state = env
-            .state_bytes()
-            .ok_or(CheckpointError::EnvSnapshotUnsupported)?;
         Ok(Checkpoint {
-            config: self.config.clone(),
-            completed_updates: self.completed_updates,
-            stats: self.stats.clone(),
-            policy: self.policy.state(),
-            envs: vec![EnvCheckpoint {
-                state,
-                observation: self.pending_observation.clone(),
-                mask: env.action_mask(),
-            }],
+            trainer: self.clone(),
+            env_state: env_state(env)?,
         })
     }
 
     /// Writes a [`PpoTrainer::checkpoint`] to `path` — unsynced: a damaged
-    /// checkpoint costs a cold restart of one search, never an answer.
+    /// checkpoint costs a cold restart of one search, never an answer. The
+    /// bytes are encoded from this trainer in place, with no copy of it.
     ///
     /// # Errors
     ///
     /// Propagates snapshot and I/O errors as [`CheckpointError`].
     pub fn save_checkpoint<E: Env>(&self, env: &E, path: &Path) -> Result<(), CheckpointError> {
-        self.checkpoint(env)?
-            .write(&UnsyncedIo, path)
-            .map_err(CheckpointError::Artifact)
+        let bytes = checkpoint::encode(self, &env_state(env)?);
+        checkpoint::publish(&UnsyncedIo, path, &bytes).map_err(CheckpointError::Artifact)
     }
 
     /// Rebuilds a trainer from a checkpoint and restores the environment's
@@ -402,37 +394,22 @@ impl PpoTrainer {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Artifact`] (`Corrupt`) when the checkpoint
-    /// is not a single-env snapshot or its policy state is inconsistent, and
-    /// [`CheckpointError::EnvRejectedState`] when its policy was built for
-    /// another observation width or action count than `env`'s (checked
-    /// before `env` is touched) or the env refuses the state bytes.
+    /// Returns [`CheckpointError::EnvRejectedState`] when the checkpointed
+    /// policy was built for another observation width or action count than
+    /// `env`'s (checked before `env` is touched) or the env refuses the
+    /// state bytes.
     pub fn resume_from_checkpoint<E: Env>(
         checkpoint: &Checkpoint,
         env: &mut E,
     ) -> Result<Self, CheckpointError> {
-        let state = &checkpoint.policy;
-        if (state.features, state.n_actions) != (env.observation_features(), env.action_count()) {
+        let policy = &checkpoint.trainer.policy;
+        if (policy.encoder.input_features(), policy.action_count())
+            != (env.observation_features(), env.action_count())
+            || !env.restore_state(&checkpoint.env_state)
+        {
             return Err(CheckpointError::EnvRejectedState);
         }
-        let policy = ActorCritic::from_state(state).map_err(corrupt_in_memory)?;
-        let [env_checkpoint] = checkpoint.envs.as_slice() else {
-            return Err(corrupt_in_memory(format!(
-                "expected a single-env checkpoint, found {} envs",
-                checkpoint.envs.len()
-            ))
-            .into());
-        };
-        if !env.restore_state(&env_checkpoint.state) {
-            return Err(CheckpointError::EnvRejectedState);
-        }
-        Ok(PpoTrainer {
-            config: checkpoint.config.clone(),
-            policy,
-            completed_updates: checkpoint.completed_updates,
-            stats: checkpoint.stats.clone(),
-            pending_observation: env_checkpoint.observation.clone(),
-        })
+        Ok(checkpoint.trainer.clone())
     }
 
     /// Reads a checkpoint file and resumes from it (see
@@ -478,6 +455,12 @@ impl PpoTrainer {
             Err(e) => Err(e),
         }
     }
+}
+
+/// The env's opaque snapshot, which a checkpoint stores beside the trainer.
+fn env_state<E: Env>(env: &E) -> Result<Vec<u8>, CheckpointError> {
+    env.state_bytes()
+        .ok_or(CheckpointError::EnvSnapshotUnsupported)
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //! having stopped — the training-side mirror of the suite optimizer's
 //! `jobs=N ≡ jobs=1` determinism contract.
 
+use artifact::ArtifactError;
 use rl::test_envs::BanditEnv;
-use rl::{Checkpoint, CheckpointError, PolicyState, PpoConfig, PpoTrainer, TrainingStats};
+use rl::{Checkpoint, CheckpointError, Env, PpoConfig, PpoTrainer, CHECKPOINT_MAGIC};
 
 fn config() -> PpoConfig {
     PpoConfig {
@@ -15,46 +16,36 @@ fn config() -> PpoConfig {
     }
 }
 
-/// Every float of the policy state as raw bits: two states compare equal
-/// here only if they are bit-identical.
-fn policy_bits(state: &PolicyState) -> Vec<u64> {
-    let mut bits: Vec<u64> = Vec::new();
-    let mut push_f32s = |values: &[f32]| {
-        bits.extend(values.iter().map(|v| u64::from(v.to_bits())));
-    };
-    push_f32s(&state.encoder_weight);
-    push_f32s(&state.encoder_bias);
-    push_f32s(&state.actor_weight);
-    push_f32s(&state.actor_bias);
-    push_f32s(&state.critic_weight);
-    push_f32s(&state.critic_bias);
-    for opt in [&state.encoder_opt, &state.actor_opt, &state.critic_opt] {
-        bits.push(u64::from(opt.learning_rate.to_bits()));
-        bits.push(opt.step);
-        bits.extend(opt.first_moment.iter().map(|v| u64::from(v.to_bits())));
-        bits.extend(opt.second_moment.iter().map(|v| u64::from(v.to_bits())));
-    }
-    bits.extend(state.rng.key.iter().map(|&w| u64::from(w)));
-    bits.push(state.rng.counter);
-    bits.extend(state.rng.nonce.iter().map(|&w| u64::from(w)));
-    bits.extend(state.rng.buffer.iter().map(|&w| u64::from(w)));
-    bits.push(u64::from(state.rng.index));
-    bits
+/// The checkpoint bytes of a trainer and its env: they store every weight,
+/// Adam moment, RNG word and statistic bit for bit, so two runs compare
+/// equal here only if they are bit-identical.
+fn checkpoint_bytes(trainer: &PpoTrainer, env: &BanditEnv) -> Vec<u8> {
+    trainer
+        .checkpoint(env)
+        .expect("bandit snapshots")
+        .to_bytes()
 }
 
-fn stats_bits(stats: &TrainingStats) -> Vec<u64> {
-    let mut bits = vec![stats.steps as u64];
-    for series in [
-        &stats.episodic_returns,
-        &stats.approx_kl,
-        &stats.entropy,
-        &stats.policy_loss,
-        &stats.value_loss,
-    ] {
-        bits.push(series.len() as u64);
-        bits.extend(series.iter().map(|v| u64::from(v.to_bits())));
-    }
-    bits
+/// Recomputes the FNV trailer so that only a body edit is wrong.
+fn reseal(bytes: &mut [u8]) {
+    let content_len = bytes.len() - 8;
+    let checksum = artifact::fnv1a64(&bytes[..content_len]);
+    bytes[content_len..].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// The offset of the encoder's `kernel` in a checkpoint of a
+/// `config()` policy on a bandit: the third of the four `u64` dimensions
+/// (features, channels, kernel, actions) that open the policy.
+fn kernel_offset(bytes: &[u8]) -> usize {
+    let dims: Vec<u8> = [3u64, 8, 3, 3]
+        .iter()
+        .flat_map(|d| d.to_le_bytes())
+        .collect();
+    let policy = bytes
+        .windows(dims.len())
+        .position(|window| window == dims.as_slice())
+        .expect("the policy's dimensions");
+    policy + 16
 }
 
 fn temp_path(label: &str) -> std::path::PathBuf {
@@ -70,8 +61,8 @@ fn resume_at_every_update_boundary_matches_the_uninterrupted_run() {
     // The uninterrupted control run.
     let mut control_env = BanditEnv::new(8);
     let mut control = PpoTrainer::new(config(), 3, 3);
-    let control_stats = control.train(&mut control_env);
-    let control_policy = policy_bits(&control.policy().state());
+    control.train(&mut control_env);
+    let control_bytes = checkpoint_bytes(&control, &control_env);
     let total_updates = control.total_updates();
     assert!(
         total_updates >= 4,
@@ -93,13 +84,11 @@ fn resume_at_every_update_boundary_matches_the_uninterrupted_run() {
         let mut env = BanditEnv::new(8);
         let mut resumed = PpoTrainer::resume_from(&path, &mut env).expect("resume");
         assert_eq!(resumed.completed_updates(), interrupt_after);
-        let resumed_stats = resumed.train(&mut env);
-        assert_eq!(
-            policy_bits(&resumed.policy().state()),
-            control_policy,
-            "policy diverged when interrupted after update {interrupt_after}"
+        resumed.train(&mut env);
+        assert!(
+            checkpoint_bytes(&resumed, &env) == control_bytes,
+            "training diverged when interrupted after update {interrupt_after}"
         );
-        assert_eq!(stats_bits(&resumed_stats), stats_bits(&control_stats));
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -146,16 +135,11 @@ fn checkpoint_file_round_trips_policy_and_optimizer_state_bit_identically() {
     let mut env = BanditEnv::new(8);
     let mut trainer = PpoTrainer::new(config(), 3, 3);
     trainer.train_updates(&mut env, 3);
-    let checkpoint = trainer.checkpoint(&env).expect("snapshot");
-    let decoded = Checkpoint::from_bytes(&checkpoint.to_bytes()).expect("round trip");
-    assert_eq!(decoded, checkpoint);
-    assert_eq!(
-        policy_bits(&decoded.policy),
-        policy_bits(&trainer.policy().state())
-    );
-    assert_eq!(decoded.completed_updates, 3);
-    assert_eq!(decoded.envs.len(), 1);
-    assert!(decoded.envs[0].observation.is_some());
+    let bytes = checkpoint_bytes(&trainer, &env);
+    let decoded = Checkpoint::from_bytes(&bytes).expect("round trip");
+    assert_eq!(decoded.to_bytes(), bytes);
+    assert_eq!(decoded.trainer.completed_updates(), 3);
+    assert_eq!(Some(decoded.env_state), env.state_bytes());
 }
 
 #[test]
@@ -216,14 +200,64 @@ fn resume_refuses_mismatched_environments() {
         PpoTrainer::resume_from::<BanditEnv>(&path, &mut wrong_env),
         Err(CheckpointError::EnvRejectedState)
     ));
-    // A checkpoint holding anything but exactly one env is refused too.
-    let mut two_envs = Checkpoint::read(&path).expect("read");
-    two_envs.envs.push(two_envs.envs[0].clone());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A checkpoint whose checksum verifies but whose encoder `kernel` makes
+/// the weight count overflow is `Corrupt`, and resuming from it is a typed
+/// error, not an "attempt to multiply with overflow".
+#[test]
+fn a_kernel_whose_weight_count_overflows_is_corrupt_not_a_panic() {
+    let path = temp_path("overflow");
+    let mut env = BanditEnv::new(8);
+    let mut trainer = PpoTrainer::new(config(), 3, 3);
+    trainer.train_updates(&mut env, 1);
+    let mut forged = checkpoint_bytes(&trainer, &env);
+    let at = kernel_offset(&forged);
+    forged[at..at + 8].copy_from_slice(&(usize::MAX as u64 / 2 + 1).to_le_bytes());
+    reseal(&mut forged);
     assert!(matches!(
-        PpoTrainer::resume_from_checkpoint(&two_envs, &mut BanditEnv::new(8)),
-        Err(CheckpointError::Artifact(
-            artifact::ArtifactError::Corrupt { .. }
-        ))
+        Checkpoint::from_bytes(&forged),
+        Err(ArtifactError::Corrupt { .. })
+    ));
+    std::fs::write(&path, &forged).expect("plant the forged checkpoint");
+    assert!(matches!(
+        PpoTrainer::resume_from(&path, &mut BanditEnv::new(8)),
+        Err(CheckpointError::Artifact(ArtifactError::Corrupt { .. }))
     ));
     let _ = std::fs::remove_file(&path);
+}
+
+/// Every body byte of a real checkpoint, flipped by `0x01`, `0x80` and
+/// `0xFF` behind a re-sealed trailer, decodes or fails typed, and a
+/// decoded one resumes or fails typed: the parser behind a valid checksum
+/// never panics.
+#[test]
+fn every_body_byte_flip_behind_a_valid_checksum_errors_or_resumes_without_panicking() {
+    let mut env = BanditEnv::new(8);
+    let mut trainer = PpoTrainer::new(config(), 3, 3);
+    trainer.train_updates(&mut env, 2);
+    let good = checkpoint_bytes(&trainer, &env);
+    let body = CHECKPOINT_MAGIC.len() + 4..good.len() - 8;
+    let mut decoded = 0;
+    for position in body {
+        for flip in [0x01u8, 0x80, 0xFF] {
+            let mut forged = good.clone();
+            forged[position] ^= flip;
+            reseal(&mut forged);
+            let outcome = std::panic::catch_unwind(|| -> Result<(), ArtifactError> {
+                let checkpoint = Checkpoint::from_bytes(&forged)?;
+                let _ = PpoTrainer::resume_from_checkpoint(&checkpoint, &mut BanditEnv::new(8));
+                Ok(())
+            });
+            match outcome {
+                Err(_) => panic!("flipping byte {position} by {flip:#04x} panicked"),
+                Ok(Ok(())) => decoded += 1,
+                Ok(Err(ArtifactError::Torn { .. } | ArtifactError::Corrupt { .. })) => {}
+                Ok(Err(err)) => panic!("flipping byte {position} by {flip:#04x}: {err}"),
+            }
+        }
+    }
+    // Flips inside floats decode: the sweep reached the parser's far side.
+    assert!(decoded > 0);
 }

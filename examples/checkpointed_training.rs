@@ -92,12 +92,17 @@ fn main() {
     let mut resumed = PpoTrainer::resume_from(&checkpoint_path, &mut resumed_game).expect("resume");
     let resumed_stats = resumed.train(&mut resumed_game);
 
-    // The resumed run must be bit-identical to the control.
-    let control_state = control.policy().state();
-    let resumed_state = resumed.policy().state();
-    assert_eq!(
-        resumed_state, control_state,
-        "resumed policy diverged from the uninterrupted run"
+    // The resumed run must be bit-identical to the control: its checkpoint
+    // bytes store every weight, Adam moment, RNG word and statistic.
+    let snapshot = |trainer: &PpoTrainer, game: &AssemblyGame| {
+        trainer
+            .checkpoint(game)
+            .expect("the game snapshots")
+            .to_bytes()
+    };
+    assert!(
+        snapshot(&resumed, &resumed_game) == snapshot(&control, &control_game),
+        "resumed training diverged from the uninterrupted run"
     );
     assert_eq!(
         resumed_game.best().0.to_string(),

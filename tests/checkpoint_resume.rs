@@ -8,7 +8,7 @@
 use cuasmrl::{ActionSpace, AssemblyGame, GameConfig, StallTable};
 use gpusim::{GpuConfig, MeasureOptions};
 use kernels::{generate, KernelConfig, KernelKind, KernelSpec, ScheduleStyle};
-use rl::{Env, PolicyState, PpoConfig, PpoTrainer};
+use rl::{Env, PpoConfig, PpoTrainer};
 
 fn fast_measure() -> MeasureOptions {
     MeasureOptions {
@@ -55,29 +55,14 @@ fn ppo() -> PpoConfig {
     }
 }
 
-fn policy_bits(state: &PolicyState) -> Vec<u32> {
-    let mut bits: Vec<u32> = Vec::new();
-    for series in [
-        &state.encoder_weight,
-        &state.encoder_bias,
-        &state.actor_weight,
-        &state.actor_bias,
-        &state.critic_weight,
-        &state.critic_bias,
-    ] {
-        bits.extend(series.iter().map(|v| v.to_bits()));
-    }
-    for opt in [&state.encoder_opt, &state.actor_opt, &state.critic_opt] {
-        bits.push(opt.learning_rate.to_bits());
-        bits.push(opt.step as u32);
-        bits.extend(opt.first_moment.iter().map(|v| v.to_bits()));
-        bits.extend(opt.second_moment.iter().map(|v| v.to_bits()));
-    }
-    bits.extend(state.rng.key);
-    bits.push(state.rng.counter as u32);
-    bits.extend(state.rng.buffer);
-    bits.push(state.rng.index);
-    bits
+/// The checkpoint bytes of a trainer and its game: they store every
+/// weight, Adam moment, RNG word, statistic and the game's own state, so
+/// two runs compare equal here only if they are bit-identical.
+fn checkpoint_bytes(trainer: &PpoTrainer, game: &AssemblyGame) -> Vec<u8> {
+    trainer
+        .checkpoint(game)
+        .expect("the game snapshots")
+        .to_bytes()
 }
 
 #[test]
@@ -90,7 +75,7 @@ fn killed_and_resumed_rl_training_yields_bit_identical_schedules() {
         control_game.action_count(),
     );
     control.train(&mut control_game);
-    let control_policy = policy_bits(&control.policy().state());
+    let control_bytes = checkpoint_bytes(&control, &control_game);
     let (control_best, control_best_us) = control_game.best();
     let control_listing = control_best.to_string();
     let total_updates = control.total_updates();
@@ -123,10 +108,9 @@ fn killed_and_resumed_rl_training_yields_bit_identical_schedules() {
         assert_eq!(resumed.completed_updates(), interrupt_after);
         resumed.train(&mut resumed_game);
 
-        assert_eq!(
-            policy_bits(&resumed.policy().state()),
-            control_policy,
-            "policy weights diverged when killed after update {interrupt_after}"
+        assert!(
+            checkpoint_bytes(&resumed, &resumed_game) == control_bytes,
+            "training diverged when killed after update {interrupt_after}"
         );
         let (resumed_best, resumed_best_us) = resumed_game.best();
         assert_eq!(
@@ -153,7 +137,7 @@ fn killed_and_resumed_rich_training_yields_bit_identical_schedules() {
         control_game.action_count(),
     );
     control.train(&mut control_game);
-    let control_policy = policy_bits(&control.policy().state());
+    let control_bytes = checkpoint_bytes(&control, &control_game);
     let (control_best, control_best_us) = control_game.best();
     let control_listing = control_best.to_string();
     let total_updates = control.total_updates();
@@ -182,10 +166,9 @@ fn killed_and_resumed_rich_training_yields_bit_identical_schedules() {
         assert_eq!(resumed.completed_updates(), interrupt_after);
         resumed.train(&mut resumed_game);
 
-        assert_eq!(
-            policy_bits(&resumed.policy().state()),
-            control_policy,
-            "rich policy weights diverged when killed after update {interrupt_after}"
+        assert!(
+            checkpoint_bytes(&resumed, &resumed_game) == control_bytes,
+            "rich training diverged when killed after update {interrupt_after}"
         );
         let (resumed_best, resumed_best_us) = resumed_game.best();
         assert_eq!(
@@ -234,9 +217,9 @@ fn resume_rejects_a_checkpoint_with_an_unknown_action_space_version() {
 
     // Rewrite the env snapshot as if a future build had written an
     // action-space variant this one has never heard of.
-    let state = String::from_utf8(checkpoint.envs[0].state.clone()).expect("snapshots are JSON");
+    let state = String::from_utf8(checkpoint.env_state.clone()).expect("snapshots are JSON");
     assert!(state.contains("\"Rich\""), "snapshot must record its space");
-    checkpoint.envs[0].state = state.replace("\"Rich\"", "\"Quantum\"").into_bytes();
+    checkpoint.env_state = state.replace("\"Rich\"", "\"Quantum\"").into_bytes();
     checkpoint
         .write(&artifact::UnsyncedIo, &path)
         .expect("write tampered checkpoint");

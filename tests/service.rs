@@ -202,16 +202,22 @@ fn the_store_survives_a_daemon_restart_and_recovers_from_corruption() {
 /// An RL-strategy daemon answers one cold request; the answer must be the
 /// direct run's, byte for byte, whatever `checkpoint` (if anything) sat at
 /// the request's checkpoint path when it was asked.
-fn rl_daemon_matches_the_direct_run(label: &str, checkpoint: Option<&[u8]>) {
-    let dir = temp_dir(label);
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut config = fast_config(&dir);
+/// The daemon configuration of the RL cases: a tiny PPO run on one worker.
+fn rl_config(store_dir: &PathBuf) -> ServerConfig {
+    let mut config = fast_config(store_dir);
     config.strategy = Strategy::Rl(rl::PpoConfig {
         total_steps: 96,
         rollout_steps: 24,
         ..rl::PpoConfig::tiny()
     });
     config.workers = 1;
+    config
+}
+
+fn rl_daemon_matches_the_direct_run(label: &str, checkpoint: Option<&[u8]>) {
+    let dir = temp_dir(label);
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = rl_config(&dir);
     let request = OptimizeRequest::table2("softmax", "ampere");
     let canonical = request.canonicalize(&config.defaults()).expect("canonical");
     let key = cuasmrld::RequestKey::of(&canonical);
@@ -255,6 +261,81 @@ fn rl_requests_run_through_the_checkpointing_session_and_match_the_direct_run() 
 #[test]
 fn a_garbage_checkpoint_is_discarded_and_the_rl_answer_still_matches_the_direct_run() {
     rl_daemon_matches_the_direct_run("rl-garbage", Some(b"not a checkpoint \xff\x00\x13"));
+}
+
+/// The checkpoint the RL cases' search leaves when it is preempted before
+/// its first update, with the encoder's `kernel` forged to
+/// `usize::MAX / 2 + 1` behind a re-sealed trailer. Its observation width
+/// and action count fit the game: only the shape lies.
+fn lying_checkpoint() -> Vec<u8> {
+    let dir = temp_dir("lying-shape-source");
+    let config = rl_config(&dir);
+    let canonical = OptimizeRequest::table2("softmax", "ampere")
+        .canonicalize(&config.defaults())
+        .expect("canonical");
+    let suite = config.suite_optimizer(canonical.gpu.clone(), canonical.seed);
+    let path = dir.join("preempted.ckpt");
+    let fired = rl::CancelToken::new();
+    fired.cancel();
+    let (_, _, _, preempted) = suite
+        .optimizer_for(&canonical.spec)
+        .with_checkpoint(&path)
+        .optimize_spec_instrumented_with(
+            &canonical.spec,
+            &suite.config_space_for(&canonical.spec),
+            suite.tune_options(),
+            &fired,
+        )
+        .expect("save");
+    assert!(preempted);
+    let mut bytes = std::fs::read(&path).expect("a preempted search keeps its checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    // The encoder's (channels, kernel) = (8, 3) appear first in the config,
+    // then among the policy's dimensions.
+    let pair: Vec<u8> = [8u64, 3].iter().flat_map(|d| d.to_le_bytes()).collect();
+    let (channels, _) = bytes
+        .windows(pair.len())
+        .enumerate()
+        .filter(|(_, window)| *window == pair.as_slice())
+        .nth(1)
+        .expect("the policy's dimensions");
+    let kernel = channels + 8;
+    bytes[kernel..kernel + 8].copy_from_slice(&(usize::MAX as u64 / 2 + 1).to_le_bytes());
+    let content_len = bytes.len() - 8;
+    let checksum = artifact::fnv1a64(&bytes[..content_len]);
+    bytes[content_len..].copy_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn a_checkpoint_with_a_lying_shape_is_discarded_and_the_rl_answer_still_matches_the_direct_run() {
+    rl_daemon_matches_the_direct_run("rl-lying-shape", Some(&lying_checkpoint()));
+}
+
+/// fsck and the daemon agree: the checkpoint the daemon discards as
+/// unusable, fsck calls `corrupt`.
+#[test]
+fn fsck_calls_a_checkpoint_with_a_lying_shape_corrupt() {
+    let dir = temp_dir("fsck-lying-shape");
+    let _ = std::fs::remove_dir_all(&dir);
+    let key = cuasmrld::RequestKey::of(
+        &OptimizeRequest::table2("softmax", "ampere")
+            .canonicalize(&fast_config(&dir).defaults())
+            .expect("canonical"),
+    );
+    let path = ScheduleStore::open(&dir, 8)
+        .expect("open store")
+        .checkpoint_path(&key);
+    std::fs::write(&path, lying_checkpoint()).expect("plant the checkpoint");
+    let file = path.file_name().unwrap().to_string_lossy().into_owned();
+    let report = cuasmrld::fsck::fsck(&dir, false).expect("fsck walks the store");
+    let entry = report
+        .entries
+        .iter()
+        .find(|e| e.file == file)
+        .expect("classified");
+    assert_eq!(entry.verdict, "corrupt", "{}", entry.detail);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -107,10 +107,10 @@ impl DeployKey {
 mod tests {
     //! The record's search half: a hit is the searched answer, and every
     //! search input is in the key. Its autotune half: the record's `best`
-    //! memoises the grid's winner for the record's key, so a hit compiles
-    //! that configuration without re-running the grid — obeyed, keyed by
-    //! every autotune input, rejected and re-tuned when it is damaged or
-    //! foreign, and never written without a cache directory.
+    //! memoises the grid's winner for the record's key, so a hit answers
+    //! with that configuration's kernel without re-running the grid —
+    //! obeyed, keyed by every autotune input, rejected and re-tuned when it
+    //! is damaged or foreign, and never written without a cache directory.
 
     use super::*;
     use crate::{ActionSpace, CuAsmRl, KernelTelemetry};
@@ -215,7 +215,7 @@ mod tests {
         let baseline = TritonPipeline::new(GpuConfig::small())
             .compile(&spec(), &best)
             .cubin;
-        assert_ne!(expected_cubin.to_bytes(), baseline.to_bytes());
+        assert_ne!(expected_cubin, baseline);
         let damages: [fn(&mut OptimizationReport); 2] = [
             |report| report.optimized_listing = "this is not SASS".to_string(),
             |report| report.kernel = "another_kernel".to_string(),
@@ -227,7 +227,7 @@ mod tests {
             let (report, cubin, telemetry) = answer(&cached(&dir), &space, &options());
             assert!(!telemetry.from_deploy_cache, "a damaged hit re-searches");
             assert_eq!(json(&report), json(&expected));
-            assert_eq!(cubin.to_bytes(), expected_cubin.to_bytes());
+            assert_eq!(cubin, expected_cubin);
             assert_eq!(std::fs::read(&key.path).unwrap(), good, "republished");
         }
         let _ = std::fs::remove_dir_all(dir);
@@ -251,7 +251,7 @@ mod tests {
         let (report, cubin, telemetry) = answer(&cached(&dir), &space, &options());
         assert!(!telemetry.from_deploy_cache, "an edited record re-searches");
         assert_eq!(json(&report), json(&expected));
-        assert_eq!(cubin.to_bytes(), expected_cubin.to_bytes());
+        assert_eq!(cubin, expected_cubin);
         assert_eq!(
             std::fs::read_to_string(&key.path).unwrap(),
             good,
@@ -477,8 +477,8 @@ mod tests {
         let (fresh, fresh_cubin) = fresh(&space, &options());
         assert_eq!(json(&hit), json(&searched));
         assert_eq!(json(&hit), json(&fresh));
-        assert_eq!(hit_cubin.to_bytes(), searched_cubin.to_bytes());
-        assert_eq!(hit_cubin.to_bytes(), fresh_cubin.to_bytes());
+        assert_eq!(hit_cubin, searched_cubin);
+        assert_eq!(hit_cubin, fresh_cubin);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use artifact::UnsyncedIo;
 use gpusim::{GpuConfig, MeasureOptions};
-use kernels::{Autotuner, ConfigSpace, KernelSpec, TritonPipeline};
+use kernels::{kernel_name, Autotuner, ConfigSpace, KernelSpec, TritonPipeline};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rl::{CancelToken, CheckpointError, Env, PpoConfig, PpoTrainer};
@@ -210,11 +210,11 @@ impl CuAsmRl {
     /// → search → verify → cubin write-back → deploy-cache publish; every
     /// other `optimize_*` entry point, the suite fan-out and the daemon
     /// delegate here. With a deploy cache configured, a record under this
-    /// call's [`CuAsmRl::deploy_key`] answers it: the record's autotune
-    /// winner is compiled and its schedule written back, so a repeat lookup
+    /// call's [`CuAsmRl::deploy_key`] answers it: the cubin is built from
+    /// the record's schedule, so a repeat lookup generates, compiles and
     /// simulates nothing. A record that does not match exactly, whose
-    /// schedule is not the compiled kernel's or does not parse, or that is
-    /// damaged (logged) is a miss that searches and republishes.
+    /// schedule is not the record's winner's kernel or does not parse, or
+    /// that is damaged (logged) is a miss that searches and republishes.
     ///
     /// Preemption is cooperative: the search polls `cancel` at its
     /// step/update boundaries and, once the token fires, stops early and
@@ -231,9 +231,8 @@ impl CuAsmRl {
     ///
     /// # Panics
     ///
-    /// Panics if the compiled cubin does not contain the expected kernel, or
-    /// the searched schedule does not parse back into it (either would be a
-    /// pipeline bug).
+    /// Panics if the compiled cubin does not contain the expected kernel
+    /// (which would be a pipeline bug).
     pub fn optimize_spec_instrumented_with(
         &self,
         spec: &KernelSpec,
@@ -242,7 +241,6 @@ impl CuAsmRl {
         cancel: &CancelToken,
     ) -> Result<(OptimizationReport, Cubin, KernelTelemetry, bool), CheckpointError> {
         let run_start = std::time::Instant::now();
-        let pipeline = TritonPipeline::new(self.gpu.clone());
         let key = self.deploy_key(spec, space, tune_options);
         let cached = key.as_ref().map_or(Ok(None), |key| key.read(space));
         if let Err(err) = &cached {
@@ -251,14 +249,16 @@ impl CuAsmRl {
         if let Ok(Some((best, report))) = cached {
             let autotune_ms = duration_ms(run_start.elapsed());
             let compile_start = std::time::Instant::now();
-            let compiled = pipeline.compile(spec, &best);
-            let compile_ms = duration_ms(compile_start.elapsed());
-            // A record whose schedule is not this kernel's, or does not
-            // parse, is a miss: answering it would ship the baseline cubin.
-            if let Some(cubin) = write_back(compiled.cubin, &compiled.name, &report) {
+            // A record whose schedule is not its winner's kernel, or does
+            // not parse, is a miss.
+            let program = (report.kernel == kernel_name(spec, &best))
+                .then(|| report.optimized_listing.parse::<Program>().ok())
+                .flatten();
+            if let Some(program) = program {
+                let cubin = Cubin::from_kernel(self.gpu.arch.class, &report.kernel, &program);
                 let mut telemetry = KernelTelemetry::cached(&report);
                 telemetry.phases.autotune_ms = autotune_ms;
-                telemetry.phases.compile_ms = compile_ms;
+                telemetry.phases.compile_ms = duration_ms(compile_start.elapsed());
                 telemetry.phases.total_ms = duration_ms(run_start.elapsed());
                 return Ok((report, cubin, telemetry, false));
             }
@@ -268,16 +268,18 @@ impl CuAsmRl {
             .tune(spec, space);
         let autotune_ms = duration_ms(run_start.elapsed());
         let compile_start = std::time::Instant::now();
-        let compiled = pipeline.compile(spec, &tuning.best);
+        let compiled = TritonPipeline::new(self.gpu.clone()).compile(spec, &tuning.best);
         let compile_ms = duration_ms(compile_start.elapsed());
         let program = compiled
             .cubin
             .kernel_program(&compiled.name)
             .expect("compiled cubin must contain the kernel");
-        let (report, mut telemetry, preempted) =
+        let (report, best, mut telemetry, preempted) =
             self.search(&compiled.name, program, compiled.launch, cancel)?;
-        let cubin = write_back(compiled.cubin, &compiled.name, &report)
-            .expect("a searched schedule parses back into its kernel");
+        let mut cubin = compiled.cubin;
+        cubin
+            .replace_kernel_section(&compiled.name, &best)
+            .expect("compiled cubin must contain the kernel");
         if let Some(key) = key.filter(|_| !preempted) {
             if let Err(err) = key.publish(&UnsyncedIo, tuning.best, &report) {
                 eprintln!("cuasmrl: failed to persist deploy-cache record: {err}");
@@ -320,7 +322,7 @@ impl CuAsmRl {
         program: Program,
         launch: gpusim::LaunchConfig,
     ) -> (OptimizationReport, KernelTelemetry) {
-        let (report, telemetry, _preempted) = self
+        let (report, _, telemetry, _preempted) = self
             .search(kernel, program, launch, &CancelToken::new())
             .expect("the training checkpoint must be writable");
         (report, telemetry)
@@ -328,18 +330,18 @@ impl CuAsmRl {
 
     /// The search stage of the pipeline: builds the assembly game for one
     /// compiled program, plays it with the configured strategy and verifies
-    /// the best schedule. Every strategy polls the token at its natural
-    /// boundary — a PPO update, a greedy move, a random step, an
-    /// evolutionary generation — and a fired token makes the search finalize
-    /// its best-schedule-so-far; the returned flag says whether that
-    /// happened.
+    /// the best schedule, which it returns beside the report. Every strategy
+    /// polls the token at its natural boundary — a PPO update, a greedy
+    /// move, a random step, an evolutionary generation — and a fired token
+    /// makes the search finalize its best-schedule-so-far; the returned flag
+    /// says whether that happened.
     fn search(
         &self,
         kernel: &str,
         program: Program,
         launch: gpusim::LaunchConfig,
         cancel: &CancelToken,
-    ) -> Result<(OptimizationReport, KernelTelemetry, bool), CheckpointError> {
+    ) -> Result<(OptimizationReport, Program, KernelTelemetry, bool), CheckpointError> {
         let search_start = std::time::Instant::now();
         let mut game = AssemblyGame::new(
             self.gpu.clone(),
@@ -369,7 +371,7 @@ impl CuAsmRl {
             } => run_evolutionary(&mut game, *generations, *mutation_length, *seed, cancel),
         };
         let search_ms = duration_ms(search_start.elapsed());
-        let (report, verify_ms) = finalize_search(kernel, &game);
+        let (report, best, verify_ms) = finalize_search(kernel, &game);
         let mut telemetry = KernelTelemetry {
             from_deploy_cache: false,
             cache: CacheTelemetry::from_stats(game.eval_cache().stats()),
@@ -378,20 +380,8 @@ impl CuAsmRl {
         };
         telemetry.phases.search_ms = search_ms;
         telemetry.phases.verify_ms = verify_ms;
-        Ok((report, telemetry, preempted))
+        Ok((report, best, telemetry, preempted))
     }
-}
-
-/// `cubin` with `report`'s schedule written into `kernel`'s section, or
-/// `None` when the report is another kernel's or its listing
-/// does not parse or fit.
-fn write_back(mut cubin: Cubin, kernel: &str, report: &OptimizationReport) -> Option<Cubin> {
-    if report.kernel != kernel {
-        return None;
-    }
-    let optimized = report.optimized_listing.parse::<Program>().ok()?;
-    cubin.replace_kernel_section(kernel, &optimized).ok()?;
-    Some(cubin)
 }
 
 /// Builds the [`OptimizationReport`] of a finished search: reads the game's
@@ -399,9 +389,9 @@ fn write_back(mut cubin: Cubin, kernel: &str, report: &OptimizationReport) -> Op
 /// probabilistic verification (§4.1 — the optimized schedule must produce
 /// the same outputs as the original and run without hazards; the best
 /// schedule was measured during the search, so this answers from the game's
-/// evaluation cache) and returns the report plus the verification
-/// wall-clock.
-fn finalize_search(kernel: &str, game: &AssemblyGame) -> (OptimizationReport, f64) {
+/// evaluation cache) and returns the report, the best schedule and the
+/// verification wall-clock.
+fn finalize_search(kernel: &str, game: &AssemblyGame) -> (OptimizationReport, Program, f64) {
     let baseline_us = game.initial_runtime_us();
     let (best, optimized_us) = game.best();
     let best = best.clone();
@@ -419,7 +409,7 @@ fn finalize_search(kernel: &str, game: &AssemblyGame) -> (OptimizationReport, f6
         optimized_listing: best.to_string(),
         moves: game.best_trace().to_vec(),
     };
-    (report, verify_ms)
+    (report, best, verify_ms)
 }
 
 /// The PPO arm of the search. With a checkpoint configured

@@ -100,7 +100,8 @@ pub struct PhaseTimings {
     /// Autotuning the kernel configuration.
     pub autotune_ms: f64,
     /// Compiling through the Triton-like pipeline (including the cubin
-    /// interception).
+    /// interception); on a deploy-cache hit, building the cubin from the
+    /// record's listing.
     pub compile_ms: f64,
     /// Playing the assembly game (the search itself).
     pub search_ms: f64,

@@ -76,12 +76,16 @@ pub fn generate(spec: &KernelSpec, config: &KernelConfig, style: ScheduleStyle) 
     }
 }
 
-/// The shape component of a kernel's symbol name: suites may contain the
-/// same kernel kind at several problem shapes, and the deploy-time lookup
-/// cache keys on the symbol name, so the shape must be part of it.
-fn shape_key(spec: &KernelSpec) -> String {
+/// The cubin symbol of `spec` compiled with `config`: kind, shape and
+/// configuration. Suites may contain the same kernel kind at several
+/// problem shapes, and a deploy-cache record names its kernel, so the shape
+/// must be part of it.
+#[must_use]
+pub fn kernel_name(spec: &KernelSpec, config: &KernelConfig) -> String {
     let s = &spec.shape;
-    format!("b{}x{}x{}x{}", s.batch, s.m, s.n, s.k)
+    let kind = spec.kind.name();
+    let config = config.cache_key();
+    format!("{kind}_b{}x{}x{}x{}_{config}", s.batch, s.m, s.n, s.k)
 }
 
 fn default_params() -> Vec<(u32, u64)> {
@@ -387,12 +391,7 @@ fn gemm_like(
         max_cycles: 4_000_000,
     };
     GeneratedKernel {
-        name: format!(
-            "{}_{}_{}",
-            spec.kind.name(),
-            shape_key(spec),
-            config.cache_key()
-        ),
+        name: kernel_name(spec, config),
         program,
         launch,
     }
@@ -503,12 +502,7 @@ fn rowwise(
         max_cycles: 4_000_000,
     };
     GeneratedKernel {
-        name: format!(
-            "{}_{}_{}",
-            spec.kind.name(),
-            shape_key(spec),
-            config.cache_key()
-        ),
+        name: kernel_name(spec, config),
         program,
         launch,
     }

@@ -45,7 +45,8 @@ mod triton;
 pub use builder::{cc, ScheduleBuilder};
 pub use config::{ConfigSpace, KernelConfig};
 pub use generator::{
-    generate, GeneratedKernel, ScheduleStyle, PARAM_A, PARAM_B, PARAM_OUT, PARAM_SCALAR,
+    generate, kernel_name, GeneratedKernel, ScheduleStyle, PARAM_A, PARAM_B, PARAM_OUT,
+    PARAM_SCALAR,
 };
 pub use ptx::{PtxBlock, PtxInstr};
 pub use reference::{baseline_runtime_us, elementwise_pass_runtime_us, BaselineSystem};

@@ -65,7 +65,7 @@ impl TritonPipeline {
             program,
             launch,
         } = generate(spec, config, ScheduleStyle::Baseline);
-        let cubin = Cubin::from_kernel("sm_80", &name, &program);
+        let cubin = Cubin::from_kernel(self.gpu.arch.class, &name, &program);
         CompiledKernel {
             name,
             cubin,
@@ -203,6 +203,23 @@ mod tests {
         assert!(program.instruction_count() > 20);
         assert_eq!(compiled.cubin.kernel_names(), vec![compiled.name.as_str()]);
         assert_eq!(pipeline.gpu().name, GpuConfig::small().name);
+    }
+
+    /// A cubin names the device it was compiled for, in its label and its
+    /// `.nv.info` section.
+    #[test]
+    fn a_cubin_names_its_device() {
+        let spec = KernelSpec::scaled(KernelKind::Softmax, 16);
+        for (gpu, sm) in [
+            (GpuConfig::turing(), "sm_75"),
+            (GpuConfig::hopper(), "sm_90"),
+        ] {
+            let compiled =
+                TritonPipeline::new(gpu).compile(&spec, &KernelConfig::default_compute());
+            assert_eq!(compiled.cubin.architecture(), sm);
+            let info = &compiled.cubin.sections()[1];
+            assert!(String::from_utf8_lossy(&info.data).ends_with(&format!("arch={sm}")));
+        }
     }
 
     #[test]

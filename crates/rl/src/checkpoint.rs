@@ -29,7 +29,9 @@
 //!
 //! Corrupted, truncated or wrong-version inputs are rejected with a typed
 //! [`ArtifactError`] — never a panic, including a shape whose product
-//! overflows behind a valid checksum. The format has no length field, so
+//! overflows behind a valid checksum. The step counters must be the ones
+//! the completed updates leave, so a forged counter cannot overflow on the
+//! next update. The format has no length field, so
 //! a file cut after its header fails the trailer checksum: only a cut
 //! inside the 20-byte header-plus-trailer reads [`ArtifactError::Torn`].
 
@@ -170,7 +172,13 @@ impl Checkpoint {
         let config = decode_config(&mut r)?;
         let completed_updates = r.usize()?;
         let stats = decode_stats(&mut r)?;
-        let policy = decode_policy(&mut r)?;
+        let adam_steps = adam_steps(&config, completed_updates, stats.steps).ok_or_else(|| {
+            r.corrupt(format!(
+                "{} env steps do not follow from {completed_updates} updates",
+                stats.steps
+            ))
+        })?;
+        let policy = decode_policy(&mut r, adam_steps)?;
         let pending_observation = match r.u8()? {
             0 => None,
             1 => Some(decode_observation(&mut r, policy.encoder.input_features())?),
@@ -344,7 +352,27 @@ fn encode_policy(w: &mut Writer, policy: &ActorCritic) {
     w.u32(u32::try_from(rng.index).unwrap_or(u32::MAX));
 }
 
-fn decode_policy(r: &mut Reader<'_>) -> Result<ActorCritic, ArtifactError> {
+/// The Adam step count `updates` completed updates leave on each of the
+/// policy's optimizers, or `None` when `env_steps` is not the env step
+/// count they leave or a count overflows: an update steps the env
+/// `rollout_steps` times, then makes `update_epochs` passes over the
+/// rollout in minibatches of `max(rollout_steps / minibatches, 1)`
+/// samples, one Adam step each (`PpoTrainer::update_policy`).
+fn adam_steps(config: &PpoConfig, updates: usize, env_steps: usize) -> Option<u64> {
+    let minibatch = (config.rollout_steps / config.minibatches.max(1)).max(1);
+    let per_update = config
+        .rollout_steps
+        .div_ceil(minibatch)
+        .checked_mul(config.update_epochs)?;
+    if updates.checked_mul(config.rollout_steps)? != env_steps {
+        return None;
+    }
+    u64::try_from(updates.checked_mul(per_update)?).ok()
+}
+
+/// Decodes the policy, whose three optimizers must each have taken
+/// `adam_steps` steps.
+fn decode_policy(r: &mut Reader<'_>, adam_steps: u64) -> Result<ActorCritic, ArtifactError> {
     let features = r.usize()?;
     let channels = r.usize()?;
     let kernel = r.usize()?;
@@ -355,9 +383,9 @@ fn decode_policy(r: &mut Reader<'_>) -> Result<ActorCritic, ArtifactError> {
         .ok_or_else(|| r.corrupt("actor weight shape mismatch".into()))?;
     let critic = Linear::from_parts(channels, 1, r.f32_vec()?, r.f32_vec()?)
         .ok_or_else(|| r.corrupt("critic weight shape mismatch".into()))?;
-    let encoder_opt = decode_adam(r, encoder.parameter_count(), "encoder")?;
-    let actor_opt = decode_adam(r, actor.parameter_count(), "actor")?;
-    let critic_opt = decode_adam(r, critic.parameter_count(), "critic")?;
+    let encoder_opt = decode_adam(r, encoder.parameter_count(), "encoder", adam_steps)?;
+    let actor_opt = decode_adam(r, actor.parameter_count(), "actor", adam_steps)?;
+    let critic_opt = decode_adam(r, critic.parameter_count(), "critic", adam_steps)?;
     let mut key = [0u32; 8];
     for word in &mut key {
         *word = r.u32()?;
@@ -389,10 +417,19 @@ fn decode_policy(r: &mut Reader<'_>) -> Result<ActorCritic, ArtifactError> {
     })
 }
 
-/// Decodes one Adam optimizer for a layer of `params` parameters.
-fn decode_adam(r: &mut Reader<'_>, params: usize, layer: &str) -> Result<Adam, ArtifactError> {
+/// Decodes one Adam optimizer for a layer of `params` parameters that has
+/// taken `steps` steps.
+fn decode_adam(
+    r: &mut Reader<'_>,
+    params: usize,
+    layer: &str,
+    steps: u64,
+) -> Result<Adam, ArtifactError> {
     let learning_rate = r.f32()?;
     let step = r.u64()?;
+    if step != steps {
+        return Err(r.corrupt(format!("{layer} optimizer took {step} steps, not {steps}")));
+    }
     let first_moment = r.f32_vec()?;
     if first_moment.len() != params {
         return Err(r.corrupt(format!("{layer} optimizer moment length mismatch")));

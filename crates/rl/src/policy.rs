@@ -246,10 +246,20 @@ mod tests {
     }
 
     /// The checkpoint bytes of a trainer holding `policy`: they store every
-    /// weight, Adam moment and RNG word bit for bit.
+    /// weight, Adam moment and RNG word bit for bit. The trainer's counters
+    /// agree with the policy's, as a checkpoint's must: one one-sample
+    /// update per Adam step.
     fn checkpoint_of(policy: &ActorCritic) -> Vec<u8> {
-        let mut trainer = PpoTrainer::new(PpoConfig::tiny(), 1, 1);
+        let config = PpoConfig {
+            rollout_steps: 1,
+            minibatches: 1,
+            update_epochs: 1,
+            ..PpoConfig::tiny()
+        };
+        let mut trainer = PpoTrainer::new(config, 1, 1);
         *trainer.policy_mut() = policy.clone();
+        trainer.completed_updates = policy.encoder_opt.step_count() as usize;
+        trainer.stats.steps = trainer.completed_updates;
         Checkpoint {
             trainer,
             env_state: Vec::new(),

@@ -228,6 +228,45 @@ fn a_kernel_whose_weight_count_overflows_is_corrupt_not_a_panic() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The offsets at which `pattern` occurs in `bytes`.
+fn offsets_of(bytes: &[u8], pattern: &[u8]) -> Vec<usize> {
+    (0..=bytes.len() - pattern.len())
+        .filter(|&at| bytes[at..].starts_with(pattern))
+        .collect()
+}
+
+/// A step counter forged to its type's maximum behind a re-sealed trailer
+/// is `Corrupt`: each of the three Adam step counts, and the env step count.
+/// Otherwise the first update after resuming would overflow it.
+#[test]
+fn a_forged_step_counter_is_corrupt_not_an_overflow() {
+    let mut env = BanditEnv::new(8);
+    let mut trainer = PpoTrainer::new(config(), 3, 3);
+    trainer.train_updates(&mut env, 1);
+    let good = checkpoint_bytes(&trainer, &env);
+    // One update of `config()`: 32 env steps, then 4 epochs of 4
+    // minibatches of 8 samples, one Adam step each.
+    assert_eq!(trainer.stats().steps, 32);
+    let adam: Vec<u8> = [1e-2f32.to_le_bytes().as_slice(), &16u64.to_le_bytes()].concat();
+    let adams: Vec<usize> = offsets_of(&good, &adam).iter().map(|at| at + 4).collect();
+    assert_eq!(adams.len(), 3, "encoder, actor and critic");
+    let counters: Vec<u8> = [1u64, 32].iter().flat_map(|c| c.to_le_bytes()).collect();
+    let env_steps = offsets_of(&good, &counters);
+    assert_eq!(env_steps.len(), 1, "completed updates, then env steps");
+    for at in adams.into_iter().chain(env_steps.iter().map(|at| at + 8)) {
+        let mut forged = good.clone();
+        forged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        reseal(&mut forged);
+        assert!(
+            matches!(
+                Checkpoint::from_bytes(&forged),
+                Err(ArtifactError::Corrupt { .. })
+            ),
+            "a counter at byte {at}"
+        );
+    }
+}
+
 /// Every body byte of a real checkpoint, flipped by `0x01`, `0x80` and
 /// `0xFF` behind a re-sealed trailer, decodes or fails typed, and a
 /// decoded one resumes or fails typed: the parser behind a valid checksum

@@ -165,48 +165,6 @@ impl ControlCode {
             self.wait_mask &= !(1 << barrier);
         }
     }
-
-    /// Packs the control code into the 21-bit layout used by the binary
-    /// encoder: `[stall:4][yield:1][write:3][read:3][wait:6]` (from LSB).
-    #[must_use]
-    pub fn to_bits(&self) -> u32 {
-        let read = self.read_barrier.map_or(7u32, u32::from);
-        let write = self.write_barrier.map_or(7u32, u32::from);
-        u32::from(self.wait_mask)
-            | (read << 6)
-            | (write << 9)
-            | (u32::from(self.yield_flag) << 12)
-            | (u32::from(self.stall) << 13)
-    }
-
-    /// Inverse of [`ControlCode::to_bits`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any field is out of range.
-    pub fn from_bits(bits: u32) -> Result<Self, SassError> {
-        let wait_mask = (bits & 0x3f) as u8;
-        let read = ((bits >> 6) & 0x7) as u8;
-        let write = ((bits >> 9) & 0x7) as u8;
-        let yield_flag = (bits >> 12) & 1 == 1;
-        let stall = ((bits >> 13) & 0xf) as u8;
-        let decode_barrier = |value: u8| -> Result<Option<u8>, SassError> {
-            match value {
-                7 => Ok(None),
-                v if v < NUM_BARRIERS => Ok(Some(v)),
-                v => Err(SassError::ControlCode(format!(
-                    "barrier index {v} out of range"
-                ))),
-            }
-        };
-        Ok(ControlCode {
-            wait_mask,
-            read_barrier: decode_barrier(read)?,
-            write_barrier: decode_barrier(write)?,
-            yield_flag,
-            stall,
-        })
-    }
 }
 
 impl Default for ControlCode {
@@ -372,18 +330,6 @@ mod tests {
         for text in cases {
             let cc: ControlCode = text.parse().unwrap();
             assert_eq!(cc.to_string(), text);
-        }
-    }
-
-    #[test]
-    fn bits_round_trip() {
-        for text in [
-            "[B------:R-:W-:-:S04]",
-            "[B------:R-:W2:Y:S02]",
-            "[B0----5:R1:W3:-:S00]",
-        ] {
-            let cc: ControlCode = text.parse().unwrap();
-            assert_eq!(ControlCode::from_bits(cc.to_bits()).unwrap(), cc);
         }
     }
 

@@ -6,25 +6,25 @@
 //! intact or the module will not load. This module models that constraint:
 //! a [`Cubin`] is a list of named [`Section`]s plus a symbol table, and
 //! [`Cubin::replace_kernel_section`] rewrites the text section of one kernel
-//! without touching anything else.
+//! without touching anything else. A text section holds its listing's
+//! canonical text, which the optimizer reads back with
+//! [`Cubin::kernel_program`]: real cubins encode each instruction as an
+//! undocumented 128-bit word, but CuAsmRL only ever works on the
+//! disassembled text.
 
 use serde::{Deserialize, Serialize};
 
-use crate::{decode_program, encode_program, Program, SassError};
+use crate::{ArchClass, Program, SassError};
 
 /// The role of a section within the container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SectionKind {
-    /// Executable kernel text (encoded SASS).
+    /// Executable kernel text (the SASS listing).
     Text,
-    /// Symbol table.
-    SymbolTable,
     /// Kernel metadata (register counts, shared memory sizes, ...).
     Info,
     /// Constant bank initial data.
     Constant,
-    /// Anything else.
-    Other,
 }
 
 /// A named section of the cubin.
@@ -59,19 +59,19 @@ pub struct Cubin {
     symbols: Vec<Symbol>,
 }
 
-const CUBIN_MAGIC: &[u8; 4] = b"CUBN";
-
 impl Cubin {
-    /// Creates a cubin containing a single kernel.
+    /// Creates a cubin containing a single kernel, compiled for `arch`
+    /// (labelled `sm_XX`).
     ///
     /// Besides the text section this synthesises the metadata sections a real
     /// cubin carries (symbol table entry, `.nv.info` blob, constant bank),
     /// so that the interception workflow has realistic invariants to
     /// preserve.
     #[must_use]
-    pub fn from_kernel(architecture: &str, kernel_name: &str, program: &Program) -> Self {
+    pub fn from_kernel(arch: ArchClass, kernel_name: &str, program: &Program) -> Self {
+        let architecture = format!("sm_{}", arch.sm_version());
         let text_name = format!(".text.{kernel_name}");
-        let text = encode_program(program);
+        let text = program.to_string().into_bytes();
         let text_len = text.len() as u64;
         let info = format!("EIATTR_KERNEL {kernel_name} regs=255 smem=49152 arch={architecture}")
             .into_bytes();
@@ -99,7 +99,7 @@ impl Cubin {
             size: text_len,
         }];
         Cubin {
-            architecture: architecture.to_string(),
+            architecture,
             sections,
             symbols,
         }
@@ -141,11 +141,14 @@ impl Cubin {
     ///
     /// # Errors
     ///
-    /// Returns an error if the kernel or its section is missing or its text
-    /// section cannot be decoded.
+    /// Returns [`SassError::Cubin`] if the kernel or its section is missing
+    /// or the section is not UTF-8, and the parser's error if its text is
+    /// not SASS.
     pub fn kernel_program(&self, kernel_name: &str) -> Result<Program, SassError> {
         let section = self.text_section(kernel_name)?;
-        decode_program(&section.data)
+        std::str::from_utf8(&section.data)
+            .map_err(|e| SassError::Cubin(format!("`{}` is not UTF-8: {e}", section.name)))?
+            .parse()
     }
 
     /// Replaces the text section of the named kernel with a new schedule,
@@ -160,14 +163,14 @@ impl Cubin {
         program: &Program,
     ) -> Result<(), SassError> {
         let section_name = self.symbol(kernel_name)?.section.clone();
-        let encoded = encode_program(program);
-        let new_size = encoded.len() as u64;
+        let text = program.to_string().into_bytes();
+        let new_size = text.len() as u64;
         let section = self
             .sections
             .iter_mut()
             .find(|s| s.name == section_name)
             .ok_or_else(|| SassError::Cubin(format!("missing section `{section_name}`")))?;
-        section.data = encoded;
+        section.data = text;
         let symbol = self
             .symbols
             .iter_mut()
@@ -191,123 +194,6 @@ impl Cubin {
             .find(|s| s.name == symbol.section)
             .ok_or_else(|| SassError::Cubin(format!("missing section `{}`", symbol.section)))
     }
-
-    /// Serializes the container to bytes.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(CUBIN_MAGIC);
-        put_string(&mut buf, &self.architecture);
-        buf.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for section in &self.sections {
-            put_string(&mut buf, &section.name);
-            buf.push(match section.kind {
-                SectionKind::Text => 0,
-                SectionKind::SymbolTable => 1,
-                SectionKind::Info => 2,
-                SectionKind::Constant => 3,
-                SectionKind::Other => 4,
-            });
-            buf.extend_from_slice(&(section.data.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&section.data);
-        }
-        buf.extend_from_slice(&(self.symbols.len() as u32).to_le_bytes());
-        for symbol in &self.symbols {
-            put_string(&mut buf, &symbol.name);
-            put_string(&mut buf, &symbol.section);
-            buf.extend_from_slice(&symbol.offset.to_le_bytes());
-            buf.extend_from_slice(&symbol.size.to_le_bytes());
-        }
-        buf
-    }
-
-    /// Deserializes a container produced by [`Cubin::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the buffer is truncated or malformed, including
-    /// when it claims more sections or symbols than its bytes can hold.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SassError> {
-        let Some((magic, mut buf)) = bytes.split_first_chunk::<4>() else {
-            return Err(SassError::Cubin("truncated container".to_string()));
-        };
-        if magic != CUBIN_MAGIC {
-            return Err(SassError::Cubin("bad container magic".to_string()));
-        }
-        let architecture = get_string(&mut buf)?;
-        // The counts are untrusted: reserve only what the rest of the input
-        // could fill (a section takes at least 9 bytes, a symbol 24).
-        let section_count = get_u32(&mut buf)? as usize;
-        let mut sections = Vec::with_capacity(section_count.min(buf.len() / 9));
-        for _ in 0..section_count {
-            let name = get_string(&mut buf)?;
-            let [kind] = take(&mut buf, "truncated container")?;
-            let kind = match kind {
-                0 => SectionKind::Text,
-                1 => SectionKind::SymbolTable,
-                2 => SectionKind::Info,
-                3 => SectionKind::Constant,
-                _ => SectionKind::Other,
-            };
-            let len = get_u32(&mut buf)? as usize;
-            let data = get_bytes(&mut buf, len, "truncated section")?.to_vec();
-            sections.push(Section { name, kind, data });
-        }
-        let symbol_count = get_u32(&mut buf)? as usize;
-        let mut symbols = Vec::with_capacity(symbol_count.min(buf.len() / 24));
-        for _ in 0..symbol_count {
-            let name = get_string(&mut buf)?;
-            let section = get_string(&mut buf)?;
-            let offset = u64::from_le_bytes(take(&mut buf, "truncated symbol")?);
-            let size = u64::from_le_bytes(take(&mut buf, "truncated symbol")?);
-            symbols.push(Symbol {
-                name,
-                section,
-                offset,
-                size,
-            });
-        }
-        Ok(Cubin {
-            architecture,
-            sections,
-            symbols,
-        })
-    }
-}
-
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Splits the first `len` bytes off `buf`, or fails with `what` when fewer
-/// remain.
-fn get_bytes<'a>(buf: &mut &'a [u8], len: usize, what: &str) -> Result<&'a [u8], SassError> {
-    let (head, rest) = buf
-        .split_at_checked(len)
-        .ok_or_else(|| SassError::Cubin(what.to_string()))?;
-    *buf = rest;
-    Ok(head)
-}
-
-/// Splits the first `N` bytes off `buf`, or fails with `what` when fewer
-/// remain.
-fn take<const N: usize>(buf: &mut &[u8], what: &str) -> Result<[u8; N], SassError> {
-    let (head, rest) = buf
-        .split_first_chunk::<N>()
-        .ok_or_else(|| SassError::Cubin(what.to_string()))?;
-    *buf = rest;
-    Ok(*head)
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, SassError> {
-    take(buf, "truncated container").map(u32::from_le_bytes)
-}
-
-fn get_string(buf: &mut &[u8]) -> Result<String, SassError> {
-    let len = get_u32(buf)? as usize;
-    let data = get_bytes(buf, len, "truncated string")?;
-    String::from_utf8(data.to_vec()).map_err(|e| SassError::Cubin(format!("invalid UTF-8: {e}")))
 }
 
 #[cfg(test)]
@@ -328,7 +214,7 @@ mod tests {
     #[test]
     fn build_and_read_back_kernel() {
         let program = sample_program();
-        let cubin = Cubin::from_kernel("sm_80", "matmul_kernel", &program);
+        let cubin = Cubin::from_kernel(ArchClass::Ampere, "matmul_kernel", &program);
         assert_eq!(cubin.kernel_names(), vec!["matmul_kernel"]);
         assert_eq!(cubin.kernel_program("matmul_kernel").unwrap(), program);
         assert_eq!(cubin.architecture(), "sm_80");
@@ -337,7 +223,7 @@ mod tests {
     #[test]
     fn replace_kernel_section_preserves_metadata() {
         let program = sample_program();
-        let mut cubin = Cubin::from_kernel("sm_80", "matmul_kernel", &program);
+        let mut cubin = Cubin::from_kernel(ArchClass::Ampere, "matmul_kernel", &program);
         let metadata_before: Vec<Section> = cubin
             .sections()
             .iter()
@@ -363,7 +249,7 @@ mod tests {
 
     #[test]
     fn replace_unknown_kernel_is_an_error() {
-        let mut cubin = Cubin::from_kernel("sm_80", "k", &sample_program());
+        let mut cubin = Cubin::from_kernel(ArchClass::Ampere, "k", &sample_program());
         assert!(cubin
             .replace_kernel_section("missing", &sample_program())
             .is_err());
@@ -371,41 +257,26 @@ mod tests {
     }
 
     #[test]
-    fn container_bytes_round_trip() {
-        let cubin = Cubin::from_kernel("sm_80", "softmax_kernel", &sample_program());
-        let bytes = cubin.to_bytes();
-        let decoded = Cubin::from_bytes(&bytes).unwrap();
-        assert_eq!(cubin, decoded);
+    fn an_empty_program_round_trips() {
+        let cubin = Cubin::from_kernel(ArchClass::Turing, "k", &Program::new());
+        assert_eq!(cubin.kernel_program("k").unwrap(), Program::new());
+        assert_eq!(cubin.architecture(), "sm_75");
     }
 
+    /// A text section that is not UTF-8, or is text but not SASS, is a
+    /// typed error.
     #[test]
-    fn container_rejects_corruption() {
-        let cubin = Cubin::from_kernel("sm_80", "k", &sample_program());
-        let bytes = cubin.to_bytes();
-        assert!(Cubin::from_bytes(&bytes[..10]).is_err());
-        let mut corrupted = bytes.clone();
-        corrupted[0] = b'X';
-        assert!(Cubin::from_bytes(&corrupted).is_err());
-    }
-
-    /// A 16-byte container claiming `u32::MAX` sections, or `u32::MAX`
-    /// symbols, is a typed error: the claimed count reserves nothing the
-    /// input could not fill.
-    #[test]
-    fn hostile_counts_are_errors_not_reservations() {
-        let container = |section_count: u32, symbol_count: u32| {
-            let mut bytes = CUBIN_MAGIC.to_vec();
-            bytes.extend_from_slice(&0u32.to_le_bytes()); // empty architecture
-            bytes.extend_from_slice(&section_count.to_le_bytes());
-            bytes.extend_from_slice(&symbol_count.to_le_bytes());
-            assert_eq!(bytes.len(), 16);
-            bytes
-        };
-        for bytes in [container(u32::MAX, 0), container(0, u32::MAX)] {
-            assert!(matches!(
-                Cubin::from_bytes(&bytes),
-                Err(SassError::Cubin(_))
-            ));
-        }
+    fn a_text_section_that_is_not_a_listing_is_an_error() {
+        let mut cubin = Cubin::from_kernel(ArchClass::Ampere, "k", &sample_program());
+        cubin.sections[0].data = vec![0xff, 0xfe, b'\n'];
+        assert!(matches!(
+            cubin.kernel_program("k"),
+            Err(SassError::Cubin(_))
+        ));
+        cubin.sections[0].data = b"this is not SASS".to_vec();
+        assert!(matches!(
+            cubin.kernel_program("k"),
+            Err(SassError::Parse { .. })
+        ));
     }
 }

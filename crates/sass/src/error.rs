@@ -1,8 +1,8 @@
-//! Error type shared by the parser, encoder and cubin container.
+//! Error type shared by the parser, the listing model and the cubin container.
 
 use std::fmt;
 
-/// Error produced while parsing, encoding or decoding SASS artifacts.
+/// Error produced while parsing, editing or unpacking SASS artifacts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SassError {
     /// A line of SASS text could not be parsed.
@@ -16,8 +16,8 @@ pub enum SassError {
     ControlCode(String),
     /// An operand token could not be parsed.
     Operand(String),
-    /// The binary encoding of a program or cubin was malformed.
-    Encoding(String),
+    /// An instruction index was past the end of the program.
+    Index(usize),
     /// A cubin section or symbol was missing or inconsistent.
     Cubin(String),
 }
@@ -39,7 +39,7 @@ impl fmt::Display for SassError {
             }
             SassError::ControlCode(msg) => write!(f, "invalid control code: {msg}"),
             SassError::Operand(msg) => write!(f, "invalid operand: {msg}"),
-            SassError::Encoding(msg) => write!(f, "invalid encoding: {msg}"),
+            SassError::Index(index) => write!(f, "instruction index {index} out of range"),
             SassError::Cubin(msg) => write!(f, "invalid cubin: {msg}"),
         }
     }

@@ -19,9 +19,9 @@
 //!   and control code, with use/def analysis.
 //! * [`Program`] — a kernel section: its instructions and the labels
 //!   anchored between them, with basic block boundaries.
-//! * [`Cubin`] — an ELF-like container holding the encoded kernel section
-//!   plus the metadata sections (symbol table, headers) that must be
-//!   preserved when the scheduler rewrites only the text section.
+//! * [`Cubin`] — an ELF-like container whose kernel text section holds the
+//!   listing's text, plus the metadata sections (symbol table, headers)
+//!   that must be preserved when the scheduler rewrites only that section.
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@
 
 mod control;
 mod cubin;
-mod encode;
 mod error;
 mod instruction;
 mod opcode;
@@ -56,11 +55,9 @@ mod register;
 
 pub use control::{ArchClass, ControlCode, NUM_BARRIERS};
 pub use cubin::{Cubin, Section, SectionKind, Symbol};
-pub use encode::{decode_program, encode_program};
 pub use error::SassError;
 pub use instruction::{Guard, Instruction};
 pub use opcode::{LatencyClass, MemorySpace, Mnemonic, Opcode};
 pub use operand::{MemRef, Operand, RegOperand};
-pub use parser::parse_program;
 pub use program::{BasicBlock, Program};
 pub use register::{adjacent_register, Register};

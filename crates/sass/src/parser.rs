@@ -17,7 +17,7 @@ use crate::{Instruction, Program, SassError};
 ///
 /// Returns a [`SassError::Parse`] identifying the offending line when any
 /// instruction fails to parse or a label is defined a second time.
-pub fn parse_program(text: &str) -> Result<Program, SassError> {
+pub(crate) fn parse_program(text: &str) -> Result<Program, SassError> {
     let mut program = Program::new();
     let mut defined = HashSet::new();
     for (line_no, raw_line) in text.lines().enumerate() {

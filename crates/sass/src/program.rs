@@ -4,7 +4,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-use crate::{parse_program, Instruction, SassError};
+use crate::parser::parse_program;
+use crate::{Instruction, SassError};
 
 /// A basic block: a maximal range of instructions with no label in the
 /// middle and no scheduling fence (branch, barrier, synchronisation) other
@@ -112,9 +113,7 @@ impl Program {
     pub fn swap_instructions(&mut self, a: usize, b: usize) -> Result<(), SassError> {
         let index = a.max(b);
         if index >= self.instructions.len() {
-            return Err(SassError::Encoding(format!(
-                "instruction index {index} out of range"
-            )));
+            return Err(SassError::Index(index));
         }
         self.instructions.swap(a, b);
         Ok(())

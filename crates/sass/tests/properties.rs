@@ -1,9 +1,24 @@
 //! Property-based tests for the SASS instruction model.
 
 use proptest::prelude::*;
-use sass::{
-    adjacent_register, decode_program, encode_program, ControlCode, Instruction, Operand, Program,
-};
+use sass::{adjacent_register, ArchClass, ControlCode, Cubin, Instruction, Operand, Program};
+
+const LISTING: &str = "\
+[B------:R-:W-:-:S04] MOV R4, 0x100 ;
+[B------:R-:W0:-:S02] LDG.E R2, [R4] ;
+.L_mid:
+[B0-----:R-:W-:-:S04] IADD3 R6, R2, 0x1, RZ ;
+[B------:R-:W-:-:S04] IADD3 R8, R6, 0x2, RZ ;
+[B------:R-:W-:-:S02] STG.E [R4], R8 ;
+[B------:R-:W-:-:S05] EXIT ;
+";
+
+/// `program` read back out of the text section of a cubin built from it.
+fn through_a_cubin(program: &Program) -> Program {
+    Cubin::from_kernel(ArchClass::Ampere, "k", program)
+        .kernel_program("k")
+        .unwrap()
+}
 
 proptest! {
     /// The adjacent-register rule (equation 2) is an involution and always
@@ -16,8 +31,7 @@ proptest! {
         prop_assert_ne!(n, adj);
     }
 
-    /// Control codes round-trip through both the textual and the packed
-    /// binary representation.
+    /// Control codes round-trip through their textual representation.
     #[test]
     fn control_codes_round_trip(
         wait in 0u8..64,
@@ -41,26 +55,16 @@ proptest! {
             (wait, read, write, yld, stall)
         );
         prop_assert_eq!(cc.to_string(), text);
-        prop_assert_eq!(ControlCode::from_bits(cc.to_bits()).unwrap(), cc);
     }
 
     /// Any sequence of in-range adjacent swaps preserves the instruction
-    /// multiset and the label positions, and the encoded program always
-    /// round-trips.
+    /// multiset and the label positions, and the swapped program always
+    /// round-trips through a cubin's text section.
     #[test]
     fn swaps_preserve_instructions_and_encoding_round_trips(
         swaps in prop::collection::vec(0usize..4, 0..16)
     ) {
-        let text = "\
-[B------:R-:W-:-:S04] MOV R4, 0x100 ;
-[B------:R-:W0:-:S02] LDG.E R2, [R4] ;
-.L_mid:
-[B0-----:R-:W-:-:S04] IADD3 R6, R2, 0x1, RZ ;
-[B------:R-:W-:-:S04] IADD3 R8, R6, 0x2, RZ ;
-[B------:R-:W-:-:S02] STG.E [R4], R8 ;
-[B------:R-:W-:-:S05] EXIT ;
-";
-        let original: Program = text.parse().unwrap();
+        let original: Program = LISTING.parse().unwrap();
         let mut mutated = original.clone();
         for s in swaps {
             let _ = mutated.swap_instructions(s, s + 1);
@@ -76,9 +80,27 @@ proptest! {
         // Labels stay anchored where they were.
         prop_assert_eq!(mutated.labels(), original.labels());
         prop_assert_eq!(mutated.labels(), [(2, ".L_mid".to_string())]);
-        // Binary encoding round-trips the mutated schedule exactly.
-        let decoded = decode_program(&encode_program(&mutated)).unwrap();
-        prop_assert_eq!(decoded, mutated);
+        prop_assert_eq!(through_a_cubin(&mutated), mutated);
+    }
+
+    /// A content edit — a new stall count, a wait barrier added or dropped
+    /// and a reuse hint toggled — round-trips through a cubin's text
+    /// section: the text is the only place those fields are stored.
+    #[test]
+    fn content_edits_round_trip_through_a_cubin(
+        at in 0usize..6,
+        stall in 0u8..16,
+        barrier in 0u8..6,
+        wait in any::<bool>(),
+        operand in 0usize..3,
+    ) {
+        let mut program: Program = LISTING.parse().unwrap();
+        let inst = program.instruction_mut(at).unwrap();
+        inst.control_mut().set_stall(stall);
+        inst.control_mut().set_wait(barrier, wait);
+        let reused = inst.operands().get(operand).is_some_and(Operand::has_reuse);
+        let _ = inst.set_operand_reuse(operand, !reused);
+        prop_assert_eq!(through_a_cubin(&program), program);
     }
 }
 

@@ -72,7 +72,7 @@ fn main() {
     );
     if let Some(dir) = &args.report_dir {
         println!(
-            "artifacts: suite report and telemetry manifest written under {}",
+            "artifacts: suite report and telemetry manifest under {}",
             dir.display()
         );
     }

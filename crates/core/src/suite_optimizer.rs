@@ -29,7 +29,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::game::GameConfig;
 use crate::optimizer::{CuAsmRl, OptimizationReport, Strategy};
-use crate::telemetry::{persist_run_manifest, KernelTelemetry, RunManifest};
+use crate::telemetry::{
+    load_run_manifest_checked, persist_run_manifest, KernelTelemetry, RunManifest,
+};
 
 /// The version a suite report is sealed under.
 const SUITE_REPORT_VERSION: u32 = 1;
@@ -188,7 +190,7 @@ impl SuiteOptimizer {
     /// is one record under `dir` keyed by every input of the answer
     /// ([`CuAsmRl::deploy_key`] of [`SuiteOptimizer::optimizer_for`]), and
     /// the aggregate suite report and telemetry manifest are persisted
-    /// beside them.
+    /// beside them (see [`SuiteOptimizer::optimize_labeled_instrumented`]).
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -308,8 +310,12 @@ impl SuiteOptimizer {
     /// [`SuiteOptimizer::optimize_labeled`] plus the aggregated
     /// [`RunManifest`] telemetry of the run (per-kernel reward curves and
     /// phase timings, eval-cache hit rates, PPO training series). When a
-    /// cache directory is configured, the manifest is persisted next to the
-    /// suite report (see [`crate::telemetry_path`]).
+    /// cache directory is configured, the suite report and the manifest are
+    /// published there (see [`crate::telemetry_path`]), unless every kernel
+    /// was a deploy-cache hit and both files already read back with this
+    /// pass's suite report: then neither is rewritten, and the manifest on
+    /// disk stays that of the last pass that searched. The returned
+    /// manifest is always this pass's.
     ///
     /// # Panics
     ///
@@ -390,15 +396,37 @@ impl SuiteOptimizer {
             geomean_speedup,
         );
         if let Some(dir) = &self.cache_dir {
-            if let Err(err) = persist_suite_report(&UnsyncedIo, dir, &suite) {
-                eprintln!("cuasmrl: failed to persist suite report: {err}");
-            }
-            if let Err(err) = persist_run_manifest(&UnsyncedIo, dir, &manifest) {
-                eprintln!("cuasmrl: failed to persist telemetry manifest: {err}");
+            if !published_already(dir, &suite, &manifest) {
+                if let Err(err) = persist_suite_report(&UnsyncedIo, dir, &suite) {
+                    eprintln!("cuasmrl: failed to persist suite report: {err}");
+                }
+                if let Err(err) = persist_run_manifest(&UnsyncedIo, dir, &manifest) {
+                    eprintln!("cuasmrl: failed to persist telemetry manifest: {err}");
+                }
             }
         }
         (suite, manifest)
     }
+}
+
+/// Whether a pass has nothing to publish: every kernel was a deploy-cache
+/// hit, the suite report on disk is this pass's, and the manifest on disk
+/// reads back. That manifest stays the last searching pass's, the one whose
+/// records carry reward curves and phase timings; a missing, damaged or
+/// stale file is published again.
+fn published_already(dir: &Path, suite: &SuiteReport, manifest: &RunManifest) -> bool {
+    manifest
+        .kernels
+        .iter()
+        .all(|kernel| kernel.from_deploy_cache)
+        && matches!(
+            load_suite_report(dir, &suite.gpu, &suite.suite),
+            Ok(Some(on_disk)) if serde_json::to_string(&on_disk).ok() == serde_json::to_string(suite).ok()
+        )
+        && matches!(
+            load_run_manifest_checked(dir, &manifest.gpu, &manifest.suite),
+            Ok(Some(_))
+        )
 }
 
 /// Path of the aggregate suite report inside a cache directory. Keyed on
@@ -585,6 +613,150 @@ mod tests {
             })
             .optimize_labeled_instrumented(&small_suite(), "custom");
         assert!(manifest.kernels.iter().all(|k| !k.from_deploy_cache));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A cache directory after one searching pass of the small suite under
+    /// `label`: the directory, its driver and what the pass returned.
+    fn searched_cache(
+        name: &str,
+        label: &str,
+    ) -> (PathBuf, SuiteOptimizer, SuiteReport, RunManifest) {
+        let dir = std::env::temp_dir().join(format!(
+            "cuasmrl-suite-{name}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let driver = optimizer(2).with_cache_dir(&dir);
+        let (suite, manifest) = driver.optimize_labeled_instrumented(&small_suite(), label);
+        assert!(manifest.kernels.iter().all(|k| !k.from_deploy_cache));
+        (dir, driver, suite, manifest)
+    }
+
+    fn report_json(suite: &SuiteReport) -> String {
+        serde_json::to_string(suite).unwrap()
+    }
+
+    /// A pass answered entirely from the deploy cache publishes nothing:
+    /// both files keep their bytes, so the manifest on disk is still the
+    /// searching pass's, while the caller gets the all-hit manifest.
+    #[test]
+    fn an_all_hit_pass_leaves_the_searching_pass_files_on_disk() {
+        let (dir, driver, suite, searched) = searched_cache("all-hit", "custom");
+        let report_path = suite_report_path(&dir, &suite.gpu, &suite.suite);
+        let manifest_path = crate::telemetry_path(&dir, &suite.gpu, &suite.suite);
+        let report_bytes = std::fs::read(&report_path).unwrap();
+        let manifest_bytes = std::fs::read(&manifest_path).unwrap();
+
+        let (hit_suite, hit_manifest) =
+            driver.optimize_labeled_instrumented(&small_suite(), "custom");
+        assert!(hit_manifest.kernels.iter().all(|k| k.from_deploy_cache));
+        assert_eq!(report_json(&hit_suite), report_json(&suite));
+        assert_eq!(std::fs::read(&report_path).unwrap(), report_bytes);
+        assert_eq!(std::fs::read(&manifest_path).unwrap(), manifest_bytes);
+        let on_disk = crate::load_run_manifest_checked(&dir, &suite.gpu, &suite.suite)
+            .unwrap()
+            .expect("the searching pass's manifest");
+        assert_eq!(on_disk, searched);
+        assert_ne!(on_disk, hit_manifest);
+        for (kernel, report) in on_disk.kernels.iter().zip(&suite.reports) {
+            assert!(!kernel.from_deploy_cache, "{}", kernel.kernel);
+            assert_eq!(kernel.reward_curve.len(), report.moves.len());
+            assert!(kernel.cache.hits + kernel.cache.misses > 0);
+        }
+        assert!(on_disk.kernels.iter().any(|k| !k.reward_curve.is_empty()));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// An all-hit pass under a label with no files yet publishes both.
+    #[test]
+    fn an_all_hit_pass_under_a_new_label_publishes_both_files() {
+        let (dir, driver, suite, _) = searched_cache("new-label", "custom");
+        let (hit_suite, hit_manifest) =
+            driver.optimize_labeled_instrumented(&small_suite(), "other");
+        assert!(hit_manifest.kernels.iter().all(|k| k.from_deploy_cache));
+        let loaded = load_suite_report(&dir, &suite.gpu, "other")
+            .unwrap()
+            .expect("the new label's report");
+        assert_eq!(report_json(&loaded), report_json(&hit_suite));
+        let on_disk = crate::load_run_manifest_checked(&dir, &suite.gpu, "other")
+            .unwrap()
+            .expect("the new label's manifest");
+        assert_eq!(on_disk, hit_manifest);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// An all-hit pass rebuilds a deleted, rotted or stale suite report
+    /// and a rotted manifest.
+    #[test]
+    fn an_all_hit_pass_rebuilds_a_missing_or_damaged_file() {
+        let (dir, driver, suite, _) = searched_cache("rebuild", "custom");
+        let report_path = suite_report_path(&dir, &suite.gpu, &suite.suite);
+        let manifest_path = crate::telemetry_path(&dir, &suite.gpu, &suite.suite);
+        let rot = |path: &Path| {
+            let good = std::fs::read_to_string(path).unwrap();
+            let rotted = good.replacen("\"seed\":7,", "\"seed\":8,", 1);
+            assert_ne!(rotted, good, "the body names its seed");
+            std::fs::write(path, rotted).unwrap();
+        };
+        let pass = || driver.optimize_labeled_instrumented(&small_suite(), "custom");
+
+        std::fs::remove_file(&report_path).unwrap();
+        pass();
+        let loaded = load_suite_report(&dir, &suite.gpu, &suite.suite).unwrap();
+        assert_eq!(report_json(&loaded.expect("rebuilt")), report_json(&suite));
+
+        rot(&report_path);
+        assert!(matches!(
+            load_suite_report(&dir, &suite.gpu, &suite.suite),
+            Err(ArtifactError::ChecksumMismatch { .. })
+        ));
+        pass();
+        let loaded = load_suite_report(&dir, &suite.gpu, &suite.suite).unwrap();
+        assert_eq!(report_json(&loaded.expect("rebuilt")), report_json(&suite));
+
+        let stale = SuiteReport {
+            verified: 0,
+            ..suite.clone()
+        };
+        persist_suite_report(&UnsyncedIo, &dir, &stale).unwrap();
+        pass();
+        let loaded = load_suite_report(&dir, &suite.gpu, &suite.suite).unwrap();
+        assert_eq!(report_json(&loaded.expect("rebuilt")), report_json(&suite));
+
+        rot(&manifest_path);
+        assert!(matches!(
+            crate::load_run_manifest_checked(&dir, &suite.gpu, &suite.suite),
+            Err(ArtifactError::ChecksumMismatch { .. })
+        ));
+        let (_, hit_manifest) = pass();
+        let on_disk = crate::load_run_manifest_checked(&dir, &suite.gpu, &suite.suite).unwrap();
+        assert_eq!(on_disk, Some(hit_manifest));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A pass that searched one kernel publishes both files, as every
+    /// searching pass does, even when its suite report is unchanged.
+    #[test]
+    fn a_pass_that_searched_one_kernel_publishes_both_files() {
+        let (dir, driver, suite, _) = searched_cache("one-miss", "custom");
+        let spec = &small_suite()[0];
+        let key = driver
+            .optimizer_for(spec)
+            .deploy_key(spec, &driver.config_space_for(spec), driver.tune_options())
+            .unwrap();
+        std::fs::remove_file(&key.path).unwrap();
+        let (again, manifest) = driver.optimize_labeled_instrumented(&small_suite(), "custom");
+        assert_eq!(report_json(&again), report_json(&suite));
+        let hits: Vec<bool> = manifest
+            .kernels
+            .iter()
+            .map(|k| k.from_deploy_cache)
+            .collect();
+        assert_eq!(hits, [false, true]);
+        let on_disk = crate::load_run_manifest_checked(&dir, &suite.gpu, &suite.suite).unwrap();
+        assert_eq!(on_disk, Some(manifest));
         let _ = std::fs::remove_dir_all(dir);
     }
 

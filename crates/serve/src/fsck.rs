@@ -238,7 +238,17 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
             continue;
         }
         if name.ends_with("_telemetry.json") {
-            classify_manifest(&mut walk, &name, dir);
+            classify_keyed(&mut walk, &name, "_telemetry.json", |gpu, suite| {
+                let manifest = cuasmrl::load_run_manifest_checked(dir, gpu, suite)?;
+                Ok(manifest.map(|m| format!("manifest with {} kernels verified", m.kernels.len())))
+            });
+            continue;
+        }
+        if name.ends_with("_suite.json") {
+            classify_keyed(&mut walk, &name, "_suite.json", |gpu, suite| {
+                let report = cuasmrl::load_suite_report(dir, gpu, suite)?;
+                Ok(report.map(|r| format!("suite report of {} kernels verified", r.reports.len())))
+            });
             continue;
         }
         if name.ends_with(".ckpt") {
@@ -274,25 +284,27 @@ fn classify_entry(walk: &mut Walk<'_>, name: &str, path: &Path) {
     }
 }
 
-/// Classifies one telemetry manifest (`{gpu}_{suite}_telemetry.json`).
-fn classify_manifest(walk: &mut Walk<'_>, name: &str, dir: &Path) {
-    let key = name.trim_end_matches("_telemetry.json");
+/// Classifies one sealed `{gpu}_{suite}{suffix}` file — a telemetry
+/// manifest or a suite report — through `read`, its family's reader, which
+/// describes the file it verified (`None`: the file raced away).
+fn classify_keyed(
+    walk: &mut Walk<'_>,
+    name: &str,
+    suffix: &str,
+    read: impl FnOnce(&str, &str) -> Result<Option<String>, ArtifactError>,
+) {
+    let key = name.trim_end_matches(suffix);
     let Some((gpu, suite)) = key.rsplit_once('_') else {
         walk.record(
             name.to_string(),
             EntryVerdict::Corrupt,
-            "unparseable manifest file name".to_string(),
+            "unparseable file name".to_string(),
             String::new(),
         );
         return;
     };
-    match cuasmrl::load_run_manifest_checked(dir, gpu, suite) {
-        Ok(Some(manifest)) => walk.record(
-            name.to_string(),
-            EntryVerdict::Ok,
-            format!("manifest with {} kernels verified", manifest.kernels.len()),
-            String::new(),
-        ),
+    match read(gpu, suite) {
+        Ok(Some(detail)) => walk.record(name.to_string(), EntryVerdict::Ok, detail, String::new()),
         Ok(None) => walk.record(
             name.to_string(),
             EntryVerdict::Ok,
@@ -482,20 +494,74 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A one-kernel `a100` suite report of `entry`'s answer under `suite`.
+    fn suite_of(entry: &StoreEntry, suite: &str) -> cuasmrl::SuiteReport {
+        cuasmrl::SuiteReport {
+            gpu: "a100".to_string(),
+            suite: suite.to_string(),
+            seed: entry.seed,
+            reports: vec![entry.report.clone()],
+            geomean_speedup: entry.report.speedup,
+            verified: 1,
+        }
+    }
+
+    /// A sealed suite report is `ok` — not a store entry missing its
+    /// fields — and repair quarantines only a damaged one.
+    #[test]
+    fn a_suite_report_is_verified_and_only_a_damaged_one_is_quarantined() {
+        let dir = temp_dir("suite-report");
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = key_for("softmax", 4);
+        let entry = entry_for(&key, 4);
+        for suite in ["table2", "attention"] {
+            cuasmrl::persist_suite_report(&artifact::UnsyncedIo, &dir, &suite_of(&entry, suite))
+                .unwrap();
+        }
+        let healthy = fsck(&dir, false).unwrap();
+        assert!(healthy.healthy(), "{healthy:?}");
+        assert_eq!(healthy.ok, 2);
+        assert_eq!(
+            healthy.entries[1].detail,
+            "suite report of 1 kernels verified"
+        );
+
+        let good = dir.join("a100_table2_suite.json");
+        let damaged = dir.join("a100_attention_suite.json");
+        let good_bytes = std::fs::read(&good).unwrap();
+        let bytes = std::fs::read(&damaged).unwrap();
+        std::fs::write(&damaged, &bytes[..bytes.len() - 5]).unwrap();
+        let repaired = fsck(&dir, true).unwrap();
+        assert_eq!((repaired.ok, repaired.torn), (1, 1), "{repaired:?}");
+        assert_eq!((repaired.quarantined, repaired.unrepairable), (1, 0));
+        assert!(dir
+            .join(QUARANTINE_DIR)
+            .join("a100_attention_suite.json")
+            .exists());
+        assert!(!damaged.exists());
+        assert_eq!(std::fs::read(&good).unwrap(), good_bytes);
+        assert!(fsck(&dir, false).unwrap().healthy());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// fsck's verdict on the one file `file` of `dir` after writing
     /// `bytes` there.
     fn verdict_of(dir: &Path, file: &str, bytes: &[u8]) -> String {
+        // A fresh file each time: ext4 flushes a file truncated and
+        // rewritten in place when it is closed, and this runs once per cut
+        // and per byte.
+        let _ = std::fs::remove_file(dir.join(file));
         std::fs::write(dir.join(file), bytes).unwrap();
         let report = fsck(dir, false).unwrap();
         let entry = report.entries.iter().find(|e| e.file == file).unwrap();
         entry.verdict.clone()
     }
 
-    /// Every strict prefix of a sealed store entry or sealed telemetry
-    /// manifest reads `torn` (the manifest's seal decides it by the body
-    /// length it declares), and a 0xFF byte at any offset of the complete
-    /// file reads `corrupt` — a manifest that is not UTF-8 exists, so it is
-    /// never `ok` as absent.
+    /// Every strict prefix of a sealed store entry, telemetry manifest or
+    /// suite report reads `torn` (the two seals decide it by the body
+    /// length they declare), and a 0xFF byte at any offset of the complete
+    /// file reads `corrupt` — a manifest or report that is not UTF-8
+    /// exists, so it is never `ok` as absent.
     #[test]
     fn a_cut_file_is_torn_and_a_rotted_file_is_corrupt() {
         let dir = temp_dir("cut-and-rot");
@@ -517,8 +583,16 @@ mod tests {
         let manifest_bytes = std::fs::read(dir.join(&manifest_file)).unwrap();
         let entry_file = format!("{}.json", key.file_stem());
         let entry_bytes = serde_json::to_string_pretty(&entry).unwrap().into_bytes();
+        cuasmrl::persist_suite_report(&artifact::UnsyncedIo, &dir, &suite_of(&entry, "table2"))
+            .unwrap();
+        let report_file = "a100_table2_suite.json".to_string();
+        let report_bytes = std::fs::read(dir.join(&report_file)).unwrap();
 
-        for (file, sealed) in [(entry_file, entry_bytes), (manifest_file, manifest_bytes)] {
+        for (file, sealed) in [
+            (entry_file, entry_bytes),
+            (manifest_file, manifest_bytes),
+            (report_file, report_bytes),
+        ] {
             assert_eq!(verdict_of(&dir, &file, &sealed), "ok", "{file}");
             for cut in 0..sealed.len() {
                 assert_eq!(

@@ -16,17 +16,18 @@
 //! - [`is_temp_debris`] — the rule that recognises what a kill between
 //!   that write and that rename leaves behind.
 //! - [`fnv1a64`] / [`fnv1a64_hex`] — the checksum every integrity format
-//!   (entry, seal, checkpoint trailer, request digest) is
-//!   built on.
+//!   (entry, seal, request digest) is built on.
 //! - [`ArtifactError`] — what every family's reader answers when the file
 //!   is damaged. The rule: a file whose bytes end before its format does
 //!   is **torn** (an interrupted write); a file whose bytes are complete
 //!   but not a valid instance is **corrupt** (damage in place). Version
 //!   skew and a failed checksum are named separately, and both count as
 //!   corrupt. [`decode_json`] applies it to store entries.
-//! - [`seal`] / [`unseal`] — the one envelope of the rebuildable JSON
-//!   families (telemetry manifest, deploy-cache record, suite report):
-//!   family version, body length and a checksum of the body bytes.
+//! - [`sealed`] / [`open`] — the one envelope of every rebuildable family
+//!   (telemetry manifest, deploy-cache record, suite report, RL
+//!   checkpoint): family version, body length and a checksum of the body
+//!   bytes. [`seal_bytes`] publishes a sealed body; [`seal`] / [`unseal`]
+//!   are the JSON families' typed wrappers.
 //!
 //! `docs/ARTIFACTS.md` tabulates the families: integrity format, synced or
 //! rebuildable, and who sweeps the debris.
@@ -45,7 +46,7 @@ pub use error::{decode_json, ArtifactError};
 pub use io::{
     is_simulated_crash, CrashEffect, CrashPoint, CrashPointIo, IoOp, RealIo, StoreIo, UnsyncedIo,
 };
-pub use seal::{seal, unseal};
+pub use seal::{open, seal, seal_bytes, sealed, unseal};
 
 /// FNV-1a-64 of `bytes`.
 #[must_use]

@@ -1,15 +1,19 @@
-//! The one sealed envelope of the rebuildable JSON families — telemetry
-//! manifest, deploy-cache record, suite report — and its reader.
+//! The one sealed envelope of every rebuildable family — telemetry
+//! manifest, deploy-cache record, suite report, RL checkpoint — and its
+//! reader.
 //!
 //! ```text
 //! {"seal":{"version":V,"len":N,"fnv1a64":"HHHHHHHHHHHHHHHH"},"body":
 //! BODY}
 //! ```
 //!
-//! `BODY` is the value's compact JSON, exactly `N` bytes, and the checksum
-//! is FNV-1a-64 of those bytes as they sit on disk: a publish serialises
-//! once, and a read hashes the bytes it then parses. The file stays one
-//! JSON document; its first line is the whole header.
+//! `BODY` is exactly `N` bytes, and the checksum is FNV-1a-64 of those
+//! bytes as they sit on disk: a publish encodes once, and a read hashes the
+//! bytes it then decodes. [`sealed`] and [`open`] are the envelope at the
+//! byte level, and a body may be any bytes: the checkpoint's is its binary
+//! codec. [`seal`] and [`unseal`] are the JSON families' wrappers, whose
+//! body is the value's compact JSON, so the file stays one JSON document
+//! whose first line is the whole header.
 
 use std::path::Path;
 
@@ -24,8 +28,30 @@ const BODY_KEY: &str = "\"},\"body\":";
 /// What follows the body.
 const CLOSE: &[u8] = b"}\n";
 
-/// Publishes `value` at `path` through `io` ([`publish_atomic`]), sealed
-/// under the family version `version`, creating the directory first.
+/// `body` sealed under the family version `version`: the header line, the
+/// body, then `}` and a newline.
+#[must_use]
+pub fn sealed(version: u32, body: &[u8]) -> Vec<u8> {
+    let (len, hash) = (body.len(), fnv1a64_hex(body));
+    let header = format!("{OPEN}{version},\"len\":{len},\"fnv1a64\":\"{hash}{BODY_KEY}\n");
+    [header.as_bytes(), body, CLOSE].concat()
+}
+
+/// Publishes `body` at `path` through `io` ([`publish_atomic`]), sealed
+/// under the family version `version` ([`sealed`]), creating the directory
+/// first.
+///
+/// # Errors
+///
+/// Returns an IO error when the directory cannot be created or written.
+pub fn seal_bytes(io: &dyn StoreIo, path: &Path, version: u32, body: &[u8]) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    publish_atomic(io, path, &sealed(version, body))
+}
+
+/// [`seal_bytes`] of `value`'s compact JSON.
 ///
 /// # Errors
 ///
@@ -38,37 +64,44 @@ pub fn seal<T: Serialize>(
     value: &T,
 ) -> std::io::Result<()> {
     let body = serde_json::to_string(value).map_err(std::io::Error::other)?;
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let (len, hash) = (body.len(), fnv1a64_hex(body.as_bytes()));
-    let header = format!("{OPEN}{version},\"len\":{len},\"fnv1a64\":\"{hash}{BODY_KEY}\n");
-    let sealed = [header.as_bytes(), body.as_bytes(), CLOSE].concat();
-    publish_atomic(io, path, &sealed)
+    seal_bytes(io, path, version, body.as_bytes())
 }
 
-/// Reads the sealed file at `path` back as a `T` of the family version
+/// Reads the sealed JSON file at `path` back as a `T` of the family version
 /// `version`: `Ok(None)` only when there is no file.
 ///
 /// # Errors
 ///
-/// In this precedence: [`ArtifactError::Io`] when the file cannot be
-/// read; [`ArtifactError::Torn`] when it ends inside the header line or
-/// before the declared body length; [`ArtifactError::Corrupt`] for a
-/// malformed header or an unclosed body;
-/// [`ArtifactError::UnsupportedVersion`] for another version (a file that
-/// does not begin as a seal, as every earlier layout, is version 0);
-/// [`ArtifactError::ChecksumMismatch`]; [`ArtifactError::Corrupt`] when a
-/// body that passes its checksum does not decode as a `T`.
+/// [`ArtifactError::Io`] when the file cannot be read, every error of
+/// [`open`], then [`ArtifactError::Corrupt`] when a body that passes its
+/// checksum does not decode as a `T`.
 pub fn unseal<T: Deserialize>(path: &Path, version: u32) -> Result<Option<T>, ArtifactError> {
     match std::fs::read(path) {
         Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        read => open(path, &read?, version).map(Some),
+        read => decode(path, open(path, &read?, version)?).map(Some),
     }
 }
 
-/// [`unseal`] of the bytes `path` holds.
-fn open<T: Deserialize>(path: &Path, bytes: &[u8], version: u32) -> Result<T, ArtifactError> {
+/// The JSON `body` of the sealed file `path` as a `T`.
+fn decode<T: Deserialize>(path: &Path, body: &[u8]) -> Result<T, ArtifactError> {
+    std::str::from_utf8(body)
+        .map_err(|err| err.to_string())
+        .and_then(|text| serde_json::from_str(text).map_err(|err| err.to_string()))
+        .map_err(|detail| damaged(path, false, detail))
+}
+
+/// The body of `bytes`, the sealed file `path` holds, checked against the
+/// family version `version`.
+///
+/// # Errors
+///
+/// In this precedence: [`ArtifactError::Torn`] when the bytes end inside
+/// the header line or before the declared body length;
+/// [`ArtifactError::Corrupt`] for a malformed header or an unclosed body;
+/// [`ArtifactError::UnsupportedVersion`] for another version (bytes that do
+/// not begin as a seal, as every earlier layout, are version 0);
+/// [`ArtifactError::ChecksumMismatch`].
+pub fn open<'a>(path: &Path, bytes: &'a [u8], version: u32) -> Result<&'a [u8], ArtifactError> {
     let skew = |found| ArtifactError::UnsupportedVersion {
         path: path.to_path_buf(),
         found,
@@ -111,10 +144,7 @@ fn open<T: Deserialize>(path: &Path, bytes: &[u8], version: u32) -> Result<T, Ar
             computed,
         });
     }
-    std::str::from_utf8(body)
-        .map_err(|err| err.to_string())
-        .and_then(|text| serde_json::from_str(text).map_err(|err| err.to_string()))
-        .map_err(|detail| damaged(path, false, detail))
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -141,7 +171,7 @@ mod tests {
     }
 
     /// The bytes of `value()` sealed under `version`.
-    fn sealed(version: u32) -> Vec<u8> {
+    fn sealed_value(version: u32) -> Vec<u8> {
         let dir = temp_dir(&format!("bytes-v{version}"));
         let path = dir.join("sealed.json");
         seal(&UnsyncedIo, &path, version, &value()).unwrap();
@@ -151,7 +181,8 @@ mod tests {
     }
 
     fn read(bytes: &[u8]) -> Result<Vec<(String, u32)>, ArtifactError> {
-        open(Path::new("sealed.json"), bytes, VERSION)
+        let path = Path::new("sealed.json");
+        decode(path, open(path, bytes, VERSION)?)
     }
 
     /// The offset just past the first `key` in `bytes`.
@@ -191,9 +222,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A body may be any bytes: newlines, `}` and non-UTF-8 bytes inside
+    /// it are the body's, told apart from the envelope by the declared
+    /// length. `seal` writes exactly `sealed` of the value's JSON.
+    #[test]
+    fn a_binary_body_opens_to_its_bytes_and_json_seals_are_sealed_json() {
+        let path = Path::new("binary.ckpt");
+        let body = [b'\n', b'}', 0xFF, 0x00, b'\n', b'}', b'\n'];
+        let bytes = sealed(VERSION, &body);
+        assert_eq!(open(path, &bytes, VERSION).unwrap(), body);
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    open(path, &bytes[..cut], VERSION),
+                    Err(ArtifactError::Torn { .. })
+                ),
+                "cut to {cut}"
+            );
+        }
+        let json = serde_json::to_string(&value()).unwrap();
+        assert_eq!(sealed_value(VERSION), sealed(VERSION, json.as_bytes()));
+    }
+
     #[test]
     fn every_cut_is_torn() {
-        let bytes = sealed(VERSION);
+        let bytes = sealed_value(VERSION);
         for cut in 0..bytes.len() {
             assert!(
                 matches!(read(&bytes[..cut]), Err(ArtifactError::Torn { .. })),
@@ -207,7 +260,7 @@ mod tests {
 
     #[test]
     fn every_bit_flip_in_the_body_fails_the_checksum() {
-        let bytes = sealed(VERSION);
+        let bytes = sealed_value(VERSION);
         for offset in body_range(&bytes) {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
@@ -223,7 +276,7 @@ mod tests {
 
     #[test]
     fn damage_outside_the_body_is_corrupt_and_an_undecodable_body_is_corrupt() {
-        let bytes = sealed(VERSION);
+        let bytes = sealed_value(VERSION);
         let trailing = [&bytes[..], b"{}"].concat();
         let mut malformed = bytes.clone();
         malformed[after(&bytes, b"\"len\":")] = 0xFF;
@@ -254,8 +307,8 @@ mod tests {
             }
             other => panic!("{:?}: {other:?}", String::from_utf8_lossy(bytes)),
         };
-        assert_eq!(skew(&sealed(VERSION + 1)), VERSION + 1);
-        assert_eq!(skew(&sealed(VERSION - 1)), VERSION - 1);
+        assert_eq!(skew(&sealed_value(VERSION + 1)), VERSION + 1);
+        assert_eq!(skew(&sealed_value(VERSION - 1)), VERSION - 1);
         // The telemetry manifest's seal envelope and a version-2 deploy
         // record, as the files were written before the one seal, and a
         // bare report: none begins as a seal, so each is version 0.

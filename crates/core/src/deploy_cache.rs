@@ -13,7 +13,8 @@
 //! outside the space is a miss; a damaged record (torn, corrupt, another
 //! version, a failed checksum) is an [`ArtifactError`] the pipeline logs.
 //! Either way the pipeline re-searches and republishes. Without a cache
-//! directory nothing is read or written.
+//! directory nothing is read or written. [`read_deploy_record`] verifies a
+//! record without its key, for `cuasmrld-fsck`.
 //!
 //! [`Autotuner::tune`]: kernels::Autotuner::tune
 
@@ -101,6 +102,49 @@ impl DeployKey {
         };
         seal(io, &self.path, DEPLOY_RECORD_VERSION, &record)
     }
+}
+
+/// The key hash a deploy record's file name carries: `name` is
+/// `{gpu}_{16 lower-case hex digits}.json` with no `_` in the device name,
+/// which tells it from a `{arch}_{kernel}_{digest}.json` store entry.
+fn record_hash(name: &str) -> Option<&str> {
+    let (gpu, hash) = name.strip_suffix(".json")?.split_once('_')?;
+    let hex = |c: char| c.is_ascii_digit() || ('a'..='f').contains(&c);
+    (!gpu.is_empty() && hash.len() == 16 && hash.chars().all(hex)).then_some(hash)
+}
+
+/// Whether `file_name` is named like a deploy record.
+#[must_use]
+pub fn is_deploy_record_file(file_name: &str) -> bool {
+    record_hash(file_name).is_some()
+}
+
+/// The report of the deploy record at `path`, verified without its key: it
+/// must unseal, and its key must hash to the hash its file name carries.
+/// `Ok(None)` only when there is no file.
+///
+/// # Errors
+///
+/// The [`ArtifactError`] of a damaged record ([`artifact::unseal`]), and
+/// [`ArtifactError::Corrupt`] for a file not named like a record or a
+/// record of another key.
+pub fn read_deploy_record(path: &Path) -> Result<Option<OptimizationReport>, ArtifactError> {
+    let corrupt = |detail: String| ArtifactError::Corrupt {
+        path: path.to_path_buf(),
+        detail,
+    };
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let hash = record_hash(&name).ok_or_else(|| corrupt("not a deploy record's name".into()))?;
+    let Some(record) = unseal::<DeployRecord>(path, DEPLOY_RECORD_VERSION)? else {
+        return Ok(None);
+    };
+    let found = fnv1a64_hex(record.key.as_bytes());
+    if found != hash {
+        return Err(corrupt(format!(
+            "the record of key {found} is on key {hash}'s file"
+        )));
+    }
+    Ok(Some(record.report))
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ pub use action::{
     action_mask, schedule_edits, ActionSpace, Direction, EditKind, IncrementalMasker, ScheduleEdit,
 };
 pub use analysis::{analyze, Analysis, Resolution, ResolutionBreakdown};
-pub use deploy_cache::DeployKey;
+pub use deploy_cache::{is_deploy_record_file, read_deploy_record, DeployKey};
 pub use embed::{
     arch_features, embed_program, embed_rows_into, feature_count, ARCH_FEATURES, FIXED_FEATURES,
 };

@@ -748,6 +748,36 @@ mod tests {
         }
     }
 
+    /// A checkpoint in the version-2 layout (magic, version, body, FNV-1a
+    /// trailer) is not sealed, so it reads as version skew; the search
+    /// discards it, cold-starts to the uninterrupted answer and removes it.
+    #[test]
+    fn a_version_2_checkpoint_is_discarded_and_the_search_cold_starts() {
+        let (spec, space, tune, optimizer) = tiny_rl_setup();
+        let (control, _cubin, _telemetry) =
+            optimizer.optimize_spec_instrumented(&spec, &space, &tune);
+        let path = temp_ckpt("v2");
+        plant_checkpoint(&optimizer, &spec, &space, &tune, 1, &path);
+        let sealed = std::fs::read(&path).unwrap();
+        let body = artifact::open(&path, &sealed, rl::CHECKPOINT_VERSION).unwrap();
+        let mut v2 = [b"CASRLCKP".as_slice(), &2u32.to_le_bytes(), body].concat();
+        v2.extend(artifact::fnv1a64(&v2).to_le_bytes());
+        std::fs::write(&path, &v2).unwrap();
+        assert!(matches!(
+            rl::Checkpoint::read(&path),
+            Err(artifact::ArtifactError::UnsupportedVersion { found: 0, .. })
+        ));
+        let (report, _cubin, _telemetry) = optimizer
+            .clone()
+            .with_checkpoint(&path)
+            .optimize_spec_instrumented(&spec, &space, &tune);
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&control).unwrap()
+        );
+        assert!(!path.exists(), "a finished search removes its checkpoint");
+    }
+
     #[test]
     fn a_preempted_search_degrades_then_resumes_to_the_full_answer() {
         let (spec, space, tune, optimizer) = tiny_rl_setup();

@@ -371,21 +371,6 @@ impl SuiteOptimizer {
             .map(|slot| slot.expect("every kernel must produce a report"))
             .unzip();
 
-        let verified = reports.iter().filter(|r| r.verified).count();
-        let geomean_speedup = if reports.is_empty() {
-            1.0
-        } else {
-            let log_sum: f64 = reports.iter().map(|r| r.speedup.max(1e-12).ln()).sum();
-            (log_sum / reports.len() as f64).exp()
-        };
-        let suite = SuiteReport {
-            gpu: self.gpu.name.clone(),
-            suite: label.to_string(),
-            seed: self.seed,
-            reports,
-            geomean_speedup,
-            verified,
-        };
         let manifest = RunManifest::new(
             self.gpu.name.clone(),
             label,
@@ -393,8 +378,15 @@ impl SuiteOptimizer {
             self.seed,
             self.jobs,
             kernel_telemetry,
-            geomean_speedup,
         );
+        let suite = SuiteReport {
+            gpu: self.gpu.name.clone(),
+            suite: label.to_string(),
+            seed: self.seed,
+            reports,
+            geomean_speedup: manifest.geomean_speedup,
+            verified: manifest.verified,
+        };
         if let Some(dir) = &self.cache_dir {
             if !published_already(dir, &suite, &manifest) {
                 if let Err(err) = persist_suite_report(&UnsyncedIo, dir, &suite) {

@@ -209,7 +209,8 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// Assembles a manifest from per-kernel telemetry plus run metadata,
-    /// computing the aggregate cache and phase totals.
+    /// computing the aggregate cache and phase totals, the verified count
+    /// and the geometric-mean speedup (1 for no kernels).
     #[must_use]
     pub fn new(
         gpu: impl Into<String>,
@@ -218,16 +219,18 @@ impl RunManifest {
         seed: u64,
         jobs: usize,
         kernels: Vec<KernelTelemetry>,
-        geomean_speedup: f64,
     ) -> Self {
         let mut cache = CacheTelemetry::default();
         let mut phases = PhaseTimings::default();
         let mut verified = 0;
+        let mut log_sum = 0.0;
         for kernel in &kernels {
             cache.accumulate(&kernel.cache);
             phases.accumulate(&kernel.phases);
             verified += usize::from(kernel.verified);
+            log_sum += kernel.speedup.max(1e-12).ln();
         }
+        let geomean_speedup = (log_sum / kernels.len().max(1) as f64).exp();
         RunManifest {
             schema_version: TELEMETRY_SCHEMA_VERSION,
             gpu: gpu.into(),
@@ -412,7 +415,6 @@ mod tests {
             7,
             4,
             vec![kernel("a", true), kernel("b", false)],
-            1.25,
         );
         assert_eq!(manifest.schema_version, TELEMETRY_SCHEMA_VERSION);
         assert_eq!(manifest.verified, 1);
@@ -430,8 +432,8 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        let a = RunManifest::new("a100", "table2", "greedy", 0, 1, Vec::new(), 1.0);
-        let b = RunManifest::new("a100", "attention", "greedy", 0, 1, Vec::new(), 1.0);
+        let a = RunManifest::new("a100", "table2", "greedy", 0, 1, Vec::new());
+        let b = RunManifest::new("a100", "attention", "greedy", 0, 1, Vec::new());
         persist_run_manifest(&UnsyncedIo, &dir, &a).unwrap();
         persist_run_manifest(&UnsyncedIo, &dir, &b).unwrap();
         let load = |gpu, suite| load_run_manifest_checked(&dir, gpu, suite).unwrap();
@@ -453,7 +455,7 @@ mod tests {
     fn persisted_manifests_are_sealed_and_verified() {
         let dir = seal_test_dir("roundtrip");
         let _ = std::fs::remove_dir_all(&dir);
-        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new());
         persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
         // The seal is on disk, around the manifest's one serialisation…
         let raw = std::fs::read_to_string(telemetry_path(&dir, "a100", "service")).unwrap();
@@ -479,7 +481,7 @@ mod tests {
         let dir = seal_test_dir("skew");
         let _ = std::fs::remove_dir_all(&dir);
         // A later build's manifest: sealed under another schema version.
-        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new());
         seal(
             &UnsyncedIo,
             &telemetry_path(&dir, "a100", "service"),
@@ -523,7 +525,6 @@ mod tests {
                             seed as u64,
                             1,
                             Vec::new(),
-                            1.0,
                         );
                         start.wait();
                         (0..16).try_for_each(|_| persist_run_manifest(&UnsyncedIo, dir, &manifest))
@@ -557,7 +558,7 @@ mod tests {
         let dir = seal_test_dir("legacy");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new());
         let bare = serde_json::to_string_pretty(&manifest).unwrap();
         // What older builds wrote: the bare manifest, and the
         // `seal_version` 1 envelope around it. Neither is answered.
@@ -583,7 +584,7 @@ mod tests {
         let dir = seal_test_dir("damage");
         let _ = std::fs::remove_dir_all(&dir);
         let path = telemetry_path(&dir, "a100", "service");
-        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new());
         persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
         let sealed = std::fs::read_to_string(&path).unwrap();
 
@@ -618,7 +619,7 @@ mod tests {
 
         // One byte that is not UTF-8 in the body: damage in place, not
         // absence.
-        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        let manifest = RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new());
         persist_run_manifest(&UnsyncedIo, &dir, &manifest).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let middle = bytes.len() / 2;

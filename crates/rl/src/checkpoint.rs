@@ -3,53 +3,52 @@
 //! A [`Checkpoint`] is the [`PpoTrainer`] itself plus the environment's
 //! opaque state bytes: everything a training run needs to continue
 //! *bit-identically* after a process restart. The trainer part is the
-//! [`crate::PpoConfig`], the update counter, the accumulated
-//! [`crate::TrainingStats`], the policy's `ConvEncoder`/`Linear` weights,
-//! its three Adam optimizers, its action-sampling RNG, and the observation
-//! the next action would be conditioned on. Decoding builds those types
-//! directly, so every shape check runs inside [`Checkpoint::from_bytes`].
-//! The resume-equals-uninterrupted contract is enforced by
-//! `crates/rl/tests/checkpoint.rs`, mirroring the `jobs=N ≡ jobs=1`
-//! determinism contract of the suite optimizer.
+//! [`crate::PpoConfig`], the update counter, the per-update
+//! [`crate::TrainingStats`] series, the policy's `ConvEncoder`/`Linear`
+//! weights, the moments of its three Adam optimizers, its action-sampling
+//! RNG, and the observation the next action would be conditioned on.
+//! Decoding builds those types directly, so every shape check runs inside
+//! [`Checkpoint::from_bytes`]. The resume-equals-uninterrupted contract is
+//! enforced by `crates/rl/tests/checkpoint.rs`, mirroring the
+//! `jobs=N ≡ jobs=1` determinism contract of the suite optimizer.
 //!
-//! # On-disk format (version 2)
+//! # On-disk format (version 3)
 //!
-//! Little-endian throughout; `f32` values are stored as their IEEE-754 bit
-//! patterns so round-trips are exact. Vectors are a `u64` length followed by
-//! the elements; lengths are validated against the remaining input before
-//! any allocation.
+//! The file is the [`artifact::sealed`] envelope every rebuildable family
+//! shares (version [`CHECKPOINT_VERSION`], body length, FNV-1a-64 of the
+//! body), so a cut anywhere reads [`ArtifactError::Torn`] and damage inside
+//! the body fails the checksum. The body is binary: little-endian
+//! throughout, `f32` values stored as their IEEE-754 bit patterns so
+//! round-trips are exact, vectors a `u64` length followed by the elements
+//! (lengths are validated against the remaining input before any
+//! allocation).
 //!
 //! ```text
-//! magic    8 bytes  b"CASRLCKP"
-//! version  u32      2
-//! body     PpoConfig, completed_updates, TrainingStats, policy,
-//!          pending observation, env state bytes
-//! trailer  u64      FNV-1a-64 checksum of every preceding byte
+//! body     PpoConfig, completed_updates, the five TrainingStats series,
+//!          policy, pending observation, env state bytes
 //! ```
 //!
-//! Corrupted, truncated or wrong-version inputs are rejected with a typed
-//! [`ArtifactError`] — never a panic, including a shape whose product
-//! overflows behind a valid checksum. The step counters must be the ones
-//! the completed updates leave, so a forged counter cannot overflow on the
-//! next update. The format has no length field, so
-//! a file cut after its header fails the trailer checksum: only a cut
-//! inside the 20-byte header-plus-trailer reads [`ArtifactError::Torn`].
+//! The body stores only what training cannot recompute. The env step
+//! count, each Adam's step count and learning rate, and the encoder's
+//! channels and window follow from the config and `completed_updates`
+//! ([`PpoConfig::step_counts`], [`PpoConfig::learning_rate_of`]) and are
+//! derived on decode. A config or update count whose counters would
+//! overflow before the scheduled run ends is [`ArtifactError::Corrupt`], as
+//! is every shape lie behind a valid checksum: nothing a decoded trainer
+//! does next can overflow or panic.
 
 use std::fmt;
 use std::path::Path;
 
-use artifact::{fnv1a64, fnv1a64_hex, publish_atomic, ArtifactError, StoreIo};
+use artifact::{ArtifactError, StoreIo};
 use nn::{Adam, ConvEncoder, Linear, Matrix};
 use rand_chacha::{ChaCha8Rng, ChaChaState};
 
 use crate::policy::ActorCritic;
 use crate::ppo::{PpoConfig, PpoTrainer, TrainingStats};
 
-/// The 8-byte magic prefix of every checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CASRLCKP";
-
-/// The current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// The current checkpoint format version (the seal's family version).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be taken, saved, resumed from or applied:
 /// file damage is an [`ArtifactError`], the rest is about the environment.
@@ -115,10 +114,10 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint into the version-2 binary format.
+    /// Serializes the checkpoint: its version-3 body, sealed.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode(&self.trainer, &self.env_state)
+        artifact::sealed(CHECKPOINT_VERSION, &encode(&self.trainer, &self.env_state))
     }
 
     /// Decodes a checkpoint from bytes; errors name the file
@@ -126,59 +125,41 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ArtifactError`]: `Torn` when the bytes end inside
-    /// the header, `Corrupt` on bad magic or any structural inconsistency
-    /// (a weight, moment or observation whose length disagrees with the
-    /// declared shape included), `UnsupportedVersion` and
-    /// `ChecksumMismatch` by name. Never panics on hostile input.
+    /// Returns a typed [`ArtifactError`]: every error of [`artifact::open`]
+    /// (`Torn` for a cut anywhere, `UnsupportedVersion` for another version
+    /// or bytes that are not sealed, such as a version-2 file), then
+    /// `Corrupt` for any structural inconsistency of the body (a weight,
+    /// moment or observation whose length disagrees with the declared
+    /// shape, or counters that overflow). Never panics on hostile input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
         Self::decode(Path::new(IN_MEMORY), bytes)
     }
 
     fn decode(path: &Path, bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let magic = CHECKPOINT_MAGIC.len().min(bytes.len());
-        if bytes[..magic] != CHECKPOINT_MAGIC[..magic] {
-            return Err(ArtifactError::Corrupt {
-                path: path.to_path_buf(),
-                detail: "not a checkpoint (bad magic)".to_string(),
-            });
-        }
-        if bytes.len() < CHECKPOINT_MAGIC.len() + 4 + 8 {
-            return Err(ArtifactError::Torn {
-                path: path.to_path_buf(),
-                detail: format!("{} bytes end inside the header", bytes.len()),
-            });
-        }
-        let (content, trailer) = bytes.split_at(bytes.len() - 8);
-        let mut checksum_bytes = [0u8; 8];
-        checksum_bytes.copy_from_slice(trailer);
-        let recorded = u64::from_le_bytes(checksum_bytes);
-        if fnv1a64(content) != recorded {
-            return Err(ArtifactError::ChecksumMismatch {
-                path: path.to_path_buf(),
-                recorded: format!("{recorded:016x}"),
-                computed: fnv1a64_hex(content),
-            });
-        }
-        let mut r = Reader::new(path, &content[CHECKPOINT_MAGIC.len()..]);
-        let version = r.u32()?;
-        if version != CHECKPOINT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                path: path.to_path_buf(),
-                found: version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
+        let mut r = Reader::new(path, artifact::open(path, bytes, CHECKPOINT_VERSION)?);
         let config = decode_config(&mut r)?;
         let completed_updates = r.usize()?;
-        let stats = decode_stats(&mut r)?;
-        let adam_steps = adam_steps(&config, completed_updates, stats.steps).ok_or_else(|| {
-            r.corrupt(format!(
-                "{} env steps do not follow from {completed_updates} updates",
-                stats.steps
-            ))
-        })?;
-        let policy = decode_policy(&mut r, adam_steps)?;
+        // The counters must fit up to the last update of the scheduled run,
+        // not only those of the updates behind it; fitting there, they fit
+        // here.
+        let (steps, adam_steps) = config
+            .step_counts(completed_updates.max(config.total_updates()))
+            .and(config.step_counts(completed_updates))
+            .ok_or_else(|| {
+                r.corrupt(format!(
+                    "{completed_updates} updates overflow a step counter"
+                ))
+            })?;
+        let stats = TrainingStats {
+            steps,
+            episodic_returns: r.f32_vec()?,
+            approx_kl: r.f32_vec()?,
+            entropy: r.f32_vec()?,
+            policy_loss: r.f32_vec()?,
+            value_loss: r.f32_vec()?,
+        };
+        let learning_rate = config.learning_rate_of(completed_updates.saturating_sub(1));
+        let policy = decode_policy(&mut r, &config, learning_rate, adam_steps)?;
         let pending_observation = match r.u8()? {
             0 => None,
             1 => Some(decode_observation(&mut r, policy.encoder.input_features())?),
@@ -201,7 +182,7 @@ impl Checkpoint {
     }
 
     /// Writes the checkpoint to a file through `io`, atomically
-    /// ([`artifact::publish_atomic`]): a kill mid-save leaves the previous
+    /// ([`artifact::seal_bytes`]): a kill mid-save leaves the previous
     /// checkpoint, and concurrent saves of one path each stage their own
     /// file.
     ///
@@ -209,7 +190,7 @@ impl Checkpoint {
     ///
     /// Returns [`ArtifactError::Io`] when the file cannot be written.
     pub fn write(&self, io: &dyn StoreIo, path: &Path) -> Result<(), ArtifactError> {
-        publish(io, path, &self.to_bytes())
+        write(io, path, &self.trainer, &self.env_state)
     }
 
     /// Reads and decodes a checkpoint file.
@@ -224,16 +205,34 @@ impl Checkpoint {
     }
 }
 
-/// Encodes `trainer` and `env_state` in the checkpoint format, reading the
-/// trainer in place: [`PpoTrainer::save_checkpoint`] copies nothing but the
-/// bytes.
-pub(crate) fn encode(trainer: &PpoTrainer, env_state: &[u8]) -> Vec<u8> {
+/// Publishes the checkpoint of `trainer` and `env_state` at `path` (see
+/// [`Checkpoint::write`]), reading the trainer in place:
+/// [`PpoTrainer::save_checkpoint`] copies nothing but the bytes.
+pub(crate) fn write(
+    io: &dyn StoreIo,
+    path: &Path,
+    trainer: &PpoTrainer,
+    env_state: &[u8],
+) -> Result<(), ArtifactError> {
+    let body = encode(trainer, env_state);
+    artifact::seal_bytes(io, path, CHECKPOINT_VERSION, &body).map_err(ArtifactError::Io)
+}
+
+/// The version-3 body of `trainer` and `env_state`.
+fn encode(trainer: &PpoTrainer, env_state: &[u8]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.bytes(&CHECKPOINT_MAGIC);
-    w.u32(CHECKPOINT_VERSION);
     encode_config(&mut w, &trainer.config);
     w.u64(trainer.completed_updates as u64);
-    encode_stats(&mut w, &trainer.stats);
+    let stats = &trainer.stats;
+    for series in [
+        &stats.episodic_returns,
+        &stats.approx_kl,
+        &stats.entropy,
+        &stats.policy_loss,
+        &stats.value_loss,
+    ] {
+        w.f32_vec(series);
+    }
     encode_policy(&mut w, &trainer.policy);
     match &trainer.pending_observation {
         Some(obs) => {
@@ -245,17 +244,7 @@ pub(crate) fn encode(trainer: &PpoTrainer, env_state: &[u8]) -> Vec<u8> {
         None => w.u8(0),
     }
     w.byte_vec(env_state);
-    let checksum = fnv1a64(&w.buf);
-    w.u64(checksum);
     w.buf
-}
-
-/// Publishes checkpoint `bytes` at `path` (see [`Checkpoint::write`]).
-pub(crate) fn publish(io: &dyn StoreIo, path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    publish_atomic(io, path, bytes).map_err(ArtifactError::Io)
 }
 
 fn encode_config(w: &mut Writer, config: &PpoConfig) {
@@ -299,30 +288,8 @@ fn decode_config(r: &mut Reader<'_>) -> Result<PpoConfig, ArtifactError> {
     Ok(config)
 }
 
-fn encode_stats(w: &mut Writer, stats: &TrainingStats) {
-    w.u64(stats.steps as u64);
-    w.f32_vec(&stats.episodic_returns);
-    w.f32_vec(&stats.approx_kl);
-    w.f32_vec(&stats.entropy);
-    w.f32_vec(&stats.policy_loss);
-    w.f32_vec(&stats.value_loss);
-}
-
-fn decode_stats(r: &mut Reader<'_>) -> Result<TrainingStats, ArtifactError> {
-    Ok(TrainingStats {
-        steps: r.usize()?,
-        episodic_returns: r.f32_vec()?,
-        approx_kl: r.f32_vec()?,
-        entropy: r.f32_vec()?,
-        policy_loss: r.f32_vec()?,
-        value_loss: r.f32_vec()?,
-    })
-}
-
 fn encode_policy(w: &mut Writer, policy: &ActorCritic) {
     w.u64(policy.encoder.input_features() as u64);
-    w.u64(policy.encoder.channels() as u64);
-    w.u64(policy.encoder.kernel_size() as u64);
     w.u64(policy.actor.out_features() as u64);
     for layer in [
         (policy.encoder.weight_values(), policy.encoder.bias_values()),
@@ -333,8 +300,6 @@ fn encode_policy(w: &mut Writer, policy: &ActorCritic) {
         w.f32_vec(layer.1);
     }
     for opt in [&policy.encoder_opt, &policy.actor_opt, &policy.critic_opt] {
-        w.f32(opt.learning_rate());
-        w.u64(opt.step_count());
         w.f32_vec(opt.first_moment());
         w.f32_vec(opt.second_moment());
     }
@@ -352,30 +317,16 @@ fn encode_policy(w: &mut Writer, policy: &ActorCritic) {
     w.u32(u32::try_from(rng.index).unwrap_or(u32::MAX));
 }
 
-/// The Adam step count `updates` completed updates leave on each of the
-/// policy's optimizers, or `None` when `env_steps` is not the env step
-/// count they leave or a count overflows: an update steps the env
-/// `rollout_steps` times, then makes `update_epochs` passes over the
-/// rollout in minibatches of `max(rollout_steps / minibatches, 1)`
-/// samples, one Adam step each (`PpoTrainer::update_policy`).
-fn adam_steps(config: &PpoConfig, updates: usize, env_steps: usize) -> Option<u64> {
-    let minibatch = (config.rollout_steps / config.minibatches.max(1)).max(1);
-    let per_update = config
-        .rollout_steps
-        .div_ceil(minibatch)
-        .checked_mul(config.update_epochs)?;
-    if updates.checked_mul(config.rollout_steps)? != env_steps {
-        return None;
-    }
-    u64::try_from(updates.checked_mul(per_update)?).ok()
-}
-
-/// Decodes the policy, whose three optimizers must each have taken
-/// `adam_steps` steps.
-fn decode_policy(r: &mut Reader<'_>, adam_steps: u64) -> Result<ActorCritic, ArtifactError> {
+/// Decodes the policy `config` shapes, whose three optimizers each hold
+/// `learning_rate` and have taken `adam_steps` steps.
+fn decode_policy(
+    r: &mut Reader<'_>,
+    config: &PpoConfig,
+    learning_rate: f32,
+    adam_steps: u64,
+) -> Result<ActorCritic, ArtifactError> {
+    let (channels, kernel) = (config.channels, config.kernel);
     let features = r.usize()?;
-    let channels = r.usize()?;
-    let kernel = r.usize()?;
     let n_actions = r.usize()?;
     let encoder = ConvEncoder::from_parts(channels, kernel, features, r.f32_vec()?, r.f32_vec()?)
         .ok_or_else(|| r.corrupt("encoder weight shape mismatch".into()))?;
@@ -383,9 +334,17 @@ fn decode_policy(r: &mut Reader<'_>, adam_steps: u64) -> Result<ActorCritic, Art
         .ok_or_else(|| r.corrupt("actor weight shape mismatch".into()))?;
     let critic = Linear::from_parts(channels, 1, r.f32_vec()?, r.f32_vec()?)
         .ok_or_else(|| r.corrupt("critic weight shape mismatch".into()))?;
-    let encoder_opt = decode_adam(r, encoder.parameter_count(), "encoder", adam_steps)?;
-    let actor_opt = decode_adam(r, actor.parameter_count(), "actor", adam_steps)?;
-    let critic_opt = decode_adam(r, critic.parameter_count(), "critic", adam_steps)?;
+    let mut adam = |params: usize, layer: &str| -> Result<Adam, ArtifactError> {
+        let first_moment = r.f32_vec()?;
+        if first_moment.len() != params {
+            return Err(r.corrupt(format!("{layer} optimizer moment length mismatch")));
+        }
+        Adam::from_state(learning_rate, adam_steps, first_moment, r.f32_vec()?)
+            .ok_or_else(|| r.corrupt(format!("{layer} optimizer moment vectors disagree")))
+    };
+    let encoder_opt = adam(encoder.parameter_count(), "encoder")?;
+    let actor_opt = adam(actor.parameter_count(), "actor")?;
+    let critic_opt = adam(critic.parameter_count(), "critic")?;
     let mut key = [0u32; 8];
     for word in &mut key {
         *word = r.u32()?;
@@ -417,27 +376,6 @@ fn decode_policy(r: &mut Reader<'_>, adam_steps: u64) -> Result<ActorCritic, Art
     })
 }
 
-/// Decodes one Adam optimizer for a layer of `params` parameters that has
-/// taken `steps` steps.
-fn decode_adam(
-    r: &mut Reader<'_>,
-    params: usize,
-    layer: &str,
-    steps: u64,
-) -> Result<Adam, ArtifactError> {
-    let learning_rate = r.f32()?;
-    let step = r.u64()?;
-    if step != steps {
-        return Err(r.corrupt(format!("{layer} optimizer took {step} steps, not {steps}")));
-    }
-    let first_moment = r.f32_vec()?;
-    if first_moment.len() != params {
-        return Err(r.corrupt(format!("{layer} optimizer moment length mismatch")));
-    }
-    Adam::from_state(learning_rate, step, first_moment, r.f32_vec()?)
-        .ok_or_else(|| r.corrupt(format!("{layer} optimizer moment vectors disagree")))
-}
-
 /// Decodes a pending observation, which must be `features` wide.
 fn decode_observation(r: &mut Reader<'_>, features: usize) -> Result<Matrix, ArtifactError> {
     let rows = r.usize()?;
@@ -459,10 +397,6 @@ struct Writer {
 impl Writer {
     fn new() -> Self {
         Writer { buf: Vec::new() }
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
     }
 
     fn u8(&mut self, v: u8) {
@@ -490,7 +424,7 @@ impl Writer {
 
     fn byte_vec(&mut self, bytes: &[u8]) {
         self.u64(bytes.len() as u64);
-        self.bytes(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 }
 
@@ -512,11 +446,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn torn(&self) -> ArtifactError {
-        ArtifactError::Torn {
-            path: self.path.to_path_buf(),
-            detail: format!("content ends at offset {}", self.pos),
-        }
+    /// The seal fixed the body's length, so a body that ends early is
+    /// malformed, not cut.
+    fn short(&self) -> ArtifactError {
+        self.corrupt(format!("the body ends at offset {}", self.pos))
     }
 
     fn remaining(&self) -> usize {
@@ -525,7 +458,7 @@ impl<'a> Reader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ArtifactError> {
         if self.remaining() < n {
-            return Err(self.torn());
+            return Err(self.short());
         }
         let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -562,7 +495,7 @@ impl<'a> Reader<'a> {
     fn f32_vec(&mut self) -> Result<Vec<f32>, ArtifactError> {
         let len = self.usize()?;
         if len > self.remaining() / 4 {
-            return Err(self.torn());
+            return Err(self.short());
         }
         let mut values = Vec::with_capacity(len);
         for _ in 0..len {
@@ -624,24 +557,36 @@ mod tests {
         }
     }
 
+    /// The version-2 layout (magic, version, body, FNV trailer), like any
+    /// other bytes that do not begin as a seal, is version 0.
     #[test]
     fn bad_magic_is_rejected() {
-        let err = Checkpoint::from_bytes(b"not a checkpoint at all, sorry").unwrap_err();
-        assert!(matches!(err, ArtifactError::Corrupt { .. }), "{err}");
+        let mut v2 = b"CASRLCKP".to_vec();
+        v2.extend(2u32.to_le_bytes());
+        v2.extend([0u8; 64]);
+        for bytes in [v2.as_slice(), b"not a checkpoint at all, sorry"] {
+            let err = Checkpoint::from_bytes(bytes).unwrap_err();
+            assert!(
+                matches!(err, ArtifactError::UnsupportedVersion { found: 0, .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut bytes = sample_checkpoint().to_bytes();
-        // Bump the version field and re-seal the checksum so only the
-        // version is wrong.
-        bytes[8] = 99;
-        let content_len = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..content_len]);
-        bytes[content_len..].copy_from_slice(&checksum.to_le_bytes());
-        let err = Checkpoint::from_bytes(&bytes).unwrap_err();
+        let bytes = sample_checkpoint().to_bytes();
+        let body = artifact::open(Path::new(IN_MEMORY), &bytes, CHECKPOINT_VERSION).unwrap();
+        let err = Checkpoint::from_bytes(&artifact::sealed(99, body)).unwrap_err();
         assert!(
-            matches!(err, ArtifactError::UnsupportedVersion { found: 99, .. }),
+            matches!(
+                err,
+                ArtifactError::UnsupportedVersion {
+                    found: 99,
+                    supported: CHECKPOINT_VERSION,
+                    ..
+                }
+            ),
             "{err}"
         );
     }
@@ -652,12 +597,7 @@ mod tests {
         for len in 0..bytes.len() {
             let err = Checkpoint::from_bytes(&bytes[..len]).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    ArtifactError::Torn { .. }
-                        | ArtifactError::ChecksumMismatch { .. }
-                        | ArtifactError::Corrupt { .. }
-                ),
+                matches!(err, ArtifactError::Torn { .. }),
                 "prefix of {len} bytes gave {err}"
             );
         }
@@ -666,7 +606,8 @@ mod tests {
     #[test]
     fn flipped_bits_fail_the_checksum() {
         let bytes = sample_checkpoint().to_bytes();
-        for position in [9, bytes.len() / 2, bytes.len() - 9] {
+        let header = bytes.iter().position(|b| *b == b'\n').unwrap() + 1;
+        for position in [header, bytes.len() / 2, bytes.len() - 3] {
             let mut damaged = bytes.clone();
             damaged[position] ^= 0x40;
             let err = Checkpoint::from_bytes(&damaged).unwrap_err();
@@ -677,10 +618,46 @@ mod tests {
         }
     }
 
+    /// The counters and learning rates a checkpoint does not store decode
+    /// to the values training left, annealed or not.
+    #[test]
+    fn derived_counters_and_learning_rates_are_the_trained_ones() {
+        for anneal_lr in [false, true] {
+            let mut env = BanditEnv::new(8);
+            let config = PpoConfig {
+                anneal_lr,
+                ..PpoConfig::tiny()
+            };
+            let mut trainer = PpoTrainer::new(config, 3, 3);
+            for _ in 0..3 {
+                let decoded = Checkpoint::from_bytes(&trainer.checkpoint(&env).unwrap().to_bytes())
+                    .unwrap()
+                    .trainer;
+                assert_eq!(decoded.stats.steps, trainer.stats.steps);
+                for (ours, theirs) in [
+                    (&decoded.policy.encoder_opt, &trainer.policy.encoder_opt),
+                    (&decoded.policy.actor_opt, &trainer.policy.actor_opt),
+                    (&decoded.policy.critic_opt, &trainer.policy.critic_opt),
+                ] {
+                    assert_eq!(ours.step_count(), theirs.step_count());
+                    assert_eq!(
+                        ours.learning_rate().to_bits(),
+                        theirs.learning_rate().to_bits()
+                    );
+                }
+                trainer.train_updates(&mut env, 1);
+            }
+        }
+    }
+
     #[test]
     fn garbage_bytes_error_cleanly() {
-        let mut garbage = CHECKPOINT_MAGIC.to_vec();
-        garbage.extend((0u16..4096).map(|i| (i % 251) as u8));
+        let mut garbage = artifact::sealed(CHECKPOINT_VERSION, b"");
+        assert!(Checkpoint::from_bytes(&garbage).is_err());
+        garbage = artifact::sealed(
+            CHECKPOINT_VERSION,
+            &(0u16..4096).map(|i| (i % 251) as u8).collect::<Vec<_>>(),
+        );
         assert!(Checkpoint::from_bytes(&garbage).is_err());
         assert!(Checkpoint::from_bytes(&[]).is_err());
         assert!(Checkpoint::from_bytes(&[0xFF; 64]).is_err());

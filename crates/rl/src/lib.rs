@@ -15,7 +15,7 @@
 //! Training runs are checkpointable: [`PpoTrainer::save_checkpoint`]
 //! serializes the trainer itself (policy weights, Adam moments, RNG stream,
 //! statistics) and the environment snapshot into a versioned binary
-//! [`Checkpoint`], and
+//! [`Checkpoint`] sealed like every other artifact, and
 //! [`PpoTrainer::resume_from`] continues the run bit-identically to one
 //! that was never interrupted — enforced by `tests/checkpoint.rs`.
 //!
@@ -51,7 +51,7 @@ mod ppo;
 
 pub use buffer::{Advantages, RolloutBuffer, Transition};
 pub use cancel::CancelToken;
-pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use env::{test_envs, Env, Step};
 pub use policy::{ActionSample, ActorCritic, Sample, UpdateConfig, UpdateStats};
 pub use ppo::{PpoConfig, PpoTrainer, TrainingStats};

@@ -246,9 +246,9 @@ mod tests {
     }
 
     /// The checkpoint bytes of a trainer holding `policy`: they store every
-    /// weight, Adam moment and RNG word bit for bit. The trainer's counters
-    /// agree with the policy's, as a checkpoint's must: one one-sample
-    /// update per Adam step.
+    /// weight, Adam moment and RNG word bit for bit. Decoding derives the
+    /// Adam step counts from the update count, so the trainer's agrees with
+    /// the policy's: one one-sample update per Adam step.
     fn checkpoint_of(policy: &ActorCritic) -> Vec<u8> {
         let config = PpoConfig {
             rollout_steps: 1,
@@ -259,7 +259,6 @@ mod tests {
         let mut trainer = PpoTrainer::new(config, 1, 1);
         *trainer.policy_mut() = policy.clone();
         trainer.completed_updates = policy.encoder_opt.step_count() as usize;
-        trainer.stats.steps = trainer.completed_updates;
         Checkpoint {
             trainer,
             env_state: Vec::new(),

@@ -89,6 +89,38 @@ impl PpoConfig {
             ..PpoConfig::default()
         }
     }
+
+    /// Number of policy updates the configuration schedules in total.
+    pub(crate) fn total_updates(&self) -> usize {
+        (self.total_steps / self.rollout_steps).max(1)
+    }
+
+    /// The learning rate of update `update` (counted from 0): linearly
+    /// annealed to a 5 % floor over the run when `anneal_lr` is set,
+    /// `learning_rate` otherwise.
+    pub(crate) fn learning_rate_of(&self, update: usize) -> f32 {
+        if !self.anneal_lr {
+            return self.learning_rate;
+        }
+        let frac = 1.0 - update as f32 / self.total_updates() as f32;
+        self.learning_rate * frac.max(0.05)
+    }
+
+    /// The env steps and the Adam steps of each optimizer that `updates`
+    /// completed updates leave, or `None` when one overflows: an update
+    /// steps the env `rollout_steps` times, then makes `update_epochs`
+    /// passes over the rollout in minibatches of `max(rollout_steps /
+    /// minibatches, 1)` samples, one Adam step each
+    /// ([`PpoTrainer::train_updates_until`]).
+    pub(crate) fn step_counts(&self, updates: usize) -> Option<(usize, u64)> {
+        let minibatch = (self.rollout_steps / self.minibatches.max(1)).max(1);
+        let per_update = self
+            .rollout_steps
+            .div_ceil(minibatch)
+            .checked_mul(self.update_epochs)?;
+        let adam_steps = u64::try_from(updates.checked_mul(per_update)?).ok()?;
+        Some((updates.checked_mul(self.rollout_steps)?, adam_steps))
+    }
 }
 
 /// Per-update training statistics, the time series plotted in Figures 8
@@ -188,7 +220,7 @@ impl PpoTrainer {
     /// Number of policy updates the configuration schedules in total.
     #[must_use]
     pub fn total_updates(&self) -> usize {
-        (self.config.total_steps / self.config.rollout_steps).max(1)
+        self.config.total_updates()
     }
 
     /// Number of policy updates completed so far.
@@ -248,7 +280,8 @@ impl PpoTrainer {
         let mut ran = 0;
         while self.completed_updates < total_updates && ran < max_updates && !cancel.is_cancelled()
         {
-            self.anneal(self.completed_updates, total_updates);
+            let learning_rate = self.config.learning_rate_of(self.completed_updates);
+            self.policy.set_learning_rate(learning_rate);
             let mut buffer = RolloutBuffer::new();
             while buffer.len() < self.config.rollout_steps {
                 let mask = env.action_mask();
@@ -290,14 +323,6 @@ impl PpoTrainer {
         }
         self.pending_observation = Some(observation);
         self.completed_updates >= total_updates
-    }
-
-    fn anneal(&mut self, update: usize, total_updates: usize) {
-        if self.config.anneal_lr {
-            let frac = 1.0 - update as f32 / total_updates as f32;
-            self.policy
-                .set_learning_rate(self.config.learning_rate * frac.max(0.05));
-        }
     }
 
     /// Normalizes advantages and runs the clipped-PPO epochs over
@@ -382,8 +407,8 @@ impl PpoTrainer {
     ///
     /// Propagates snapshot and I/O errors as [`CheckpointError`].
     pub fn save_checkpoint<E: Env>(&self, env: &E, path: &Path) -> Result<(), CheckpointError> {
-        let bytes = checkpoint::encode(self, &env_state(env)?);
-        checkpoint::publish(&UnsyncedIo, path, &bytes).map_err(CheckpointError::Artifact)
+        checkpoint::write(&UnsyncedIo, path, self, &env_state(env)?)
+            .map_err(CheckpointError::Artifact)
     }
 
     /// Rebuilds a trainer from a checkpoint and restores the environment's

@@ -5,7 +5,9 @@
 
 use artifact::ArtifactError;
 use rl::test_envs::BanditEnv;
-use rl::{Checkpoint, CheckpointError, Env, PpoConfig, PpoTrainer, CHECKPOINT_MAGIC};
+use std::path::Path;
+
+use rl::{Checkpoint, CheckpointError, Env, PpoConfig, PpoTrainer, CHECKPOINT_VERSION};
 
 fn config() -> PpoConfig {
     PpoConfig {
@@ -26,26 +28,34 @@ fn checkpoint_bytes(trainer: &PpoTrainer, env: &BanditEnv) -> Vec<u8> {
         .to_bytes()
 }
 
-/// Recomputes the FNV trailer so that only a body edit is wrong.
-fn reseal(bytes: &mut [u8]) {
-    let content_len = bytes.len() - 8;
-    let checksum = artifact::fnv1a64(&bytes[..content_len]);
-    bytes[content_len..].copy_from_slice(&checksum.to_le_bytes());
+/// The body of sealed checkpoint `bytes`.
+fn body_of(bytes: &[u8]) -> Vec<u8> {
+    artifact::open(Path::new("checkpoint"), bytes, CHECKPOINT_VERSION)
+        .expect("a sealed checkpoint")
+        .to_vec()
 }
 
-/// The offset of the encoder's `kernel` in a checkpoint of a
-/// `config()` policy on a bandit: the third of the four `u64` dimensions
-/// (features, channels, kernel, actions) that open the policy.
-fn kernel_offset(bytes: &[u8]) -> usize {
-    let dims: Vec<u8> = [3u64, 8, 3, 3]
-        .iter()
-        .flat_map(|d| d.to_le_bytes())
-        .collect();
-    let policy = bytes
-        .windows(dims.len())
-        .position(|window| window == dims.as_slice())
-        .expect("the policy's dimensions");
-    policy + 16
+/// `bytes` with its body edited by `edit` and sealed again, so that only
+/// the body edit is wrong.
+fn forged(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut body = body_of(bytes);
+    edit(&mut body);
+    artifact::sealed(CHECKPOINT_VERSION, &body)
+}
+
+/// Body offsets of the `u64` fields of the config, which opens the body
+/// after the learning rate, the anneal flag and five `f32`s (25 bytes),
+/// and of `completed_updates`, which follows it.
+const ROLLOUT_STEPS: usize = 25;
+const MINIBATCHES: usize = 33;
+const UPDATE_EPOCHS: usize = 41;
+const TOTAL_STEPS: usize = 49;
+const KERNEL: usize = 65;
+const COMPLETED_UPDATES: usize = 81;
+
+/// Writes `value` into the `u64` field of `body` at `at`.
+fn put_u64(body: &mut [u8], at: usize, value: u64) {
+    body[at..at + 8].copy_from_slice(&value.to_le_bytes());
 }
 
 fn temp_path(label: &str) -> std::path::PathBuf {
@@ -117,7 +127,8 @@ fn resume_from_or_new_cold_starts_resumes_and_propagates_corruption() {
     // A present-but-damaged checkpoint is a typed error, not a silent
     // cold start: the caller decides whether to discard it.
     let mut bytes = std::fs::read(&path).expect("read checkpoint");
-    let last = bytes.len() - 1;
+    // The body's last byte: the seal's `}` and newline follow it.
+    let last = bytes.len() - 3;
     bytes[last] ^= 0x01;
     std::fs::write(&path, &bytes).expect("corrupt checkpoint");
     let mut env3 = BanditEnv::new(8);
@@ -154,36 +165,36 @@ fn hostile_checkpoints_are_rejected_with_typed_errors_not_panics() {
         let garbage: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
         assert!(Checkpoint::from_bytes(&garbage).is_err(), "len {len}");
     }
-    // Not-a-checkpoint magic.
+    // Bytes that are not sealed are version 0.
     assert!(matches!(
         Checkpoint::from_bytes(b"definitely not a checkpoint file"),
-        Err(artifact::ArtifactError::Corrupt { .. })
+        Err(ArtifactError::UnsupportedVersion { found: 0, .. })
     ));
-    // Every possible truncation of a real checkpoint.
+    // Every possible truncation of a real checkpoint is torn.
     for len in 0..good.len() {
         assert!(
-            Checkpoint::from_bytes(&good[..len]).is_err(),
+            matches!(
+                Checkpoint::from_bytes(&good[..len]),
+                Err(ArtifactError::Torn { .. })
+            ),
             "prefix {len}"
         );
     }
-    // Bit flips anywhere in the content fail the checksum.
-    for position in (9..good.len() - 8).step_by(97) {
+    // Bit flips anywhere in the body fail the checksum.
+    let body_start = good.len() - body_of(&good).len() - 2;
+    for position in (body_start..good.len() - 2).step_by(97) {
         let mut damaged = good.clone();
         damaged[position] ^= 0x10;
         assert!(matches!(
             Checkpoint::from_bytes(&damaged),
-            Err(artifact::ArtifactError::ChecksumMismatch { .. })
+            Err(ArtifactError::ChecksumMismatch { .. })
         ));
     }
     // A wrong version is named in the error.
-    let mut wrong_version = good.clone();
-    wrong_version[8] = 42;
-    let content_len = wrong_version.len() - 8;
-    let hash = artifact::fnv1a64(&wrong_version[..content_len]);
-    wrong_version[content_len..].copy_from_slice(&hash.to_le_bytes());
+    let wrong_version = artifact::sealed(42, &body_of(&good));
     assert!(matches!(
         Checkpoint::from_bytes(&wrong_version),
-        Err(artifact::ArtifactError::UnsupportedVersion { found: 42, .. })
+        Err(ArtifactError::UnsupportedVersion { found: 42, .. })
     ));
 }
 
@@ -203,8 +214,8 @@ fn resume_refuses_mismatched_environments() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A checkpoint whose checksum verifies but whose encoder `kernel` makes
-/// the weight count overflow is `Corrupt`, and resuming from it is a typed
+/// A checkpoint whose checksum verifies but whose config's encoder `kernel`
+/// makes the weight count overflow is `Corrupt`, and resuming from it is a typed
 /// error, not an "attempt to multiply with overflow".
 #[test]
 fn a_kernel_whose_weight_count_overflows_is_corrupt_not_a_panic() {
@@ -212,10 +223,14 @@ fn a_kernel_whose_weight_count_overflows_is_corrupt_not_a_panic() {
     let mut env = BanditEnv::new(8);
     let mut trainer = PpoTrainer::new(config(), 3, 3);
     trainer.train_updates(&mut env, 1);
-    let mut forged = checkpoint_bytes(&trainer, &env);
-    let at = kernel_offset(&forged);
-    forged[at..at + 8].copy_from_slice(&(usize::MAX as u64 / 2 + 1).to_le_bytes());
-    reseal(&mut forged);
+    let forged = forged(&checkpoint_bytes(&trainer, &env), |body| {
+        assert_eq!(
+            body[KERNEL..KERNEL + 8],
+            3u64.to_le_bytes(),
+            "the encoder window"
+        );
+        put_u64(body, KERNEL, usize::MAX as u64 / 2 + 1);
+    });
     assert!(matches!(
         Checkpoint::from_bytes(&forged),
         Err(ArtifactError::Corrupt { .. })
@@ -228,47 +243,45 @@ fn a_kernel_whose_weight_count_overflows_is_corrupt_not_a_panic() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The offsets at which `pattern` occurs in `bytes`.
-fn offsets_of(bytes: &[u8], pattern: &[u8]) -> Vec<usize> {
-    (0..=bytes.len() - pattern.len())
-        .filter(|&at| bytes[at..].starts_with(pattern))
-        .collect()
-}
-
-/// A step counter forged to its type's maximum behind a re-sealed trailer
-/// is `Corrupt`: each of the three Adam step counts, and the env step count.
-/// Otherwise the first update after resuming would overflow it.
+/// A checkpoint whose update count or config makes a derived step counter
+/// overflow is `Corrupt`, not a resume whose next update overflows: an
+/// update count whose env steps overflow, and a config whose scheduled run
+/// would take the Adam step counts past `u64::MAX` in its next update
+/// (one env step and four Adam steps per update, `u64::MAX / 4` updates
+/// behind it, `usize::MAX` env steps scheduled).
 #[test]
-fn a_forged_step_counter_is_corrupt_not_an_overflow() {
+fn a_forged_update_count_whose_counters_overflow_is_corrupt() {
     let mut env = BanditEnv::new(8);
     let mut trainer = PpoTrainer::new(config(), 3, 3);
     trainer.train_updates(&mut env, 1);
     let good = checkpoint_bytes(&trainer, &env);
-    // One update of `config()`: 32 env steps, then 4 epochs of 4
-    // minibatches of 8 samples, one Adam step each.
-    assert_eq!(trainer.stats().steps, 32);
-    let adam: Vec<u8> = [1e-2f32.to_le_bytes().as_slice(), &16u64.to_le_bytes()].concat();
-    let adams: Vec<usize> = offsets_of(&good, &adam).iter().map(|at| at + 4).collect();
-    assert_eq!(adams.len(), 3, "encoder, actor and critic");
-    let counters: Vec<u8> = [1u64, 32].iter().flat_map(|c| c.to_le_bytes()).collect();
-    let env_steps = offsets_of(&good, &counters);
-    assert_eq!(env_steps.len(), 1, "completed updates, then env steps");
-    for at in adams.into_iter().chain(env_steps.iter().map(|at| at + 8)) {
-        let mut forged = good.clone();
-        forged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        reseal(&mut forged);
+    assert_eq!(
+        body_of(&good)[COMPLETED_UPDATES..COMPLETED_UPDATES + 8],
+        1u64.to_le_bytes()
+    );
+    let forgeries: [fn(&mut Vec<u8>); 2] = [
+        |body| put_u64(body, COMPLETED_UPDATES, u64::MAX),
+        |body| {
+            put_u64(body, ROLLOUT_STEPS, 1);
+            put_u64(body, MINIBATCHES, 1);
+            put_u64(body, UPDATE_EPOCHS, 4);
+            put_u64(body, TOTAL_STEPS, u64::MAX);
+            put_u64(body, COMPLETED_UPDATES, u64::MAX / 4);
+        },
+    ];
+    for (index, forgery) in forgeries.into_iter().enumerate() {
         assert!(
             matches!(
-                Checkpoint::from_bytes(&forged),
+                Checkpoint::from_bytes(&forged(&good, forgery)),
                 Err(ArtifactError::Corrupt { .. })
             ),
-            "a counter at byte {at}"
+            "forgery {index}"
         );
     }
 }
 
 /// Every body byte of a real checkpoint, flipped by `0x01`, `0x80` and
-/// `0xFF` behind a re-sealed trailer, decodes or fails typed, and a
+/// `0xFF` and sealed again, decodes or fails typed, and a
 /// decoded one resumes or fails typed: the parser behind a valid checksum
 /// never panics.
 #[test]
@@ -277,13 +290,10 @@ fn every_body_byte_flip_behind_a_valid_checksum_errors_or_resumes_without_panick
     let mut trainer = PpoTrainer::new(config(), 3, 3);
     trainer.train_updates(&mut env, 2);
     let good = checkpoint_bytes(&trainer, &env);
-    let body = CHECKPOINT_MAGIC.len() + 4..good.len() - 8;
     let mut decoded = 0;
-    for position in body {
+    for position in 0..body_of(&good).len() {
         for flip in [0x01u8, 0x80, 0xFF] {
-            let mut forged = good.clone();
-            forged[position] ^= flip;
-            reseal(&mut forged);
+            let forged = forged(&good, |body| body[position] ^= flip);
             let outcome = std::panic::catch_unwind(|| -> Result<(), ArtifactError> {
                 let checkpoint = Checkpoint::from_bytes(&forged)?;
                 let _ = PpoTrainer::resume_from_checkpoint(&checkpoint, &mut BanditEnv::new(8));

@@ -252,11 +252,24 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
             continue;
         }
         if name.ends_with(".ckpt") {
-            classify_checkpoint(&mut walk, &name, &path);
+            // A bad checkpoint only costs a cold restart of that search;
+            // quarantining it is the whole repair.
+            let read = rl::Checkpoint::read(&path)
+                .map(|_| Some("training checkpoint verified".to_string()));
+            classify(&mut walk, &name, read);
+            continue;
+        }
+        if cuasmrl::is_deploy_record_file(&name) {
+            let read = cuasmrl::read_deploy_record(&path).map(|report| {
+                report.map(|report| format!("deploy record of {} verified", report.kernel))
+            });
+            classify(&mut walk, &name, read);
             continue;
         }
         if name.ends_with(".json") {
-            classify_entry(&mut walk, &name, &path);
+            let read = ScheduleStore::decode_entry(&path)
+                .map(|entry| Some(format!("checksum {} verified", entry.checksum)));
+            classify(&mut walk, &name, read);
             continue;
         }
         // Unknown file families are reported, never touched.
@@ -271,13 +284,16 @@ pub fn fsck(dir: &Path, repair: bool) -> io::Result<FsckReport> {
     Ok(walk.report)
 }
 
-/// Classifies one store entry file.
-fn classify_entry(walk: &mut Walk<'_>, name: &str, path: &Path) {
-    match ScheduleStore::decode_entry(path) {
-        Ok(entry) => walk.record(
+/// Records `name`'s verdict from its family reader's answer: a
+/// description of the file it verified, `None` when the file raced away,
+/// or the damage it found.
+fn classify(walk: &mut Walk<'_>, name: &str, read: Result<Option<String>, ArtifactError>) {
+    match read {
+        Ok(Some(detail)) => walk.record(name.to_string(), EntryVerdict::Ok, detail, String::new()),
+        Ok(None) => walk.record(
             name.to_string(),
             EntryVerdict::Ok,
-            format!("checksum {} verified", entry.checksum),
+            "absent (raced away)".to_string(),
             String::new(),
         ),
         Err(err) => walk.record_damage(name, &err),
@@ -303,31 +319,7 @@ fn classify_keyed(
         );
         return;
     };
-    match read(gpu, suite) {
-        Ok(Some(detail)) => walk.record(name.to_string(), EntryVerdict::Ok, detail, String::new()),
-        Ok(None) => walk.record(
-            name.to_string(),
-            EntryVerdict::Ok,
-            "absent (raced away)".to_string(),
-            String::new(),
-        ),
-        Err(err) => walk.record_damage(name, &err),
-    }
-}
-
-/// Classifies one RL training checkpoint (`{stem}.ckpt`).
-fn classify_checkpoint(walk: &mut Walk<'_>, name: &str, path: &Path) {
-    match rl::Checkpoint::read(path) {
-        Ok(_) => walk.record(
-            name.to_string(),
-            EntryVerdict::Ok,
-            "training checkpoint verified".to_string(),
-            String::new(),
-        ),
-        // A bad checkpoint only costs a cold restart of that search;
-        // quarantining it is the whole repair.
-        Err(err) => walk.record_damage(name, &err),
-    }
+    classify(walk, name, read(gpu, suite));
 }
 
 #[cfg(test)]
@@ -544,6 +536,90 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The file name and bytes of a deploy record answering with `report`,
+    /// published in a directory of its own.
+    fn deploy_record_of(report: &cuasmrl::OptimizationReport) -> (String, Vec<u8>) {
+        let dir = temp_dir("deploy-record");
+        let _ = std::fs::remove_dir_all(&dir);
+        let space = kernels::ConfigSpace::small();
+        cuasmrl::CuAsmRl::new(
+            gpusim::GpuConfig::small(),
+            cuasmrl::Strategy::Greedy { max_moves: 1 },
+        )
+        .with_cache_dir(&dir)
+        .deploy_key(
+            &kernels::KernelSpec::scaled(kernels::KernelKind::Softmax, 16),
+            &space,
+            &gpusim::MeasureOptions::default(),
+        )
+        .unwrap()
+        .publish(&artifact::UnsyncedIo, space.candidates[0], report)
+        .unwrap();
+        let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
+        let file = entry.file_name().to_string_lossy().into_owned();
+        let bytes = std::fs::read(entry.path()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (file, bytes)
+    }
+
+    /// The deploy records, suite report and manifest a real suite pass
+    /// leaves in its cache directory are `ok`, and repair moves none of
+    /// them; a record copied onto another key's file answers that key with
+    /// another key's answer, so it reads `corrupt`.
+    #[test]
+    fn a_suite_pass_cache_dir_is_healthy_and_a_record_on_another_keys_file_is_corrupt() {
+        let dir = temp_dir("suite-pass");
+        let _ = std::fs::remove_dir_all(&dir);
+        let measure = gpusim::MeasureOptions {
+            warmup: 0,
+            repeats: 2,
+            noise_std: 0.0,
+            seed: 0,
+        };
+        let specs = [
+            kernels::KernelSpec::scaled(kernels::KernelKind::Softmax, 16),
+            kernels::KernelSpec::scaled(kernels::KernelKind::Rmsnorm, 16),
+        ];
+        let (suite, _manifest) = cuasmrl::SuiteOptimizer::new(
+            gpusim::GpuConfig::small(),
+            cuasmrl::Strategy::Greedy { max_moves: 2 },
+        )
+        .with_tune_options(measure.clone())
+        .with_config_space(kernels::ConfigSpace::small())
+        .with_game_config(cuasmrl::GameConfig {
+            episode_length: 4,
+            measure,
+            ..cuasmrl::GameConfig::default()
+        })
+        .with_cache_dir(&dir)
+        .optimize_labeled_instrumented(&specs, "custom");
+        assert_eq!(suite.reports.len(), 2);
+        let records: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| cuasmrl::is_deploy_record_file(name))
+            .collect();
+        assert_eq!(records.len(), 2, "one record per kernel");
+
+        let dry = fsck(&dir, false).unwrap();
+        assert!(dry.healthy(), "{dry:?}");
+        assert_eq!(dry.ok, 4, "two records, the suite report and the manifest");
+        for record in &records {
+            let entry = dry.entries.iter().find(|e| &e.file == record).unwrap();
+            assert!(entry.detail.starts_with("deploy record of "), "{entry:?}");
+        }
+        let repaired = fsck(&dir, true).unwrap();
+        assert_eq!((repaired.ok, repaired.quarantined), (4, 0), "{repaired:?}");
+        assert!(!dir.join(QUARANTINE_DIR).exists());
+
+        std::fs::copy(dir.join(&records[0]), dir.join(&records[1])).unwrap();
+        let dry = fsck(&dir, false).unwrap();
+        assert_eq!((dry.ok, dry.corrupt), (3, 1), "{dry:?}");
+        let entry = dry.entries.iter().find(|e| e.file == records[1]).unwrap();
+        assert_eq!(entry.verdict, "corrupt", "{entry:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// fsck's verdict on the one file `file` of `dir` after writing
     /// `bytes` there.
     fn verdict_of(dir: &Path, file: &str, bytes: &[u8]) -> String {
@@ -557,11 +633,13 @@ mod tests {
         entry.verdict.clone()
     }
 
-    /// Every strict prefix of a sealed store entry, telemetry manifest or
-    /// suite report reads `torn` (the two seals decide it by the body
-    /// length they declare), and a 0xFF byte at any offset of the complete
-    /// file reads `corrupt` — a manifest or report that is not UTF-8
-    /// exists, so it is never `ok` as absent.
+    /// Every strict prefix of a store entry, telemetry manifest, suite
+    /// report, deploy record or training checkpoint reads `torn` (the seal
+    /// decides it by the body length it declares, the entry by its JSON),
+    /// and a 0xFF byte written over any other byte of the complete file
+    /// reads `corrupt` —
+    /// a sealed file that is not UTF-8 exists, so it is never `ok` as
+    /// absent.
     #[test]
     fn a_cut_file_is_torn_and_a_rotted_file_is_corrupt() {
         let dir = temp_dir("cut-and-rot");
@@ -576,7 +654,6 @@ mod tests {
             0,
             1,
             vec![cuasmrl::KernelTelemetry::cached(&entry.report)],
-            1.25,
         );
         cuasmrl::persist_run_manifest(&artifact::UnsyncedIo, &dir, &manifest).unwrap();
         let manifest_file = "a100_service_telemetry.json".to_string();
@@ -587,11 +664,22 @@ mod tests {
             .unwrap();
         let report_file = "a100_table2_suite.json".to_string();
         let report_bytes = std::fs::read(dir.join(&report_file)).unwrap();
+        let (record_file, record_bytes) = deploy_record_of(&entry.report);
+        let mut env = rl::test_envs::BanditEnv::new(8);
+        let mut trainer = rl::PpoTrainer::new(rl::PpoConfig::tiny(), 3, 3);
+        trainer.train_updates(&mut env, 1);
+        let checkpoint_bytes = trainer.checkpoint(&env).unwrap().to_bytes();
+        // Each family is swept alone in the directory.
+        for file in [&manifest_file, &report_file] {
+            std::fs::remove_file(dir.join(file)).unwrap();
+        }
 
         for (file, sealed) in [
             (entry_file, entry_bytes),
             (manifest_file, manifest_bytes),
             (report_file, report_bytes),
+            (record_file, record_bytes),
+            ("search.ckpt".to_string(), checkpoint_bytes),
         ] {
             assert_eq!(verdict_of(&dir, &file, &sealed), "ok", "{file}");
             for cut in 0..sealed.len() {
@@ -602,7 +690,9 @@ mod tests {
                     sealed.len()
                 );
             }
-            for offset in 0..sealed.len() {
+            // A checkpoint body holds 0xFF bytes of its own; rot is a
+            // changed byte.
+            for offset in (0..sealed.len()).filter(|&at| sealed[at] != 0xFF) {
                 let mut rotted = sealed.clone();
                 rotted[offset] = 0xFF;
                 assert_eq!(
@@ -611,7 +701,7 @@ mod tests {
                     "{file} with 0xFF at {offset}"
                 );
             }
-            std::fs::write(dir.join(&file), &sealed).unwrap();
+            std::fs::remove_file(dir.join(&file)).unwrap();
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -623,8 +713,7 @@ mod tests {
     fn a_manifest_from_another_seal_version_reads_as_version_skew() {
         let dir = temp_dir("seal-skew");
         let _ = std::fs::remove_dir_all(&dir);
-        let manifest =
-            cuasmrl::RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), 1.0);
+        let manifest = cuasmrl::RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new());
         cuasmrl::persist_run_manifest(&artifact::UnsyncedIo, &dir, &manifest).unwrap();
         let file = "a100_service_telemetry.json";
         let sealed = std::fs::read_to_string(dir.join(file)).unwrap();

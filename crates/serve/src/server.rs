@@ -412,8 +412,6 @@ impl Shared {
     }
 
     fn persist_manifest(&self, gpu: &str, kernels: &[KernelTelemetry]) {
-        let log_sum: f64 = kernels.iter().map(|k| k.speedup.max(1e-12).ln()).sum();
-        let geomean = (log_sum / kernels.len().max(1) as f64).exp();
         let manifest = RunManifest::new(
             gpu,
             SERVICE_SUITE_LABEL,
@@ -421,7 +419,6 @@ impl Shared {
             self.config.seed,
             self.config.workers,
             kernels.to_vec(),
-            geomean,
         );
         if let Err(err) = persist_run_manifest(&UnsyncedIo, &self.config.store_dir, &manifest) {
             eprintln!("cuasmrld: failed to persist telemetry manifest: {err}");

@@ -532,8 +532,7 @@ fn a_killed_checkpoint_save_leaves_the_old_checkpoint_or_the_new_one() {
 #[test]
 fn a_killed_manifest_persist_leaves_the_old_manifest_or_the_new_one() {
     let version = |new: bool| {
-        let geomean = if new { 1.25 } else { 1.0 };
-        cuasmrl::RunManifest::new("a100", "service", "greedy", 0, 1, Vec::new(), geomean)
+        cuasmrl::RunManifest::new("a100", "service", "greedy", u64::from(new), 1, Vec::new())
     };
     sweep_family_publish(
         "manifest",

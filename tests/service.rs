@@ -264,8 +264,8 @@ fn a_garbage_checkpoint_is_discarded_and_the_rl_answer_still_matches_the_direct_
 }
 
 /// The checkpoint the RL cases' search leaves when it is preempted before
-/// its first update, with the encoder's `kernel` forged to
-/// `usize::MAX / 2 + 1` behind a re-sealed trailer. Its observation width
+/// its first update, with the config's encoder `kernel` forged to
+/// `usize::MAX / 2 + 1` and the body sealed again. Its observation width
 /// and action count fit the game: only the shape lies.
 fn lying_checkpoint() -> Vec<u8> {
     let dir = temp_dir("lying-shape-source");
@@ -288,23 +288,20 @@ fn lying_checkpoint() -> Vec<u8> {
         )
         .expect("save");
     assert!(preempted);
-    let mut bytes = std::fs::read(&path).expect("a preempted search keeps its checkpoint");
+    let sealed = std::fs::read(&path).expect("a preempted search keeps its checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
-    // The encoder's (channels, kernel) = (8, 3) appear first in the config,
-    // then among the policy's dimensions.
+    let mut body = artifact::open(&path, &sealed, rl::CHECKPOINT_VERSION)
+        .expect("a sealed checkpoint")
+        .to_vec();
+    // The encoder's (channels, kernel) = (8, 3) are the config's.
     let pair: Vec<u8> = [8u64, 3].iter().flat_map(|d| d.to_le_bytes()).collect();
-    let (channels, _) = bytes
+    let channels = body
         .windows(pair.len())
-        .enumerate()
-        .filter(|(_, window)| *window == pair.as_slice())
-        .nth(1)
-        .expect("the policy's dimensions");
+        .position(|window| window == pair.as_slice())
+        .expect("the config's encoder shape");
     let kernel = channels + 8;
-    bytes[kernel..kernel + 8].copy_from_slice(&(usize::MAX as u64 / 2 + 1).to_le_bytes());
-    let content_len = bytes.len() - 8;
-    let checksum = artifact::fnv1a64(&bytes[..content_len]);
-    bytes[content_len..].copy_from_slice(&checksum.to_le_bytes());
-    bytes
+    body[kernel..kernel + 8].copy_from_slice(&(usize::MAX as u64 / 2 + 1).to_le_bytes());
+    artifact::sealed(rl::CHECKPOINT_VERSION, &body)
 }
 
 #[test]
